@@ -2,15 +2,26 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments examples clean
+.PHONY: all build fmt vet test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments examples clean
 
-all: build vet test
+all: build fmt vet test bench-module
 
 build:
 	$(GO) build ./...
 
+# gofmt gate over the root module (benchmark/ is its own, frozen module):
+# any printed file name is a failure.
+fmt:
+	@out="$$(gofmt -l . | grep -v '^benchmark/')"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is its own module (replace repro => ../): the root build
+# never sees it, so vet and smoke-test it against this tree explicitly.
+bench-module:
+	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
 
 test:
 	$(GO) test ./...

@@ -62,7 +62,7 @@ func BenchmarkFig3aRuntime(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			w := comm.NewWorld(p, timing.T3D())
 			for i := 0; i < b.N; i++ {
-				res, err := scalparc.Train(w, tab, splitter.Config{})
+				res, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func BenchmarkFig3bMemory(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			w := comm.NewWorld(p, timing.T3D())
 			for i := 0; i < b.N; i++ {
-				res, err := scalparc.Train(w, tab, splitter.Config{MaxDepth: 8})
+				res, err := scalparc.TrainOpts(w, tab, splitter.Config{MaxDepth: 8}, scalparc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func BenchmarkSpeedupTrend(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/p=32", n), func(b *testing.B) {
 			w := comm.NewWorld(32, timing.T3D())
 			for i := 0; i < b.N; i++ {
-				res, err := scalparc.Train(w, tab, splitter.Config{})
+				res, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func BenchmarkSprintComparison(b *testing.B) {
 	tab := benchTable(b)
 	algos := map[string]func(*comm.World) (*scalparc.Result, error){
 		"scalparc": func(w *comm.World) (*scalparc.Result, error) {
-			return scalparc.Train(w, tab, splitter.Config{MaxDepth: 8})
+			return scalparc.TrainOpts(w, tab, splitter.Config{MaxDepth: 8}, scalparc.Options{})
 		},
 		"sprint": func(w *comm.World) (*scalparc.Result, error) {
 			return sprint.Train(w, tab, splitter.Config{MaxDepth: 8})

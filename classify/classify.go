@@ -231,7 +231,25 @@ type Model struct {
 	Metrics Metrics
 }
 
-// Train builds a decision tree on the table under the configuration.
+// engineOnly rejects the knobs only the ScalParC engine implements when
+// another algorithm is selected — the one flag-coherence check, shared by
+// Train's serial arm and TrainWorld.
+func (c Config) engineOnly() error {
+	if c.Algorithm == ScalParC {
+		return nil
+	}
+	if c.Split != SplitExact || c.Bins != 0 || c.VoteK != 0 {
+		return fmt.Errorf("classify: binned and vote split finding require the ScalParC algorithm (got %v)", c.Algorithm)
+	}
+	if c.Faults != "" || c.CheckpointEvery != 0 || c.CheckpointDir != "" || c.Resume {
+		return fmt.Errorf("classify: fault injection and checkpointing require the ScalParC algorithm (got %v)", c.Algorithm)
+	}
+	return nil
+}
+
+// Train builds a decision tree on the table under the configuration. The
+// parallel algorithms run on a simulated world of cfg.Processors ranks,
+// through TrainWorld.
 func Train(tab *Table, cfg Config) (*Model, error) {
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
@@ -239,58 +257,27 @@ func Train(tab *Table, cfg Config) (*Model, error) {
 	if cfg.Processors < 0 {
 		return nil, fmt.Errorf("classify: negative processor count %d", cfg.Processors)
 	}
-	p := cfg.Processors
-	if p == 0 {
-		p = 1
-	}
-	if (cfg.Split != SplitExact || cfg.Bins != 0 || cfg.VoteK != 0) && cfg.Algorithm != ScalParC {
-		return nil, fmt.Errorf("classify: binned and vote split finding require the ScalParC algorithm (got %v)", cfg.Algorithm)
-	}
-	if (cfg.Faults != "" || cfg.CheckpointEvery != 0 || cfg.CheckpointDir != "" || cfg.Resume) && cfg.Algorithm != ScalParC {
-		return nil, fmt.Errorf("classify: fault injection and checkpointing require the ScalParC algorithm (got %v)", cfg.Algorithm)
-	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("classify: negative checkpoint interval %d", cfg.CheckpointEvery)
-	}
-	if cfg.Resume {
-		return nil, fmt.Errorf("classify: Resume requires a wire-backed world (TrainWorld); the simulated machine replays in-process")
-	}
-	var schedule *faults.Schedule
-	if cfg.Faults != "" {
-		var err error
-		if schedule, err = faults.Parse(cfg.Faults, cfg.FaultSeed, p); err != nil {
-			return nil, err
-		}
-		if schedule.NeedsWire() {
-			return nil, fmt.Errorf("classify: hang faults require a wire transport (the simulated machine's ranks share one process)")
-		}
-	}
-
-	m := &Model{Metrics: Metrics{Algorithm: cfg.Algorithm, Processors: p}}
 	switch cfg.Algorithm {
-	case Serial, SLIQ:
-		var t *tree.Tree
-		var err error
-		if cfg.Algorithm == Serial {
-			t, err = serial.Train(tab, cfg.splitterConfig())
-		} else {
-			t, m.Metrics.Trace, m.Metrics.ModeledSeconds, err = sliq.TrainTraced(tab, cfg.splitterConfig(), cfg.machine())
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.Tree = t
-		m.Metrics.Processors = 1
-		m.Metrics.Levels = t.Depth() + 1
 	case ScalParC, SPRINT:
-		var err error
-		if m, err = trainParallel(comm.NewWorld(p, cfg.machine()), tab, cfg, schedule); err != nil {
-			return nil, err
-		}
+		return TrainWorld(comm.NewWorld(max(cfg.Processors, 1), cfg.machine()), tab, cfg)
+	case Serial, SLIQ:
 	default:
 		return nil, fmt.Errorf("classify: unknown algorithm %v", cfg.Algorithm)
 	}
-
+	if err := cfg.engineOnly(); err != nil {
+		return nil, err
+	}
+	m := &Model{Metrics: Metrics{Algorithm: cfg.Algorithm, Processors: 1}}
+	var err error
+	if cfg.Algorithm == Serial {
+		m.Tree, err = serial.Train(tab, cfg.splitterConfig())
+	} else {
+		m.Tree, m.Metrics.Trace, m.Metrics.ModeledSeconds, err = sliq.TrainTraced(tab, cfg.splitterConfig(), cfg.machine())
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.Metrics.Levels = m.Tree.Depth() + 1
 	if cfg.Prune {
 		m.Metrics.PrunedNodes = m.Tree.Prune()
 	}
@@ -309,74 +296,57 @@ func TrainWorld(w *comm.World, tab *Table, cfg Config) (*Model, error) {
 	if cfg.Algorithm != ScalParC && cfg.Algorithm != SPRINT {
 		return nil, fmt.Errorf("classify: TrainWorld requires a parallel algorithm (got %v)", cfg.Algorithm)
 	}
-	if (cfg.Split != SplitExact || cfg.Bins != 0 || cfg.VoteK != 0) && cfg.Algorithm != ScalParC {
-		return nil, fmt.Errorf("classify: binned and vote split finding require the ScalParC algorithm (got %v)", cfg.Algorithm)
+	if err := cfg.engineOnly(); err != nil {
+		return nil, err
 	}
-	if (cfg.Faults != "" || cfg.CheckpointEvery != 0 || cfg.CheckpointDir != "" || cfg.Resume) && cfg.Algorithm != ScalParC {
-		return nil, fmt.Errorf("classify: fault injection and checkpointing require the ScalParC algorithm (got %v)", cfg.Algorithm)
+	if cfg.Resume && !w.Distributed() {
+		return nil, fmt.Errorf("classify: Resume requires a wire-backed world (the simulated machine replays in-process)")
 	}
-	var schedule *faults.Schedule
+	opts := scalparc.Options{
+		Split:           cfg.Split,
+		Bins:            cfg.Bins,
+		VoteK:           cfg.VoteK,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointDir:   cfg.CheckpointDir,
+		Resume:          cfg.Resume,
+	}
+	if cfg.Algorithm == SPRINT {
+		opts.RecordMap = sprint.ReplicatedTable
+	}
 	if cfg.Faults != "" {
-		var err error
-		if schedule, err = faults.Parse(cfg.Faults, cfg.FaultSeed, w.Size()); err != nil {
+		schedule, err := faults.Parse(cfg.Faults, cfg.FaultSeed, w.Size())
+		if err != nil {
 			return nil, err
 		}
 		if schedule.NeedsWire() && !w.Distributed() {
 			return nil, fmt.Errorf("classify: hang faults require a wire transport (the simulated machine's ranks share one process)")
 		}
+		opts.Faults = schedule
 	}
-	if cfg.Resume && !w.Distributed() {
-		return nil, fmt.Errorf("classify: Resume requires a wire-backed world")
-	}
-	m, err := trainParallel(w, tab, cfg, schedule)
+	res, err := scalparc.TrainOpts(w, tab, cfg.splitterConfig(), opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Prune {
-		m.Metrics.PrunedNodes = m.Tree.Prune()
-	}
-	return m, nil
-}
-
-// trainParallel runs the ScalParC or SPRINT arm on the given world and
-// assembles the metrics both Train and TrainWorld report.
-func trainParallel(w *comm.World, tab *Table, cfg Config, schedule *faults.Schedule) (*Model, error) {
-	m := &Model{Metrics: Metrics{Algorithm: cfg.Algorithm, Processors: w.Size()}}
-	var res *scalparc.Result
-	var err error
-	if cfg.Algorithm == ScalParC {
-		opts := scalparc.Options{
-			Split:           cfg.Split,
-			Bins:            cfg.Bins,
-			VoteK:           cfg.VoteK,
-			CheckpointEvery: cfg.CheckpointEvery,
-			CheckpointDir:   cfg.CheckpointDir,
-			Resume:          cfg.Resume,
-		}
-		if schedule != nil {
-			opts.Faults = schedule
-		}
-		res, err = scalparc.TrainOpts(w, tab, cfg.splitterConfig(), opts)
-	} else {
-		res, err = sprint.Train(w, tab, cfg.splitterConfig())
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.Tree = res.Tree
-	m.Metrics.Levels = res.Levels
-	m.Metrics.ModeledSeconds = res.ModeledSeconds
-	m.Metrics.PresortModeledSeconds = res.PresortModeledSeconds
-	m.Metrics.WallSeconds = res.WallSeconds
-	m.Metrics.PeakMemoryPerRank = res.PeakMemoryPerRank
-	m.Metrics.Trace = res.Trace
-	m.Metrics.Recoveries = res.Recoveries
-	m.Metrics.FinalRanks = res.FinalRanks
-	m.Metrics.Lost = res.Lost
+	m := &Model{Tree: res.Tree, Metrics: Metrics{
+		Algorithm:             cfg.Algorithm,
+		Processors:            w.Size(),
+		Levels:                res.Levels,
+		ModeledSeconds:        res.ModeledSeconds,
+		PresortModeledSeconds: res.PresortModeledSeconds,
+		WallSeconds:           res.WallSeconds,
+		PeakMemoryPerRank:     res.PeakMemoryPerRank,
+		Trace:                 res.Trace,
+		Recoveries:            res.Recoveries,
+		FinalRanks:            res.FinalRanks,
+		Lost:                  res.Lost,
+	}}
 	for _, s := range res.Stats {
 		m.Metrics.BytesSent += s.BytesSent
 		m.Metrics.BytesRecv += s.BytesRecv
 		m.Metrics.Suspicions += s.Suspicions
+	}
+	if cfg.Prune {
+		m.Metrics.PrunedNodes = m.Tree.Prune()
 	}
 	return m, nil
 }

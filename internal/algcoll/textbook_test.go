@@ -14,6 +14,10 @@
 // equivalence with package comm and cost agreement with the model's
 // formulas, validating the linear communication model the evaluation rests
 // on (the paper benchmarks its machine the same way).
+//
+// Nothing imports these collectives: they are a reference implementation
+// that exists to be compared against, so the package holds test files only
+// and is not part of any built binary.
 package algcoll
 
 import (

@@ -366,7 +366,7 @@ func WeakScaling(w io.Writer, basePerProc int, procs []int, function int, seed i
 			return err
 		}
 		world := comm.NewWorld(p, machine)
-		res, err := scalparc.Train(world, tab, splitter.Config{MaxDepth: 10})
+		res, err := scalparc.TrainOpts(world, tab, splitter.Config{MaxDepth: 10}, scalparc.Options{})
 		if err != nil {
 			return err
 		}
@@ -391,7 +391,7 @@ func Levels(w io.Writer, n, p int, function int, seed int64, machine timing.Mode
 		return err
 	}
 	world := comm.NewWorld(p, machine)
-	res, err := scalparc.Train(world, tab, splitter.Config{})
+	res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, scalparc.Options{})
 	if err != nil {
 		return err
 	}
@@ -447,7 +447,7 @@ func Phases(w io.Writer, n, p int, function int, seed int64, maxDepth int, machi
 		return err
 	}
 	world := comm.NewWorld(p, machine)
-	res, err := scalparc.Train(world, tab, splitter.Config{MaxDepth: maxDepth})
+	res, err := scalparc.TrainOpts(world, tab, splitter.Config{MaxDepth: maxDepth}, scalparc.Options{})
 	if err != nil {
 		return err
 	}
@@ -484,7 +484,7 @@ func PhaseCmp(w io.Writer, n, p int, function int, seed int64, machine timing.Mo
 	traces := make([]*trace.Trace, 0, 3)
 	names := []string{"scalparc", "sprint", "sliq (serial)"}
 
-	scRes, err := scalparc.Train(comm.NewWorld(p, machine), tab, splitter.Config{})
+	scRes, err := scalparc.TrainOpts(comm.NewWorld(p, machine), tab, splitter.Config{}, scalparc.Options{})
 	if err != nil {
 		return err
 	}

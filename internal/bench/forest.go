@@ -11,11 +11,9 @@ package bench
 // terminally failed tree world loses at most that tree).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"text/tabwriter"
@@ -201,12 +199,12 @@ func Forest(w io.Writer, dir, label string) error {
 	}
 
 	path := filepath.Join(dir, ForestFile)
-	traj, err := loadForestTrajectory(path)
+	traj, err := loadTrajectory(path, ForestTrajectory{Experiment: "EXP-FOREST", Notes: forestNotes})
 	if err != nil {
 		return err
 	}
 	traj.Runs = append(traj.Runs, run)
-	if err := saveForestTrajectory(path, traj); err != nil {
+	if err := saveTrajectory(path, traj); err != nil {
 		return err
 	}
 
@@ -222,27 +220,6 @@ func Forest(w io.Writer, dir, label string) error {
 		fmt.Fprintln(w, line)
 	}
 	return nil
-}
-
-func loadForestTrajectory(path string) (*ForestTrajectory, error) {
-	traj := &ForestTrajectory{Experiment: "EXP-FOREST", Notes: forestNotes}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, traj); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return traj, nil
-}
-
-func saveForestTrajectory(path string, traj *ForestTrajectory) error {
-	out, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // forestKiller poisons its tree's first FindSplitI collective with a

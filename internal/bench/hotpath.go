@@ -10,12 +10,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -63,7 +61,7 @@ func BenchInduction(b *testing.B, n, p int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scalparc.Train(w, tab, splitter.Config{}); err != nil {
+		if _, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,27 +211,7 @@ type BenchFile struct {
 // LoadBenchFile reads a trajectory file; a missing file yields an empty
 // trajectory with the given notes.
 func LoadBenchFile(path, notes string) (*BenchFile, error) {
-	f := &BenchFile{Experiment: "EXP-HOTPATH", Notes: notes}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return f, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(data, f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-// Save writes the trajectory back, indented and newline-terminated.
-func (f *BenchFile) Save(path string) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return loadTrajectory(path, BenchFile{Experiment: "EXP-HOTPATH", Notes: notes})
 }
 
 // Latest returns the newest run, or nil for an empty trajectory.
@@ -335,7 +313,7 @@ func Hotpath(w io.Writer, dir, label string) error {
 		"ParallelSort": run.sort,
 	}
 	ind.Runs = append(ind.Runs, indRun)
-	if err := ind.Save(filepath.Join(dir, InductionFile)); err != nil {
+	if err := saveTrajectory(filepath.Join(dir, InductionFile), ind); err != nil {
 		return err
 	}
 
@@ -349,7 +327,7 @@ func Hotpath(w io.Writer, dir, label string) error {
 		"GiniScanNaive":       run.scanNaive,
 	}
 	scan.Runs = append(scan.Runs, scanRun)
-	if err := scan.Save(filepath.Join(dir, ScanFile)); err != nil {
+	if err := saveTrajectory(filepath.Join(dir, ScanFile), scan); err != nil {
 		return err
 	}
 

@@ -131,7 +131,7 @@ func TestBenchFileRoundTrip(t *testing.T) {
 
 	ind, _ := trajectory()
 	ind.Notes = "n"
-	if err := ind.Save(path); err != nil {
+	if err := saveTrajectory(path, ind); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadBenchFile(path, "")

@@ -215,7 +215,7 @@ func Predict(w io.Writer, dir, label string) error {
 		"PredictCompiled": run.compiled,
 	}
 	f.Runs = append(f.Runs, rec)
-	if err := f.Save(filepath.Join(dir, PredictFile)); err != nil {
+	if err := saveTrajectory(filepath.Join(dir, PredictFile), f); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\ncompiled speedup this run: %.2fx over the frozen naive walk\n", run.speedup())

@@ -357,12 +357,12 @@ func Serve(w io.Writer, dir, label string) error {
 	run.Points = points
 
 	path := filepath.Join(dir, ServeFile)
-	traj, err := loadServeTrajectory(path)
+	traj, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
 	if err != nil {
 		return err
 	}
 	traj.Runs = append(traj.Runs, run)
-	if err := saveServeTrajectory(path, traj); err != nil {
+	if err := saveTrajectory(path, traj); err != nil {
 		return err
 	}
 
@@ -378,27 +378,6 @@ func Serve(w io.Writer, dir, label string) error {
 		fmt.Fprintln(w, line)
 	}
 	return nil
-}
-
-func loadServeTrajectory(path string) (*ServeTrajectory, error) {
-	traj := &ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, traj); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return traj, nil
-}
-
-func saveServeTrajectory(path string, traj *ServeTrajectory) error {
-	out, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // GUARD-SERVE thresholds. The differential gate is absolute; the
@@ -571,11 +550,7 @@ func writeServeArtifact(points []ServePoint, lats [][]time.Duration) error {
 		}
 		arts = append(arts, pointArtifact{Point: pt, BucketEdgeUs: edges, Counts: counts})
 	}
-	data, err := json.MarshalIndent(arts, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "serve_latency.json"), append(data, '\n'), 0o644)
+	return saveTrajectory(filepath.Join(dir, "serve_latency.json"), arts)
 }
 
 // ServeGuard runs and prints GUARD-SERVE, the CI regression gate for the
@@ -589,7 +564,7 @@ func ServeGuard(w io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	traj, err := loadServeTrajectory(filepath.Join(dir, ServeFile))
+	traj, err := loadTrajectory(filepath.Join(dir, ServeFile), ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func TestServeChecksGates(t *testing.T) {
 func TestServeTrajectoryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, ServeFile)
-	traj, err := loadServeTrajectory(path)
+	traj, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestServeTrajectoryRoundTrip(t *testing.T) {
 		t.Fatalf("fresh trajectory = %+v", traj)
 	}
 	traj.Runs = append(traj.Runs, ServeRun{Label: "r1", Points: serveTestPoints(1000, 100, 10)})
-	if err := saveServeTrajectory(path, traj); err != nil {
+	if err := saveTrajectory(path, traj); err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadServeTrajectory(path)
+	back, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func runPoint(tab *dataset.Table, p int, algo classify.Algorithm, maxDepth int, 
 	case classify.SPRINT:
 		res, err = sprint.Train(w, tab, cfg)
 	default:
-		res, err = scalparc.Train(w, tab, cfg)
+		res, err = scalparc.TrainOpts(w, tab, cfg, scalparc.Options{})
 	}
 	if err != nil {
 		return Point{}, err

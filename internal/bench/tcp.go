@@ -97,7 +97,7 @@ func TCPWorker(args []string) error {
 	}
 	defer tr.Close()
 	w := comm.NewTransportWorld(tr, timing.T3D())
-	res, err := scalparc.Train(w, tab, splitter.Config{})
+	res, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{})
 	if err != nil {
 		return err
 	}
@@ -179,21 +179,12 @@ func TCP(w io.Writer, dir, label string) error {
 	}
 
 	path := filepath.Join(dir, TCPFile)
-	traj := &TCPTrajectory{Experiment: "EXP-TCP", Notes: tcpNotes}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, traj); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	traj.Runs = append(traj.Runs, run)
-	out, err := json.MarshalIndent(traj, "", "  ")
+	traj, err := loadTrajectory(path, TCPTrajectory{Experiment: "EXP-TCP", Notes: tcpNotes})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	traj.Runs = append(traj.Runs, run)
+	if err := saveTrajectory(path, traj); err != nil {
 		return err
 	}
 

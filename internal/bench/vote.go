@@ -9,7 +9,6 @@ package bench
 // candidates'.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -201,12 +200,12 @@ func Vote(w io.Writer, dir, label string) error {
 	}
 
 	path := filepath.Join(dir, VoteFile)
-	traj, err := loadVoteTrajectory(path)
+	traj, err := loadTrajectory(path, VoteTrajectory{Experiment: "EXP-VOTE", Notes: voteNotes})
 	if err != nil {
 		return err
 	}
 	traj.Runs = append(traj.Runs, run)
-	if err := saveVoteTrajectory(path, traj); err != nil {
+	if err := saveTrajectory(path, traj); err != nil {
 		return err
 	}
 
@@ -222,27 +221,6 @@ func Vote(w io.Writer, dir, label string) error {
 		fmt.Fprintln(w, line)
 	}
 	return nil
-}
-
-func loadVoteTrajectory(path string) (*VoteTrajectory, error) {
-	traj := &VoteTrajectory{Experiment: "EXP-VOTE", Notes: voteNotes}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, traj); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return traj, nil
-}
-
-func saveVoteTrajectory(path string, traj *VoteTrajectory) error {
-	out, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // GUARD-VOTE thresholds: the byte gate demands voting at least halve the

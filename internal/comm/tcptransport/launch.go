@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // Worker environment. The coordinator binds every rank's listener
@@ -45,16 +47,23 @@ func IsResume() bool { return os.Getenv(envResume) != "" }
 // and respawn sizing read these; a hung worker never writes one, which
 // is exactly how the watchdog tells it apart. Atomic like WriteResult.
 func WriteStatus(state string) error {
+	return writeScratch("status-"+os.Getenv(envRank), []byte(state))
+}
+
+// writeScratch publishes one of a worker's IPC files, by name, in the job's
+// scratch directory (the result file's). atomicfile.Write, not WriteDurable:
+// Job.Close deletes the directory, and the coordinator reads the files while
+// both processes are alive — an fsync would only put disk latency on the
+// job's clock.
+func writeScratch(name string, data []byte) error {
 	res := ResultPath()
 	if res == "" {
 		return fmt.Errorf("tcptransport: %s not set", envResult)
 	}
-	path := filepath.Join(filepath.Dir(res), "status-"+os.Getenv(envRank))
-	tmp := path + ".tmp." + strconv.Itoa(os.Getpid())
-	if err := os.WriteFile(tmp, []byte(state), 0o644); err != nil {
+	return atomicfile.Write(filepath.Join(filepath.Dir(res), name), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // FromEnvTimeout connects the transport described by the worker
@@ -319,15 +328,7 @@ func (j *Job) Close() {
 // coordinator (write-to-temp then rename, so a crash mid-write never
 // leaves a half result).
 func WriteResult(data []byte) error {
-	path := ResultPath()
-	if path == "" {
-		return fmt.Errorf("tcptransport: %s not set", envResult)
-	}
-	tmp := path + ".tmp." + strconv.Itoa(os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeScratch(filepath.Base(ResultPath()), data)
 }
 
 // ConnectLocal builds a p-rank mesh inside one process (each rank's leg

@@ -17,9 +17,9 @@ package comm
 //     NewTransportWorld drives exactly one local rank over it.
 //
 // Both backends present the same *World / *Comm API, so every algorithm
-// in the repository (scalparc, sprint, psort, nodetable, algcoll) runs
-// unchanged on either, and a differential test can assert byte-identical
-// trees between them.
+// in the repository (scalparc, sprint, psort, nodetable, and the test-only
+// textbook collectives of internal/algcoll) runs unchanged on either, and a
+// differential test can assert byte-identical trees between them.
 //
 // Wire format contract. Element types crossing the transport are the
 // same "flat" structs of scalars the simulated collectives require (no

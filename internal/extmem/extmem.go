@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
 )
 
@@ -106,45 +107,26 @@ func (s *Store) WriteCat(name string, entries []dataset.CatEntry) error {
 	})
 }
 
-// write creates the named list atomically: the data goes to a temp file in
-// the store directory which is renamed over the target only after a
-// successful flush and close. Every early return removes the temp file, so
-// a failed write can neither clobber an existing good list nor leave
-// litter behind.
-func (s *Store) write(name string, bytes int, fill func(*bufio.Writer) error) (err error) {
-	f, err := os.CreateTemp(s.dir, name+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("extmem: creating %s: %w", name, err)
-	}
-	tmp := f.Name()
-	closed := false
-	defer func() {
-		if err != nil {
-			if !closed {
-				f.Close()
-			}
-			os.Remove(tmp)
+// write creates the named list atomically (atomicfile.Write: a failed
+// write can neither clobber an existing good list nor leave litter behind).
+// Not fsynced: the lists are the working set of a live run and nothing
+// resumes from them after a crash.
+func (s *Store) write(name string, bytes int, fill func(*bufio.Writer) error) error {
+	err := atomicfile.Write(s.path(name), func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, s.bufSize)
+		var hdr [headerSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(bytes))
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
 		}
-	}()
-	w := bufio.NewWriterSize(f, s.bufSize)
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(bytes))
-	if _, err = w.Write(hdr[:]); err != nil {
+		if err := fill(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("extmem: writing %s: %w", name, err)
-	}
-	if err = fill(w); err != nil {
-		return fmt.Errorf("extmem: writing %s: %w", name, err)
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("extmem: flushing %s: %w", name, err)
-	}
-	closed = true
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("extmem: closing %s: %w", name, err)
-	}
-	if err = os.Rename(tmp, s.path(name)); err != nil {
-		return fmt.Errorf("extmem: renaming %s: %w", name, err)
 	}
 	s.stats.BytesWritten += int64(bytes) // payload only; the header is bookkeeping, not list I/O
 	return nil

@@ -70,7 +70,7 @@ type node struct {
 	ncard int32
 }
 
-func (n *node) kind() uint8 { return uint8(n.meta & 3) }
+func (n *node) kind() uint8    { return uint8(n.meta & 3) }
 func (n *node) payload() int32 { return n.meta >> 2 }
 
 // Model is a compiled tree: the flat node table in breadth-first order

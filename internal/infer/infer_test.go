@@ -137,18 +137,18 @@ func TestFallbackRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := [][]float64{
-		{math.NaN(), 0},            // NaN at the continuous root
-		{math.NaN(), math.NaN()},   // NaN all the way down
-		{0, 7},                     // out-of-domain m-way value
-		{0, -3},                    // negative m-way value
-		{0, math.Inf(1)},           // +Inf categorical
-		{9, 9},                     // out-of-domain subset value
-		{9, -1},                    // negative subset value
-		{9, math.NaN()},            // NaN subset value
-		{9, math.Inf(-1)},          // -Inf subset value
-		{math.Inf(1), 1},           // +Inf continuous goes right
-		{math.Inf(-1), 1},          // -Inf continuous goes left
-		{0, 2.9}, {9, 1.2},         // fractional in-domain values truncate
+		{math.NaN(), 0},          // NaN at the continuous root
+		{math.NaN(), math.NaN()}, // NaN all the way down
+		{0, 7},                   // out-of-domain m-way value
+		{0, -3},                  // negative m-way value
+		{0, math.Inf(1)},         // +Inf categorical
+		{9, 9},                   // out-of-domain subset value
+		{9, -1},                  // negative subset value
+		{9, math.NaN()},          // NaN subset value
+		{9, math.Inf(-1)},        // -Inf subset value
+		{math.Inf(1), 1},         // +Inf continuous goes right
+		{math.Inf(-1), 1},        // -Inf continuous goes left
+		{0, 2.9}, {9, 1.2},       // fractional in-domain values truncate
 		{1.5, 0}, {2, 1}, {0.1, 2}, // plain in-domain rows
 	}
 	for _, row := range rows {

@@ -21,7 +21,9 @@ func allocWorker(t *testing.T, rows int) *worker {
 	}
 	w := comm.NewWorld(1, timing.T3D())
 	cfg := splitter.Config{MinSplit: 2}.Normalize()
-	return newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{})
+	wk := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{})
+	wk.presort(tab)
+	return wk
 }
 
 // findSplitsAllocs measures the steady-state allocations of one full
@@ -99,7 +101,7 @@ func TestLevelLoopSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := comm.NewWorld(2, timing.T3D())
-		if _, err := Train(w, tab, splitter.Config{MinSplit: 2}); err != nil {
+		if _, err := TrainOpts(w, tab, splitter.Config{MinSplit: 2}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func TestPerLevelStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(4, timing.T3D())
-	res, err := Train(w, tab, splitter.Config{})
+	res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

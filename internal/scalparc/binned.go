@@ -27,51 +27,93 @@ func computeCuts(c *comm.Comm, list []dataset.ContEntry, n, bins int) []float64 
 	return histogram.Cuts(comm.AllgatherFlat(c, local))
 }
 
-// findSplitsBinned is the histogram-binned counterpart of findSplitsBatch.
-//
-// FindSplitI builds one dense uint32 count vector covering every
-// (need-split node, attribute) group — continuous attributes bucketed by the
-// presort-time quantile cuts, categorical ones by domain value — and
-// exchanges it with a single reduce-scatter: each rank receives the fully
-// reduced histograms of a contiguous block of groups. FindSplitII then
-// evaluates only the owned groups (bin boundaries for continuous,
-// splitter.BestCategorical for categorical) and merges the per-node winners
-// with the same deterministic candidate reduction the exact path uses.
-func (wk *worker) findSplitsBinned(splitIdx []int, nNeed int) []splitter.Candidate {
-	wk.c.SetPhase(trace.FindSplitI, wk.level)
-	nc := wk.schema.NumClasses()
-	model := wk.c.Model()
-	p := wk.c.Size()
+// binnedFinder is histogram-binned FindSplit. FindSplitI builds one dense
+// uint32 count vector covering every (need-split node, attribute) group —
+// continuous attributes bucketed by the presort-time quantile cuts,
+// categorical ones by domain value — and hands it to exchange.
+type binnedFinder struct {
+	frameState // tag is SplitBinned, or SplitVote when embedded in a voteFinder
 
-	layout := histogram.NewLayout(nNeed, wk.attrBins(), nc)
-	nodeOf := wk.needToActive(splitIdx, nNeed)
-
-	transient := int64(layout.Total) * 4
-	wk.c.Mem().Alloc(transient)
-	hist := grab(wk.ar, &wk.ar.hist32, layout.Total)
-	scanned := wk.accumulateHist(layout, nodeOf, hist)
-	wk.c.Compute(model.ScanTime(scanned))
-
-	counts := layout.OwnerCounts(p)
-	mine := stash(wk.ar, &wk.ar.mine32, comm.ReduceScatterSum32Into(wk.c, hist, wk.ar.mine32, counts))
-
-	// FindSplitII: evaluate the owned groups from their reduced histograms.
-	wk.c.SetPhase(trace.FindSplitII, wk.level)
-	best := grab(wk.ar, &wk.ar.best, nNeed) // zero value is Invalid
-	evaluated := wk.evalOwnedGroups(layout, mine, best, nodeOf)
-	wk.c.Compute(model.ScanTime(evaluated))
-	wk.c.Mem().Free(transient)
-	return stash(wk.ar, &wk.ar.bestOut, comm.AllReduceInto(wk.c, best, wk.ar.bestOut, splitter.Best))
+	// Arena buffers (see scratch.go for the reuse rules).
+	attrBins []int
+	nodeOf   []int
+	hist     []uint32
+	round    exchangeBufs
+	below    []int64
+	above    []int64
+	catFlat  []int64
+	catRows  [][]int64
+	catMat   splitter.CountMatrix
 }
 
-// attrBins returns the per-attribute bin counts of the binned/vote histogram
-// layout: quantile cuts + 1 for continuous attributes, the domain
-// cardinality for categorical ones. Every attribute has at least one bin.
-func (wk *worker) attrBins() []int {
-	bins := grabRaw(wk.ar, &wk.ar.attrBins, wk.schema.NumAttrs())
+// exchangeBufs is the arena of one exchange round. Rounds that overlap in
+// one FindSplit (vote's elected and fallback rounds: the first round's
+// winners are still live while the second runs) each get their own.
+type exchangeBufs struct {
+	mine      []uint32
+	best, out []splitter.Candidate
+}
+
+func (f *binnedFinder) prepare(wk *worker) {
+	f.cuts = make([][]float64, wk.schema.NumAttrs())
+	for _, a := range wk.schema.ContIndices() {
+		f.cuts[a] = computeCuts(wk.c, wk.cont[a], wk.n, f.bins)
+	}
+}
+
+func (f *binnedFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
+	layout, nodeOf, hist, scanned := f.localHist(wk, f.binCounts(wk), splitIdx, nNeed)
+	wk.c.Compute(wk.c.Model().ScanTime(scanned))
+	return f.exchange(wk, &f.round, layout, hist, nodeOf, int64(layout.Total)*4)
+}
+
+// localHist opens FindSplitI: it lays out one group per (need-split node,
+// attribute) with bins[a] bins each, charges the meter for the local
+// histogram vector (the caller releases it), and counts this rank's list
+// segments into it. It returns the layout, the need-split to active index
+// map, the vector, and the number of list entries scanned.
+func (f *binnedFinder) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*histogram.Layout, []int, []uint32, int) {
+	wk.c.SetPhase(trace.FindSplitI, wk.level)
+	layout := histogram.NewLayout(nNeed, bins, wk.schema.NumClasses())
+	nodeOf := grabRaw(wk.ar, &f.nodeOf, nNeed)
+	for i, i2 := range splitIdx {
+		if i2 >= 0 {
+			nodeOf[i2] = i
+		}
+	}
+	wk.c.Mem().Alloc(int64(layout.Total) * 4)
+	hist := grab(wk.ar, &f.hist, layout.Total)
+	return layout, nodeOf, hist, f.accumulateHist(wk, layout, nodeOf, hist)
+}
+
+// exchange is the one histogram exchange of binned and vote split finding:
+// a single reduce-scatter delivers each rank the fully reduced histograms of
+// a contiguous block of layout's groups, FindSplitII evaluates only the
+// owned groups (bin boundaries for continuous, splitter.BestCategorical for
+// categorical), and the per-node winners are merged with the same
+// deterministic candidate reduction the exact path uses. activeOf maps a
+// layout node to its active-node index. release is the meter charge of the
+// histogram buffers that die with the evaluation, freed before the closing
+// all-reduce.
+func (f *binnedFinder) exchange(wk *worker, x *exchangeBufs, layout *histogram.Layout, hist []uint32, activeOf []int, release int64) []splitter.Candidate {
+	c := wk.c
+	mine := stash(wk.ar, &x.mine, comm.ReduceScatterSum32Into(c, hist, x.mine, layout.OwnerCounts(c.Size())))
+	c.SetPhase(trace.FindSplitII, wk.level)
+	best := grab(wk.ar, &x.best, len(activeOf)) // zero value is Invalid
+	evaluated := f.evalOwnedGroups(wk, layout, mine, best, activeOf)
+	c.Compute(c.Model().ScanTime(evaluated))
+	c.Mem().Free(release)
+	return stash(wk.ar, &x.out, comm.AllReduceInto(c, best, x.out, splitter.Best))
+}
+
+// binCounts returns the per-attribute bin counts of the histogram layout:
+// quantile cuts + 1 for continuous attributes, the domain cardinality for
+// categorical ones. Every attribute has at least one bin.
+func (f *binnedFinder) binCounts(wk *worker) []int {
+	bins := grabRaw(wk.ar, &f.attrBins, wk.schema.NumAttrs())
 	for a, attr := range wk.schema.Attrs {
 		if attr.Kind == dataset.Continuous {
-			bins[a] = len(wk.cuts[a]) + 1
+			bins[a] = len(f.cuts[a]) + 1
 		} else {
 			bins[a] = attr.Cardinality()
 		}
@@ -79,28 +121,16 @@ func (wk *worker) attrBins() []int {
 	return bins
 }
 
-// needToActive inverts splitIdx: need-split index back to active index, for
-// segment lookup.
-func (wk *worker) needToActive(splitIdx []int, nNeed int) []int {
-	nodeOf := grabRaw(wk.ar, &wk.ar.nodeOf, nNeed)
-	for i, i2 := range splitIdx {
-		if i2 >= 0 {
-			nodeOf[i2] = i
-		}
-	}
-	return nodeOf
-}
-
 // accumulateHist counts this rank's list segments into the layout's local
 // histogram vector and returns the number of entries scanned. uint32 counts
 // are safe: record ids are int32, so no count can reach 2³¹.
-func (wk *worker) accumulateHist(layout *histogram.Layout, nodeOf []int, hist []uint32) int {
+func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, nodeOf []int, hist []uint32) int {
 	nc := layout.Classes
 	scanned := 0
 	for _, g := range layout.Groups {
 		sg := wk.segs[g.Attr][nodeOf[g.Node]]
 		if wk.schema.Attrs[g.Attr].Kind == dataset.Continuous {
-			cuts := wk.cuts[g.Attr]
+			cuts := f.cuts[g.Attr]
 			for _, e := range wk.cont[g.Attr][sg.off : sg.off+sg.n] {
 				hist[g.Off+histogram.BinOf(cuts, e.Val)*nc+int(e.Cid)]++
 			}
@@ -117,22 +147,22 @@ func (wk *worker) accumulateHist(layout *histogram.Layout, nodeOf []int, hist []
 // evalHistGroup evaluates one (node, attribute) group from a reduced — or,
 // for vote-mode local scoring, local — histogram chunk: bin boundaries for
 // continuous attributes, splitter.BestCategorical for categorical ones.
-func (wk *worker) evalHistGroup(grp histogram.Group, chunk []uint32, below, above []int64, nc int) splitter.Candidate {
+func (f *binnedFinder) evalHistGroup(wk *worker, grp histogram.Group, chunk []uint32, below, above []int64, nc int) splitter.Candidate {
 	if wk.schema.Attrs[grp.Attr].Kind == dataset.Continuous {
-		return bestBinnedCont(chunk, below, above, wk.cuts[grp.Attr], nc, grp.Attr)
+		return bestBinnedCont(chunk, below, above, f.cuts[grp.Attr], nc, grp.Attr)
 	}
-	flat := grabRaw(wk.ar, &wk.ar.catFlat, len(chunk))
+	flat := grabRaw(wk.ar, &f.catFlat, len(chunk))
 	for j, v := range chunk {
 		flat[j] = int64(v)
 	}
 	// Arena-backed count matrix: the rows alias catFlat, consumed before
 	// the next group reuses either.
-	rows := grabRaw(wk.ar, &wk.ar.catRows, grp.Bins)
+	rows := grabRaw(wk.ar, &f.catRows, grp.Bins)
 	for v := 0; v < grp.Bins; v++ {
 		rows[v] = flat[v*nc : (v+1)*nc]
 	}
-	wk.ar.catMat.Counts = rows
-	return splitter.BestCategorical(&wk.ar.catMat, grp.Attr, wk.cfg.CategoricalBinary)
+	f.catMat.Counts = rows
+	return splitter.BestCategorical(&f.catMat, grp.Attr, wk.cfg.CategoricalBinary)
 }
 
 // evalOwnedGroups evaluates this rank's contiguous block of the layout's
@@ -141,11 +171,11 @@ func (wk *worker) evalHistGroup(grp histogram.Group, chunk []uint32, below, abov
 // node index back to its active-node index so the per-node feature mask
 // (forest mode) can veto groups; masked groups ride the exchange but never
 // produce a candidate. Returns the number of histogram slots evaluated.
-func (wk *worker) evalOwnedGroups(layout *histogram.Layout, mine []uint32, best []splitter.Candidate, activeOf []int) int {
+func (f *binnedFinder) evalOwnedGroups(wk *worker, layout *histogram.Layout, mine []uint32, best []splitter.Candidate, activeOf []int) int {
 	nc := layout.Classes
 	glo, ghi := layout.GroupRange(wk.c.Size(), wk.c.Rank())
-	below := grabRaw(wk.ar, &wk.ar.below, nc)
-	above := grabRaw(wk.ar, &wk.ar.above, nc)
+	below := grabRaw(wk.ar, &f.below, nc)
+	above := grabRaw(wk.ar, &f.above, nc)
 	off, evaluated := 0, 0
 	for g := glo; g < ghi; g++ {
 		grp := layout.Groups[g]
@@ -155,7 +185,7 @@ func (wk *worker) evalOwnedGroups(layout *histogram.Layout, mine []uint32, best 
 			continue
 		}
 		evaluated += grp.Len
-		cand := wk.evalHistGroup(grp, chunk, below, above, nc)
+		cand := f.evalHistGroup(wk, grp, chunk, below, above, nc)
 		best[grp.Node] = splitter.Best(best[grp.Node], cand)
 	}
 	return evaluated

@@ -3,6 +3,7 @@ package scalparc
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,9 +11,8 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/comm"
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
-	"repro/internal/splitter"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -56,25 +56,30 @@ type Checkpoint struct {
 	Frags   [][]byte
 }
 
-// CheckpointStore collects per-rank checkpoint frames and promotes them to
-// a complete Checkpoint once every writer of a level has deposited. It
-// models stable storage: its contents survive rank crashes, and recovery
-// reads the last complete snapshot from it. With a directory configured,
-// every promoted checkpoint is also persisted to disk atomically
-// (temp file + rename), so a partial write never replaces a good one.
+// CheckpointStore is the run's stable storage: its contents survive rank
+// crashes, and recovery reads the last complete snapshot from it. Without a
+// directory it collects per-rank frames in memory and promotes them to a
+// complete Checkpoint once every writer of a level has deposited — enough
+// for a simulated world, whose ranks share one process. With a directory,
+// every rank's frames go straight to per-rank files there (the only on-disk
+// format, for simulated and wire-backed worlds alike; on the latter the
+// shared directory is the ranks' only rendezvous) and Latest scans it for
+// the newest complete set. Files are written with atomicfile.WriteDurable
+// and saves are barrier-fronted, so a complete set on disk is a consistent
+// cut and survives a power loss.
 type CheckpointStore struct {
 	mu      sync.Mutex
 	dir     string
-	dist    bool // per-process frame files; see NewDistCheckpointStore
 	latest  *Checkpoint
 	pending *Checkpoint
 	left    int // writers still missing from pending
 	err     error
 }
 
-// NewCheckpointStore returns an empty store. A non-empty dir enables disk
-// persistence: it is created if absent and probed for writability up
-// front, so a bad path fails the run before any training happens.
+// NewCheckpointStore returns an empty store. A non-empty dir makes it
+// file-backed: the directory is created if absent and probed for
+// writability up front, so a bad path fails the run before any training
+// happens. Frame files already in dir are left alone (see clearFrames).
 func NewCheckpointStore(dir string) (*CheckpointStore, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -91,38 +96,12 @@ func NewCheckpointStore(dir string) (*CheckpointStore, error) {
 	return &CheckpointStore{dir: dir}, nil
 }
 
-// NewDistCheckpointStore returns a store for one rank of a wire-backed
-// world, where ranks are separate processes and in-memory promotion is
-// impossible: put writes this rank's fragment (and, from dense rank 0,
-// the shared frame) straight to per-process files in dir, and Latest
-// scans the directory for the newest (level, writers) set that has the
-// shared frame plus every fragment — the other ranks' frames arrive
-// through the shared directory, not through memory. Every file is
-// written atomically (temp + rename), and saves are barrier-fronted, so
-// a complete set on disk is always a consistent cut. Unless resuming, a
-// previous run's frame files are cleared up front so stale state can
-// never masquerade as this run's checkpoint.
-func NewDistCheckpointStore(dir string, resume bool) (*CheckpointStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("scalparc: distributed checkpointing requires a checkpoint directory")
-	}
-	s, err := NewCheckpointStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	s.dist = true
-	if !resume {
-		clearDistFrames(dir)
-	}
-	return s, nil
-}
-
 // Latest returns the last complete checkpoint, or nil.
 func (s *CheckpointStore) Latest() *Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dist {
-		return loadDistLatest(s.dir)
+	if s.dir != "" {
+		return loadFrames(s.dir)
 	}
 	return s.latest
 }
@@ -135,15 +114,19 @@ func (s *CheckpointStore) Err() error {
 }
 
 // put deposits one rank's frame for a level. shared is non-nil only from
-// dense rank 0. Buffers are copied, so callers may reuse theirs. A deposit
-// for a different (level, writers) shape than the pending frame discards
-// the pending frame — that happens when a crash interrupted a save, leaving
-// it forever incomplete.
+// dense rank 0. Buffers are copied, so callers may reuse theirs. In memory,
+// a deposit for a different (level, writers) shape than the pending frame
+// discards the pending frame — that happens when a crash interrupted a
+// save, leaving it forever incomplete.
 func (s *CheckpointStore) put(level, writer, writers int, shared, frag []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dist {
-		if err := persistDistFrames(s.dir, level, writer, writers, shared, frag); err != nil && s.err == nil {
+	if s.dir != "" {
+		err := writeFrame(filepath.Join(s.dir, fragName(level, writers, writer)), frag)
+		if err == nil && shared != nil {
+			err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared)
+		}
+		if err != nil && s.err == nil {
 			s.err = err
 		}
 		return
@@ -165,207 +148,99 @@ func (s *CheckpointStore) put(level, writer, writers int, shared, frag []byte) {
 	}
 	s.latest = s.pending
 	s.pending = nil
-	if s.dir != "" {
-		if err := persistCheckpoint(s.dir, s.latest); err != nil && s.err == nil {
-			s.err = err
-		}
-	}
 }
 
-// persistCheckpoint writes a complete checkpoint as one file,
-// ckpt-latest.bin, atomically via a temp file and rename.
-func persistCheckpoint(dir string, ck *Checkpoint) (err error) {
-	var e enc
-	e.u32(ckptSharedMagic)
-	e.u32(ckptVersion)
-	e.u32(uint32(ck.Level))
-	e.u32(uint32(ck.Writers))
-	e.bytes(ck.Shared)
-	for _, f := range ck.Frags {
-		e.bytes(f)
-	}
-	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(e.b); err != nil {
-		return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), filepath.Join(dir, "ckpt-latest.bin")); err != nil {
-		return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-	}
-	return nil
-}
-
-// Distributed frame files: ck-L<level>-W<writers>.shared (dense rank 0)
-// and ck-L<level>-W<writers>-w<writer>.frag (every rank). The set for a
+// Frame files: ck-L<level>-W<writers>.shared (dense rank 0) and
+// ck-L<level>-W<writers>-w<writer>.frag (every rank). The set for a
 // (level, writers) pair is complete once the shared file and all W
 // fragments exist; atomic renames plus the barrier in front of every
 // save guarantee a complete set is a consistent cut.
 
-func distSharedName(level, writers int) string {
+func sharedName(level, writers int) string {
 	return fmt.Sprintf("ck-L%06d-W%03d.shared", level, writers)
 }
 
-func distFragName(level, writers, writer int) string {
+func fragName(level, writers, writer int) string {
 	return fmt.Sprintf("ck-L%06d-W%03d-w%03d.frag", level, writers, writer)
 }
 
-// persistDistFrames writes one rank's contribution to a level's
-// checkpoint as per-process files (atomic temp + rename each).
-func persistDistFrames(dir string, level, writer, writers int, shared, frag []byte) error {
-	write := func(name string, data []byte) error {
-		tmp, err := os.CreateTemp(dir, name+".tmp-*")
-		if err != nil {
-			return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-		}
-		if _, err = tmp.Write(data); err == nil {
-			err = tmp.Close()
-		} else {
-			tmp.Close()
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), filepath.Join(dir, name))
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("scalparc: checkpoint persist: %w", err)
-		}
-		return nil
-	}
-	if err := write(distFragName(level, writers, writer), frag); err != nil {
+// writeFrame persists one frame file. Durable, not just atomic: a respawned
+// run resumes from these files after a crash.
+func writeFrame(path string, data []byte) error {
+	err := atomicfile.WriteDurable(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if shared != nil {
-		return write(distSharedName(level, writers), shared)
+	})
+	if err != nil {
+		return fmt.Errorf("scalparc: checkpoint persist: %w", err)
 	}
 	return nil
 }
 
-// loadDistLatest scans dir for the newest complete (level, writers)
-// frame set and assembles it. Incomplete sets (a save a failure
-// interrupted) are skipped; ties on level prefer more writers, though
-// any complete set for a level decodes to the same global state.
-func loadDistLatest(dir string) *Checkpoint {
+// loadFrames scans dir for the newest complete (level, writers) frame set
+// and assembles it. A set is named by its shared file and complete when
+// every one of its W fragment files reads back; incomplete sets (a save a
+// failure interrupted) are skipped. Ties on level prefer more writers,
+// though any complete set for a level decodes to the same global state.
+func loadFrames(dir string) *Checkpoint {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	type key struct{ level, writers int }
-	shared := make(map[key]bool)
-	frags := make(map[key]map[int]bool)
+	var sets []*Checkpoint
 	for _, e := range entries {
-		name := e.Name()
-		var level, writers, writer int
-		if n, _ := fmt.Sscanf(name, "ck-L%06d-W%03d-w%03d.frag", &level, &writers, &writer); n == 3 {
-			k := key{level, writers}
-			if frags[k] == nil {
-				frags[k] = make(map[int]bool)
-			}
-			frags[k][writer] = true
-		} else if n, _ := fmt.Sscanf(name, "ck-L%06d-W%03d.shared", &level, &writers); n == 2 && strings.HasSuffix(name, ".shared") {
-			shared[key{level, writers}] = true
+		ck := &Checkpoint{}
+		// Sscanf ignores trailing input, so the suffix check is what keeps
+		// an interrupted save's temp file from naming a set.
+		if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-W%03d.shared", &ck.Level, &ck.Writers); n == 2 &&
+			strings.HasSuffix(e.Name(), ".shared") && ck.Writers >= 1 {
+			sets = append(sets, ck)
 		}
 	}
-	var candidates []key
-	for k := range shared {
-		if k.writers < 1 || len(frags[k]) < k.writers {
-			continue
+	sort.Slice(sets, func(i, j int) bool {
+		if sets[i].Level != sets[j].Level {
+			return sets[i].Level > sets[j].Level
 		}
-		complete := true
-		for w := 0; w < k.writers; w++ {
-			if !frags[k][w] {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			candidates = append(candidates, k)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].level != candidates[j].level {
-			return candidates[i].level > candidates[j].level
-		}
-		return candidates[i].writers > candidates[j].writers
+		return sets[i].Writers > sets[j].Writers
 	})
-	for _, k := range candidates {
-		ck := &Checkpoint{Level: k.level, Writers: k.writers, Frags: make([][]byte, k.writers)}
-		sh, err := os.ReadFile(filepath.Join(dir, distSharedName(k.level, k.writers)))
-		if err != nil {
+next:
+	for _, ck := range sets {
+		if ck.Shared, err = os.ReadFile(filepath.Join(dir, sharedName(ck.Level, ck.Writers))); err != nil {
 			continue
 		}
-		ck.Shared = sh
-		ok := true
-		for w := 0; w < k.writers; w++ {
-			fr, err := os.ReadFile(filepath.Join(dir, distFragName(k.level, k.writers, w)))
-			if err != nil {
-				ok = false
-				break
+		ck.Frags = make([][]byte, ck.Writers)
+		for w := range ck.Frags {
+			if ck.Frags[w], err = os.ReadFile(filepath.Join(dir, fragName(ck.Level, ck.Writers, w))); err != nil {
+				continue next
 			}
-			ck.Frags[w] = fr
 		}
-		if ok {
-			return ck
-		}
+		return ck
 	}
 	return nil
 }
 
-// clearDistFrames removes a previous run's distributed frame files. All
-// ranks of a fresh run call this before any save happens (their first
-// save is barrier-fronted), so the concurrent removals cannot race a
+// clearFrames removes a previous run's frame files from the store's
+// directory, and the temp files of a save killed mid-write, so stale state
+// can never masquerade as this run's checkpoint; other files are left alone.
+// A fresh run calls it before training (a resuming one must not). On a
+// wire-backed world every rank process does, before any save happens (the
+// first save is barrier-fronted), so the concurrent removals cannot race a
 // write; removal errors (a peer got there first) are ignored.
-func clearDistFrames(dir string) {
-	entries, err := os.ReadDir(dir)
+func (s *CheckpointStore) clearFrames() {
+	if s.dir == "" {
+		return
+	}
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, "ck-L") && (strings.HasSuffix(name, ".frag") || strings.HasSuffix(name, ".shared")) {
-			os.Remove(filepath.Join(dir, name))
+		if strings.HasPrefix(name, "ck-L") && (strings.HasSuffix(name, ".frag") ||
+			strings.HasSuffix(name, ".shared") || strings.Contains(name, ".tmp")) {
+			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-}
-
-// LoadCheckpoint reads a checkpoint persisted by a CheckpointStore with the
-// given directory, verifying frame integrity (a truncated or corrupt file
-// is an error, never a silently partial checkpoint).
-func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "ckpt-latest.bin"))
-	if err != nil {
-		return nil, err
-	}
-	d := dec{b: raw}
-	if d.u32() != ckptSharedMagic || d.u32() != ckptVersion {
-		return nil, fmt.Errorf("scalparc: checkpoint file: bad magic or version")
-	}
-	ck := &Checkpoint{Level: int(d.u32()), Writers: int(d.u32())}
-	if d.err == nil && (ck.Writers < 1 || ck.Writers > 1<<20) {
-		return nil, fmt.Errorf("scalparc: checkpoint file: implausible writer count %d", ck.Writers)
-	}
-	ck.Shared = d.bytes()
-	ck.Frags = make([][]byte, ck.Writers)
-	for w := range ck.Frags {
-		ck.Frags[w] = d.bytes()
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("scalparc: checkpoint file: %w", d.err)
-	}
-	if d.off != len(raw) {
-		return nil, fmt.Errorf("scalparc: checkpoint file: %d trailing bytes", len(raw)-d.off)
-	}
-	return ck, nil
 }
 
 // saveCheckpoint deposits this level's frames into the store. Runs at a
@@ -386,14 +261,11 @@ func (wk *worker) saveCheckpoint() {
 	c.Event("checkpoint")
 }
 
-// sharedFrame is the decoded replicated state.
+// sharedFrame is the decoded replicated state, minus the split finder's
+// section, which decodes straight into the finder.
 type sharedFrame struct {
 	n          int
-	level      int
-	levelStats []LevelStats
-	split      SplitStrategy
-	bins       int
-	cuts       [][]float64
+	levelStats []LevelStats // one per completed level
 	root       *tree.Node
 }
 
@@ -410,25 +282,15 @@ func (wk *worker) encodeShared() []byte {
 		e.u64(uint64(ls.Records))
 		e.f64(ls.ModeledSeconds)
 	}
-	e.u8(uint8(wk.split))
-	e.u32(uint32(wk.bins))
-	e.u32(uint32(wk.schema.NumAttrs()))
-	for a := 0; a < wk.schema.NumAttrs(); a++ {
-		var cuts []float64
-		if wk.cuts != nil {
-			cuts = wk.cuts[a]
-		}
-		e.u32(uint32(len(cuts)))
-		for _, v := range cuts {
-			e.f64(v)
-		}
-	}
+	wk.finder.encodeState(&e, wk.schema.NumAttrs())
 	encodeNode(&e, wk.root)
 	return e.b
 }
 
-// decodeShared parses a shared frame, validating it against the schema.
-func decodeShared(raw []byte, schema *dataset.Schema) (*sharedFrame, error) {
+// decodeShared parses a shared frame, validating it against the schema and —
+// through finder, which also receives its section's state — against the
+// split strategy the caller is running.
+func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*sharedFrame, error) {
 	d := dec{b: raw}
 	if d.u32() != ckptSharedMagic || d.u32() != ckptVersion {
 		return nil, fmt.Errorf("scalparc: checkpoint shared frame: bad magic or version")
@@ -438,7 +300,6 @@ func decodeShared(raw []byte, schema *dataset.Schema) (*sharedFrame, error) {
 	if d.err == nil && (nLevels < 0 || nLevels > 1<<20) {
 		return nil, fmt.Errorf("scalparc: checkpoint shared frame: implausible level count %d", nLevels)
 	}
-	sh.level = nLevels
 	for i := 0; i < nLevels && d.err == nil; i++ {
 		sh.levelStats = append(sh.levelStats, LevelStats{
 			ActiveNodes:    int(d.u32()),
@@ -447,27 +308,7 @@ func decodeShared(raw []byte, schema *dataset.Schema) (*sharedFrame, error) {
 			ModeledSeconds: d.f64(),
 		})
 	}
-	sh.split = SplitStrategy(d.u8())
-	sh.bins = int(d.u32())
-	nAttrs := int(d.u32())
-	if d.err == nil && nAttrs != schema.NumAttrs() {
-		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %d attributes, schema has %d", nAttrs, schema.NumAttrs())
-	}
-	anyCuts := false
-	cuts := make([][]float64, schema.NumAttrs())
-	for a := 0; a < nAttrs && d.err == nil; a++ {
-		nc := int(d.u32())
-		if d.err == nil && nc > len(d.b)/8 {
-			return nil, fmt.Errorf("scalparc: checkpoint shared frame: truncated cut vector")
-		}
-		for j := 0; j < nc && d.err == nil; j++ {
-			cuts[a] = append(cuts[a], d.f64())
-		}
-		anyCuts = anyCuts || nc > 0
-	}
-	if anyCuts {
-		sh.cuts = cuts
-	}
+	finder.decodeState(&d, schema)
 	sh.root = decodeNode(&d, schema, 0)
 	if d.err != nil {
 		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %w", d.err)
@@ -578,6 +419,14 @@ type fragFrame struct {
 	cat  [][][]dataset.CatEntry
 }
 
+// fragKind is the attribute-kind byte of a fragment frame.
+func fragKind(attr dataset.Attribute) uint8 {
+	if attr.Kind == dataset.Categorical {
+		return 1
+	}
+	return 0
+}
+
 // encodeFrag serialises this rank's share of every active node's attribute
 // lists and reports the total entry count (for modeled write cost).
 func (wk *worker) encodeFrag() ([]byte, int) {
@@ -588,28 +437,23 @@ func (wk *worker) encodeFrag() ([]byte, int) {
 	e.u32(uint32(len(wk.active)))
 	entries := 0
 	for a, attr := range wk.schema.Attrs {
-		if attr.Kind == dataset.Continuous {
-			e.u8(0)
-			for _, sg := range wk.segs[a] {
-				e.u32(uint32(sg.n))
+		e.u8(fragKind(attr))
+		for _, sg := range wk.segs[a] {
+			e.u32(uint32(sg.n))
+			if attr.Kind == dataset.Continuous {
 				for _, en := range wk.cont[a][sg.off : sg.off+sg.n] {
 					e.f64(en.Val)
 					e.u32(uint32(en.Rid))
 					e.u8(en.Cid)
 				}
-				entries += sg.n
-			}
-		} else {
-			e.u8(1)
-			for _, sg := range wk.segs[a] {
-				e.u32(uint32(sg.n))
+			} else {
 				for _, en := range wk.cat[a][sg.off : sg.off+sg.n] {
 					e.u32(uint32(en.Val))
 					e.u32(uint32(en.Rid))
 					e.u8(en.Cid)
 				}
-				entries += sg.n
 			}
+			entries += sg.n
 		}
 	}
 	return e.b, entries
@@ -637,11 +481,7 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 	}
 	for a := 0; a < nAttrs && d.err == nil; a++ {
 		kind := d.u8()
-		wantKind := uint8(0)
-		if schema.Attrs[a].Kind == dataset.Categorical {
-			wantKind = 1
-		}
-		if d.err == nil && kind != wantKind {
+		if d.err == nil && kind != fragKind(schema.Attrs[a]) {
 			return nil, fmt.Errorf("scalparc: checkpoint fragment: attribute %d kind mismatch", a)
 		}
 		fr.lens[a] = make([]int64, nNodes)
@@ -703,45 +543,29 @@ func frontier(root *tree.Node, depth int) []*nodeState {
 	return out
 }
 
-// restoreWorker rebuilds a rank's induction state from a checkpoint on the
+// restore is newWorker's post-step on the recovery path, where presort is
+// the fresh-start one: it fills the lists, the frontier, and the level stats
+// (and, through decodeShared, the finder's state) from a checkpoint on the
 // (possibly shrunken) surviving world. Decode failures are deterministic —
 // every rank reads the same bytes — so all survivors fail identically.
-func restoreWorker(c *comm.Comm, schema *dataset.Schema, cfg splitter.Config, factory RecordMapFactory, opts Options, ck *Checkpoint) (*worker, error) {
-	sh, err := decodeShared(ck.Shared, schema)
+func (wk *worker) restore(ck *Checkpoint) error {
+	c, schema := wk.c, wk.schema
+	sh, err := decodeShared(ck.Shared, schema, wk.finder)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	active := frontier(sh.root, sh.level)
+	if sh.n != wk.n {
+		return fmt.Errorf("scalparc: checkpoint shared frame: %d records, training table has %d", sh.n, wk.n)
+	}
+	wk.root = sh.root
+	wk.active = frontier(sh.root, len(sh.levelStats))
+	wk.levelStats = sh.levelStats
 	frs := make([]*fragFrame, len(ck.Frags))
 	for w, raw := range ck.Frags {
-		if frs[w], err = decodeFrag(raw, schema, len(active)); err != nil {
-			return nil, err
+		if frs[w], err = decodeFrag(raw, schema, len(wk.active)); err != nil {
+			return err
 		}
 	}
-
-	wk := &worker{
-		c:          c,
-		schema:     schema,
-		cfg:        cfg,
-		n:          sh.n,
-		rm:         factory(c, sh.n),
-		root:       sh.root,
-		active:     active,
-		cont:       make([][]dataset.ContEntry, schema.NumAttrs()),
-		cat:        make([][]dataset.CatEntry, schema.NumAttrs()),
-		segs:       make([][]seg, schema.NumAttrs()),
-		perNode:    opts.PerNodeComms,
-		batched:    opts.BatchedEnquiry,
-		rebalance:  opts.RebalanceLevels,
-		split:      sh.split,
-		bins:       sh.bins,
-		voteK:      opts.VoteK,
-		featSample: opts.FeatureSample,
-		featSeed:   opts.FeatureSeed,
-		cuts:       sh.cuts,
-		ar:         newScratch(schema.NumAttrs(), opts.PerNodeComms),
-	}
-	wk.levelStats = sh.levelStats
 
 	// Reassemble every node's global list from the writers' fragments;
 	// this survivor takes its block share under the shrunken world size.
@@ -764,17 +588,12 @@ func restoreWorker(c *comm.Comm, schema *dataset.Schema, cfg splitter.Config, fa
 		}
 		total += moved
 	}
-	for _, cuts := range wk.cuts {
-		wk.cutBytes += int64(len(cuts)) * 8
-	}
-	c.Mem().Alloc(wk.cutBytes)
-	wk.listBytes = wk.listsBytes()
-	c.Mem().Alloc(wk.listBytes)
+	wk.chargeLists()
 
 	// Model the stable-storage reload like a list pass over the share read.
 	c.Compute(c.Model().SplitTime(total))
 	c.Event("recovery:restore")
-	return wk, nil
+	return nil
 }
 
 // enc is a little-endian append-only frame writer.
@@ -785,10 +604,6 @@ func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) f64(v float64) {
 	e.u64(math.Float64bits(v))
-}
-func (e *enc) bytes(v []byte) {
-	e.u64(uint64(len(v)))
-	e.b = append(e.b, v...)
 }
 
 // dec is the matching reader; the first truncation latches err and every
@@ -843,12 +658,3 @@ func (d *dec) u64() uint64 {
 }
 
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)-d.off) {
-		d.fail("truncated frame at byte %d", d.off)
-		return nil
-	}
-	return append([]byte(nil), d.take(int(n))...)
-}

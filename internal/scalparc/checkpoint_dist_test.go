@@ -8,6 +8,20 @@ import (
 	"testing"
 )
 
+// openStore opens a file-backed store on dir the way TrainOpts does: a
+// fresh run clears the previous run's frames, a resuming one keeps them.
+func openStore(t *testing.T, dir string, resume bool) *CheckpointStore {
+	t.Helper()
+	s, err := NewCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resume {
+		s.clearFrames()
+	}
+	return s
+}
+
 // distPut writes one rank's frames through the store, failing the test on
 // a persistence error (the production path surfaces it via Err()).
 func distPut(t *testing.T, s *CheckpointStore, level, writer, writers int, shared, frag []byte) {
@@ -20,10 +34,7 @@ func distPut(t *testing.T, s *CheckpointStore, level, writer, writers int, share
 
 func TestDistCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDistCheckpointStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir, false)
 	if ck := s.Latest(); ck != nil {
 		t.Fatalf("empty store returned checkpoint %+v", ck)
 	}
@@ -54,10 +65,7 @@ func TestDistCheckpointRoundTrip(t *testing.T) {
 // returned; Latest falls back to the older complete set.
 func TestDistCheckpointSkipsIncompleteSets(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDistCheckpointStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir, false)
 	const writers = 2
 	for w := 0; w < writers; w++ {
 		var shared []byte
@@ -82,10 +90,7 @@ func TestDistCheckpointSkipsIncompleteSets(t *testing.T) {
 // tie (saves before and after a shrink), the larger writer count wins.
 func TestDistCheckpointPrefersNewestComplete(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDistCheckpointStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir, false)
 	put := func(level, writers int, tag string) {
 		for w := 0; w < writers; w++ {
 			var shared []byte
@@ -110,36 +115,34 @@ func TestDistCheckpointPrefersNewestComplete(t *testing.T) {
 // coordinator's respawn relies on.
 func TestDistCheckpointClearVsResume(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDistCheckpointStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir, false)
 	distPut(t, s, 0, 0, 1, []byte("shared"), []byte("frag"))
 	if s.Latest() == nil {
 		t.Fatal("frame set not written")
 	}
-	// Unrelated files in the checkpoint dir must survive a clear.
+	// Unrelated files in the checkpoint dir must survive a clear; the temp
+	// file of a save that was killed mid-write must not.
 	bystander := filepath.Join(dir, "notes.txt")
-	if err := os.WriteFile(bystander, []byte("keep"), 0o644); err != nil {
-		t.Fatal(err)
+	litter := filepath.Join(dir, sharedName(7, 2)+".123456.tmp")
+	for _, path := range []string{bystander, litter} {
+		if err := os.WriteFile(path, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	r, err := NewDistCheckpointStore(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openStore(t, dir, true)
 	if ck := r.Latest(); ck == nil || string(ck.Shared) != "shared" {
 		t.Fatalf("resume store lost the previous run's checkpoint: %+v", ck)
 	}
 
-	f, err := NewDistCheckpointStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openStore(t, dir, false)
 	if ck := f.Latest(); ck != nil {
 		t.Fatalf("fresh store kept a stale checkpoint: %+v", ck)
 	}
 	if _, err := os.Stat(bystander); err != nil {
 		t.Fatalf("clearing frames removed an unrelated file: %v", err)
+	}
+	if _, err := os.Stat(litter); err == nil {
+		t.Fatal("clearing frames left an interrupted save's temp file behind")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -241,7 +242,7 @@ func TestStragglerConservation(t *testing.T) {
 	cfg := splitter.Config{}.Normalize()
 	p := 4
 	w0 := comm.NewWorld(p, timing.T3D())
-	free, err := Train(w0, tab, cfg)
+	free, err := TrainOpts(w0, tab, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestDropAndCorruptRetries(t *testing.T) {
 	cfg := splitter.Config{}.Normalize()
 	p := 3
 	w0 := comm.NewWorld(p, timing.T3D())
-	free, err := Train(w0, tab, cfg)
+	free, err := TrainOpts(w0, tab, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,26 +381,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	tab := faultTestTable(t)
 	cfg := splitter.Config{}.Normalize()
 	p := 3
-	store := captureCheckpoint(t, tab, cfg, p)
+	store := captureCheckpoint(t, tab, cfg, p, Options{})
 	ck := store.Latest()
 	if ck == nil {
 		t.Fatal("no checkpoint promoted")
 	}
-	sh, err := decodeShared(ck.Shared, tab.Schema)
+	finder := newSplitFinder(Options{})
+	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.level != ck.Level {
-		t.Fatalf("shared frame level %d != checkpoint level %d", sh.level, ck.Level)
+	if len(sh.levelStats) != ck.Level {
+		t.Fatalf("shared frame level %d != checkpoint level %d", len(sh.levelStats), ck.Level)
 	}
 	// Re-encode the decoded shared frame through a scratch worker.
-	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, split: sh.split, bins: sh.bins, cuts: sh.cuts}
+	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, finder: finder}
 	wk.levelStats = sh.levelStats
 	re := wk.encodeShared()
 	if string(re) != string(ck.Shared) {
 		t.Fatalf("shared frame round-trip mismatch: %d bytes -> %d bytes", len(ck.Shared), len(re))
 	}
-	active := frontier(sh.root, sh.level)
+	active := frontier(sh.root, len(sh.levelStats))
 	if len(active) == 0 {
 		t.Fatal("checkpointed tree has no open frontier")
 	}
@@ -410,7 +412,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// Corruption must be detected, not silently absorbed.
 	for _, cut := range []int{1, len(ck.Shared) / 2, len(ck.Shared) - 1} {
-		if _, err := decodeShared(ck.Shared[:cut], tab.Schema); err == nil {
+		if _, err := decodeShared(ck.Shared[:cut], tab.Schema, finder); err == nil {
 			t.Fatalf("truncation at %d bytes went undetected", cut)
 		}
 	}
@@ -419,8 +421,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// captureCheckpoint trains with checkpointing on and returns the store.
-func captureCheckpoint(t *testing.T, tab *dataset.Table, cfg splitter.Config, p int) *CheckpointStore {
+// captureCheckpoint trains under opts with per-level checkpointing on and
+// returns the store.
+func captureCheckpoint(t *testing.T, tab *dataset.Table, cfg splitter.Config, p int, opts Options) *CheckpointStore {
 	t.Helper()
 	store, err := NewCheckpointStore("")
 	if err != nil {
@@ -432,7 +435,8 @@ func captureCheckpoint(t *testing.T, tab *dataset.Table, cfg splitter.Config, p 
 	w.ResetMemory()
 	factory := RecordMapFactory(DistributedNodeTable)
 	w.Run(func(c *comm.Comm) {
-		wk := newWorker(c, tab, cfg, factory, Options{})
+		wk := newWorker(c, tab, cfg, factory, opts)
+		wk.presort(tab)
 		wk.ckpt, wk.ckptEvery = store, 1
 		wk.induce()
 		wk.free()
@@ -440,49 +444,103 @@ func captureCheckpoint(t *testing.T, tab *dataset.Table, cfg splitter.Config, p 
 	return store
 }
 
-// TestCheckpointDirPersistence: promoted checkpoints land on disk
-// atomically and reload bit-identical.
+// TestCheckpointRestoreRejectsMismatchedOptions: a checkpoint written under
+// one split strategy or bin count must not restore into a worker built for
+// another — that would silently continue as a hybrid nobody asked for — and
+// the error names both sides.
+func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
+	tab := faultTestTable(t)
+	cfg := splitter.Config{}.Normalize()
+	ck := captureCheckpoint(t, tab, cfg, 2, Options{Split: SplitBinned, Bins: 16}).Latest()
+	if ck == nil {
+		t.Fatal("no checkpoint promoted")
+	}
+	restore := func(tab *dataset.Table, opts Options) error {
+		w := comm.NewWorld(1, timing.T3D())
+		return newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, opts).restore(ck)
+	}
+	if err := restore(tab, Options{Split: SplitBinned, Bins: 16}); err != nil {
+		t.Fatalf("matching options rejected: %v", err)
+	}
+	half, _ := tab.Split(0.5)
+	for name, tc := range map[string]struct {
+		tab  *dataset.Table
+		opts Options
+		want []string // what the error must name
+	}{
+		"exact":       {tab, Options{}, []string{"binned", "16 bins", "exact", "0 bins"}},
+		"vote":        {tab, Options{Split: SplitVote, Bins: 16, VoteK: 3}, []string{"binned", "vote"}},
+		"other bins":  {tab, Options{Split: SplitBinned, Bins: 32}, []string{"16 bins", "32 bins"}},
+		"other table": {half, Options{Split: SplitBinned, Bins: 16}, []string{"records"}},
+	} {
+		err := restore(tc.tab, tc.opts)
+		if err == nil {
+			t.Errorf("%s: binned checkpoint restored without error", name)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", name, err, want)
+			}
+		}
+	}
+}
+
+// TestCheckpointDirPersistence: a simulated run with a CheckpointDir leaves
+// the same per-rank frame files a wire-backed run writes — the one on-disk
+// format — and they reload through the same scan, bit-identical.
 func TestCheckpointDirPersistence(t *testing.T) {
 	tab := faultTestTable(t)
 	cfg := splitter.Config{}.Normalize()
 	dir := t.TempDir()
 	p := 3
 	w := comm.NewWorld(p, timing.T3D())
-	res, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir})
+	if _, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	ck := loadFrames(dir)
+	if ck == nil {
+		t.Fatal("no complete frame set on disk")
+	}
+	if ck.Writers != p || len(ck.Frags) != p {
+		t.Fatalf("persisted checkpoint has %d writers / %d fragments, want %d", ck.Writers, len(ck.Frags), p)
+	}
+	finder := newSplitFinder(Options{})
+	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	ck, err := LoadCheckpoint(dir)
+	if sh.n != tab.NumRows() || len(sh.levelStats) != ck.Level {
+		t.Fatalf("persisted checkpoint n=%d level=%d, want n=%d level=%d", sh.n, len(sh.levelStats), tab.NumRows(), ck.Level)
+	}
+	active := frontier(sh.root, len(sh.levelStats))
+	for w, frag := range ck.Frags {
+		if _, err := decodeFrag(frag, tab.Schema, len(active)); err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	// Nothing but frame files: no temp litter, no second format.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Writers != p {
-		t.Fatalf("persisted checkpoint has %d writers, want %d", ck.Writers, p)
+	for _, e := range entries {
+		if name := e.Name(); !strings.HasPrefix(name, "ck-L") || !(strings.HasSuffix(name, ".frag") || strings.HasSuffix(name, ".shared")) {
+			t.Fatalf("unexpected file %s in the checkpoint dir", name)
+		}
 	}
-	sh, err := decodeShared(ck.Shared, tab.Schema)
-	if err != nil {
+	// A truncated frame file on disk still assembles (the set is complete by
+	// name) but must be rejected at decode, never restored from.
+	path := filepath.Join(dir, fragName(ck.Level, ck.Writers, 1))
+	if err := os.WriteFile(path, ck.Frags[1][:len(ck.Frags[1])/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if sh.n != tab.NumRows() {
-		t.Fatalf("persisted checkpoint n=%d, want %d", sh.n, tab.NumRows())
+	torn := loadFrames(dir)
+	if torn == nil || torn.Level != ck.Level {
+		t.Fatalf("frame set with a torn fragment not assembled: %+v", torn)
 	}
-	// No temp litter left behind.
-	matches, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.tmp"))
-	if len(matches) != 0 {
-		t.Fatalf("leftover temp files: %v", matches)
-	}
-	// A truncated file on disk must be rejected on load.
-	path := filepath.Join(dir, "ckpt-latest.bin")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(dir); err == nil {
-		t.Fatal("truncated on-disk checkpoint loaded without error")
+	if _, err := decodeFrag(torn.Frags[1], tab.Schema, len(active)); err == nil {
+		t.Fatal("truncated on-disk fragment decoded without error")
 	}
 }
 

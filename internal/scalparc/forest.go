@@ -19,7 +19,7 @@ package scalparc
 // terminally, the tree is recorded lost and training continues: a crash
 // costs at most the in-flight tree, never the ensemble. With CheckpointDir
 // set, every completed tree is additionally persisted atomically
-// (tree_<i>.json via tmp+rename), and a rerun pointed at the same
+// (tree_<i>.json via atomicfile.WriteDurable), and a rerun pointed at the same
 // directory restores completed trees instead of retraining them, so a
 // whole-process crash also loses only in-flight trees.
 
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/splitter"
@@ -252,25 +253,13 @@ func bootstrapIndices(treeSeed uint64, n int) []int {
 	return idx
 }
 
-// saveForestTree persists a completed tree atomically: write to a temp file
-// in the same directory, fsync-free rename into place. A crash mid-write
-// leaves at most a stale temp file, never a torn tree_<i>.json.
+// saveForestTree persists a completed tree with atomicfile.WriteDurable — a
+// rerun restores from these files after a crash, so they are fsynced, not
+// just renamed into place. A crash mid-write leaves at most a stale temp
+// file, never a torn tree_<i>.json.
 func saveForestTree(path string, t *tree.Tree) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	err := atomicfile.WriteDurable(path, t.Encode)
 	if err != nil {
-		return fmt.Errorf("scalparc: persisting forest tree: %w", err)
-	}
-	if err := t.Encode(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("scalparc: persisting forest tree: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("scalparc: persisting forest tree: %w", err)
 	}
 	return nil
@@ -289,13 +278,12 @@ func loadForestTree(path string, schema *dataset.Schema) (*tree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(t.Schema.Attrs) != len(schema.Attrs) || len(t.Schema.Classes) != len(schema.Classes) {
-		return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema", path)
+	match := len(t.Schema.Attrs) == len(schema.Attrs) && len(t.Schema.Classes) == len(schema.Classes)
+	for a := 0; match && a < len(schema.Attrs); a++ {
+		match = t.Schema.Attrs[a].Kind == schema.Attrs[a].Kind
 	}
-	for a := range schema.Attrs {
-		if t.Schema.Attrs[a].Kind != schema.Attrs[a].Kind {
-			return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema", path)
-		}
+	if !match {
+		return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema", path)
 	}
 	// Re-point at the training schema so the forest shares one object.
 	t.Schema = schema

@@ -83,7 +83,7 @@ func TestTrainOptsDefaultsMatchTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(3, timing.T3D())
-	a, err := Train(w, tab, splitter.Config{})
+	a, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

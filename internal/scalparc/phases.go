@@ -11,25 +11,17 @@ import (
 	"repro/internal/tree"
 )
 
-// boundary carries a segment's first value across ranks so the gini scan
-// can tell whether its last local entry is a valid split point (a candidate
-// "A <= v" is only valid where the next global value differs from v).
-type boundary struct {
-	Has uint8
-	Val float64
-}
-
 // findSplits returns the globally agreed winning candidate for every
 // need-split node (splitIdx maps active-node index to need-split index,
 // -1 if terminated). In the default per-level mode all nodes share one
-// batch of collectives; in the per-node ablation mode (§3.1) each node
-// runs its own.
+// batch of the finder's collectives; in the per-node ablation mode (§3.1)
+// each node runs its own.
 func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 	if nNeed == 0 {
 		return nil
 	}
 	if !wk.perNode {
-		return wk.findSplitsBatch(splitIdx, nNeed)
+		return wk.finder.find(wk, splitIdx, nNeed)
 	}
 	cands := make([]splitter.Candidate, nNeed)
 	for i := range wk.active {
@@ -41,167 +33,9 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 			one[j] = -1
 		}
 		one[i] = 0
-		cands[splitIdx[i]] = wk.findSplitsBatch(one, 1)[0]
+		cands[splitIdx[i]] = wk.finder.find(wk, one, 1)[0]
 	}
 	return cands
-}
-
-// findSplitsBatch runs FindSplitI and the candidate half of FindSplitII
-// for one batch of need-split nodes.
-func (wk *worker) findSplitsBatch(splitIdx []int, nNeed int) []splitter.Candidate {
-	switch wk.split {
-	case SplitBinned:
-		return wk.findSplitsBinned(splitIdx, nNeed)
-	case SplitVote:
-		return wk.findSplitsVote(splitIdx, nNeed)
-	}
-	wk.c.SetPhase(trace.FindSplitI, wk.level)
-	contAttrs := wk.schema.ContIndices()
-	catAttrs := wk.schema.CatIndices()
-	nc := wk.schema.NumClasses()
-	model := wk.c.Model()
-
-	best := grab(wk.ar, &wk.ar.best, nNeed) // zero value is Invalid
-
-	// --- Continuous attributes ---
-	if len(contAttrs) > 0 {
-		// FindSplitI: local class counts per (node, attribute); one
-		// exclusive prefix scan turns them into each rank's global
-		// starting count matrix. Segment-first values travel alongside so
-		// scans can validate their final candidate across rank borders.
-		counts := grab(wk.ar, &wk.ar.counts, nNeed*len(contAttrs)*nc)
-		bounds := grab(wk.ar, &wk.ar.bounds, nNeed*len(contAttrs))
-		scanned := 0
-		for i := range wk.active {
-			i2 := splitIdx[i]
-			if i2 < 0 {
-				continue
-			}
-			for k, a := range contAttrs {
-				if !wk.attrAllowed(i, a) {
-					// Feature-masked (node, attribute) pairs keep their
-					// (zero) slots in the scan vectors — the collective
-					// shapes must match on every rank — but are neither
-					// counted nor evaluated. The mask is replicated, so
-					// every rank skips the same pairs.
-					continue
-				}
-				sg := wk.segs[a][i]
-				base := (i2*len(contAttrs) + k) * nc
-				for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-					counts[base+int(e.Cid)]++
-				}
-				scanned += sg.n
-				if sg.n > 0 {
-					bounds[i2*len(contAttrs)+k] = boundary{Has: 1, Val: wk.cont[a][sg.off].Val}
-				}
-			}
-		}
-		wk.c.Compute(model.ScanTime(scanned))
-		transient := int64(len(counts))*8 + int64(len(bounds))*16*2
-		wk.c.Mem().Alloc(transient)
-		prefix := stash(wk.ar, &wk.ar.prefix, comm.ExScanSumInto(wk.c, counts, wk.ar.prefix))
-		// The first value after each of my segments: fold "first
-		// non-empty" over the ranks to my right.
-		nextBounds := stash(wk.ar, &wk.ar.nextBounds, comm.ReverseExScanInto(wk.c, bounds, wk.ar.nextBounds, func(a, b boundary) boundary {
-			if a.Has == 1 {
-				return a
-			}
-			return b
-		}, boundary{}))
-
-		// FindSplitII: linear gini scan of every local segment.
-		wk.c.SetPhase(trace.FindSplitII, wk.level)
-		for i := range wk.active {
-			i2 := splitIdx[i]
-			if i2 < 0 {
-				continue
-			}
-			for k, a := range contAttrs {
-				if !wk.attrAllowed(i, a) {
-					continue
-				}
-				sg := wk.segs[a][i]
-				if sg.n == 0 {
-					continue
-				}
-				base := (i2*len(contAttrs) + k) * nc
-				m := &wk.ar.m
-				m.Reset(wk.active[i].hist, prefix[base:base+nc])
-				list := wk.cont[a][sg.off : sg.off+sg.n]
-				nb := nextBounds[i2*len(contAttrs)+k]
-				nextVal, hasNext := nb.Val, nb.Has == 1
-				for j, e := range list {
-					m.Move(e.Cid)
-					nv, ok := nextVal, hasNext
-					if j+1 < len(list) {
-						nv, ok = list[j+1].Val, true
-					}
-					if !ok || nv == e.Val {
-						continue
-					}
-					cand := splitter.Candidate{
-						Valid:     true,
-						Gini:      m.Split(),
-						Attr:      int32(a),
-						Kind:      splitter.ContSplit,
-						Threshold: e.Val,
-					}
-					best[i2] = splitter.Best(best[i2], cand)
-				}
-			}
-		}
-		wk.c.Compute(model.ScanTime(scanned))
-		wk.c.Mem().Free(transient)
-	}
-
-	// --- Categorical attributes: count matrices reduced onto a
-	// designated coordinator per attribute, which evaluates the splits.
-	// Counting and reducing is FindSplitI work, like the prefix scan.
-	if len(catAttrs) > 0 {
-		wk.c.SetPhase(trace.FindSplitI, wk.level)
-	}
-	for ci, a := range catAttrs {
-		card := wk.schema.Attrs[a].Cardinality()
-		// Double-buffered: consecutive per-attribute ReduceSums have no
-		// gating collective between them, so the vector deposited for
-		// attribute ci may still be folding while ci+1 fills its own.
-		vec := grab(wk.ar, &wk.ar.catVec[ci%2], nNeed*card*nc)
-		counted := 0
-		for i := range wk.active {
-			i2 := splitIdx[i]
-			if i2 < 0 || !wk.attrAllowed(i, a) {
-				continue
-			}
-			sg := wk.segs[a][i]
-			base := i2 * card * nc
-			for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-				vec[base+int(e.Val)*nc+int(e.Cid)]++
-			}
-			counted += sg.n
-		}
-		wk.c.Compute(model.ScanTime(counted))
-		wk.c.Mem().Alloc(int64(len(vec)) * 8)
-		root := a % wk.c.Size()
-		red := comm.ReduceSum(wk.c, root, vec)
-		if wk.c.Rank() == root {
-			for i := range wk.active {
-				i2 := splitIdx[i]
-				if i2 < 0 || !wk.attrAllowed(i, a) {
-					continue
-				}
-				m := splitter.FromFlat(red[i2*card*nc:(i2+1)*card*nc], card, nc)
-				cand := splitter.BestCategorical(m, a, wk.cfg.CategoricalBinary)
-				best[i2] = splitter.Best(best[i2], cand)
-			}
-		}
-		wk.c.Mem().Free(int64(len(vec)) * 8)
-	}
-
-	// FindSplitII's closing step: the overall best split per node via a
-	// global reduction with the deterministic candidate order.
-	wk.c.SetPhase(trace.FindSplitII, wk.level)
-	return stash(wk.ar, &wk.ar.bestOut, comm.AllReduceInto(wk.c, best, wk.ar.bestOut, splitter.Best))
 }
 
 // performSplitI walks every splitting attribute's local segments: assigns
@@ -407,17 +241,7 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 				if !doSplit[i] || int(cands[splitIdx[i]].Attr) == a {
 					continue
 				}
-				sg := wk.segs[a][i]
-				rids := make([]int32, 0, sg.n)
-				if isCont {
-					for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-						rids = append(rids, e.Rid)
-					}
-				} else {
-					for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-						rids = append(rids, e.Rid)
-					}
-				}
+				rids := wk.segRids(a, i, make([]int32, 0, wk.segs[a][i].n))
 				answers = append(answers, wk.rm.Lookup(rids)...)
 			}
 		default:
@@ -530,20 +354,24 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 // record-map answers (segments of split nodes not splitting on a), in node
 // order — the same order the partition pass consumes answers in.
 func (wk *worker) collectEnquiryRids(a int, doSplit []bool, splitIdx []int, cands []splitter.Candidate, out []int32) []int32 {
-	isCont := wk.schema.Attrs[a].Kind == dataset.Continuous
 	for i := range wk.active {
-		if !doSplit[i] || int(cands[splitIdx[i]].Attr) == a {
-			continue
+		if doSplit[i] && int(cands[splitIdx[i]].Attr) != a {
+			out = wk.segRids(a, i, out)
 		}
-		sg := wk.segs[a][i]
-		if isCont {
-			for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-				out = append(out, e.Rid)
-			}
-		} else {
-			for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-				out = append(out, e.Rid)
-			}
+	}
+	return out
+}
+
+// segRids appends the rids of active node i's segment of attribute a.
+func (wk *worker) segRids(a, i int, out []int32) []int32 {
+	sg := wk.segs[a][i]
+	if wk.schema.Attrs[a].Kind == dataset.Continuous {
+		for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
+			out = append(out, e.Rid)
+		}
+	} else {
+		for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
+			out = append(out, e.Rid)
 		}
 	}
 	return out

@@ -109,7 +109,7 @@ func TestHistogramInvariantProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomDataset(rng)
 		w := comm.NewWorld(1+rng.Intn(5), timing.T3D())
-		res, err := Train(w, tab, splitter.Config{})
+		res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 		if err != nil {
 			return false
 		}

@@ -30,21 +30,20 @@ func (wk *worker) rebalanceLists() {
 		}
 		byRank := comm.Allgather(wk.c, lens)
 
+		var delta int64
+		var moved int
 		if attr.Kind == dataset.Continuous {
-			newList, newSegs, moved := rebalanceAttr(wk.c, wk.cont[a], wk.segs[a], byRank)
-			delta := (int64(len(newList)) - int64(len(wk.cont[a]))) * dataset.ContEntrySize
-			wk.cont[a], wk.segs[a] = newList, newSegs
-			wk.c.Mem().Adjust(delta)
-			wk.listBytes += delta
-			wk.c.Compute(model.SplitTime(moved))
+			old := len(wk.cont[a])
+			wk.cont[a], wk.segs[a], moved = rebalanceAttr(wk.c, wk.cont[a], wk.segs[a], byRank)
+			delta = int64(len(wk.cont[a])-old) * dataset.ContEntrySize
 		} else {
-			newList, newSegs, moved := rebalanceAttr(wk.c, wk.cat[a], wk.segs[a], byRank)
-			delta := (int64(len(newList)) - int64(len(wk.cat[a]))) * dataset.CatEntrySize
-			wk.cat[a], wk.segs[a] = newList, newSegs
-			wk.c.Mem().Adjust(delta)
-			wk.listBytes += delta
-			wk.c.Compute(model.SplitTime(moved))
+			old := len(wk.cat[a])
+			wk.cat[a], wk.segs[a], moved = rebalanceAttr(wk.c, wk.cat[a], wk.segs[a], byRank)
+			delta = int64(len(wk.cat[a])-old) * dataset.CatEntrySize
 		}
+		wk.c.Mem().Adjust(delta)
+		wk.listBytes += delta
+		wk.c.Compute(model.SplitTime(moved))
 	}
 }
 
@@ -132,7 +131,7 @@ func reassembleBlocked[E any](me, p int, byRank [][]int64, take func(r, node, sr
 		for r := range byRank {
 			srcLo, srcHi := srcPrefix, srcPrefix+byRank[r][i]
 			srcPrefix = srcHi
-			ovLo, ovHi := max64(srcLo, int64(lo)), min64(srcHi, int64(hi))
+			ovLo, ovHi := max(srcLo, int64(lo)), min(srcHi, int64(hi))
 			if ovHi <= ovLo {
 				continue
 			}
@@ -143,18 +142,4 @@ func reassembleBlocked[E any](me, p int, byRank [][]int64, take func(r, node, sr
 		newSegs[i] = seg{off: start, n: len(newList) - start}
 	}
 	return newList, newSegs, moved
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

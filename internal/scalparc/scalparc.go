@@ -147,31 +147,24 @@ const (
 	SplitVote
 )
 
+// splitNames are the -split flag values, indexed by strategy.
+var splitNames = [...]string{SplitExact: "exact", SplitBinned: "binned", SplitVote: "vote"}
+
 func (s SplitStrategy) String() string {
-	switch s {
-	case SplitExact:
-		return "exact"
-	case SplitBinned:
-		return "binned"
-	case SplitVote:
-		return "vote"
-	default:
-		return fmt.Sprintf("SplitStrategy(%d)", int(s))
+	if s >= 0 && int(s) < len(splitNames) {
+		return splitNames[s]
 	}
+	return fmt.Sprintf("SplitStrategy(%d)", int(s))
 }
 
 // ParseSplitStrategy converts a -split flag value to a SplitStrategy.
 func ParseSplitStrategy(s string) (SplitStrategy, error) {
-	switch s {
-	case "exact":
-		return SplitExact, nil
-	case "binned":
-		return SplitBinned, nil
-	case "vote":
-		return SplitVote, nil
-	default:
-		return 0, fmt.Errorf("scalparc: unknown split strategy %q (want exact, binned, or vote)", s)
+	for i, name := range splitNames {
+		if s == name {
+			return SplitStrategy(i), nil
+		}
 	}
+	return 0, fmt.Errorf("scalparc: unknown split strategy %q (want exact, binned, or vote)", s)
 }
 
 // DefaultBins is the quantile bin cap SplitBinned uses when Options.Bins is
@@ -244,12 +237,14 @@ type Options struct {
 	// completed level (0: no checkpointing; recovery then replays the
 	// whole induction). Negative is an error.
 	CheckpointEvery int
-	// CheckpointDir additionally persists every promoted checkpoint to
-	// this directory, atomically. Implies CheckpointEvery=1 when that is
-	// unset. The directory must exist and be writable. On a wire-backed
-	// (distributed) world it is required when checkpointing: the shared
-	// directory is the stable storage the per-process fragment files
-	// rendezvous in.
+	// CheckpointDir keeps the run's checkpoints in this directory instead
+	// of in memory, as per-rank frame files written atomically and fsynced
+	// (one format for every world; see CheckpointStore). Implies
+	// CheckpointEvery=1 when that is unset. The directory is created if
+	// absent and must be writable; a previous run's frames in it are
+	// removed unless Resume is set. On a wire-backed (distributed) world it
+	// is required when checkpointing: the shared directory is the stable
+	// storage the per-process frame files rendezvous in.
 	CheckpointDir string
 	// Resume starts the run from the last complete checkpoint in
 	// CheckpointDir instead of from scratch — the respawn path after a
@@ -258,19 +253,10 @@ type Options struct {
 	Resume bool
 }
 
-// Train runs ScalParC on the world's processors and returns the tree with
-// run metrics. The world's clocks, stats, and memory meters are reset at
-// the start of the run.
-func Train(w *comm.World, tab *dataset.Table, cfg splitter.Config) (*Result, error) {
-	return TrainOpts(w, tab, cfg, Options{})
-}
-
-// TrainWith is Train with a custom splitting-phase RecordMap.
-func TrainWith(w *comm.World, tab *dataset.Table, cfg splitter.Config, factory RecordMapFactory) (*Result, error) {
-	return TrainOpts(w, tab, cfg, Options{RecordMap: factory})
-}
-
-// TrainOpts is Train with explicit engine options.
+// TrainOpts runs ScalParC on the world's processors and returns the tree
+// with run metrics — the engine's one entry point; the zero Options is the
+// paper's algorithm. The world's clocks, stats, and memory meters are reset
+// at the start of the run.
 func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Options) (*Result, error) {
 	if opts.PerNodeComms && opts.BatchedEnquiry {
 		return nil, fmt.Errorf("scalparc: PerNodeComms and BatchedEnquiry are mutually exclusive")
@@ -336,13 +322,11 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	var store *CheckpointStore
 	if opts.CheckpointEvery > 0 {
 		var err error
-		if w.Distributed() {
-			store, err = NewDistCheckpointStore(opts.CheckpointDir, opts.Resume)
-		} else {
-			store, err = NewCheckpointStore(opts.CheckpointDir)
-		}
-		if err != nil {
+		if store, err = NewCheckpointStore(opts.CheckpointDir); err != nil {
 			return nil, err
+		}
+		if !opts.Resume {
+			store.clearFrames()
 		}
 	}
 	if opts.Faults != nil {
@@ -354,25 +338,16 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	w.ResetStats()
 	w.ResetMemory()
 
-	// All result slices are indexed by physical rank: dense rank ids are
-	// renumbered when the world shrinks after a crash, physical ids never
-	// move. Ranks that crash leave their slots zero.
-	res := &Result{}
-	p := w.Size()
-	trees := make([]*tree.Tree, p)
-	levels := make([]int, p)
-	presort := make([]float64, p)
-	perLevel := make([][]LevelStats, p)
-	fallbacks := make([]int, p)
-	errs := make([]error, p)
-	recoveries := make([]int, p)
+	// Outcomes are indexed by physical rank: dense rank ids are renumbered
+	// when the world shrinks after a crash, physical ids never move. Ranks
+	// that crash leave their slots zero.
+	outs := make([]rankOutcome, w.Size())
 	start := time.Now()
 	w.Run(func(c *comm.Comm) {
-		phys := c.Phys()
+		out := &outs[c.Phys()]
 		restarted := false
 		for {
-			err := trainAttempt(c, tab, cfg, factory, opts, store, restarted,
-				trees, levels, presort, perLevel, fallbacks)
+			err := trainAttempt(c, tab, cfg, factory, opts, store, restarted, out)
 			if err == nil {
 				return
 			}
@@ -383,22 +358,21 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 				// itself can fail — this rank may come out of the vote
 				// evicted or without a quorum (orphaned) — and that is a
 				// terminal error for the rank, not a crash.
-				if serr := tryShrink(c); serr != nil {
-					errs[phys] = serr
+				if out.err = tryShrink(c); out.err != nil {
 					return
 				}
-				recoveries[phys]++
+				out.recoveries++
 				restarted = true
 				continue
 			}
-			errs[phys] = err
+			out.err = err
 			return
 		}
 	})
-	res.WallSeconds = time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	res := &Result{WallSeconds: time.Since(start).Seconds()}
+	for _, out := range outs {
+		if out.err != nil {
+			return nil, out.err
 		}
 	}
 	if store != nil {
@@ -406,36 +380,35 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 			return nil, err
 		}
 	}
-	// Dense rank 0 may have crashed; any survivor's tree is the tree.
-	for phys := range trees {
-		if trees[phys] != nil {
-			res.Tree = trees[phys]
-			res.Levels = levels[phys]
-			res.PerLevel = perLevel[phys]
-			res.VoteFallbacks = fallbacks[phys]
-			break
+	for _, out := range outs {
+		// Dense rank 0 may have crashed; any survivor's tree is the tree.
+		if res.Tree == nil && out.tree != nil {
+			res.Tree, res.PerLevel, res.VoteFallbacks = out.tree, out.perLevel, out.fallbacks
 		}
+		res.Recoveries = max(res.Recoveries, out.recoveries)
+		res.PresortModeledSeconds = max(res.PresortModeledSeconds, out.presort)
 	}
 	if res.Tree == nil {
 		return nil, fmt.Errorf("scalparc: no surviving rank produced a tree")
 	}
-	for _, r := range recoveries {
-		if r > res.Recoveries {
-			res.Recoveries = r
-		}
-	}
+	res.Levels = len(res.PerLevel)
 	res.FinalRanks = w.LiveRanks()
 	res.Lost = w.Lost()
 	res.ModeledSeconds = w.MaxClock()
-	for _, t := range presort {
-		if t > res.PresortModeledSeconds {
-			res.PresortModeledSeconds = t
-		}
-	}
 	res.PeakMemoryPerRank = w.PeakMemory()
 	res.Stats = w.Stats()
 	res.Trace = w.Trace()
 	return res, nil
+}
+
+// rankOutcome is what one physical rank reports back from a run.
+type rankOutcome struct {
+	tree       *tree.Tree
+	perLevel   []LevelStats
+	fallbacks  int
+	presort    float64 // modeled clock after the first attempt's presort
+	recoveries int
+	err        error
 }
 
 // tryShrink runs the membership vote, converting a failure of the vote
@@ -462,8 +435,7 @@ func tryShrink(c *comm.Comm) (err error) {
 // runner absorbs them, modeling a rank that is simply gone.
 func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 	factory RecordMapFactory, opts Options, store *CheckpointStore, restarted bool,
-	trees []*tree.Tree, levels []int, presort []float64, perLevel [][]LevelStats,
-	fallbacks []int) (err error) {
+	out *rankOutcome) (err error) {
 	defer func() {
 		switch e := recover().(type) {
 		case nil:
@@ -475,38 +447,36 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 			panic(e)
 		}
 	}()
-	phys := c.Phys()
-	var wk *worker
+	wk := newWorker(c, tab, cfg, factory, opts)
 	// Restore applies after an in-run shrink (restarted) and on the first
 	// attempt of a respawned world (opts.Resume): both continue from the
 	// last complete checkpoint rather than replaying the whole induction.
+	var ck *Checkpoint
 	if (restarted || opts.Resume) && store != nil {
-		if ck := store.Latest(); ck != nil {
-			if wk, err = restoreWorker(c, tab.Schema, cfg, factory, opts, ck); err != nil {
-				return err
-			}
-		}
+		ck = store.Latest()
 	}
-	if wk == nil {
+	if ck != nil {
+		if err = wk.restore(ck); err != nil {
+			return err
+		}
+	} else {
 		// First attempt, or no checkpoint to resume from: (re)build from
 		// the input. The induced tree is invariant under the processor
 		// count, so a full replay on the survivors converges to the same
 		// tree a checkpointed resume does.
-		wk = newWorker(c, tab, cfg, factory, opts)
+		wk.presort(tab)
 		if !restarted {
-			presort[phys] = c.Clock()
+			out.presort = c.Clock()
 		}
 	}
 	wk.ckpt, wk.ckptEvery = store, opts.CheckpointEvery
-	t, l := wk.induce()
+	t := wk.induce()
 	// Final consistency point: after this barrier no rank can fail (there
 	// are no operations left), so either every survivor records a result
 	// or every survivor unwinds into another recovery round together.
 	c.SetPhase(trace.Other, wk.level)
 	c.Barrier()
-	trees[phys], levels[phys] = t, l
-	perLevel[phys] = wk.levelStats
-	fallbacks[phys] = wk.voteFallbacks
+	out.tree, out.perLevel, out.fallbacks = t, wk.levelStats, wk.finder.fallbacks()
 	wk.free()
 	return nil
 }
@@ -553,20 +523,9 @@ type worker struct {
 	level      int   // current tree level, for phase attribution
 	levelStats []LevelStats
 
-	// Binned and vote split finding (Options.Split != SplitExact): cuts[a]
-	// is the strictly increasing quantile cut vector of continuous
-	// attribute a (nil for categorical attributes), sampled once at presort
-	// time and identical on every rank. voteK is SplitVote's per-rank
-	// nomination count.
-	split    SplitStrategy
-	bins     int
-	voteK    int
-	cuts     [][]float64
-	cutBytes int64
-
-	// voteFallbacks counts the nodes rescued by vote.go's re-vote
-	// fallback (SplitVote only).
-	voteFallbacks int
+	// finder is the split-finding strategy (Options.Split) with all of its
+	// state; see finder.go.
+	finder splitFinder
 
 	// Per-node feature subsampling (forest mode; see features.go):
 	// featSample attributes are drawn per active node per level from
@@ -580,59 +539,55 @@ type worker struct {
 	ar *scratch
 }
 
-// newWorker distributes the table, builds this rank's attribute lists, and
-// runs the presort.
+// newWorker is the one constructor: it wires a rank's induction state from
+// the run's inputs and leaves the lists, the tree, and the frontier empty.
+// Exactly one of two post-steps fills them: presort on a fresh start,
+// restore (checkpoint.go) on recovery.
 func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory RecordMapFactory, opts Options) *worker {
-	n := tab.NumRows()
-	p := c.Size()
-	lo, hi := dataset.BlockRange(n, p, c.Rank())
-	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
-
-	wk := &worker{
+	na := tab.Schema.NumAttrs()
+	return &worker{
 		c:          c,
 		schema:     tab.Schema,
 		cfg:        cfg,
-		n:          n,
-		rm:         factory(c, n),
-		cont:       local.Cont,
-		cat:        local.Cat,
-		segs:       make([][]seg, tab.Schema.NumAttrs()),
+		n:          tab.NumRows(),
+		rm:         factory(c, tab.NumRows()),
+		cont:       make([][]dataset.ContEntry, na),
+		cat:        make([][]dataset.CatEntry, na),
+		segs:       make([][]seg, na),
 		perNode:    opts.PerNodeComms,
 		batched:    opts.BatchedEnquiry,
 		rebalance:  opts.RebalanceLevels,
-		split:      opts.Split,
-		bins:       opts.Bins,
-		voteK:      opts.VoteK,
+		finder:     newSplitFinder(opts),
 		featSample: opts.FeatureSample,
 		featSeed:   opts.FeatureSeed,
-		ar:         newScratch(tab.Schema.NumAttrs(), opts.PerNodeComms),
+		ar:         newScratch(na, opts.PerNodeComms),
 	}
+}
 
-	// Presort: sample sort + shift for every continuous attribute. The
-	// categorical lists stay in record order. Binned and vote modes
-	// additionally sample each attribute's quantile cut vector off the
-	// freshly sorted list — the only moment the global sorted order is laid
-	// out in contiguous rank blocks.
+// presort distributes the table, builds this rank's attribute lists, runs
+// the presort, and opens the tree with the root as the only active node.
+func (wk *worker) presort(tab *dataset.Table) {
+	c := wk.c
+	lo, hi := dataset.BlockRange(wk.n, c.Size(), c.Rank())
+	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
+	wk.cont, wk.cat = local.Cont, local.Cat
+
+	// Sample sort + shift for every continuous attribute; the categorical
+	// lists stay in record order. The finder then takes whatever it needs
+	// off the freshly sorted lists (binned and vote: quantile cuts).
 	c.SetPhase(trace.Sort, 0)
 	for _, a := range wk.schema.ContIndices() {
 		wk.cont[a] = psort.Sort(c, wk.cont[a])
 	}
-	if wk.split != SplitExact {
-		wk.cuts = make([][]float64, wk.schema.NumAttrs())
-		for _, a := range wk.schema.ContIndices() {
-			wk.cuts[a] = computeCuts(c, wk.cont[a], n, wk.bins)
-			wk.cutBytes += int64(len(wk.cuts[a])) * 8
-		}
-		c.Mem().Alloc(wk.cutBytes)
-	}
+	wk.finder.prepare(wk)
 	c.SetPhase(trace.Other, 0)
 
-	// One segment per attribute: the root owns everything.
+	// One segment per attribute (cont[a] or cat[a], whichever the attribute
+	// has): the root owns everything.
 	for a := range wk.segs {
-		wk.segs[a] = []seg{{0, wk.segLenAll(a)}}
+		wk.segs[a] = []seg{{0, len(wk.cont[a]) + len(wk.cat[a])}}
 	}
-	wk.listBytes = wk.listsBytes()
-	c.Mem().Alloc(wk.listBytes)
+	wk.chargeLists()
 
 	// The root's global class histogram.
 	localHist := make([]int64, wk.schema.NumClasses())
@@ -642,41 +597,32 @@ func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory Re
 	hist := comm.AllReduceSum(c, localHist)
 	wk.root = &tree.Node{Hist: hist}
 	wk.active = []*nodeState{{node: wk.root, hist: hist, depth: 0}}
-	return wk
 }
 
-func (wk *worker) segLenAll(a int) int {
-	if wk.cont[a] != nil {
-		return len(wk.cont[a])
-	}
-	return len(wk.cat[a])
-}
-
-func (wk *worker) listsBytes() int64 {
-	var b int64
+// chargeLists meters the attribute lists and the finder's long-lived state
+// once a post-step (presort or restore) has filled them; free releases both.
+func (wk *worker) chargeLists() {
+	wk.listBytes = 0
 	for a := range wk.schema.Attrs {
-		b += int64(len(wk.cont[a])) * dataset.ContEntrySize
-		b += int64(len(wk.cat[a])) * dataset.CatEntrySize
+		wk.listBytes += int64(len(wk.cont[a])) * dataset.ContEntrySize
+		wk.listBytes += int64(len(wk.cat[a])) * dataset.CatEntrySize
 	}
-	return b
+	wk.c.Mem().Alloc(wk.listBytes + wk.finder.tracked())
 }
 
-// induce runs the level loop and returns the finished tree and the number
-// of levels processed (counted from the start of the run, so a worker
-// restored from a level-k checkpoint still reports the full level count).
-func (wk *worker) induce() (*tree.Tree, int) {
+// induce runs the level loop and returns the finished tree. The levels it
+// processed are wk.levelStats, counted from the start of the run, so a
+// worker restored from a level-k checkpoint still reports the full count.
+func (wk *worker) induce() *tree.Tree {
 	for len(wk.active) > 0 {
 		wk.runLevel()
 	}
-	return &tree.Tree{Schema: wk.schema, Root: wk.root}, len(wk.levelStats)
+	return &tree.Tree{Schema: wk.schema, Root: wk.root}
 }
 
 // free releases the worker's tracked memory.
 func (wk *worker) free() {
-	wk.c.Mem().Free(wk.listBytes)
-	wk.listBytes = 0
-	wk.c.Mem().Free(wk.cutBytes)
-	wk.cutBytes = 0
+	wk.c.Mem().Free(wk.listBytes + wk.finder.tracked())
 	wk.rm.Free()
 }
 
@@ -709,7 +655,8 @@ func (wk *worker) runLevel() {
 	// before FindSplit so every split path sees the same veto.
 	wk.sampleFeatures()
 
-	// FindSplit: winning candidate per need-split node (globally agreed).
+	// FindSplit: winning candidate per need-split node (globally agreed),
+	// by whichever strategy the finder implements.
 	cands := wk.findSplits(splitIdx, nNeed)
 
 	// Final split-or-leaf decision, replicated.

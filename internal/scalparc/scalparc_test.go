@@ -15,7 +15,7 @@ import (
 func trainBoth(t *testing.T, tab *dataset.Table, cfg splitter.Config, p int) (*Result, *Result) {
 	t.Helper()
 	w := comm.NewWorld(p, timing.T3D())
-	res, err := Train(w, tab, cfg)
+	res, err := TrainOpts(w, tab, cfg, Options{})
 	if err != nil {
 		t.Fatalf("p=%d: %v", p, err)
 	}
@@ -36,7 +36,7 @@ func assertOracle(t *testing.T, tab *dataset.Table, cfg splitter.Config, ps ...i
 	}
 	for _, p := range ps {
 		w := comm.NewWorld(p, timing.T3D())
-		res, err := Train(w, tab, cfg)
+		res, err := TrainOpts(w, tab, cfg, Options{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -172,11 +172,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(4, timing.T3D())
-	a, err := Train(w, tab, splitter.Config{})
+	a, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(w, tab, splitter.Config{})
+	b, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestResultMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(4, timing.T3D())
-	res, err := Train(w, tab, splitter.Config{})
+	res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestMemoryScalesDown(t *testing.T) {
 	}
 	peak := func(p int) int64 {
 		w := comm.NewWorld(p, timing.T3D())
-		res, err := Train(w, tab, splitter.Config{MaxDepth: 6})
+		res, err := TrainOpts(w, tab, splitter.Config{MaxDepth: 6}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestCommunicationPerRankScalesDown(t *testing.T) {
 	}
 	maxSent := func(p int) int64 {
 		w := comm.NewWorld(p, timing.T3D())
-		res, err := Train(w, tab, splitter.Config{MaxDepth: 6})
+		res, err := TrainOpts(w, tab, splitter.Config{MaxDepth: 6}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,18 +282,18 @@ func TestCommunicationPerRankScalesDown(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	w := comm.NewWorld(2, timing.T3D())
 	empty := dataset.NewTable(datagen.Schema(datagen.Seven), 0)
-	if _, err := Train(w, empty, splitter.Config{}); err == nil {
+	if _, err := TrainOpts(w, empty, splitter.Config{}, Options{}); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 	bad := &dataset.Schema{Classes: []string{"A", "B"}}
-	if _, err := Train(w, dataset.NewTable(bad, 0), splitter.Config{}); err == nil {
+	if _, err := TrainOpts(w, dataset.NewTable(bad, 0), splitter.Config{}, Options{}); err == nil {
 		t.Fatal("invalid schema accepted")
 	}
 	tab, err := datagen.Generate(datagen.Config{Function: 1, Attrs: datagen.Seven, Seed: 1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(w, tab, splitter.Config{MaxDepth: -2}); err == nil {
+	if _, err := TrainOpts(w, tab, splitter.Config{MaxDepth: -2}, Options{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -2,16 +2,16 @@ package scalparc
 
 import (
 	"repro/internal/dataset"
-	"repro/internal/gini"
 	"repro/internal/nodetable"
-	"repro/internal/splitter"
 )
 
-// scratch is a worker's per-level arena: every transient buffer the four
-// phases need is grown once to its high-water size and then reused across
-// levels, so a steady-state level allocates O(1) (a handful of boxed
-// collective deposits and per-attribute reduction outputs), independent of
-// the record count.
+// scratch is a worker's per-level arena: every transient buffer the level
+// loop and the splitting phases need is grown once to its high-water size
+// and then reused across levels, so a steady-state level allocates O(1) (a
+// handful of boxed collective deposits and per-attribute reduction
+// outputs), independent of the record count. The split finders keep their
+// FindSplit buffers in their own structs, under the same rules and through
+// the same grab/stash helpers.
 //
 // Reuse of buffers that travel through collectives follows the *Into rules
 // documented in package comm: a buffer deposited at one level is refilled
@@ -34,51 +34,6 @@ type scratch struct {
 	needSplit []bool
 	splitIdx  []int
 	doSplit   []bool
-
-	// findSplitsBatch (exact)
-	counts     []int64
-	prefix     []int64
-	bounds     []boundary
-	nextBounds []boundary
-	best       []splitter.Candidate
-	bestOut    []splitter.Candidate
-	m          gini.Matrix
-	catVec     [2][]int64 // double-buffered (consecutive ReduceSums)
-
-	// findSplitsBinned
-	attrBins []int
-	nodeOf   []int
-	hist32   []uint32
-	mine32   []uint32
-	below    []int64
-	above    []int64
-	catFlat  []int64
-	catRows  [][]int64
-	catMat   splitter.CountMatrix
-
-	// findSplitsVote
-	voteScores []float64
-	votable    []int32
-	voteOrder  []int32
-	ballots    []int32
-	ballotsAll []int32
-	nodeVotes  []int32
-	voteTally  []int32
-	candFlat   []int32
-	candSets   [][]int32
-	candHist   []uint32
-
-	// findSplitsVote re-vote fallback (see the fallback block in vote.go):
-	// dedicated buffers, never aliasing the election path's — the elected
-	// round's hist32/mine32/best/bestOut are all still live when the
-	// fallback round runs.
-	fbNodes   []int
-	fbActive  []int
-	fbSets    [][]int32
-	fbHist    []uint32
-	fbMine32  []uint32
-	fbBest    []splitter.Candidate
-	fbBestOut []splitter.Candidate
 
 	// performSplitI
 	offsets    []int

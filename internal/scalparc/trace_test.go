@@ -59,7 +59,7 @@ func TestTraceConservation(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		w := comm.NewWorld(p, timing.T3D())
-		res, err := Train(w, tab, splitter.Config{})
+		res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -113,7 +113,7 @@ func TestTraceLevelsMatchPerLevelStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(4, timing.T3D())
-	res, err := Train(w, tab, splitter.Config{})
+	res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,15 @@ import (
 	"repro/internal/trace"
 )
 
-// findSplitsVote is the top-k attribute-voting counterpart of
-// findSplitsBinned, after PV-Tree: instead of reduce-scattering the full
-// (node, attribute, bin, class) histogram vector — O(attrs) slots per node —
-// each rank scores its *local* histograms, nominates its top-k attributes
-// per need-split node, and a small fixed-size ballot exchange elects a
-// global candidate set of at most 2k attributes per node. Only the
-// candidates' histograms then ride the existing reduce-scatter, cutting the
-// dominant FindSplit exchange from O(attrs) to O(k) per node.
+// voteFinder is binnedFinder plus a candidate filter, which is how PV-Tree
+// defines voting: instead of reduce-scattering the full (node, attribute,
+// bin, class) histogram vector — O(attrs) slots per node — each rank scores
+// its *local* histograms, nominates its top-k attributes per need-split
+// node, and a small fixed-size ballot exchange elects a global candidate set
+// of at most 2k attributes per node. Only the candidates' histograms then
+// ride binnedFinder.exchange, cutting the dominant FindSplit exchange from
+// O(attrs) to O(k) per node. Cuts, the local histogram, the exchange, and
+// the checkpoint section are all the embedded finder's.
 //
 // The local vote orders a node's attributes by local binned gini ascending
 // (locally invalid attributes score +Inf), ties toward the lower attribute
@@ -45,60 +46,79 @@ import (
 //     the node's gini while the full histogram has one that does. Every
 //     rank sees the same reduced winners, so all ranks agree on the set of
 //     nodes needing rescue and re-run exactly those nodes through the
-//     full-layout reduce-scatter — the binned path's exchange restricted to
+//     exchange over every votable attribute — the binned path restricted to
 //     the fallback nodes — instead of silently leafing them. A node the
 //     fallback cannot split is a node binned mode would leaf too.
-func (wk *worker) findSplitsVote(splitIdx []int, nNeed int) []splitter.Candidate {
-	wk.c.SetPhase(trace.FindSplitI, wk.level)
+type voteFinder struct {
+	binnedFinder
+	// k is the per-rank nomination count (Options.VoteK).
+	k int
+	// rescued counts the nodes the re-vote fallback re-ran.
+	rescued int
+
+	// Arena buffers of the election.
+	scores     []float64
+	votable    []int32
+	order      []int32
+	ballots    []int32
+	ballotsAll []int32
+	nodeVotes  []int32
+	tally      []int32
+	candFlat   []int32
+	candSets   [][]int32
+	candHist   []uint32
+
+	// Arena buffers of the fallback round: dedicated, never aliasing the
+	// elected round's, whose local histogram and winners are still live when
+	// the fallback runs.
+	fbNodes  []int
+	fbActive []int
+	fbSets   [][]int32
+	fbHist   []uint32
+	fbRound  exchangeBufs
+}
+
+func (f *voteFinder) fallbacks() int { return f.rescued }
+
+func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	nc := wk.schema.NumClasses()
-	model := wk.c.Model()
-	p := wk.c.Size()
 	numAttrs := wk.schema.NumAttrs()
-
-	bins := wk.attrBins()
-	layout := histogram.NewLayout(nNeed, bins, nc)
-	nodeOf := wk.needToActive(splitIdx, nNeed)
-
-	transient := int64(layout.Total) * 4
-	wk.c.Mem().Alloc(transient)
-	hist := grab(wk.ar, &wk.ar.hist32, layout.Total)
-	scanned := wk.accumulateHist(layout, nodeOf, hist)
+	p := wk.c.Size()
+	bins := f.binCounts(wk)
+	layout, nodeOf, hist, scanned := f.localHist(wk, bins, splitIdx, nNeed)
 
 	// Local vote: score every group from the local (unreduced) histogram.
-	scores := grabRaw(wk.ar, &wk.ar.voteScores, nNeed*numAttrs)
+	scores := grabRaw(wk.ar, &f.scores, nNeed*numAttrs)
 	for i := range scores {
 		scores[i] = math.Inf(1)
 	}
-	below := grabRaw(wk.ar, &wk.ar.below, nc)
-	above := grabRaw(wk.ar, &wk.ar.above, nc)
+	below := grabRaw(wk.ar, &f.below, nc)
+	above := grabRaw(wk.ar, &f.above, nc)
 	for _, grp := range layout.Groups {
 		if !wk.attrAllowed(nodeOf[grp.Node], grp.Attr) {
 			continue
 		}
-		cand := wk.evalHistGroup(grp, hist[grp.Off:grp.Off+grp.Len], below, above, nc)
+		cand := f.evalHistGroup(wk, grp, hist[grp.Off:grp.Off+grp.Len], below, above, nc)
 		if cand.Valid {
 			scores[grp.Node*numAttrs+grp.Attr] = cand.Gini
 		}
 	}
-	wk.c.Compute(model.ScanTime(scanned + layout.Total))
+	wk.c.Compute(wk.c.Model().ScanTime(scanned + layout.Total))
 
 	// Nominate per node the kk best-scoring votable attributes (the ones
 	// the layout actually carries). The +Inf score of locally invalid
 	// attributes sorts them after every real candidate, so a ballot is
 	// always full — no blanks — and k >= attrs nominates everything.
-	votable := grabRaw(wk.ar, &wk.ar.votable, 0)
+	votable := grabRaw(wk.ar, &f.votable, 0)
 	for a, b := range bins {
 		if b > 0 {
 			votable = append(votable, int32(a))
 		}
 	}
-	votable = stash(wk.ar, &wk.ar.votable, votable)
-	kk := wk.voteK
-	if kk > len(votable) {
-		kk = len(votable)
-	}
-	order := grabRaw(wk.ar, &wk.ar.voteOrder, len(votable))
-	ballots := grabRaw(wk.ar, &wk.ar.ballots, nNeed*kk)
+	votable = stash(wk.ar, &f.votable, votable)
+	kk := min(f.k, len(votable))
+	order := grabRaw(wk.ar, &f.order, len(votable))
+	ballots := grabRaw(wk.ar, &f.ballots, nNeed*kk)
 	for i := 0; i < nNeed; i++ {
 		sc := scores[i*numAttrs : (i+1)*numAttrs]
 		copy(order, votable)
@@ -134,15 +154,12 @@ func (wk *worker) findSplitsVote(splitIdx []int, nNeed int) []splitter.Candidate
 	// identical election per node. Candidate sets are carved out of one flat
 	// backing with full slice expressions, so VoteSelect's appends can never
 	// reallocate them away from the arena.
-	allBallots := stash(wk.ar, &wk.ar.ballotsAll, comm.CandidateGatherInto(wk.c, ballots, wk.ar.ballotsAll))
-	maxPer := 2 * wk.voteK
-	if maxPer > len(votable) {
-		maxPer = len(votable)
-	}
-	tally := grabRaw(wk.ar, &wk.ar.voteTally, numAttrs)
-	candFlat := grabRaw(wk.ar, &wk.ar.candFlat, nNeed*len(votable))
-	candSets := grabRaw(wk.ar, &wk.ar.candSets, nNeed)
-	votes := grabRaw(wk.ar, &wk.ar.nodeVotes, p*kk)
+	allBallots := stash(wk.ar, &f.ballotsAll, comm.CandidateGatherInto(wk.c, ballots, f.ballotsAll))
+	maxPer := min(2*f.k, len(votable))
+	tally := grabRaw(wk.ar, &f.tally, numAttrs)
+	candFlat := grabRaw(wk.ar, &f.candFlat, nNeed*len(votable))
+	candSets := grabRaw(wk.ar, &f.candSets, nNeed)
+	votes := grabRaw(wk.ar, &f.nodeVotes, p*kk)
 	stride := nNeed * kk
 	for i := 0; i < nNeed; i++ {
 		for r := 0; r < p; r++ {
@@ -152,50 +169,33 @@ func (wk *worker) findSplitsVote(splitIdx []int, nNeed int) []splitter.Candidate
 		candSets[i] = splitter.VoteSelect(votes, numAttrs, maxPer, tally, candFlat[off:off:off+len(votable)])
 	}
 
-	// Exchange only the elected candidates' histograms. The sub-layout's
-	// groups are a node-major, attribute-ascending subset of the full
-	// layout's, so a single merge walk copies the chunks across.
+	// Exchange only the elected candidates' histograms, evaluated from their
+	// fused global statistics exactly as the binned path does. The charges
+	// for the full and the candidate vector stay until the end: the full
+	// vector feeds the fallback.
 	sub := histogram.NewLayoutSubset(candSets, bins, nc)
-	subBytes := int64(sub.Total) * 4
-	wk.c.Mem().Alloc(subBytes)
-	candHist := grabRaw(wk.ar, &wk.ar.candHist, sub.Total)
-	fi := 0
-	for _, g := range sub.Groups {
-		for layout.Groups[fi].Node != g.Node || layout.Groups[fi].Attr != g.Attr {
-			fi++
-		}
-		fg := layout.Groups[fi]
-		copy(candHist[g.Off:g.Off+g.Len], hist[fg.Off:fg.Off+fg.Len])
-		fi++
-	}
-	counts := sub.OwnerCounts(p)
-	mine := stash(wk.ar, &wk.ar.mine32, comm.ReduceScatterSum32Into(wk.c, candHist, wk.ar.mine32, counts))
-
-	// FindSplitII: evaluate the owned candidate groups from their fused
-	// global histograms, exactly as the binned path does.
-	wk.c.SetPhase(trace.FindSplitII, wk.level)
-	best := grab(wk.ar, &wk.ar.best, nNeed) // zero value is Invalid
-	evaluated := wk.evalOwnedGroups(sub, mine, best, nodeOf)
-	wk.c.Compute(model.ScanTime(evaluated))
-	out := stash(wk.ar, &wk.ar.bestOut, comm.AllReduceInto(wk.c, best, wk.ar.bestOut, splitter.Best))
+	held := int64(layout.Total+sub.Total) * 4
+	wk.c.Mem().Alloc(int64(sub.Total) * 4)
+	candHist := project(layout, hist, sub, nil, grabRaw(wk.ar, &f.candHist, sub.Total))
+	out := f.exchange(wk, &f.round, sub, candHist, nodeOf, 0)
 
 	// Re-vote fallback: the reduced winners are identical on every rank, so
 	// every rank computes the same set of nodes whose election came up empty —
 	// no valid elected split, or none beating the node's own gini — and
-	// re-runs exactly those nodes through the full-layout reduce-scatter.
-	// The local full histogram (hist) is still live; only the exchange and
-	// evaluation are repeated, now over every votable attribute.
-	fb := grabRaw(wk.ar, &wk.ar.fbNodes, 0)
+	// re-runs exactly those nodes through the exchange, now over every
+	// votable attribute. The local full histogram (hist) is still live; only
+	// the exchange and evaluation are repeated.
+	fb := grabRaw(wk.ar, &f.fbNodes, 0)
 	for i := 0; i < nNeed; i++ {
 		if !out[i].Valid || out[i].Gini >= gini.Index(wk.active[nodeOf[i]].hist) {
 			fb = append(fb, i)
 		}
 	}
-	fb = stash(wk.ar, &wk.ar.fbNodes, fb)
+	fb = stash(wk.ar, &f.fbNodes, fb)
 	if len(fb) > 0 {
 		wk.c.SetPhase(trace.FindSplitI, wk.level)
-		fbSets := grabRaw(wk.ar, &wk.ar.fbSets, len(fb))
-		fbActive := grabRaw(wk.ar, &wk.ar.fbActive, len(fb))
+		fbSets := grabRaw(wk.ar, &f.fbSets, len(fb))
+		fbActive := grabRaw(wk.ar, &f.fbActive, len(fb))
 		for j, i := range fb {
 			fbSets[j] = votable
 			fbActive[j] = nodeOf[i]
@@ -203,33 +203,36 @@ func (wk *worker) findSplitsVote(splitIdx []int, nNeed int) []splitter.Candidate
 		fbLayout := histogram.NewLayoutSubset(fbSets, bins, nc)
 		fbBytes := int64(fbLayout.Total) * 4
 		wk.c.Mem().Alloc(fbBytes)
-		fbHist := grabRaw(wk.ar, &wk.ar.fbHist, fbLayout.Total)
-		fi = 0
-		for _, g := range fbLayout.Groups {
-			want := fb[g.Node]
-			for layout.Groups[fi].Node != want || layout.Groups[fi].Attr != g.Attr {
-				fi++
-			}
-			fg := layout.Groups[fi]
-			copy(fbHist[g.Off:g.Off+g.Len], hist[fg.Off:fg.Off+fg.Len])
-			fi++
-		}
-		fbMine := stash(wk.ar, &wk.ar.fbMine32, comm.ReduceScatterSum32Into(wk.c, fbHist, wk.ar.fbMine32, fbLayout.OwnerCounts(p)))
-
-		wk.c.SetPhase(trace.FindSplitII, wk.level)
-		fbBest := grab(wk.ar, &wk.ar.fbBest, len(fb)) // zero value is Invalid
-		fbEval := wk.evalOwnedGroups(fbLayout, fbMine, fbBest, fbActive)
-		wk.c.Compute(model.ScanTime(fbEval))
-		wk.c.Mem().Free(fbBytes)
-		fbOut := stash(wk.ar, &wk.ar.fbBestOut, comm.AllReduceInto(wk.c, fbBest, wk.ar.fbBestOut, splitter.Best))
+		fbHist := project(layout, hist, fbLayout, fb, grabRaw(wk.ar, &f.fbHist, fbLayout.Total))
 		// The fallback evaluates a superset of the elected candidates from
 		// the same fused statistics, so its winner supersedes the elected
 		// one — this is exactly the candidate binned mode would pick.
-		for j, i := range fb {
-			out[i] = fbOut[j]
+		for j, c := range f.exchange(wk, &f.fbRound, fbLayout, fbHist, fbActive, fbBytes) {
+			out[fb[j]] = c
 		}
-		wk.voteFallbacks += len(fb)
+		f.rescued += len(fb)
 	}
-	wk.c.Mem().Free(transient + subBytes)
+	wk.c.Mem().Free(held)
 	return out
+}
+
+// project copies sub's groups out of the full layout's local histogram into
+// dst and returns dst. fullNode maps a sub node index to its full-layout
+// node (nil: the same index). sub's groups are a node-major,
+// attribute-ascending subset of full's, so a single merge walk finds them.
+func project(full *histogram.Layout, hist []uint32, sub *histogram.Layout, fullNode []int, dst []uint32) []uint32 {
+	fi := 0
+	for _, g := range sub.Groups {
+		want := g.Node
+		if fullNode != nil {
+			want = fullNode[g.Node]
+		}
+		for full.Groups[fi].Node != want || full.Groups[fi].Attr != g.Attr {
+			fi++
+		}
+		fg := full.Groups[fi]
+		copy(dst[g.Off:g.Off+g.Len], hist[fg.Off:fg.Off+fg.Len])
+		fi++
+	}
+	return dst
 }

@@ -174,6 +174,7 @@ func TestVoteFindSplitsSteadyStateAllocs(t *testing.T) {
 		w := comm.NewWorld(1, timing.T3D())
 		cfg := splitter.Config{MinSplit: 2}.Normalize()
 		wk := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{Split: SplitVote, Bins: 16, VoteK: 3})
+		wk.presort(tab)
 		splitIdx := []int{0}
 		wk.findSplits(splitIdx, 1) // warmup: grows the arena to high-water size
 		return testing.AllocsPerRun(10, func() {

@@ -217,16 +217,16 @@ func TestDecodeFailuresReturn400AndReleaseBuffers(t *testing.T) {
 		{[]byte(`{`), false},
 		{[]byte(`{}`), false},
 		{[]byte(`{"rows": []}`), false},
-		{[]byte(`{"rows": [[1]]}`), false},                  // wrong width
-		{[]byte(`{"rows": [[1,2,"nope",4,5,6,7]]}`), false}, // bad type for a continuous attr
-		{[]byte(`{"row": [1,2,3,99,5,6,7]}`), false},        // out-of-domain categorical index
-		{[]byte(`{"row": [1,2,3,0.5,5,6,7]}`), false},       // fractional categorical index
-		{[]byte(`{"row": [1,2,3,"e9",5,6,7]}`), false},      // unknown categorical name
+		{[]byte(`{"rows": [[1]]}`), false},                                     // wrong width
+		{[]byte(`{"rows": [[1,2,"nope",4,5,6,7]]}`), false},                    // bad type for a continuous attr
+		{[]byte(`{"row": [1,2,3,99,5,6,7]}`), false},                           // out-of-domain categorical index
+		{[]byte(`{"row": [1,2,3,0.5,5,6,7]}`), false},                          // fractional categorical index
+		{[]byte(`{"row": [1,2,3,"e9",5,6,7]}`), false},                         // unknown categorical name
 		{[]byte(`{"rows": [[1,2,3,4,5,6,7]], "row": [1,2,3,4,5,6,7]}`), false}, // both keys
 		{[]byte("wrong,header\n1,2\n"), true},
 		{[]byte(""), true},
 		{csvBody(t, tr.Schema, nil), true},                                // header only, no rows
-		{bytes.Repeat([]byte(`{"rows":[[1,2,3,4,5,6,0],`), 1 << 13), false}, // oversized body
+		{bytes.Repeat([]byte(`{"rows":[[1,2,3,4,5,6,0],`), 1<<13), false}, // oversized body
 	}
 	for i, tc := range bad {
 		_, code := postPredict(t, http.DefaultClient, ts.URL, "m", tc.body, tc.csv)

@@ -73,5 +73,5 @@ func (m *replicatedMap) Free() {
 // Train runs the parallel SPRINT formulation: ScalParC's induction engine
 // with the replicated hash table splitting phase.
 func Train(w *comm.World, tab *dataset.Table, cfg splitter.Config) (*scalparc.Result, error) {
-	return scalparc.TrainWith(w, tab, cfg, ReplicatedTable)
+	return scalparc.TrainOpts(w, tab, cfg, scalparc.Options{RecordMap: ReplicatedTable})
 }

@@ -42,7 +42,7 @@ func TestSprintMatchesScalParC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scalparc.Train(w, tab, splitter.Config{})
+	b, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSprintUnscalableMemory(t *testing.T) {
 		return r
 	}
 	scalparcTrain := func(w *comm.World) *scalparc.Result {
-		r, err := scalparc.Train(w, tab, splitter.Config{MaxDepth: 6})
+		r, err := scalparc.TrainOpts(w, tab, splitter.Config{MaxDepth: 6}, scalparc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSprintUnscalableCommunication(t *testing.T) {
 		if useSprint {
 			res, err = Train(w, tab, splitter.Config{MaxDepth: 4})
 		} else {
-			res, err = scalparc.Train(w, tab, splitter.Config{MaxDepth: 4})
+			res, err = scalparc.TrainOpts(w, tab, splitter.Config{MaxDepth: 4}, scalparc.Options{})
 		}
 		if err != nil {
 			t.Fatal(err)
