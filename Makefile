@@ -45,10 +45,13 @@ race:
 
 # The inference server's full suite: soak/race tests (N clients x M
 # models, bit-equal to the walker oracle), hot-swap drain differential,
-# the testing/quick batcher property test, and a FuzzServeRequest smoke.
+# the batcher's property and backlog tests, every benchmark compiled and
+# run once, and the FuzzServeRequest and FuzzDecodeJSONRows smokes.
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/serve
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
 # Chaos suite under the race detector: crash-at-every-(phase,level)
 # recovery sweeps, checkpoint round-trips, fault-injector and detection
@@ -81,8 +84,9 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
-# compiled-vs-walker prediction differential, and the TCP frame decoder
-# (CI runs the same smokes).
+# compiled-vs-walker prediction differential, the server's request
+# handling and its JSON row decoder (against the frozen reflective one),
+# and the TCP frame decoder (CI runs the same smokes).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
@@ -90,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport
 
 # Benchmark-regression guards, all CI steps; exit non-zero on regression:

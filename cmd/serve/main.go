@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	var models modelFlags
 	fs.Var(&models, "model", "load a model at startup: name=tree.json (repeatable)")
 	batch := fs.Int("batch", 0, "micro-batch row cap (0 = default 512)")
-	deadline := fs.Duration("deadline", 0, "micro-batch flush deadline (0 = default 1ms)")
+	deadline := fs.Duration("deadline", 0, "admission deadline: longest a request waits for a slot in a full prediction queue before 503 (0 = default 1ms); flushes never wait on it")
 	workers := fs.Int("workers", 0, "flusher workers per model version (0 = default)")
 	shards := fs.Int("shards", 0, "model cache shards (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "request body byte cap (0 = default 8 MiB)")

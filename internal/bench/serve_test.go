@@ -31,31 +31,31 @@ func serveTestTraj(rps, walkNs float64) *ServeTrajectory {
 // shapes the guard exists to catch.
 func TestServeChecksGates(t *testing.T) {
 	const walkNs = 100.0
-	healthy := serveTestPoints(50_000, 2000, 50)
+	healthy := serveTestPoints(50_000, 2000, 80)
 
 	if errs := serveChecks(healthy, walkNs, serveTestTraj(50_000, walkNs)); len(errs) != 0 {
 		t.Fatalf("healthy run tripped gates: %v", errs)
 	}
 
-	// Batching broken: fat shapes no longer co-batch.
-	broken := serveTestPoints(50_000, 2000, 1.0)
+	// Requests fragment: a 64-row request's flushes average 50 rows.
+	broken := serveTestPoints(50_000, 2000, 50)
 	if errs := serveChecks(broken, walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
-		t.Fatal("mean batch 1.0 passed the batching gate")
+		t.Fatal("mean batch 50 on 64-row requests passed the no-fragmentation gate")
 	}
 
-	// Lost deadline flush: single-row p99 explodes.
-	slow := serveTestPoints(50_000, 5_000_000, 50)
+	// Flushers waiting for company: single-row p99 explodes.
+	slow := serveTestPoints(50_000, 5_000_000, 80)
 	if errs := serveChecks(slow, walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
 		t.Fatal("5s p99 passed the latency gate")
 	}
 
 	// Throughput collapse beyond the slack, same host speed.
-	if errs := serveChecks(serveTestPoints(10_000, 2000, 50), walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
+	if errs := serveChecks(serveTestPoints(10_000, 2000, 80), walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
 		t.Fatal("5x throughput loss passed the gate")
 	}
 
 	// Same collapse explained by a 5x slower host probe: must pass.
-	if errs := serveChecks(serveTestPoints(10_000, 2000, 50), walkNs*5, serveTestTraj(50_000, walkNs)); len(errs) != 0 {
+	if errs := serveChecks(serveTestPoints(10_000, 2000, 80), walkNs*5, serveTestTraj(50_000, walkNs)); len(errs) != 0 {
 		t.Fatalf("host-normalized slowdown tripped gates: %v", errs)
 	}
 

@@ -5,23 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/infer"
 )
 
-// ErrOverloaded reports that the micro-batcher's queue could not accept a
-// request's rows within the flush deadline: the server is saturated and
-// the request was shed instead of queued behind an unbounded backlog. The
-// HTTP layer maps it to 503 with a Retry-After.
-var ErrOverloaded = errors.New("serve: overloaded, prediction queue full past the flush deadline")
+// ErrOverloaded reports that the micro-batcher's queue could not admit a
+// request within BatchWait: the server is saturated and the request was
+// shed instead of parked behind an unbounded backlog. The HTTP layer maps
+// it to 503 with a Retry-After.
+var ErrOverloaded = errors.New("serve: overloaded, prediction queue full past the admission deadline")
 
-// batcher coalesces single rows from concurrent requests into the compiled
-// engine's batches: a channel-fanout worker pool where each flusher blocks
-// for a first row, then gathers until the batch reaches maxBatch rows or
-// maxWait elapses — whichever is first — and answers the whole batch from
-// one PredictRowsInto call over pooled buffers.
+// batcher coalesces concurrent requests into the compiled engine's
+// batches. The queue carries whole requests, and the flushers are
+// work-conserving: each blocks for a first request, keeps taking requests
+// that are already queued — never waiting for one — until maxBatch rows,
+// and flushes the moment the queue is empty. Batches therefore form from
+// the backlog that builds while every flusher is inside the kernel: batch
+// size follows the load, and a lone request costs its own service time.
 //
 // One batcher belongs to one cache entry (one model version): a flush can
 // never mix versions, and the version's refcount drain (every request
@@ -30,42 +31,38 @@ var ErrOverloaded = errors.New("serve: overloaded, prediction queue full past th
 // never drops rows on shutdown.
 type batcher struct {
 	model    infer.Compiled
-	q        chan rowReq
+	q        chan *call
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	maxBatch int
-	maxWait  time.Duration
+	maxWait  time.Duration // longest a request waits for queue admission
 	stats    *Stats
 }
 
-// rowReq is one row awaiting prediction: the decoded values, the slot in
-// its request's result slice, and the completion state shared by the
-// request's rows. Responses are assembled positionally — rows of one
-// request keep their order no matter how flushes interleave.
-type rowReq struct {
-	row  []float64
-	slot int
-	call *call
-}
-
-// call is one request's completion state.
+// call is one request in flight: its decoded rows, the result slice the
+// flushers fill positionally (out[i] answers rows[i] however the request
+// is batched), and its completion. The flusher also stamps when the
+// request's first flush started and when its last kernel call returned.
 type call struct {
-	out     []int
-	pending atomic.Int64
-	err     atomic.Pointer[error]
-	done    chan struct{}
+	rows [][]float64
+	out  []int
+	err  error      // first failed flush; flusher-owned until done is sent
+	done chan error // capacity 1: a flusher's completion never blocks
+
+	flushStart, kernelDone time.Time
 }
 
-func (c *call) finish(n int64) {
-	if c.pending.Add(-n) == 0 {
-		close(c.done)
-	}
+func newCall(rows [][]float64, out []int) *call {
+	return &call{rows: rows, out: out, done: make(chan error, 1)}
 }
 
 func newBatcher(m infer.Compiled, workers, maxBatch int, maxWait time.Duration, stats *Stats) *batcher {
 	b := &batcher{
-		model:    m,
-		q:        make(chan rowReq, 4*maxBatch),
+		model: m,
+		// 4*maxBatch requests: backlog enough for every flusher to cut
+		// full batches out of single-row traffic. A deeper queue only
+		// turns fast 503s into slow 200s.
+		q:        make(chan *call, 4*maxBatch),
 		stop:     make(chan struct{}),
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
@@ -86,123 +83,122 @@ func (b *batcher) close() {
 	b.wg.Wait()
 }
 
-// depth returns the number of rows queued but not yet picked up.
+// depth returns the number of requests queued but not yet picked up.
 func (b *batcher) depth() int { return len(b.q) }
 
-// predictInto enqueues the rows and blocks until the batch flushes that
-// carry them complete, writing one label per row into out. A context
-// cancelled mid-enqueue abandons the unenqueued tail but still waits for
-// rows already queued (they hold slots in out and flushers will write
-// them). Enqueueing itself is bounded: a request that cannot place its
-// rows within one flush deadline (the queue is full and the flushers are
-// not draining it) is shed with ErrOverloaded rather than parked behind
-// an unbounded backlog — queueing past the deadline only converts fast
-// failures into slow ones.
-func (b *batcher) predictInto(ctx context.Context, rows [][]float64, out []int) error {
-	if len(out) != len(rows) {
-		return fmt.Errorf("serve: out has %d slots for %d rows", len(out), len(rows))
+// predictInto queues the request and blocks until its rows are answered,
+// one label per row in c.out. Admission is all-or-nothing and bounded: a
+// request that finds the queue full waits at most maxWait for a slot, then
+// is shed with ErrOverloaded; a context cancelled during that wait returns
+// at once. Either way nothing of the request was queued, so c is free for
+// reuse. Once admitted, the request is always answered — flushers never
+// sleep — and the wait is not abandoned (they write into c.out).
+func (b *batcher) predictInto(ctx context.Context, c *call) error {
+	if len(c.out) != len(c.rows) {
+		return fmt.Errorf("serve: out has %d slots for %d rows", len(c.out), len(c.rows))
 	}
-	if len(rows) == 0 {
+	if len(c.rows) == 0 {
 		return nil
 	}
-	c := &call{out: out, done: make(chan struct{})}
-	c.pending.Store(int64(len(rows)))
-	// One shed timer budgets the whole enqueue, created only if some row
-	// actually blocks (the common, healthy path never allocates it).
-	var shed *time.Timer
-	var shedC <-chan time.Time
-	for i, r := range rows {
-		req := rowReq{row: r, slot: i, call: c}
+	c.err = nil
+	select {
+	case b.q <- c:
+	default:
+		// Only a saturated queue pays for the admission timer.
+		shed := time.NewTimer(b.maxWait)
+		defer shed.Stop()
 		select {
-		case b.q <- req:
-			continue
-		default:
-		}
-		if shed == nil {
-			shed = time.NewTimer(b.maxWait)
-			shedC = shed.C
-			defer shed.Stop()
-		}
-		select {
-		case b.q <- req:
-		case <-shedC:
-			c.finish(int64(len(rows) - i))
-			<-c.done
+		case b.q <- c:
+		case <-shed.C:
 			return ErrOverloaded
 		case <-ctx.Done():
-			c.finish(int64(len(rows) - i))
-			<-c.done
 			return ctx.Err()
 		}
 	}
-	<-c.done
-	if ep := c.err.Load(); ep != nil {
-		return *ep
-	}
-	return nil
+	return <-c.done
 }
 
-// flusher is one worker of the fanout pool. Its scratch (the gathered
-// batch, the row-pointer view, and the output slice) is allocated once and
-// reused for the worker's lifetime.
+// part is one request's share of a batch: the whole request, or — for a
+// request of more than maxBatch rows — one in-order slice of it.
+type part struct {
+	c     *call
+	lo, n int
+}
+
+// flusher is one worker of the pool. Its scratch (the batch's parts, the
+// row-pointer view, and the output slice) is allocated once and reused for
+// the worker's lifetime. cur is a request taken off the queue whose rows
+// from lo on are not flushed yet: one that did not fit the batch just
+// closed, or a large one between its slices.
 func (b *batcher) flusher() {
 	defer b.wg.Done()
-	batch := make([]rowReq, 0, b.maxBatch)
+	parts := make([]part, 0, b.maxBatch)
 	rows := make([][]float64, 0, b.maxBatch)
 	out := make([]int, b.maxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	var cur *call
+	lo := 0
 	for {
-		var first rowReq
-		select {
-		case first = <-b.q:
-		case <-b.stop:
-			return
-		}
-		batch = append(batch[:0], first)
-		// The deadline covers the gather only: the first row waits at
-		// most maxWait here before its batch starts predicting.
-		timer.Reset(b.maxWait)
-		fired := false
-	gather:
-		for len(batch) < b.maxBatch {
-			select {
-			case r := <-b.q:
-				batch = append(batch, r)
-			case <-timer.C:
-				fired = true
-				break gather
+		parts, rows = parts[:0], rows[:0]
+		idle := false
+		for len(rows) < b.maxBatch && !idle {
+			if cur == nil {
+				lo = 0
+				if len(rows) == 0 {
+					select {
+					case cur = <-b.q:
+					case <-b.stop:
+						return
+					}
+				} else {
+					select {
+					case cur = <-b.q:
+					default:
+						idle = true
+						continue
+					}
+				}
+			}
+			n := len(cur.rows) - lo
+			if n > b.maxBatch-len(rows) {
+				if len(rows) > 0 {
+					break // cur opens the next batch: it is never split to top this one up
+				}
+				n = b.maxBatch
+			}
+			parts = append(parts, part{cur, lo, n})
+			rows = append(rows, cur.rows[lo:lo+n]...)
+			if lo += n; lo == len(cur.rows) {
+				cur = nil
 			}
 		}
-		if !fired && !timer.Stop() {
-			<-timer.C
-		}
-		b.flush(batch, rows, out)
+		b.flush(parts, rows, out[:len(rows)], idle)
 	}
 }
 
 // flush answers one gathered batch: a single engine call, then positional
-// scatter of the labels into each request's result slice.
-func (b *batcher) flush(batch []rowReq, rows [][]float64, out []int) {
-	rows = rows[:0]
-	for i := range batch {
-		rows = append(rows, batch[i].row)
-	}
-	o := out[:len(batch)]
-	err := b.model.PredictRowsInto(rows, o)
-	b.stats.recordBatch(len(batch), len(batch) == b.maxBatch)
+// scatter of the labels into each request's result slice. A request
+// completes with the flush that carries its last row.
+func (b *batcher) flush(parts []part, rows [][]float64, out []int, idle bool) {
+	start := time.Now()
+	err := b.model.PredictRowsInto(rows, out)
+	end := time.Now()
+	b.stats.recordBatch(len(rows), idle)
 	if err != nil {
 		b.stats.PredictErrors.Add(1)
 	}
-	for i := range batch {
-		c := batch[i].call
-		if err != nil {
-			c.err.Store(&err)
-		} else {
-			c.out[batch[i].slot] = o[i]
+	for _, p := range parts {
+		c := p.c
+		if p.lo == 0 {
+			c.flushStart = start
 		}
-		c.finish(1)
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		copy(c.out[p.lo:p.lo+p.n], out)
+		out = out[p.n:]
+		if p.lo+p.n == len(c.rows) {
+			c.kernelDone = end
+			c.done <- c.err
+		}
 	}
 }

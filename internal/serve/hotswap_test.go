@@ -150,7 +150,7 @@ func TestHotSwapDifferential(t *testing.T) {
 	// Old version still answers through its own batcher while held.
 	oldSv := held.Payload.(*served)
 	oneOut := make([]int, 1)
-	if err := oldSv.b.predictInto(t.Context(), rows2(tab.Row(0)), oneOut); err != nil {
+	if err := predictRows(t.Context(), oldSv.b, rows2(tab.Row(0)), oneOut); err != nil {
 		t.Fatalf("held v1 batcher refused a row: %v", err)
 	}
 	if oneOut[0] != want1[0] {
@@ -166,7 +166,7 @@ func TestHotSwapDifferential(t *testing.T) {
 		t.Fatal("v1 did not drain after its last reference released")
 	}
 	if d := oldSv.b.depth(); d != 0 {
-		t.Fatalf("drained batcher still has %d queued rows", d)
+		t.Fatalf("drained batcher still has %d queued requests", d)
 	}
 
 	// Global conservation: every row that entered a batcher came back out.

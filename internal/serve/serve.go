@@ -3,14 +3,18 @@
 //
 // Requests — single rows or small row groups, JSON or a compact CSV body
 // reusing the internal/dataset schema conventions — land in a
-// bounded-latency micro-batcher (one per model version) that coalesces
-// them into the engine's batches: a flush happens when a batch reaches
-// MaxBatch rows or after BatchWait, whichever is first, and is answered by
-// one PredictRowsInto call over pooled buffers. Multiple named models stay
-// hot behind the sharded, versioned cache in internal/serve/cache;
-// POST /models/{name} hot-swaps a version atomically (upload a serialized
-// tree, or retrain from a labeled CSV via classify), and old versions are
-// drained by refcount so an in-flight batch never sees a torn swap.
+// work-conserving micro-batcher (one per model version) that coalesces
+// them into the engine's batches: a flusher takes the requests already
+// waiting, up to MaxBatch rows, and flushes the moment the queue is empty —
+// it never sleeps to fill a batch, so a lone request costs its own service
+// time and batches grow only from the backlog that load builds. Each flush
+// is one PredictRowsInto call over pooled buffers. BatchWait bounds only
+// how long a request may wait for admission to a full queue before it is
+// shed with 503. Multiple named models stay hot behind the sharded,
+// versioned cache in internal/serve/cache; POST /models/{name} hot-swaps a
+// version atomically (upload a serialized tree, or retrain from a labeled
+// CSV via classify), and old versions are drained by refcount so an
+// in-flight batch never sees a torn swap.
 //
 // Endpoints:
 //
@@ -19,7 +23,7 @@
 //	GET    /models            list live models
 //	DELETE /models/{name}     remove a model
 //	GET    /healthz           liveness
-//	GET    /stats             counters, batch-size histogram, queue depth
+//	GET    /stats             counters, batch-size and per-stage latency histograms, queue depth
 package serve
 
 import (
@@ -28,8 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -45,8 +51,10 @@ type Config struct {
 	// MaxBatch caps a flush's row count; default 512 (the engine's
 	// level-synchronous batch size — larger batches stop helping).
 	MaxBatch int
-	// BatchWait is the micro-batcher's flush deadline: the longest a row
-	// waits for co-batched company once a flusher picks it up. Default 1ms.
+	// BatchWait is the admission deadline: the longest a request waits for
+	// a slot in a full prediction queue before it is shed (ErrOverloaded,
+	// HTTP 503). It delays nothing else — flushes never wait for company,
+	// and a request finding room in the queue never sees it. Default 1ms.
 	BatchWait time.Duration
 	// Workers is the flusher count per model version; default
 	// max(2, GOMAXPROCS).
@@ -86,10 +94,57 @@ func (c Config) withDefaults() Config {
 }
 
 // served is the per-version payload hung on a cache entry: the version's
-// micro-batcher and the decode indexes precomputed for its schema.
+// micro-batcher, the decode indexes precomputed for its schema, the JSON
+// fragments its replies are assembled from, and where its requests' time
+// went.
 type served struct {
 	b        *batcher
 	catIndex []map[string]int
+	// replyHead is `{"model":<name>,"version":` and classJSON[c] is class
+	// c's name, both rendered once by encoding/json so escaping is its,
+	// not ours. (The version number is assigned when the entry is stored,
+	// after its payload is attached, so it is appended per reply.)
+	replyHead []byte
+	classJSON [][]byte
+	stages    stageStats
+}
+
+// newServed builds a version's payload. json.Marshal of a string cannot
+// fail, so its error is dropped.
+func newServed(b *batcher, name string, sc *dataset.Schema) *served {
+	sv := &served{b: b, catIndex: buildCatIndex(sc)}
+	nameJSON, _ := json.Marshal(name)
+	sv.replyHead = fmt.Appendf(nil, `{"model":%s,"version":`, nameJSON)
+	for _, c := range sc.Classes {
+		cj, _ := json.Marshal(c)
+		sv.classJSON = append(sv.classJSON, cj)
+	}
+	return sv
+}
+
+// appendReply appends /predict's JSON reply to dst: one class index and
+// one class name per input row, in input order, plus the version that
+// answered — every row of one request is answered by exactly one model
+// version. The bytes are those json.Encoder writes for the same fields
+// (TestReplyMatchesEncoder), trailing newline included.
+func (sv *served) appendReply(dst []byte, version int, indices []int) []byte {
+	dst = append(dst, sv.replyHead...)
+	dst = strconv.AppendInt(dst, int64(version), 10)
+	dst = append(dst, `,"indices":[`...)
+	for i, c := range indices {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(c), 10)
+	}
+	dst = append(dst, `],"classes":[`...)
+	for i, c := range indices {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, sv.classJSON[c]...)
+	}
+	return append(dst, "]}\n"...)
 }
 
 // Server is the inference service. Create with New, expose via Handler,
@@ -159,7 +214,7 @@ func (s *Server) SetForest(name string, f *tree.Forest) (int, error) {
 	}
 	e := s.cache.NewEntry(name, f, m)
 	b := newBatcher(m, s.cfg.Workers, s.cfg.MaxBatch, s.cfg.BatchWait, s.stats)
-	e.Payload = &served{b: b, catIndex: buildCatIndex(f.Schema)}
+	e.Payload = newServed(b, name, f.Schema)
 	e.OnDrain(b.close)
 	v := s.cache.Store(e)
 	s.stats.Swaps.Add(1)
@@ -206,6 +261,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		if sv, ok := e.Payload.(*served); ok {
 			ms.QueueDepth = sv.b.depth()
+			ms.Stages = sv.stages.snapshot()
 		}
 		snap.QueueDepth += ms.QueueDepth
 		snap.Models = append(snap.Models, ms)
@@ -245,7 +301,7 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 // count).
 func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, status, err := s.readBody(r)
+	body, status, err := s.readBody(r, nil)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -315,24 +371,18 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, modelInfo{Model: name})
 }
 
-// predictResponse is /predict's JSON shape: one class index and one class
-// name per input row, in input order, plus the version that answered —
-// every row of one request is answered by exactly one model version.
-type predictResponse struct {
-	Model   string   `json:"model"`
-	Version int      `json:"version"`
-	Indices []int    `json:"indices"`
-	Classes []string `json:"classes"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	tStart := time.Now()
 	s.stats.Requests.Add(1)
 	name := r.PathValue("model")
-	body, status, err := s.readBody(r)
+	buf := s.getBuf()
+	defer s.putBuf(buf)
+	body, status, err := s.readBody(r, buf.body)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
 	}
+	buf.body = body
 
 	// The cache reference spans decode through response: the rows are
 	// decoded against this version's schema, batched into this version's
@@ -346,8 +396,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer e.Release()
 	sv := e.Payload.(*served)
 
-	buf := s.getBuf()
-	defer s.putBuf(buf)
+	tDecode := time.Now()
 	if isCSV(r) {
 		err = decodeCSVRows(body, e.Forest.Schema, sv.catIndex, s.cfg.MaxRowsPerRequest, buf)
 	} else {
@@ -359,16 +408,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.RowsIn.Add(int64(len(buf.rows)))
+	buf.out = slices.Grow(buf.out[:0], len(buf.rows))[:len(buf.rows)]
 
-	for len(buf.out) < len(buf.rows) {
-		buf.out = append(buf.out, 0)
-	}
-	if err := sv.b.predictInto(r.Context(), buf.rows, buf.out[:len(buf.rows)]); err != nil {
+	tEnqueue := time.Now()
+	if err := sv.b.predictInto(r.Context(), &buf.call); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			// Graceful degradation: a saturated batcher sheds rather than
-			// queues without bound. Retry-After is one flush deadline
-			// rounded up — by then the backlog has either drained a batch
-			// or the server is still saturated and sheds again cheaply.
+			// queues without bound. Retry-After is one admission deadline
+			// rounded up — by then the backlog has either drained or the
+			// server is still saturated and sheds again cheaply.
 			s.stats.Sheds.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BatchWait/time.Second)+1))
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -378,33 +426,41 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := predictResponse{
-		Model:   name,
-		Version: e.Version,
-		Indices: buf.out[:len(buf.rows)],
-		Classes: make([]string, len(buf.rows)),
+	buf.reply = sv.appendReply(buf.reply[:0], e.Version, buf.out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.reply) // a failed write means the client is gone; there is no one to tell
+	tEnd := time.Now()
+
+	d := [numStages]time.Duration{
+		stageDecode: tEnqueue.Sub(tDecode),
+		stageQueue:  buf.flushStart.Sub(tEnqueue),
+		stageKernel: buf.kernelDone.Sub(buf.flushStart),
+		stageEncode: tEnd.Sub(buf.kernelDone),
 	}
-	for i, c := range resp.Indices {
-		resp.Classes[i] = e.Forest.Schema.Classes[c]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.stats.Stages.record(tEnd.Sub(tStart), d)
+	sv.stages.record(tEnd.Sub(tStart), d)
 }
 
-// readBody reads a size-capped request body; over-limit bodies get 413.
-func (s *Server) readBody(r *http.Request) ([]byte, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+// readBody reads a size-capped request body into dst's storage (nil for a
+// fresh one) and returns it; over-limit bodies get 413.
+func (s *Server) readBody(r *http.Request, dst []byte) ([]byte, int, error) {
+	body := bytes.NewBuffer(dst[:0])
+	if _, err := body.ReadFrom(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		if _, ok := err.(*http.MaxBytesError); ok {
 			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes)
 		}
 		return nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
 	}
-	return body, 0, nil
+	return body.Bytes(), 0, nil
 }
 
+// isCSV reports whether the request declares a text/csv body, in any
+// spelling of the media type and with any parameters; everything else,
+// a missing or unparsable header included, is treated as JSON.
 func isCSV(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == "text/csv" || ct == "text/csv; charset=utf-8"
+	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	return mt == "text/csv"
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -16,27 +16,26 @@ import (
 )
 
 // wedgeBatcher stops b's flushers and fills its queue, so every later
-// enqueue blocks past the flush deadline — a deterministic stand-in for
-// a saturated worker pool. The junk rows share one call that never
-// completes (nothing flushes them).
+// enqueue blocks past the admission deadline — a deterministic stand-in
+// for a saturated worker pool. The junk requests never complete (nothing
+// flushes them).
 func wedgeBatcher(t *testing.T, b *batcher, row []float64) {
 	t.Helper()
 	b.close()
-	junk := &call{out: make([]int, 1), done: make(chan struct{})}
-	junk.pending.Store(int64(cap(b.q)))
 	for i := 0; i < cap(b.q); i++ {
 		select {
-		case b.q <- rowReq{row: row, slot: 0, call: junk}:
+		case b.q <- newCall(rows2(row), make([]int, 1)):
 		default:
-			t.Fatal("queue refused a fill row")
+			t.Fatal("queue refused a fill request")
 		}
 	}
 }
 
-// TestBatcherShedsPastDeadline pins the batcher-level contract: a
-// request whose rows cannot be queued within one flush deadline returns
-// ErrOverloaded — after the deadline (it really waited), without
-// hanging, and without leaving the call half-finished.
+// TestBatcherShedsPastDeadline pins all-or-nothing admission on the shed
+// side: a request that cannot be queued within BatchWait returns
+// ErrOverloaded — after the deadline (it really waited), without hanging
+// on the wedged pool, whatever its size, and leaving nothing of itself in
+// the queue.
 func TestBatcherShedsPastDeadline(t *testing.T) {
 	tr, tab := trainTree(t, 1, 500, 0)
 	m, err := infer.Compile(tr)
@@ -48,7 +47,7 @@ func TestBatcherShedsPastDeadline(t *testing.T) {
 	wedgeBatcher(t, b, tab.Row(0))
 
 	start := time.Now()
-	err = b.predictInto(context.Background(), [][]float64{tab.Row(0)}, make([]int, 1))
+	err = predictRows(context.Background(), b, rows2(tab.Row(0)), make([]int, 1))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("predictInto on a wedged batcher returned %v, want ErrOverloaded", err)
@@ -59,10 +58,18 @@ func TestBatcherShedsPastDeadline(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("shed took %v — not a bounded wait", elapsed)
 	}
-	// A second request sheds just as cleanly (the first shed left no
-	// debris in the queue: its row was never enqueued).
-	if err := b.predictInto(context.Background(), [][]float64{tab.Row(0)}, make([]int, 1)); !errors.Is(err, ErrOverloaded) {
+	// A second, many-row request sheds just as cleanly: the first left no
+	// debris, and none of its own rows is queued for a pool that will never
+	// flush them.
+	many := make([][]float64, 64)
+	for i := range many {
+		many[i] = tab.Row(i)
+	}
+	if err := predictRows(context.Background(), b, many, make([]int, len(many))); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second shed returned %v", err)
+	}
+	if b.depth() != cap(b.q) {
+		t.Fatalf("queue depth %d after two sheds, want the %d fill requests", b.depth(), cap(b.q))
 	}
 }
 
