@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments examples clean
+.PHONY: all build fmt vet test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
 
 all: build fmt vet test bench-module
 
@@ -138,6 +138,14 @@ cover:
 SCALE ?= 0.0625
 experiments:
 	$(GO) run ./cmd/benchrunner -exp all -scale $(SCALE)
+
+# experiments_output.txt archives, verbatim, the output of the experiments
+# the registry marks Recorded (virtual clocks only: the same bytes on every
+# host). Regenerate exactly that set and diff it against the file, so a
+# change that moves a modeled figure has to re-record it
+# (`go run ./cmd/benchrunner -exp recorded > experiments_output.txt`).
+experiments-check:
+	$(GO) run ./cmd/benchrunner -exp recorded | diff experiments_output.txt -
 
 examples:
 	$(GO) run ./examples/quickstart

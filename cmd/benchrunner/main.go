@@ -1,6 +1,7 @@
 // Command benchrunner regenerates the paper's evaluation: every figure,
 // the prose's quantitative claims, and the design ablations listed in
-// DESIGN.md's per-experiment index.
+// DESIGN.md's per-experiment index. The experiments themselves are rows of
+// the registry in internal/bench; this command only selects and runs them.
 //
 //	benchrunner -exp all                 # everything at the default scale
 //	benchrunner -exp fig3a -scale 1.0    # Figure 3(a) at the paper's full sizes
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/comm/tcptransport"
@@ -39,290 +39,42 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	usesFiles := func(x bench.Experiment) bool { return x.Trajectory != bench.NoTrajectory }
+	appends := func(x bench.Experiment) bool { return x.Trajectory == bench.Appends }
+
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig3a, fig3b, speedups, memfactors, sprintcmp, phases, phasecmp, blocks, binned, binnedguard, vote, voteguard, fault, hotpath, hotpathguard, predict, predictguard, tcp, serve, serveguard, forest, forestguard, micro, or all")
+	exp := fs.String("exp", "all", "comma-separated experiments: "+bench.Names(nil)+
+		"; or all (every one but "+bench.Names(appends)+", which append to a BENCH_*.json file), or recorded (the ones archived in experiments_output.txt)")
 	scale := fs.Float64("scale", 1.0/16, "fraction of the paper's record counts to run")
 	function := fs.Int("function", 2, "Quest classification function")
 	seed := fs.Int64("seed", 1, "generator seed")
 	maxDepth := fs.Int("depth", 0, "maximum tree depth (0 = unlimited)")
-	traceOut := fs.String("trace", "", "write the phases experiment's per-rank timelines as Chrome trace-event JSON to this file")
-	benchDir := fs.String("benchdir", ".", "directory holding the BENCH_*.json trajectory files (hotpath, hotpathguard)")
-	benchLabel := fs.String("benchlabel", "", "run label -exp hotpath records in the BENCH_*.json files")
+	traceOut := fs.String("trace", "", "write the per-rank timelines of the per-phase breakdown (EXP-PHASES) as Chrome trace-event JSON to this file")
+	benchDir := fs.String("benchdir", ".", "directory holding the BENCH_*.json trajectory files ("+bench.Names(usesFiles)+")")
+	benchLabel := fs.String("benchlabel", "", "label of the run appended to the BENCH_*.json files ("+bench.Names(appends)+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *scale <= 0 || *scale > 1 {
 		return fmt.Errorf("-scale %v out of (0, 1]", *scale)
 	}
-
-	// Latencies scale with the data so reduced sweeps keep the full-size
-	// comp/comm balance (see bench.ScaledMachine).
-	machine := bench.ScaledMachine(*scale)
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	ran := 0
-
-	// The Figure 3 sweep feeds four experiments; run it once.
-	if all || want["fig3a"] || want["fig3b"] || want["speedups"] || want["memfactors"] {
-		cfg := bench.DefaultSweep(*scale)
-		cfg.Function = *function
-		cfg.Seed = *seed
-		cfg.MaxDepth = *maxDepth
-		fmt.Fprintf(out, "sweep: sizes %v, procs %v (scale %.4g of the paper's sizes)\n\n",
-			cfg.Sizes, cfg.Procs, *scale)
-		points, err := cfg.Run()
-		if err != nil {
-			return err
-		}
-		g := bench.NewGrid(points)
-		if all || want["fig3a"] {
-			bench.Fig3a(out, g)
-			fmt.Fprintln(out)
-			ran++
-		}
-		if all || want["fig3b"] {
-			bench.Fig3b(out, g)
-			fmt.Fprintln(out)
-			ran++
-		}
-		if all || want["speedups"] {
-			bench.Speedups(out, g)
-			fmt.Fprintln(out)
-			ran++
-		}
-		if all || want["memfactors"] {
-			bench.MemFactors(out, g)
-			fmt.Fprintln(out)
-			ran++
-		}
+	selected, err := bench.Select(*exp)
+	if err != nil {
+		return err
 	}
 
-	if all || want["sprintcmp"] {
-		n := int(float64(bench.PaperSizes[2]) * *scale) // the 0.8m series
-		if err := bench.SprintCmp(out, n, []int{2, 4, 8, 16, 32}, *function, *seed, *maxDepth, machine); err != nil {
+	env := &bench.Env{
+		Out: out, Scale: *scale, Function: *function, Seed: *seed, MaxDepth: *maxDepth,
+		// Latencies scale with the data so reduced sweeps keep the full-size
+		// comp/comm balance (see bench.ScaledMachine).
+		Machine:  bench.ScaledMachine(*scale),
+		BenchDir: *benchDir, Label: *benchLabel, Trace: *traceOut,
+	}
+	for _, x := range selected {
+		if err := x.Run(env); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["serialwall"] {
-		n := int(float64(bench.PaperSizes[2]) * *scale)
-		budget := int64(n) // records * 1 byte: forces ~5 stages at the root
-		budgets := []int64{1 << 30, int64(n) * 5, budget * 2, budget}
-		if err := bench.SerialMemoryWall(out, n, budgets, *function, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["pernode"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.PerNode(out, n, []int{4, 16, 64}, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["batched"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.Batched(out, n, []int{4, 16, 64}, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["rebalance"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.Rebalance(out, n, []int{4, 16, 64}, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["blocks"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		bench.Blocks(out, n, []int{2, 4, 8, 16}, machine)
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["weak"] {
-		base := int(float64(bench.PaperSizes[0]) * *scale / 4)
-		if err := bench.WeakScaling(out, base, []int{2, 4, 8, 16, 32, 64}, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["phases"] {
-		n := int(float64(bench.PaperSizes[2]) * *scale)
-		if err := bench.Phases(out, n, 16, *function, *seed, *maxDepth, machine, *traceOut); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["phasecmp"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.PhaseCmp(out, n, 8, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["levels"] {
-		n := int(float64(bench.PaperSizes[2]) * *scale)
-		if err := bench.Levels(out, n, 16, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["binned"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.BinnedSweep(out, n, 8, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["binnedguard"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.BinnedGuard(out, n, 8, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	// vote appends to the checked-in BENCH_vote.json trajectory, so it only
-	// runs when asked for by name, never under -exp all.
-	if want["vote"] {
-		if err := bench.Vote(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["voteguard"] {
-		if err := bench.VoteGuard(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	// hotpath and predict append to the checked-in BENCH_*.json trajectory
-	// files, so they only run when asked for by name, never under -exp all.
-	if want["hotpath"] {
-		if err := bench.Hotpath(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["hotpathguard"] {
-		if err := bench.HotpathGuard(out, *benchDir); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	// tcp spawns real worker processes and appends to BENCH_tcp.json, so
-	// like hotpath it only runs when asked for by name.
-	if want["tcp"] {
-		if err := bench.TCP(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if want["predict"] {
-		if err := bench.Predict(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["predictguard"] {
-		if err := bench.PredictGuard(out, *benchDir); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	// serve measures real wall-clock HTTP serving and appends to
-	// BENCH_serve.json, so like hotpath it only runs when asked by name.
-	if want["serve"] {
-		if err := bench.Serve(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["serveguard"] {
-		if err := bench.ServeGuard(out, *benchDir); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	// forest appends to the checked-in BENCH_forest.json trajectory, so
-	// like hotpath it only runs when asked for by name.
-	if want["forest"] {
-		if err := bench.Forest(out, *benchDir, *benchLabel); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["forestguard"] {
-		if err := bench.ForestGuard(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["fault"] {
-		n := int(float64(bench.PaperSizes[0]) * *scale)
-		if err := bench.Faults(out, n, []int{4, 8, 16}, *function, *seed, machine); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if all || want["micro"] {
-		bench.Micro(out, machine)
-		fmt.Fprintln(out)
-		ran++
-	}
-
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return nil
 }

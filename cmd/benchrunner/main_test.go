@@ -72,6 +72,15 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-exp", "nonsense"}, &out); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// One unknown name among known ones fails the whole list, naming the
+	// offender, before anything runs.
+	err := run([]string{"-exp", "micro,nonsense", "-scale", "0.002"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"nonsense"`) || !strings.Contains(err.Error(), "micro") {
+		t.Fatalf("mixed known/unknown list: err = %v, want one naming \"nonsense\" and the valid set", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("an experiment ran before the list was validated:\n%s", out.String())
+	}
 	if err := run([]string{"-scale", "0"}, &out); err == nil {
 		t.Fatal("zero scale accepted")
 	}

@@ -6,8 +6,15 @@ import (
 	"testing"
 
 	"repro/classify"
+	"repro/internal/scalparc"
 	"repro/internal/timing"
 )
+
+// testEnv is a benchrunner environment printing into buf on the given
+// machine, with the CLI's default workload knobs.
+func testEnv(buf *bytes.Buffer, machine timing.Model) *Env {
+	return &Env{Out: buf, Function: 2, Seed: 1, Machine: machine}
+}
 
 // smallSweep runs a fast sweep whose shapes are still paper-like.
 func smallSweep(t *testing.T) *Grid {
@@ -151,8 +158,9 @@ func TestSpeedupRanges(t *testing.T) {
 
 func TestSprintCmpRunsAndShowsGap(t *testing.T) {
 	var buf bytes.Buffer
-	err := SprintCmp(&buf, 8000, []int{2, 8}, 2, 1, 6, ScaledMachine(1.0/100))
-	if err != nil {
+	env := testEnv(&buf, ScaledMachine(1.0/100))
+	env.MaxDepth = 6
+	if err := SprintCmp(env, 8000, []int{2, 8}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -163,7 +171,9 @@ func TestSprintCmpRunsAndShowsGap(t *testing.T) {
 
 func TestBlocksRuns(t *testing.T) {
 	var buf bytes.Buffer
-	Blocks(&buf, 4000, []int{2, 4}, timing.T3D())
+	if err := Blocks(testEnv(&buf, timing.T3D()), 4000, []int{2, 4}); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	if !strings.Contains(out, "ABL-BLOCK") || !strings.Contains(out, "rounds") {
 		t.Fatalf("output:\n%s", out)
@@ -172,7 +182,7 @@ func TestBlocksRuns(t *testing.T) {
 
 func TestSerialMemoryWallRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SerialMemoryWall(&buf, 2000, []int64{1 << 30, 2000}, 2, 1); err != nil {
+	if err := SerialMemoryWall(testEnv(&buf, timing.T3D()), 2000, []int64{1 << 30, 2000}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -183,7 +193,7 @@ func TestSerialMemoryWallRuns(t *testing.T) {
 
 func TestPerNodeRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := PerNode(&buf, 800, []int{2, 4}, 2, 1, ScaledMachine(0.01)); err != nil {
+	if err := PerNode(testEnv(&buf, ScaledMachine(0.01)), 800, []int{2, 4}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -194,7 +204,7 @@ func TestPerNodeRuns(t *testing.T) {
 
 func TestBatchedRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Batched(&buf, 800, []int{2, 4}, 2, 1, ScaledMachine(0.01)); err != nil {
+	if err := Batched(testEnv(&buf, ScaledMachine(0.01)), 800, []int{2, 4}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -205,7 +215,7 @@ func TestBatchedRuns(t *testing.T) {
 
 func TestRebalanceRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Rebalance(&buf, 800, []int{2, 4}, ScaledMachine(0.01)); err != nil {
+	if err := Rebalance(testEnv(&buf, ScaledMachine(0.01)), 800, []int{2, 4}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -214,9 +224,24 @@ func TestRebalanceRuns(t *testing.T) {
 	}
 }
 
+// TestAblationReturnsTrainingError: a training error inside an ablation
+// comes back as the experiment's error — it used to panic.
+func TestAblationReturnsTrainingError(t *testing.T) {
+	var buf bytes.Buffer
+	env := testEnv(&buf, ScaledMachine(0.01))
+	tab, err := env.quest(200, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := scalparc.Options{PerNodeComms: true, BatchedEnquiry: true}
+	if err := ablation(env, tab, []int{2}, invalid, "procs", allToAlls); err == nil {
+		t.Fatal("mutually exclusive ablation options trained without an error")
+	}
+}
+
 func TestWeakScalingRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WeakScaling(&buf, 300, []int{2, 4, 8}, 2, 1, ScaledMachine(0.01)); err != nil {
+	if err := WeakScaling(testEnv(&buf, ScaledMachine(0.01)), 300, []int{2, 4, 8}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -227,7 +252,7 @@ func TestWeakScalingRuns(t *testing.T) {
 
 func TestLevelsRuns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Levels(&buf, 2000, 4, 2, 1, ScaledMachine(0.01)); err != nil {
+	if err := Levels(testEnv(&buf, ScaledMachine(0.01)), 2000, 4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -238,7 +263,9 @@ func TestLevelsRuns(t *testing.T) {
 
 func TestMicroRuns(t *testing.T) {
 	var buf bytes.Buffer
-	Micro(&buf, timing.T3D())
+	if err := Micro(testEnv(&buf, timing.T3D())); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{"MICRO", "point-to-point", "all-to-all", "prefix scan"} {
 		if !strings.Contains(out, want) {

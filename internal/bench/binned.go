@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/comm"
@@ -13,7 +15,6 @@ import (
 	"repro/internal/splitter"
 	"repro/internal/timing"
 	"repro/internal/trace"
-	"repro/internal/tree"
 )
 
 // phaseComm totals one phase's communication over all ranks and levels of a
@@ -30,8 +31,8 @@ func phaseComm(tr *trace.Trace, ph trace.Phase) (sent, ops int64) {
 	return sent, ops
 }
 
-func heldOutAccuracy(t *tree.Tree, tab *dataset.Table) float64 {
-	pred := t.PredictTable(tab)
+// accuracy is the share of tab's rows whose predicted class is the true one.
+func accuracy(pred []int, tab *dataset.Table) float64 {
 	hits := 0
 	for i, c := range tab.Class {
 		if pred[i] == int(c) {
@@ -39,6 +40,69 @@ func heldOutAccuracy(t *tree.Tree, tab *dataset.Table) float64 {
 		}
 	}
 	return float64(hits) / float64(len(tab.Class))
+}
+
+// SplitPoint is one split-finding mode's measurement: a row of the
+// EXP-BINNED and EXP-VOTE tables, and a point of an EXP-VOTE run.
+type SplitPoint struct {
+	Mode           string  `json:"mode"` // "exact", "binned", or "vote"
+	VoteK          int     `json:"vote_k,omitempty"`
+	ModeledSeconds float64 `json:"modeled_seconds"`
+	Nodes          int     `json:"nodes"`
+	FindSplitOps   int64   `json:"findsplit_ops"`
+	FindSplitBytes int64   `json:"findsplit_bytes"`
+	Accuracy       float64 `json:"accuracy"`
+}
+
+// measureSplits trains each split-finding mode on a fresh p-rank world and
+// reduces every run to a point, scoring its tree on the held-out table.
+func measureSplits(modes []scalparc.Options, p int, machine timing.Model, cfg splitter.Config, train, test *dataset.Table) ([]SplitPoint, []*scalparc.Result, error) {
+	points := make([]SplitPoint, len(modes))
+	results := make([]*scalparc.Result, len(modes))
+	for i, opts := range modes {
+		res, err := scalparc.TrainOpts(comm.NewWorld(p, machine), train, cfg, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		sent, ops := phaseComm(res.Trace, trace.FindSplitI)
+		results[i] = res
+		points[i] = SplitPoint{
+			Mode:           opts.Split.String(),
+			VoteK:          opts.VoteK,
+			ModeledSeconds: res.ModeledSeconds,
+			Nodes:          res.Tree.NumNodes(),
+			FindSplitOps:   ops,
+			FindSplitBytes: sent,
+			Accuracy:       accuracy(res.Tree.PredictTable(test), test),
+		}
+	}
+	return points, results, nil
+}
+
+// splitTable prints one row per measured mode: what FindSplitI cost (the
+// collective count is the latency term, the bytes the bandwidth term) and
+// what the resulting tree is worth on held-out data.
+func splitTable(w io.Writer, modes []scalparc.Options, points []SplitPoint, withRuntime bool) {
+	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
+	row := func(cells ...string) {
+		if !withRuntime {
+			cells = slices.Delete(cells, 1, 2)
+		}
+		fmt.Fprintln(tw, strings.Join(cells, "\t"))
+	}
+	row("mode", "runtime", "nodes", "FindSplitI ops", "FindSplitI sent", "held-out accuracy")
+	for i, pt := range points {
+		name := "exact"
+		switch modes[i].Split {
+		case scalparc.SplitBinned:
+			name = fmt.Sprintf("binned B=%d", modes[i].Bins)
+		case scalparc.SplitVote:
+			name = fmt.Sprintf("vote k=%d", modes[i].VoteK)
+		}
+		row(name, fmt.Sprintf("%.3fs", pt.ModeledSeconds), fmt.Sprint(pt.Nodes), fmt.Sprint(pt.FindSplitOps),
+			fmt.Sprintf("%.1fKB", float64(pt.FindSplitBytes)/1e3), fmt.Sprintf("%.4f", pt.Accuracy))
+	}
+	tw.Flush()
 }
 
 // BinnedSweep runs and prints EXP-BINNED: exact vs histogram-binned split
@@ -49,40 +113,26 @@ func heldOutAccuracy(t *tree.Tree, tab *dataset.Table) float64 {
 // all-continuous schema — the exact prefix-scan formulation communicates
 // only O(nodes·attrs·classes) per level, independent of both N and B, so a
 // dense B-bin histogram cannot undercut it; see EXPERIMENTS.md).
-func BinnedSweep(w io.Writer, n, p int, function int, seed int64, machine timing.Model) error {
+func BinnedSweep(e *Env, n, p int) error {
+	w := e.Out
 	fmt.Fprintf(w, "EXP-BINNED — exact vs binned split finding (%s records, %d processors)\n", human(n), p)
 	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed, Perturbation: 0.05,
+		Function: e.Function, Attrs: datagen.Seven, Seed: e.Seed, Perturbation: 0.05,
 	}, n)
 	if err != nil {
 		return err
 	}
 	train, test := tab.Split(0.75)
 
-	type row struct {
-		name string
-		opts scalparc.Options
-	}
-	rows := []row{{"exact", scalparc.Options{}}}
+	modes := []scalparc.Options{{}}
 	for _, b := range []int{8, 64, 256} {
-		rows = append(rows, row{fmt.Sprintf("binned B=%d", b),
-			scalparc.Options{Split: scalparc.SplitBinned, Bins: b}})
+		modes = append(modes, scalparc.Options{Split: scalparc.SplitBinned, Bins: b})
 	}
-
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "mode\truntime\tnodes\tFindSplitI ops\tFindSplitI sent\theld-out accuracy")
-	for _, r := range rows {
-		world := comm.NewWorld(p, machine)
-		res, err := scalparc.TrainOpts(world, train, splitter.Config{}, r.opts)
-		if err != nil {
-			return err
-		}
-		sent, ops := phaseComm(res.Trace, trace.FindSplitI)
-		fmt.Fprintf(tw, "%s\t%.3fs\t%d\t%d\t%.1fKB\t%.4f\n",
-			r.name, res.ModeledSeconds, res.Tree.NumNodes(), ops,
-			float64(sent)/1e3, heldOutAccuracy(res.Tree, test))
+	points, _, err := measureSplits(modes, p, e.Machine, splitter.Config{}, train, test)
+	if err != nil {
+		return err
 	}
-	tw.Flush()
+	splitTable(w, modes, points, true)
 	fmt.Fprintln(w, "(bytes grow with B and with the approximation's larger node count;")
 	fmt.Fprintln(w, " the binned win is one collective per level and balanced receive volume)")
 	return nil
@@ -143,7 +193,8 @@ func guardDataset(n, d int) *dataset.Table {
 // It returns an error — failing CI — if any of the three invariants
 // regresses: identical trees, fewer FindSplitI collective operations, or
 // fewer FindSplitI bytes.
-func BinnedGuard(w io.Writer, n, p int, machine timing.Model) error {
+func BinnedGuard(e *Env, n, p int) error {
+	w, machine := e.Out, e.Machine
 	d := 8
 	fmt.Fprintf(w, "GUARD-BINNED — binned FindSplitI must beat exact on its home turf (%s records, %d processors)\n", human(n), p)
 	tab := guardDataset(n, d)

@@ -9,7 +9,6 @@ import (
 
 	"repro/classify"
 	"repro/internal/comm"
-	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/nodetable"
 	"repro/internal/scalparc"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/sliq"
 	"repro/internal/splitter"
 	"repro/internal/sprint"
-	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
@@ -32,10 +30,10 @@ func human(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// Fig3a prints Figure 3(a): parallel runtime (modeled seconds) against the
-// number of processors, one row per training-set size.
-func Fig3a(w io.Writer, g *Grid) {
-	fmt.Fprintln(w, "FIG3a — ScalParC parallel runtime (modeled seconds) vs processors")
+// gridTable prints one panel of Figure 3: a row per training-set size, a
+// column per processor count.
+func gridTable(w io.Writer, g *Grid, title, cellFormat string, cell func(Point) float64) {
+	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "records\\procs")
 	for _, p := range g.Procs {
@@ -45,31 +43,25 @@ func Fig3a(w io.Writer, g *Grid) {
 	for _, n := range g.Sizes {
 		fmt.Fprintf(tw, "%s", human(n))
 		for _, p := range g.Procs {
-			fmt.Fprintf(tw, "\t%.2f", g.MustAt(n, p).ModeledSeconds)
+			fmt.Fprintf(tw, cellFormat, cell(g.MustAt(n, p)))
 		}
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 }
 
+// Fig3a prints Figure 3(a): parallel runtime (modeled seconds) against the
+// number of processors, one row per training-set size.
+func Fig3a(w io.Writer, g *Grid) {
+	gridTable(w, g, "FIG3a — ScalParC parallel runtime (modeled seconds) vs processors",
+		"\t%.2f", func(pt Point) float64 { return pt.ModeledSeconds })
+}
+
 // Fig3b prints Figure 3(b): memory required per processor (MB) against the
 // number of processors, one row per training-set size.
 func Fig3b(w io.Writer, g *Grid) {
-	fmt.Fprintln(w, "FIG3b — ScalParC memory per processor (MB) vs processors")
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "records\\procs")
-	for _, p := range g.Procs {
-		fmt.Fprintf(tw, "\t%d", p)
-	}
-	fmt.Fprintln(tw)
-	for _, n := range g.Sizes {
-		fmt.Fprintf(tw, "%s", human(n))
-		for _, p := range g.Procs {
-			fmt.Fprintf(tw, "\t%.3f", float64(g.MustAt(n, p).PeakMemBytes)/1e6)
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
+	gridTable(w, g, "FIG3b — ScalParC memory per processor (MB) vs processors",
+		"\t%.3f", func(pt Point) float64 { return float64(pt.PeakMemBytes) / 1e6 })
 }
 
 // Speedups prints the section 5 prose claims: relative speedups across
@@ -138,12 +130,13 @@ func MemFactors(w io.Writer, g *Grid) {
 // parallel SPRINT formulation at a fixed training-set size across
 // processor counts — modeled runtime, busiest-rank traffic, and peak
 // memory per processor.
-func SprintCmp(w io.Writer, n int, procs []int, function int, seed int64, maxDepth int, machine timing.Model) error {
+func SprintCmp(e *Env, n int, procs []int) error {
+	w := e.Out
 	fmt.Fprintf(w, "CMP-SPRINT — ScalParC vs parallel SPRINT at %s records\n", human(n))
 	run := func(algo classify.Algorithm) (*Grid, error) {
 		cfg := SweepConfig{
-			Function: function, Seed: seed, MaxDepth: maxDepth,
-			Sizes: []int{n}, Procs: procs, Algo: algo, Machine: machine,
+			Function: e.Function, Seed: e.Seed, MaxDepth: e.MaxDepth,
+			Sizes: []int{n}, Procs: procs, Algo: algo, Machine: e.Machine,
 		}
 		pts, err := cfg.Run()
 		if err != nil {
@@ -175,13 +168,13 @@ func SprintCmp(w io.Writer, n int, procs []int, function int, seed int64, maxDep
 // Blocks runs and prints the ABL-BLOCK ablation: the blocked node-table
 // update protocol against an unblocked variant under the pathological skew
 // of section 3.3.2 (one processor sources every update).
-func Blocks(w io.Writer, n int, procs []int, machine timing.Model) {
-	fmt.Fprintf(w, "ABL-BLOCK — node-table updates under total skew (%s updates, all from rank 0)\n", human(n))
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
+func Blocks(e *Env, n int, procs []int) error {
+	fmt.Fprintf(e.Out, "ABL-BLOCK — node-table updates under total skew (%s updates, all from rank 0)\n", human(n))
+	tw := tabwriter.NewWriter(e.Out, 4, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "procs\tpeak sender mem (blocked)\tpeak sender mem (unblocked)\trounds (blocked)")
 	for _, p := range procs {
 		peak := func(block int) (int64, int64) {
-			world := comm.NewWorld(p, machine)
+			world := comm.NewWorld(p, e.Machine)
 			world.Run(func(c *comm.Comm) {
 				nt := nodetable.NewWithBlock(c, n, block)
 				defer nt.Free()
@@ -201,18 +194,17 @@ func Blocks(w io.Writer, n int, procs []int, machine timing.Model) {
 		fmt.Fprintf(tw, "%d\t%.3fMB\t%.3fMB\t%d\n", p,
 			float64(blocked)/1e6, float64(unblocked)/1e6, rounds)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // SerialMemoryWall runs and prints MOT-SERIAL: the section 2 motivation —
 // under a main-memory budget, the serial classifier's splitting phase must
 // stage its hash table and re-read the attribute lists, multiplying disk
 // I/O; ScalParC's aggregate memory grows with p and never stages.
-func SerialMemoryWall(w io.Writer, n int, budgets []int64, function int, seed int64) error {
+func SerialMemoryWall(e *Env, n int, budgets []int64) error {
+	w := e.Out
 	fmt.Fprintf(w, "MOT-SERIAL — staged serial splitting under a memory budget (%s records)\n", human(n))
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed,
-	}, n)
+	tab, err := e.quest(n, 0)
 	if err != nil {
 		return err
 	}
@@ -233,73 +225,67 @@ func SerialMemoryWall(w io.Writer, n int, budgets []int64, function int, seed in
 	return nil
 }
 
+// ablation runs and prints one design ablation: at each processor count it
+// trains tab twice on the same world — the paper's choice, then alt — and
+// prints a row holding both runtimes and both values of the communication
+// figure the ablation is about, as cells formats them.
+func ablation(e *Env, tab *dataset.Table, procs []int, alt scalparc.Options, header string, cells func(*scalparc.Result) (runtime, figure string)) error {
+	tw := tabwriter.NewWriter(e.Out, 4, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, header)
+	for _, p := range procs {
+		world := comm.NewWorld(p, e.Machine)
+		var runtime, figure [2]string
+		for i, opts := range []scalparc.Options{{}, alt} {
+			res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, opts)
+			if err != nil {
+				return err
+			}
+			runtime[i], figure[i] = cells(res)
+		}
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n", p, runtime[0], runtime[1], figure[0], figure[1])
+	}
+	return tw.Flush()
+}
+
+// allToAlls is the cell pair of the ablations that trade collective steps:
+// modeled runtime and rank 0's all-to-all count.
+func allToAlls(res *scalparc.Result) (runtime, figure string) {
+	return fmt.Sprintf("%.2fs", res.ModeledSeconds), fmt.Sprint(res.Stats[0].AllToAlls)
+}
+
 // PerNode runs and prints the ABL-NODE ablation: ScalParC's per-level
 // communication batching against the per-node structure section 3.1
 // argues against. Label noise keeps the tree wide so the difference in
 // communication steps is visible.
-func PerNode(w io.Writer, n int, procs []int, function int, seed int64, machine timing.Model) error {
-	fmt.Fprintf(w, "ABL-NODE — per-level vs per-node communication at %s records (20%% label noise)\n", human(n))
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed, LabelNoise: 0.2,
-	}, n)
+func PerNode(e *Env, n int, procs []int) error {
+	fmt.Fprintf(e.Out, "ABL-NODE — per-level vs per-node communication at %s records (20%% label noise)\n", human(n))
+	tab, err := e.quest(n, 0.2)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "procs\truntime per-level\truntime per-node\tall-to-alls per-level\tall-to-alls per-node")
-	for _, p := range procs {
-		world := comm.NewWorld(p, machine)
-		run := func(perNode bool) (float64, int64) {
-			res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, scalparc.Options{PerNodeComms: perNode})
-			if err != nil {
-				panic(err)
-			}
-			return res.ModeledSeconds, res.Stats[0].AllToAlls
-		}
-		lt, la := run(false)
-		nt, na := run(true)
-		fmt.Fprintf(tw, "%d\t%.2fs\t%.2fs\t%d\t%d\n", p, lt, nt, la, na)
-	}
-	tw.Flush()
-	return nil
+	return ablation(e, tab, procs, scalparc.Options{PerNodeComms: true},
+		"procs\truntime per-level\truntime per-node\tall-to-alls per-level\tall-to-alls per-node", allToAlls)
 }
 
 // Batched runs and prints the ABL-BATCH ablation: PerformSplitII's
 // one-attribute-at-a-time enquiries (the paper's memory-bounding choice)
 // against the technical report's batched single enquiry per level.
-func Batched(w io.Writer, n int, procs []int, function int, seed int64, machine timing.Model) error {
-	fmt.Fprintf(w, "ABL-BATCH — per-attribute vs batched node-table enquiries at %s records\n", human(n))
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed,
-	}, n)
+func Batched(e *Env, n int, procs []int) error {
+	fmt.Fprintf(e.Out, "ABL-BATCH — per-attribute vs batched node-table enquiries at %s records\n", human(n))
+	tab, err := e.quest(n, 0)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "procs\truntime per-attr\truntime batched\tall-to-alls per-attr\tall-to-alls batched")
-	for _, p := range procs {
-		world := comm.NewWorld(p, machine)
-		run := func(batched bool) (float64, int64) {
-			res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, scalparc.Options{BatchedEnquiry: batched})
-			if err != nil {
-				panic(err)
-			}
-			return res.ModeledSeconds, res.Stats[0].AllToAlls
-		}
-		pt, pa := run(false)
-		bt, ba := run(true)
-		fmt.Fprintf(tw, "%d\t%.2fs\t%.2fs\t%d\t%d\n", p, pt, bt, pa, ba)
-	}
-	tw.Flush()
-	return nil
+	return ablation(e, tab, procs, scalparc.Options{BatchedEnquiry: true},
+		"procs\truntime per-attr\truntime batched\tall-to-alls per-attr\tall-to-alls batched", allToAlls)
 }
 
 // Rebalance runs and prints the ABL-REBAL ablation: the paper's fixed
 // data distribution against per-level list rebalancing, on the
 // pathological spine-shaped correlated dataset where the fixed
 // distribution concentrates deep levels' work on few processors.
-func Rebalance(w io.Writer, n int, procs []int, machine timing.Model) error {
-	fmt.Fprintf(w, "ABL-REBAL — fixed distribution vs per-level rebalancing (%s records, correlated spine data)\n", human(n))
+func Rebalance(e *Env, n int, procs []int) error {
+	fmt.Fprintf(e.Out, "ABL-REBAL — fixed distribution vs per-level rebalancing (%s records, correlated spine data)\n", human(n))
 	schema := &dataset.Schema{
 		Attrs: []dataset.Attribute{
 			{Name: "a", Kind: dataset.Continuous},
@@ -320,30 +306,15 @@ func Rebalance(w io.Writer, n int, procs []int, machine timing.Model) error {
 			return err
 		}
 	}
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "procs\truntime fixed\truntime rebalanced\ttraffic/rank fixed\ttraffic/rank rebalanced")
-	for _, p := range procs {
-		world := comm.NewWorld(p, machine)
-		run := func(rebalance bool) (float64, int64) {
-			res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, scalparc.Options{RebalanceLevels: rebalance})
-			if err != nil {
-				panic(err)
-			}
+	return ablation(e, tab, procs, scalparc.Options{RebalanceLevels: true},
+		"procs\truntime fixed\truntime rebalanced\ttraffic/rank fixed\ttraffic/rank rebalanced",
+		func(res *scalparc.Result) (runtime, figure string) {
 			var maxSent int64
 			for _, s := range res.Stats {
-				if s.BytesSent > maxSent {
-					maxSent = s.BytesSent
-				}
+				maxSent = max(maxSent, s.BytesSent)
 			}
-			return res.ModeledSeconds, maxSent
-		}
-		ft, fs := run(false)
-		rt, rs := run(true)
-		fmt.Fprintf(tw, "%d\t%.3fs\t%.3fs\t%.2fMB\t%.2fMB\n", p, ft, rt,
-			float64(fs)/1e6, float64(rs)/1e6)
-	}
-	tw.Flush()
-	return nil
+			return fmt.Sprintf("%.3fs", res.ModeledSeconds), fmt.Sprintf("%.2fMB", float64(maxSent)/1e6)
+		})
 }
 
 // WeakScaling runs and prints EXP-WEAK: scaled (weak) speedup in the
@@ -352,21 +323,14 @@ func Rebalance(w io.Writer, n int, procs []int, machine timing.Model) error {
 // per-processor overhead O(N/p) per level, the paper's §3 design goal —
 // keeps the parallel runtime near-constant and the scaled efficiency
 // T_1(base)/T_p(N=base·p) near 1.
-func WeakScaling(w io.Writer, basePerProc int, procs []int, function int, seed int64, machine timing.Model) error {
-	fmt.Fprintf(w, "EXP-WEAK — weak scaling at %s records per processor\n", human(basePerProc))
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
+func WeakScaling(e *Env, basePerProc int, procs []int) error {
+	fmt.Fprintf(e.Out, "EXP-WEAK — weak scaling at %s records per processor\n", human(basePerProc))
+	tw := tabwriter.NewWriter(e.Out, 4, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "procs\trecords\truntime\tscaled efficiency")
 	var base float64
 	for _, p := range procs {
 		n := basePerProc * p
-		tab, err := datagen.Generate(datagen.Config{
-			Function: function, Attrs: datagen.Seven, Seed: seed,
-		}, n)
-		if err != nil {
-			return err
-		}
-		world := comm.NewWorld(p, machine)
-		res, err := scalparc.TrainOpts(world, tab, splitter.Config{MaxDepth: 10}, scalparc.Options{})
+		res, err := trainQuest(e, n, p, splitter.Config{MaxDepth: 10})
 		if err != nil {
 			return err
 		}
@@ -375,23 +339,26 @@ func WeakScaling(w io.Writer, basePerProc int, procs []int, function int, seed i
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%.2fs\t%.2f\n", p, human(n), res.ModeledSeconds, base/res.ModeledSeconds)
 	}
-	tw.Flush()
-	return nil
+	return tw.Flush()
+}
+
+// trainQuest generates n Quest records and trains them on p processors of
+// e's machine — the one-run experiments' shared preamble.
+func trainQuest(e *Env, n, p int, cfg splitter.Config) (*scalparc.Result, error) {
+	tab, err := e.quest(n, 0)
+	if err != nil {
+		return nil, err
+	}
+	return scalparc.TrainOpts(comm.NewWorld(p, e.Machine), tab, cfg, scalparc.Options{})
 }
 
 // Levels runs and prints EXP-LEVELS: the per-level breakdown of one
 // training run — active nodes, records in play, and each level's share of
 // the modeled runtime (the granularity of the paper's analysis).
-func Levels(w io.Writer, n, p int, function int, seed int64, machine timing.Model) error {
+func Levels(e *Env, n, p int) error {
+	w := e.Out
 	fmt.Fprintf(w, "EXP-LEVELS — per-level breakdown (%s records, %d processors)\n", human(n), p)
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed,
-	}, n)
-	if err != nil {
-		return err
-	}
-	world := comm.NewWorld(p, machine)
-	res, err := scalparc.TrainOpts(world, tab, splitter.Config{}, scalparc.Options{})
+	res, err := trainQuest(e, n, p, splitter.Config{})
 	if err != nil {
 		return err
 	}
@@ -409,7 +376,8 @@ func Levels(w io.Writer, n, p int, function int, seed int64, machine timing.Mode
 // Micro prints the communication-subsystem benchmark the paper's section 5
 // opens with: the linear model's latency/bandwidth constants, plus modeled
 // costs for representative operation sizes.
-func Micro(w io.Writer, machine timing.Model) {
+func Micro(e *Env) error {
+	w, machine := e.Out, e.Machine
 	fmt.Fprintln(w, "MICRO — simulated machine communication model (linear latency/bandwidth)")
 	fmt.Fprintf(w, "point-to-point: latency %.1f us, bandwidth %.0f MB/s\n",
 		machine.P2PLatency*1e6, machine.P2PBandwidth/1e6)
@@ -430,41 +398,40 @@ func Micro(w io.Writer, machine timing.Model) {
 		fmt.Fprintf(tw, "%s\t%.1f us\t%.1f us\t%.1f ms\n", o.name,
 			o.f(16, 1024)*1e6, o.f(128, 1024)*1e6, o.f(128, 1<<20)*1e3)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// writeChrome writes a run's per-rank virtual timelines to path as Chrome
+// trace-event JSON.
+func writeChrome(path string, tr *trace.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Phases prints the per-phase/per-level breakdown of one ScalParC run:
 // where every modeled second and every byte of the section 5 totals goes,
-// by the paper's four phases and tree level. If traceOut is non-empty the
-// per-rank virtual timelines are also written there as Chrome trace-event
-// JSON.
-func Phases(w io.Writer, n, p int, function int, seed int64, maxDepth int, machine timing.Model, traceOut string) error {
+// by the paper's four phases and tree level. If e.Trace is set the per-rank
+// virtual timelines are also written there as Chrome trace-event JSON.
+func Phases(e *Env, n, p int) error {
+	w := e.Out
 	fmt.Fprintf(w, "EXP-PHASES — per-phase breakdown (%s records, %d processors)\n", human(n), p)
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed,
-	}, n)
-	if err != nil {
-		return err
-	}
-	world := comm.NewWorld(p, machine)
-	res, err := scalparc.TrainOpts(world, tab, splitter.Config{MaxDepth: maxDepth}, scalparc.Options{})
+	res, err := trainQuest(e, n, p, splitter.Config{MaxDepth: e.MaxDepth})
 	if err != nil {
 		return err
 	}
 	res.Trace.WriteText(w)
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+	if e.Trace != "" {
+		if err := writeChrome(e.Trace, res.Trace); err != nil {
 			return err
 		}
-		if err := res.Trace.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote Chrome trace to %s\n", traceOut)
+		fmt.Fprintf(w, "wrote Chrome trace to %s\n", e.Trace)
 	}
 	return nil
 }
@@ -473,28 +440,27 @@ func Phases(w io.Writer, n, p int, function int, seed int64, maxDepth int, machi
 // classifiers: ScalParC, parallel SPRINT (same engine, replicated record
 // map), and serial SLIQ (one-rank modeled trace). Times are each run's
 // critical rank; the column totals are each run's modeled runtime.
-func PhaseCmp(w io.Writer, n, p int, function int, seed int64, machine timing.Model) error {
+func PhaseCmp(e *Env, n, p int) error {
+	w := e.Out
 	fmt.Fprintf(w, "CMP-PHASES — critical-rank seconds per phase (%s records, %d processors)\n", human(n), p)
-	tab, err := datagen.Generate(datagen.Config{
-		Function: function, Attrs: datagen.Seven, Seed: seed,
-	}, n)
+	tab, err := e.quest(n, 0)
 	if err != nil {
 		return err
 	}
 	traces := make([]*trace.Trace, 0, 3)
 	names := []string{"scalparc", "sprint", "sliq (serial)"}
 
-	scRes, err := scalparc.TrainOpts(comm.NewWorld(p, machine), tab, splitter.Config{}, scalparc.Options{})
+	scRes, err := scalparc.TrainOpts(comm.NewWorld(p, e.Machine), tab, splitter.Config{}, scalparc.Options{})
 	if err != nil {
 		return err
 	}
 	traces = append(traces, scRes.Trace)
-	spRes, err := sprint.Train(comm.NewWorld(p, machine), tab, splitter.Config{})
+	spRes, err := sprint.Train(comm.NewWorld(p, e.Machine), tab, splitter.Config{})
 	if err != nil {
 		return err
 	}
 	traces = append(traces, spRes.Trace)
-	_, slTrace, _, err := sliq.TrainTraced(tab, splitter.Config{}, machine)
+	_, slTrace, _, err := sliq.TrainTraced(tab, splitter.Config{}, e.Machine)
 	if err != nil {
 		return err
 	}
@@ -520,6 +486,5 @@ func PhaseCmp(w io.Writer, n, p int, function int, seed int64, machine timing.Mo
 		fmt.Fprintf(tw, "\t%.3fs", tr.TotalSeconds())
 	}
 	fmt.Fprintln(tw)
-	tw.Flush()
-	return nil
+	return tw.Flush()
 }

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"text/tabwriter"
 
 	"repro/classify"
-	"repro/internal/timing"
 )
 
 // Faults runs and prints EXP-FAULT: the cost of surviving a fail-stop
@@ -16,16 +14,17 @@ import (
 // level-boundary checkpoint taken every level. Both must induce the exact
 // fault-free tree; the table reports what the recovery costs in modeled
 // runtime over the fault-free baseline.
-func Faults(w io.Writer, n int, procs []int, function int, seed int64, machine timing.Model) error {
+func Faults(e *Env, n int, procs []int) error {
+	w := e.Out
 	fmt.Fprintf(w, "EXP-FAULT — crash recovery overhead at %s records (crash@FindSplitI:2, recover on p-1)\n", human(n))
-	tab, err := classify.GenerateQuest(classify.QuestConfig{Function: function, Records: n, Seed: seed})
+	tab, err := classify.GenerateQuest(classify.QuestConfig{Function: e.Function, Records: n, Seed: e.Seed})
 	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "procs\tfault-free\treplay recovery\tckpt recovery\treplay overhead\tckpt overhead\ttree")
 	for _, p := range procs {
-		base := classify.Config{Processors: p, Machine: machine}
+		base := classify.Config{Processors: p, Machine: e.Machine}
 		clean, err := classify.Train(tab, base)
 		if err != nil {
 			return err

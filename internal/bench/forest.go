@@ -11,13 +11,8 @@ package bench
 // terminally failed tree world loses at most that tree).
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"path/filepath"
-	"runtime"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/datagen"
@@ -30,14 +25,12 @@ import (
 	"repro/internal/tree"
 )
 
-// ForestFile is the checked-in EXP-FOREST trajectory (relative to the
-// repo root). The remaining constants pin the scenario: the noisy Quest
+// These constants pin the EXP-FOREST scenario: the noisy Quest
 // table (function, attribute family, seed, label-noise rate), the
 // training regime (fully-grown binned-32 trees, the regime in which a
 // single tree overfits), and the forest knobs. They mirror the
 // calibration proven in the scalparc forest tests.
 const (
-	ForestFile          = "BENCH_forest.json"
 	ForestRecords       = 1200
 	ForestTestRows      = 1200
 	ForestProcs         = 2
@@ -50,8 +43,9 @@ const (
 	forestLabelNoise    = 0.2
 )
 
-// forestNotes documents the trajectory file for readers of the raw JSON.
-const forestNotes = "EXP-FOREST trajectory: bagged forests with per-node feature subsampling (m=3) vs ensemble size T on label-noisy Quest data (F7, Nine attributes, 1200 records at 20% label noise, clean 1200-row held-out set, binned-32 fully-grown trees, 2 processors per tree world; virtual T3D clocks, so bytes and modeled seconds are host-independent and bit-stable). accuracy is the compiled batch-vote kernel's (bit-identical to the walker oracle by GUARD-FOREST); bytes_sent and modeled_seconds sum every tree's communication and runtime — the ensemble's total training bill, linear in T."
+// forestFile is the checked-in EXP-FOREST trajectory; its notes document
+// the file for readers of the raw JSON.
+var forestFile = trajectoryFile{"BENCH_forest.json", "EXP-FOREST", "EXP-FOREST trajectory: bagged forests with per-node feature subsampling (m=3) vs ensemble size T on label-noisy Quest data (F7, Nine attributes, 1200 records at 20% label noise, clean 1200-row held-out set, binned-32 fully-grown trees, 2 processors per tree world; virtual T3D clocks, so bytes and modeled seconds are host-independent and bit-stable). accuracy is the compiled batch-vote kernel's (bit-identical to the walker oracle by GUARD-FOREST); bytes_sent and modeled_seconds sum every tree's communication and runtime — the ensemble's total training bill, linear in T."}
 
 // ForestPoint is one ensemble size's measurement in an EXP-FOREST run.
 type ForestPoint struct {
@@ -66,22 +60,9 @@ type ForestPoint struct {
 // points are host-independent; the host metadata records where the run
 // happened anyway, for parity with the other trajectories.
 type ForestRun struct {
-	Label     string        `json:"label"`
-	Date      string        `json:"date"`
-	GoVersion string        `json:"go"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	NumCPU    int           `json:"numcpu"`
-	Records   int           `json:"records"`
-	Points    []ForestPoint `json:"points"`
-}
-
-// ForestTrajectory is the on-disk shape of BENCH_forest.json: an
-// append-only trajectory of runs, oldest first.
-type ForestTrajectory struct {
-	Experiment string      `json:"experiment"`
-	Notes      string      `json:"notes"`
-	Runs       []ForestRun `json:"runs"`
+	hostMeta
+	Records int           `json:"records"`
+	Points  []ForestPoint `json:"points"`
 }
 
 // forestTables generates the pinned noisy training table and its clean
@@ -105,34 +86,20 @@ func forestOptions(trees int) scalparc.ForestOptions {
 	}
 }
 
-// forestAccuracy scores the compiled batch-vote kernel on the held-out
-// table — the engine production serving actually runs.
-func forestAccuracy(f *tree.Forest, test *dataset.Table) (float64, error) {
-	m, err := infer.CompileForest(f)
-	if err != nil {
-		return 0, err
-	}
-	pred, err := m.PredictTable(test)
-	if err != nil {
-		return 0, err
-	}
-	hits := 0
-	for i, c := range test.Class {
-		if pred[i] == int(c) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(test.Class)), nil
-}
-
 // forestMeasure trains one ensemble size on the pinned scenario and
-// reduces the run to a trajectory point.
+// reduces the run to a trajectory point. The accuracy is the compiled
+// batch-vote kernel's on the held-out table — the engine production
+// serving actually runs.
 func forestMeasure(trees int, train, test *dataset.Table) (ForestPoint, *scalparc.ForestResult, error) {
 	res, err := scalparc.TrainForest(train, forestConfig(), forestOptions(trees))
 	if err != nil {
 		return ForestPoint{}, nil, err
 	}
-	acc, err := forestAccuracy(res.Forest, test)
+	m, err := infer.CompileForest(res.Forest)
+	if err != nil {
+		return ForestPoint{}, nil, err
+	}
+	pred, err := m.PredictTable(test)
 	if err != nil {
 		return ForestPoint{}, nil, err
 	}
@@ -145,81 +112,48 @@ func forestMeasure(trees int, train, test *dataset.Table) (ForestPoint, *scalpar
 		Nodes:          nodes,
 		ModeledSeconds: res.ModeledSeconds,
 		BytesSent:      res.Stats.BytesSent,
-		Accuracy:       acc,
+		Accuracy:       accuracy(pred, test),
 	}, res, nil
 }
 
-// forestSweepPoints measures the fixed T ladder up to the guard's T=16.
-func forestSweepPoints(w io.Writer, train, test *dataset.Table) ([]ForestPoint, error) {
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "trees\tnodes\tmodeled runtime\tbytes sent\theld-out accuracy")
-	var points []ForestPoint
-	for _, trees := range []int{1, 2, 4, 8, ForestTrees} {
-		pt, _, err := forestMeasure(trees, train, test)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(tw, "T=%d\t%d\t%.3fs\t%.1fKB\t%.4f\n",
-			pt.Trees, pt.Nodes, pt.ModeledSeconds, float64(pt.BytesSent)/1e3, pt.Accuracy)
-		points = append(points, pt)
-	}
-	tw.Flush()
-	return points, nil
-}
-
 // Forest runs and records EXP-FOREST: held-out accuracy and total
-// communication against the ensemble size on the pinned noisy-Quest
-// scenario, appending a labeled run to dir's BENCH_forest.json and
-// printing the resulting trajectory. The measurements ride the
-// deterministic virtual clocks and the forest's seeded streams, so
-// successive runs of the same source record identical points — drift in
-// the trajectory is a code change, not host noise.
-func Forest(w io.Writer, dir, label string) error {
+// communication against the ensemble size (a fixed T ladder up to the
+// guard's T=16) on the pinned noisy-Quest scenario, appending a labeled run
+// to e.BenchDir's BENCH_forest.json and printing the resulting trajectory.
+// The measurements ride the deterministic virtual clocks and the forest's
+// seeded streams, so successive runs of the same source record identical
+// points — drift in the trajectory is a code change, not host noise.
+func Forest(e *Env) error {
+	w := e.Out
 	fmt.Fprintf(w, "EXP-FOREST — bagged forests vs ensemble size on noisy Quest (%s records at %.0f%% label noise, %d processors per tree; appending to %s)\n",
-		human(ForestRecords), forestLabelNoise*100, ForestProcs, ForestFile)
+		human(ForestRecords), forestLabelNoise*100, ForestProcs, forestFile.name)
 	train, test, err := forestTables()
 	if err != nil {
 		return err
 	}
-	if label == "" {
-		label = "measured " + time.Now().UTC().Format("2006-01-02")
-	}
-	run := ForestRun{
-		Label:     label,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Records:   ForestRecords,
-	}
-	run.Points, err = forestSweepPoints(w, train, test)
-	if err != nil {
-		return err
-	}
-
-	path := filepath.Join(dir, ForestFile)
-	traj, err := loadTrajectory(path, ForestTrajectory{Experiment: "EXP-FOREST", Notes: forestNotes})
-	if err != nil {
-		return err
-	}
-	traj.Runs = append(traj.Runs, run)
-	if err := saveTrajectory(path, traj); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "\ntrajectory (T=%d point: bytes sent, accuracy):\n", ForestTrees)
-	for i := range traj.Runs {
-		r := &traj.Runs[i]
-		line := fmt.Sprintf("  %-38s", r.Label)
-		for _, pt := range r.Points {
-			if pt.Trees == ForestTrees {
-				line += fmt.Sprintf("  %8.1fKB  acc %.4f", float64(pt.BytesSent)/1e3, pt.Accuracy)
-			}
+	run := ForestRun{hostMeta: newHostMeta(e.Label), Records: ForestRecords}
+	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "trees\tnodes\tmodeled runtime\tbytes sent\theld-out accuracy")
+	for _, trees := range []int{1, 2, 4, 8, ForestTrees} {
+		pt, _, err := forestMeasure(trees, train, test)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w, line)
+		fmt.Fprintf(tw, "T=%d\t%d\t%.3fs\t%.1fKB\t%.4f\n",
+			pt.Trees, pt.Nodes, pt.ModeledSeconds, float64(pt.BytesSent)/1e3, pt.Accuracy)
+		run.Points = append(run.Points, pt)
 	}
-	return nil
+	tw.Flush()
+	_, err = record(w, e.BenchDir, forestFile, run, fmt.Sprintf("trajectory (T=%d point: bytes sent, accuracy):", ForestTrees),
+		func(_ int, r *ForestRun) (line string) {
+			for _, pt := range r.Points {
+				if pt.Trees == ForestTrees {
+					line += fmt.Sprintf("  %8.1fKB  acc %.4f", float64(pt.BytesSent)/1e3, pt.Accuracy)
+				}
+			}
+			return line
+		})
+	return err
 }
 
 // forestKiller poisons its tree's first FindSplitI collective with a
@@ -247,7 +181,8 @@ const forestGuardVictim = 5
 // and a chaos run that terminally kills one tree's world loses exactly
 // that tree while every survivor stays byte-identical to its fault-free
 // counterpart. It returns an error — failing CI — if any gate regresses.
-func ForestGuard(w io.Writer) error {
+func ForestGuard(e *Env) error {
+	w := e.Out
 	fmt.Fprintf(w, "GUARD-FOREST — T=%d bagging must beat one tree on noisy Quest (%s records at %.0f%% label noise, %d processors per tree)\n",
 		ForestTrees, human(ForestRecords), forestLabelNoise*100, ForestProcs)
 	train, test, err := forestTables()
@@ -264,7 +199,7 @@ func ForestGuard(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	singleAcc := heldOutAccuracy(singleRes.Tree, test)
+	singleAcc := accuracy(singleRes.Tree.PredictTable(test), test)
 	forest, forestRes, err := forestMeasure(ForestTrees, train, test)
 	if err != nil {
 		return err
@@ -276,15 +211,12 @@ func ForestGuard(w io.Writer) error {
 	fmt.Fprintf(tw, "forest T=%d\t%d\t%.4f\n", ForestTrees, forest.Nodes, forest.Accuracy)
 	tw.Flush()
 
-	var errs []error
-	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("forest guard: "+format, args...))
-	}
+	g := gates{prefix: "forest guard: "}
 
 	// Gate 1: the ensemble must generalize at least as well as the single
 	// fully-grown tree that memorized the label noise.
 	if forest.Accuracy < singleAcc {
-		fail("accuracy regression — forest T=%d %.4f below single tree %.4f",
+		g.fail("accuracy regression — forest T=%d %.4f below single tree %.4f",
 			ForestTrees, forest.Accuracy, singleAcc)
 	}
 
@@ -301,7 +233,7 @@ func ForestGuard(w io.Writer) error {
 	walked := forestRes.Forest.PredictTable(test)
 	for r := range walked {
 		if compiled[r] != walked[r] {
-			fail("vote-kernel divergence — held-out row %d: compiled %d, walker oracle %d",
+			g.fail("vote-kernel divergence — held-out row %d: compiled %d, walker oracle %d",
 				r, compiled[r], walked[r])
 			break
 		}
@@ -319,27 +251,27 @@ func ForestGuard(w io.Writer) error {
 	}
 	chaos, err := scalparc.TrainForest(train, forestConfig(), fo)
 	if err != nil {
-		fail("chaos run failed outright instead of absorbing the lost tree: %v", err)
+		g.fail("chaos run failed outright instead of absorbing the lost tree: %v", err)
 	} else {
 		if len(chaos.LostTrees) != 1 || chaos.LostTrees[0] != forestGuardVictim {
-			fail("chaos run lost trees %v, want exactly [%d]", chaos.LostTrees, forestGuardVictim)
+			g.fail("chaos run lost trees %v, want exactly [%d]", chaos.LostTrees, forestGuardVictim)
 		}
 		want := append([]*tree.Tree(nil), forestRes.Forest.Trees[:forestGuardVictim]...)
 		want = append(want, forestRes.Forest.Trees[forestGuardVictim+1:]...)
 		if len(chaos.Forest.Trees) != len(want) {
-			fail("chaos run kept %d trees, want %d survivors", len(chaos.Forest.Trees), len(want))
+			g.fail("chaos run kept %d trees, want %d survivors", len(chaos.Forest.Trees), len(want))
 		} else {
 			for i, tr := range chaos.Forest.Trees {
 				if !tr.Equal(want[i]) {
-					fail("chaos survivor %d differs from its fault-free counterpart", i)
+					g.fail("chaos survivor %d differs from its fault-free counterpart", i)
 					break
 				}
 			}
 		}
 	}
 
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	if err := guardError(g.errs, nil); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "ok: forest %.4f >= single tree %.4f, batch-vote kernel bit-identical to the walker on %d held-out rows, chaos run lost only tree %d with survivors intact\n",
 		forest.Accuracy, singleAcc, len(walked), forestGuardVictim)

@@ -10,17 +10,12 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
-	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/gini"
 	"repro/internal/nodetable"
@@ -38,11 +33,11 @@ const (
 	ScanEntries    = 100_000 // gini scan attribute-list length
 )
 
-// InductionFile and ScanFile are the checked-in trajectory files Hotpath
-// appends to (relative to the repo root).
-const (
-	InductionFile = "BENCH_induction.json"
-	ScanFile      = "BENCH_scan.json"
+// inductionFile and scanFile are the checked-in trajectory files Hotpath
+// appends to.
+var (
+	inductionFile = trajectoryFile{"BENCH_induction.json", "EXP-HOTPATH", "EXP-HOTPATH trajectory: end-to-end induction (Quest F2, 20k records, p=4, T3D model) plus the node-table (n=100k, p=8) and presort (n=200k, p=8) micro-benchmarks. Append-only; oldest run is the pre-optimization baseline."}
+	scanFile      = trajectoryFile{"BENCH_scan.json", "EXP-HOTPATH", "EXP-HOTPATH trajectory: gini split-point scan over 100k sorted two-class entries, incremental O(1)-per-candidate kernel vs the naive per-candidate re-summation it replaced. The naive body is frozen and doubles as the guard's host-speed probe."}
 )
 
 // sink defeats dead-code elimination of the benchmarked scans.
@@ -53,7 +48,7 @@ var sink float64
 // end-to-end figure the arena work targets. Allocation figures are the real
 // point: steady-state levels must not allocate per record.
 func BenchInduction(b *testing.B, n, p int) {
-	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, n)
+	tab, err := quest(2, 1, n, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,44 +186,8 @@ type BenchMeasure struct {
 // BenchRun is one labeled measurement of every benchmark in a file, with
 // enough host metadata to judge cross-run comparability.
 type BenchRun struct {
-	Label      string                  `json:"label"`
-	Date       string                  `json:"date"`
-	GoVersion  string                  `json:"go"`
-	GOOS       string                  `json:"goos"`
-	GOARCH     string                  `json:"goarch"`
-	NumCPU     int                     `json:"numcpu"`
+	hostMeta
 	Benchmarks map[string]BenchMeasure `json:"benchmarks"`
-}
-
-// BenchFile is the on-disk shape of BENCH_induction.json / BENCH_scan.json:
-// an append-only trajectory of runs, oldest first.
-type BenchFile struct {
-	Experiment string     `json:"experiment"`
-	Notes      string     `json:"notes"`
-	Runs       []BenchRun `json:"runs"`
-}
-
-// LoadBenchFile reads a trajectory file; a missing file yields an empty
-// trajectory with the given notes.
-func LoadBenchFile(path, notes string) (*BenchFile, error) {
-	return loadTrajectory(path, BenchFile{Experiment: "EXP-HOTPATH", Notes: notes})
-}
-
-// Latest returns the newest run, or nil for an empty trajectory.
-func (f *BenchFile) Latest() *BenchRun {
-	if len(f.Runs) == 0 {
-		return nil
-	}
-	return &f.Runs[len(f.Runs)-1]
-}
-
-// Baseline returns the oldest run — the pre-optimization measurement the
-// improvement gates compare against.
-func (f *BenchFile) Baseline() *BenchRun {
-	if len(f.Runs) == 0 {
-		return nil
-	}
-	return &f.Runs[0]
 }
 
 // measure converts a testing.Benchmark result; entries > 0 adds the
@@ -276,80 +235,42 @@ func measureHotpath(w io.Writer) hotpathRun {
 	return r
 }
 
-func hotpathMeta(label string) BenchRun {
-	return BenchRun{
-		Label:     label,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-}
-
-const (
-	inductionNotes = "EXP-HOTPATH trajectory: end-to-end induction (Quest F2, 20k records, p=4, T3D model) plus the node-table (n=100k, p=8) and presort (n=200k, p=8) micro-benchmarks. Append-only; oldest run is the pre-optimization baseline."
-	scanNotes      = "EXP-HOTPATH trajectory: gini split-point scan over 100k sorted two-class entries, incremental O(1)-per-candidate kernel vs the naive per-candidate re-summation it replaced. The naive body is frozen and doubles as the guard's host-speed probe."
-)
-
 // Hotpath runs and records EXP-HOTPATH: it measures the suite and appends a
-// labeled run to dir's BENCH_induction.json and BENCH_scan.json, printing
-// the resulting trajectory.
-func Hotpath(w io.Writer, dir, label string) error {
+// labeled run to e.BenchDir's BENCH_induction.json and BENCH_scan.json,
+// printing the resulting trajectory.
+func Hotpath(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "EXP-HOTPATH — allocation-free hot paths (appending to BENCH_*.json)")
 	run := measureHotpath(w)
-	if label == "" {
-		label = "measured " + time.Now().UTC().Format("2006-01-02")
-	}
-
-	ind, err := LoadBenchFile(filepath.Join(dir, InductionFile), inductionNotes)
+	meta := newHostMeta(e.Label)
+	scan, err := record(w, e.BenchDir, scanFile, BenchRun{meta, map[string]BenchMeasure{
+		"GiniScanIncremental": run.scanInc,
+		"GiniScanNaive":       run.scanNaive,
+	}}, "", nil)
 	if err != nil {
 		return err
 	}
-	indRun := hotpathMeta(label)
-	indRun.Benchmarks = map[string]BenchMeasure{
+	_, err = record(w, e.BenchDir, inductionFile, BenchRun{meta, map[string]BenchMeasure{
 		"Induction":    run.induction,
 		"NodeTable":    run.nodeTable,
 		"ParallelSort": run.sort,
-	}
-	ind.Runs = append(ind.Runs, indRun)
-	if err := saveTrajectory(filepath.Join(dir, InductionFile), ind); err != nil {
-		return err
-	}
-
-	scan, err := LoadBenchFile(filepath.Join(dir, ScanFile), scanNotes)
-	if err != nil {
-		return err
-	}
-	scanRun := hotpathMeta(label)
-	scanRun.Benchmarks = map[string]BenchMeasure{
-		"GiniScanIncremental": run.scanInc,
-		"GiniScanNaive":       run.scanNaive,
-	}
-	scan.Runs = append(scan.Runs, scanRun)
-	if err := saveTrajectory(filepath.Join(dir, ScanFile), scan); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\ntrajectory (induction ns/op, allocs/op; scan ns/entry incremental|naive):")
-	for i := range ind.Runs {
-		r := &ind.Runs[i]
-		line := fmt.Sprintf("  %-38s", r.Label)
-		if m, ok := r.Benchmarks["Induction"]; ok {
-			line += fmt.Sprintf("  %11.0f ns  %6d allocs", m.NsPerOp, m.AllocsPerOp)
-		}
-		if i < len(scan.Runs) {
-			bm := scan.Runs[i].Benchmarks
-			inc, naive := bm["GiniScanIncremental"], bm["GiniScanNaive"]
-			if inc.NsPerEntry > 0 {
-				line += fmt.Sprintf("  %5.2f|%5.2f ns/entry", inc.NsPerEntry, naive.NsPerEntry)
-			} else if naive.NsPerEntry > 0 {
-				line += fmt.Sprintf("      -|%5.2f ns/entry", naive.NsPerEntry)
+	}}, "trajectory (induction ns/op, allocs/op; scan ns/entry incremental|naive):",
+		func(i int, r *BenchRun) (line string) {
+			if m, ok := r.Benchmarks["Induction"]; ok {
+				line += fmt.Sprintf("  %11.0f ns  %6d allocs", m.NsPerOp, m.AllocsPerOp)
 			}
-		}
-		fmt.Fprintln(w, line)
-	}
-	return nil
+			if i < len(scan.Runs) {
+				bm := scan.Runs[i].Benchmarks
+				inc, naive := bm["GiniScanIncremental"], bm["GiniScanNaive"]
+				if inc.NsPerEntry > 0 {
+					line += fmt.Sprintf("  %5.2f|%5.2f ns/entry", inc.NsPerEntry, naive.NsPerEntry)
+				} else if naive.NsPerEntry > 0 {
+					line += fmt.Sprintf("      -|%5.2f ns/entry", naive.NsPerEntry)
+				}
+			}
+			return line
+		})
+	return err
 }
 
 // Guard thresholds: the kernel must stay >= 2x the naive formulation; a
@@ -367,80 +288,75 @@ const (
 
 // hotpathChecks applies the guard gates to a fresh measurement against the
 // checked-in trajectory, returning every violated gate.
-func hotpathChecks(fresh hotpathRun, ind, scan *BenchFile) []error {
-	var errs []error
-	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+func hotpathChecks(fresh hotpathRun, ind, scan *trajectory[BenchRun]) []error {
+	var g gates
 
 	// Gate 1 (host-independent): the incremental kernel beats the frozen
 	// naive formulation in this very process.
 	if fresh.scanInc.NsPerEntry <= 0 || fresh.scanNaive.NsPerEntry/fresh.scanInc.NsPerEntry < guardKernelRatio {
-		fail("gini kernel regression: incremental %.2f ns/entry vs naive %.2f ns/entry — ratio %.2fx < %.1fx",
+		g.fail("gini kernel regression: incremental %.2f ns/entry vs naive %.2f ns/entry — ratio %.2fx < %.1fx",
 			fresh.scanInc.NsPerEntry, fresh.scanNaive.NsPerEntry,
 			fresh.scanNaive.NsPerEntry/fresh.scanInc.NsPerEntry, guardKernelRatio)
 	}
 
 	latestInd, latestScan := ind.Latest(), scan.Latest()
 	if latestInd == nil || latestScan == nil {
-		fail("missing trajectory: %s or %s has no runs", InductionFile, ScanFile)
-		return errs
+		g.fail("missing trajectory: %s or %s has no runs", inductionFile.name, scanFile.name)
+		return g.errs
 	}
 	recInd, okInd := latestInd.Benchmarks["Induction"]
 	recNaive, okNaive := latestScan.Benchmarks["GiniScanNaive"]
 	if !okInd || !okNaive {
-		fail("latest trajectory run lacks Induction or GiniScanNaive figures")
-		return errs
+		g.fail("latest trajectory run lacks Induction or GiniScanNaive figures")
+		return g.errs
 	}
 
 	// Gate 2 (host-independent): steady-state allocations are a property of
 	// the code, not the host.
 	if float64(fresh.induction.AllocsPerOp) > float64(recInd.AllocsPerOp)*guardRegress {
-		fail("induction allocation regression: %d allocs/op vs recorded %d (>%.0f%%)",
+		g.fail("induction allocation regression: %d allocs/op vs recorded %d (>%.0f%%)",
 			fresh.induction.AllocsPerOp, recInd.AllocsPerOp, (guardRegress-1)*100)
 	}
 
 	// Gate 3: ns/op vs the recorded latest run, normalized by how fast this
 	// host runs the frozen naive scan relative to the recording host.
-	if recNaive.NsPerEntry > 0 && recInd.NsPerOp > 0 {
-		host := fresh.scanNaive.NsPerEntry / recNaive.NsPerEntry
-		if fresh.induction.NsPerOp > recInd.NsPerOp*host*guardRegress {
-			fail("induction ns/op regression: %.0f ns/op vs recorded %.0f x host factor %.2f (>%.0f%% over)",
-				fresh.induction.NsPerOp, recInd.NsPerOp, host, (guardRegress-1)*100)
-		}
-	}
+	g.withinHost("induction", "ns/op", fresh.induction.NsPerOp, recInd.NsPerOp,
+		hostFactor(fresh.scanNaive.NsPerEntry, recNaive.NsPerEntry), guardRegress, false)
 
 	// Gate 4: the checked-in trajectory itself must still show the win over
 	// the pre-optimization baseline (first run in the file).
 	if base := ind.Baseline(); base != latestInd {
 		if bm, ok := base.Benchmarks["Induction"]; ok {
 			if recInd.NsPerOp > bm.NsPerOp*guardNsWin {
-				fail("trajectory lost the induction ns win: latest %.0f > %.0f%% of baseline %.0f",
+				g.fail("trajectory lost the induction ns win: latest %.0f > %.0f%% of baseline %.0f",
 					recInd.NsPerOp, guardNsWin*100, bm.NsPerOp)
 			}
 			if float64(recInd.AllocsPerOp) > float64(bm.AllocsPerOp)*guardAllocsWin {
-				fail("trajectory lost the induction allocs win: latest %d > %.0f%% of baseline %d",
+				g.fail("trajectory lost the induction allocs win: latest %d > %.0f%% of baseline %d",
 					recInd.AllocsPerOp, guardAllocsWin*100, bm.AllocsPerOp)
 			}
 		}
 	}
-	return errs
+	return g.errs
 }
 
 // HotpathGuard runs and prints GUARD-HOTPATH, the CI regression gate for
 // the allocation-free hot paths. It re-measures the suite and returns an
 // error — failing CI — when any gate trips; see hotpathChecks.
-func HotpathGuard(w io.Writer, dir string) error {
+func HotpathGuard(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "GUARD-HOTPATH — incremental gini kernel and allocation discipline")
-	ind, err := LoadBenchFile(filepath.Join(dir, InductionFile), inductionNotes)
+	ind, err := loadTrajectory[BenchRun](e.BenchDir, inductionFile)
 	if err != nil {
 		return err
 	}
-	scan, err := LoadBenchFile(filepath.Join(dir, ScanFile), scanNotes)
+	scan, err := loadTrajectory[BenchRun](e.BenchDir, scanFile)
 	if err != nil {
 		return err
 	}
 	fresh := measureHotpath(w)
-	if errs := hotpathChecks(fresh, ind, scan); len(errs) > 0 {
-		return errors.Join(errs...)
+	if err := guardError(hotpathChecks(fresh, ind, scan), nil); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "ok: kernel %.2fx naive, %d allocs/op (recorded %d), within %.0f%% of the recorded trajectory\n",
 		fresh.scanNaive.NsPerEntry/fresh.scanInc.NsPerEntry,

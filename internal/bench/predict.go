@@ -11,20 +11,14 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/infer"
-	"repro/internal/serial"
-	"repro/internal/splitter"
 	"repro/internal/tree"
 )
 
@@ -39,9 +33,10 @@ const (
 	PredictRows       = 1_000_000
 	PredictTrainRows  = 400_000
 	PredictTrainNoise = 0.2
-	// PredictFile is the checked-in trajectory file (repo root).
-	PredictFile = "BENCH_predict.json"
 )
+
+// predictFile is the checked-in EXP-PREDICT trajectory.
+var predictFile = trajectoryFile{"BENCH_predict.json", "EXP-PREDICT", "EXP-PREDICT trajectory: classify a 1M-row Quest table with a ~160k-node tree trained on 400k noisy records — the frozen pre-engine PredictTable (naive), the hoisted pointer walker (the oracle), and the compiled flat-table batch engine. Append-only; the compiled/naive ratio is the recorded speedup GUARD-PREDICT pins."}
 
 // sinkInt defeats dead-code elimination of the benchmarked predictions.
 var sinkInt int
@@ -50,51 +45,36 @@ type predictFixture struct {
 	tree  *tree.Tree
 	model *infer.Model
 	tab   *dataset.Table
-	err   error
 }
 
 // The fixture is expensive (train 400k records, generate 1M) and immutable;
 // build it once per process regardless of how many benchmarks sample it.
-var (
-	predictFixOnce sync.Once
-	predictFix     predictFixture
-)
-
-func getPredictFixture() (*predictFixture, error) {
-	predictFixOnce.Do(func() {
-		train, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1, LabelNoise: PredictTrainNoise}, PredictTrainRows)
-		if err != nil {
-			predictFix.err = err
-			return
-		}
-		tr, err := serial.Train(train, splitter.Config{})
-		if err != nil {
-			predictFix.err = err
-			return
-		}
-		m, err := infer.Compile(tr)
-		if err != nil {
-			predictFix.err = err
-			return
-		}
-		tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 2}, PredictRows)
-		if err != nil {
-			predictFix.err = err
-			return
-		}
-		predictFix = predictFixture{tree: tr, model: m, tab: tab}
-	})
-	if predictFix.err != nil {
-		return nil, predictFix.err
+var getPredictFixture = sync.OnceValues(func() (*predictFixture, error) {
+	tr, err := questTree(2, 1, PredictTrainRows, PredictTrainNoise)
+	if err != nil {
+		return nil, err
 	}
-	return &predictFix, nil
-}
+	m, err := infer.Compile(tr)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := quest(2, 2, PredictRows, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &predictFixture{tree: tr, model: m, tab: tab}, nil
+})
 
-func mustPredictFixture(b *testing.B) *predictFixture {
+// mustPredictFixture returns the fixture for a benchmark over its first
+// rows rows.
+func mustPredictFixture(b *testing.B, rows int) *predictFixture {
 	b.Helper()
 	fix, err := getPredictFixture()
 	if err != nil {
 		b.Fatal(err)
+	}
+	if rows > fix.tab.NumRows() {
+		b.Fatalf("fixture has %d rows; %d requested", fix.tab.NumRows(), rows)
 	}
 	return fix
 }
@@ -104,11 +84,8 @@ func mustPredictFixture(b *testing.B) *predictFixture {
 // guard's host-speed probe, and its ratio to the compiled engine is the
 // host-independent speedup GUARD-PREDICT pins.
 func BenchPredictNaive(b *testing.B, rows int) {
-	fix := mustPredictFixture(b)
+	fix := mustPredictFixture(b, rows)
 	tab := fix.tab
-	if rows > tab.NumRows() {
-		b.Fatalf("fixture has %d rows; %d requested", tab.NumRows(), rows)
-	}
 	out := make([]int, rows)
 	row := make([]float64, tab.Schema.NumAttrs())
 	b.ReportAllocs()
@@ -127,10 +104,7 @@ func BenchPredictNaive(b *testing.B, rows int) {
 // BenchPredictWalk measures the hoisted pointer walker — the differential
 // oracle — with columns hoisted once per table.
 func BenchPredictWalk(b *testing.B, rows int) {
-	fix := mustPredictFixture(b)
-	if rows > fix.tab.NumRows() {
-		b.Fatalf("fixture has %d rows; %d requested", fix.tab.NumRows(), rows)
-	}
+	fix := mustPredictFixture(b, rows)
 	tab := fix.tab.Slice(0, rows)
 	out := make([]int, rows)
 	b.ReportAllocs()
@@ -144,10 +118,7 @@ func BenchPredictWalk(b *testing.B, rows int) {
 // BenchPredictCompiled measures the production path: the flat
 // struct-of-arrays table walked in record batches across the worker pool.
 func BenchPredictCompiled(b *testing.B, rows int) {
-	fix := mustPredictFixture(b)
-	if rows > fix.tab.NumRows() {
-		b.Fatalf("fixture has %d rows; %d requested", fix.tab.NumRows(), rows)
-	}
+	fix := mustPredictFixture(b, rows)
 	tab := fix.tab.Slice(0, rows)
 	out := make([]int, rows)
 	b.ReportAllocs()
@@ -190,42 +161,26 @@ func measurePredict(w io.Writer) (predictRun, error) {
 	return r, nil
 }
 
-const predictNotes = "EXP-PREDICT trajectory: classify a 1M-row Quest table with a ~160k-node tree trained on 400k noisy records — the frozen pre-engine PredictTable (naive), the hoisted pointer walker (the oracle), and the compiled flat-table batch engine. Append-only; the compiled/naive ratio is the recorded speedup GUARD-PREDICT pins."
-
 // Predict runs and records EXP-PREDICT: it measures the suite and appends
-// a labeled run to dir's BENCH_predict.json, printing the trajectory.
-func Predict(w io.Writer, dir, label string) error {
+// a labeled run to e.BenchDir's BENCH_predict.json, printing the trajectory.
+func Predict(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "EXP-PREDICT — compiled batch inference (appending to BENCH_predict.json)")
 	run, err := measurePredict(w)
 	if err != nil {
 		return err
 	}
-	if label == "" {
-		label = "measured " + time.Now().UTC().Format("2006-01-02")
-	}
-	f, err := LoadBenchFile(filepath.Join(dir, PredictFile), predictNotes)
-	if err != nil {
-		return err
-	}
-	f.Experiment = "EXP-PREDICT"
-	rec := hotpathMeta(label)
-	rec.Benchmarks = map[string]BenchMeasure{
+	_, err = record(w, e.BenchDir, predictFile, BenchRun{newHostMeta(e.Label), map[string]BenchMeasure{
 		"PredictNaive":    run.naive,
 		"PredictWalk":     run.walk,
 		"PredictCompiled": run.compiled,
-	}
-	f.Runs = append(f.Runs, rec)
-	if err := saveTrajectory(filepath.Join(dir, PredictFile), f); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\ncompiled speedup this run: %.2fx over the frozen naive walk\n", run.speedup())
-	fmt.Fprintln(w, "trajectory (ns/row naive|walk|compiled):")
-	for i := range f.Runs {
-		bm := f.Runs[i].Benchmarks
-		fmt.Fprintf(w, "  %-38s  %6.2f|%6.2f|%6.2f ns/row\n", f.Runs[i].Label,
-			bm["PredictNaive"].NsPerEntry, bm["PredictWalk"].NsPerEntry, bm["PredictCompiled"].NsPerEntry)
-	}
-	return nil
+	}}, fmt.Sprintf("compiled speedup this run: %.2fx over the frozen naive walk\ntrajectory (ns/row naive|walk|compiled):", run.speedup()),
+		func(_ int, r *BenchRun) string {
+			bm := r.Benchmarks
+			return fmt.Sprintf("  %6.2f|%6.2f|%6.2f ns/row",
+				bm["PredictNaive"].NsPerEntry, bm["PredictWalk"].NsPerEntry, bm["PredictCompiled"].NsPerEntry)
+		})
+	return err
 }
 
 // GUARD-PREDICT thresholds: the compiled engine must classify the 1M-row
@@ -238,44 +193,38 @@ const (
 	predictGuardRegress = 1.20
 )
 
-func predictChecks(fresh predictRun, f *BenchFile) []error {
-	var errs []error
-	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+func predictChecks(fresh predictRun, f *trajectory[BenchRun]) []error {
+	var g gates
 
 	// Gate 1 (host-independent): fresh compiled vs fresh frozen naive.
 	if s := fresh.speedup(); s < predictGuardRatio {
-		fail("compiled predictor regression: %.2f ns/row vs naive %.2f ns/row — %.2fx < %.1fx",
+		g.fail("compiled predictor regression: %.2f ns/row vs naive %.2f ns/row — %.2fx < %.1fx",
 			fresh.compiled.NsPerEntry, fresh.naive.NsPerEntry, s, predictGuardRatio)
 	}
 
 	latest := f.Latest()
 	if latest == nil {
-		fail("missing trajectory: %s has no runs", PredictFile)
-		return errs
+		g.fail("missing trajectory: %s has no runs", predictFile.name)
+		return g.errs
 	}
 	recNaive, okN := latest.Benchmarks["PredictNaive"]
 	recCompiled, okC := latest.Benchmarks["PredictCompiled"]
 	if !okN || !okC {
-		fail("latest trajectory run lacks PredictNaive or PredictCompiled figures")
-		return errs
+		g.fail("latest trajectory run lacks PredictNaive or PredictCompiled figures")
+		return g.errs
 	}
 
 	// Gate 2: the checked-in trajectory must itself record the win.
 	if recCompiled.NsPerEntry <= 0 || recNaive.NsPerEntry/recCompiled.NsPerEntry < predictGuardRatio {
-		fail("trajectory lost the predict win: recorded %.2fx < %.1fx",
+		g.fail("trajectory lost the predict win: recorded %.2fx < %.1fx",
 			recNaive.NsPerEntry/recCompiled.NsPerEntry, predictGuardRatio)
 	}
 
 	// Gate 3: ns/row vs the recorded latest run, normalized by how fast
 	// this host runs the frozen naive body relative to the recording host.
-	if recNaive.NsPerEntry > 0 && recCompiled.NsPerEntry > 0 {
-		host := fresh.naive.NsPerEntry / recNaive.NsPerEntry
-		if fresh.compiled.NsPerEntry > recCompiled.NsPerEntry*host*predictGuardRegress {
-			fail("compiled ns/row regression: %.2f vs recorded %.2f x host factor %.2f (>%.0f%% over)",
-				fresh.compiled.NsPerEntry, recCompiled.NsPerEntry, host, (predictGuardRegress-1)*100)
-		}
-	}
-	return errs
+	g.withinHost("compiled predictor", "ns/row", fresh.compiled.NsPerEntry, recCompiled.NsPerEntry,
+		hostFactor(fresh.naive.NsPerEntry, recNaive.NsPerEntry), predictGuardRegress, false)
+	return g.errs
 }
 
 // predictDifferential verifies bit-identical labels: the full 1M-row table
@@ -321,9 +270,10 @@ func predictDifferential(w io.Writer) error {
 // the compiled batch-inference engine. It verifies bit-identical labels
 // and re-measures the suite, returning an error — failing CI — when any
 // gate trips; see predictChecks.
-func PredictGuard(w io.Writer, dir string) error {
+func PredictGuard(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "GUARD-PREDICT — compiled batch inference vs the pointer walk")
-	f, err := LoadBenchFile(filepath.Join(dir, PredictFile), predictNotes)
+	f, err := loadTrajectory[BenchRun](e.BenchDir, predictFile)
 	if err != nil {
 		return err
 	}
@@ -334,8 +284,8 @@ func PredictGuard(w io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	if errs := predictChecks(fresh, f); len(errs) > 0 {
-		return errors.Join(errs...)
+	if err := guardError(predictChecks(fresh, f), nil); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "ok: compiled %.2fx the frozen naive walk at %d rows (gate %.1fx), labels identical\n",
 		fresh.speedup(), PredictRows, predictGuardRatio)

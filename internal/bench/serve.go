@@ -12,23 +12,17 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/serial"
 	"repro/internal/serve"
-	"repro/internal/splitter"
 	"repro/internal/tree"
 )
 
@@ -37,14 +31,14 @@ import (
 // serving rows from a table generated with a third seed. Clients alternate
 // models so every point exercises the sharded cache, not one entry.
 const (
-	ServeFile       = "BENCH_serve.json"
 	ServeTrainBig   = 100_000
 	ServeTrainNoise = 0.2
 	ServeTrainSmall = 20_000
 	ServeTableRows  = 20_000
 )
 
-const serveNotes = "EXP-SERVE trajectory: real wall-clock load generation through the inference server's full HTTP path on loopback — JSON decode, per-model-version micro-batching (512-row cap; runs before PR 13 closed every flush on a 1ms deadline — deadline_flush_frac 1 — later runs flush the moment the queue runs dry — idle_flush_frac), sharded model cache, compiled engine — against two hot models (Quest F2: 100k noisy-row tree and 20k clean tree), clients alternating models per request. rows_per_sec counts classified rows; p50/p99 are whole-request client-observed latencies. walk_ns_per_row is the pointer walker's single-thread speed on the same fixture, recorded as the host probe GUARD-SERVE normalizes with. Honest scope: client and server share one host (numcpu in the run metadata — on a 1-CPU host they also share the core), so the points measure serving overhead and batching behavior, not network or multi-core scaling."
+// serveFile is the checked-in EXP-SERVE trajectory.
+var serveFile = trajectoryFile{"BENCH_serve.json", "EXP-SERVE", "EXP-SERVE trajectory: real wall-clock load generation through the inference server's full HTTP path on loopback — JSON decode, per-model-version micro-batching (512-row cap; runs before PR 13 closed every flush on a 1ms deadline — deadline_flush_frac 1 — later runs flush the moment the queue runs dry — idle_flush_frac), sharded model cache, compiled engine — against two hot models (Quest F2: 100k noisy-row tree and 20k clean tree), clients alternating models per request. rows_per_sec counts classified rows; p50/p99 are whole-request client-observed latencies. walk_ns_per_row is the pointer walker's single-thread speed on the same fixture, recorded as the host probe GUARD-SERVE normalizes with. Honest scope: client and server share one host (numcpu in the run metadata — on a 1-CPU host they also share the core), so the points measure serving overhead and batching behavior, not network or multi-core scaling."}
 
 // ServePoint is one load shape's measurement in an EXP-SERVE run.
 type ServePoint struct {
@@ -64,71 +58,32 @@ type ServePoint struct {
 
 // ServeRun is one labeled EXP-SERVE measurement with host metadata.
 type ServeRun struct {
-	Label        string       `json:"label"`
-	Date         string       `json:"date"`
-	GoVersion    string       `json:"go"`
-	GOOS         string       `json:"goos"`
-	GOARCH       string       `json:"goarch"`
-	NumCPU       int          `json:"numcpu"`
+	hostMeta
 	WalkNsPerRow float64      `json:"walk_ns_per_row"`
 	Points       []ServePoint `json:"points"`
-}
-
-// ServeTrajectory is the on-disk shape of BENCH_serve.json: an append-only
-// trajectory of runs, oldest first.
-type ServeTrajectory struct {
-	Experiment string     `json:"experiment"`
-	Notes      string     `json:"notes"`
-	Runs       []ServeRun `json:"runs"`
 }
 
 type serveFixture struct {
 	big   *tree.Tree
 	small *tree.Tree
 	tab   *dataset.Table
-	err   error
 }
 
-var (
-	serveFixOnce sync.Once
-	serveFix     serveFixture
-)
-
-func getServeFixture() (*serveFixture, error) {
-	serveFixOnce.Do(func() {
-		fail := func(err error) { serveFix.err = err }
-		trainBig, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1, LabelNoise: ServeTrainNoise}, ServeTrainBig)
-		if err != nil {
-			fail(err)
-			return
-		}
-		big, err := serial.Train(trainBig, splitter.Config{})
-		if err != nil {
-			fail(err)
-			return
-		}
-		trainSmall, err := datagen.Generate(datagen.Config{Function: 5, Attrs: datagen.Seven, Seed: 2}, ServeTrainSmall)
-		if err != nil {
-			fail(err)
-			return
-		}
-		small, err := serial.Train(trainSmall, splitter.Config{})
-		if err != nil {
-			fail(err)
-			return
-		}
-		tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 3}, ServeTableRows)
-		if err != nil {
-			fail(err)
-			return
-		}
-		serveFix = serveFixture{big: big, small: small, tab: tab}
-	})
-	if serveFix.err != nil {
-		return nil, serveFix.err
+var getServeFixture = sync.OnceValues(func() (*serveFixture, error) {
+	big, err := questTree(2, 1, ServeTrainBig, ServeTrainNoise)
+	if err != nil {
+		return nil, err
 	}
-	return &serveFix, nil
-}
+	small, err := questTree(5, 2, ServeTrainSmall, 0)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := quest(2, 3, ServeTableRows, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &serveFixture{big: big, small: small, tab: tab}, nil
+})
 
 // serveWalkProbe times the pointer walker single-threaded over the serving
 // table: the host-speed probe recorded next to the HTTP figures, playing
@@ -335,54 +290,30 @@ func measureServe(w io.Writer, fix *serveFixture) ([]ServePoint, [][]time.Durati
 }
 
 // Serve runs and records EXP-SERVE: it measures the load points against a
-// live server on loopback, appends a labeled run to dir's BENCH_serve.json,
-// and prints the resulting trajectory.
-func Serve(w io.Writer, dir, label string) error {
+// live server on loopback, appends a labeled run to e.BenchDir's
+// BENCH_serve.json, and prints the resulting trajectory.
+func Serve(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "EXP-SERVE — HTTP inference serving on loopback (appending to BENCH_serve.json)")
 	fix, err := getServeFixture()
 	if err != nil {
 		return err
 	}
-	if label == "" {
-		label = "measured " + time.Now().UTC().Format("2006-01-02")
-	}
-	run := ServeRun{
-		Label:        label,
-		Date:         time.Now().UTC().Format("2006-01-02"),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		WalkNsPerRow: serveWalkProbe(fix),
-	}
-	points, _, err := measureServe(w, fix)
+	run := ServeRun{hostMeta: newHostMeta(e.Label), WalkNsPerRow: serveWalkProbe(fix)}
+	run.Points, _, err = measureServe(w, fix)
 	if err != nil {
 		return err
 	}
-	run.Points = points
-
-	path := filepath.Join(dir, ServeFile)
-	traj, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
-	if err != nil {
-		return err
-	}
-	traj.Runs = append(traj.Runs, run)
-	if err := saveTrajectory(path, traj); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\ntrajectory (16x16 point: rows/s, p99 µs):")
-	for i := range traj.Runs {
-		r := &traj.Runs[i]
-		line := fmt.Sprintf("  %-38s", r.Label)
-		for _, pt := range r.Points {
-			if pt.Clients == 16 && pt.RowsPerReq == 16 {
-				line += fmt.Sprintf("  %9.0f rows/s  p99 %7.0fµs", pt.RowsPerSec, pt.P99Micros)
+	_, err = record(w, e.BenchDir, serveFile, run, "trajectory (16x16 point: rows/s, p99 µs):",
+		func(_ int, r *ServeRun) (line string) {
+			for _, pt := range r.Points {
+				if pt.Clients == 16 && pt.RowsPerReq == 16 {
+					line += fmt.Sprintf("  %9.0f rows/s  p99 %7.0fµs", pt.RowsPerSec, pt.P99Micros)
+				}
 			}
-		}
-		fmt.Fprintln(w, line)
-	}
-	return nil
+			return line
+		})
+	return err
 }
 
 // GUARD-SERVE thresholds. The differential gate is absolute; the
@@ -460,10 +391,8 @@ func serveDifferential(w io.Writer, sb *serveBench) error {
 	return nil
 }
 
-func serveChecks(fresh []ServePoint, freshWalkNs float64, traj *ServeTrajectory) []error {
-	var errs []error
-	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
-
+func serveChecks(fresh []ServePoint, freshWalkNs float64, traj *trajectory[ServeRun]) []error {
+	var g gates
 	find := func(pts []ServePoint, clients, rows int) *ServePoint {
 		for i := range pts {
 			if pts[i].Clients == clients && pts[i].RowsPerReq == rows {
@@ -477,9 +406,9 @@ func serveChecks(fresh []ServePoint, freshWalkNs float64, traj *ServeTrajectory)
 	// flush holds at least one whole request.
 	for _, shape := range [][2]int{{16, 16}, {4, 64}} {
 		if pt := find(fresh, shape[0], shape[1]); pt == nil {
-			fail("missing fresh %dx%d point", shape[0], shape[1])
+			g.fail("missing fresh %dx%d point", shape[0], shape[1])
 		} else if pt.MeanBatchRows < float64(shape[1]) {
-			fail("requests fragment across flushes: %dx%d mean batch %.2f rows < %d rows per request",
+			g.fail("requests fragment across flushes: %dx%d mean batch %.2f rows < %d rows per request",
 				shape[0], shape[1], pt.MeanBatchRows, shape[1])
 		}
 	}
@@ -488,58 +417,35 @@ func serveChecks(fresh []ServePoint, freshWalkNs float64, traj *ServeTrajectory)
 	// bounded-latency — a flusher that waits for batches to fill, or a
 	// queue nobody drains, blows through this by orders of magnitude.
 	if pt := find(fresh, 32, 1); pt == nil {
-		fail("missing fresh 32x1 point")
+		g.fail("missing fresh 32x1 point")
 	} else if pt.P99Micros > serveGuardP99Floor {
-		fail("single-row p99 %.0fµs exceeds the %.0fµs disaster line", pt.P99Micros, serveGuardP99Floor)
+		g.fail("single-row p99 %.0fµs exceeds the %.0fµs disaster line", pt.P99Micros, serveGuardP99Floor)
 	}
 
-	latest := latestServeRun(traj)
+	latest := traj.Latest()
 	if latest == nil {
-		fail("missing trajectory: %s has no runs", ServeFile)
-		return errs
+		g.fail("missing trajectory: %s has no runs", serveFile.name)
+		return g.errs
 	}
 
-	// Gate 3 (host-normalized): fresh 16x16 throughput against the
+	// Gate 3 (host-normalized): fresh 16x16 throughput and p99 against the
 	// recorded run, scaled by the walker probe ratio.
 	rec := find(latest.Points, 16, 16)
 	freshPt := find(fresh, 16, 16)
 	if rec == nil || freshPt == nil {
-		fail("missing 16x16 point in the recorded or fresh run")
-		return errs
+		g.fail("missing 16x16 point in the recorded or fresh run")
+		return g.errs
 	}
-	if latest.WalkNsPerRow > 0 && freshWalkNs > 0 {
-		host := latest.WalkNsPerRow / freshWalkNs // >1 on a faster host
-		floor := rec.RowsPerSec * host / serveGuardSlack
-		if freshPt.RowsPerSec < floor {
-			fail("serving throughput regression: %.0f rows/s < %.0f (recorded %.0f x host %.2f / slack %.1f)",
-				freshPt.RowsPerSec, floor, rec.RowsPerSec, host, serveGuardSlack)
-		}
-		if rec.P99Micros > 0 && freshPt.P99Micros > rec.P99Micros/host*serveGuardP99Factor {
-			fail("serving p99 regression: %.0fµs vs recorded %.0fµs x %.0f / host %.2f",
-				freshPt.P99Micros, rec.P99Micros, serveGuardP99Factor, host)
-		}
-	}
-	return errs
-}
-
-func latestServeRun(traj *ServeTrajectory) *ServeRun {
-	if len(traj.Runs) == 0 {
-		return nil
-	}
-	return &traj.Runs[len(traj.Runs)-1]
+	host := hostFactor(freshWalkNs, latest.WalkNsPerRow)
+	g.withinHost("serving throughput", "rows/s", freshPt.RowsPerSec, rec.RowsPerSec, host, serveGuardSlack, true)
+	g.withinHost("serving p99", "µs", freshPt.P99Micros, rec.P99Micros, host, serveGuardP99Factor, false)
+	return g.errs
 }
 
 // writeServeArtifact dumps the per-point latency distributions to
 // SERVE_ARTIFACT_DIR (CI uploads it on guard failure) so a tripped gate
 // leaves the full histogram behind, not just the two percentiles.
 func writeServeArtifact(points []ServePoint, lats [][]time.Duration) error {
-	dir := os.Getenv("SERVE_ARTIFACT_DIR")
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	type pointArtifact struct {
 		Point        ServePoint `json:"point"`
 		BucketEdgeUs []float64  `json:"bucket_edge_us"`
@@ -556,7 +462,9 @@ func writeServeArtifact(points []ServePoint, lats [][]time.Duration) error {
 		}
 		arts = append(arts, pointArtifact{Point: pt, BucketEdgeUs: edges, Counts: counts})
 	}
-	return saveTrajectory(filepath.Join(dir, "serve_latency.json"), arts)
+	return writeArtifact("SERVE_ARTIFACT_DIR", func(dir string) error {
+		return saveJSON(filepath.Join(dir, "serve_latency.json"), arts)
+	})
 }
 
 // ServeGuard runs and prints GUARD-SERVE, the CI regression gate for the
@@ -564,13 +472,14 @@ func writeServeArtifact(points []ServePoint, lats [][]time.Duration) error {
 // path, then re-measures the load points and holds them to the recorded
 // trajectory; see serveChecks. On failure the latency distributions land
 // in SERVE_ARTIFACT_DIR for CI to upload.
-func ServeGuard(w io.Writer, dir string) error {
+func ServeGuard(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "GUARD-SERVE — HTTP inference serving vs the recorded trajectory")
 	fix, err := getServeFixture()
 	if err != nil {
 		return err
 	}
-	traj, err := loadTrajectory(filepath.Join(dir, ServeFile), ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
+	traj, err := loadTrajectory[ServeRun](e.BenchDir, serveFile)
 	if err != nil {
 		return err
 	}
@@ -590,11 +499,9 @@ func ServeGuard(w io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	if errs := serveChecks(points, freshWalkNs, traj); len(errs) > 0 {
-		if aerr := writeServeArtifact(points, lats); aerr != nil {
-			errs = append(errs, fmt.Errorf("writing latency artifact: %w", aerr))
-		}
-		return errors.Join(errs...)
+	err = guardError(serveChecks(points, freshWalkNs, traj), func() error { return writeServeArtifact(points, lats) })
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "ok: labels identical over HTTP, throughput and latency within gates (%d load shapes)\n", len(points))
 	return nil

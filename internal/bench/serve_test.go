@@ -16,11 +16,11 @@ func serveTestPoints(rps, p99 float64, meanBatch float64) []ServePoint {
 	}
 }
 
-func serveTestTraj(rps, walkNs float64) *ServeTrajectory {
-	return &ServeTrajectory{
+func serveTestTraj(rps, walkNs float64) *trajectory[ServeRun] {
+	return &trajectory[ServeRun]{
 		Experiment: "EXP-SERVE",
 		Runs: []ServeRun{{
-			Label:        "recorded",
+			hostMeta:     hostMeta{Label: "recorded"},
 			WalkNsPerRow: walkNs,
 			Points:       serveTestPoints(rps, 2000, 50),
 		}},
@@ -60,31 +60,8 @@ func TestServeChecksGates(t *testing.T) {
 	}
 
 	// Empty trajectory is itself a failure.
-	if errs := serveChecks(healthy, walkNs, &ServeTrajectory{}); len(errs) == 0 {
+	if errs := serveChecks(healthy, walkNs, &trajectory[ServeRun]{}); len(errs) == 0 {
 		t.Fatal("empty trajectory passed")
-	}
-}
-
-func TestServeTrajectoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ServeFile)
-	traj, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traj.Experiment != "EXP-SERVE" || len(traj.Runs) != 0 {
-		t.Fatalf("fresh trajectory = %+v", traj)
-	}
-	traj.Runs = append(traj.Runs, ServeRun{Label: "r1", Points: serveTestPoints(1000, 100, 10)})
-	if err := saveTrajectory(path, traj); err != nil {
-		t.Fatal(err)
-	}
-	back, err := loadTrajectory(path, ServeTrajectory{Experiment: "EXP-SERVE", Notes: serveNotes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Runs) != 1 || back.Runs[0].Label != "r1" || len(back.Runs[0].Points) != 3 {
-		t.Fatalf("round trip = %+v", back)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/classify"
 	"repro/internal/comm"
-	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/scalparc"
 	"repro/internal/splitter"
@@ -103,9 +102,7 @@ func (cfg SweepConfig) Run() ([]Point, error) {
 	}
 	var out []Point
 	for _, n := range cfg.Sizes {
-		tab, err := datagen.Generate(datagen.Config{
-			Function: cfg.Function, Attrs: datagen.Seven, Seed: cfg.Seed,
-		}, n)
+		tab, err := quest(cfg.Function, cfg.Seed, n, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -14,30 +14,22 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/comm/tcptransport"
-	"repro/internal/datagen"
 	"repro/internal/scalparc"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 )
 
-// TCPFile is the checked-in EXP-TCP trajectory (relative to the repo
-// root), and TCPRecords the fixed workload each measurement trains, so
-// runs recorded months apart stay comparable.
-const (
-	TCPFile    = "BENCH_tcp.json"
-	TCPRecords = 200_000
-)
+// TCPRecords is the fixed workload each measurement trains, so runs
+// recorded months apart stay comparable.
+const TCPRecords = 200_000
 
-// tcpNotes documents the trajectory file for readers of the raw JSON.
-const tcpNotes = "EXP-TCP trajectory: real wall-clock ScalParC induction (Quest F2, 200k records, exact splits) over the process-per-rank localhost TCP backend, one OS process per rank. wall_seconds is host time for the slowest rank's whole induction (presort + all levels); modeled_seconds is the deterministic virtual clock, identical on the simulated backend. Speedup is relative to the p=1 run in the same row set and is bounded by numcpu: with p ranks time-slicing fewer cores the points measure the transport's overhead (deposit-exchange collectives pay p-1 real copies on the wire that the simulated machine's aliasing gets for free), not parallel scaling."
+// tcpFile is the checked-in EXP-TCP trajectory; its notes document the file
+// for readers of the raw JSON.
+var tcpFile = trajectoryFile{"BENCH_tcp.json", "EXP-TCP", "EXP-TCP trajectory: real wall-clock ScalParC induction (Quest F2, 200k records, exact splits) over the process-per-rank localhost TCP backend, one OS process per rank. wall_seconds is host time for the slowest rank's whole induction (presort + all levels); modeled_seconds is the deterministic virtual clock, identical on the simulated backend. Speedup is relative to the p=1 run in the same row set and is bounded by numcpu: with p ranks time-slicing fewer cores the points measure the transport's overhead (deposit-exchange collectives pay p-1 real copies on the wire that the simulated machine's aliasing gets for free), not parallel scaling."}
 
 // TCPPoint is one processor count's measurement in an EXP-TCP run.
 type TCPPoint struct {
@@ -50,22 +42,9 @@ type TCPPoint struct {
 
 // TCPRun is one labeled EXP-TCP measurement with host metadata.
 type TCPRun struct {
-	Label     string     `json:"label"`
-	Date      string     `json:"date"`
-	GoVersion string     `json:"go"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	NumCPU    int        `json:"numcpu"`
-	Records   int        `json:"records"`
-	Points    []TCPPoint `json:"points"`
-}
-
-// TCPTrajectory is the on-disk shape of BENCH_tcp.json: an append-only
-// trajectory of runs, oldest first.
-type TCPTrajectory struct {
-	Experiment string   `json:"experiment"`
-	Notes      string   `json:"notes"`
-	Runs       []TCPRun `json:"runs"`
+	hostMeta
+	Records int        `json:"records"`
+	Points  []TCPPoint `json:"points"`
 }
 
 // tcpWorkerResult is what the rank-0 worker reports back.
@@ -87,7 +66,7 @@ func TCPWorker(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tab, err := datagen.Generate(datagen.Config{Function: *function, Attrs: datagen.Seven, Seed: *seed}, *records)
+	tab, err := quest(*function, *seed, *records, 0)
 	if err != nil {
 		return err
 	}
@@ -140,21 +119,11 @@ func tcpMeasure(p, records, function int, seed int64) (tcpWorkerResult, error) {
 
 // TCP runs and records EXP-TCP: it trains the fixed workload at each
 // processor count on real worker processes, appends a labeled run to
-// dir's BENCH_tcp.json, and prints the resulting trajectory.
-func TCP(w io.Writer, dir, label string) error {
+// e.BenchDir's BENCH_tcp.json, and prints the resulting trajectory.
+func TCP(e *Env) error {
+	w := e.Out
 	fmt.Fprintln(w, "EXP-TCP — real wall-clock scaling, one OS process per rank (appending to BENCH_tcp.json)")
-	if label == "" {
-		label = "measured " + time.Now().UTC().Format("2006-01-02")
-	}
-	run := TCPRun{
-		Label:     label,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Records:   TCPRecords,
-	}
+	run := TCPRun{hostMeta: newHostMeta(e.Label), Records: TCPRecords}
 	var base float64
 	for _, p := range []int{1, 2, 4} {
 		res, err := tcpMeasure(p, TCPRecords, 2, 1)
@@ -177,27 +146,14 @@ func TCP(w io.Writer, dir, label string) error {
 		fmt.Fprintf(w, "  p=%-2d  wall %7.3fs  modeled %7.3fs  %9.0f rows/s  speedup %.2fx\n",
 			p, pt.WallSeconds, pt.ModeledSeconds, pt.RowsPerSec, pt.Speedup)
 	}
-
-	path := filepath.Join(dir, TCPFile)
-	traj, err := loadTrajectory(path, TCPTrajectory{Experiment: "EXP-TCP", Notes: tcpNotes})
-	if err != nil {
-		return err
-	}
-	traj.Runs = append(traj.Runs, run)
-	if err := saveTrajectory(path, traj); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\ntrajectory (p=4 wall seconds, speedup over p=1):")
-	for i := range traj.Runs {
-		r := &traj.Runs[i]
-		line := fmt.Sprintf("  %-38s", r.Label)
-		for _, pt := range r.Points {
-			if pt.Procs == 4 {
-				line += fmt.Sprintf("  %7.3fs  %.2fx", pt.WallSeconds, pt.Speedup)
+	_, err := record(w, e.BenchDir, tcpFile, run, "trajectory (p=4 wall seconds, speedup over p=1):",
+		func(_ int, r *TCPRun) (line string) {
+			for _, pt := range r.Points {
+				if pt.Procs == 4 {
+					line += fmt.Sprintf("  %7.3fs  %.2fx", pt.WallSeconds, pt.Speedup)
+				}
 			}
-		}
-		fmt.Fprintln(w, line)
-	}
-	return nil
+			return line
+		})
+	return err
 }
