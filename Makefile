@@ -37,10 +37,11 @@ bench:
 	$(GO) run ./cmd/benchrunner -exp predict -benchlabel "$(BENCHLABEL)"
 
 # Race-detect the packages with real goroutine concurrency: the simulated
-# machine (one goroutine per rank), the engine driving it, and the
+# machine (one goroutine per rank), the engine driving it, the compiled
+# predictor (table prediction fans out over a worker pool), and the
 # inference server (micro-batcher + sharded model cache).
 race:
-	$(GO) test -race ./internal/comm ./internal/scalparc \
+	$(GO) test -race ./internal/comm ./internal/scalparc ./internal/infer \
 		./internal/serve/... ./cmd/serve
 
 # The inference server's full suite: soak/race tests (N clients x M
@@ -84,15 +85,18 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
-# compiled-vs-walker prediction differential, the server's request
-# handling and its JSON row decoder (against the frozen reflective one),
-# and the TCP frame decoder (CI runs the same smokes).
+# compiled-vs-walker prediction differential, the model decoder, the
+# server's request handling and its JSON row decoder (against the frozen
+# reflective one), and the TCP frame decoder (CI runs the same smokes).
+# FuzzDecodeModel caps minimization: shrinking one interesting JSON input
+# otherwise takes the default 60s, i.e. the whole pass.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
+	$(GO) test -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/tree
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport

@@ -27,10 +27,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	// Register the compiled batch-inference engine: every
-	// tree.PredictTable caller — Evaluate, CrossValidate, user code —
-	// classifies tables through internal/infer's flat node table.
-	_ "repro/internal/infer"
 	"repro/internal/scalparc"
 	"repro/internal/serial"
 	"repro/internal/sliq"

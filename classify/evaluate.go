@@ -26,21 +26,15 @@ type Evaluation struct {
 }
 
 // Evaluate classifies every record of the table and compares against its
-// labels. Tables are classified through the compiled batch-inference
-// engine (internal/infer) via Tree.PredictTable.
+// labels: EvaluateForest of a forest of one.
 func Evaluate(t *Tree, tab *Table) (*Evaluation, error) {
 	if t == nil || tab == nil {
 		return nil, fmt.Errorf("classify: Evaluate needs a tree and a table")
 	}
-	if len(t.Schema.Classes) != len(tab.Schema.Classes) || len(t.Schema.Attrs) != len(tab.Schema.Attrs) {
-		return nil, fmt.Errorf("classify: tree schema (%d attrs, %d classes) incompatible with table (%d attrs, %d classes)",
-			len(t.Schema.Attrs), len(t.Schema.Classes), len(tab.Schema.Attrs), len(tab.Schema.Classes))
-	}
-	return evaluateLabels(t.Schema.Classes, t.PredictTable(tab), tab), nil
+	return EvaluateForest(&Forest{Schema: t.Schema, Trees: []*Tree{t}}, tab)
 }
 
-// evaluateLabels assembles the evaluation from precomputed predictions —
-// the shared back half of Evaluate and EvaluateForest.
+// evaluateLabels assembles the evaluation from precomputed predictions.
 func evaluateLabels(classes []string, pred []int, tab *Table) *Evaluation {
 	nc := len(classes)
 	ev := &Evaluation{N: tab.NumRows(), Confusion: make([][]int, nc)}

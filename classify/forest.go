@@ -130,8 +130,9 @@ func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
 
 // EvaluateForest classifies every record of the table by majority vote of
 // the forest's trees and compares against its labels. Tables run through
-// the compiled batch-vote engine (internal/infer.CompileForest), which is
-// bit-identical to the per-tree walker vote.
+// the compiled batch engine (internal/infer.CompileForest), which is
+// bit-identical to the per-tree walker vote and rejects a table whose
+// schema does not match the forest's.
 func EvaluateForest(f *Forest, tab *Table) (*Evaluation, error) {
 	if f == nil || tab == nil {
 		return nil, fmt.Errorf("classify: EvaluateForest needs a forest and a table")
@@ -147,11 +148,7 @@ func EvaluateForest(f *Forest, tab *Table) (*Evaluation, error) {
 	return evaluateLabels(f.Schema.Classes, pred, tab), nil
 }
 
-// DecodeForest reads a JSON-encoded forest produced by Forest.Encode.
-func DecodeForest(r io.Reader) (*Forest, error) { return tree.DecodeForest(r) }
-
-// DecodeModel reads either wire format — a single tree (Tree.Encode) or a
+// DecodeModel reads a model document — a single tree (Tree.Encode) or a
 // forest (Forest.Encode) — and returns it as a forest (a tree is a forest
-// of one). The format callers should use when a model file's provenance is
-// unknown.
+// of one).
 func DecodeModel(r io.Reader) (*Forest, error) { return tree.DecodeModel(r) }

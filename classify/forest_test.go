@@ -2,6 +2,7 @@ package classify
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -31,23 +32,22 @@ func TestTrainForestEndToEnd(t *testing.T) {
 		t.Fatalf("evaluation %v, want full coverage and better-than-chance accuracy", ev)
 	}
 
-	// Round-trip through both decoders: the forest wire format and the
-	// format-sniffing model decoder must agree.
+	// Round-trip through the model decoder; the tree decoder must refuse
+	// the five-tree document.
 	var b bytes.Buffer
 	if err := m.Forest.Encode(&b); err != nil {
 		t.Fatal(err)
 	}
 	enc := b.Bytes()
-	f2, err := DecodeForest(bytes.NewReader(enc))
+	f2, err := DecodeModel(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3, err := DecodeModel(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
+	if f2.NumTrees() != 5 {
+		t.Fatalf("decoded %d trees, want 5", f2.NumTrees())
 	}
-	if f2.NumTrees() != 5 || f3.NumTrees() != 5 {
-		t.Fatalf("decoded %d / %d trees, want 5", f2.NumTrees(), f3.NumTrees())
+	if _, err := DecodeTree(bytes.NewReader(enc)); err == nil {
+		t.Fatal("DecodeTree accepted a five-tree forest")
 	}
 	ev2, err := EvaluateForest(f2, tab)
 	if err != nil {
@@ -55,6 +55,41 @@ func TestTrainForestEndToEnd(t *testing.T) {
 	}
 	if ev2.Accuracy != ev.Accuracy {
 		t.Fatalf("decoded forest accuracy %.4f, want %.4f", ev2.Accuracy, ev.Accuracy)
+	}
+}
+
+// TestEvaluateIsEvaluateForestOfOne pins that a tree evaluates exactly as
+// the forest holding only it, field for field, and that both agree with the
+// pointer walker's labels.
+func TestEvaluateIsEvaluateForestOfOne(t *testing.T) {
+	tab, err := GenerateQuest(QuestConfig{Function: 7, Records: 600, Seed: 5, LabelNoise: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := tab.Split(0.7)
+	m, err := Train(train, Config{Processors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Evaluate(m.Tree, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evf, err := EvaluateForest(&Forest{Schema: m.Tree.Schema, Trees: []*Tree{m.Tree}}, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ev, evf) {
+		t.Fatalf("Evaluate = %+v\nEvaluateForest(forest of one) = %+v", ev, evf)
+	}
+	correct := 0
+	for r, p := range m.Tree.PredictTable(test) {
+		if p == int(test.Class[r]) {
+			correct++
+		}
+	}
+	if ev.N != test.NumRows() || ev.Correct != correct {
+		t.Fatalf("evaluation counts %d/%d correct, the walker %d/%d", ev.Correct, ev.N, correct, test.NumRows())
 	}
 }
 

@@ -25,7 +25,7 @@ func TestRunForestMode(t *testing.T) {
 	}
 	s := out.String()
 	for _, want := range []string{"forest of 6 trees", "6 trained, 0 restored, 0 lost",
-		"compiled forest: 6 trees", "training", "held-out", "wrote forest JSON"} {
+		"compiled model: 6 tree(s)", "training", "held-out", "wrote forest JSON"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
@@ -42,6 +42,7 @@ func TestRunForestMode(t *testing.T) {
 	if f.NumTrees() != 6 {
 		t.Fatalf("written forest has %d trees, want 6", f.NumTrees())
 	}
+	assertNoTempFiles(t, dir)
 }
 
 func TestRunForestCheckpointRerun(t *testing.T) {

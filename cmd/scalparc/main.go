@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"repro/classify"
+	"repro/internal/atomicfile"
 	"repro/internal/comm/tcptransport"
 	"repro/internal/faults"
 	"repro/internal/infer"
@@ -32,8 +33,8 @@ import (
 
 // runForest is the -forest arm of run: train a bagged ensemble, report its
 // aggregate figures, evaluate by compiled majority vote, and optionally
-// write the forest JSON (readable back by -serve's model store and
-// classify.DecodeModel).
+// write the forest JSON (readable back by cmd/serve's -model and POST
+// /models, and classify.DecodeModel).
 func runForest(stdout io.Writer, train, test *classify.Table, engine classify.Config,
 	trees int, seed uint64, featureSample, parallel int, ckptDir, jsonOut string, compileStats bool) error {
 	fm, err := classify.TrainForest(train, classify.ForestConfig{
@@ -60,13 +61,9 @@ func runForest(stdout io.Writer, train, test *classify.Table, engine classify.Co
 	}
 
 	if compileStats {
-		m, err := infer.CompileForest(fm.Forest)
-		if err != nil {
+		if err := printCompiled(stdout, fm.Forest); err != nil {
 			return err
 		}
-		st := m.Stats()
-		fmt.Fprintf(stdout, "compiled forest: %d trees, %d nodes (%d leaves), depth %d, %d subset words, %d bytes flat\n",
-			st.Trees, st.Nodes, st.Leaves, st.Depth, st.SubsetWords, st.Bytes)
 	}
 
 	trainEval, err := classify.EvaluateForest(fm.Forest, train)
@@ -83,16 +80,23 @@ func runForest(stdout io.Writer, train, test *classify.Table, engine classify.Co
 	}
 
 	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := fm.Forest.Encode(f); err != nil {
+		if err := atomicfile.Write(jsonOut, fm.Forest.Encode); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote forest JSON to %s\n", jsonOut)
 	}
+	return nil
+}
+
+// printCompiled is the -compile report: the model's flat-table footprint.
+func printCompiled(stdout io.Writer, f *classify.Forest) error {
+	m, err := infer.CompileForest(f)
+	if err != nil {
+		return err
+	}
+	st := m.Footprint()
+	fmt.Fprintf(stdout, "compiled model: %d tree(s), %d nodes (%d leaves), depth %d, %d subset words, %d bytes flat (%.1f B/node)\n",
+		st.Trees, st.Nodes, st.Leaves, st.Depth, st.SubsetWords, st.Bytes, float64(st.Bytes)/float64(st.Nodes))
 	return nil
 }
 
@@ -456,13 +460,9 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "pruned %d internal nodes\n", mm.PrunedNodes)
 	}
 	if *compileStats {
-		m, err := infer.Compile(model.Tree)
-		if err != nil {
+		if err := printCompiled(stdout, &classify.Forest{Schema: model.Tree.Schema, Trees: []*classify.Tree{model.Tree}}); err != nil {
 			return err
 		}
-		st := m.Stats()
-		fmt.Fprintf(stdout, "compiled model: %d nodes (%d leaves), depth %d, %d subset words, %d bytes flat (%.1f B/node)\n",
-			st.Nodes, st.Leaves, st.Depth, st.SubsetWords, st.Bytes, float64(st.Bytes)/float64(st.Nodes))
 	}
 	if *phases || *traceOut != "" {
 		if mm.Trace == nil {
@@ -515,12 +515,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := model.Tree.Encode(f); err != nil {
+		if err := atomicfile.Write(*jsonOut, model.Tree.Encode); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote tree JSON to %s\n", *jsonOut)

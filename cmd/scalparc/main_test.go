@@ -111,6 +111,28 @@ func TestRunCSVModeWithSchema(t *testing.T) {
 	if tr.Predict([]float64{3, 0}) != 0 || tr.Predict([]float64{15, 1}) != 1 {
 		t.Fatal("persisted tree mispredicts")
 	}
+	assertNoTempFiles(t, dir)
+
+	// An unwritable -json-out target is an error the run reports, not a
+	// silently missing or torn file.
+	if err := run([]string{
+		"-schema", schemaPath, "-train", trainPath, "-procs", "2",
+		"-json-out", filepath.Join(dir, "no-such-dir", "tree.json"),
+	}, &out); err == nil {
+		t.Fatal("-json-out into a missing directory reported success")
+	}
+}
+
+// assertNoTempFiles fails if an atomic write left its temp file behind.
+func assertNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	litter, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(litter) != 0 {
+		t.Fatalf("temp files left behind: %v", litter)
+	}
 }
 
 func TestRunImportance(t *testing.T) {

@@ -2,8 +2,9 @@
 // service over compiled decision trees, with per-model-version
 // micro-batching and hot-swappable models behind a sharded cache.
 //
-// Models load at startup from serialized tree JSON (the scalparc command's
-// -json-out format) and can be replaced at runtime over HTTP:
+// Models load at startup from serialized model JSON (the scalparc command's
+// -json-out format, a single tree or a -forest) and can be replaced at
+// runtime over HTTP:
 //
 //	serve -addr :8080 -model quest=tree.json -model spam=spam.json
 //	curl -d '{"row": [50000,10000,30,"e2",200000,10,5000]}' localhost:8080/predict/quest
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	var models modelFlags
-	fs.Var(&models, "model", "load a model at startup: name=tree.json (repeatable)")
+	fs.Var(&models, "model", "load a model at startup: name=model.json, a tree or a forest (repeatable)")
 	batch := fs.Int("batch", 0, "micro-batch row cap (0 = default 512)")
 	deadline := fs.Duration("deadline", 0, "admission deadline: longest a request waits for a slot in a full prediction queue before 503 (0 = default 1ms); flushes never wait on it")
 	workers := fs.Int("workers", 0, "flusher workers per model version (0 = default)")
@@ -88,16 +89,20 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	})
 	defer s.Close()
 	for _, m := range models {
-		t, err := loadTree(m.path)
+		f, err := loadModel(m.path)
 		if err != nil {
 			return fmt.Errorf("-model %s: %w", m.name, err)
 		}
-		v, err := s.SetModel(m.name, t)
+		v, err := s.SetForest(m.name, f)
 		if err != nil {
 			return fmt.Errorf("-model %s: %w", m.name, err)
 		}
-		fmt.Fprintf(stdout, "loaded model %q v%d from %s (%d nodes, %d classes)\n",
-			m.name, v, m.path, t.NumNodes(), t.Schema.NumClasses())
+		nodes := 0
+		for _, t := range f.Trees {
+			nodes += t.NumNodes()
+		}
+		fmt.Fprintf(stdout, "loaded model %q v%d from %s (%d tree(s), %d nodes, %d classes)\n",
+			m.name, v, m.path, f.NumTrees(), nodes, f.Schema.NumClasses())
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -129,11 +134,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	return nil
 }
 
-func loadTree(path string) (*tree.Tree, error) {
+func loadModel(path string) (*tree.Forest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return tree.Decode(f)
+	return tree.DecodeModel(f)
 }

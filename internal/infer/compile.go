@@ -8,100 +8,106 @@ import (
 	"repro/internal/tree"
 )
 
-// Compile flattens a tree into the flat-table Model. Nodes are numbered
-// breadth-first with the root at 0 and every node's children contiguous,
-// so a level-by-level batch walk sweeps the table forward. The
-// majority-branch fallback child is resolved here, once, with the same
-// rule the pointer walker applies per lookup (Node.MajorityChild).
+// Compiled is the prediction surface the serving layer's cache stores and
+// its micro-batcher answers from; tests substitute fakes behind it.
+type Compiled interface {
+	// Predict classifies one row in the dataset.Table value convention.
+	Predict(row []float64) int
+	// PredictRowsInto classifies row-major untrusted records (the serving
+	// path: NaN and out-of-domain values route to majority branches).
+	PredictRowsInto(rows [][]float64, out []int) error
+	// PredictTableInto classifies every row of a table.
+	PredictTableInto(tab *dataset.Table, out []int) error
+	// Footprint reports the flat table's size figures.
+	Footprint() Stats
+}
+
+var _ Compiled = (*Model)(nil)
+
+// Compile flattens a single tree: CompileForest of a forest of one.
 func Compile(t *tree.Tree) (*Model, error) {
-	if t == nil || t.Root == nil || t.Schema == nil {
+	if t == nil {
 		return nil, fmt.Errorf("infer: cannot compile a nil tree")
 	}
-	n := t.NumNodes()
-	if n > math.MaxInt32>>2 {
-		return nil, fmt.Errorf("infer: tree has %d nodes; the flat table indexes with int32", n)
-	}
-	m := &Model{
-		schema: t.Schema,
-		nodes:  make([]node, 0, n),
-		depth:  t.Depth(),
-	}
+	return CompileForest(&tree.Forest{Schema: t.Schema, Trees: []*tree.Tree{t}})
+}
 
-	// Standard BFS emission: popping node i appends its children at the
-	// current queue tail, which is exactly their flat index.
-	queue := []*tree.Node{t.Root}
-	for i := 0; i < len(queue); i++ {
-		nd := queue[i]
-		if nd == nil {
-			return nil, fmt.Errorf("infer: node %d is nil", i)
+// CompileForest flattens every tree of the forest into one node table,
+// each tree emitted at its base offset so the per-tree walks run on the
+// shared table with no indirection beyond the root offset. The forest must
+// pass tree.Forest.Validate — the one definition of a well-formed model,
+// shared with the decoder — so the emitter itself checks nothing but the
+// table's index space.
+func CompileForest(f *tree.Forest) (*Model, error) {
+	if f == nil {
+		return nil, fmt.Errorf("infer: cannot compile a nil forest")
+	}
+	if err := f.Validate(); err != nil {
+		return nil, fmt.Errorf("infer: %w", err)
+	}
+	m := &Model{schema: f.Schema, roots: make([]int32, 0, len(f.Trees))}
+	for i, t := range f.Trees {
+		if err := m.emit(t.Root); err != nil {
+			return nil, fmt.Errorf("infer: forest tree %d: %w", i, err)
 		}
-		if nd.Leaf {
-			if nd.Label < 0 || nd.Label >= t.Schema.NumClasses() {
-				return nil, fmt.Errorf("infer: leaf %d label %d out of range [0,%d)", i, nd.Label, t.Schema.NumClasses())
-			}
-			m.nodes = append(m.nodes, node{
-				meta:  int32(nd.Label)<<2 | int32(nodeLeaf),
-				first: -1,
-				dflt:  -1,
-			})
-			m.leaves++
-			continue
-		}
-		if nd.Attr < 0 || nd.Attr >= t.Schema.NumAttrs() {
-			return nil, fmt.Errorf("infer: node %d split attribute %d out of range [0,%d)", i, nd.Attr, t.Schema.NumAttrs())
-		}
-		firstChild := int32(len(queue))
-		dflt := firstChild + int32(nd.MajorityChild())
-		switch {
-		case nd.Kind == dataset.Continuous:
-			if len(nd.Children) != 2 {
-				return nil, fmt.Errorf("infer: continuous node %d has %d children; want 2", i, len(nd.Children))
-			}
-			m.nodes = append(m.nodes, node{
-				aux:   math.Float64bits(nd.Threshold),
-				meta:  int32(nd.Attr)<<2 | int32(nodeCont),
-				first: firstChild,
-				dflt:  dflt,
-			})
-		case nd.Subset != nil:
-			if len(nd.Children) != 2 {
-				return nil, fmt.Errorf("infer: subset node %d has %d children; want 2", i, len(nd.Children))
-			}
-			off := len(m.subset)
-			words := (len(nd.Subset) + 63) / 64
-			for w := 0; w < words; w++ {
-				m.subset = append(m.subset, 0)
-			}
-			for v, in := range nd.Subset {
-				if in {
-					m.subset[off+v/64] |= 1 << (uint(v) & 63)
-				}
-			}
-			m.nodes = append(m.nodes, node{
-				aux:   uint64(off),
-				meta:  int32(nd.Attr)<<2 | int32(nodeSubset),
-				first: firstChild,
-				dflt:  dflt,
-				ncard: int32(len(nd.Subset)),
-			})
-		default:
-			if len(nd.Children) < 2 {
-				return nil, fmt.Errorf("infer: m-way node %d has %d children; want >= 2", i, len(nd.Children))
-			}
-			m.nodes = append(m.nodes, node{
-				meta:  int32(nd.Attr)<<2 | int32(nodeMway),
-				first: firstChild,
-				dflt:  dflt,
-				ncard: int32(len(nd.Children)),
-			})
-		}
-		queue = append(queue, nd.Children...)
 	}
 	return m, nil
 }
 
-// init registers the engine as tree.PredictTable's batch path, closing the
-// loop without an import cycle (this package imports tree).
-func init() {
-	tree.RegisterBatchCompiler(func(t *tree.Tree) (tree.BatchPredictor, error) { return Compile(t) })
+// emit appends one tree to the table. Nodes are numbered breadth-first
+// from the tree's base with every node's children contiguous, so a
+// level-by-level batch walk sweeps the table forward. The majority-branch
+// fallback child is resolved here, once, with the same rule the pointer
+// walker applies per lookup (Node.MajorityChild).
+func (m *Model) emit(root *tree.Node) error {
+	base := len(m.nodes)
+	m.roots = append(m.roots, int32(base))
+	// Standard BFS emission: popping node i appends its children at the
+	// current queue tail, which is exactly their index past base. A level
+	// ends where the queue ended when the previous one did.
+	queue := []*tree.Node{root}
+	depth, levelEnd := 0, 1
+	for i := 0; i < len(queue); i++ {
+		if i == levelEnd {
+			depth++
+			levelEnd = len(queue)
+		}
+		nd := queue[i]
+		if nd.Leaf {
+			m.nodes = append(m.nodes, node{meta: int32(nd.Label)<<2 | int32(nodeLeaf), first: -1, dflt: -1})
+			m.leaves++
+			continue
+		}
+		if n := base + len(queue) + len(nd.Children); n > math.MaxInt32>>2 {
+			return fmt.Errorf("the flat table indexes with int32; %d nodes overflow it", n)
+		}
+		first := int32(base + len(queue))
+		rec := node{
+			meta:  int32(nd.Attr) << 2,
+			first: first,
+			dflt:  first + int32(nd.MajorityChild()),
+		}
+		switch {
+		case nd.Kind == dataset.Continuous:
+			rec.meta |= int32(nodeCont)
+			rec.aux = math.Float64bits(nd.Threshold)
+		case nd.Subset != nil:
+			rec.meta |= int32(nodeSubset)
+			rec.aux = uint64(len(m.subset))
+			rec.ncard = int32(len(nd.Subset))
+			m.subset = append(m.subset, make([]uint64, (len(nd.Subset)+63)/64)...)
+			for v, in := range nd.Subset {
+				if in {
+					m.subset[rec.aux+uint64(v/64)] |= 1 << (uint(v) & 63)
+				}
+			}
+		default:
+			rec.meta |= int32(nodeMway)
+			rec.ncard = int32(len(nd.Children))
+		}
+		m.nodes = append(m.nodes, rec)
+		queue = append(queue, nd.Children...)
+	}
+	m.depth = max(m.depth, depth)
+	return nil
 }

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,9 +124,11 @@ func TestForestVoteTreeOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestCompileForestSingleTreeMatchesModel pins that a one-tree forest
-// predicts exactly like the single-tree compiled model (a vote of one is
-// the label itself), and that the forest scratch pool stays balanced.
+// TestCompileForestSingleTreeMatchesModel pins that the two constructors
+// build one type: Compile(t) and CompileForest(forest-of-one) produce the
+// identical node table and footprint, predict identically on the table and
+// row paths (a vote of one is the label itself), allocate nothing in steady
+// state on either path, and leave the scratch pool balanced.
 func TestCompileForestSingleTreeMatchesModel(t *testing.T) {
 	rd := &fuzzReader{data: []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}}
 	schema := fuzzSchema(rd)
@@ -138,8 +141,18 @@ func TestCompileForestSingleTreeMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !slices.Equal(single.nodes, forest.nodes) || !slices.Equal(single.subset, forest.subset) ||
+		!slices.Equal(single.roots, forest.roots) {
+		t.Fatal("Compile and CompileForest of a forest of one built different tables")
+	}
+	if sf, ff := single.Footprint(), forest.Footprint(); sf != ff || sf.Trees != 1 || sf.Nodes != tr.NumNodes() ||
+		sf.Leaves != tr.NumLeaves() || sf.Depth != tr.Depth() {
+		t.Fatalf("footprints %+v / %+v, want equal and matching the tree (%d nodes, %d leaves, depth %d)",
+			sf, ff, tr.NumNodes(), tr.NumLeaves(), tr.Depth())
+	}
 	tab := dataset.NewTable(schema, 128)
 	row := make([]float64, schema.NumAttrs())
+	var rows [][]float64
 	for i := 0; i < 128; i++ {
 		for a := range row {
 			row[a] = fuzzTableValue(rd, schema.Attrs[a])
@@ -147,6 +160,7 @@ func TestCompileForestSingleTreeMatchesModel(t *testing.T) {
 		if err := tab.AppendRow(row, int(rd.next())%schema.NumClasses()); err != nil {
 			t.Fatal(err)
 		}
+		rows = append(rows, slices.Clone(row))
 	}
 	gets0, puts0 := ScratchBalance()
 	want, err := single.PredictTable(tab)
@@ -157,13 +171,85 @@ func TestCompileForestSingleTreeMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotRows, err := forest.PredictRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := range want {
-		if got[r] != want[r] {
-			t.Fatalf("row %d: one-tree forest=%d single model=%d", r, got[r], want[r])
+		if got[r] != want[r] || gotRows[r] != want[r] {
+			t.Fatalf("row %d: one-tree forest table=%d rows=%d, single model=%d", r, got[r], gotRows[r], want[r])
+		}
+	}
+	for name, m := range map[string]*Model{"Compile": single, "CompileForest": forest} {
+		if raceEnabled {
+			break
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			if err := m.PredictTableInto(tab, got); err != nil {
+				t.Fatal(err)
+			}
+		}); a >= 1 { // a GC emptying the pool mid-run may cost a fraction
+			t.Errorf("%s: steady-state PredictTableInto allocates %.1f objects per call", name, a)
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			if err := m.PredictRowsInto(rows, gotRows); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: PredictRowsInto allocates %.1f objects per call", name, a)
 		}
 	}
 	gets1, puts1 := ScratchBalance()
 	if gets1-gets0 != puts1-puts0 {
 		t.Fatalf("scratch pool unbalanced: %d gets vs %d puts", gets1-gets0, puts1-puts0)
+	}
+}
+
+// TestForestSteadyStateAllocs is the vote kernel's half of the allocation
+// pin: with a tally in the pooled workspace, a multi-tree model also
+// classifies tables and row batches without allocating.
+func TestForestSteadyStateAllocs(t *testing.T) {
+	rd := &fuzzReader{data: []byte("three trees share one pooled vote tally")}
+	fr := fuzzForest(rd)
+	for fr.NumTrees() < 2 {
+		fr.Trees = append(fr.Trees, fr.Trees[0])
+	}
+	m, err := CompileForest(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, batchRows+3)
+	tab := dataset.NewTable(fr.Schema, len(rows))
+	for i := range rows {
+		rows[i] = make([]float64, fr.Schema.NumAttrs())
+		for a := range rows[i] {
+			rows[i][a] = fuzzTableValue(rd, fr.Schema.Attrs[a])
+		}
+		if err := tab.AppendRow(rows[i], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]int, len(rows))
+	gets0, puts0 := ScratchBalance()
+	if a := testing.AllocsPerRun(50, func() {
+		if err := m.PredictTableInto(tab, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.PredictRowsInto(rows, out); err != nil {
+			t.Fatal(err)
+		}
+	}); a >= 1 && !raceEnabled {
+		t.Fatalf("steady-state forest prediction allocates %.1f objects per table+rows call", a)
+	}
+	if err := m.PredictRowsInto(rows, out[1:]); err == nil {
+		t.Fatal("wrong out length accepted")
+	}
+	if gets, puts := ScratchBalance(); gets-gets0 != puts-puts0 || gets == gets0 {
+		t.Fatalf("scratch pool: %d gets vs %d puts", gets-gets0, puts-puts0)
+	}
+	for i, row := range rows {
+		if want := fr.Predict(row); out[i] != want {
+			t.Fatalf("row %d: compiled=%d walker-vote=%d", i, out[i], want)
+		}
 	}
 }

@@ -28,8 +28,8 @@ func trainedFixture(t testing.TB, n int, cfg splitter.Config) (*tree.Tree, *data
 
 // TestCompiledMatchesWalker is the differential harness's core case: on a
 // trained tree, the compiled engine and the pointer walker must agree on
-// every row — via the batch table path, the single-row path, and the
-// routed tree.PredictTable entry point.
+// every row — via the batch table path, the single-row path, and
+// tree.PredictTable (the walker by another name).
 func TestCompiledMatchesWalker(t *testing.T) {
 	for _, cfg := range []splitter.Config{
 		{},
@@ -209,15 +209,23 @@ func TestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Stats()
-	if s.Nodes != 8 || s.Leaves != 5 || s.Depth != 2 {
-		t.Fatalf("stats = %+v, want 8 nodes / 5 leaves / depth 2", s)
+	s := m.Footprint()
+	if s.Trees != 1 || s.Nodes != 8 || s.Leaves != 5 || s.Depth != 2 {
+		t.Fatalf("stats = %+v, want 1 tree / 8 nodes / 5 leaves / depth 2", s)
 	}
 	if s.SubsetWords != 1 {
 		t.Fatalf("subset words = %d, want 1", s.SubsetWords)
 	}
-	if s.Bytes <= 0 {
-		t.Fatalf("bytes = %d", s.Bytes)
+	// 24-byte node records, 8-byte bitset words, one 4-byte root offset.
+	if want := 8*24 + 1*8 + 1*4; s.Bytes != want {
+		t.Fatalf("bytes = %d, want %d", s.Bytes, want)
+	}
+	fm, err := CompileForest(&tree.Forest{Schema: fallbackSchema(), Trees: []*tree.Tree{fallbackTree(), fallbackTree(), fallbackTree()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := fm.Footprint(); fs != (Stats{Trees: 3, Nodes: 24, Leaves: 15, Depth: 2, SubsetWords: 3, Bytes: 3 * s.Bytes}) {
+		t.Fatalf("three-tree stats = %+v", fs)
 	}
 }
 

@@ -1,11 +1,6 @@
 package infer
 
-import (
-	"fmt"
-
-	"repro/internal/dataset"
-	"repro/internal/tree"
-)
+import "fmt"
 
 // PredictRows classifies row-major records (each row in the
 // dataset.AppendRow value convention) and returns the labels.
@@ -26,113 +21,53 @@ func (m *Model) PredictRows(rows [][]float64) ([]int, error) {
 // Unlike table columns (AppendRow rejects non-finite values), serving rows
 // are untrusted: NaN continuous values and out-of-domain categorical codes
 // are routed to the compile-time-resolved majority branch, exactly as
-// Predict and the pointer walker do, so batched answers stay bit-identical
-// to the oracle. Rows walk the flat table in the same level-synchronous
-// batchRows cursor groups as the column kernel.
+// Predict and the pointer walkers do, so batched answers stay bit-identical
+// to the oracle (tree.Forest.Predict per row; see the rows fuzz
+// differential).
 func (m *Model) PredictRowsInto(rows [][]float64, out []int) error {
-	if err := checkRows(m.schema, rows, out); err != nil {
-		return err
-	}
-	nodes := m.nodes
-	var cur, rid [batchRows]int32
-	for base := 0; base < len(rows); base += batchRows {
-		n := len(rows) - base
-		if n > batchRows {
-			n = batchRows
-		}
-		for i := 0; i < n; i++ {
-			cur[i] = 0
-			rid[i] = int32(base + i)
-		}
-		for active := n; active > 0; {
-			w := 0
-			for i := 0; i < active; i++ {
-				nd := &nodes[cur[i]]
-				r := rid[i]
-				if nd.kind() == nodeLeaf {
-					out[r] = int(nd.payload())
-					continue
-				}
-				cur[w] = m.route(nd, rows[r][nd.payload()])
-				rid[w] = r
-				w++
-			}
-			active = w
-		}
-	}
-	return nil
-}
-
-// checkRows validates the row-major input shape shared by the single-tree
-// and forest row kernels.
-func checkRows(schema *dataset.Schema, rows [][]float64, out []int) error {
 	if len(out) != len(rows) {
 		return fmt.Errorf("infer: out has %d slots for %d rows", len(out), len(rows))
 	}
-	nattrs := schema.NumAttrs()
+	nattrs := m.schema.NumAttrs()
 	for i, r := range rows {
 		if len(r) != nattrs {
 			return fmt.Errorf("infer: row %d has %d values; schema has %d attributes", i, len(r), nattrs)
 		}
 	}
+	var votes []int32
+	if len(m.roots) > 1 {
+		// Only a tally needs a workspace; a one-root model's serving
+		// path stays off the pool.
+		sc := m.getScratch()
+		defer m.putScratch(sc)
+		votes = sc.votes
+	}
+	m.vote(votes, out, 0, len(rows), func(root int32, base, n int) { m.walkRows(rows, root, out, base, n) })
 	return nil
 }
 
-// PredictRows classifies row-major records by forest majority vote and
-// returns the labels.
-func (m *ForestModel) PredictRows(rows [][]float64) ([]int, error) {
-	out := make([]int, len(rows))
-	if err := m.PredictRowsInto(rows, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictRowsInto is the forest's row-major serving kernel: each batch of
-// untrusted rows walks every tree from its root accumulating class votes,
-// then resolves per-row argmax with the walker's tie rule. Bit-identical
-// to calling tree.Forest.Predict per row (see the rows fuzz differential).
-func (m *ForestModel) PredictRowsInto(rows [][]float64, out []int) error {
-	if err := checkRows(m.schema, rows, out); err != nil {
-		return err
-	}
-	sc := m.getScratch()
-	votes := sc.votes
-	nc := m.schema.NumClasses()
+// walkRows is the row-major kernel: walkColumns' level-synchronous cursor
+// walk over untrusted rows, routed by the shared rule (route).
+func (m *Model) walkRows(rows [][]float64, root int32, out []int, base, n int) {
 	nodes := m.nodes
-	sub := Model{schema: m.schema, nodes: m.nodes, subset: m.subset}
 	var cur, rid [batchRows]int32
-	for base := 0; base < len(rows); base += batchRows {
-		n := len(rows) - base
-		if n > batchRows {
-			n = batchRows
-		}
-		clear(votes[:n*nc])
-		for _, root := range m.roots {
-			for i := 0; i < n; i++ {
-				cur[i] = root
-				rid[i] = int32(base + i)
-			}
-			for active := n; active > 0; {
-				w := 0
-				for i := 0; i < active; i++ {
-					nd := &nodes[cur[i]]
-					r := rid[i]
-					if nd.kind() == nodeLeaf {
-						votes[int(r-int32(base))*nc+int(nd.payload())]++
-						continue
-					}
-					cur[w] = sub.route(nd, rows[r][nd.payload()])
-					rid[w] = r
-					w++
-				}
-				active = w
-			}
-		}
-		for i := 0; i < n; i++ {
-			out[base+i] = tree.VoteArgmax(votes[i*nc : (i+1)*nc])
-		}
+	for i := 0; i < n; i++ {
+		cur[i] = root
+		rid[i] = int32(base + i)
 	}
-	m.putScratch(sc)
-	return nil
+	for active := n; active > 0; {
+		w := 0
+		for i := 0; i < active; i++ {
+			nd := &nodes[cur[i]]
+			r := rid[i]
+			if nd.kind() == nodeLeaf {
+				out[r] = int(nd.payload())
+				continue
+			}
+			cur[w] = m.route(nd, rows[r][nd.payload()])
+			rid[w] = r
+			w++
+		}
+		active = w
+	}
 }

@@ -1,8 +1,7 @@
 // Package cache is the serving layer's sharded, versioned hot-model store.
 //
-// Each entry pairs a compiled model (single-tree or forest) with its
-// walker oracle (the differential tests compare served answers against
-// it). Lookups
+// Each entry pairs a compiled model with its walker oracle (the
+// differential tests compare served answers against it). Lookups
 // shard by an inline FNV-1a hash of the model name, so concurrent traffic
 // to different models contends on different locks.
 //
@@ -29,9 +28,7 @@ const DefaultShards = 16
 // Entry is one live (or draining) model version. An Entry returned by
 // Acquire is valid until the matching Release; the embedded model and
 // forest are immutable. Forest is the walker oracle — a single tree is
-// stored as a forest of one, so tree and forest models share one entry
-// shape — and Model is its compiled counterpart (single-tree or batch-vote
-// engine to match).
+// a forest of one — and Model is its compiled counterpart.
 type Entry struct {
 	Name    string
 	Version int

@@ -34,7 +34,7 @@ func trainForest(t testing.TB, trees, n int) (*tree.Forest, *dataset.Table) {
 // predicts through the micro-batcher, and pins every served answer to the
 // walker-vote oracle. It also checks the /models listing reports the tree
 // count and that a single-tree upload still round-trips through the same
-// format-sniffing store path.
+// store path.
 func TestServeForestEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	f, tab := trainForest(t, 7, 1500)
@@ -80,8 +80,8 @@ func TestServeForestEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A hot-swap to a single tree through the same endpoint must downshift
-	// to the single-tree engine transparently.
+	// A hot-swap to a single tree through the same endpoint must work
+	// transparently.
 	tr, _ := trainTree(t, 5, 800, 0)
 	buf.Reset()
 	if err := tr.Encode(&buf); err != nil {

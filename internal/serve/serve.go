@@ -179,9 +179,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Stats returns the server's live counters (for tests and embedding).
 func (s *Server) Stats() *Stats { return s.stats }
 
-// SetModel compiles the tree and stores it as the newest version of name,
-// returning the version. A single tree is served as a forest of one
-// through the single-tree engine (see SetForest).
+// SetModel stores a single tree as the newest version of name, returning
+// the version: SetForest of a forest of one.
 func (s *Server) SetModel(name string, t *tree.Tree) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("serve: nil tree")
@@ -190,25 +189,13 @@ func (s *Server) SetModel(name string, t *tree.Tree) (int, error) {
 }
 
 // SetForest compiles the forest and stores it as the newest version of
-// name, returning the version. A one-tree forest compiles to the
-// single-tree engine (a vote of one is the label itself, and the flat
-// kernel skips the tally); larger ensembles get the batch-vote engine.
-// The entry owns a fresh micro-batcher whose flushers stop when the
-// version drains.
+// name, returning the version. The entry owns a fresh micro-batcher whose
+// flushers stop when the version drains.
 func (s *Server) SetForest(name string, f *tree.Forest) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("serve: empty model name")
 	}
-	if f == nil || f.NumTrees() == 0 {
-		return 0, fmt.Errorf("serve: empty forest")
-	}
-	var m infer.Compiled
-	var err error
-	if f.NumTrees() == 1 {
-		m, err = infer.Compile(&tree.Tree{Schema: f.Schema, Root: f.Trees[0].Root})
-	} else {
-		m, err = infer.CompileForest(f)
-	}
+	m, err := infer.CompileForest(f) // rejects a nil, empty or malformed forest
 	if err != nil {
 		return 0, err
 	}
@@ -293,12 +280,11 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStoreModel hot-swaps a model version. application/json bodies are
-// a serialized model in either wire format — a single tree (tree.Encode)
-// or a whole forest (tree.Forest.Encode) — sniffed by tree.DecodeModel;
-// text/csv bodies are a labeled training table in dataset.WriteCSV's
-// format, parsed against the *existing* version's schema and retrained via
-// classify (query parameter "procs" overrides the simulated processor
-// count).
+// a serialized model — a single tree (tree.Encode) or a whole forest
+// (tree.Forest.Encode) — parsed by tree.DecodeModel; text/csv bodies are a
+// labeled training table in dataset.WriteCSV's format, parsed against the
+// *existing* version's schema and retrained via classify (query parameter
+// "procs" overrides the simulated processor count).
 func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, status, err := s.readBody(r, nil)

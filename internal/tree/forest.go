@@ -1,10 +1,7 @@
 package tree
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/dataset"
 )
@@ -18,8 +15,9 @@ import (
 // pinned by a quick.Check differential).
 //
 // The methods here are the reference pointer walkers; internal/infer
-// compiles a Forest into one flat node table with a branch-free batch vote
-// kernel (infer.CompileForest) that is differentially tested against them.
+// compiles a Forest — a single tree is a forest of one — into one flat node
+// table with a branch-free batch vote kernel (infer.CompileForest) that is
+// differentially tested against them.
 type Forest struct {
 	Schema *dataset.Schema
 	Trees  []*Tree
@@ -28,9 +26,10 @@ type Forest struct {
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.Trees) }
 
-// Validate checks that the forest is non-empty and every tree shares the
-// forest's schema shape (trees may hold distinct but structurally equal
-// Schema pointers after decoding).
+// Validate checks that the forest is non-empty and every tree is well formed
+// over the forest's schema (trees may hold distinct but structurally equal
+// Schema pointers). It is the one definition of a well-formed model: the
+// decoder accepts, and internal/infer compiles, exactly what passes it.
 func (f *Forest) Validate() error {
 	if f.Schema == nil {
 		return fmt.Errorf("tree: forest has no schema")
@@ -45,7 +44,7 @@ func (f *Forest) Validate() error {
 		if t == nil || t.Root == nil {
 			return fmt.Errorf("tree: forest tree %d is nil", i)
 		}
-		if err := validateNode(t.Root, &Tree{Schema: f.Schema, Root: t.Root}); err != nil {
+		if err := validateNode(t.Root, f.Schema); err != nil {
 			return fmt.Errorf("tree: forest tree %d: %w", i, err)
 		}
 	}
@@ -99,72 +98,4 @@ func (f *Forest) PredictTable(tab *dataset.Table) []int {
 	out := make([]int, tab.NumRows())
 	f.PredictTableWalk(tab, out)
 	return out
-}
-
-// forestJSON is the wire shape: one shared schema plus the tree roots. The
-// "trees" key distinguishes a forest document from a single-tree document's
-// "root" key — DecodeModel sniffs on that.
-type forestJSON struct {
-	Schema *dataset.Schema `json:"schema"`
-	Trees  []*Node         `json:"trees"`
-}
-
-// Encode writes the forest as indented JSON: the schema once, then every
-// tree's root under "trees".
-func (f *Forest) Encode(w io.Writer) error {
-	doc := forestJSON{Schema: f.Schema}
-	for _, t := range f.Trees {
-		doc.Trees = append(doc.Trees, t.Root)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("tree: encoding forest JSON: %w", err)
-	}
-	return nil
-}
-
-// DecodeForest reads a forest in Encode's format and validates it.
-func DecodeForest(r io.Reader) (*Forest, error) {
-	var doc forestJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("tree: decoding forest JSON: %w", err)
-	}
-	if doc.Schema == nil || len(doc.Trees) == 0 {
-		return nil, fmt.Errorf("tree: decoded forest JSON missing schema or trees")
-	}
-	f := &Forest{Schema: doc.Schema}
-	for _, root := range doc.Trees {
-		f.Trees = append(f.Trees, &Tree{Schema: doc.Schema, Root: root})
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DecodeModel reads either a single-tree document or a forest document,
-// sniffing on the top-level key ("root" vs "trees"), and returns the model
-// as a Forest (a single tree becomes a one-tree forest). The callers that
-// accept uploaded models — the serving layer, the CLI — use this so both
-// formats work everywhere.
-func DecodeModel(r io.Reader) (*Forest, error) {
-	var probe struct {
-		Trees json.RawMessage `json:"trees"`
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tree: reading model: %w", err)
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, fmt.Errorf("tree: decoding model JSON: %w", err)
-	}
-	if probe.Trees != nil {
-		return DecodeForest(bytes.NewReader(raw))
-	}
-	t, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	return &Forest{Schema: t.Schema, Trees: []*Tree{t}}, nil
 }

@@ -62,36 +62,12 @@ func (t *Tree) Predict(row []float64) int {
 	return n.Label
 }
 
-// BatchPredictor classifies whole tables; the compiled engine in
-// internal/infer registers one here so PredictTable can route through it.
-type BatchPredictor interface {
-	PredictTableInto(tab *dataset.Table, out []int) error
-}
-
-// batchCompiler is set by internal/infer at init time (a one-way link:
-// infer imports tree, so tree cannot import the engine directly).
-var batchCompiler func(*Tree) (BatchPredictor, error)
-
-// RegisterBatchCompiler installs the compiled batch-inference engine that
-// PredictTable routes through. Intended for internal/infer's init.
-func RegisterBatchCompiler(f func(*Tree) (BatchPredictor, error)) { batchCompiler = f }
-
-// PredictTable classifies every row of a table and returns the labels.
-//
-// When the compiled engine is registered (any program importing
-// repro/classify or repro/internal/infer), the table is classified by the
-// flat batch predictor; otherwise by PredictTableWalk. Both produce
-// bit-identical labels — the walker is the oracle the engine is
-// differentially tested against.
+// PredictTable classifies every row of a table with the pointer walker and
+// returns the labels. It is the oracle internal/infer's compiled engine is
+// differentially tested against; callers that want speed compile the tree
+// (infer.Compile) themselves.
 func (t *Tree) PredictTable(tab *dataset.Table) []int {
 	out := make([]int, tab.NumRows())
-	if batchCompiler != nil {
-		if p, err := batchCompiler(t); err == nil {
-			if err := p.PredictTableInto(tab, out); err == nil {
-				return out
-			}
-		}
-	}
 	t.PredictTableWalk(tab, out)
 	return out
 }

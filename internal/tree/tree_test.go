@@ -242,16 +242,50 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	cases := []string{
-		`{}`,
-		`{"schema":{"Attrs":[{"Name":"x","Kind":0}],"Classes":["A","B"]},"root":{"leaf":true,"label":5,"hist":[1,1]}}`,
-		`{"schema":{"Attrs":[{"Name":"x","Kind":0}],"Classes":["A","B"]},"root":{"leaf":false,"hist":[1,1],"attr":7,"children":[{"leaf":true,"hist":[1,1]},{"leaf":true,"hist":[0,0]}]}}`,
-		`not json`,
+	const schema = `"schema":{"Attrs":[{"Name":"x","Kind":0},{"Name":"c","Kind":1,"Values":["a","b","c"]}],"Classes":["A","B"]}`
+	const leaf = `{"leaf":true,"hist":[1,1]}`
+	cases := map[string]string{
+		"empty document":    `{}`,
+		"label range":       `{` + schema + `,"root":{"leaf":true,"label":5,"hist":[1,1]}}`,
+		"attr range":        `{` + schema + `,"root":{"leaf":false,"hist":[1,1],"attr":7,"children":[` + leaf + `,` + leaf + `]}}`,
+		"not json":          `not json`,
+		"no schema":         `{"root":` + leaf + `}`,
+		"neither":           `{` + schema + `}`,
+		"null root":         `{` + schema + `,"root":null}`,
+		"both":              `{` + schema + `,"root":` + leaf + `,"trees":[` + leaf + `]}`,
+		"no trees":          `{` + schema + `,"trees":[]}`,
+		"null tree entry":   `{` + schema + `,"trees":[` + leaf + `,null]}`,
+		"null child":        `{` + schema + `,"root":{"hist":[1,1],"children":[` + leaf + `,null]}}`,
+		"histogram width":   `{` + schema + `,"root":{"leaf":true,"hist":[1,1,1]}}`,
+		"leaf with child":   `{` + schema + `,"root":{"leaf":true,"hist":[1,1],"children":[` + leaf + `]}}`,
+		"one child":         `{` + schema + `,"root":{"hist":[1,1],"children":[` + leaf + `]}}`,
+		"ternary threshold": `{` + schema + `,"root":{"hist":[1,1],"children":[` + leaf + `,` + leaf + `,` + leaf + `]}}`,
+		"ternary subset":    `{` + schema + `,"root":{"hist":[1,1],"attr":1,"kind":1,"subset":[true,false,true],"children":[` + leaf + `,` + leaf + `,` + leaf + `]}}`,
+		"kind mismatch":     `{` + schema + `,"root":{"hist":[1,1],"attr":1,"children":[` + leaf + `,` + leaf + `]}}`,
+		"trailing data":     `{` + schema + `,"root":` + leaf + `} {}`,
 	}
-	for i, c := range cases {
-		if _, err := Decode(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: malformed tree accepted", i)
+	for name, c := range cases {
+		if _, err := DecodeModel(strings.NewReader(c)); err == nil {
+			t.Errorf("%s: malformed model accepted by DecodeModel", name)
 		}
+		if _, err := Decode(strings.NewReader(c)); err == nil {
+			t.Errorf("%s: malformed model accepted by Decode", name)
+		}
+	}
+	// The shapes the rows above vary are themselves valid, and Decode is
+	// the exactly-one-tree view: a forest of one is a tree, a forest of two
+	// is not.
+	one, two := `{`+schema+`,"trees":[`+leaf+`]}`, `{`+schema+`,"trees":[`+leaf+`,`+leaf+`]}`
+	for _, c := range []string{`{` + schema + `,"root":` + leaf + `}`, one} {
+		if tr, err := Decode(strings.NewReader(c)); err != nil || !tr.Root.Leaf {
+			t.Errorf("valid single-tree document %s rejected: %v", c, err)
+		}
+	}
+	if f, err := DecodeModel(strings.NewReader(two)); err != nil || f.NumTrees() != 2 {
+		t.Errorf("valid forest document rejected: %v", err)
+	}
+	if _, err := Decode(strings.NewReader(two)); err == nil {
+		t.Error("Decode accepted a two-tree forest as a tree")
 	}
 }
 
