@@ -100,6 +100,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport
+	$(GO) test -fuzz=FuzzDecodeShared -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzDecodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 
 # Benchmark-regression guards, all CI steps; exit non-zero on regression:
 # GUARD-BINNED (binned reduce-scatter FindSplitI invariants), GUARD-VOTE

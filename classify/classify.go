@@ -162,9 +162,8 @@ type Config struct {
 	// a wire-backed world (per-process fragment files rendezvous there).
 	CheckpointDir string
 	// Resume starts training from the last complete checkpoint in
-	// CheckpointDir instead of from scratch. Only meaningful for
-	// TrainWorld on a wire-backed world (the coordinator's respawn path);
-	// Train rejects it.
+	// CheckpointDir instead of from scratch (the TCP coordinator's respawn
+	// path); the world may be smaller than the one that wrote it.
 	Resume bool
 }
 
@@ -294,9 +293,6 @@ func TrainWorld(w *comm.World, tab *Table, cfg Config) (*Model, error) {
 	}
 	if err := cfg.engineOnly(); err != nil {
 		return nil, err
-	}
-	if cfg.Resume && !w.Distributed() {
-		return nil, fmt.Errorf("classify: Resume requires a wire-backed world (the simulated machine replays in-process)")
 	}
 	opts := scalparc.Options{
 		Split:           cfg.Split,

@@ -7,7 +7,10 @@ package main
 // command line plus the worker environment, and waits; each worker
 // rebuilds the identical dataset from the shared flags, trains over the
 // wire, and the surviving dense-rank-0 worker publishes the tree and
-// metrics back through a result file.
+// metrics back through a result file: one header line — the metrics as
+// JSON, comm and memory stats pooled over every surviving rank — then the
+// tree document exactly as Tree.Encode wrote it (a deep tree is megabytes,
+// so it is neither wrapped in the header's JSON nor parsed twice).
 //
 // With -detect-timeout the workers suspect silent peers by heartbeat
 // timeout, and with -checkpoint the coordinator becomes a supervisor:
@@ -28,14 +31,6 @@ import (
 	"repro/internal/comm/tcptransport"
 	"repro/internal/faults"
 )
-
-// tcpResult is what the surviving dense-rank-0 worker publishes for the
-// coordinator: the induced tree plus the run metrics, with comm and
-// memory stats pooled over every surviving rank.
-type tcpResult struct {
-	Tree    json.RawMessage  `json:"tree"`
-	Metrics classify.Metrics `json:"metrics"`
-}
 
 // trainTCPCoordinator spawns the rank workers and reassembles their
 // result into a Model, so the rest of run() treats a TCP run exactly
@@ -66,18 +61,19 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 		data, werr := job.Wait()
 		if werr == nil {
 			job.Close()
-			var res tcpResult
-			if err := json.Unmarshal(data, &res); err != nil {
+			header, doc, _ := bytes.Cut(data, []byte("\n"))
+			var metrics classify.Metrics
+			if err := json.Unmarshal(header, &metrics); err != nil {
 				return nil, fmt.Errorf("decoding worker result: %w", err)
 			}
-			tree, err := classify.DecodeTree(bytes.NewReader(res.Tree))
+			tree, err := classify.DecodeTree(bytes.NewReader(doc))
 			if err != nil {
 				return nil, fmt.Errorf("decoding worker tree: %w", err)
 			}
 			// Coordinator-level respawns are recoveries the workers of the
 			// final attempt never saw; fold them into the reported count.
-			res.Metrics.Recoveries += attempt
-			return &classify.Model{Tree: tree, Metrics: res.Metrics}, nil
+			metrics.Recoveries += attempt
+			return &classify.Model{Tree: tree, Metrics: metrics}, nil
 		}
 		survivors := job.Survivors()
 		job.Close()
@@ -148,37 +144,20 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Dura
 	// Per-process phase traces don't cross the wire; -phases and -trace
 	// are rejected up front for -transport=tcp.
 	model.Metrics.Trace = nil
-	var tree bytes.Buffer
-	if err := model.Tree.Encode(&tree); err != nil {
-		return err
-	}
-	data, err := json.Marshal(tcpResult{Tree: tree.Bytes(), Metrics: model.Metrics})
+	header, err := json.Marshal(model.Metrics)
 	if err != nil {
 		return err
 	}
-	if err := tcptransport.WriteResult(data); err != nil {
+	result := bytes.NewBuffer(append(header, '\n'))
+	if err := model.Tree.Encode(result); err != nil {
+		return err
+	}
+	if err := tcptransport.WriteResult(result.Bytes()); err != nil {
 		return err
 	}
 	// The status write comes after the result write: the coordinator's
 	// watchdog starts its grace clock at the first "ok".
 	return tcptransport.WriteStatus("ok")
-}
-
-// shrinkFailed runs the membership vote and reports whether the vote
-// itself failed for this rank (evicted or orphaned), absorbing the comm
-// layer's *RankFailure panic.
-func shrinkFailed(c *comm.Comm) (failed bool) {
-	defer func() {
-		switch e := recover().(type) {
-		case nil:
-		case *comm.RankFailure:
-			failed = true
-		default:
-			panic(e)
-		}
-	}()
-	c.Shrink()
-	return false
 }
 
 // poolStats runs one more SPMD section over the survivors to pool the
@@ -218,7 +197,7 @@ func poolStats(w *comm.World, m *classify.Metrics) {
 			}
 			// A peer process died between training and the stats
 			// exchange: shrink with the other survivors and retry.
-			if shrinkFailed(c) {
+			if c.TryShrink() != nil {
 				// The vote itself evicted or orphaned this rank; the
 				// training result is already in hand, so publish this
 				// rank's own stats unpooled rather than aborting.

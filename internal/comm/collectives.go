@@ -12,71 +12,6 @@ func sizeOf[T any]() int {
 	return int(unsafe.Sizeof(t))
 }
 
-// encodeSlice views a flat []T as its raw bytes — the wire encoding of
-// every payload that crosses a Transport. Zero-copy: the caller must not
-// mutate x until the transport call consuming the view returns (both
-// Transport.Send and Transport.Exchange hand the bytes off before
-// returning, so the collectives' existing buffer rules already cover
-// this).
-func encodeSlice[T any](x []T) []byte {
-	if len(x) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), len(x)*sizeOf[T]())
-}
-
-// decodeSlice copies wire bytes back into a freshly allocated []T. A
-// payload that is not a whole number of elements is a data-boundary
-// fault between ranks, reported as a typed *ProtocolError like the
-// simulated machine's type-assertion failures.
-func decodeSlice[T any](b []byte, op string, phys int) []T {
-	es := sizeOf[T]()
-	if es == 0 {
-		panic(&ProtocolError{Op: op, Rank: phys, Detail: "zero-size element type on the wire"})
-	}
-	if len(b)%es != 0 {
-		panic(&ProtocolError{Op: op, Rank: phys,
-			Detail: fmt.Sprintf("payload of %d bytes is not a whole number of %d-byte elements", len(b), es)})
-	}
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]T, len(b)/es)
-	copy(encodeSlice(out), b)
-	return out
-}
-
-// exchangeSlices is the typed deposit/exchange primitive every
-// collective below is built on: deposit x, receive all ranks' deposits
-// in dense rank order. On the simulated machine deposits move by
-// reference; on a wire transport x is flat-encoded into a deposit frame.
-// Either way the fold/scan logic downstream is shared — the backends
-// differ only in how a deposit crosses rank boundaries.
-func exchangeSlices[T any](c *Comm, x []T) []deposit {
-	if c.w.tr == nil {
-		return c.exchange(x)
-	}
-	return c.exchangeFrames(TagDeposit, x, encodeSlice(x))
-}
-
-// depositSlice reads rank r's deposit as a []T: a direct reference on
-// the simulated machine (collective results may alias contribution
-// buffers), a private decoded copy when the deposit arrived over a wire
-// transport. Anything else is a cross-rank type mismatch.
-func depositSlice[T any](c *Comm, all []deposit, r int, op string) []T {
-	switch v := all[r].data.(type) {
-	case []T:
-		return v
-	case []byte:
-		return decodeSlice[T](v, op, c.Phys())
-	case nil:
-		return nil
-	default:
-		panic(&ProtocolError{Op: op, Rank: c.Phys(),
-			Detail: fmt.Sprintf("type mismatch in deposit from rank %d: got %T", r, all[r].data)})
-	}
-}
-
 // ensureLen returns buf resliced to length n, reallocating only when the
 // capacity is insufficient. It is the growth primitive of the *Into
 // collective variants and of the scratch arenas built on top of them.
@@ -103,15 +38,6 @@ func ensureLen[T any](buf []T, n int) []T {
 // buffer is refilled at the next level, after the current level's trailing
 // collectives.
 
-// a2aPayload carries a rank's send matrix through the deposit together
-// with its own-sent byte total, so no receiver has to re-walk every other
-// rank's p buffer headers just to recover a number the sender already
-// knew — that re-walk made the accounting pass O(p²) per rank per call.
-type a2aPayload[T any] struct {
-	mat  [][]T
-	sent int // bytes destined for other ranks
-}
-
 // AllToAll performs one step of all-to-all personalized communication:
 // every rank provides one buffer per destination (send[d] goes to rank d)
 // and receives one buffer per source (recv[s] came from rank s). Buffers
@@ -125,118 +51,55 @@ func AllToAll[T any](c *Comm, send [][]T) [][]T {
 
 // AllToAllInto is AllToAll reusing recv as the received-buffer index
 // (grown as needed; see the *Into reuse rules above — note the received
-// buffers themselves alias the senders' buffers either way, only the
+// buffers themselves may alias the senders' buffers either way, only the
 // p-entry index is pooled).
 func AllToAllInto[T any](c *Comm, send, recv [][]T) [][]T {
 	p := c.Size()
 	if len(send) != p {
 		panic(fmt.Sprintf("comm: AllToAll send has %d buffers; world has %d ranks", len(send), p))
 	}
-	if c.w.tr != nil {
-		return allToAllWire(c, send, recv)
-	}
-	es := sizeOf[T]()
-	me := c.Rank()
+	es, me := sizeOf[T](), c.Rank()
 	own := 0
 	for d, buf := range send {
 		if d != me {
 			own += len(buf) * es
 		}
 	}
-	all := c.exchange(a2aPayload[T]{mat: send, sent: own})
-
 	recv = ensureLen(recv, p)
-	recvBytes, maxSent := 0, 0
-	for r := 0; r < p; r++ {
-		pl := all[r].data.(a2aPayload[T])
-		recv[r] = pl.mat[me]
-		if pl.sent > maxSent {
-			maxSent = pl.sent
-		}
-		if r != me {
-			recvBytes += len(pl.mat[me]) * es
+	maxSent := exchangeColumn(c, send, recv, own)
+	got := 0
+	for s, buf := range recv {
+		if s != me {
+			got += len(buf) * es
 		}
 	}
-	st := c.Stats()
-	st.BytesSent += int64(own)
-	st.BytesRecv += int64(recvBytes)
-	st.AllToAlls++
-	c.traceComm(int64(own), int64(recvBytes))
-	c.Compute(c.Model().AllToAll(p, maxSent))
+	c.charge(int64(own), int64(got), &c.Stats().AllToAlls, c.Model().AllToAll(p, maxSent))
 	return recv
 }
 
-// allToAllWire is the personalized exchange on a wire transport. Unlike
-// the simulated deposit (which shares each rank's whole send matrix by
-// reference, making self and cross traffic equally free in real bytes),
-// each pair exchanges only its mutual buffers over TagA2A frames in
-// shifted-pairwise order, so bytes on the wire are exactly the bytes the
-// op owes. A tiny deposit exchange of the per-rank sent totals supplies
-// the maxSent accounting and the clock synchronization that the shared
-// matrix gives the simulated backend — and is the op's single enterOp,
-// keeping fault sites aligned between backends.
-func allToAllWire[T any](c *Comm, send, recv [][]T) [][]T {
-	w := c.w
-	p := c.Size()
-	es := sizeOf[T]()
-	me := c.Rank()
-	own := 0
-	for d, buf := range send {
-		if d != me {
-			own += len(buf) * es
+// foldRanks is the one rank-order fold under every reduction and scan. It
+// folds elements [off, off+len(out)) of the deposits of ranks [lo, hi)
+// into out, in rank order (so non-commutative ops stay deterministic):
+// over what out already holds when seeded (a scan starts from its zero
+// vector), otherwise starting from a copy of the first deposit. Every
+// deposit it reads must be n elements long, like the caller's own.
+func foldRanks[T any](c *Comm, name string, all []deposit, lo, hi, n int, out []T, off int, seeded bool, op func(a, b T) T) {
+	for r := lo; r < hi; r++ {
+		v := depositSlice[T](c, all, r, name)
+		if len(v) != n {
+			panic(&ProtocolError{Op: name, Rank: c.Phys(),
+				Detail: fmt.Sprintf("length mismatch: rank %d has %d elements, rank %d has %d", c.Rank(), n, r, len(v))})
+		}
+		v = v[off : off+len(out)]
+		if !seeded {
+			copy(out, v)
+			seeded = true
+			continue
+		}
+		for i := range out {
+			out[i] = op(out[i], v[i])
 		}
 	}
-	all := exchangeSlices(c, []int64{int64(own)})
-
-	// Sends are eager (the peer's reader drains its socket), so pushing
-	// all p-1 frames before receiving any cannot deadlock. Empty buffers
-	// still send an empty frame: receivers always expect exactly one
-	// TagA2A frame per peer per call.
-	for k := 1; k < p; k++ {
-		dst := (me + k) % p
-		err := w.tr.Send(w.physOf[dst], TagA2A, Frame{
-			Elem:  uint32(es),
-			Clock: w.clocks[c.rank],
-			Data:  encodeSlice(send[dst]),
-		})
-		if err != nil {
-			c.failNow()
-		}
-	}
-	recv = ensureLen(recv, p)
-	recv[me] = send[me]
-	recvBytes := 0
-	for k := 1; k < p; k++ {
-		src := (me - k + p) % p
-		f, err := w.tr.Recv(w.physOf[src], TagA2A)
-		if err != nil {
-			c.failNow()
-		}
-		if f.Elem != uint32(es) {
-			panic(&ProtocolError{Op: "AllToAll", Rank: c.Phys(),
-				Detail: fmt.Sprintf("element size mismatch: rank %d sent %d-byte elements, expected %d", src, f.Elem, es)})
-		}
-		recv[src] = decodeSlice[T](f.Data, "AllToAll", c.Phys())
-		recvBytes += len(recv[src]) * es
-	}
-	maxSent := 0
-	for r := 0; r < p; r++ {
-		v := depositSlice[int64](c, all, r, "AllToAll")
-		if len(v) != 1 {
-			panic(&ProtocolError{Op: "AllToAll", Rank: c.Phys(),
-				Detail: fmt.Sprintf("malformed sent-total header from rank %d", r)})
-		}
-		if int(v[0]) > maxSent {
-			maxSent = int(v[0])
-		}
-	}
-	st := c.Stats()
-	st.BytesSent += int64(own)
-	st.BytesRecv += int64(recvBytes)
-	st.AllToAlls++
-	c.traceComm(int64(own), int64(recvBytes))
-	c.Compute(c.Model().AllToAll(p, maxSent))
-	return recv
 }
 
 // AllReduce combines equal-length vectors from every rank elementwise with
@@ -249,34 +112,12 @@ func AllReduce[T any](c *Comm, x []T, op func(a, b T) T) []T {
 // AllReduceInto is AllReduce writing into out (grown as needed; see the
 // *Into reuse rules above). It returns the result slice.
 func AllReduceInto[T any](c *Comm, x, out []T, op func(a, b T) T) []T {
-	p := c.Size()
-	es := sizeOf[T]()
+	p, n := c.Size(), len(x)
 	all := exchangeSlices(c, x)
-	n := len(x)
 	out = ensureLen(out, n)
-	first := true
-	for r := 0; r < p; r++ {
-		v := depositSlice[T](c, all, r, "AllReduce")
-		if len(v) != n {
-			panic(&ProtocolError{Op: "AllReduce", Rank: c.Phys(),
-				Detail: fmt.Sprintf("length mismatch: rank %d has %d elements, rank %d has %d", c.Rank(), n, r, len(v))})
-		}
-		if first {
-			copy(out, v)
-			first = false
-			continue
-		}
-		for i := range out {
-			out[i] = op(out[i], v[i])
-		}
-	}
-	bytes := int64(n * es)
-	st := c.Stats()
-	st.BytesSent += bytes
-	st.BytesRecv += bytes
-	st.AllReduces++
-	c.traceComm(bytes, bytes)
-	c.Compute(c.Model().AllReduce(p, n*es))
+	foldRanks(c, "AllReduce", all, 0, p, n, out, 0, false, op)
+	bytes := n * sizeOf[T]()
+	c.charge(int64(bytes), int64(bytes), &c.Stats().AllReduces, c.Model().AllReduce(p, bytes))
 	return out
 }
 
@@ -303,31 +144,25 @@ func ExScan[T any](c *Comm, x []T, op func(a, b T) T, zero T) []T {
 // ExScanInto is ExScan writing into out (grown as needed; see the *Into
 // reuse rules above).
 func ExScanInto[T any](c *Comm, x, out []T, op func(a, b T) T, zero T) []T {
-	p := c.Size()
-	es := sizeOf[T]()
+	return scanInto(c, "ExScan", false, x, out, op, zero)
+}
+
+// scanInto is both exclusive scans: the fold of the ranks before this one
+// or, reversed, of the ranks after it.
+func scanInto[T any](c *Comm, name string, reverse bool, x, out []T, op func(a, b T) T, zero T) []T {
+	p, n := c.Size(), len(x)
 	all := exchangeSlices(c, x)
-	n := len(x)
 	out = ensureLen(out, n)
 	for i := range out {
 		out[i] = zero
 	}
-	for r := 0; r < c.Rank(); r++ {
-		v := depositSlice[T](c, all, r, "ExScan")
-		if len(v) != n {
-			panic(&ProtocolError{Op: "ExScan", Rank: c.Phys(),
-				Detail: fmt.Sprintf("length mismatch: rank %d has %d elements, rank %d has %d", c.Rank(), n, r, len(v))})
-		}
-		for i := range out {
-			out[i] = op(out[i], v[i])
-		}
+	lo, hi := 0, c.Rank()
+	if reverse {
+		lo, hi = c.Rank()+1, p
 	}
-	bytes := int64(n * es)
-	st := c.Stats()
-	st.BytesSent += bytes
-	st.BytesRecv += bytes
-	st.Scans++
-	c.traceComm(bytes, bytes)
-	c.Compute(c.Model().Scan(p, n*es))
+	foldRanks(c, name, all, lo, hi, n, out, 0, true, op)
+	bytes := n * sizeOf[T]()
+	c.charge(int64(bytes), int64(bytes), &c.Stats().Scans, c.Model().Scan(p, bytes))
 	return out
 }
 
@@ -353,32 +188,7 @@ func ReverseExScan[T any](c *Comm, x []T, op func(a, b T) T, zero T) []T {
 // ReverseExScanInto is ReverseExScan writing into out (grown as needed;
 // see the *Into reuse rules above).
 func ReverseExScanInto[T any](c *Comm, x, out []T, op func(a, b T) T, zero T) []T {
-	p := c.Size()
-	es := sizeOf[T]()
-	all := exchangeSlices(c, x)
-	n := len(x)
-	out = ensureLen(out, n)
-	for i := range out {
-		out[i] = zero
-	}
-	for r := c.Rank() + 1; r < p; r++ {
-		v := depositSlice[T](c, all, r, "ReverseExScan")
-		if len(v) != n {
-			panic(&ProtocolError{Op: "ReverseExScan", Rank: c.Phys(),
-				Detail: fmt.Sprintf("length mismatch: rank %d has %d elements, rank %d has %d", c.Rank(), n, r, len(v))})
-		}
-		for i := range out {
-			out[i] = op(out[i], v[i])
-		}
-	}
-	bytes := int64(n * es)
-	st := c.Stats()
-	st.BytesSent += bytes
-	st.BytesRecv += bytes
-	st.Scans++
-	c.traceComm(bytes, bytes)
-	c.Compute(c.Model().Scan(p, n*es))
-	return out
+	return scanInto(c, "ReverseExScan", true, x, out, op, zero)
 }
 
 // Allgather returns every rank's contribution, indexed by rank.
@@ -407,12 +217,7 @@ func AllgatherInto[T any](c *Comm, x []T, out [][]T) [][]T {
 			recvBytes += len(v) * es
 		}
 	}
-	st := c.Stats()
-	st.BytesSent += int64((p - 1) * len(x) * es)
-	st.BytesRecv += int64(recvBytes)
-	st.Allgathers++
-	c.traceComm(int64((p-1)*len(x)*es), int64(recvBytes))
-	c.Compute(c.Model().Allgather(p, maxEach))
+	c.charge(int64((p-1)*len(x)*es), int64(recvBytes), &c.Stats().Allgathers, c.Model().Allgather(p, maxEach))
 	return out
 }
 
@@ -448,14 +253,8 @@ func CandidateGatherInto[T any](c *Comm, x, out []T) []T {
 	}
 	// Each rank sends its ballot to the other p-1 ranks and receives their
 	// p-1 ballots.
-	sent := int64((p - 1) * n * es)
-	recv := int64((p - 1) * n * es)
-	st := c.Stats()
-	st.BytesSent += sent
-	st.BytesRecv += recv
-	st.CandidateGathers++
-	c.traceComm(sent, recv)
-	c.Compute(c.Model().Allgather(p, n*es))
+	bytes := int64((p - 1) * n * es)
+	c.charge(bytes, bytes, &c.Stats().CandidateGathers, c.Model().Allgather(p, n*es))
 	return out
 }
 
@@ -482,36 +281,16 @@ func Reduce[T any](c *Comm, root int, x []T, op func(a, b T) T) []T {
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("comm: Reduce root %d out of range [0,%d)", root, p))
 	}
-	es := sizeOf[T]()
-	all := exchangeSlices(c, x)
 	n := len(x)
-	st := c.Stats()
-	st.Reduces++
-	c.Compute(c.Model().Reduce(p, n*es))
+	bytes := n * sizeOf[T]()
+	all := exchangeSlices(c, x)
 	if c.Rank() != root {
-		st.BytesSent += int64(n * es)
-		c.traceComm(int64(n*es), 0)
+		c.charge(int64(bytes), 0, &c.Stats().Reduces, c.Model().Reduce(p, bytes))
 		return nil
 	}
-	st.BytesRecv += int64((p - 1) * n * es)
-	c.traceComm(0, int64((p-1)*n*es))
+	c.charge(0, int64((p-1)*bytes), &c.Stats().Reduces, c.Model().Reduce(p, bytes))
 	out := make([]T, n)
-	first := true
-	for r := 0; r < p; r++ {
-		v := depositSlice[T](c, all, r, "Reduce")
-		if len(v) != n {
-			panic(&ProtocolError{Op: "Reduce", Rank: c.Phys(),
-				Detail: fmt.Sprintf("length mismatch: root expects %d elements, rank %d has %d", n, r, len(v))})
-		}
-		if first {
-			copy(out, v)
-			first = false
-			continue
-		}
-		for i := range out {
-			out[i] = op(out[i], v[i])
-		}
-	}
+	foldRanks(c, "Reduce", all, 0, p, n, out, 0, false, op)
 	return out
 }
 
@@ -558,32 +337,10 @@ func ReduceScatterInto[T any](c *Comm, x, out []T, counts []int, op func(a, b T)
 	all := exchangeSlices(c, x)
 	mine := counts[c.Rank()]
 	out = ensureLen(out, mine)
-	first := true
-	for r := 0; r < p; r++ {
-		v := depositSlice[T](c, all, r, "ReduceScatter")
-		if len(v) != n {
-			panic(&ProtocolError{Op: "ReduceScatter", Rank: c.Phys(),
-				Detail: fmt.Sprintf("length mismatch: rank %d has %d elements, rank %d has %d", c.Rank(), n, r, len(v))})
-		}
-		if first {
-			copy(out, v[off:off+mine])
-			first = false
-			continue
-		}
-		for i := range out {
-			out[i] = op(out[i], v[off+i])
-		}
-	}
+	foldRanks(c, "ReduceScatter", all, 0, p, n, out, off, false, op)
 	// Each rank sends every element it does not keep and receives the
 	// other p-1 contributions to the elements it does keep.
-	sent := int64((n - mine) * es)
-	recv := int64((p - 1) * mine * es)
-	st := c.Stats()
-	st.BytesSent += sent
-	st.BytesRecv += recv
-	st.ReduceScatters++
-	c.traceComm(sent, recv)
-	c.Compute(c.Model().ReduceScatter(p, n*es))
+	c.charge(int64((n-mine)*es), int64((p-1)*mine*es), &c.Stats().ReduceScatters, c.Model().ReduceScatter(p, n*es))
 	return out
 }
 
@@ -615,16 +372,11 @@ func Bcast[T any](c *Comm, root int, x []T) []T {
 	}
 	all := exchangeSlices(c, contrib)
 	out := depositSlice[T](c, all, root, "Bcast")
-	st := c.Stats()
-	st.Bcasts++
+	sent, recv := 0, len(out)*es
 	if c.Rank() == root {
-		st.BytesSent += int64((p - 1) * len(out) * es)
-		c.traceComm(int64((p-1)*len(out)*es), 0)
-	} else {
-		st.BytesRecv += int64(len(out) * es)
-		c.traceComm(0, int64(len(out)*es))
+		sent, recv = (p-1)*len(out)*es, 0
 	}
-	c.Compute(c.Model().Bcast(p, len(out)*es))
+	c.charge(int64(sent), int64(recv), &c.Stats().Bcasts, c.Model().Bcast(p, len(out)*es))
 	return out
 }
 
@@ -637,12 +389,9 @@ func Gather[T any](c *Comm, root int, x []T) [][]T {
 	}
 	es := sizeOf[T]()
 	all := exchangeSlices(c, x)
-	st := c.Stats()
-	st.Gathers++
-	c.Compute(c.Model().Reduce(p, len(x)*es))
+	cost := c.Model().Reduce(p, len(x)*es)
 	if c.Rank() != root {
-		st.BytesSent += int64(len(x) * es)
-		c.traceComm(int64(len(x)*es), 0)
+		c.charge(int64(len(x)*es), 0, &c.Stats().Gathers, cost)
 		return nil
 	}
 	out := make([][]T, p)
@@ -653,7 +402,6 @@ func Gather[T any](c *Comm, root int, x []T) [][]T {
 			recvBytes += len(out[r]) * es
 		}
 	}
-	st.BytesRecv += int64(recvBytes)
-	c.traceComm(0, int64(recvBytes))
+	c.charge(0, int64(recvBytes), &c.Stats().Gathers, cost)
 	return out
 }

@@ -29,7 +29,7 @@ import (
 //     continue on a smaller, densely renumbered world.
 //
 // Recovery protocol: catch *RankFailure, check Recoverable(), call
-// Comm.Shrink() on every survivor, then resume (package scalparc replays
+// Comm.TryShrink() on every survivor, then resume (package scalparc replays
 // from its last level checkpoint). Non-recoverable causes (a
 // *ProtocolError) must be surfaced as errors instead.
 
@@ -138,3 +138,22 @@ func (e *RankFailure) Unwrap() error { return e.Cause }
 // only for fail-stop crashes. Data faults are deterministic and must not
 // be replayed.
 func (e *RankFailure) Recoverable() bool { return errors.Is(e.Cause, ErrCrashed) }
+
+// TryShrink is Shrink for a recovery loop: it runs the survivors'
+// rendezvous and turns a failure of the rendezvous itself — this rank
+// evicted by the vote, or orphaned with no surviving quorum — from the
+// *RankFailure panic Shrink raises into an error. Anything else keeps
+// unwinding.
+func (c *Comm) TryShrink() (err error) {
+	defer func() {
+		switch e := recover().(type) {
+		case nil:
+		case *RankFailure:
+			err = e
+		default:
+			panic(e)
+		}
+	}()
+	c.Shrink()
+	return nil
+}

@@ -2,11 +2,12 @@ package comm
 
 import "fmt"
 
-// Send transmits a vector to rank dst (a dense rank id). It blocks only if
-// dst's mailbox for this sender is full (small fixed buffering, like an MPI
-// eager send). The message carries the sender's virtual clock so the
-// receiver can model transfer completion time. If a peer failure is
-// detected while blocked, Send unwinds with a *RankFailure.
+// Send transmits a vector to rank dst (a dense rank id) as an eager
+// message: the caller may reuse x immediately, and Send blocks only
+// while dst's small fixed buffering for this sender is full. The message
+// carries the sender's virtual clock so the receiver can model transfer
+// completion time. If a peer failure is detected while blocked, Send
+// unwinds with a *RankFailure.
 func Send[T any](c *Comm, dst int, x []T) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("comm: Send to rank %d out of range [0,%d)", dst, c.Size()))
@@ -15,34 +16,9 @@ func Send[T any](c *Comm, dst int, x []T) {
 		panic("comm: Send to self; use a local copy instead")
 	}
 	c.enterOp(OpSend)
-	bytes := len(x) * sizeOf[T]()
-	st := c.Stats()
-	st.BytesSent += int64(bytes)
-	st.MsgsSent++
-	c.traceComm(int64(bytes), 0)
 	// The sender pays the startup latency and hands the data off.
-	c.Compute(c.Model().P2PLatency)
-	if w := c.w; w.tr != nil {
-		err := w.tr.Send(w.physOf[dst], TagP2P, Frame{
-			Elem:  uint32(sizeOf[T]()),
-			Clock: c.ClockPicos(),
-			Data:  encodeSlice(x),
-		})
-		if err != nil {
-			c.failNow()
-		}
-		return
-	}
-	// Copy the buffer, as a real eager send does: the caller is free to
-	// mutate x the moment Send returns. (The wire path above needs no
-	// copy: the transport has written the bytes out before returning.)
-	buf := make([]T, len(x))
-	copy(buf, x)
-	select {
-	case c.w.mail[c.Phys()][c.w.physOf[dst]] <- pmessage{data: buf, bytes: bytes, clock: c.ClockPicos()}:
-	case <-c.failChan():
-		c.failNow()
-	}
+	c.charge(int64(len(x)*sizeOf[T]()), 0, &c.Stats().MsgsSent, c.Model().P2PLatency)
+	post(c, dst, x)
 }
 
 // Recv receives the next vector sent by rank src (a dense rank id). It
@@ -62,46 +38,10 @@ func Recv[T any](c *Comm, src int) []T {
 		panic("comm: Recv from self; use a local copy instead")
 	}
 	c.enterOp(OpRecv)
-	var x []T
-	var bytes int
-	var sendClock int64
-	if w := c.w; w.tr != nil {
-		f, err := w.tr.Recv(w.physOf[src], TagP2P)
-		if err != nil {
-			c.failNow()
-		}
-		if f.Elem != uint32(sizeOf[T]()) {
-			panic(&ProtocolError{Op: "Recv", Rank: c.Phys(),
-				Detail: fmt.Sprintf("type mismatch from rank %d: got %d-byte elements, expected %d", src, f.Elem, sizeOf[T]())})
-		}
-		x = decodeSlice[T](f.Data, "Recv", c.Phys())
-		bytes = len(f.Data)
-		sendClock = f.Clock
-	} else {
-		var m pmessage
-		select {
-		case m = <-c.w.mail[c.w.physOf[src]][c.Phys()]:
-		case <-c.failChan():
-			c.failNow()
-		}
-		var ok bool
-		x, ok = m.data.([]T)
-		if !ok {
-			panic(&ProtocolError{Op: "Recv", Rank: c.Phys(),
-				Detail: fmt.Sprintf("type mismatch from rank %d: got %T", src, m.data)})
-		}
-		bytes = m.bytes
-		sendClock = m.clock
-	}
-	st := c.Stats()
-	st.BytesRecv += int64(bytes)
-	st.MsgsRecv++
-	c.traceComm(0, int64(bytes))
-	start := c.ClockPicos()
-	if sendClock > start {
-		start = sendClock
-	}
-	c.advanceTo(start + picos(float64(bytes)/c.Model().P2PBandwidth))
+	x, sendClock := take[T](c, src)
+	bytes := len(x) * sizeOf[T]()
+	c.charge(0, int64(bytes), &c.Stats().MsgsRecv, 0)
+	c.advanceTo(max(c.ClockPicos(), sendClock) + picos(float64(bytes)/c.Model().P2PBandwidth))
 	return x
 }
 
@@ -114,18 +54,13 @@ func SendRecv[T any](c *Comm, partner int, x []T) []T {
 		// receive op: it passes through both fault sites and counts in
 		// Msgs/Bytes like any other pair, at zero modeled cost (the copy
 		// never leaves the rank).
-		c.enterOp(OpSend)
 		bytes := int64(len(x) * sizeOf[T]())
-		st := c.Stats()
-		st.BytesSent += bytes
-		st.MsgsSent++
-		c.traceComm(bytes, 0)
+		c.enterOp(OpSend)
+		c.charge(bytes, 0, &c.Stats().MsgsSent, 0)
 		out := make([]T, len(x))
 		copy(out, x)
 		c.enterOp(OpRecv)
-		st.BytesRecv += bytes
-		st.MsgsRecv++
-		c.traceComm(0, bytes)
+		c.charge(0, bytes, &c.Stats().MsgsRecv, 0)
 		return out
 	}
 	// Lower rank sends first; the 4-slot mailbox buffering makes the

@@ -1,13 +1,12 @@
 package comm
 
-// This file is the pluggable-transport seam. The package's collectives
-// (collectives.go) are written once, over two primitives — the
-// deposit/exchange step and point-to-point send/receive — and those
-// primitives have two implementations:
+// This file is the wire-transport contract. A World is one of two
+// machines, and every operation of the package is written once over the
+// handful of primitives in backend.go, which alone knows which:
 //
-//   - The goroutine-simulated machine (world.go): all ranks share one
-//     process, deposits move by reference, and the virtual-clock model is
-//     the source of truth for "runtime". This backend stays the
+//   - The goroutine-simulated machine: all ranks share one process,
+//     deposits move by reference, and the virtual-clock model is the
+//     source of truth for "runtime". This backend stays the
 //     deterministic oracle.
 //
 //   - A wire Transport (this interface, implemented by package

@@ -74,42 +74,24 @@ type World struct {
 	p     int
 	model timing.Model
 
-	bar *barrier
-
-	// cells is the deposit slot array used by all collectives: each rank
-	// writes cells[rank] between two barriers, then every rank reads all
-	// slots between the next two. Only ever accessed under the barrier
-	// protocol, so no additional locking is needed.
-	cells []deposit
-
 	clocks []int64 // virtual time in picoseconds
 	stats  []Stats
 	mem    []MemMeter
 	traces []*trace.RankTrace
 
-	// exchBuf is each rank's pooled deposit-snapshot slice: exchange copies
-	// the cell array into the calling rank's slot instead of allocating a
-	// fresh slice per collective. The snapshot is only read by its own rank,
-	// between the call returning and that rank's next collective, so reuse
-	// is race-free under the barrier protocol.
+	// exchBuf is each rank's pooled deposit-snapshot slice: exchange fills
+	// the calling rank's slot instead of allocating a fresh slice per
+	// collective. The snapshot is only read by its own rank, between the
+	// call returning and that rank's next collective, so reuse is
+	// race-free.
 	exchBuf [][]deposit
 
-	mail [][]chan pmessage // mail[src][dst], physical indices
-
-	// Transport mode (see transport.go): tr non-nil makes this World a
-	// one-local-rank view of a distributed machine — rank self runs in
-	// this process, every other rank is a peer process behind tr. The
-	// deposit cells and mailboxes above go unused; exchange, barrier,
-	// p2p, and shrink delegate to the transport instead.
-	tr   Transport
-	self int
-
-	// Failure machinery (see faults.go). Collective wire state (cells,
-	// barrier slots) is indexed by *dense* rank id; per-rank history
+	// Failure machinery (see faults.go). Collective state (deposit
+	// vectors, Rank/Size) is indexed by *dense* rank id; per-rank history
 	// (clocks, stats, mem, traces, mail) stays physical so a lost rank's
 	// record survives for reporting. Before any failure the two coincide.
 	fmu           sync.Mutex
-	dirty         atomic.Bool   // mirrors bar.dirty for lock-free op entry
+	dirty         atomic.Bool   // a failure is pending: lock-free test at op entry
 	live          []bool        // live[phys]
 	denseOf       []int         // denseOf[phys] = dense id, -1 if dead
 	physOf        []int         // physOf[dense] = phys
@@ -119,13 +101,29 @@ type World struct {
 	failCause     error // first failure's cause since the last Shrink
 	lost          []int // physical ranks lost since the last Shrink
 	detectCharged []bool
-	shrinkWait    int
-	shrinkGen     uint64
-	shrinkCond    *sync.Cond
-	shrinkClock   int64
-	shrinkLost    []int
 	inj           FaultInjector
 	detectPicos   int64
+
+	// The machine itself, operated only by backend.go. tr non-nil makes
+	// this World a one-local-rank view of a distributed machine: rank self
+	// runs in this process and every other rank is a peer process behind
+	// tr (hygiene_test.go keeps every other file from reading it).
+	// Otherwise the ranks are goroutines of this process sharing the rest:
+	// the counting barrier; cells, the deposit slot array (each rank
+	// writes cells[rank] between two barriers, then every rank reads all
+	// slots between the next two — only ever accessed under that
+	// protocol, so it needs no lock); the mailboxes; and the Shrink
+	// rendezvous state, guarded by fmu.
+	tr          Transport
+	self        int
+	bar         *barrier
+	cells       []deposit
+	mail        [][]chan pmessage // mail[src][dst], physical indices
+	shrinkWait  int
+	shrinkGen   uint64
+	shrinkCond  *sync.Cond
+	shrinkClock int64
+	shrinkLost  []int
 }
 
 // defaultDetectSeconds is the modeled bounded-timeout cost each survivor
@@ -134,12 +132,6 @@ const defaultDetectSeconds = 100e-6
 
 type deposit struct {
 	data  any
-	clock int64
-}
-
-type pmessage struct {
-	data  any
-	bytes int
 	clock int64
 }
 
@@ -179,71 +171,17 @@ func NewWorld(p int, model timing.Model) *World {
 	w.detectCharged = make([]bool, p)
 	for i := range w.live {
 		w.live[i] = true
-		w.denseOf[i] = i
-		w.physOf[i] = i
 	}
-	w.sz = p
-	w.failCh = make(chan struct{})
-	w.failOpen = true
+	w.renumber()
+	w.openEpoch()
 	w.shrinkCond = sync.NewCond(&w.fmu)
 	w.detectPicos = picos(defaultDetectSeconds)
 	return w
 }
 
-// NewTransportWorld creates a World driven by a wire transport: the
-// local process runs exactly rank t.Rank() of a t.Size()-rank machine
-// whose other ranks are peer processes. The full per-rank bookkeeping
-// arrays exist (results are indexed by physical rank as usual) but only
-// the local rank's entries are ever written; peers report their own.
-func NewTransportWorld(t Transport, model timing.Model) *World {
-	w := NewWorld(t.Size(), model)
-	w.tr = t
-	w.self = t.Rank()
-	t.OnFailure(func(phys int) { w.peerFailed(phys) })
-	// Deaths the transport observed before this World attached (e.g. a
-	// peer lost during connection setup) still need local bookkeeping.
-	for _, phys := range t.Dead() {
-		w.peerFailed(phys)
-	}
-	return w
-}
-
-// Distributed reports whether this World runs over a wire transport
-// (one local rank per process) rather than the simulated machine.
-func (w *World) Distributed() bool { return w.tr != nil }
-
 // Live reports whether the given physical rank is currently live. Call
 // only while no SPMD section is running.
 func (w *World) Live(phys int) bool { return w.live[phys] }
-
-// peerFailed is the transport's failure callback: a peer process died
-// (phys >= 0) or requested recovery (phys == -1, a shrink announcement
-// for the current epoch arrived while this rank was still working). It
-// mirrors markDead's survivor-side effects: record the loss, open the
-// failure epoch, and flip the dirty flag so every blocked or future
-// operation unwinds with a *RankFailure.
-func (w *World) peerFailed(phys int) {
-	w.fmu.Lock()
-	if phys >= 0 {
-		if !w.live[phys] {
-			w.fmu.Unlock()
-			return
-		}
-		w.live[phys] = false
-		w.lost = append(w.lost, phys)
-	}
-	if w.failCause == nil {
-		// The wire can only observe fail-stop (a closed connection), so
-		// every transport-detected failure is the recoverable kind.
-		w.failCause = ErrCrashed
-	}
-	if w.failOpen {
-		close(w.failCh)
-		w.failOpen = false
-	}
-	w.fmu.Unlock()
-	w.dirty.Store(true)
-}
 
 // SetFaultInjector installs a deterministic fault injector consulted at
 // every communication-operation entry. Call only while no SPMD section is
@@ -291,22 +229,19 @@ func (w *World) Rank(r int) *Comm {
 // fail-stop fault, which is absorbed here (the rank is already marked dead
 // and the survivors carry on; see faults.go).
 //
-// Run spawns goroutines only for currently live ranks, so an SPMD section
-// started after a fault runs on the shrunk world.
+// Run spawns goroutines only for currently live ranks that execute in this
+// process, so an SPMD section started after a fault runs on the shrunk
+// world.
 func (w *World) Run(f func(c *Comm)) {
-	// Snapshot the live set before spawning: in transport mode the local
-	// rank's goroutine (or the transport reader) may record a peer death
-	// in w.live while this loop is still scanning it.
+	// Snapshot the live set before spawning: a rank already started (or a
+	// wire transport's reader) may record a death in w.live while this
+	// loop is still scanning it.
 	w.fmu.Lock()
 	live := append([]bool(nil), w.live...)
 	w.fmu.Unlock()
 	var wg sync.WaitGroup
 	for r := 0; r < w.p; r++ {
-		if !live[r] {
-			continue
-		}
-		if w.tr != nil && r != w.self {
-			// Transport mode: peer ranks run in their own processes.
+		if !live[r] || !w.runsHere(r) {
 			continue
 		}
 		wg.Add(1)
@@ -480,14 +415,6 @@ func (c *Comm) Event(name string) {
 	c.w.traces[c.rank].AddEvent(name, c.w.clocks[c.rank])
 }
 
-// traceComm attributes one communication operation's bytes to the current
-// (phase, level) bucket. Callers update the whole-run Stats themselves;
-// the two stay consistent because every Stats byte update is paired with
-// a traceComm call.
-func (c *Comm) traceComm(sent, recv int64) {
-	c.w.traces[c.rank].AddComm(sent, recv)
-}
-
 // Mem returns this rank's memory meter.
 func (c *Comm) Mem() *MemMeter { return &c.w.mem[c.rank] }
 
@@ -495,112 +422,39 @@ func (c *Comm) Mem() *MemMeter { return &c.w.mem[c.rank] }
 func (c *Comm) Stats() *Stats { return &c.w.stats[c.rank] }
 
 // Barrier blocks until every rank has entered it, synchronizes virtual
-// clocks to the maximum, and charges the modeled barrier cost. A barrier
-// is also a collective-epoch boundary: it drops this rank's references
-// to the previous collective's deposit buffers (see clearDeposits).
+// clocks to the maximum, and charges the modeled barrier cost: an exchange
+// of an empty deposit. A barrier is also a collective-epoch boundary: it
+// drops this rank's references to the previous collective's deposit
+// buffers (see clearDeposits).
 func (c *Comm) Barrier() {
-	w := c.w
-	c.enterOp(OpBarrier)
-	var max int64
-	sz := w.sz
-	if w.tr != nil {
-		frames, err := w.tr.Exchange(TagBarrier, Frame{Clock: w.clocks[c.rank]})
-		if err != nil {
-			c.failNow()
-		}
-		sz = len(frames)
-		for _, f := range frames {
-			if f.Clock > max {
-				max = f.Clock
-			}
-		}
-	} else {
-		w.cells[c.Rank()] = deposit{clock: w.clocks[c.rank]}
-		c.await()
-		for r := 0; r < sz; r++ {
-			if w.cells[r].clock > max {
-				max = w.cells[r].clock
-			}
-		}
-		c.await()
-	}
-	c.advanceTo(max + picos(w.model.Barrier(sz)))
-	w.stats[c.rank].Barriers++
-	c.traceComm(0, 0)
+	all := c.exchange(OpBarrier, TagBarrier, nil, nil)
+	c.charge(0, 0, &c.Stats().Barriers, c.Model().Barrier(len(all)))
 	c.clearDeposits()
+}
+
+// charge books one completed communication operation: its bytes into the
+// whole-run Stats and the current (phase, level) trace bucket (the two
+// stay consistent because this is the only place either is written), one
+// more op on the given Stats counter, and its modeled cost on the clock.
+func (c *Comm) charge(sent, recv int64, ops *int64, seconds float64) {
+	st := c.Stats()
+	st.BytesSent += sent
+	st.BytesRecv += recv
+	*ops++
+	c.w.traces[c.rank].AddComm(sent, recv)
+	c.Compute(seconds)
 }
 
 // clearDeposits drops this rank's lingering references to the last
 // collective's buffers: its deposit-snapshot slice (exchBuf). Without
 // this, the snapshot pins the final collective's data for the life of
 // the world — invisible at in-core sizes, but a real leak for
-// out-of-core runs whose collective buffers are large. (The deposit
-// cells need no separate pass here: entering a barrier overwrites this
-// rank's cell with a clock-only deposit, which clears its data
-// reference; Shrink clears every cell.) It touches only rank-private
-// state, so it is race-free anywhere between two of this rank's
-// collectives; Barrier and Shrink call it.
+// out-of-core runs whose collective buffers are large. (A barrier's own
+// deposit is empty, so it leaves nothing behind either; Shrink clears
+// every rank's.) It touches only rank-private state, so it is race-free
+// anywhere between two of this rank's collectives.
 func (c *Comm) clearDeposits() {
-	buf := c.w.exchBuf[c.rank]
-	for i := range buf {
-		buf[i].data = nil
-	}
-}
-
-// exchange is the collective building block on the simulated machine:
-// every rank deposits one value and receives the full vector of deposits
-// in (dense) rank order. The two barriers make the deposit array
-// race-free between consecutive exchanges. The caller's clock is
-// synchronized to the maximum deposit clock; the caller then adds the
-// operation-specific modeled cost. Transport worlds use exchangeFrames
-// instead; the generic shims in collectives.go pick the right one.
-func (c *Comm) exchange(data any) []deposit {
-	w := c.w
-	c.enterOp(OpCollective)
-	sz := w.sz
-	w.cells[c.Rank()] = deposit{data: data, clock: w.clocks[c.rank]}
-	c.await()
-	all := w.exchBuf[c.rank][:sz]
-	copy(all, w.cells[:sz])
-	c.await()
-	var max int64
-	for r := range all {
-		if all[r].clock > max {
-			max = all[r].clock
-		}
-	}
-	c.advanceTo(max)
-	return all
-}
-
-// exchangeFrames is exchange over a wire transport: the local
-// contribution rides as encoded payload bytes, and the returned deposit
-// vector holds []byte payloads for the peers and the caller's own value
-// (local, unencoded — so own-contribution aliasing behaves exactly as on
-// the simulated machine) in its own slot. Deposit clocks come from the
-// frame headers, so clock synchronization is identical on both backends.
-func (c *Comm) exchangeFrames(tag Tag, local any, payload []byte) []deposit {
-	w := c.w
-	c.enterOp(OpCollective)
-	frames, err := w.tr.Exchange(tag, Frame{Clock: w.clocks[c.rank], Data: payload})
-	if err != nil {
-		c.failNow()
-	}
-	all := w.exchBuf[c.rank][:len(frames)]
-	me := c.Rank()
-	var max int64
-	for r := range frames {
-		if r == me {
-			all[r] = deposit{data: local, clock: frames[r].Clock}
-		} else {
-			all[r] = deposit{data: frames[r].Data, clock: frames[r].Clock}
-		}
-		if frames[r].Clock > max {
-			max = frames[r].Clock
-		}
-	}
-	c.advanceTo(max)
-	return all
+	clear(c.w.exchBuf[c.rank])
 }
 
 // enterOp is the fault hook at the top of every communication operation:
@@ -623,24 +477,14 @@ func (c *Comm) enterOp(op Op) {
 		c.Event("fault:straggle")
 	}
 	if act.Hang {
-		h, ok := w.tr.(interface{ Hang() })
-		if !ok {
-			// Validated away at config parse time: the simulated machine's
-			// ranks share one process and may not block forever.
-			panic(fmt.Sprintf("comm: hang fault injected on rank %d but the backend cannot hang a rank (wire transports only)", c.rank))
-		}
 		c.Event("fault:hang")
-		h.Hang() // never returns: the rank goes silent but keeps running
+		w.hang(c.rank) // never returns: the rank goes silent but keeps running
 	}
 	if act.Crash {
 		if w.markDead(c.rank, ErrCrashed) {
 			w.stats[c.rank].Crashes++
 			c.Event("fault:crash")
-			if w.tr != nil {
-				// Announce the fail-stop on the wire: peers observe the
-				// closed connections as this rank's death.
-				w.tr.Kill()
-			}
+			w.kill()
 			panic(Crashed{Rank: c.rank})
 		}
 		// Refusing to kill the last live rank: a machine with no
@@ -685,37 +529,36 @@ func (c *Comm) failNow() {
 		c.advance(w.detectPicos)
 		w.stats[c.rank].FailuresSeen++
 		c.Event("fault:detected")
-		// A wire transport with bounded-time detection distinguishes
-		// timeout-suspected deaths from observed EOFs; fold its counter
-		// into this rank's Stats so suspicion shows up next to Shrinks.
-		if sc, ok := w.tr.(interface{ Suspicions() int64 }); ok {
-			if n := sc.Suspicions(); n > w.stats[c.rank].Suspicions {
-				w.stats[c.rank].Suspicions = n
-				c.Event("fault:suspected")
-			}
+		// Deaths the machine suspected by timeout (rather than observed)
+		// fold into this rank's Stats, so suspicion shows up next to Shrinks.
+		if n := w.suspicions(); n > w.stats[c.rank].Suspicions {
+			w.stats[c.rank].Suspicions = n
+			c.Event("fault:suspected")
 		}
 	}
 	panic(&RankFailure{Lost: lost, Cause: cause})
 }
 
-// markDead removes a rank from the live set, releases every blocked
-// survivor (dirty barrier + closed failure channel), and records the
-// cause. Returns false if rank is the last live one (refused) or already
-// dead. Safe to call from any rank's goroutine.
-func (w *World) markDead(rank int, cause error) bool {
+// markDead is the one place a loss is recorded, whoever reports it — the
+// rank itself at an injected fault, or a wire transport's failure callback
+// (which also passes phys == -1 when a peer entered Shrink for the current
+// epoch before any death was seen here: nobody new is lost, but this rank
+// must unwind into recovery too). It takes phys out of the live set,
+// records the epoch's first cause, and releases every blocked or future
+// operation into a *RankFailure (closed failure channel, dirty flag,
+// interrupt). Returns false, changing nothing, if phys is already dead
+// or is the last live rank: a machine with no survivors has no one left
+// to recover. Safe to call from any goroutine.
+func (w *World) markDead(phys int, cause error) bool {
 	w.fmu.Lock()
-	nlive := 0
-	for _, a := range w.live {
-		if a {
-			nlive++
+	defer w.fmu.Unlock()
+	if phys >= 0 {
+		if !w.live[phys] || w.nlive() <= 1 {
+			return false
 		}
+		w.live[phys] = false
+		w.lost = append(w.lost, phys)
 	}
-	if !w.live[rank] || nlive <= 1 {
-		w.fmu.Unlock()
-		return false
-	}
-	w.live[rank] = false
-	w.lost = append(w.lost, rank)
 	if w.failCause == nil {
 		w.failCause = cause
 	}
@@ -723,233 +566,64 @@ func (w *World) markDead(rank int, cause error) bool {
 		close(w.failCh)
 		w.failOpen = false
 	}
-	w.maybeFinishShrink()
-	w.fmu.Unlock()
-
 	w.dirty.Store(true)
-	b := w.bar
-	b.mu.Lock()
-	b.dirty = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	w.interrupt()
 	return true
 }
 
-// failChan returns the channel closed on the current epoch's first
-// failure, for selects in blocking point-to-point operations.
-func (c *Comm) failChan() <-chan struct{} {
-	w := c.w
-	w.fmu.Lock()
-	ch := w.failCh
-	w.fmu.Unlock()
-	return ch
+// nlive counts the live ranks. Called under fmu.
+func (w *World) nlive() int {
+	n := 0
+	for _, alive := range w.live {
+		if alive {
+			n++
+		}
+	}
+	return n
+}
+
+// renumber assigns the live ranks dense ids in physical order. Called
+// under fmu.
+func (w *World) renumber() {
+	d := 0
+	for r, alive := range w.live {
+		if !alive {
+			w.denseOf[r] = -1
+			continue
+		}
+		w.denseOf[r] = d
+		w.physOf[d] = r
+		d++
+	}
+	w.sz = d
+}
+
+// openEpoch starts a clean failure epoch: nothing lost, no cause, no
+// detection charged, a fresh failure channel, and no deposit snapshot of
+// the abandoned epoch still referenced. Called under fmu while no rank is
+// inside an operation (construction, or every survivor parked in Shrink).
+func (w *World) openEpoch() {
+	w.failCh = make(chan struct{})
+	w.failOpen = true
+	w.failCause = nil
+	w.lost = nil
+	clear(w.detectCharged)
+	for _, snap := range w.exchBuf {
+		clear(snap)
+	}
+	w.dirty.Store(false)
 }
 
 // Shrink is the survivors' recovery rendezvous (the MPI-ULFM shrink): all
 // live ranks call it after unwinding with a recoverable *RankFailure. It
-// renumbers the survivors densely, resets the barrier and mailboxes,
+// renumbers the survivors densely, opens a fresh failure epoch,
 // synchronizes the survivors' clocks, and returns the physical ids of the
 // ranks lost since the previous Shrink. After it returns, Rank/Size and
 // every collective work on the shrunk world.
 func (c *Comm) Shrink() []int {
-	w := c.w
-	if w.tr != nil {
-		return c.shrinkTransport()
-	}
-	w.fmu.Lock()
-	w.shrinkWait++
-	gen := w.shrinkGen
-	w.maybeFinishShrink()
-	for w.shrinkGen == gen {
-		w.shrinkCond.Wait()
-	}
-	lost := w.shrinkLost
-	w.fmu.Unlock()
-
-	c.advanceTo(w.shrinkClock)
-	w.stats[c.rank].Shrinks++
-	c.Event("recovery:shrink")
-	return lost
-}
-
-// shrinkTransport is Shrink over a wire transport: the transport runs
-// the survivor rendezvous (dead-set agreement) and this World applies
-// the same dense renumbering the simulated machine would. A peer death
-// that raced the agreement (observed on the wire but not in the agreed
-// set) seeds the next failure epoch immediately, so the very next
-// operation unwinds into another recovery round instead of deadlocking
-// on a dead peer.
-func (c *Comm) shrinkTransport() []int {
-	w := c.w
-	lost, maxClock, err := w.tr.Shrink(w.clocks[c.rank])
-	if err != nil {
-		// No survivors to rendezvous with: unrecoverable.
-		panic(&RankFailure{Lost: w.Lost(), Cause: err})
-	}
-	w.fmu.Lock()
-	for _, phys := range lost {
-		w.live[phys] = false
-	}
-	d := 0
-	for r, alive := range w.live {
-		if !alive {
-			w.denseOf[r] = -1
-			continue
-		}
-		w.denseOf[r] = d
-		w.physOf[d] = r
-		d++
-	}
-	w.sz = d
-	w.failCh = make(chan struct{})
-	w.failOpen = true
-	w.failCause = nil
-	w.lost = nil
-	for i := range w.detectCharged {
-		w.detectCharged[i] = false
-	}
-	w.fmu.Unlock()
-	w.dirty.Store(false)
-	// Late deaths the wire has already observed but the agreement missed
-	// open the next epoch right away.
-	for _, phys := range w.tr.Dead() {
-		if w.live[phys] {
-			w.peerFailed(phys)
-		}
-	}
-	c.clearDeposits()
+	lost, maxClock := c.rendezvous()
 	c.advanceTo(maxClock)
-	w.stats[c.rank].Shrinks++
+	c.w.stats[c.rank].Shrinks++
 	c.Event("recovery:shrink")
 	return lost
-}
-
-// maybeFinishShrink completes the shrink once every live rank has arrived.
-// Called under fmu, from Shrink arrivals and from markDead (a second crash
-// striking while survivors are already waiting lowers the quorum).
-func (w *World) maybeFinishShrink() {
-	if w.shrinkWait == 0 {
-		return
-	}
-	nlive := 0
-	for _, a := range w.live {
-		if a {
-			nlive++
-		}
-	}
-	if w.shrinkWait < nlive {
-		return
-	}
-	// Dense renumbering of the survivors.
-	d := 0
-	var maxClock int64
-	for r, alive := range w.live {
-		if !alive {
-			w.denseOf[r] = -1
-			continue
-		}
-		w.denseOf[r] = d
-		w.physOf[d] = r
-		d++
-		if w.clocks[r] > maxClock {
-			maxClock = w.clocks[r]
-		}
-	}
-	w.sz = d
-	w.shrinkClock = maxClock
-	// Fresh wire state: barrier sized to the survivors, mailboxes
-	// drained, a new failure epoch.
-	b := w.bar
-	b.mu.Lock()
-	b.p = d
-	b.count = 0
-	b.dirty = false
-	b.mu.Unlock()
-	w.dirty.Store(false)
-	for i := range w.mail {
-		for j := range w.mail[i] {
-			for {
-				select {
-				case <-w.mail[i][j]:
-					continue
-				default:
-				}
-				break
-			}
-		}
-	}
-	// Drop every stale deposit reference from the abandoned epoch: the
-	// cells and snapshot slices of all ranks (survivors are parked in
-	// Shrink and the dead never return, so this is race-free here), so a
-	// crashed collective's buffers don't stay pinned across recovery.
-	for i := range w.cells {
-		w.cells[i] = deposit{}
-	}
-	for i := range w.exchBuf {
-		for j := range w.exchBuf[i] {
-			w.exchBuf[i][j] = deposit{}
-		}
-	}
-	w.failCh = make(chan struct{})
-	w.failOpen = true
-	w.failCause = nil
-	w.shrinkLost = w.lost
-	w.lost = nil
-	for i := range w.detectCharged {
-		w.detectCharged[i] = false
-	}
-	w.shrinkWait = 0
-	w.shrinkGen++
-	w.shrinkCond.Broadcast()
-}
-
-// await enters the counting barrier, unwinding with a rank failure if the
-// barrier is (or goes) dirty while this rank is inside it.
-func (c *Comm) await() {
-	if !c.w.bar.await() {
-		c.failNow()
-	}
-}
-
-// barrier is a reusable counting barrier. A rank failure marks it dirty:
-// every waiter (and every later arrival) returns false until Shrink
-// resets it.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	gen   uint64
-	dirty bool
-}
-
-func newBarrier(p int) *barrier {
-	b := &barrier{p: p}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await returns true once every rank has arrived, false if the barrier
-// was aborted by a rank failure.
-func (b *barrier) await() bool {
-	b.mu.Lock()
-	if b.dirty {
-		b.mu.Unlock()
-		return false
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return true
-	}
-	for b.gen == gen && !b.dirty {
-		b.cond.Wait()
-	}
-	ok := !b.dirty || b.gen != gen
-	b.mu.Unlock()
-	return ok
 }

@@ -327,8 +327,7 @@ func encodeNode(e *enc, n *tree.Node) {
 	var flags uint8
 	if n.Leaf {
 		flags |= 1
-	}
-	if n.Subset != nil {
+	} else if n.Subset != nil {
 		flags |= 2
 	}
 	e.u8(flags)
@@ -372,6 +371,10 @@ func decodeNode(d *dec, schema *dataset.Schema, depth int) *tree.Node {
 	}
 	n := &tree.Node{}
 	flags := d.u8()
+	if flags > 2 {
+		d.fail("node flags %#x", flags)
+		return nil
+	}
 	n.Leaf = flags&1 != 0
 	n.Label = int(int32(d.u32()))
 	nh := int(d.u32())
@@ -395,8 +398,13 @@ func decodeNode(d *dec, schema *dataset.Schema, depth int) *tree.Node {
 			d.fail("truncated subset")
 			return nil
 		}
+		n.Subset = make([]bool, 0, ns)
 		for i := 0; i < ns && d.err == nil; i++ {
-			n.Subset = append(n.Subset, d.u8() != 0)
+			b := d.u8()
+			if b > 1 {
+				d.fail("subset flag byte %d", b)
+			}
+			n.Subset = append(n.Subset, b != 0)
 		}
 	}
 	nc := int(d.u32())
@@ -468,10 +476,14 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 	}
 	nAttrs := int(d.u32())
 	nNodes := int(d.u32())
-	if d.err == nil && nAttrs != schema.NumAttrs() {
+	switch {
+	case d.err != nil:
+		// Before anything is sized by the header: a frame torn inside it
+		// has read only some of these fields.
+		return nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
+	case nAttrs != schema.NumAttrs():
 		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d attributes, schema has %d", nAttrs, schema.NumAttrs())
-	}
-	if d.err == nil && nNodes != wantNodes {
+	case nNodes != wantNodes:
 		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d nodes, tree frontier has %d", nNodes, wantNodes)
 	}
 	fr := &fragFrame{

@@ -6,6 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/dataset"
+	"repro/internal/splitter"
+	"repro/internal/timing"
 )
 
 // openStore opens a file-backed store on dir the way TrainOpts does: a
@@ -144,5 +149,51 @@ func TestDistCheckpointClearVsResume(t *testing.T) {
 	}
 	if _, err := os.Stat(litter); err == nil {
 		t.Fatal("clearing frames left an interrupted save's temp file behind")
+	}
+}
+
+// TestResumeOnSimulatedWorld: the frame files are one format for every
+// world, so a simulated world resumes from them like a respawned TCP job
+// does. A run checkpointed to completion, resumed by a fresh world over the
+// same directory — at the writers' size and at a smaller one — continues
+// from the last frame set (no presort) and returns the byte-identical tree,
+// under each split finder.
+func TestResumeOnSimulatedWorld(t *testing.T) {
+	cfg := splitter.Config{}.Normalize()
+	wide := wideVoteTable(t, 3, 31, 240, 24)
+	for name, tc := range map[string]struct {
+		tab  *dataset.Table
+		opts Options
+	}{
+		"exact":  {faultTestTable(t), Options{}},
+		"binned": {faultTestTable(t), Options{Split: SplitBinned, Bins: 16}},
+		"vote":   {wide, Options{Split: SplitVote, Bins: 16, VoteK: wide.Schema.NumAttrs()}},
+	} {
+		const p = 3
+		tc.opts.CheckpointDir = t.TempDir()
+		full, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tc.tab, cfg, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: checkpointed run: %v", name, err)
+		}
+		if full.Levels < 3 {
+			t.Fatalf("%s: only %d levels; the resume would have nothing left to restore", name, full.Levels)
+		}
+		want := encodeTree(t, full.Tree)
+		tc.opts.Resume = true
+		for _, q := range []int{p, p - 1} {
+			res, err := TrainOpts(comm.NewWorld(q, timing.T3D()), tc.tab, cfg, tc.opts)
+			if err != nil {
+				t.Fatalf("%s: resume at p=%d: %v", name, q, err)
+			}
+			if !bytes.Equal(encodeTree(t, res.Tree), want) {
+				t.Errorf("%s: tree resumed at p=%d differs from the run that wrote the checkpoint", name, q)
+			}
+			if res.PresortModeledSeconds != 0 {
+				t.Errorf("%s: resume at p=%d presorted (%.3gs modeled): it replayed instead of restoring", name, q, res.PresortModeledSeconds)
+			}
+		}
+	}
+	if _, err := TrainOpts(comm.NewWorld(2, timing.T3D()), faultTestTable(t), cfg, Options{Resume: true}); err == nil {
+		t.Error("Resume without a CheckpointDir accepted")
 	}
 }

@@ -37,7 +37,7 @@ func (r *siteRecorder) Act(at comm.Site) comm.FaultAction {
 	return comm.FaultAction{}
 }
 
-func faultTestTable(t *testing.T) *dataset.Table {
+func faultTestTable(t testing.TB) *dataset.Table {
 	t.Helper()
 	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 31}, 160)
 	if err != nil {
@@ -423,7 +423,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // captureCheckpoint trains under opts with per-level checkpointing on and
 // returns the store.
-func captureCheckpoint(t *testing.T, tab *dataset.Table, cfg splitter.Config, p int, opts Options) *CheckpointStore {
+func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p int, opts Options) *CheckpointStore {
 	t.Helper()
 	store, err := NewCheckpointStore("")
 	if err != nil {

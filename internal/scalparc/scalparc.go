@@ -248,8 +248,8 @@ type Options struct {
 	CheckpointDir string
 	// Resume starts the run from the last complete checkpoint in
 	// CheckpointDir instead of from scratch — the respawn path after a
-	// wholesale failure on a wire-backed world. Requires a distributed
-	// world with checkpointing enabled.
+	// wholesale failure. Any world may resume, at the writers' size or a
+	// smaller one; requires CheckpointDir.
 	Resume bool
 }
 
@@ -316,8 +316,8 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 		// fragment files.
 		return nil, fmt.Errorf("scalparc: checkpointing on a wire transport requires CheckpointDir (per-process frames need shared stable storage)")
 	}
-	if opts.Resume && (!w.Distributed() || opts.CheckpointEvery == 0) {
-		return nil, fmt.Errorf("scalparc: Resume requires a wire-backed world with checkpointing enabled")
+	if opts.Resume && opts.CheckpointDir == "" {
+		return nil, fmt.Errorf("scalparc: Resume requires CheckpointDir (the frames to resume from)")
 	}
 	var store *CheckpointStore
 	if opts.CheckpointEvery > 0 {
@@ -358,7 +358,7 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 				// itself can fail — this rank may come out of the vote
 				// evicted or without a quorum (orphaned) — and that is a
 				// terminal error for the rank, not a crash.
-				if out.err = tryShrink(c); out.err != nil {
+				if out.err = c.TryShrink(); out.err != nil {
 					return
 				}
 				out.recoveries++
@@ -409,24 +409,6 @@ type rankOutcome struct {
 	presort    float64 // modeled clock after the first attempt's presort
 	recoveries int
 	err        error
-}
-
-// tryShrink runs the membership vote, converting a failure of the vote
-// itself — this rank evicted, or orphaned with no surviving quorum —
-// into the error the retry loop reports. Only *comm.RankFailure panics
-// are absorbed; anything else keeps unwinding.
-func tryShrink(c *comm.Comm) (err error) {
-	defer func() {
-		switch e := recover().(type) {
-		case nil:
-		case *comm.RankFailure:
-			err = e
-		default:
-			panic(e)
-		}
-	}()
-	c.Shrink()
-	return nil
 }
 
 // trainAttempt runs one rank's induction attempt end to end, converting the

@@ -17,10 +17,10 @@ type modelJSON struct {
 	Trees  []*Node         `json:"trees"`
 }
 
-// Encode writes the tree as indented JSON.
+// Encode writes the tree as one line of compact JSON.
 func (t *Tree) Encode(w io.Writer) error { return encode(w, t) }
 
-// Encode writes the forest as indented JSON: the schema once, then every
+// Encode writes the forest as one line of compact JSON: the schema once, then every
 // tree's root under "trees".
 func (f *Forest) Encode(w io.Writer) error {
 	doc := modelJSON{Schema: f.Schema}
@@ -32,7 +32,6 @@ func (f *Forest) Encode(w io.Writer) error {
 
 func encode(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
 		return fmt.Errorf("tree: encoding JSON: %w", err)
 	}

@@ -68,31 +68,64 @@ func TestPredictTableIsTheWalker(t *testing.T) {
 	}
 }
 
+// modelDocs encodes one tree document and one forest document.
+func modelDocs(t testing.TB) [][]byte {
+	s := modelSchema()
+	var docs [][]byte
+	for _, encode := range []func(io.Writer) error{
+		modelTree(s).Encode,
+		(&tree.Forest{Schema: s, Trees: []*tree.Tree{modelTree(s), modelTree(s)}}).Encode,
+	} {
+		var doc bytes.Buffer
+		if err := encode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc.Bytes())
+	}
+	return docs
+}
+
+// TestIndentedDocumentsStillDecode: Encode writes compact JSON, but model
+// files written while it indented must keep loading — the same document
+// with any whitespace decodes to an Equal model.
+func TestIndentedDocumentsStillDecode(t *testing.T) {
+	for _, doc := range modelDocs(t) {
+		if bytes.Contains(bytes.TrimSpace(doc), []byte("\n")) {
+			t.Fatalf("Encode is not compact: %q", doc)
+		}
+		want, err := tree.DecodeModel(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, doc, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tree.DecodeModel(&indented)
+		if err != nil {
+			t.Fatalf("indented document rejected: %v", err)
+		}
+		if got.NumTrees() != want.NumTrees() {
+			t.Fatalf("indented document decodes to %d trees, compact to %d", got.NumTrees(), want.NumTrees())
+		}
+		for i := range want.Trees {
+			if !want.Trees[i].Equal(got.Trees[i]) {
+				t.Fatalf("tree %d differs between the indented and the compact document", i)
+			}
+		}
+	}
+}
+
 // FuzzDecodeModel feeds the single model parser arbitrary bytes. It must
 // never panic, and whatever it accepts must be servable: valid, compilable,
 // predictable on hostile rows exactly as the walker votes, and stable under
 // re-encoding.
 func FuzzDecodeModel(f *testing.F) {
-	// Seeds: one tree document and one forest document, compacted so the
-	// mutator spends its bytes on structure rather than indentation.
-	s := modelSchema()
-	for _, encode := range []func(io.Writer) error{
-		modelTree(s).Encode,
-		(&tree.Forest{Schema: s, Trees: []*tree.Tree{modelTree(s), modelTree(s)}}).Encode,
-	} {
-		var doc, seed bytes.Buffer
-		if err := encode(&doc); err != nil {
-			f.Fatal(err)
-		}
-		if err := json.Compact(&seed, doc.Bytes()); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seed.Bytes())
+	// Seeds: one tree document and one forest document.
+	for _, doc := range modelDocs(f) {
+		f.Add(doc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			return // indented re-encoding is quadratic in nesting depth
-		}
 		fr, err := tree.DecodeModel(bytes.NewReader(data))
 		if err != nil {
 			return
