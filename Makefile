@@ -27,14 +27,11 @@ test:
 	$(GO) test ./...
 
 # One testing.B benchmark per experiment in DESIGN.md's index (repo
-# root), plus the per-package micro-benchmarks (e.g. internal/comm),
-# then regenerate the BENCH_*.json perf trajectories (EXP-HOTPATH and
-# EXP-PREDICT): each `benchrunner -exp <name>` appends one labeled run.
-BENCHLABEL ?=
+# root), plus the per-package micro-benchmarks (e.g. internal/comm).
+# Nothing is recorded: wall-clock figures that are kept are benchmark/'s
+# (see benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/benchrunner -exp hotpath -benchlabel "$(BENCHLABEL)"
-	$(GO) run ./cmd/benchrunner -exp predict -benchlabel "$(BENCHLABEL)"
 
 # Race-detect the packages with real goroutine concurrency: the simulated
 # machine (one goroutine per rank), the engine driving it, the compiled
@@ -108,16 +105,16 @@ fuzz:
 # (top-k voting on the wide schema: degeneracy, p-invariant trees, >= 2x
 # FindSplitI byte cut vs binned, accuracy within 1% of exact; failing runs
 # dump a Chrome trace into VOTE_ARTIFACT_DIR for CI to upload),
-# GUARD-HOTPATH (gini kernel ratio + allocation discipline vs the
-# checked-in BENCH_*.json trajectory), GUARD-PREDICT (compiled batch
-# inference >= 4x the frozen pre-engine walk with bit-identical labels),
-# GUARD-SERVE (the HTTP serving path: bit-identical labels over the
-# wire, throughput/latency vs BENCH_serve.json; failing runs dump latency
-# histograms into SERVE_ARTIFACT_DIR for CI to upload), and GUARD-FOREST
-# (T=16 bagging beats a single fully-grown tree on noisy Quest, the
-# compiled batch-vote kernel is bit-identical to the walker oracle, and a
-# chaos run that kills one tree's world loses exactly that tree) — see
-# EXPERIMENTS.md.
+# GUARD-HOTPATH (gini kernel >= 2x the frozen naive scan; induction
+# allocs/op vs the archived BENCH_induction.json), GUARD-PREDICT (compiled
+# batch inference >= 4x the frozen pre-engine walk with bit-identical
+# labels), GUARD-SERVE (the HTTP serving path: bit-identical labels over the
+# wire, whole requests per flush, a p99 disaster line; failing runs dump
+# latency histograms into SERVE_ARTIFACT_DIR for CI to upload), and
+# GUARD-FOREST (T=16 bagging beats a single fully-grown tree on noisy
+# Quest, the compiled batch-vote kernel is bit-identical to the walker
+# oracle, and a chaos run that kills one tree's world loses exactly that
+# tree) — see EXPERIMENTS.md.
 SERVE_ARTIFACT_DIR ?= serve-latency
 VOTE_ARTIFACT_DIR ?= vote-trace
 guard:
@@ -130,11 +127,10 @@ guard:
 
 # Forest suite: the scalparc forest chaos/determinism tests, the compiled
 # batch-vote differentials (including the CompileForest fuzz corpus run as
-# unit cases), the CLI -forest end-to-end tests, and a fresh EXP-FOREST
-# trajectory run (appends a labeled point to BENCH_forest.json).
+# unit cases) and the CLI -forest end-to-end tests. EXP-FOREST's table is
+# part of `make experiments-check`.
 forest:
 	$(GO) test -run 'Forest' ./internal/scalparc ./internal/infer ./classify ./cmd/scalparc ./internal/serve
-	$(GO) run ./cmd/benchrunner -exp forest -benchlabel "$(BENCHLABEL)"
 
 cover:
 	$(GO) test -cover ./...

@@ -200,9 +200,8 @@ func BenchmarkAllToAll(b *testing.B) {
 	}
 }
 
-// BenchmarkInduction is EXP-HOTPATH's headline figure: one full induction
-// at p=4 with allocation reporting; the BENCH_induction.json trajectory
-// records this benchmark's figures (see internal/bench.Hotpath).
+// BenchmarkInduction is one full induction at p=4 with allocation
+// reporting: the body GUARD-HOTPATH's allocation gate measures.
 func BenchmarkInduction(b *testing.B) {
 	bench.BenchInduction(b, bench.HotpathRecords, bench.HotpathProcs)
 }
@@ -219,9 +218,8 @@ func BenchmarkGiniScanNaive(b *testing.B) {
 	bench.BenchGiniScanNaive(b, bench.ScanEntries)
 }
 
-// BenchmarkPredict is EXP-PREDICT's headline figure: the compiled batch
-// engine classifying the 1M-row fixture table; the BENCH_predict.json
-// trajectory records this benchmark's figures (see internal/bench.Predict).
+// BenchmarkPredict is the compiled batch engine classifying the 1M-row
+// fixture table: the body GUARD-PREDICT holds to >= 4x the naive walk.
 func BenchmarkPredict(b *testing.B) {
 	bench.BenchPredictCompiled(b, bench.PredictRows)
 }

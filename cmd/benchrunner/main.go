@@ -19,19 +19,9 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/comm/tcptransport"
 )
 
 func main() {
-	// EXP-TCP re-executes this binary once per rank; a worker invocation
-	// runs its rank's share of the training and exits.
-	if tcptransport.IsWorker() {
-		if err := bench.TCPWorker(os.Args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
@@ -39,19 +29,15 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	usesFiles := func(x bench.Experiment) bool { return x.Trajectory != bench.NoTrajectory }
-	appends := func(x bench.Experiment) bool { return x.Trajectory == bench.Appends }
-
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "comma-separated experiments: "+bench.Names(nil)+
-		"; or all (every one but "+bench.Names(appends)+", which append to a BENCH_*.json file), or recorded (the ones archived in experiments_output.txt)")
+		"; or all, or recorded (the ones archived in experiments_output.txt)")
 	scale := fs.Float64("scale", 1.0/16, "fraction of the paper's record counts to run")
 	function := fs.Int("function", 2, "Quest classification function")
 	seed := fs.Int64("seed", 1, "generator seed")
 	maxDepth := fs.Int("depth", 0, "maximum tree depth (0 = unlimited)")
 	traceOut := fs.String("trace", "", "write the per-rank timelines of the per-phase breakdown (EXP-PHASES) as Chrome trace-event JSON to this file")
-	benchDir := fs.String("benchdir", ".", "directory holding the BENCH_*.json trajectory files ("+bench.Names(usesFiles)+")")
-	benchLabel := fs.String("benchlabel", "", "label of the run appended to the BENCH_*.json files ("+bench.Names(appends)+")")
+	benchDir := fs.String("benchdir", ".", "directory holding the frozen BENCH_*.json archive (hotpathguard reads its allocation baseline there)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		// Latencies scale with the data so reduced sweeps keep the full-size
 		// comp/comm balance (see bench.ScaledMachine).
 		Machine:  bench.ScaledMachine(*scale),
-		BenchDir: *benchDir, Label: *benchLabel, Trace: *traceOut,
+		BenchDir: *benchDir, Trace: *traceOut,
 	}
 	for _, x := range selected {
 		if err := x.Run(env); err != nil {

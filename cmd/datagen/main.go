@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/classify"
+	"repro/internal/atomicfile"
 )
 
 func main() {
@@ -46,20 +47,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		return classify.WriteCSV(stdout, tab)
 	}
-	if err := classify.WriteCSV(w, tab); err != nil {
+	err = atomicfile.Write(*out, func(w io.Writer) error { return classify.WriteCSV(w, tab) })
+	if err != nil {
 		return err
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", tab.NumRows(), *out)
-	}
+	fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", tab.NumRows(), *out)
 	return nil
 }

@@ -25,7 +25,8 @@ func TestRunToStdout(t *testing.T) {
 }
 
 func TestRunToFileAndReadBack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.csv")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.csv")
 	var out bytes.Buffer
 	if err := run([]string{"-function", "2", "-records", "40", "-o", path, "-nine"}, &out); err != nil {
 		t.Fatal(err)
@@ -41,6 +42,15 @@ func TestRunToFileAndReadBack(t *testing.T) {
 	}
 	if tab.NumRows() != 40 || tab.Schema.NumAttrs() != 9 {
 		t.Fatalf("read back %d rows, %d attrs", tab.NumRows(), tab.Schema.NumAttrs())
+	}
+
+	// The file is replaced atomically: nothing but it is left in the
+	// directory, and a target that cannot be written fails the command.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("output directory holds %d entries (%v), want data.csv alone", len(entries), err)
+	}
+	if err := run([]string{"-records", "40", "-o", filepath.Join(dir, "no-such-dir", "data.csv")}, &out); err == nil {
+		t.Fatal("-o into a missing directory reported success")
 	}
 }
 

@@ -470,15 +470,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		mm.Trace.WriteText(stdout)
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := mm.Trace.WriteChrome(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := atomicfile.Write(*traceOut, mm.Trace.WriteChrome); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote Chrome trace to %s\n", *traceOut)
@@ -521,12 +513,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote tree JSON to %s\n", *jsonOut)
 	}
 	if *dotOut != "" {
-		f, err := os.Create(*dotOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := model.Tree.DOT(f); err != nil {
+		if err := atomicfile.Write(*dotOut, model.Tree.DOT); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote Graphviz dot to %s\n", *dotOut)

@@ -174,7 +174,8 @@ func TestRunCrossValidation(t *testing.T) {
 }
 
 func TestRunDotOutput(t *testing.T) {
-	dotPath := filepath.Join(t.TempDir(), "tree.dot")
+	dir := t.TempDir()
+	dotPath := filepath.Join(dir, "tree.dot")
 	var out bytes.Buffer
 	err := run([]string{
 		"-quest-function", "1", "-records", "300", "-algo", "sliq", "-dot-out", dotPath,
@@ -191,6 +192,15 @@ func TestRunDotOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "algorithm sliq") {
 		t.Fatalf("output:\n%s", out.String())
+	}
+	assertNoTempFiles(t, dir)
+
+	// Like -json-out: an unwritable target fails the run.
+	if err := run([]string{
+		"-quest-function", "1", "-records", "300", "-algo", "sliq",
+		"-dot-out", filepath.Join(dir, "no-such-dir", "tree.dot"),
+	}, &out); err == nil {
+		t.Fatal("-dot-out into a missing directory reported success")
 	}
 }
 
@@ -310,6 +320,14 @@ func TestRunPhasesAndTraceOutput(t *testing.T) {
 	}
 	if len(ranks) != 4 {
 		t.Fatalf("trace covers %d ranks, want 4", len(ranks))
+	}
+	assertNoTempFiles(t, dir)
+
+	if err := run([]string{
+		"-quest-function", "2", "-records", "2000", "-procs", "4",
+		"-trace", filepath.Join(dir, "no-such-dir", "trace.json"),
+	}, &out); err == nil {
+		t.Fatal("-trace into a missing directory reported success")
 	}
 }
 

@@ -3,8 +3,11 @@ package atomicfile
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -73,5 +76,46 @@ func TestWriteMissingDirectory(t *testing.T) {
 	err := Write(path, func(io.Writer) error { called = true; return nil })
 	if err == nil || called {
 		t.Fatalf("err=%v called=%v, want an error before fill runs", err, called)
+	}
+}
+
+// TestEveryFileWriteGoesThroughAtomicfile keeps DESIGN.md's claim true: no
+// non-test source of the root module outside this package calls os.Create or
+// os.WriteFile. The one exception, by name, is the checkpoint store's
+// writability probe — an empty file created to be deleted. (benchmark/ is
+// its own frozen module and is not walked.)
+func TestEveryFileWriteGoesThroughAtomicfile(t *testing.T) {
+	const probe = "internal/scalparc/checkpoint.go"
+	root := filepath.Join("..", "..")
+	inPlace := regexp.MustCompile(`\bos\.(Create|WriteFile)\(`)
+	checked := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if d.IsDir() {
+			if rel == "benchmark" || rel == "internal/atomicfile" || strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		for n, line := range strings.Split(string(src), "\n") {
+			if inPlace.MatchString(line) && !(rel == probe && strings.Contains(line, "os.Create(probe)")) {
+				t.Errorf("%s:%d writes a file in place; use atomicfile.Write: %s", rel, n+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil || checked == 0 {
+		t.Fatalf("walked %d sources: %v", checked, err)
 	}
 }

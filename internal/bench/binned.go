@@ -43,15 +43,15 @@ func accuracy(pred []int, tab *dataset.Table) float64 {
 }
 
 // SplitPoint is one split-finding mode's measurement: a row of the
-// EXP-BINNED and EXP-VOTE tables, and a point of an EXP-VOTE run.
+// EXP-BINNED and EXP-VOTE tables.
 type SplitPoint struct {
-	Mode           string  `json:"mode"` // "exact", "binned", or "vote"
-	VoteK          int     `json:"vote_k,omitempty"`
-	ModeledSeconds float64 `json:"modeled_seconds"`
-	Nodes          int     `json:"nodes"`
-	FindSplitOps   int64   `json:"findsplit_ops"`
-	FindSplitBytes int64   `json:"findsplit_bytes"`
-	Accuracy       float64 `json:"accuracy"`
+	Mode           string // "exact", "binned", or "vote"
+	VoteK          int
+	ModeledSeconds float64
+	Nodes          int
+	FindSplitOps   int64
+	FindSplitBytes int64
+	Accuracy       float64
 }
 
 // measureSplits trains each split-finding mode on a fresh p-rank world and

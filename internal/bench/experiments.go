@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
+	"path/filepath"
 	"text/tabwriter"
 
 	"repro/classify"
@@ -401,20 +401,6 @@ func Micro(e *Env) error {
 	return tw.Flush()
 }
 
-// writeChrome writes a run's per-rank virtual timelines to path as Chrome
-// trace-event JSON.
-func writeChrome(path string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Phases prints the per-phase/per-level breakdown of one ScalParC run:
 // where every modeled second and every byte of the section 5 totals goes,
 // by the paper's four phases and tree level. If e.Trace is set the per-rank
@@ -428,7 +414,7 @@ func Phases(e *Env, n, p int) error {
 	}
 	res.Trace.WriteText(w)
 	if e.Trace != "" {
-		if err := writeChrome(e.Trace, res.Trace); err != nil {
+		if err := writeArtifact(filepath.Dir(e.Trace), filepath.Base(e.Trace), res.Trace.WriteChrome); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote Chrome trace to %s\n", e.Trace)

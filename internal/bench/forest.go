@@ -3,7 +3,7 @@ package bench
 // EXP-FOREST / GUARD-FOREST: bagged forests with per-node feature
 // subsampling on label-noisy Quest data — the regime where a single
 // fully-grown tree memorizes the noise and an ensemble averages it out.
-// The trajectory sweeps the ensemble size T and records what each extra
+// The experiment sweeps the ensemble size T and prints what each extra
 // tree buys (clean held-out accuracy) and costs (the summed per-tree
 // communication bill and modeled runtime); the guard pins the
 // accuracy-beats-single-tree claim, the compiled batch-vote kernel's
@@ -43,26 +43,13 @@ const (
 	forestLabelNoise    = 0.2
 )
 
-// forestFile is the checked-in EXP-FOREST trajectory; its notes document
-// the file for readers of the raw JSON.
-var forestFile = trajectoryFile{"BENCH_forest.json", "EXP-FOREST", "EXP-FOREST trajectory: bagged forests with per-node feature subsampling (m=3) vs ensemble size T on label-noisy Quest data (F7, Nine attributes, 1200 records at 20% label noise, clean 1200-row held-out set, binned-32 fully-grown trees, 2 processors per tree world; virtual T3D clocks, so bytes and modeled seconds are host-independent and bit-stable). accuracy is the compiled batch-vote kernel's (bit-identical to the walker oracle by GUARD-FOREST); bytes_sent and modeled_seconds sum every tree's communication and runtime — the ensemble's total training bill, linear in T."}
-
-// ForestPoint is one ensemble size's measurement in an EXP-FOREST run.
+// ForestPoint is one ensemble size's measurement in EXP-FOREST.
 type ForestPoint struct {
-	Trees          int     `json:"trees"`
-	Nodes          int     `json:"nodes"` // summed over the ensemble
-	ModeledSeconds float64 `json:"modeled_seconds"`
-	BytesSent      int64   `json:"bytes_sent"`
-	Accuracy       float64 `json:"accuracy"`
-}
-
-// ForestRun is one labeled EXP-FOREST measurement. The virtual-clock
-// points are host-independent; the host metadata records where the run
-// happened anyway, for parity with the other trajectories.
-type ForestRun struct {
-	hostMeta
-	Records int           `json:"records"`
-	Points  []ForestPoint `json:"points"`
+	Trees          int
+	Nodes          int // summed over the ensemble
+	ModeledSeconds float64
+	BytesSent      int64
+	Accuracy       float64
 }
 
 // forestTables generates the pinned noisy training table and its clean
@@ -87,7 +74,7 @@ func forestOptions(trees int) scalparc.ForestOptions {
 }
 
 // forestMeasure trains one ensemble size on the pinned scenario and
-// reduces the run to a trajectory point. The accuracy is the compiled
+// reduces the run to a point. The accuracy is the compiled
 // batch-vote kernel's on the held-out table — the engine production
 // serving actually runs.
 func forestMeasure(trees int, train, test *dataset.Table) (ForestPoint, *scalparc.ForestResult, error) {
@@ -116,22 +103,20 @@ func forestMeasure(trees int, train, test *dataset.Table) (ForestPoint, *scalpar
 	}, res, nil
 }
 
-// Forest runs and records EXP-FOREST: held-out accuracy and total
+// Forest runs and prints EXP-FOREST: held-out accuracy and total
 // communication against the ensemble size (a fixed T ladder up to the
-// guard's T=16) on the pinned noisy-Quest scenario, appending a labeled run
-// to e.BenchDir's BENCH_forest.json and printing the resulting trajectory.
-// The measurements ride the deterministic virtual clocks and the forest's
-// seeded streams, so successive runs of the same source record identical
-// points — drift in the trajectory is a code change, not host noise.
+// guard's T=16) on the pinned noisy-Quest scenario. The measurements ride
+// the deterministic virtual clocks and the forest's seeded streams, so the
+// table is archived in experiments_output.txt: drift is a code change, not
+// host noise, and `make experiments-check` reports it.
 func Forest(e *Env) error {
 	w := e.Out
-	fmt.Fprintf(w, "EXP-FOREST — bagged forests vs ensemble size on noisy Quest (%s records at %.0f%% label noise, %d processors per tree; appending to %s)\n",
-		human(ForestRecords), forestLabelNoise*100, ForestProcs, forestFile.name)
+	fmt.Fprintf(w, "EXP-FOREST — bagged forests vs ensemble size on noisy Quest (%s records at %.0f%% label noise, %d processors per tree)\n",
+		human(ForestRecords), forestLabelNoise*100, ForestProcs)
 	train, test, err := forestTables()
 	if err != nil {
 		return err
 	}
-	run := ForestRun{hostMeta: newHostMeta(e.Label), Records: ForestRecords}
 	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "trees\tnodes\tmodeled runtime\tbytes sent\theld-out accuracy")
 	for _, trees := range []int{1, 2, 4, 8, ForestTrees} {
@@ -141,19 +126,8 @@ func Forest(e *Env) error {
 		}
 		fmt.Fprintf(tw, "T=%d\t%d\t%.3fs\t%.1fKB\t%.4f\n",
 			pt.Trees, pt.Nodes, pt.ModeledSeconds, float64(pt.BytesSent)/1e3, pt.Accuracy)
-		run.Points = append(run.Points, pt)
 	}
-	tw.Flush()
-	_, err = record(w, e.BenchDir, forestFile, run, fmt.Sprintf("trajectory (T=%d point: bytes sent, accuracy):", ForestTrees),
-		func(_ int, r *ForestRun) (line string) {
-			for _, pt := range r.Points {
-				if pt.Trees == ForestTrees {
-					line += fmt.Sprintf("  %8.1fKB  acc %.4f", float64(pt.BytesSent)/1e3, pt.Accuracy)
-				}
-			}
-			return line
-		})
-	return err
+	return tw.Flush()
 }
 
 // forestKiller poisons its tree's first FindSplitI collective with a

@@ -3,7 +3,11 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // gates collects every gate one guard run violates, so a failing guard
@@ -16,37 +20,6 @@ type gates struct {
 
 func (g *gates) fail(format string, args ...any) {
 	g.errs = append(g.errs, fmt.Errorf(g.prefix+format, args...))
-}
-
-// hostFactor is how many times slower this host runs a guard's frozen probe
-// than the host that recorded the trajectory did (> 1 on a slower host). It
-// is 0 — which skips the host-normalized gates — when either side lacks the
-// probe figure.
-func hostFactor(freshProbe, recordedProbe float64) float64 {
-	if freshProbe <= 0 || recordedProbe <= 0 {
-		return 0
-	}
-	return freshProbe / recordedProbe
-}
-
-// withinHost is the one fresh-vs-recorded comparison: the recorded figure is
-// first scaled to this host — a time (lower is better) up by host, a rate
-// (higher is better) down by it — and the fresh figure may then be worse by
-// at most the factor slack. A uniformly slower machine therefore passes
-// while a slower code path on the same machine does not: the gate is about
-// the code, not the host.
-func (g *gates) withinHost(what, unit string, fresh, recorded, host, slack float64, rate bool) {
-	if host <= 0 || recorded <= 0 {
-		return
-	}
-	limit, over := recorded*host*slack, fresh > recorded*host*slack
-	if rate {
-		limit, over = recorded/host/slack, fresh < recorded/host/slack
-	}
-	if over {
-		g.fail("%s regression: %.2f %s vs limit %.2f (recorded %.2f, host factor %.2f, slack %.2fx)",
-			what, fresh, unit, limit, recorded, host, slack)
-	}
 }
 
 // guardError turns a guard's violated gates into its result: nil when every
@@ -65,16 +38,16 @@ func guardError(errs []error, dump func() error) error {
 	return errors.Join(errs...)
 }
 
-// writeArtifact hands write the directory the environment variable names
-// (CI uploads it when a guard fails), creating it first. An unset variable
-// is a silent no-op; a failure is the os error, which names the path.
-func writeArtifact(envVar string, write func(dir string) error) error {
-	dir := os.Getenv(envVar)
+// writeArtifact is the one place this package writes a file: name inside
+// dir, created if missing, replaced atomically. An empty dir — a guard whose
+// artifact variable CI did not set — is a silent no-op; a failure is the os
+// error, which names the path.
+func writeArtifact(dir, name string, fill func(io.Writer) error) error {
 	if dir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return write(dir)
+	return atomicfile.Write(filepath.Join(dir, name), fill)
 }

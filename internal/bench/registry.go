@@ -14,7 +14,7 @@ import (
 )
 
 // Env is what one benchrunner invocation hands every experiment it runs:
-// where to print, the workload knobs, and where the trajectory files live.
+// where to print, the workload knobs, and where the BENCH_*.json archive is.
 type Env struct {
 	Out      io.Writer
 	Scale    float64      // fraction of the paper's record counts to run
@@ -22,8 +22,7 @@ type Env struct {
 	Seed     int64        // generator seed
 	MaxDepth int          // maximum tree depth (0 = unlimited)
 	Machine  timing.Model // the simulated machine (see ScaledMachine)
-	BenchDir string       // directory holding the BENCH_*.json trajectory files
-	Label    string       // label a recording experiment stamps on its run
+	BenchDir string       // directory holding the frozen BENCH_*.json archive
 	Trace    string       // file EXP-PHASES writes its Chrome trace to, if set
 
 	grid *Grid // the Figure 3 sweep feeds four experiments; it runs once
@@ -86,23 +85,9 @@ func onSweep(print func(io.Writer, *Grid)) func(*Env) error {
 	}
 }
 
-// Use is what an experiment does with the checked-in BENCH_*.json files.
-type Use int
-
-const (
-	// NoTrajectory experiments print what they measure and keep nothing.
-	NoTrajectory Use = iota
-	// Gates experiments hold a fresh measurement to the latest recorded run.
-	Gates
-	// Appends experiments add a labeled run to a checked-in file, so they
-	// only run when asked for by name, never under -exp all.
-	Appends
-)
-
 // Experiment is one row of DESIGN.md's per-experiment index.
 type Experiment struct {
-	Name       string // what -exp calls it
-	Trajectory Use
+	Name string // what -exp calls it
 	// Guard marks a CI regression gate: `make guard` and the CI workflow
 	// each run it as its own step.
 	Guard bool
@@ -141,18 +126,13 @@ var Experiments = []Experiment{
 	{Name: "levels", Recorded: true, Run: func(e *Env) error { return Levels(e, e.records(2), 16) }},
 	{Name: "binned", Recorded: true, Run: func(e *Env) error { return BinnedSweep(e, e.records(0), 8) }},
 	{Name: "binnedguard", Guard: true, Recorded: true, Run: func(e *Env) error { return BinnedGuard(e, e.records(0), 8) }},
-	{Name: "vote", Trajectory: Appends, Run: Vote},
+	{Name: "vote", Recorded: true, Run: Vote},
 	{Name: "voteguard", Guard: true, Run: VoteGuard},
-	{Name: "hotpath", Trajectory: Appends, Run: Hotpath},
-	{Name: "hotpathguard", Trajectory: Gates, Guard: true, Run: HotpathGuard},
-	// tcp spawns real worker processes; serve measures real wall-clock
-	// HTTP serving on loopback.
-	{Name: "tcp", Trajectory: Appends, Run: TCP},
-	{Name: "predict", Trajectory: Appends, Run: Predict},
-	{Name: "predictguard", Trajectory: Gates, Guard: true, Run: PredictGuard},
-	{Name: "serve", Trajectory: Appends, Run: Serve},
-	{Name: "serveguard", Trajectory: Gates, Guard: true, Run: ServeGuard},
-	{Name: "forest", Trajectory: Appends, Run: Forest},
+	{Name: "hotpathguard", Guard: true, Run: HotpathGuard},
+	{Name: "predictguard", Guard: true, Run: PredictGuard},
+	// serveguard measures real wall-clock HTTP serving on loopback.
+	{Name: "serveguard", Guard: true, Run: ServeGuard},
+	{Name: "forest", Recorded: true, Run: Forest},
 	{Name: "forestguard", Guard: true, Run: ForestGuard},
 	{Name: "fault", Run: func(e *Env) error { return Faults(e, e.records(0), []int{4, 8, 16}) }},
 	{Name: "micro", Recorded: true, Run: Micro},
@@ -171,9 +151,9 @@ func Names(keep func(Experiment) bool) string {
 }
 
 // Select resolves a comma-separated -exp list against the registry. Besides
-// experiment names the list may hold two groups: "all" is every experiment
-// that does not append to a trajectory, "recorded" every one archived in
-// experiments_output.txt. Any other name is an error before anything runs.
+// experiment names the list may hold two groups: "all" is every experiment,
+// "recorded" every one archived in experiments_output.txt. Any other name is
+// an error before anything runs.
 func Select(list string) ([]Experiment, error) {
 	want := map[string]bool{"all": false, "recorded": false}
 	for _, x := range Experiments {
@@ -188,7 +168,7 @@ func Select(list string) ([]Experiment, error) {
 	}
 	var selected []Experiment
 	for _, x := range Experiments {
-		if want[x.Name] || want["all"] && x.Trajectory != Appends || want["recorded"] && x.Recorded {
+		if want[x.Name] || want["all"] || want["recorded"] && x.Recorded {
 			selected = append(selected, x)
 		}
 	}

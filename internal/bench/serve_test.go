@@ -16,52 +16,21 @@ func serveTestPoints(rps, p99 float64, meanBatch float64) []ServePoint {
 	}
 }
 
-func serveTestTraj(rps, walkNs float64) *trajectory[ServeRun] {
-	return &trajectory[ServeRun]{
-		Experiment: "EXP-SERVE",
-		Runs: []ServeRun{{
-			hostMeta:     hostMeta{Label: "recorded"},
-			WalkNsPerRow: walkNs,
-			Points:       serveTestPoints(rps, 2000, 50),
-		}},
-	}
-}
-
 // TestServeChecksGates drives the pure gate logic across the regression
 // shapes the guard exists to catch.
 func TestServeChecksGates(t *testing.T) {
-	const walkNs = 100.0
-	healthy := serveTestPoints(50_000, 2000, 80)
-
-	if errs := serveChecks(healthy, walkNs, serveTestTraj(50_000, walkNs)); len(errs) != 0 {
+	if errs := serveChecks(serveTestPoints(50_000, 2000, 80)); len(errs) != 0 {
 		t.Fatalf("healthy run tripped gates: %v", errs)
 	}
 
 	// Requests fragment: a 64-row request's flushes average 50 rows.
-	broken := serveTestPoints(50_000, 2000, 50)
-	if errs := serveChecks(broken, walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
+	if errs := serveChecks(serveTestPoints(50_000, 2000, 50)); len(errs) == 0 {
 		t.Fatal("mean batch 50 on 64-row requests passed the no-fragmentation gate")
 	}
 
 	// Flushers waiting for company: single-row p99 explodes.
-	slow := serveTestPoints(50_000, 5_000_000, 80)
-	if errs := serveChecks(slow, walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
+	if errs := serveChecks(serveTestPoints(50_000, 5_000_000, 80)); len(errs) == 0 {
 		t.Fatal("5s p99 passed the latency gate")
-	}
-
-	// Throughput collapse beyond the slack, same host speed.
-	if errs := serveChecks(serveTestPoints(10_000, 2000, 80), walkNs, serveTestTraj(50_000, walkNs)); len(errs) == 0 {
-		t.Fatal("5x throughput loss passed the gate")
-	}
-
-	// Same collapse explained by a 5x slower host probe: must pass.
-	if errs := serveChecks(serveTestPoints(10_000, 2000, 80), walkNs*5, serveTestTraj(50_000, walkNs)); len(errs) != 0 {
-		t.Fatalf("host-normalized slowdown tripped gates: %v", errs)
-	}
-
-	// Empty trajectory is itself a failure.
-	if errs := serveChecks(healthy, walkNs, &trajectory[ServeRun]{}); len(errs) == 0 {
-		t.Fatal("empty trajectory passed")
 	}
 }
 
@@ -93,6 +62,11 @@ func TestWriteServeArtifact(t *testing.T) {
 	// First bucket (<100µs) and overflow bucket (>1s) each hold one.
 	if arts[0].Counts[0] != 1 || arts[0].Counts[len(arts[0].Counts)-1] != 1 {
 		t.Fatalf("bucketing wrong: %v", arts[0].Counts)
+	}
+
+	// Written atomically: the artifact is alone in its directory.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("artifact directory holds %d entries (%v), want serve_latency.json alone", len(entries), err)
 	}
 
 	// Unset env is a silent no-op.

@@ -10,7 +10,7 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
+	"os"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -39,20 +39,6 @@ const (
 	voteTestRows = 800
 )
 
-// voteFile is the checked-in EXP-VOTE trajectory; its notes document the
-// file for readers of the raw JSON.
-var voteFile = trajectoryFile{"BENCH_vote.json", "EXP-VOTE", "EXP-VOTE trajectory: exact vs binned vs top-k voting split finding on the wide Quest scenario (F2, 1600 records, 7 informative + 193 noise attributes, 4 processors, B=32, MinSplit 40, depth cap 3; virtual T3D clocks, so points are host-independent and bit-stable). findsplit_bytes/findsplit_ops total the FindSplitI phase's communication across all ranks and levels; accuracy is held out on an independently seeded 800-row table. The vote rows show the k-knob trading bytes against fidelity: k >= attrs is provably the binned tree, small k ships only the elected candidates' histograms."}
-
-// VoteRun is one labeled EXP-VOTE measurement. The virtual-clock points
-// are host-independent; the host metadata records where the run happened
-// anyway, for parity with the other trajectories.
-type VoteRun struct {
-	hostMeta
-	Records int          `json:"records"`
-	Attrs   int          `json:"attrs"`
-	Points  []SplitPoint `json:"points"`
-}
-
 // voteTables generates the pinned wide training table and an
 // independently seeded held-out table from the same distribution.
 func voteTables() (train, test *dataset.Table, err error) {
@@ -69,7 +55,7 @@ func voteTables() (train, test *dataset.Table, err error) {
 }
 
 // voteMeasure trains every given mode on the pinned scenario at p
-// processors, reducing each run to a trajectory point.
+// processors, reducing each run to a point.
 func voteMeasure(modes []scalparc.Options, train, test *dataset.Table, p int) ([]SplitPoint, []*scalparc.Result, error) {
 	return measureSplits(modes, p, timing.T3D(), splitter.Config{MinSplit: VoteMinSplit, MaxDepth: VoteMaxDepth}, train, test)
 }
@@ -80,39 +66,27 @@ func voteOptions(k int) scalparc.Options {
 
 var voteBinned = scalparc.Options{Split: scalparc.SplitBinned, Bins: VoteBins}
 
-// Vote runs and records EXP-VOTE: exact vs binned vs top-k voting on the
+// Vote runs and prints EXP-VOTE: exact vs binned vs top-k voting on the
 // pinned wide scenario — the mode ladder is fixed: exact, binned, and voting
-// across the k knob up to the degenerate k = attrs — appending a labeled run
-// to e.BenchDir's BENCH_vote.json and printing the resulting trajectory. The
-// measurements ride the deterministic virtual clocks, so successive runs of
-// the same source record identical points — drift in the trajectory is a
-// code change, not host noise.
+// across the k knob up to the degenerate k = attrs. The measurements ride the
+// deterministic virtual clocks, so the table is archived in
+// experiments_output.txt: drift is a code change, not host noise, and
+// `make experiments-check` reports it.
 func Vote(e *Env) error {
 	w := e.Out
-	fmt.Fprintf(w, "EXP-VOTE — split finding on a wide schema (%s records, %d attributes, %d processors; appending to %s)\n",
-		human(VoteRecords), 7+VoteNoise, VoteProcs, voteFile.name)
+	fmt.Fprintf(w, "EXP-VOTE — split finding on a wide schema (%s records, %d attributes, %d processors)\n",
+		human(VoteRecords), 7+VoteNoise, VoteProcs)
 	train, test, err := voteTables()
 	if err != nil {
 		return err
 	}
-	numAttrs := train.Schema.NumAttrs()
-	modes := []scalparc.Options{{}, voteBinned, voteOptions(1), voteOptions(3), voteOptions(8), voteOptions(numAttrs)}
+	modes := []scalparc.Options{{}, voteBinned, voteOptions(1), voteOptions(3), voteOptions(8), voteOptions(train.Schema.NumAttrs())}
 	points, _, err := voteMeasure(modes, train, test, VoteProcs)
 	if err != nil {
 		return err
 	}
 	splitTable(w, modes, points, true)
-	run := VoteRun{hostMeta: newHostMeta(e.Label), Records: VoteRecords, Attrs: numAttrs, Points: points}
-	_, err = record(w, e.BenchDir, voteFile, run, "trajectory (vote k=3 point: FindSplitI bytes, accuracy):",
-		func(_ int, r *VoteRun) (line string) {
-			for _, pt := range r.Points {
-				if pt.Mode == "vote" && pt.VoteK == 3 {
-					line += fmt.Sprintf("  %8.1fKB  acc %.4f", float64(pt.FindSplitBytes)/1e3, pt.Accuracy)
-				}
-			}
-			return line
-		})
-	return err
+	return nil
 }
 
 // GUARD-VOTE thresholds: the byte gate demands voting at least halve the
@@ -129,9 +103,7 @@ const (
 // guard failure), so a tripped gate leaves the full per-phase
 // communication picture behind, not just the two totals.
 func writeVoteArtifact(tr *trace.Trace) error {
-	return writeArtifact("VOTE_ARTIFACT_DIR", func(dir string) error {
-		return writeChrome(filepath.Join(dir, "vote_guard_trace.json"), tr)
-	})
+	return writeArtifact(os.Getenv("VOTE_ARTIFACT_DIR"), "vote_guard_trace.json", tr.WriteChrome)
 }
 
 // VoteGuard runs and prints GUARD-VOTE, the CI regression gate for the

@@ -141,8 +141,21 @@ type person struct {
 	hvalue, hyears, loan    float64
 }
 
-// Generate produces n records under the configuration.
-func Generate(cfg Config, n int) (*dataset.Table, error) {
+// labeller is what distinguishes the generators that share the one record
+// loop: how a person gets its class, what label noise turns a class into,
+// and which continuous fields perturbation moves once the class is fixed.
+type labeller interface {
+	label(p person) int
+	relabel(rng *rand.Rand, class int) int
+	perturb(rng *rand.Rand, p person, factor float64) person
+}
+
+// generate is the one Quest record loop: n people drawn from cfg's seeded
+// stream, each labelled, optionally mislabelled and perturbed, projected
+// onto schema's leading cfg.Attrs columns, its remaining columns filled with
+// uniform [0, 1) noise from the same stream. With no such columns a record
+// draws nothing extra, so every generator's stream is the plain one's.
+func generate(cfg Config, n int, schema *dataset.Schema, lab labeller) (*dataset.Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,7 +163,6 @@ func Generate(cfg Config, n int) (*dataset.Table, error) {
 		return nil, fmt.Errorf("datagen: negative record count %d", n)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	schema := Schema(cfg.Attrs)
 	t := dataset.NewTable(schema, n)
 	// hvalue depends on the zipcode's base level k, fixed per zipcode for
 	// a given seed (as in the Quest generator).
@@ -159,28 +171,31 @@ func Generate(cfg Config, n int) (*dataset.Table, error) {
 		zipBase[i] = float64(rng.Intn(10))
 	}
 	row := make([]float64, schema.NumAttrs())
+	nBase := Schema(cfg.Attrs).NumAttrs()
+	base, noise := row[:nBase], row[nBase:]
 	for i := 0; i < n; i++ {
 		p := genPerson(rng, zipBase)
-		group := classify(cfg.Function, p)
+		class := lab.label(p)
 		if cfg.LabelNoise > 0 && rng.Float64() < cfg.LabelNoise {
-			group = 1 - group
+			class = lab.relabel(rng, class)
 		}
 		if cfg.Perturbation > 0 {
-			p.salary = perturb(rng, p.salary, contRanges["salary"], cfg.Perturbation)
-			if p.commission > 0 {
-				p.commission = perturb(rng, p.commission, contRanges["commission"], cfg.Perturbation)
-			}
-			p.age = perturb(rng, p.age, contRanges["age"], cfg.Perturbation)
-			p.hvalue = perturb(rng, p.hvalue, contRanges["hvalue"], cfg.Perturbation)
-			p.hyears = perturb(rng, p.hyears, contRanges["hyears"], cfg.Perturbation)
-			p.loan = perturb(rng, p.loan, contRanges["loan"], cfg.Perturbation)
+			p = lab.perturb(rng, p, cfg.Perturbation)
 		}
-		project(cfg.Attrs, p, row)
-		if err := t.AppendRow(row, group); err != nil {
+		project(cfg.Attrs, p, base)
+		for a := range noise {
+			noise[a] = rng.Float64()
+		}
+		if err := t.AppendRow(row, class); err != nil {
 			return nil, fmt.Errorf("datagen: record %d: %w", i, err)
 		}
 	}
 	return t, nil
+}
+
+// Generate produces n records under the configuration.
+func Generate(cfg Config, n int) (*dataset.Table, error) {
+	return GenerateWide(cfg, n, 0)
 }
 
 // TrainTest generates a train/test pair for generalization experiments:
@@ -216,52 +231,35 @@ func GenerateMultiClass(cfg Config, n, classes int) (*dataset.Table, error) {
 	if cfg.Function == 0 {
 		cfg.Function = 7 // unused for labeling, but keeps Validate happy
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if classes < 2 || classes > dataset.MaxClasses {
 		return nil, fmt.Errorf("datagen: class count %d out of [2,%d]", classes, dataset.MaxClasses)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("datagen: negative record count %d", n)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := Schema(cfg.Attrs)
-	schema := &dataset.Schema{Attrs: base.Attrs, Classes: make([]string, classes)}
+	schema := &dataset.Schema{Attrs: Schema(cfg.Attrs).Attrs, Classes: make([]string, classes)}
 	for i := range schema.Classes {
 		schema.Classes[i] = fmt.Sprintf("band%d", i)
 	}
-	t := dataset.NewTable(schema, n)
-	zipBase := make([]float64, 9)
-	for i := range zipBase {
-		zipBase[i] = float64(rng.Intn(10))
-	}
+	return generate(cfg, n, schema, incomeBands(classes))
+}
+
+// incomeBands labels a person with one of n equal-width bands of the income
+// score; noise redraws the band uniformly, perturbation moves salary and
+// loan only.
+type incomeBands int
+
+func (n incomeBands) label(p person) int {
 	// Score range: 0.67·(20000..225000) − 0.2·(0..500000).
 	const scoreLo, scoreHi = 0.67*20000 - 0.2*500000, 0.67 * 225000
-	row := make([]float64, schema.NumAttrs())
-	for i := 0; i < n; i++ {
-		p := genPerson(rng, zipBase)
-		score := 0.67*(p.salary+p.commission) - 0.2*p.loan
-		band := int((score - scoreLo) / (scoreHi - scoreLo) * float64(classes))
-		if band < 0 {
-			band = 0
-		}
-		if band >= classes {
-			band = classes - 1
-		}
-		if cfg.LabelNoise > 0 && rng.Float64() < cfg.LabelNoise {
-			band = rng.Intn(classes)
-		}
-		if cfg.Perturbation > 0 {
-			p.salary = perturb(rng, p.salary, contRanges["salary"], cfg.Perturbation)
-			p.loan = perturb(rng, p.loan, contRanges["loan"], cfg.Perturbation)
-		}
-		project(cfg.Attrs, p, row)
-		if err := t.AppendRow(row, band); err != nil {
-			return nil, fmt.Errorf("datagen: record %d: %w", i, err)
-		}
-	}
-	return t, nil
+	score := 0.67*(p.salary+p.commission) - 0.2*p.loan
+	band := int((score - scoreLo) / (scoreHi - scoreLo) * float64(n))
+	return min(max(band, 0), int(n)-1)
+}
+
+func (n incomeBands) relabel(rng *rand.Rand, _ int) int { return rng.Intn(int(n)) }
+
+func (incomeBands) perturb(rng *rand.Rand, p person, f float64) person {
+	p.salary = perturb(rng, p.salary, contRanges["salary"], f)
+	p.loan = perturb(rng, p.loan, contRanges["loan"], f)
+	return p
 }
 
 func genPerson(rng *rand.Rand, zipBase []float64) person {
@@ -299,8 +297,26 @@ func project(set AttrSet, p person, row []float64) {
 	}
 }
 
-// classify applies Quest function f and returns 0 for Group A, 1 for B.
-func classify(f int, p person) int {
+// questFunction is one of the ten two-class Quest classification functions:
+// noise flips the group, perturbation moves every continuous field.
+type questFunction int
+
+func (questFunction) relabel(_ *rand.Rand, group int) int { return 1 - group }
+
+func (questFunction) perturb(rng *rand.Rand, p person, f float64) person {
+	p.salary = perturb(rng, p.salary, contRanges["salary"], f)
+	if p.commission > 0 {
+		p.commission = perturb(rng, p.commission, contRanges["commission"], f)
+	}
+	p.age = perturb(rng, p.age, contRanges["age"], f)
+	p.hvalue = perturb(rng, p.hvalue, contRanges["hvalue"], f)
+	p.hyears = perturb(rng, p.hyears, contRanges["hyears"], f)
+	p.loan = perturb(rng, p.loan, contRanges["loan"], f)
+	return p
+}
+
+// label applies the function and returns 0 for Group A, 1 for B.
+func (f questFunction) label(p person) int {
 	inA := false
 	switch f {
 	case 1:

@@ -2,7 +2,6 @@ package datagen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dataset"
 )
@@ -30,51 +29,12 @@ func WideSchema(set AttrSet, noise int) *dataset.Schema {
 }
 
 // GenerateWide produces n records under the configuration on the
-// WideSchema(cfg.Attrs, noise) schema. The base attribute columns and the
-// labels are generated exactly as Generate does (same seed, same stream
-// order), then each record draws its noise columns from the same stream.
+// WideSchema(cfg.Attrs, noise) schema: the base attribute columns and the
+// labels of Generate (same seed, same stream order), each record then
+// drawing its noise columns from the same stream.
 func GenerateWide(cfg Config, n, noise int) (*dataset.Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("datagen: negative record count %d", n)
-	}
 	if noise < 0 {
 		return nil, fmt.Errorf("datagen: negative noise attribute count %d", noise)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	schema := WideSchema(cfg.Attrs, noise)
-	t := dataset.NewTable(schema, n)
-	zipBase := make([]float64, 9)
-	for i := range zipBase {
-		zipBase[i] = float64(rng.Intn(10))
-	}
-	nBase := Schema(cfg.Attrs).NumAttrs()
-	row := make([]float64, schema.NumAttrs())
-	for i := 0; i < n; i++ {
-		p := genPerson(rng, zipBase)
-		group := classify(cfg.Function, p)
-		if cfg.LabelNoise > 0 && rng.Float64() < cfg.LabelNoise {
-			group = 1 - group
-		}
-		if cfg.Perturbation > 0 {
-			p.salary = perturb(rng, p.salary, contRanges["salary"], cfg.Perturbation)
-			if p.commission > 0 {
-				p.commission = perturb(rng, p.commission, contRanges["commission"], cfg.Perturbation)
-			}
-			p.age = perturb(rng, p.age, contRanges["age"], cfg.Perturbation)
-			p.hvalue = perturb(rng, p.hvalue, contRanges["hvalue"], cfg.Perturbation)
-			p.hyears = perturb(rng, p.hyears, contRanges["hyears"], cfg.Perturbation)
-			p.loan = perturb(rng, p.loan, contRanges["loan"], cfg.Perturbation)
-		}
-		project(cfg.Attrs, p, row[:nBase])
-		for a := nBase; a < len(row); a++ {
-			row[a] = rng.Float64()
-		}
-		if err := t.AppendRow(row, group); err != nil {
-			return nil, fmt.Errorf("datagen: record %d: %w", i, err)
-		}
-	}
-	return t, nil
+	return generate(cfg, n, WideSchema(cfg.Attrs, noise), questFunction(cfg.Function))
 }

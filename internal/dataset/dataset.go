@@ -101,6 +101,26 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// SameShape returns nil when data laid out under o can be read under s —
+// the same number of attributes, of the same kinds in the same order, and
+// the same number of classes; names and categorical domains are not compared
+// — and otherwise an error naming the first difference.
+func (s *Schema) SameShape(o *Schema) error {
+	if s == o {
+		return nil
+	}
+	if len(s.Attrs) != len(o.Attrs) || len(s.Classes) != len(o.Classes) {
+		return fmt.Errorf("%d attrs and %d classes, not %d and %d",
+			len(o.Attrs), len(o.Classes), len(s.Attrs), len(s.Classes))
+	}
+	for a := range s.Attrs {
+		if s.Attrs[a].Kind != o.Attrs[a].Kind {
+			return fmt.Errorf("attribute %d is %v, not %v", a, o.Attrs[a].Kind, s.Attrs[a].Kind)
+		}
+	}
+	return nil
+}
+
 // NumAttrs returns the number of attributes.
 func (s *Schema) NumAttrs() int { return len(s.Attrs) }
 

@@ -371,22 +371,11 @@ func (m *Model) walkColumns(cont [][]float64, cat [][]int32, root int32, out []i
 	}
 }
 
-// compatible checks that the table's schema matches the one the model was
-// compiled for (attribute count and kinds, class count).
+// compatible checks that the table's schema has the shape of the one the
+// model was compiled for (attribute count and kinds, class count).
 func (m *Model) compatible(tab *dataset.Table) error {
-	schema := m.schema
-	if tab.Schema == schema {
-		return nil
-	}
-	if len(tab.Schema.Attrs) != len(schema.Attrs) || len(tab.Schema.Classes) != len(schema.Classes) {
-		return fmt.Errorf("infer: table schema (%d attrs, %d classes) incompatible with compiled model (%d attrs, %d classes)",
-			len(tab.Schema.Attrs), len(tab.Schema.Classes), len(schema.Attrs), len(schema.Classes))
-	}
-	for a := range schema.Attrs {
-		if tab.Schema.Attrs[a].Kind != schema.Attrs[a].Kind {
-			return fmt.Errorf("infer: attribute %d is %v in the table but %v in the compiled model",
-				a, tab.Schema.Attrs[a].Kind, schema.Attrs[a].Kind)
-		}
+	if err := m.schema.SameShape(tab.Schema); err != nil {
+		return fmt.Errorf("infer: table schema incompatible with compiled model: %w", err)
 	}
 	return nil
 }

@@ -278,12 +278,8 @@ func loadForestTree(path string, schema *dataset.Schema) (*tree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	match := len(t.Schema.Attrs) == len(schema.Attrs) && len(t.Schema.Classes) == len(schema.Classes)
-	for a := 0; match && a < len(schema.Attrs); a++ {
-		match = t.Schema.Attrs[a].Kind == schema.Attrs[a].Kind
-	}
-	if !match {
-		return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema", path)
+	if err := schema.SameShape(t.Schema); err != nil {
+		return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema: %w", path, err)
 	}
 	// Re-point at the training schema so the forest shares one object.
 	t.Schema = schema

@@ -212,6 +212,27 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	if !bytes.Equal(encodeForest(t, res2.Forest), encodeForest(t, clean.Forest)) {
 		t.Error("checkpoint-completed forest differs from the fault-free forest")
 	}
+
+	// A tree file persisted under a schema of the same size but another
+	// attribute kind belongs to a different run: it is retrained over, not
+	// restored into this forest.
+	foreign := &dataset.Schema{Attrs: append([]dataset.Attribute(nil), tab.Schema.Attrs...), Classes: tab.Schema.Classes}
+	foreign.Attrs[0] = dataset.Attribute{Name: "salary", Kind: dataset.Categorical, Values: []string{"low", "high"}}
+	leaf := &tree.Tree{Schema: foreign, Root: &tree.Node{Leaf: true, Hist: []int64{1, 0}}}
+	if err := saveForestTree(forestTreePath(dir, 0), leaf); err != nil {
+		t.Fatal(err)
+	}
+	res3, err := TrainForest(tab, cfg, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.RestoredTrees != fo.Trees-1 || res3.TrainedTrees != 1 {
+		t.Fatalf("rerun over a foreign tree_000.json restored %d / trained %d trees, want %d / 1",
+			res3.RestoredTrees, res3.TrainedTrees, fo.Trees-1)
+	}
+	if !bytes.Equal(encodeForest(t, res3.Forest), encodeForest(t, clean.Forest)) {
+		t.Error("forest retrained over a foreign tree file differs from the fault-free forest")
+	}
 }
 
 func labelAccuracy(pred []int, tab *dataset.Table) float64 {
