@@ -84,8 +84,10 @@ tcp:
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
-# reflective one), and the TCP frame decoder (CI runs the same smokes).
-# FuzzDecodeModel caps minimization: shrinking one interesting JSON input
+# reflective one), the TCP frame decoder, the checkpoint frame decoders and
+# the -faults spec parser. CI runs this target; a test fails when a Fuzz*
+# function of the root module is missing from it. The model and checkpoint
+# frame decoders cap minimization: shrinking one interesting input
 # otherwise takes the default 60s, i.e. the whole pass.
 FUZZTIME ?= 10s
 fuzz:
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport
 	$(GO) test -fuzz=FuzzDecodeShared -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzDecodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 
 # Benchmark-regression guards, all CI steps; exit non-zero on regression:
 # GUARD-BINNED (binned reduce-scatter FindSplitI invariants), GUARD-VOTE

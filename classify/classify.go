@@ -226,41 +226,97 @@ type Model struct {
 	Metrics Metrics
 }
 
-// engineOnly rejects the knobs only the ScalParC engine implements when
-// another algorithm is selected — the one flag-coherence check, shared by
-// Train's serial arm and TrainWorld.
-func (c Config) engineOnly() error {
-	if c.Algorithm == ScalParC {
-		return nil
+// engineOptions is the ScalParC engine's share of the configuration.
+func (c Config) engineOptions() scalparc.Options {
+	return scalparc.Options{
+		Split:           c.Split,
+		Bins:            c.Bins,
+		VoteK:           c.VoteK,
+		CheckpointEvery: c.CheckpointEvery,
+		CheckpointDir:   c.CheckpointDir,
+		Resume:          c.Resume,
 	}
-	if c.Split != SplitExact || c.Bins != 0 || c.VoteK != 0 {
-		return fmt.Errorf("classify: binned and vote split finding require the ScalParC algorithm (got %v)", c.Algorithm)
+}
+
+// job is one training job as the unsupported table's predicates see it.
+type job struct {
+	cfg         Config
+	forest      *ForestConfig // nil: one tree
+	wire, hangs bool          // hangs: the fault spec schedules a hang
+}
+
+// unsupported lists, in the order Check tries them, every combination of
+// options across Config, ForestConfig and the world kind that training
+// refuses, with the reason it gives. A rule about one option struct alone
+// (a value range, Bins without a binned mode) is scalparc.CheckOptions's.
+var unsupported = []struct {
+	name, reason string
+	when         func(j job) bool
+}{
+	{"split mode without ScalParC", "binned and vote split finding require the ScalParC algorithm (-algo scalparc)",
+		func(j job) bool { return j.cfg.Algorithm != ScalParC && j.cfg.Split != SplitExact }},
+	{"faults or checkpoint without ScalParC", "fault injection and checkpointing require the ScalParC algorithm (-algo scalparc)",
+		func(j job) bool { return j.cfg.Algorithm != ScalParC && j.cfg.faultsOrCheckpoint() }},
+	{"wire without a parallel algorithm", "a wire transport (-transport=tcp) requires a parallel algorithm (scalparc or sprint)",
+		func(j job) bool { return j.wire && j.cfg.Algorithm != ScalParC && j.cfg.Algorithm != SPRINT }},
+	{"wire without processors", "a wire transport runs one process per rank and needs Processors >= 1 (-procs)",
+		func(j job) bool { return j.wire && j.cfg.Processors == 0 }},
+	{"hang without a wire", "hang faults silence a live process and require a wire transport (-transport=tcp)",
+		func(j job) bool { return j.hangs && !j.wire }},
+	{"forest without ScalParC", "a forest is built from ScalParC trees (-algo scalparc)",
+		func(j job) bool { return j.forest != nil && j.cfg.Algorithm != ScalParC }},
+	{"forest on a wire", "a forest trains its trees as independent in-process worlds and requires the simulated machine (-transport=sim)",
+		func(j job) bool { return j.forest != nil && j.wire }},
+	{"forest with faults or checkpoint", "fault injection and per-run checkpointing are single-tree options; a forest checkpoints per tree (ForestConfig.CheckpointDir, -forest-checkpoint)",
+		func(j job) bool { return j.forest != nil && (j.cfg.faultsOrCheckpoint() || j.cfg.FaultSeed != 0) }},
+	{"forest with pruning", "pruning is a single-tree option (bagging relies on fully grown trees)",
+		func(j job) bool { return j.forest != nil && j.cfg.Prune }},
+}
+
+// faultsOrCheckpoint reports whether a single run's fault injection or
+// checkpointing is asked for.
+func (c Config) faultsOrCheckpoint() bool {
+	return c.Faults != "" || c.CheckpointEvery != 0 || c.CheckpointDir != "" || c.Resume
+}
+
+// Check reports why training would refuse a job, or nil: cfg trains one
+// tree, or every tree of forest when that is non-nil (its Engine is not
+// read), on a wire-backed world when wire is set. Train, TrainWorld and
+// TrainForest call it first; a caller can call it before building data.
+func Check(cfg Config, forest *ForestConfig, wire bool) error {
+	j := job{cfg: cfg, forest: forest, wire: wire}
+	if cfg.Faults != "" {
+		s, err := faults.Parse(cfg.Faults, cfg.FaultSeed, max(cfg.Processors, 1))
+		if err != nil {
+			return err
+		}
+		j.hangs = s.NeedsWire()
 	}
-	if c.Faults != "" || c.CheckpointEvery != 0 || c.CheckpointDir != "" || c.Resume {
-		return fmt.Errorf("classify: fault injection and checkpointing require the ScalParC algorithm (got %v)", c.Algorithm)
+	for _, r := range unsupported {
+		if r.when(j) {
+			return fmt.Errorf("classify: %s: %s", r.name, r.reason)
+		}
 	}
-	return nil
+	if cfg.Algorithm < ScalParC || cfg.Algorithm > SLIQ {
+		return fmt.Errorf("classify: unknown algorithm %v", cfg.Algorithm)
+	}
+	if cfg.Processors < 0 {
+		return fmt.Errorf("classify: negative processor count %d", cfg.Processors)
+	}
+	return scalparc.CheckOptions(cfg.engineOptions(), forest.options(cfg), -1, wire)
 }
 
 // Train builds a decision tree on the table under the configuration. The
-// parallel algorithms run on a simulated world of cfg.Processors ranks,
-// through TrainWorld.
+// parallel algorithms run on a simulated world of cfg.Processors ranks.
 func Train(tab *Table, cfg Config) (*Model, error) {
+	if err := Check(cfg, nil, false); err != nil {
+		return nil, err
+	}
+	if cfg.Algorithm == ScalParC || cfg.Algorithm == SPRINT {
+		return TrainWorld(comm.NewWorld(max(cfg.Processors, 1), cfg.machine()), tab, cfg)
+	}
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
-	}
-	if cfg.Processors < 0 {
-		return nil, fmt.Errorf("classify: negative processor count %d", cfg.Processors)
-	}
-	switch cfg.Algorithm {
-	case ScalParC, SPRINT:
-		return TrainWorld(comm.NewWorld(max(cfg.Processors, 1), cfg.machine()), tab, cfg)
-	case Serial, SLIQ:
-	default:
-		return nil, fmt.Errorf("classify: unknown algorithm %v", cfg.Algorithm)
-	}
-	if err := cfg.engineOnly(); err != nil {
-		return nil, err
 	}
 	m := &Model{Metrics: Metrics{Algorithm: cfg.Algorithm, Processors: 1}}
 	var err error
@@ -282,26 +338,20 @@ func Train(tab *Table, cfg Config) (*Model, error) {
 // TrainWorld trains on a caller-provided communication world instead of
 // constructing a simulated one — the entry point for rank-worker
 // processes driving a transport-backed World (cmd/scalparc
-// -transport=tcp). Only the parallel algorithms apply; cfg.Processors is
-// ignored (the world defines the machine size).
+// -transport=tcp). The world defines the machine size, so cfg.Processors
+// is ignored; Serial and SLIQ train on one machine and leave it unused.
 func TrainWorld(w *comm.World, tab *Table, cfg Config) (*Model, error) {
+	cfg.Processors = w.Size()
+	if err := Check(cfg, nil, w.Distributed()); err != nil {
+		return nil, err
+	}
+	if cfg.Algorithm != ScalParC && cfg.Algorithm != SPRINT {
+		return Train(tab, cfg)
+	}
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
 	}
-	if cfg.Algorithm != ScalParC && cfg.Algorithm != SPRINT {
-		return nil, fmt.Errorf("classify: TrainWorld requires a parallel algorithm (got %v)", cfg.Algorithm)
-	}
-	if err := cfg.engineOnly(); err != nil {
-		return nil, err
-	}
-	opts := scalparc.Options{
-		Split:           cfg.Split,
-		Bins:            cfg.Bins,
-		VoteK:           cfg.VoteK,
-		CheckpointEvery: cfg.CheckpointEvery,
-		CheckpointDir:   cfg.CheckpointDir,
-		Resume:          cfg.Resume,
-	}
+	opts := cfg.engineOptions()
 	if cfg.Algorithm == SPRINT {
 		opts.RecordMap = sprint.ReplicatedTable
 	}
@@ -309,9 +359,6 @@ func TrainWorld(w *comm.World, tab *Table, cfg Config) (*Model, error) {
 		schedule, err := faults.Parse(cfg.Faults, cfg.FaultSeed, w.Size())
 		if err != nil {
 			return nil, err
-		}
-		if schedule.NeedsWire() && !w.Distributed() {
-			return nil, fmt.Errorf("classify: hang faults require a wire transport (the simulated machine's ranks share one process)")
 		}
 		opts.Faults = schedule
 	}

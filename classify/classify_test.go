@@ -270,3 +270,67 @@ func TestTrainRecoversFromInjectedCrash(t *testing.T) {
 		t.Fatalf("recovery metrics %+v", mm)
 	}
 }
+
+// TestUnsupportedCombinations: every row of the unsupported table has a
+// minimal job Check rejects with that row's reason — and Train or
+// TrainForest too, when the job needs no wire — while changing one field
+// of the job gives a job Check accepts.
+func TestUnsupportedCombinations(t *testing.T) {
+	forest := &ForestConfig{Trees: 2}
+	cases := map[string]struct {
+		bad job
+		fix func(*job)
+	}{
+		"split mode without ScalParC": {job{cfg: Config{Algorithm: SPRINT, Split: SplitBinned}},
+			func(j *job) { j.cfg.Algorithm = ScalParC }},
+		"faults or checkpoint without ScalParC": {job{cfg: Config{Algorithm: SPRINT, CheckpointEvery: 1}},
+			func(j *job) { j.cfg.Algorithm = ScalParC }},
+		"wire without a parallel algorithm": {job{cfg: Config{Algorithm: Serial, Processors: 2}, wire: true},
+			func(j *job) { j.cfg.Algorithm = SPRINT }},
+		"wire without processors": {job{wire: true},
+			func(j *job) { j.cfg.Processors = 2 }},
+		"hang without a wire": {job{cfg: Config{Processors: 2, Faults: "hang@FindSplitI:1:1"}},
+			func(j *job) { j.wire = true }},
+		"forest without ScalParC": {job{cfg: Config{Algorithm: SPRINT}, forest: forest},
+			func(j *job) { j.cfg.Algorithm = ScalParC }},
+		"forest on a wire": {job{cfg: Config{Processors: 2}, forest: forest, wire: true},
+			func(j *job) { j.wire = false }},
+		"forest with faults or checkpoint": {job{cfg: Config{CheckpointEvery: 1}, forest: forest},
+			func(j *job) { j.cfg.CheckpointEvery = 0 }},
+		"forest with pruning": {job{cfg: Config{Prune: true}, forest: forest},
+			func(j *job) { j.cfg.Prune = false }},
+	}
+	tab := questTable(t, 50)
+	for _, row := range unsupported {
+		tc, ok := cases[row.name]
+		if !ok {
+			t.Errorf("row %q: no job reaches it", row.name)
+			continue
+		}
+		delete(cases, row.name)
+		j := tc.bad
+		err := Check(j.cfg, j.forest, j.wire)
+		if err == nil || !strings.Contains(err.Error(), row.reason) {
+			t.Errorf("row %q: Check = %v, want the row's reason", row.name, err)
+		}
+		if !j.wire {
+			if j.forest == nil {
+				_, err = Train(tab, j.cfg)
+			} else {
+				f := *j.forest
+				f.Engine = j.cfg
+				_, err = TrainForest(tab, f)
+			}
+			if err == nil || !strings.Contains(err.Error(), row.reason) {
+				t.Errorf("row %q: training = %v, want the row's reason", row.name, err)
+			}
+		}
+		tc.fix(&j)
+		if err := Check(j.cfg, j.forest, j.wire); err != nil {
+			t.Errorf("row %q: the job with one field changed is rejected: %v", row.name, err)
+		}
+	}
+	for name := range cases {
+		t.Errorf("job %q names no row of the table", name)
+	}
+}

@@ -69,42 +69,33 @@ type ForestModel struct {
 	Metrics ForestMetrics
 }
 
+// options is the forest engine's form of the job, its trees training under
+// e (nil for no forest).
+func (f *ForestConfig) options(e Config) *scalparc.ForestOptions {
+	if f == nil {
+		return nil
+	}
+	return &scalparc.ForestOptions{
+		Trees:         f.Trees,
+		Seed:          f.Seed,
+		FeatureSample: f.FeatureSample,
+		Procs:         e.Processors,
+		Model:         e.machine(),
+		Parallel:      f.Parallel,
+		CheckpointDir: f.CheckpointDir,
+		Engine:        e.engineOptions(),
+	}
+}
+
 // TrainForest builds a bagged ensemble of cfg.Trees ScalParC trees.
 func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
+	if err := Check(cfg.Engine, &cfg, false); err != nil {
+		return nil, err
+	}
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
 	}
-	e := cfg.Engine
-	if e.Algorithm != ScalParC {
-		return nil, fmt.Errorf("classify: forests train with the ScalParC algorithm (got %v)", e.Algorithm)
-	}
-	if e.Faults != "" || e.FaultSeed != 0 {
-		return nil, fmt.Errorf("classify: fault injection is not a forest option")
-	}
-	if e.CheckpointEvery != 0 || e.CheckpointDir != "" || e.Resume {
-		return nil, fmt.Errorf("classify: per-tree checkpointing is owned by the forest layer; set ForestConfig.CheckpointDir")
-	}
-	if e.Prune {
-		return nil, fmt.Errorf("classify: pruning is not a forest option (bagging relies on fully grown trees)")
-	}
-	if e.Processors < 0 {
-		return nil, fmt.Errorf("classify: negative processor count %d", e.Processors)
-	}
-
-	res, err := scalparc.TrainForest(tab, e.splitterConfig(), scalparc.ForestOptions{
-		Trees:         cfg.Trees,
-		Seed:          cfg.Seed,
-		FeatureSample: cfg.FeatureSample,
-		Procs:         e.Processors,
-		Model:         e.machine(),
-		Parallel:      cfg.Parallel,
-		CheckpointDir: cfg.CheckpointDir,
-		Engine: scalparc.Options{
-			Split: e.Split,
-			Bins:  e.Bins,
-			VoteK: e.VoteK,
-		},
-	})
+	res, err := scalparc.TrainForest(tab, cfg.Engine.splitterConfig(), *cfg.options(cfg.Engine))
 	if err != nil {
 		return nil, err
 	}

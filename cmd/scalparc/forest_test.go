@@ -68,23 +68,26 @@ func TestRunForestCheckpointRerun(t *testing.T) {
 	}
 }
 
+// forestFlagRejections are TestRunForestFlagValidation's rejected flags,
+// each run after a 200-record Quest command line.
+var forestFlagRejections = []struct {
+	name string
+	args []string
+}{
+	{"negative", []string{"-forest", "-1"}},
+	{"orphan-sample", []string{"-feature-sample", "3"}},
+	{"algo", []string{"-forest", "2", "-algo", "serial"}},
+	{"tcp", []string{"-forest", "2", "-transport", "tcp"}},
+	{"cv", []string{"-forest", "2", "-cv", "3"}},
+	{"faults", []string{"-forest", "2", "-faults", "crash@FindSplitI:1:2"}},
+	{"prune", []string{"-forest", "2", "-prune"}},
+	{"dump", []string{"-forest", "2", "-dump"}},
+}
+
 func TestRunForestFlagValidation(t *testing.T) {
-	base := []string{"-quest-function", "1", "-records", "200"}
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"negative", []string{"-forest", "-1"}},
-		{"orphan-sample", []string{"-feature-sample", "3"}},
-		{"algo", []string{"-forest", "2", "-algo", "serial"}},
-		{"tcp", []string{"-forest", "2", "-transport", "tcp"}},
-		{"cv", []string{"-forest", "2", "-cv", "3"}},
-		{"faults", []string{"-forest", "2", "-faults", "crash@FindSplitI:1:2"}},
-		{"prune", []string{"-forest", "2", "-prune"}},
-		{"dump", []string{"-forest", "2", "-dump"}},
-	} {
+	for _, tc := range forestFlagRejections {
 		var out bytes.Buffer
-		if err := run(append(append([]string{}, base...), tc.args...), &out); err == nil {
+		if err := run(quest("200", tc.args...), &out); err == nil {
 			t.Errorf("%s: flag misuse not rejected", tc.name)
 		}
 	}

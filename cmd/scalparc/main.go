@@ -35,22 +35,14 @@ import (
 // aggregate figures, evaluate by compiled majority vote, and optionally
 // write the forest JSON (readable back by cmd/serve's -model and POST
 // /models, and classify.DecodeModel).
-func runForest(stdout io.Writer, train, test *classify.Table, engine classify.Config,
-	trees int, seed uint64, featureSample, parallel int, ckptDir, jsonOut string, compileStats bool) error {
-	fm, err := classify.TrainForest(train, classify.ForestConfig{
-		Trees:         trees,
-		Seed:          seed,
-		FeatureSample: featureSample,
-		Parallel:      parallel,
-		CheckpointDir: ckptDir,
-		Engine:        engine,
-	})
+func runForest(stdout io.Writer, train, test *classify.Table, cfg classify.ForestConfig, jsonOut string, compileStats bool) error {
+	fm, err := classify.TrainForest(train, cfg)
 	if err != nil {
 		return err
 	}
 	mm := fm.Metrics
 	fmt.Fprintf(stdout, "forest of %d trees on %d processors each: %d trained, %d restored, %d lost\n",
-		mm.Trees, engine.Processors, mm.Trained, mm.Restored, len(mm.Lost))
+		mm.Trees, cfg.Engine.Processors, mm.Trained, mm.Restored, len(mm.Lost))
 	fmt.Fprintf(stdout, "modeled runtime %.3fs summed over trained trees, wall %.3fs; total traffic %.2f MB sent\n",
 		mm.ModeledSeconds, mm.WallSeconds, float64(mm.BytesSent)/1e6)
 	if len(mm.Lost) > 0 {
@@ -220,43 +212,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-split: %w", err)
 	}
-	if *bins != 0 && split != classify.SplitBinned && split != classify.SplitVote {
-		return fmt.Errorf("-bins requires -split=binned or -split=vote")
-	}
-	if *voteK != 0 && split != classify.SplitVote {
-		return fmt.Errorf("-vote-k requires -split=vote")
-	}
-	if (*faultSpec != "" || *ckptDir != "" || *ckptEvery != 0) && algorithm != classify.ScalParC {
-		return fmt.Errorf("-faults and -checkpoint require -algo scalparc (got %s)", *algo)
-	}
 	if *forest < 0 {
 		return fmt.Errorf("-forest must be >= 0 (got %d)", *forest)
 	}
 	if *forest == 0 && (*featureSample != 0 || *forestParallel != 0 || *forestCkpt != "") {
 		return fmt.Errorf("-feature-sample, -forest-parallel, and -forest-checkpoint require -forest")
 	}
-	if *forest > 0 {
-		if algorithm != classify.ScalParC {
-			return fmt.Errorf("-forest requires -algo scalparc (got %s)", *algo)
-		}
-		if *transport != "sim" {
-			return fmt.Errorf("-forest trains its trees as independent in-process worlds and requires -transport=sim")
-		}
-		if *cvFolds > 0 {
-			return fmt.Errorf("-forest and -cv are mutually exclusive")
-		}
-		if *faultSpec != "" || *ckptDir != "" || *ckptEvery != 0 {
-			return fmt.Errorf("-faults and -checkpoint are single-tree options; forests checkpoint per tree via -forest-checkpoint")
-		}
-		if *prune {
-			return fmt.Errorf("-prune is a single-tree option (bagging relies on fully grown trees)")
-		}
-		if *dump || *dotOut != "" || *importance || *phases || *traceOut != "" {
-			return fmt.Errorf("-dump, -dot-out, -importance, -phases, and -trace render a single tree; they do not apply to -forest")
-		}
-	}
-	if *ckptEvery < 0 {
-		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d)", *ckptEvery)
+	if *testFrac < 0 || *testFrac >= 1 {
+		return fmt.Errorf("-test-frac must be in [0, 1) (got %v)", *testFrac)
 	}
 	detectSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -279,14 +242,8 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-wire-faults strikes TCP frames and requires -transport=tcp")
 		}
 	case "tcp":
-		if algorithm != classify.ScalParC && algorithm != classify.SPRINT {
-			return fmt.Errorf("-transport=tcp requires a parallel algorithm (got %s)", *algo)
-		}
 		if *cvFolds > 0 {
 			return fmt.Errorf("-cv requires -transport=sim")
-		}
-		if *ckptEvery != 0 && *ckptDir == "" {
-			return fmt.Errorf("-transport=tcp checkpoints are per-process frame files; -checkpoint-every needs -checkpoint DIR for shared stable storage")
 		}
 		if *phases || *traceOut != "" {
 			return fmt.Errorf("phase traces are per-process and do not cross the wire; -phases and -trace require -transport=sim")
@@ -294,21 +251,42 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -transport %q (want sim or tcp)", *transport)
 	}
-	if *faultSpec != "" {
-		// Validate the spec (including the random-spec seed requirement)
-		// before any data is generated, so a bad flag fails fast.
-		sched, err := faults.Parse(*faultSpec, *faultSeed, *procs)
-		if err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		if sched.NeedsWire() {
-			if *transport != "tcp" {
-				return fmt.Errorf("-faults: hang events silence a live process and require -transport=tcp")
-			}
-			if *detectTimeout <= 0 {
-				return fmt.Errorf("-faults: hang events never close a connection; peers need -detect-timeout to suspect the rank")
-			}
-		}
+	if *forest > 0 && *cvFolds > 0 {
+		return fmt.Errorf("-forest and -cv are mutually exclusive")
+	}
+	if *forest > 0 && (*dump || *dotOut != "" || *importance || *phases || *traceOut != "") {
+		return fmt.Errorf("-dump, -dot-out, -importance, -phases, and -trace render a single tree; they do not apply to -forest")
+	}
+	if algorithm == classify.Serial && (*phases || *traceOut != "") {
+		return fmt.Errorf("algorithm serial records no phase trace; -phases and -trace need scalparc, sprint, or sliq")
+	}
+
+	trainCfg := classify.Config{
+		Algorithm:         algorithm,
+		Processors:        *procs,
+		MaxDepth:          *depth,
+		MinSplit:          *minSplit,
+		CategoricalBinary: *binaryCats,
+		Prune:             *prune,
+		Split:             split,
+		Bins:              *bins,
+		VoteK:             *voteK,
+		Faults:            *faultSpec,
+		FaultSeed:         *faultSeed,
+		CheckpointEvery:   *ckptEvery,
+		CheckpointDir:     *ckptDir,
+	}
+	var forestCfg *classify.ForestConfig
+	if *forest > 0 {
+		forestCfg = &classify.ForestConfig{Trees: *forest, Seed: *forestSeed, FeatureSample: *featureSample,
+			Parallel: *forestParallel, CheckpointDir: *forestCkpt, Engine: trainCfg}
+	}
+	if err := classify.Check(trainCfg, forestCfg, *transport == "tcp"); err != nil {
+		return err
+	}
+	hangs := false
+	if s, err := faults.Parse(*faultSpec, *faultSeed, *procs); err == nil {
+		hangs = s.NeedsWire() // only on tcp: Check refuses a hang on sim
 	}
 	if *wireFaults != "" {
 		ws, err := faults.ParseWire(*wireFaults, *faultSeed, *procs)
@@ -316,10 +294,11 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-wire-faults: %w", err)
 		}
 		for _, e := range ws.Events() {
-			if e.Kind == faults.WireHang && *detectTimeout <= 0 {
-				return fmt.Errorf("-wire-faults: hang events never close a connection; peers need -detect-timeout to suspect the rank")
-			}
+			hangs = hangs || e.Kind == faults.WireHang
 		}
+	}
+	if hangs && *detectTimeout <= 0 {
+		return fmt.Errorf("hang events never close a connection; peers need -detect-timeout to suspect the rank")
 	}
 	if *ckptDir != "" {
 		// Probe writability up front: an unwritable checkpoint directory
@@ -364,21 +343,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("provide either -quest-function or -schema/-train (see -h)")
 	}
 
-	trainCfg := classify.Config{
-		Algorithm:         algorithm,
-		Processors:        *procs,
-		MaxDepth:          *depth,
-		MinSplit:          *minSplit,
-		CategoricalBinary: *binaryCats,
-		Prune:             *prune,
-		Split:             split,
-		Bins:              *bins,
-		VoteK:             *voteK,
-		Faults:            *faultSpec,
-		FaultSeed:         *faultSeed,
-		CheckpointEvery:   *ckptEvery,
-		CheckpointDir:     *ckptDir,
-	}
 	if split == classify.SplitBinned || split == classify.SplitVote {
 		b := *bins
 		if b == 0 {
@@ -395,9 +359,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *forest > 0 {
-		return runForest(stdout, train, test, trainCfg, *forest, *forestSeed,
-			*featureSample, *forestParallel, *forestCkpt, *jsonOut, *compileStats)
+	if forestCfg != nil {
+		return runForest(stdout, train, test, *forestCfg, *jsonOut, *compileStats)
 	}
 
 	if *cvFolds > 0 {
@@ -465,9 +428,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *phases || *traceOut != "" {
-		if mm.Trace == nil {
-			return fmt.Errorf("algorithm %s records no phase trace", mm.Algorithm)
-		}
 		mm.Trace.WriteText(stdout)
 		if *traceOut != "" {
 			if err := atomicfile.Write(*traceOut, mm.Trace.WriteChrome); err != nil {

@@ -229,35 +229,66 @@ func TestLoadSchemaErrors(t *testing.T) {
 	}
 }
 
+// quest is a generated-data command line of the given size plus extra flags.
+func quest(records string, extra ...string) []string {
+	return append([]string{"-quest-function", "1", "-records", records}, extra...)
+}
+
+// flagRejections are TestRunFlagValidation's rejected command lines.
+var flagRejections = []struct {
+	name string
+	args []string
+}{
+	{"no data source", []string{}},
+	{"unknown algorithm", quest("100", "-algo", "magic")},
+	{"-train without -schema", []string{"-train", "x.csv"}},
+	{"-bins with -split=exact", quest("100", "-bins", "32")},
+	{"-vote-k with -split=exact", quest("100", "-vote-k", "4")},
+	{"-vote-k with -split=binned", quest("100", "-split", "binned", "-vote-k", "4")},
+	{"unknown -split", quest("100", "-split", "magic")},
+	{"-test-frac above 1", quest("100", "-test-frac", "1.5")},
+	{"negative -test-frac", quest("100", "-test-frac", "-0.2")},
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{}, &out); err == nil {
-		t.Fatal("no data source accepted")
-	}
-	if err := run([]string{"-quest-function", "1", "-records", "100", "-algo", "magic"}, &out); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if err := run([]string{"-train", "x.csv"}, &out); err == nil {
-		t.Fatal("-train without -schema accepted")
-	}
-	base := []string{"-quest-function", "1", "-records", "100"}
-	for _, tc := range []struct {
-		name  string
-		extra []string
-	}{
-		{"-bins with -split=exact", []string{"-bins", "32"}},
-		{"-vote-k with -split=exact", []string{"-vote-k", "4"}},
-		{"-vote-k with -split=binned", []string{"-split", "binned", "-vote-k", "4"}},
-		{"unknown -split", []string{"-split", "magic"}},
-	} {
-		if err := run(append(append([]string{}, base...), tc.extra...), &out); err == nil {
+	for _, tc := range flagRejections {
+		if err := run(tc.args, &out); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
 	// -bins is shared by binned and vote; both must accept it.
 	for _, mode := range []string{"binned", "vote"} {
-		if err := run(append(append([]string{}, base...), "-split", mode, "-bins", "16"), &out); err != nil {
+		if err := run(quest("100", "-split", mode, "-bins", "16"), &out); err != nil {
 			t.Fatalf("-split=%s -bins 16 rejected: %v", mode, err)
+		}
+	}
+}
+
+// TestRunRejectsBeforeWork: every rejected command line fails before it
+// generates or reads data, trains, or launches a worker — so before it
+// prints anything.
+func TestRunRejectsBeforeWork(t *testing.T) {
+	cases := [][]string{
+		quest("100", "-split", "binned", "-algo", "sprint"),
+		quest("500", "-algo", "serial", "-phases"),
+		quest("200", "-forest", "2", "-forest-parallel", "-1"),
+	}
+	for _, c := range flagRejections {
+		cases = append(cases, c.args)
+	}
+	for _, c := range faultFlagRejections {
+		cases = append(cases, c.args)
+	}
+	for _, c := range forestFlagRejections {
+		cases = append(cases, quest("200", c.args...))
+	}
+	for _, args := range append(cases, tcpFlagRejections...) {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%q: accepted", args)
+		} else if out.Len() != 0 {
+			t.Errorf("%q: rejected (%v) only after work began:\n%s", args, err, out.String())
 		}
 	}
 }
@@ -350,43 +381,46 @@ func TestRunPhasesSerialRejected(t *testing.T) {
 	}
 }
 
+// faultFlagRejections are TestRunFaultFlagValidation's rejected command
+// lines, each with a substring its error must contain.
+var faultFlagRejections = []struct {
+	name string
+	args []string
+	want string
+}{
+	{"faults without scalparc", []string{"-quest-function", "1", "-records", "100",
+		"-algo", "serial", "-faults", "crash@FindSplitI:1:0"}, "-algo scalparc"},
+	{"checkpoint without scalparc", []string{"-quest-function", "1", "-records", "100",
+		"-algo", "sprint", "-procs", "2", "-checkpoint-every", "1"}, "-algo scalparc"},
+	{"random spec without seed", []string{"-quest-function", "1", "-records", "100",
+		"-faults", "random:3"}, "seed"},
+	{"bad fault spec", []string{"-quest-function", "1", "-records", "100",
+		"-faults", "melt@FindSplitI:1:0"}, "unknown kind"},
+	{"fault rank out of range", []string{"-quest-function", "1", "-records", "100",
+		"-procs", "2", "-faults", "crash@FindSplitI:1:7"}, "out of range"},
+	{"negative checkpoint interval", []string{"-quest-function", "1", "-records", "100",
+		"-checkpoint-every", "-2"}, "checkpoint-every"},
+	{"zero detect-timeout", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-detect-timeout", "0s"}, "must be > 0"},
+	{"negative detect-timeout", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-detect-timeout", "-1s"}, "must be > 0"},
+	{"detect-timeout on sim", []string{"-quest-function", "1", "-records", "100",
+		"-procs", "2", "-detect-timeout", "1s"}, "requires -transport=tcp"},
+	{"wire-faults on sim", []string{"-quest-function", "1", "-records", "100",
+		"-procs", "2", "-wire-faults", "reset@1:0"}, "requires -transport=tcp"},
+	{"hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-faults", "hang@FindSplitI:1:1"}, "-detect-timeout"},
+	{"wire hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-wire-faults", "hang@1:0"}, "-detect-timeout"},
+	{"bad wire-faults spec", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-wire-faults", "melt@1:0"}, "-wire-faults"},
+	{"wire-faults rank out of range", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-wire-faults", "reset@7:0"}, "-wire-faults"},
+}
+
 func TestRunFaultFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"faults without scalparc", []string{"-quest-function", "1", "-records", "100",
-			"-algo", "serial", "-faults", "crash@FindSplitI:1:0"}, "-algo scalparc"},
-		{"checkpoint without scalparc", []string{"-quest-function", "1", "-records", "100",
-			"-algo", "sprint", "-procs", "2", "-checkpoint-every", "1"}, "-algo scalparc"},
-		{"random spec without seed", []string{"-quest-function", "1", "-records", "100",
-			"-faults", "random:3"}, "seed"},
-		{"bad fault spec", []string{"-quest-function", "1", "-records", "100",
-			"-faults", "melt@FindSplitI:1:0"}, "unknown kind"},
-		{"fault rank out of range", []string{"-quest-function", "1", "-records", "100",
-			"-procs", "2", "-faults", "crash@FindSplitI:1:7"}, "out of range"},
-		{"negative checkpoint interval", []string{"-quest-function", "1", "-records", "100",
-			"-checkpoint-every", "-2"}, "checkpoint-every"},
-		{"zero detect-timeout", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-detect-timeout", "0s"}, "must be > 0"},
-		{"negative detect-timeout", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-detect-timeout", "-1s"}, "must be > 0"},
-		{"detect-timeout on sim", []string{"-quest-function", "1", "-records", "100",
-			"-procs", "2", "-detect-timeout", "1s"}, "requires -transport=tcp"},
-		{"wire-faults on sim", []string{"-quest-function", "1", "-records", "100",
-			"-procs", "2", "-wire-faults", "reset@1:0"}, "requires -transport=tcp"},
-		{"hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-faults", "hang@FindSplitI:1:1"}, "-detect-timeout"},
-		{"wire hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-wire-faults", "hang@1:0"}, "-detect-timeout"},
-		{"bad wire-faults spec", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-wire-faults", "melt@1:0"}, "-wire-faults"},
-		{"wire-faults rank out of range", []string{"-quest-function", "1", "-records", "100",
-			"-transport", "tcp", "-procs", "2", "-wire-faults", "reset@7:0"}, "-wire-faults"},
-	}
-	for _, c := range cases {
+	for _, c := range faultFlagRejections {
 		err := run(c.args, &out)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)

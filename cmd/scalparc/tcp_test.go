@@ -117,16 +117,19 @@ func TestTCPCrashRecovery(t *testing.T) {
 	}
 }
 
+// tcpFlagRejections are the -transport=tcp flag incompatibilities.
+var tcpFlagRejections = [][]string{
+	{"-quest-function", "1", "-records", "200", "-transport", "bogus"},
+	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-algo", "serial"},
+	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-cv", "3"},
+	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-checkpoint-every", "1"},
+	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-phases"},
+	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-procs", "0"},
+}
+
 // TestTCPFlagValidation pins the -transport=tcp flag incompatibilities.
 func TestTCPFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-quest-function", "1", "-records", "200", "-transport", "bogus"},
-		{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-algo", "serial"},
-		{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-cv", "3"},
-		{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-checkpoint-every", "1"},
-		{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-phases"},
-	}
-	for _, args := range cases {
+	for _, args := range tcpFlagRejections {
 		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("run(%v) accepted an invalid flag combination", args)
 		}

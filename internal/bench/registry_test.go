@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -81,5 +82,49 @@ func TestGuardsWiredIntoMakeAndCI(t *testing.T) {
 		if !slices.Equal(invoked, want) {
 			t.Errorf("%s runs guards %v, the registry marks %v", file, invoked, want)
 		}
+	}
+}
+
+// TestFuzzersWiredIntoMake: `make fuzz`, which CI runs, smokes every Fuzz*
+// function of the root module in the package that declares it.
+func TestFuzzersWiredIntoMake(t *testing.T) {
+	makefile := readRepoFile(t, "Makefile")
+	fuzzTarget := makefile[strings.Index(makefile, "\nfuzz:"):]
+	fuzzTarget = fuzzTarget[:strings.Index(fuzzTarget, "\n\n")]
+	if !strings.Contains(readRepoFile(t, ".github/workflows/ci.yml"), "make fuzz") {
+		t.Error(".github/workflows/ci.yml does not run make fuzz")
+	}
+	root := filepath.Join("..", "..")
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join(root, "benchmark")) {
+			return filepath.SkipDir // hidden directories, and benchmark/'s own module
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg, _ := filepath.Rel(root, filepath.Dir(path))
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			found++
+			step := regexp.MustCompile(`(?m)-fuzz=` + m[1] + ` .* \./` + regexp.QuoteMeta(filepath.ToSlash(pkg)) + `$`)
+			if !step.MatchString(fuzzTarget) {
+				t.Errorf("%s (%s) is missing from the Makefile fuzz target", m[1], path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no Fuzz* functions found; is the walk rooted at the repository?")
 	}
 }

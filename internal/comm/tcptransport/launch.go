@@ -130,6 +130,9 @@ func Launch(p int, args []string, stderr io.Writer) (*Job, error) {
 
 // LaunchWith is Launch with options.
 func LaunchWith(p int, args []string, stderr io.Writer, opts LaunchOpts) (*Job, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("tcptransport: launch needs p >= 1 rank processes, got %d", p)
+	}
 	bin, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("tcptransport: locate binary: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -321,6 +322,18 @@ func TestWireCheckpointCrashRecovery(t *testing.T) {
 		mm := models[r].Metrics
 		if mm.Recoveries != 1 || mm.FinalRanks != p-1 || len(mm.Lost) != 1 || mm.Lost[0] != victim {
 			t.Fatalf("survivor %d recovery metrics %+v", r, mm)
+		}
+	}
+}
+
+// TestLaunchRejectsNoRanks: a launch of fewer than one rank process is an
+// error before anything is bound or spawned, not a job with no workers
+// whose Wait fails on a missing result file.
+func TestLaunchRejectsNoRanks(t *testing.T) {
+	for _, p := range []int{0, -1} {
+		if job, err := LaunchWith(p, nil, io.Discard, LaunchOpts{}); err == nil {
+			job.Close()
+			t.Errorf("LaunchWith(p=%d) launched a job", p)
 		}
 	}
 }

@@ -118,27 +118,13 @@ func forestTreePath(dir string, i int) string {
 // returns the ensemble with per-tree metrics. At least one tree must
 // survive; lost trees are reported, not fatal.
 func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*ForestResult, error) {
-	if fo.Trees < 1 {
-		return nil, fmt.Errorf("scalparc: forest needs Trees >= 1, got %d", fo.Trees)
+	// Every tree's run would reject a bad option alike; checking once up
+	// front reports it as the configuration error it is, not as T lost trees.
+	if err := CheckOptions(fo.Engine, &fo, tab.Schema.NumAttrs(), false); err != nil {
+		return nil, err
 	}
-	if fo.Procs == 0 {
-		fo.Procs = 1
-	}
-	if fo.Procs < 1 {
-		return nil, fmt.Errorf("scalparc: forest Procs %d out of range", fo.Procs)
-	}
-	if fo.Parallel == 0 {
-		fo.Parallel = 1
-	}
-	if fo.Parallel < 1 {
-		return nil, fmt.Errorf("scalparc: forest Parallel %d out of range", fo.Parallel)
-	}
-	if fo.Engine.FeatureSample != 0 || fo.Engine.FeatureSeed != 0 {
-		return nil, fmt.Errorf("scalparc: set feature subsampling on ForestOptions, not Engine")
-	}
-	if fo.Engine.Resume || fo.Engine.CheckpointDir != "" {
-		return nil, fmt.Errorf("scalparc: per-tree checkpoint directories are owned by the forest layer; set ForestOptions.CheckpointDir")
-	}
+	fo.Procs = max(fo.Procs, 1)
+	fo.Parallel = max(fo.Parallel, 1)
 	if fo.Model == (timing.Model{}) {
 		fo.Model = timing.T3D()
 	}

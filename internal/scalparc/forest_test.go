@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -93,6 +94,27 @@ func TestForestFeatureSamplingChangesTrees(t *testing.T) {
 	}
 	if bytes.Equal(encodeForest(t, a.Forest), encodeForest(t, b.Forest)) {
 		t.Fatal("forests with and without feature subsampling are identical; the mask is not reaching the engine")
+	}
+}
+
+// TestForestConfigErrorFailsUpFront: an engine option every tree would
+// reject is one configuration error, reported before any tree trains — not
+// T lost trees ending in "all forest trees failed".
+func TestForestConfigErrorFailsUpFront(t *testing.T) {
+	tab := forestTestTable(t)
+	for _, tc := range []struct {
+		edit func(*ForestOptions)
+		want string
+	}{
+		{func(fo *ForestOptions) { fo.FeatureSample = 99 }, "FeatureSample 99 out of range"},
+		{func(fo *ForestOptions) { fo.Engine.Bins = 1 }, "Bins 1 out of range"},
+	} {
+		fo := baseForestOptions()
+		tc.edit(&fo)
+		_, err := TrainForest(tab, splitter.Config{MinSplit: 8}, fo)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "forest trees failed") {
+			t.Errorf("err = %v, want the %q error up front", err, tc.want)
+		}
 	}
 }
 

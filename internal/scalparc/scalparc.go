@@ -253,41 +253,76 @@ type Options struct {
 	Resume bool
 }
 
+// CheckOptions reports the first error in the engine's own options: a value
+// out of range, or a field set without the options it needs. o is one
+// engine run's options or, when fo is non-nil, the Engine every tree of
+// that forest runs, and fo is checked too. wire says the run's world is
+// wire-backed, and attrs is the table's attribute count (negative before
+// the table is known: FeatureSample's upper bound is then not checked).
+// Zero values are valid everywhere: they select the defaults.
+func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
+	if fo != nil {
+		switch {
+		case fo.Trees < 1:
+			return fmt.Errorf("scalparc: forest needs Trees >= 1, got %d", fo.Trees)
+		case fo.Procs < 0:
+			return fmt.Errorf("scalparc: forest Procs %d out of range", fo.Procs)
+		case fo.Parallel < 0:
+			return fmt.Errorf("scalparc: forest Parallel %d out of range", fo.Parallel)
+		case o.FeatureSample != 0 || o.FeatureSeed != 0:
+			return fmt.Errorf("scalparc: set feature subsampling on ForestOptions, not Engine")
+		case o.Resume || o.CheckpointDir != "":
+			return fmt.Errorf("scalparc: per-tree checkpoint directories are owned by the forest layer; set ForestOptions.CheckpointDir")
+		}
+		o.FeatureSample = fo.FeatureSample
+	}
+	switch {
+	case o.PerNodeComms && o.BatchedEnquiry:
+		return fmt.Errorf("scalparc: PerNodeComms and BatchedEnquiry are mutually exclusive")
+	case o.Split < SplitExact || o.Split > SplitVote:
+		return fmt.Errorf("scalparc: unknown split strategy %d", int(o.Split))
+	case o.Split == SplitExact && o.Bins != 0:
+		return fmt.Errorf("scalparc: Bins is only meaningful with SplitBinned or SplitVote")
+	case o.Bins != 0 && (o.Bins < 2 || o.Bins > 65536):
+		return fmt.Errorf("scalparc: Bins %d out of range [2, 65536]", o.Bins)
+	case o.Split != SplitVote && o.VoteK != 0:
+		return fmt.Errorf("scalparc: VoteK is only meaningful with SplitVote")
+	case o.VoteK < 0 || o.VoteK > 65536:
+		return fmt.Errorf("scalparc: VoteK %d out of range [1, 65536]", o.VoteK)
+	case o.FeatureSample < 0:
+		return fmt.Errorf("scalparc: FeatureSample %d is negative", o.FeatureSample)
+	case attrs >= 0 && o.FeatureSample > attrs:
+		return fmt.Errorf("scalparc: FeatureSample %d out of range [0, %d attributes]", o.FeatureSample, attrs)
+	case o.CheckpointEvery < 0:
+		return fmt.Errorf("scalparc: CheckpointEvery %d is negative (-checkpoint-every)", o.CheckpointEvery)
+	case wire && o.CheckpointEvery > 0 && o.CheckpointDir == "":
+		// A transport-backed world has one rank per process, so an
+		// in-memory store could never cover the peers: the shared
+		// checkpoint directory is the rendezvous for the per-process
+		// fragment files.
+		return fmt.Errorf("scalparc: checkpointing on a wire transport requires CheckpointDir (per-process frames need shared stable storage)")
+	case o.Resume && o.CheckpointDir == "":
+		return fmt.Errorf("scalparc: Resume requires CheckpointDir (the frames to resume from)")
+	}
+	return nil
+}
+
 // TrainOpts runs ScalParC on the world's processors and returns the tree
 // with run metrics — the engine's one entry point; the zero Options is the
 // paper's algorithm. The world's clocks, stats, and memory meters are reset
 // at the start of the run.
 func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Options) (*Result, error) {
-	if opts.PerNodeComms && opts.BatchedEnquiry {
-		return nil, fmt.Errorf("scalparc: PerNodeComms and BatchedEnquiry are mutually exclusive")
+	if err := CheckOptions(opts, nil, tab.Schema.NumAttrs(), w.Distributed()); err != nil {
+		return nil, err
 	}
-	switch opts.Split {
-	case SplitExact:
-		if opts.Bins != 0 {
-			return nil, fmt.Errorf("scalparc: Bins is only meaningful with SplitBinned or SplitVote")
-		}
-	case SplitBinned, SplitVote:
-		if opts.Bins == 0 {
-			opts.Bins = DefaultBins
-		}
-		if opts.Bins < 2 || opts.Bins > 65536 {
-			return nil, fmt.Errorf("scalparc: Bins %d out of range [2, 65536]", opts.Bins)
-		}
-	default:
-		return nil, fmt.Errorf("scalparc: unknown split strategy %d", int(opts.Split))
+	if opts.Split != SplitExact && opts.Bins == 0 {
+		opts.Bins = DefaultBins
 	}
-	if opts.Split == SplitVote {
-		if opts.VoteK == 0 {
-			opts.VoteK = DefaultVoteK
-		}
-		if opts.VoteK < 1 || opts.VoteK > 65536 {
-			return nil, fmt.Errorf("scalparc: VoteK %d out of range [1, 65536]", opts.VoteK)
-		}
-	} else if opts.VoteK != 0 {
-		return nil, fmt.Errorf("scalparc: VoteK is only meaningful with SplitVote")
+	if opts.Split == SplitVote && opts.VoteK == 0 {
+		opts.VoteK = DefaultVoteK
 	}
-	if opts.FeatureSample < 0 || opts.FeatureSample > tab.Schema.NumAttrs() {
-		return nil, fmt.Errorf("scalparc: FeatureSample %d out of range [0, %d attributes]", opts.FeatureSample, tab.Schema.NumAttrs())
+	if opts.CheckpointDir != "" && opts.CheckpointEvery == 0 {
+		opts.CheckpointEvery = 1
 	}
 	factory := opts.RecordMap
 	if factory == nil {
@@ -302,22 +337,6 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	}
 	if tab.NumRows() == 0 {
 		return nil, fmt.Errorf("scalparc: empty training set")
-	}
-	if opts.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("scalparc: CheckpointEvery %d is negative", opts.CheckpointEvery)
-	}
-	if opts.CheckpointDir != "" && opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 1
-	}
-	if opts.CheckpointEvery > 0 && w.Distributed() && opts.CheckpointDir == "" {
-		// A transport-backed world has one rank per process, so an
-		// in-memory store could never cover the peers: the shared
-		// checkpoint directory is the rendezvous for the per-process
-		// fragment files.
-		return nil, fmt.Errorf("scalparc: checkpointing on a wire transport requires CheckpointDir (per-process frames need shared stable storage)")
-	}
-	if opts.Resume && opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("scalparc: Resume requires CheckpointDir (the frames to resume from)")
 	}
 	var store *CheckpointStore
 	if opts.CheckpointEvery > 0 {

@@ -65,10 +65,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxRowsPerRequest caps one request's row group; default 4096.
 	MaxRowsPerRequest int
-	// TrainConfig is the base configuration retrains use (algorithm,
-	// processor count, split mode). The zero value trains serial ScalParC
-	// semantics via classify defaults.
-	TrainConfig classify.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -308,7 +304,7 @@ func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		cfg := s.cfg.TrainConfig
+		var cfg classify.Config
 		if p := r.URL.Query().Get("procs"); p != "" {
 			n, err := strconv.Atoi(p)
 			if err != nil || n < 1 {
