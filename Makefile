@@ -34,12 +34,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Race-detect the packages with real goroutine concurrency: the simulated
-# machine (one goroutine per rank), the engine driving it, the compiled
-# predictor (table prediction fans out over a worker pool), and the
-# inference server (micro-batcher + sharded model cache).
+# machine (one goroutine per rank), the TCP transport (per-peer readers and
+# the heartbeater beside each rank; its tests are in-process meshes, no
+# worker processes), the engine driving them, the compiled predictor (table
+# prediction fans out over a worker pool), and the inference server
+# (micro-batcher + sharded model cache).
 race:
-	$(GO) test -race ./internal/comm ./internal/scalparc ./internal/infer \
-		./internal/serve/... ./cmd/serve
+	$(GO) test -race ./internal/comm ./internal/comm/tcptransport ./internal/scalparc \
+		./internal/infer ./internal/serve/... ./cmd/serve
 
 # The inference server's full suite: soak/race tests (N clients x M
 # models, bit-equal to the walker oracle), hot-swap drain differential,
@@ -61,11 +63,11 @@ chaos:
 		-run 'Fault|Crash|Checkpoint|Straggler|Corrupt|Recover|Schedule|Detection|Shrink|Truncat' \
 		./internal/faults ./internal/comm ./internal/scalparc \
 		./internal/nodetable ./internal/extmem ./classify ./cmd/scalparc
-	$(GO) test -count=1 -run 'Crash|Shrink|Suspicion|Hung|Wire|Orphan' ./internal/comm/tcptransport
+	$(GO) test -race -count=1 -run 'Crash|Shrink|Suspicion|Hung|Wire|Orphan' ./internal/comm/tcptransport
 	$(MAKE) chaos-tcp
 
-# Network chaos over real worker processes: the full wire-fault sweep
-# (hang/delay/reset/truncate at phase boundaries, p in {2,4}), each run
+# Network chaos over real worker processes: the full sweep of the wire-only
+# fault kinds (hang/delay/reset/truncate at phase boundaries, p in {2,4}), each run
 # required to terminate within the detection bound and produce the
 # byte-identical tree of a fault-free run, plus the coordinator's
 # respawn-from-checkpoint path. No -race: these launch OS processes.
@@ -75,8 +77,9 @@ chaos-tcp:
 
 # The TCP transport backend: unit tests, the sim-vs-tcp differential
 # (byte-identical trees and modeled runtimes at p in {2,4}), and the
-# real-process crash-recovery sweep. These spawn worker OS processes, so
-# they run without -race (the race detector covers the simulated side).
+# real-process crash-recovery sweep. The CLI tests spawn worker OS
+# processes, so this target runs without -race (make race covers the
+# transport's in-process meshes and the simulated side).
 tcp:
 	$(GO) test -count=1 ./internal/comm/tcptransport
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc

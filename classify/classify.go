@@ -150,7 +150,9 @@ type Config struct {
 	VoteK int
 	// Faults is a fault-injection spec (see package faults: e.g.
 	// "crash@FindSplitI:1:2" or "random:4:crash,straggle"). Only the
-	// ScalParC algorithm has a recovery path, so faults require it.
+	// ScalParC algorithm has a recovery path, so faults require it; the
+	// hang and socket kinds (e.g. "reset@FindSplitI:1:2:0") also require
+	// a wire-backed world.
 	Faults string
 	// FaultSeed seeds "random:" fault specs; required non-zero for them.
 	FaultSeed int64
@@ -240,9 +242,9 @@ func (c Config) engineOptions() scalparc.Options {
 
 // job is one training job as the unsupported table's predicates see it.
 type job struct {
-	cfg         Config
-	forest      *ForestConfig // nil: one tree
-	wire, hangs bool          // hangs: the fault spec schedules a hang
+	cfg            Config
+	forest         *ForestConfig // nil: one tree
+	wire, wireOnly bool          // wireOnly: the fault spec schedules a hang or socket fault
 }
 
 // unsupported lists, in the order Check tries them, every combination of
@@ -261,8 +263,8 @@ var unsupported = []struct {
 		func(j job) bool { return j.wire && j.cfg.Algorithm != ScalParC && j.cfg.Algorithm != SPRINT }},
 	{"wire without processors", "a wire transport runs one process per rank and needs Processors >= 1 (-procs)",
 		func(j job) bool { return j.wire && j.cfg.Processors == 0 }},
-	{"hang without a wire", "hang faults silence a live process and require a wire transport (-transport=tcp)",
-		func(j job) bool { return j.hangs && !j.wire }},
+	{"socket faults without a wire", "hang, reset, truncate and delay faults act on a live process's sockets and require a wire transport (-transport=tcp)",
+		func(j job) bool { return j.wireOnly && !j.wire }},
 	{"forest without ScalParC", "a forest is built from ScalParC trees (-algo scalparc)",
 		func(j job) bool { return j.forest != nil && j.cfg.Algorithm != ScalParC }},
 	{"forest on a wire", "a forest trains its trees as independent in-process worlds and requires the simulated machine (-transport=sim)",
@@ -290,7 +292,7 @@ func Check(cfg Config, forest *ForestConfig, wire bool) error {
 		if err != nil {
 			return err
 		}
-		j.hangs = s.NeedsWire()
+		j.wireOnly = s.NeedsWire()
 	}
 	for _, r := range unsupported {
 		if r.when(j) {

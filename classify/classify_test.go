@@ -289,7 +289,7 @@ func TestUnsupportedCombinations(t *testing.T) {
 			func(j *job) { j.cfg.Algorithm = SPRINT }},
 		"wire without processors": {job{wire: true},
 			func(j *job) { j.cfg.Processors = 2 }},
-		"hang without a wire": {job{cfg: Config{Processors: 2, Faults: "hang@FindSplitI:1:1"}},
+		"socket faults without a wire": {job{cfg: Config{Processors: 2, Faults: "reset@FindSplitI:1:1:0"}},
 			func(j *job) { j.wire = true }},
 		"forest without ScalParC": {job{cfg: Config{Algorithm: SPRINT}, forest: forest},
 			func(j *job) { j.cfg.Algorithm = ScalParC }},

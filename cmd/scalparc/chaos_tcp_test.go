@@ -158,9 +158,9 @@ func TestTCPOrphanRespawnFromCheckpoint(t *testing.T) {
 }
 
 // TestTCPChaosSweep is the full chaos matrix (make chaos-tcp): every
-// wire fault kind at phase-boundary sites, p in {2,4}, each run required
-// to terminate and produce the oracle's byte-identical tree. Gated on
-// CHAOS_TCP=1 because it launches dozens of worker processes.
+// wire-only fault kind at phase-boundary sites, p in {2,4}, each run
+// required to terminate and produce the oracle's byte-identical tree.
+// Gated on CHAOS_TCP=1 because it launches dozens of worker processes.
 func TestTCPChaosSweep(t *testing.T) {
 	if os.Getenv("CHAOS_TCP") == "" {
 		t.Skip("set CHAOS_TCP=1 (or run make chaos-tcp) for the full sweep")
@@ -168,16 +168,15 @@ func TestTCPChaosSweep(t *testing.T) {
 	const detect = "400ms"
 	cases := []struct {
 		name string
-		flag string // -faults or -wire-faults
 		spec string // %d fills the struck rank
 	}{
-		// Phase-level hangs at both induction phase boundaries.
-		{"hang-findsplit", "-faults", "hang@FindSplitI:1:%d"},
-		{"hang-performsplit", "-faults", "hang@PerformSplitII:1:%d"},
-		// Frame-level faults: torn and delayed connections.
-		{"reset", "-wire-faults", "reset@%d:0#2"},
-		{"truncate", "-wire-faults", "truncate@%d:0#3"},
-		{"delay-benign", "-wire-faults", "delay@%d:0:50ms#2"},
+		// Hangs at both induction phase boundaries.
+		{"hang-findsplit", "hang@FindSplitI:1:%d"},
+		{"hang-performsplit", "hang@PerformSplitII:1:%d"},
+		// Torn and delayed connections to rank 0.
+		{"reset", "reset@FindSplitI:1:%d:0"},
+		{"truncate", "truncate@PerformSplitII:1:%d:0"},
+		{"delay-benign", "delay@FindSplitII:1:%d:0:50ms"},
 	}
 	for _, procs := range []int{2, 4} {
 		dir := t.TempDir()
@@ -191,7 +190,7 @@ func TestTCPChaosSweep(t *testing.T) {
 				args := append(append([]string(nil), base...),
 					"-transport", "tcp", "-detect-timeout", detect,
 					"-checkpoint", filepath.Join(dir, "ck-"+tc.name),
-					tc.flag, fmt.Sprintf(tc.spec, victim), "-json-out", outPath)
+					"-faults", fmt.Sprintf(tc.spec, victim), "-json-out", outPath)
 				var out bytes.Buffer
 				dumpChaosTCP(t, fmt.Sprintf("p%d-%s", procs, tc.name), &out, outPath)
 				if err := run(args, &out); err != nil {

@@ -167,8 +167,7 @@ func run(args []string, stdout io.Writer) error {
 	forestSeed := fs.Uint64("forest-seed", 1, "bootstrap/feature-stream seed for -forest")
 	forestParallel := fs.Int("forest-parallel", 0, "how many forest trees train concurrently (0 = 1; results are identical at any width)")
 	forestCkpt := fs.String("forest-checkpoint", "", "persist each completed forest tree to this directory and restore completed trees on a rerun")
-	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. crash@FindSplitI:1:2 or random:4:crash,straggle (scalparc only)")
-	wireFaults := fs.String("wire-faults", "", "socket-level fault spec for -transport=tcp, e.g. reset@1:0 or delay@0:1:50ms#2 or random:3:reset,truncate")
+	faultSpec := fs.String("faults", "", "fault-injection spec (scalparc only), e.g. crash@FindSplitI:1:2 or random:4:crash,straggle; the hang, reset, truncate and delay kinds need -transport=tcp, e.g. reset@FindSplitI:1:2:0")
 	faultSeed := fs.Int64("fault-seed", 0, "seed for random: fault specs (required non-zero for them)")
 	detectTimeout := fs.Duration("detect-timeout", 0, "suspect a silent peer after this long without traffic (-transport=tcp; 0 = fail-stop EOF detection only)")
 	ckptDir := fs.String("checkpoint", "", "persist level-boundary checkpoints to this directory (scalparc only)")
@@ -238,9 +237,6 @@ func run(args []string, stdout io.Writer) error {
 		if detectSet {
 			return fmt.Errorf("-detect-timeout is wall-clock heartbeat detection and requires -transport=tcp (the simulated machine observes every death directly)")
 		}
-		if *wireFaults != "" {
-			return fmt.Errorf("-wire-faults strikes TCP frames and requires -transport=tcp")
-		}
 	case "tcp":
 		if *cvFolds > 0 {
 			return fmt.Errorf("-cv requires -transport=sim")
@@ -284,21 +280,13 @@ func run(args []string, stdout io.Writer) error {
 	if err := classify.Check(trainCfg, forestCfg, *transport == "tcp"); err != nil {
 		return err
 	}
-	hangs := false
-	if s, err := faults.Parse(*faultSpec, *faultSeed, *procs); err == nil {
-		hangs = s.NeedsWire() // only on tcp: Check refuses a hang on sim
-	}
-	if *wireFaults != "" {
-		ws, err := faults.ParseWire(*wireFaults, *faultSeed, *procs)
-		if err != nil {
-			return fmt.Errorf("-wire-faults: %w", err)
+	// Check has accepted the spec, and refuses a hang on sim.
+	if s, err := faults.Parse(*faultSpec, *faultSeed, *procs); err == nil && *detectTimeout <= 0 {
+		for _, e := range s.Events() {
+			if e.Kind == faults.Hang {
+				return fmt.Errorf("hang events never close a connection; peers need -detect-timeout to suspect the rank")
+			}
 		}
-		for _, e := range ws.Events() {
-			hangs = hangs || e.Kind == faults.WireHang
-		}
-	}
-	if hangs && *detectTimeout <= 0 {
-		return fmt.Errorf("hang events never close a connection; peers need -detect-timeout to suspect the rank")
 	}
 	if *ckptDir != "" {
 		// Probe writability up front: an unwritable checkpoint directory
@@ -386,7 +374,7 @@ func run(args []string, stdout io.Writer) error {
 	var model *classify.Model
 	switch {
 	case *transport == "tcp" && tcptransport.IsWorker():
-		return trainTCPWorker(train, trainCfg, *detectTimeout, *wireFaults, *faultSeed)
+		return trainTCPWorker(train, trainCfg, *detectTimeout)
 	case *transport == "tcp":
 		fmt.Fprintf(stdout, "tcp transport: %d rank processes over localhost\n", *procs)
 		model, err = trainTCPCoordinator(args, *procs, os.Stderr, *detectTimeout, *ckptDir, stdout)

@@ -406,16 +406,20 @@ var faultFlagRejections = []struct {
 		"-transport", "tcp", "-procs", "2", "-detect-timeout", "-1s"}, "must be > 0"},
 	{"detect-timeout on sim", []string{"-quest-function", "1", "-records", "100",
 		"-procs", "2", "-detect-timeout", "1s"}, "requires -transport=tcp"},
-	{"wire-faults on sim", []string{"-quest-function", "1", "-records", "100",
-		"-procs", "2", "-wire-faults", "reset@1:0"}, "requires -transport=tcp"},
+	{"socket fault on sim", []string{"-quest-function", "1", "-records", "100",
+		"-procs", "2", "-faults", "reset@FindSplitI:1:1:0"}, "require a wire transport"},
 	{"hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
 		"-transport", "tcp", "-procs", "2", "-faults", "hang@FindSplitI:1:1"}, "-detect-timeout"},
-	{"wire hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
-		"-transport", "tcp", "-procs", "2", "-wire-faults", "hang@1:0"}, "-detect-timeout"},
-	{"bad wire-faults spec", []string{"-quest-function", "1", "-records", "100",
-		"-transport", "tcp", "-procs", "2", "-wire-faults", "melt@1:0"}, "-wire-faults"},
-	{"wire-faults rank out of range", []string{"-quest-function", "1", "-records", "100",
-		"-transport", "tcp", "-procs", "2", "-wire-faults", "reset@7:0"}, "-wire-faults"},
+	{"random hang without detect-timeout", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-faults", "random:2:hang", "-fault-seed", "1"}, "-detect-timeout"},
+	{"socket fault aimed at its own rank", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-faults", "reset@FindSplitI:1:1:1"}, "peer"},
+	{"socket fault rank out of range", []string{"-quest-function", "1", "-records", "100",
+		"-transport", "tcp", "-procs", "2", "-faults", "truncate@FindSplitI:1:7:0"}, "out of range"},
+	{"unfillable random spec", []string{"-quest-function", "1", "-records", "100",
+		"-procs", "2", "-faults", "random:5:crash", "-fault-seed", "1"}, "at most 2"},
+	{"huge random spec", []string{"-quest-function", "1", "-records", "100",
+		"-faults", "random:99999999999999", "-fault-seed", "1"}, "limit"},
 }
 
 func TestRunFaultFlagValidation(t *testing.T) {

@@ -29,14 +29,13 @@ import (
 	"repro/classify"
 	"repro/internal/comm"
 	"repro/internal/comm/tcptransport"
-	"repro/internal/faults"
 )
 
 // trainTCPCoordinator spawns the rank workers and reassembles their
 // result into a Model, so the rest of run() treats a TCP run exactly
 // like a simulated one. When checkpointing is on it also retries: a
 // failed attempt is relaunched at the surviving world size with the
-// resume environment set, and with the fault specs cleared — injected
+// resume environment set, and with the fault spec cleared — injected
 // faults are one-shot, they struck the attempt they were scheduled for.
 func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect time.Duration, ckptDir string, stdout io.Writer) (*classify.Model, error) {
 	opts := tcptransport.LaunchOpts{}
@@ -86,7 +85,7 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 		opts.Resume = true
 		// Flag order wins ties, so appending overrides any fault spec in
 		// the original command line without rewriting it.
-		launchArgs = append(append([]string(nil), args...), "-faults=", "-wire-faults=")
+		launchArgs = append(append([]string(nil), args...), "-faults=")
 	}
 }
 
@@ -97,19 +96,12 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 // rank killed by fault injection is "dead", a rank that lost every peer
 // under detection is "orphaned", and a rank that finished is "ok". A
 // hung rank writes nothing — that silence is what the watchdog keys on.
-func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Duration, wireSpec string, faultSeed int64) error {
+func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Duration) error {
 	tr, err := tcptransport.FromEnvTimeout(detect)
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
-	if wireSpec != "" {
-		ws, err := faults.ParseWire(wireSpec, faultSeed, tr.Size())
-		if err != nil {
-			return err
-		}
-		tr.SetWireInjector(ws)
-	}
 	if tcptransport.IsResume() {
 		cfg.Resume = true
 	}

@@ -19,6 +19,7 @@ import (
 //	post / take     the point-to-point hand-off
 //	runsHere        which ranks Run starts in this process
 //	kill / hang     what an injected crash or hang does to the machine
+//	strike          handing an injected socket fault to the wire
 //	suspicions      timeout verdicts the machine has reached
 //	interrupt       releasing ranks the machine has blocked, after a loss
 //	rendezvous      the survivors' meeting inside Shrink
@@ -308,6 +309,17 @@ func (w *World) hang(rank int) {
 		panic(fmt.Sprintf("comm: hang fault injected on rank %d but the backend cannot hang a rank (wire transports only)", rank))
 	}
 	h.Hang()
+}
+
+// strike hands a socket fault to the wire transport, which applies it to
+// the calling rank's next frame to the fault's peer. Like hang, only a
+// wire can: the simulated machine has no connections to tear.
+func (w *World) strike(rank int, f SocketFault) {
+	s, ok := w.tr.(interface{ Strike(SocketFault) })
+	if !ok {
+		panic(fmt.Sprintf("comm: socket fault injected on rank %d but the backend has no sockets (wire transports only)", rank))
+	}
+	s.Strike(f)
 }
 
 // suspicions is the number of peers the machine has declared dead by

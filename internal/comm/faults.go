@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -77,15 +78,31 @@ type Site struct {
 // "no fault". Crash wins over the others; Drop and Corrupt on p2p ops are
 // modeled as detected-and-retransmitted; Corrupt on a collective raises a
 // *ProtocolError. Hang — the rank goes silent without exiting, so peers
-// must suspect it by timeout rather than observe a death — is expressible
-// only on a wire transport and is rejected at validation on the
-// simulated machine.
+// must suspect it by timeout rather than observe a death — and Sockets
+// are expressible only on a wire transport and are rejected at
+// validation on the simulated machine.
 type FaultAction struct {
 	Crash     bool
 	Hang      bool
 	Drop      bool
 	Corrupt   bool
 	SkewPicos int64 // straggler slowdown as virtual-clock skew
+	Sockets   []SocketFault
+}
+
+// SocketFault is a fault on one of the rank's connections rather than on
+// the rank: the wire transport applies it to the next frame the rank
+// writes to Peer (-1: to any peer), normally within the struck op. One of
+// Reset, Truncate or Delay is set.
+type SocketFault struct {
+	Peer int
+	// Reset closes the connection with a TCP RST instead of writing.
+	Reset bool
+	// Truncate writes half the frame, then closes: a torn stream.
+	Truncate bool
+	// Delay freezes the connection, heartbeats included, this long before
+	// the frame is written.
+	Delay time.Duration
 }
 
 // FaultInjector decides, deterministically, whether a fault strikes at a

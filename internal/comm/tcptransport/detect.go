@@ -1,18 +1,20 @@
 package tcptransport
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
 )
 
-// This file is the bounded-time failure detector and the socket-level
-// fault hooks. Both are inert unless enabled: with a zero detection
-// timeout the transport behaves exactly as the original fail-stop
-// (EOF-only) backend, and with no wire injector the write path is
-// untouched.
+// This file is the bounded-time failure detector and the wire's half of
+// the hang and socket fault kinds. Both are inert unless used: with a
+// zero detection timeout the transport behaves exactly as the original
+// fail-stop (EOF-only) backend, and with no socket fault armed the write
+// path costs one length check per frame.
 //
 // Detector shape: each rank heartbeats every peer at detect/3 and arms a
 // read deadline of detect on every inbound connection, so a healthy peer
@@ -68,8 +70,8 @@ func (t *T) heartbeater() {
 		case <-ticker.C:
 		}
 		if t.hung.Load() {
-			// A wire-level hang silences the whole NIC, heartbeats
-			// included — that is the point of the fault.
+			// A hang silences the whole NIC, heartbeats included — that
+			// is the point of the fault.
 			continue
 		}
 		for peer := range t.conns {
@@ -78,7 +80,7 @@ func (t *T) heartbeater() {
 			}
 			t.mu.Lock()
 			skip := !t.live[peer] || t.killed || t.closed
-			if !skip && t.frozenUntil != nil && time.Now().Before(t.frozenUntil[peer]) {
+			if !skip && time.Now().Before(t.frozenUntil[peer]) {
 				skip = true // a delay fault freezes this pair's heartbeats too
 			}
 			t.mu.Unlock()
@@ -125,84 +127,56 @@ func (t *T) Suspicions() int64 {
 	return t.nSuspect
 }
 
-// SetWireInjector installs a socket-level fault injector on the frame
-// send path. Must be set before any operation runs.
-func (t *T) SetWireInjector(inj comm.WireFaultInjector) {
-	t.winj = inj
-}
-
 // Hang drops this rank off the wire without killing the process: the
 // heartbeater falls silent, outbound frames are discarded, and the
 // caller blocks forever. Peers suspect the rank within the detection
 // timeout and shrink past it; the hung process is reaped by the
-// coordinator's watchdog. This is the phase-addressed `hang` fault kind
-// — only a wire transport can express it (the simulated machine's ranks
-// share one process and may not block forever).
+// coordinator's watchdog. This is the `hang` fault kind — only a wire
+// transport can express it (the simulated machine's ranks share one
+// process and may not block forever).
 func (t *T) Hang() {
 	t.hung.Store(true)
 	select {}
 }
 
-// applyWireFault runs the injector's verdict for one outbound data
-// frame. It is called with wmu[peer] held and returns (handled, err):
-// handled means the frame must not be written normally.
-func (t *T) applyWireFault(peer int, f wireFrame) (bool, error) {
-	if t.winj == nil || f.tag == comm.TagHeartbeat {
-		return false, nil
+// Strike arms a socket fault the comm layer matched at this rank's fault
+// site: it applies to the next frame written to its peer.
+func (t *T) Strike(f comm.SocketFault) { t.armed = append(t.armed, f) }
+
+// applySocketFault applies the first armed fault aimed at peer (or any
+// peer) to the outbound frame f. It is called with wmu[peer] held and
+// reports whether the fault tore the connection instead of letting f
+// through.
+func (t *T) applySocketFault(peer int, f wireFrame) bool {
+	i := slices.IndexFunc(t.armed, func(a comm.SocketFault) bool { return a.Peer == peer || a.Peer < 0 })
+	if i < 0 {
+		return false
 	}
-	nth := t.nsent[peer]
-	t.nsent[peer]++
-	act := t.winj.WireAct(comm.WireSite{Rank: t.rank, Peer: peer, Nth: nth})
-	if act == (comm.WireAction{}) {
-		return false, nil
-	}
+	a := t.armed[i]
+	t.armed = slices.Delete(t.armed, i, i+1)
 	c := t.conns[peer]
 	switch {
-	case act.Hang:
-		t.hung.Store(true)
-		return true, nil // silent NIC: frame vanishes, rank keeps computing
-	case act.Reset:
+	case a.Reset:
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.SetLinger(0) // RST, not FIN
 		}
 		c.Close()
-		return true, ErrPeerFailed
-	case act.Truncate:
+		return true
+	case a.Truncate:
 		// A torn stream: half a frame, then close. The receiver's next
 		// read fails mid-frame (unexpected EOF), the exact shape of a
 		// sender dying inside a write.
-		buf := make([]byte, 4+hdrLen+len(f.data))
-		writeWireBytes(buf, f)
-		_, _ = c.Write(buf[:len(buf)/2])
+		var buf bytes.Buffer
+		_ = writeFrame(&buf, f)
+		_, _ = c.Write(buf.Bytes()[:buf.Len()/2])
 		c.Close()
-		return true, ErrPeerFailed
-	case act.DelayNanos > 0:
-		d := time.Duration(act.DelayNanos)
-		t.mu.Lock()
-		if t.frozenUntil == nil {
-			t.frozenUntil = make([]time.Time, t.p)
-		}
-		t.frozenUntil[peer] = time.Now().Add(d)
-		t.mu.Unlock()
-		time.Sleep(d)
-		return false, nil // then send normally
+		return true
 	}
-	return false, nil
-}
-
-// writeWireBytes encodes f into buf (sized 4+hdrLen+len(f.data)) without
-// writing it — the truncate fault needs the raw bytes to tear.
-func writeWireBytes(buf []byte, f wireFrame) {
-	var bw byteSliceWriter
-	bw.buf = buf[:0]
-	_ = writeFrame(&bw, f)
-}
-
-type byteSliceWriter struct{ buf []byte }
-
-func (w *byteSliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
+	t.mu.Lock()
+	t.frozenUntil[peer] = time.Now().Add(a.Delay)
+	t.mu.Unlock()
+	time.Sleep(a.Delay)
+	return false // then send normally
 }
 
 // isTimeout reports whether a reader error was a read-deadline expiry —

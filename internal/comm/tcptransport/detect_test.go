@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/faults"
 	"repro/internal/timing"
+	"repro/internal/trace"
 )
 
 // connectDetect builds an in-process p-rank mesh with bounded-time
@@ -48,6 +49,15 @@ func tryRun(op func()) (err error) {
 	}()
 	op()
 	return nil
+}
+
+// waitTorn blocks a rank until another rank's socket fault has fired and
+// the tear has reached the rank's own transport tr: the schedule fires at
+// the struck op's entry, a moment before the frame it tears is written.
+func waitTorn(sched *faults.Schedule, tr *T) {
+	for sched.Fired() == 0 || len(tr.Dead()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestHungPeerSuspectedAndRecovered is the detector's core scenario: a
@@ -226,15 +236,17 @@ func TestSuspicionThenLateEOFSingleShrink(t *testing.T) {
 func TestWireDelayBenign(t *testing.T) {
 	const p = 2
 	const detect = 600 * time.Millisecond
-	sched := faults.NewWireSchedule(faults.WireEvent{
-		Rank: 0, Peer: 1, Nth: 0, Kind: faults.WireDelay, Delay: 30 * time.Millisecond,
+	const delay = 30 * time.Millisecond
+	sched := faults.NewSchedule(p, faults.Event{
+		Rank: 0, Peer: 1, Phase: trace.Other, Kind: faults.Delay, Picos: int64(delay) * 1000,
 	})
 
 	ts, ws := connectDetect(t, p, detect)
-	for _, tr := range ts {
-		tr.SetWireInjector(sched)
+	for _, w := range ws {
+		w.SetFaultInjector(sched)
 	}
 	wireOut := make([][]string, p)
+	start := time.Now()
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -244,6 +256,9 @@ func TestWireDelayBenign(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	if took := time.Since(start); took < delay {
+		t.Fatalf("the run took %v, less than the %v delay: the delay never froze the connection", took, delay)
+	}
 
 	simOut := make([][]string, p)
 	runSimulated(t, p, nil, func(c *comm.Comm) { program(c, &simOut[c.Rank()]) })
@@ -277,9 +292,7 @@ func TestWireDelayBenign(t *testing.T) {
 // the next test.
 func TestWireResetSplitsPairWithoutDetection(t *testing.T) {
 	const p = 2
-	sched := faults.NewWireSchedule(faults.WireEvent{
-		Rank: 0, Peer: 1, Nth: 0, Kind: faults.WireReset,
-	})
+	sched := faults.NewSchedule(p, faults.Event{Rank: 0, Peer: 1, Phase: trace.Other, Kind: faults.Reset})
 	ts, err := ConnectLocal(p)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +305,7 @@ func TestWireResetSplitsPairWithoutDetection(t *testing.T) {
 	ws := make([]*comm.World, p)
 	for i, tr := range ts {
 		ws[i] = comm.NewTransportWorld(tr, timing.T3D())
-		tr.SetWireInjector(sched)
+		ws[i].SetFaultInjector(sched)
 	}
 
 	var mu sync.Mutex
@@ -305,12 +318,11 @@ func TestWireResetSplitsPairWithoutDetection(t *testing.T) {
 			defer wg.Done()
 			ws[r].Run(func(c *comm.Comm) {
 				if c.Phys() == 1 {
-					// Hold rank 1 back until the reset struck, so neither
-					// side's deposit crosses before the tear — the outcome
-					// is then deterministic, not a race with the fault.
-					for sched.Fired() == 0 {
-						time.Sleep(time.Millisecond)
-					}
+					// Hold rank 1 back until the reset struck and tore its
+					// connection, so neither side's deposit crosses before
+					// the tear — the outcome is then deterministic, not a
+					// race with the fault.
+					waitTorn(sched, ts[1])
 				}
 				for {
 					err := tryRun(func() {
@@ -347,12 +359,10 @@ func TestWireResetSplitsPairWithoutDetection(t *testing.T) {
 func TestWireTruncatePairOrphansUnderDetection(t *testing.T) {
 	const p = 2
 	const detect = 400 * time.Millisecond
-	sched := faults.NewWireSchedule(faults.WireEvent{
-		Rank: 0, Peer: 1, Nth: 0, Kind: faults.WireTruncate,
-	})
+	sched := faults.NewSchedule(p, faults.Event{Rank: 0, Peer: 1, Phase: trace.Other, Kind: faults.Truncate})
 	ts, ws := connectDetect(t, p, detect)
-	for _, tr := range ts {
-		tr.SetWireInjector(sched)
+	for _, w := range ws {
+		w.SetFaultInjector(sched)
 	}
 
 	errs := make([]error, p)
@@ -363,9 +373,7 @@ func TestWireTruncatePairOrphansUnderDetection(t *testing.T) {
 			defer wg.Done()
 			ws[r].Run(func(c *comm.Comm) {
 				if c.Phys() == 1 {
-					for sched.Fired() == 0 {
-						time.Sleep(time.Millisecond)
-					}
+					waitTorn(sched, ts[1])
 				}
 				err := tryRun(func() { comm.AllReduceSum(c, []int64{1}) })
 				if err == nil {

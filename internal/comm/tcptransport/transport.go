@@ -56,12 +56,11 @@ type T struct {
 	frozenUntil []time.Time // delay-fault freeze per connection (under mu)
 	hbStop      chan struct{}
 	hbOnce      sync.Once
-	hung        atomic.Bool // wire hang latched: all writes vanish
+	hung        atomic.Bool // hang latched: all writes vanish
 
-	// Socket-level fault injection (see detect.go). nsent counts
-	// non-heartbeat frames per destination, each entry under wmu[peer].
-	winj  comm.WireFaultInjector
-	nsent []int
+	// Socket faults struck at this rank's fault sites, each waiting for
+	// its next frame to its peer (see detect.go). SPMD goroutine only.
+	armed []comm.SocketFault
 }
 
 // Listen binds one localhost listener per rank and returns them with
@@ -84,17 +83,12 @@ func Listen(p int) ([]net.Listener, []string, error) {
 	return lns, addrs, nil
 }
 
-// Connect builds rank's leg of the full mesh: dial every lower rank,
-// accept from every higher rank, then start the per-peer readers. It
-// takes ownership of ln.
-func Connect(rank int, ln net.Listener, addrs []string) (*T, error) {
-	return ConnectTimeout(rank, ln, addrs, 0)
-}
-
-// ConnectTimeout is Connect with bounded-time failure detection: with a
-// positive detect, the transport heartbeats every peer at detect/3 and
-// suspects (then treats as failed) any connection silent for detect.
-// Zero detect keeps the EOF-only fail-stop behavior.
+// ConnectTimeout builds rank's leg of the full mesh: dial every lower
+// rank, accept from every higher rank, then start the per-peer readers.
+// It takes ownership of ln. With a positive detect, the transport
+// heartbeats every peer at detect/3 and suspects (then treats as failed)
+// any connection silent for detect; zero detect keeps the EOF-only
+// fail-stop behavior.
 func ConnectTimeout(rank int, ln net.Listener, addrs []string, detect time.Duration) (*T, error) {
 	p := len(addrs)
 	if p < 1 || p > 64 {
@@ -106,18 +100,18 @@ func ConnectTimeout(rank int, ln net.Listener, addrs []string, detect time.Durat
 		return nil, fmt.Errorf("tcptransport: rank %d out of range [0,%d)", rank, p)
 	}
 	t := &T{
-		rank:      rank,
-		p:         p,
-		ln:        ln,
-		conns:     make([]net.Conn, p),
-		wmu:       make([]sync.Mutex, p),
-		queues:    make([][comm.NumTags][]wireFrame, p),
-		live:      make([]bool, p),
-		reported:  make([]bool, p),
-		prevLive:  make([]bool, p),
-		detect:    detect,
-		suspected: make([]bool, p),
-		nsent:     make([]int, p),
+		rank:        rank,
+		p:           p,
+		ln:          ln,
+		conns:       make([]net.Conn, p),
+		wmu:         make([]sync.Mutex, p),
+		queues:      make([][comm.NumTags][]wireFrame, p),
+		live:        make([]bool, p),
+		reported:    make([]bool, p),
+		prevLive:    make([]bool, p),
+		detect:      detect,
+		suspected:   make([]bool, p),
+		frozenUntil: make([]time.Time, p),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	for i := range t.live {
@@ -336,11 +330,8 @@ func (t *T) write(peer int, f wireFrame) error {
 	if c == nil {
 		return ErrPeerFailed
 	}
-	if t.winj != nil {
-		handled, err := t.applyWireFault(peer, f)
-		if handled || err != nil {
-			return err
-		}
+	if len(t.armed) > 0 && t.applySocketFault(peer, f) {
+		return ErrPeerFailed
 	}
 	return writeFrame(c, f)
 }

@@ -83,40 +83,6 @@ func (t Tag) String() string {
 	}
 }
 
-// WireSite identifies one frame about to leave a wire transport: the
-// Nth (0-based, counted per destination) non-heartbeat frame rank Rank
-// sends to Peer. It is the injection site of the socket-level fault
-// kinds, the wire-granularity analogue of Site's (rank, phase, level).
-type WireSite struct {
-	Rank int
-	Peer int
-	Nth  int
-}
-
-// WireAction is a wire injector's verdict for one WireSite. The zero
-// value means "send normally". Hang silences the sender's entire wire
-// (all peers, heartbeats included) from this frame on — the process
-// keeps running but looks dead to everyone; Reset closes the connection
-// to the peer with a TCP RST; Truncate writes a prefix of the frame and
-// then closes (a torn stream); DelayNanos freezes the connection to the
-// peer for that long before the frame is written (heartbeats to that
-// peer pause too, so a delay longer than the detection timeout is
-// indistinguishable from a hang until it ends).
-type WireAction struct {
-	Hang       bool
-	Reset      bool
-	Truncate   bool
-	DelayNanos int64
-}
-
-// WireFaultInjector decides, deterministically, whether a socket-level
-// fault strikes a frame send. Implementations must be safe for
-// concurrent calls (a transport may write to peers from more than one
-// goroutine).
-type WireFaultInjector interface {
-	WireAct(WireSite) WireAction
-}
-
 // Frame is one transport message. On the wire it is length-prefixed; the
 // fields here are the decoded header plus the payload.
 type Frame struct {

@@ -476,6 +476,10 @@ func (c *Comm) enterOp(op Op) {
 		w.stats[c.rank].Straggles++
 		c.Event("fault:straggle")
 	}
+	for _, f := range act.Sockets {
+		c.Event("fault:socket")
+		w.strike(c.rank, f)
+	}
 	if act.Hang {
 		c.Event("fault:hang")
 		w.hang(c.rank) // never returns: the rank goes silent but keeps running

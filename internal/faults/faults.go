@@ -1,6 +1,10 @@
-// Package faults is the deterministic, seed-driven fault injector for the
-// simulated machine: a Schedule of events, each striking one (rank, phase,
-// level) site exactly once, implementing comm.FaultInjector.
+// Package faults is the deterministic, seed-driven fault injector: a
+// Schedule of events, each striking one (rank, phase, level) site exactly
+// once, implementing comm.FaultInjector. It is the only fault schedule of
+// both machines: the rank kinds (crash, drop, corrupt, straggle) run on
+// the simulated machine and on a wire alike, and the wire-only kinds
+// (hang and the socket kinds reset, truncate, delay) are handed by the
+// comm layer to the wire transport at the same sites.
 //
 // Determinism is the point: the same schedule against the same run injects
 // the same faults at the same operations, so chaos tests can assert the
@@ -16,9 +20,12 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -36,7 +43,7 @@ const (
 	// Corrupt is a corrupted message: retransmitted on p2p ops, a
 	// deterministic *ProtocolError abort on collectives.
 	Corrupt
-	// Straggle slows the rank down by SkewPicos of virtual time.
+	// Straggle slows the rank down by Picos of virtual time.
 	Straggle
 	// Hang silences the rank without killing it: the process keeps
 	// running but never communicates again, so peers must suspect it by
@@ -44,9 +51,20 @@ const (
 	// express (or survive) it — validation rejects hang events on the
 	// simulated machine.
 	Hang
+	// Reset closes the rank's connection to Peer with a TCP RST instead
+	// of writing the op's next frame to it. Reset, Truncate and Delay are
+	// the socket kinds: wire-only, like Hang, and aimed at one peer.
+	Reset
+	// Truncate writes half of that frame and closes the connection — a
+	// torn stream, the wire shape of a sender dying mid-write.
+	Truncate
+	// Delay freezes the connection to Peer, heartbeats included, for
+	// Picos of wall time before that frame is written. Shorter than the
+	// detection timeout it is benign; longer, the rank gets suspected.
+	Delay
 )
 
-var kindNames = [...]string{"crash", "drop", "corrupt", "straggle", "hang"}
+var kindNames = [...]string{"crash", "drop", "corrupt", "straggle", "hang", "reset", "truncate", "delay"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -54,6 +72,15 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
+
+// wire reports whether only a wire transport can express the kind.
+func (k Kind) wire() bool { return k >= Hang }
+
+// socket reports whether the kind strikes a connection, so names a peer.
+func (k Kind) socket() bool { return k >= Reset }
+
+// timed reports whether the kind carries a duration.
+func (k Kind) timed() bool { return k == Straggle || k == Delay }
 
 // Event schedules one fault at a (rank, phase, level) site.
 type Event struct {
@@ -65,21 +92,34 @@ type Event struct {
 	// Nth selects the Nth (0-based) communication operation the rank
 	// enters at that site.
 	Nth int
-	// Kind is the fault class; SkewPicos is the slowdown for Straggle.
-	Kind      Kind
-	SkewPicos int64
+	// Kind is the fault class.
+	Kind Kind
+	// Peer is the other end of a socket kind's connection: a physical
+	// rank other than Rank, or -1 (written *) for whichever peer the op
+	// writes to first.
+	Peer int
+	// Picos is the duration of a Straggle (virtual-clock skew) or a Delay
+	// (wall-clock freeze), in picoseconds.
+	Picos int64
 }
 
 func (e Event) String() string {
 	s := fmt.Sprintf("%s@%s:%d:%d", e.Kind, e.Phase, e.Level, e.Rank)
-	if e.Kind == Straggle {
-		if e.SkewPicos%1000 != 0 {
+	if e.Kind.socket() {
+		if e.Peer < 0 {
+			s += ":*"
+		} else {
+			s += fmt.Sprintf(":%d", e.Peer)
+		}
+	}
+	if e.Kind.timed() {
+		if e.Picos%1000 != 0 {
 			// Not a whole number of nanoseconds: time.Duration cannot
 			// carry it, so render picoseconds exactly. Parse accepts the
 			// "<n>ps" form back, making String/Parse a lossless pair.
-			s += fmt.Sprintf(":%dps", e.SkewPicos)
+			s += fmt.Sprintf(":%dps", e.Picos)
 		} else {
-			s += fmt.Sprintf(":%v", time.Duration(e.SkewPicos/1000)*time.Nanosecond)
+			s += fmt.Sprintf(":%v", time.Duration(e.Picos/1000)*time.Nanosecond)
 		}
 	}
 	if e.Nth != 0 {
@@ -98,7 +138,7 @@ type site struct {
 // comm.FaultInjector.
 type Schedule struct {
 	events []Event
-	fired  []bool
+	fired  []atomic.Bool  // written by the event's rank, read by Fired from anywhere
 	seen   []map[site]int // per physical rank; owner-goroutine access only
 }
 
@@ -107,7 +147,7 @@ type Schedule struct {
 func NewSchedule(p int, events ...Event) *Schedule {
 	s := &Schedule{
 		events: append([]Event(nil), events...),
-		fired:  make([]bool, len(events)),
+		fired:  make([]atomic.Bool, len(events)),
 		seen:   make([]map[site]int, p),
 	}
 	for r := range s.seen {
@@ -127,12 +167,12 @@ func (s *Schedule) Act(at comm.Site) comm.FaultAction {
 	s.seen[at.Rank][k] = n + 1
 	for i := range s.events {
 		e := &s.events[i]
-		// The rank check must come first: each fired flag is then touched
+		// The rank check must come first: each fired flag is then written
 		// only by its event's own rank, keeping Act lock-free.
-		if e.Rank != at.Rank || s.fired[i] || e.Phase != at.Phase || e.Level != at.Level || e.Nth != n {
+		if e.Rank != at.Rank || e.Phase != at.Phase || e.Level != at.Level || e.Nth != n || s.fired[i].Load() {
 			continue
 		}
-		s.fired[i] = true
+		s.fired[i].Store(true)
 		switch e.Kind {
 		case Crash:
 			act.Crash = true
@@ -141,9 +181,12 @@ func (s *Schedule) Act(at comm.Site) comm.FaultAction {
 		case Corrupt:
 			act.Corrupt = true
 		case Straggle:
-			act.SkewPicos += e.SkewPicos
+			act.SkewPicos += e.Picos
 		case Hang:
 			act.Hang = true
+		default:
+			act.Sockets = append(act.Sockets, comm.SocketFault{Peer: e.Peer,
+				Reset: e.Kind == Reset, Truncate: e.Kind == Truncate, Delay: time.Duration(e.Picos / 1000)})
 		}
 	}
 	return act
@@ -152,12 +195,12 @@ func (s *Schedule) Act(at comm.Site) comm.FaultAction {
 // Events returns the schedule's events.
 func (s *Schedule) Events() []Event { return append([]Event(nil), s.events...) }
 
-// Fired returns how many events have fired so far. Call only while no
-// SPMD section is running.
+// Fired returns how many events have fired so far. Safe to call from any
+// goroutine, also while ranks run.
 func (s *Schedule) Fired() int {
 	n := 0
-	for _, f := range s.fired {
-		if f {
+	for i := range s.fired {
+		if s.fired[i].Load() {
 			n++
 		}
 	}
@@ -177,27 +220,46 @@ func (s *Schedule) Recoverable() bool {
 }
 
 // NeedsWire reports whether the schedule contains events only a wire
-// transport can express (hangs): the simulated machine's ranks share one
-// process and may not block forever.
+// transport can express (hangs and the socket kinds): the simulated
+// machine's ranks share one process, have no sockets, and may not block
+// forever.
 func (s *Schedule) NeedsWire() bool {
 	for _, e := range s.events {
-		if e.Kind == Hang {
+		if e.Kind.wire() {
 			return true
 		}
 	}
 	return false
 }
 
+// maxRandom bounds a random: spec's event count.
+const maxRandom = 1000
+
+// randomCap is the most events Random can draw for p ranks from kinds
+// (empty: the default four): a rank crashes or hangs at most once, so
+// those two kinds alone stop at p.
+func randomCap(p int, kinds []Kind) int {
+	if len(kinds) == 0 || slices.ContainsFunc(kinds, func(k Kind) bool { return k != Crash && k != Hang }) {
+		return maxRandom
+	}
+	return min(p, maxRandom)
+}
+
 // Random generates n events, reproducible from the seed: kinds drawn from
 // kinds (the original four — crash, drop, corrupt, straggle — if empty;
-// Hang must be asked for explicitly since only a wire transport accepts
-// it), ranks in [0, p), phases across the induction phases, levels in
-// [0, maxLevel], straggle skews up to 1ms of virtual time. At most one
-// Crash or Hang per rank is generated so a schedule can never ask to
-// take down the whole machine.
+// the wire-only kinds must be asked for explicitly), ranks in [0, p),
+// phases across the induction phases, levels in [0, maxLevel], straggle
+// skews up to 1ms of virtual time, delays up to 10ms of wall time, and
+// socket peers over the other ranks and *. At most one Crash or Hang per
+// rank is generated so a schedule can never ask to take down the whole
+// machine; n must not exceed what that leaves (Parse checks it), or
+// Random panics.
 func Random(seed int64, p, n, maxLevel int, kinds ...Kind) *Schedule {
 	if len(kinds) == 0 {
 		kinds = []Kind{Crash, Drop, Corrupt, Straggle}
+	}
+	if n > randomCap(p, kinds) {
+		panic(fmt.Sprintf("faults: %d random events of %v cannot be drawn on %d ranks", n, kinds, p))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	crashed := make([]bool, p)
@@ -218,7 +280,17 @@ func Random(seed int64, p, n, maxLevel int, kinds ...Kind) *Schedule {
 			crashed[e.Rank] = true
 		}
 		if e.Kind == Straggle {
-			e.SkewPicos = 1 + rng.Int63n(1_000_000_000) // up to 1ms
+			e.Picos = 1 + rng.Int63n(1_000_000_000) // up to 1ms
+		}
+		// Peers and delays are drawn only for the socket kinds, so the
+		// draws of every other kind stay those of the seed alone.
+		if e.Kind.socket() {
+			if e.Peer = rng.Intn(p); e.Peer == e.Rank {
+				e.Peer = -1
+			}
+		}
+		if e.Kind == Delay {
+			e.Picos = 1000 * (1 + rng.Int63n(10_000_000)) // up to 10ms
 		}
 		events = append(events, e)
 	}
@@ -228,12 +300,15 @@ func Random(seed int64, p, n, maxLevel int, kinds ...Kind) *Schedule {
 // Parse builds a schedule for a p-rank world from a -faults flag spec:
 // a comma-separated list of events
 //
-//	kind@phase:level:rank            e.g. crash@FindSplitI:1:2
-//	straggle@phase:level:rank:dur    e.g. straggle@PerformSplitII:0:1:5ms
+//	kind@phase:level:rank                 e.g. crash@FindSplitI:1:2
+//	straggle@phase:level:rank:dur         e.g. straggle@PerformSplitII:0:1:5ms
+//	reset@phase:level:rank:peer           e.g. reset@FindSplitI:1:2:0
+//	delay@phase:level:rank:peer:dur       e.g. delay@Other:0:0:1:50ms
 //
-// optionally suffixed #n to strike the n-th op at the site, or the form
+// (truncate takes reset's form; a peer is a rank or *), optionally
+// suffixed #n to strike the n-th op at the site, or the form
 //
-//	random:n[:kinds]                 e.g. random:4:crash,straggle
+//	random:n[:kinds]                      e.g. random:4:crash,straggle
 //
 // which draws n events from the seed (required to be non-zero, so random
 // chaos runs are always reproducible on purpose).
@@ -241,6 +316,9 @@ func Parse(spec string, seed int64, p int) (*Schedule, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, fmt.Errorf("faults: empty spec")
+	}
+	if p < 1 {
+		return nil, fmt.Errorf("faults: a world of %d ranks has no fault sites", p)
 	}
 	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
 		if seed == 0 {
@@ -261,6 +339,12 @@ func Parse(spec string, seed int64, p int) (*Schedule, error) {
 				kinds = append(kinds, k)
 			}
 		}
+		if n > maxRandom {
+			return nil, fmt.Errorf("faults: random event count %d exceeds the limit of %d", n, maxRandom)
+		}
+		if limit := randomCap(p, kinds); n > limit {
+			return nil, fmt.Errorf("faults: %q cannot be filled: a rank crashes or hangs at most once, so at most %d such events on %d ranks", spec, limit, p)
+		}
 		return Random(seed, p, n, 6, kinds...), nil
 	}
 	var events []Event
@@ -280,7 +364,7 @@ func parseKind(s string) (Kind, error) {
 			return Kind(i), nil
 		}
 	}
-	return 0, fmt.Errorf("faults: unknown kind %q (want crash, drop, corrupt, straggle, or hang)", s)
+	return 0, fmt.Errorf("faults: unknown kind %q (want one of %s)", s, strings.Join(kindNames[:], ", "))
 }
 
 func parsePhase(s string) (trace.Phase, error) {
@@ -290,6 +374,20 @@ func parsePhase(s string) (trace.Phase, error) {
 		}
 	}
 	return 0, fmt.Errorf("faults: unknown phase %q (want Sort, FindSplitI, FindSplitII, PerformSplitI, PerformSplitII, or Other)", s)
+}
+
+// parsePicos reads a positive duration in picoseconds: the exact "<n>ps"
+// form first (String's rendering of sub-nanosecond durations;
+// time.ParseDuration has no "ps" unit and its own "µs"/"ns" suffixes never
+// end in plain "ps", so the two grammars cannot collide), else anything
+// time.ParseDuration takes.
+func parsePicos(s string) (int64, bool) {
+	if ps, ok := strings.CutSuffix(s, "ps"); ok {
+		n, err := strconv.ParseInt(ps, 10, 64)
+		return n, err == nil && n > 0
+	}
+	d, err := time.ParseDuration(s)
+	return d.Nanoseconds() * 1000, err == nil && d > 0 && d <= math.MaxInt64/1000
 }
 
 func parseEvent(s string, p int) (Event, error) {
@@ -312,8 +410,11 @@ func parseEvent(s string, p int) (Event, error) {
 	}
 	parts := strings.Split(rest, ":")
 	want := 3
-	if e.Kind == Straggle {
-		want = 4
+	if e.Kind.socket() {
+		want++
+	}
+	if e.Kind.timed() {
+		want++
 	}
 	if len(parts) != want {
 		return e, fmt.Errorf("faults: event %q needs %d colon-separated fields after @", s, want)
@@ -327,24 +428,18 @@ func parseEvent(s string, p int) (Event, error) {
 	if e.Rank, err = strconv.Atoi(parts[2]); err != nil || e.Rank < 0 || e.Rank >= p {
 		return e, fmt.Errorf("faults: rank %q in %q out of range [0,%d)", parts[2], s, p)
 	}
-	if e.Kind == Straggle {
-		// Exact picosecond form first ("<n>ps", the String rendering of
-		// sub-nanosecond skews). time.ParseDuration has no "ps" unit and
-		// its own "µs"/"ns" suffixes never end in plain "ps", so the two
-		// grammars cannot collide.
-		if ps, ok := strings.CutSuffix(parts[3], "ps"); ok {
-			n, err := strconv.ParseInt(ps, 10, 64)
-			if err != nil || n <= 0 {
-				return e, fmt.Errorf("faults: bad straggle skew %q in %q", parts[3], s)
-			}
-			e.SkewPicos = n
-			return e, nil
+	if e.Kind.socket() {
+		if parts[3] == "*" {
+			e.Peer = -1
+		} else if e.Peer, err = strconv.Atoi(parts[3]); err != nil || e.Peer < 0 || e.Peer >= p || e.Peer == e.Rank {
+			return e, fmt.Errorf("faults: peer %q in %q is not * or a rank in [0,%d) other than the struck one", parts[3], s, p)
 		}
-		d, err := time.ParseDuration(parts[3])
-		if err != nil || d <= 0 {
-			return e, fmt.Errorf("faults: bad straggle duration %q in %q", parts[3], s)
+	}
+	if e.Kind.timed() {
+		var ok bool
+		if e.Picos, ok = parsePicos(parts[want-1]); !ok {
+			return e, fmt.Errorf("faults: bad %s duration %q in %q", e.Kind, parts[want-1], s)
 		}
-		e.SkewPicos = d.Nanoseconds() * 1000
 	}
 	return e, nil
 }

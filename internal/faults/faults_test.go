@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/trace"
@@ -49,8 +51,8 @@ func TestScheduleIgnoresOtherSites(t *testing.T) {
 
 func TestScheduleSkewAccumulates(t *testing.T) {
 	s := NewSchedule(2,
-		Event{Rank: 0, Phase: trace.Other, Level: 0, Kind: Straggle, SkewPicos: 5},
-		Event{Rank: 0, Phase: trace.Other, Level: 0, Kind: Straggle, SkewPicos: 7},
+		Event{Rank: 0, Phase: trace.Other, Level: 0, Kind: Straggle, Picos: 5},
+		Event{Rank: 0, Phase: trace.Other, Level: 0, Kind: Straggle, Picos: 7},
 	)
 	act := s.Act(comm.Site{Rank: 0, Phase: trace.Other, Level: 0})
 	if act.SkewPicos != 12 {
@@ -70,7 +72,7 @@ func TestParseEvents(t *testing.T) {
 	if ev[0] != (Event{Rank: 2, Phase: trace.FindSplitI, Level: 1, Kind: Crash}) {
 		t.Fatalf("event 0 = %+v", ev[0])
 	}
-	if ev[1].Kind != Straggle || ev[1].SkewPicos != 5_000_000_000 {
+	if ev[1].Kind != Straggle || ev[1].Picos != 5_000_000_000 {
 		t.Fatalf("event 1 = %+v, want 5ms = 5e9 picos", ev[1])
 	}
 	if ev[2].Nth != 3 || ev[2].Kind != Drop {
@@ -157,6 +159,10 @@ func FuzzParse(f *testing.F) {
 	f.Add("straggle@PerformSplitII:0:1:5ms,drop@Sort:0:0", int64(2), 3)
 	f.Add("random:4:crash,straggle", int64(9), 8)
 	f.Add("corrupt@Other:0:0#2", int64(0), 2)
+	f.Add("reset@FindSplitI:1:2:0,delay@Other:0:0:*:50ms#1", int64(0), 4)
+	f.Add("random:6:reset,truncate,delay,hang", int64(3), 3)
+	f.Add("random:5:crash", int64(1), 2)
+	f.Add("random:99999999999999", int64(1), 4)
 	f.Fuzz(func(t *testing.T, spec string, seed int64, p int) {
 		if p < 1 || p > 64 {
 			return
@@ -172,8 +178,11 @@ func FuzzParse(f *testing.F) {
 			if e.Level < 0 || e.Nth < 0 {
 				t.Fatalf("accepted negative level/nth: %+v", e)
 			}
-			if e.Kind == Straggle && e.SkewPicos <= 0 {
-				t.Fatalf("accepted straggle without positive skew: %+v", e)
+			if e.Kind.timed() && e.Picos <= 0 {
+				t.Fatalf("accepted %s without a positive duration: %+v", e.Kind, e)
+			}
+			if e.Kind.socket() && (e.Peer < -1 || e.Peer >= p || e.Peer == e.Rank) {
+				t.Fatalf("accepted socket event with peer %d, want * or a rank in [0,%d) other than %d: %+v", e.Peer, p, e.Rank, e)
 			}
 		}
 		// Drive the schedule; must never panic whatever the site stream.
@@ -186,23 +195,32 @@ func FuzzParse(f *testing.F) {
 }
 
 // TestEventStringParseRoundTrip pins the String/Parse pair lossless over
-// arbitrary events — in particular sub-nanosecond straggle skews, which
-// the old duration-only rendering truncated to "0s" (silently dropping
-// the fault on re-parse).
+// arbitrary events of every kind — in particular sub-nanosecond straggle
+// skews, which the old duration-only rendering truncated to "0s"
+// (silently dropping the fault on re-parse), socket peers including *,
+// and delay durations.
 func TestEventStringParseRoundTrip(t *testing.T) {
 	const p = 16
 	phases := []trace.Phase{trace.Other, trace.Sort, trace.FindSplitI,
 		trace.FindSplitII, trace.PerformSplitI, trace.PerformSplitII}
-	roundTrips := func(rank, phase, level, nth uint8, kind uint8, skew int64) bool {
+	seen := make(map[Kind]bool)
+	roundTrips := func(rank, phase, level, nth, kind, peer uint8, dur int64) bool {
 		e := Event{
 			Rank:  int(rank) % p,
 			Phase: phases[int(phase)%len(phases)],
 			Level: int(level) % 8,
 			Nth:   int(nth) % 8,
-			Kind:  Kind(kind) % 4,
+			Kind:  Kind(kind) % Kind(len(kindNames)),
 		}
-		if e.Kind == Straggle {
-			e.SkewPicos = 1 + (skew&0x7fffffffffffffff)%5_000_000_000 // 1ps .. 5ms
+		seen[e.Kind] = true
+		if e.Kind.socket() {
+			// -1 (*) or any rank but the struck one.
+			if e.Peer = int(peer)%(p+1) - 1; e.Peer == e.Rank {
+				e.Peer = -1
+			}
+		}
+		if e.Kind.timed() {
+			e.Picos = 1 + (dur&0x7fffffffffffffff)%5_000_000_000 // 1ps .. 5ms
 		}
 		s, err := Parse(e.String(), 0, p)
 		if err != nil {
@@ -215,8 +233,11 @@ func TestEventStringParseRoundTrip(t *testing.T) {
 	if err := quick.Check(roundTrips, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+	if len(seen) != len(kindNames) {
+		t.Fatalf("round trip drew %d of the %d kinds", len(seen), len(kindNames))
+	}
 	// The regression case verbatim: a 5-picosecond skew.
-	e := Event{Rank: 1, Phase: trace.FindSplitI, Level: 2, Kind: Straggle, SkewPicos: 5}
+	e := Event{Rank: 1, Phase: trace.FindSplitI, Level: 2, Kind: Straggle, Picos: 5}
 	if got := e.String(); got != "straggle@FindSplitI:2:1:5ps" {
 		t.Fatalf("String() = %q, want exact-picosecond form", got)
 	}
@@ -226,5 +247,101 @@ func TestEventStringParseRoundTrip(t *testing.T) {
 	}
 	if ev := s.Events(); len(ev) != 1 || ev[0] != e {
 		t.Fatalf("round-trip of %+v came back as %+v", e, s.Events())
+	}
+}
+
+// TestParseSocketKinds pins the socket grammar: a peer field after the
+// rank (a rank or *), then delay's duration, then the op index.
+func TestParseSocketKinds(t *testing.T) {
+	s, err := Parse("reset@FindSplitI:1:2:0, truncate@Sort:0:1:*, delay@Other:0:0:1:50ms#1", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Rank: 2, Peer: 0, Phase: trace.FindSplitI, Level: 1, Kind: Reset},
+		{Rank: 1, Peer: -1, Phase: trace.Sort, Kind: Truncate},
+		{Rank: 0, Peer: 1, Phase: trace.Other, Nth: 1, Kind: Delay, Picos: 50_000_000_000},
+	}
+	if got := s.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
+	}
+	if !s.NeedsWire() {
+		t.Fatal("a socket schedule does not need a wire")
+	}
+	// The delay strikes rank 0's second op at (Other, 0), aimed at rank 1.
+	at := comm.Site{Rank: 0, Phase: trace.Other}
+	if act := s.Act(at); act.Sockets != nil {
+		t.Fatalf("first op: got %+v, want nothing", act)
+	}
+	act := s.Act(at)
+	if len(act.Sockets) != 1 || act.Sockets[0] != (comm.SocketFault{Peer: 1, Delay: 50 * time.Millisecond}) {
+		t.Fatalf("second op: got %+v, want a 50ms delay towards rank 1", act)
+	}
+	for _, bad := range []string{
+		"reset@FindSplitI:1:2",       // no peer
+		"reset@FindSplitI:1:2:2",     // its own rank
+		"reset@FindSplitI:1:2:4",     // out of range
+		"truncate@FindSplitI:1:2:-1", // * is written *
+		"delay@Other:0:0:1",          // no duration
+		"delay@Other:0:0:1:0s",
+		"delay@Other:0:0:*:10ms:3",
+		"hang@FindSplitI:1:2:0", // hang strikes the rank, not a connection
+	} {
+		if _, err := Parse(bad, 0, 4); err == nil {
+			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseRandomLimits: a random: count the requested kinds cannot fill,
+// one too large to allocate, or a world with no ranks, is an error naming
+// the limit — not a hang (Random redraws a second crash on a rank forever)
+// or a panic.
+func TestParseRandomLimits(t *testing.T) {
+	cases := []struct {
+		spec string
+		p    int
+		want string
+	}{
+		{"random:5:crash", 2, "at most 2"},
+		{"random:3:hang,crash", 2, "at most 2"},
+		{"random:99999999999999", 4, "limit of 1000"},
+		{"random:3", 0, "no fault sites"}, // -procs 0: Random would panic on rand.Intn(0)
+	}
+	for _, c := range cases {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Parse(c.spec, 1, c.p)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Parse(%q, p=%d) = %v, want an error naming %q", c.spec, c.p, err, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Parse(%q, p=%d) did not return", c.spec, c.p)
+		}
+	}
+	// The caps are exact: a fillable count still draws.
+	for _, spec := range []string{"random:2:crash", "random:1000", "random:9:crash,drop"} {
+		if _, err := Parse(spec, 1, 2); err != nil {
+			t.Errorf("Parse(%q, p=2): %v", spec, err)
+		}
+	}
+}
+
+// TestRandomSocketPeers: Random aims every socket event at * or another
+// rank, and gives every delay a positive duration.
+func TestRandomSocketPeers(t *testing.T) {
+	for _, p := range []int{1, 2, 5} {
+		for _, e := range Random(3, p, 200, 4, Reset, Truncate, Delay).Events() {
+			if e.Peer < -1 || e.Peer >= p || e.Peer == e.Rank {
+				t.Fatalf("p=%d: drew peer %d for %+v", p, e.Peer, e)
+			}
+			if e.Kind == Delay && e.Picos <= 0 {
+				t.Fatalf("p=%d: drew a delay without a duration: %+v", p, e)
+			}
+		}
 	}
 }

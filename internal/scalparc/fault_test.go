@@ -249,8 +249,8 @@ func TestStragglerConservation(t *testing.T) {
 
 	const skew = int64(2_000_000_000) // 2ms of virtual time
 	sched := faults.NewSchedule(p,
-		faults.Event{Rank: 2, Phase: trace.FindSplitI, Level: 1, Kind: faults.Straggle, SkewPicos: skew},
-		faults.Event{Rank: 0, Phase: trace.Sort, Level: 0, Kind: faults.Straggle, SkewPicos: skew},
+		faults.Event{Rank: 2, Phase: trace.FindSplitI, Level: 1, Kind: faults.Straggle, Picos: skew},
+		faults.Event{Rank: 0, Phase: trace.Sort, Level: 0, Kind: faults.Straggle, Picos: skew},
 	)
 	w := comm.NewWorld(p, timing.T3D())
 	res, err := TrainOpts(w, tab, cfg, Options{Faults: sched})
