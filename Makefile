@@ -106,30 +106,21 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 
-# Benchmark-regression guards, all CI steps; exit non-zero on regression:
-# GUARD-BINNED (binned reduce-scatter FindSplitI invariants), GUARD-VOTE
-# (top-k voting on the wide schema: degeneracy, p-invariant trees, >= 2x
-# FindSplitI byte cut vs binned, accuracy within 1% of exact; failing runs
-# dump a Chrome trace into VOTE_ARTIFACT_DIR for CI to upload),
-# GUARD-HOTPATH (gini kernel >= 2x the frozen naive scan; induction
-# allocs/op vs the archived BENCH_induction.json), GUARD-PREDICT (compiled
-# batch inference >= 4x the frozen pre-engine walk with bit-identical
-# labels), GUARD-SERVE (the HTTP serving path: bit-identical labels over the
-# wire, whole requests per flush, a p99 disaster line; failing runs dump
-# latency histograms into SERVE_ARTIFACT_DIR for CI to upload), and
-# GUARD-FOREST (T=16 bagging beats a single fully-grown tree on noisy
-# Quest, the compiled batch-vote kernel is bit-identical to the walker
-# oracle, and a chaos run that kills one tree's world loses exactly that
-# tree) — see EXPERIMENTS.md.
+# Benchmark-regression guards, all CI steps; exit non-zero on regression.
+# A guard is a gate that needs a clock — exact invariants (tree identity,
+# FindSplitI ops and bytes, accuracy ordering, chaos loss bounds) are
+# package tests under `go test ./...`: GUARD-HOTPATH (gini kernel >= 2x the
+# frozen naive scan; induction allocs/op vs the archived
+# BENCH_induction.json), GUARD-PREDICT (compiled batch inference >= 4x the
+# frozen pre-engine walk with bit-identical labels), and GUARD-SERVE (the
+# HTTP serving path: bit-identical labels over the wire, whole requests per
+# flush, a p99 disaster line; failing runs dump latency histograms into
+# SERVE_ARTIFACT_DIR for CI to upload) — see EXPERIMENTS.md.
 SERVE_ARTIFACT_DIR ?= serve-latency
-VOTE_ARTIFACT_DIR ?= vote-trace
 guard:
-	$(GO) run ./cmd/benchrunner -exp binnedguard
-	VOTE_ARTIFACT_DIR="$(VOTE_ARTIFACT_DIR)" $(GO) run ./cmd/benchrunner -exp voteguard
 	$(GO) run ./cmd/benchrunner -exp hotpathguard
 	$(GO) run ./cmd/benchrunner -exp predictguard
 	SERVE_ARTIFACT_DIR="$(SERVE_ARTIFACT_DIR)" $(GO) run ./cmd/benchrunner -exp serveguard
-	$(GO) run ./cmd/benchrunner -exp forestguard
 
 # Forest suite: the scalparc forest chaos/determinism tests, the compiled
 # batch-vote differentials (including the CompileForest fuzz corpus run as

@@ -68,7 +68,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	batch := fs.Int("batch", 0, "micro-batch row cap (0 = default 512)")
 	deadline := fs.Duration("deadline", 0, "admission deadline: longest a request waits for a slot in a full prediction queue before 503 (0 = default 1ms); flushes never wait on it")
 	workers := fs.Int("workers", 0, "flusher workers per model version (0 = default)")
-	shards := fs.Int("shards", 0, "model cache shards (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "request body byte cap (0 = default 8 MiB)")
 	maxRows := fs.Int("max-rows", 0, "rows per prediction request (0 = default 4096)")
 	drainWait := fs.Duration("drain", 10*time.Second, "graceful shutdown grace period")
@@ -83,7 +82,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		MaxBatch:          *batch,
 		BatchWait:         *deadline,
 		Workers:           *workers,
-		Shards:            *shards,
 		MaxBodyBytes:      *maxBody,
 		MaxRowsPerRequest: *maxRows,
 	})

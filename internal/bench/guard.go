@@ -13,13 +13,10 @@ import (
 // gates collects every gate one guard run violates, so a failing guard
 // reports all of them at once rather than stopping at the first. Each
 // guard's thresholds stay named constants beside the guard that owns them.
-type gates struct {
-	prefix string // opens every message, e.g. "vote guard: "
-	errs   []error
-}
+type gates struct{ errs []error }
 
 func (g *gates) fail(format string, args ...any) {
-	g.errs = append(g.errs, fmt.Errorf(g.prefix+format, args...))
+	g.errs = append(g.errs, fmt.Errorf(format, args...))
 }
 
 // guardError turns a guard's violated gates into its result: nil when every

@@ -66,8 +66,16 @@ func TestDesignIndexMatchesRegistry(t *testing.T) {
 
 // TestGuardsWiredIntoMakeAndCI: `make guard` and the CI workflow keep one
 // step per guard (the artifact uploads need them), so a guard added to the
-// registry must be added to both — and nothing else may pose as one.
+// registry must be added to both — and nothing else may pose as one. A
+// guard is a gate that needs a clock: output that is the same bytes on
+// every host is an exact invariant, and belongs in `go test`, so no row is
+// both a guard and recorded.
 func TestGuardsWiredIntoMakeAndCI(t *testing.T) {
+	for _, x := range Experiments {
+		if x.Guard && x.Recorded {
+			t.Errorf("-exp %s is both a guard and recorded: pin its exact gates in a package test instead", x.Name)
+		}
+	}
 	makefile := readRepoFile(t, "Makefile")
 	guardTarget := makefile[strings.Index(makefile, "\nguard:"):]
 	guardTarget = guardTarget[:strings.Index(guardTarget, "\n\n")]

@@ -203,7 +203,7 @@ func Generate(cfg Config, n int) (*dataset.Table, error) {
 // Perturbation), the test set is drawn from the same classification
 // function with a different seed and no noise of either kind, so test
 // accuracy measures recovery of the true concept rather than noise
-// memorization. The forest experiments (EXP-FOREST, GUARD-FOREST) are
+// memorization. EXP-FOREST and the scalparc forest accuracy test are
 // built on this split.
 func TrainTest(cfg Config, nTrain, nTest int) (train, test *dataset.Table, err error) {
 	train, err = Generate(cfg, nTrain)

@@ -64,9 +64,10 @@ type Checkpoint struct {
 // every rank's frames go straight to per-rank files there (the only on-disk
 // format, for simulated and wire-backed worlds alike; on the latter the
 // shared directory is the ranks' only rendezvous) and Latest scans it for
-// the newest complete set. Files are written with atomicfile.WriteDurable
-// and saves are barrier-fronted, so a complete set on disk is a consistent
-// cut and survives a power loss.
+// the newest complete set; each save prunes the sets older than the one it
+// would fall back to (see prune). Files are written with
+// atomicfile.WriteDurable and saves are barrier-fronted, so a complete set
+// on disk is a consistent cut and survives a power loss.
 type CheckpointStore struct {
 	mu      sync.Mutex
 	dir     string
@@ -124,7 +125,9 @@ func (s *CheckpointStore) put(level, writer, writers int, shared, frag []byte) {
 	if s.dir != "" {
 		err := writeFrame(filepath.Join(s.dir, fragName(level, writers, writer)), frag)
 		if err == nil && shared != nil {
-			err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared)
+			if err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared); err == nil {
+				s.prune(level)
+			}
 		}
 		if err != nil && s.err == nil {
 			s.err = err
@@ -177,12 +180,10 @@ func writeFrame(path string, data []byte) error {
 	return nil
 }
 
-// loadFrames scans dir for the newest complete (level, writers) frame set
-// and assembles it. A set is named by its shared file and complete when
-// every one of its W fragment files reads back; incomplete sets (a save a
-// failure interrupted) are skipped. Ties on level prefer more writers,
-// though any complete set for a level decodes to the same global state.
-func loadFrames(dir string) *Checkpoint {
+// frameSets lists the (level, writers) frame sets dir names, newest first:
+// a set is named by its shared file, and ties on level prefer more writers.
+// Only Level and Writers are filled in.
+func frameSets(dir string) []*Checkpoint {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
@@ -203,8 +204,51 @@ func loadFrames(dir string) *Checkpoint {
 		}
 		return sets[i].Writers > sets[j].Writers
 	})
+	return sets
+}
+
+// prune removes every frame file of a level below the newest complete set
+// under level. Dense rank 0 calls it right after writing level's shared
+// frame: should that save never complete, recovery falls back to exactly
+// that older set, so nothing older can ever be read again, and the
+// directory holds at most two levels' sets instead of one per level. No
+// rank is still writing a level that old, and removal errors are ignored
+// (the files are dead either way).
+func (s *CheckpointStore) prune(level int) {
+	keep := -1
+sets:
+	for _, ck := range frameSets(s.dir) {
+		if ck.Level >= level {
+			continue
+		}
+		for w := 0; w < ck.Writers; w++ {
+			if _, err := os.Stat(filepath.Join(s.dir, fragName(ck.Level, ck.Writers, w))); err != nil {
+				continue sets
+			}
+		}
+		keep = ck.Level
+		break
+	}
+	entries, err := os.ReadDir(s.dir)
+	if keep < 0 || err != nil {
+		return
+	}
+	for _, e := range entries {
+		var l int
+		if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-", &l); n == 1 && l < keep {
+			os.Remove(filepath.Join(s.dir, e.Name()))
+		}
+	}
+}
+
+// loadFrames assembles the newest complete frame set in dir. A set is
+// complete when its shared file and every one of its W fragment files read
+// back; incomplete sets (a save a failure interrupted) are skipped. Any
+// complete set for a level decodes to the same global state.
+func loadFrames(dir string) *Checkpoint {
+	var err error
 next:
-	for _, ck := range sets {
+	for _, ck := range frameSets(dir) {
 		if ck.Shared, err = os.ReadFile(filepath.Join(dir, sharedName(ck.Level, ck.Writers))); err != nil {
 			continue
 		}

@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/faults"
 	"repro/internal/splitter"
 	"repro/internal/timing"
+	"repro/internal/trace"
 )
 
 // openStore opens a file-backed store on dir the way TrainOpts does: a
@@ -149,6 +152,48 @@ func TestDistCheckpointClearVsResume(t *testing.T) {
 	}
 	if _, err := os.Stat(litter); err == nil {
 		t.Fatal("clearing frames left an interrupted save's temp file behind")
+	}
+}
+
+// TestCheckpointDirKeepsTwoLevels: the directory does not grow by a frame
+// set per level. After a run of at least four levels — fault-free, and with
+// a crash that shrinks the world so later sets have fewer writers — only
+// two levels' sets remain: the newest, and the one a torn save of it would
+// fall back to. The newest still loads.
+func TestCheckpointDirKeepsTwoLevels(t *testing.T) {
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := splitter.Config{}.Normalize()
+	const p = 3
+	crash := faults.NewSchedule(p, faults.Event{Rank: 1, Phase: trace.FindSplitI, Level: 2, Kind: faults.Crash})
+	for name, inj := range map[string]comm.FaultInjector{"fault-free": nil, "crash": crash} {
+		dir := t.TempDir()
+		res, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{CheckpointDir: dir, Faults: inj})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Levels < 4 {
+			t.Fatalf("%s: only %d levels; too few to tell pruning from a short run", name, res.Levels)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels, newest := map[int]bool{}, -1
+		for _, e := range entries {
+			var level int
+			if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-", &level); n == 1 {
+				levels[level], newest = true, max(newest, level)
+			}
+		}
+		if len(levels) > 2 {
+			t.Errorf("%s: %d levels' frame sets left after %d levels, want at most 2", name, len(levels), res.Levels)
+		}
+		if ck := loadFrames(dir); ck == nil || ck.Level != newest {
+			t.Errorf("%s: newest complete set %+v, want level %d", name, ck, newest)
+		}
 	}
 }
 

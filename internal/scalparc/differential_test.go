@@ -14,6 +14,7 @@ import (
 	"repro/internal/sliq"
 	"repro/internal/splitter"
 	"repro/internal/timing"
+	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
@@ -172,7 +173,8 @@ func balancedDataset(rng *rand.Rand, n, d int) *dataset.Table {
 // TestBinnedDegeneratesToExact: when every continuous attribute has at most
 // B distinct values in equal frequency (d | B), the cuts enumerate the
 // distinct values and binned mode must reproduce the exact tree bit for bit
-// — the degeneracy anchor that ties the approximation to the oracle.
+// — the degeneracy anchor that ties the approximation to the oracle. On a
+// categorical-heavy input in that regime it must also communicate less.
 func TestBinnedDegeneratesToExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -203,6 +205,93 @@ func TestBinnedDegeneratesToExact(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+
+	// One fixed input where binning must also be cheaper, not just exact:
+	// a categorical-heavy table at p=8, whose exact int64 count matrices
+	// outweigh binned mode's uint32 histogram slices. The identical tree
+	// must cost fewer FindSplitI collectives and fewer FindSplitI bytes.
+	const d, p = 8, 8
+	tab := categoricalHeavyDataset(12_500, d)
+	cfg := splitter.Config{MinSplit: 16}
+	exact, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binned, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{Split: SplitBinned, Bins: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeTree(t, exact.Tree), encodeTree(t, binned.Tree)) {
+		t.Error("categorical-heavy table: binned tree with Bins = distinct values differs from exact")
+	}
+	eSent, eOps := findSplitIComm(exact.Trace)
+	bSent, bOps := findSplitIComm(binned.Trace)
+	if bOps >= eOps {
+		t.Errorf("categorical-heavy table: binned FindSplitI collectives %d >= exact %d", bOps, eOps)
+	}
+	if bSent >= eSent {
+		t.Errorf("categorical-heavy table: binned FindSplitI bytes %d >= exact %d", bSent, eSent)
+	}
+}
+
+// categoricalHeavyDataset builds binned mode's cheapest home: two
+// continuous attributes with d distinct values in exactly equal frequency
+// (so with Bins = d the binned tree equals the exact tree), plus three
+// cardinality-16 categorical attributes whose count matrices dominate the
+// exact path's FindSplitI volume. Deterministic: one fixed seed.
+func categoricalHeavyDataset(n, d int) *dataset.Table {
+	cat := func(name string) dataset.Attribute {
+		vals := make([]string, 16)
+		for v := range vals {
+			vals[v] = fmt.Sprintf("%s%d", name, v)
+		}
+		return dataset.Attribute{Name: name, Kind: dataset.Categorical, Values: vals}
+	}
+	s := &dataset.Schema{
+		Attrs: []dataset.Attribute{
+			{Name: "x", Kind: dataset.Continuous},
+			{Name: "y", Kind: dataset.Continuous},
+			cat("j"), cat("k"), cat("l"),
+		},
+		Classes: []string{"C0", "C1"},
+	}
+	rng := rand.New(rand.NewSource(17))
+	cols := make([][]float64, 2)
+	for a := range cols {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = float64(i % d)
+		}
+		rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
+		cols[a] = col
+	}
+	tab := dataset.NewTable(s, n)
+	for i := 0; i < n; i++ {
+		j, k, l := rng.Intn(16), rng.Intn(16), rng.Intn(16)
+		cls := 0
+		if cols[0][i] > float64(d/2) != (j < 8) || rng.Intn(12) == 0 {
+			cls = 1
+		}
+		if err := tab.AppendRow([]float64{cols[0][i], cols[1][i], float64(j), float64(k), float64(l)}, cls); err != nil {
+			panic(err)
+		}
+	}
+	return tab
+}
+
+// findSplitIComm totals a run's FindSplitI traffic over every rank and
+// level: bytes sent (the bandwidth term) and communication operations (the
+// latency term).
+func findSplitIComm(tr *trace.Trace) (sent, ops int64) {
+	for _, rt := range tr.Ranks {
+		for _, b := range rt.Buckets() {
+			if b.Phase == trace.FindSplitI {
+				sent += b.BytesSent
+				ops += b.Ops
+			}
+		}
+	}
+	return sent, ops
 }
 
 // TestBinnedRandomDatasets: binned mode must induce a structurally valid

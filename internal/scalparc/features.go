@@ -1,14 +1,15 @@
 package scalparc
 
 // Per-node feature subsampling, the second half of the random-forest recipe
-// (bagging is in forest.go): when Options.FeatureSample = m > 0, each active
-// node draws m of the schema's attributes per level and only those may
-// produce split candidates. The draw is a pure function of (FeatureSeed,
-// level, active-node index) — all replicated, and the active-node order is
-// itself invariant under the processor count and identical after a
-// checkpoint restore (the frontier walk re-lists nodes in construction
-// order) — so every rank vetoes the same groups and the induced tree keeps
-// the engine's p-invariance and crash-recovery guarantees.
+// (bagging is in forest.go): when ForestOptions.FeatureSample = m > 0, each
+// active node draws m of the schema's attributes per level and only those
+// may produce split candidates. The draw is a pure function of (the tree's
+// feature seed, level, active-node index) — all replicated, and the
+// active-node order is itself invariant under the processor count and
+// identical after a checkpoint restore (the frontier walk re-lists nodes in
+// construction order) — so every rank vetoes the same groups and the
+// induced tree keeps the engine's p-invariance and crash-recovery
+// guarantees.
 //
 // The veto sits at candidate emission, not exchange layout: masked
 // (node, attribute) groups still ride the collectives with their usual

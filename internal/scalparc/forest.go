@@ -45,8 +45,8 @@ type ForestOptions struct {
 	// Seed is the master determinism seed: per-tree bootstrap and feature
 	// streams derive from it.
 	Seed uint64
-	// FeatureSample is the per-node attribute subset size passed to every
-	// tree (0: no subsampling; see Options.FeatureSample).
+	// FeatureSample is the per-node attribute subset size every tree
+	// evaluates as split candidates (0: no subsampling; see features.go).
 	FeatureSample int
 	// Procs is the processor count of each tree's world (0: 1).
 	Procs int
@@ -57,9 +57,8 @@ type ForestOptions struct {
 	// summation, so Parallel changes only wall time, never the results.
 	Parallel int
 	// Engine carries the per-tree engine options (split strategy, bins,
-	// fault injection, per-tree checkpointing). Its FeatureSample,
-	// FeatureSeed, and Resume fields must be zero: the forest layer owns
-	// them.
+	// fault injection, per-tree checkpointing). Its Resume and
+	// CheckpointDir fields must be zero: the forest layer owns persistence.
 	Engine Options
 	// FaultsFor, when non-nil, supplies the fault injector for each tree's
 	// world by tree index (overriding Engine.Faults) — the chaos harness
@@ -199,8 +198,8 @@ func trainForestTree(tab *dataset.Table, cfg splitter.Config, fo ForestOptions,
 	boot := tab.Gather(bootstrapIndices(treeSeed, tab.NumRows()))
 
 	opts := fo.Engine
-	opts.FeatureSample = fo.FeatureSample
-	opts.FeatureSeed = mix64(treeSeed, 0xFEA7)
+	opts.featureSample = fo.FeatureSample
+	opts.featureSeed = mix64(treeSeed, 0xFEA7)
 	if fo.FaultsFor != nil {
 		opts.Faults = fo.FaultsFor(i)
 	}

@@ -267,12 +267,11 @@ func labelAccuracy(pred []int, tab *dataset.Table) float64 {
 	return float64(hits) / float64(len(pred))
 }
 
-// TestForestBeatsSingleTreeOnNoisyQuest is GUARD-FOREST's assertion: on
+// TestForestBeatsSingleTreeOnNoisyQuest runs EXP-FOREST's scenario: on
 // label-noisy Quest data a 16-tree bagged forest with feature subsampling
 // generalizes at least as well as one fully-grown tree (which memorizes the
-// noise), measured on a clean held-out set. It also pins the tentpole's
-// compiled-inference acceptance: the flat batch-vote kernel must match the
-// per-tree walker oracle bit for bit on the trained ensemble.
+// noise), measured on a clean held-out set. The flat batch-vote kernel must
+// also match the per-tree walker oracle bit for bit on the trained ensemble.
 func TestForestBeatsSingleTreeOnNoisyQuest(t *testing.T) {
 	train, test, err := datagen.TrainTest(datagen.Config{
 		Function: 7, Attrs: datagen.Nine, Seed: 11, LabelNoise: 0.2,

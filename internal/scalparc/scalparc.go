@@ -213,17 +213,16 @@ type Options struct {
 	// SplitVote (the global candidate set keeps at most 2·VoteK); zero
 	// selects DefaultVoteK. Setting it with any other strategy is an error.
 	VoteK int
-	// FeatureSample, when positive, evaluates only a per-node random
+	// featureSample, when positive, evaluates only a per-node random
 	// subset of that many attributes as split candidates — random-forest
-	// feature subsampling. The subset is a pure function of (FeatureSeed,
+	// feature subsampling. The subset is a pure function of (featureSeed,
 	// level, active-node index), all replicated, so every rank masks
 	// identically and the induced tree stays invariant under the processor
-	// count. Zero evaluates every attribute.
-	FeatureSample int
-	// FeatureSeed seeds the per-node feature subsets; only meaningful with
-	// FeatureSample > 0. Forest training derives it from the tree's
-	// bootstrap seed.
-	FeatureSeed uint64
+	// count. Zero evaluates every attribute. Only the forest layer sets
+	// them: featureSample from ForestOptions.FeatureSample, featureSeed
+	// from the tree's bootstrap seed.
+	featureSample int
+	featureSeed   uint64
 
 	// Faults installs a fault injector on the world for the duration of
 	// the run (nil: no injection). Fail-stop crashes are survived: the
@@ -269,12 +268,10 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
 			return fmt.Errorf("scalparc: forest Procs %d out of range", fo.Procs)
 		case fo.Parallel < 0:
 			return fmt.Errorf("scalparc: forest Parallel %d out of range", fo.Parallel)
-		case o.FeatureSample != 0 || o.FeatureSeed != 0:
-			return fmt.Errorf("scalparc: set feature subsampling on ForestOptions, not Engine")
 		case o.Resume || o.CheckpointDir != "":
 			return fmt.Errorf("scalparc: per-tree checkpoint directories are owned by the forest layer; set ForestOptions.CheckpointDir")
 		}
-		o.FeatureSample = fo.FeatureSample
+		o.featureSample = fo.FeatureSample
 	}
 	switch {
 	case o.PerNodeComms && o.BatchedEnquiry:
@@ -289,10 +286,10 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
 		return fmt.Errorf("scalparc: VoteK is only meaningful with SplitVote")
 	case o.VoteK < 0 || o.VoteK > 65536:
 		return fmt.Errorf("scalparc: VoteK %d out of range [1, 65536]", o.VoteK)
-	case o.FeatureSample < 0:
-		return fmt.Errorf("scalparc: FeatureSample %d is negative", o.FeatureSample)
-	case attrs >= 0 && o.FeatureSample > attrs:
-		return fmt.Errorf("scalparc: FeatureSample %d out of range [0, %d attributes]", o.FeatureSample, attrs)
+	case o.featureSample < 0:
+		return fmt.Errorf("scalparc: FeatureSample %d is negative", o.featureSample)
+	case attrs >= 0 && o.featureSample > attrs:
+		return fmt.Errorf("scalparc: FeatureSample %d out of range [0, %d attributes]", o.featureSample, attrs)
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("scalparc: CheckpointEvery %d is negative (-checkpoint-every)", o.CheckpointEvery)
 	case wire && o.CheckpointEvery > 0 && o.CheckpointDir == "":
@@ -559,8 +556,8 @@ func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory Re
 		batched:    opts.BatchedEnquiry,
 		rebalance:  opts.RebalanceLevels,
 		finder:     newSplitFinder(opts),
-		featSample: opts.FeatureSample,
-		featSeed:   opts.FeatureSeed,
+		featSample: opts.featureSample,
+		featSeed:   opts.featureSeed,
 		ar:         newScratch(na, opts.PerNodeComms),
 	}
 }

@@ -60,25 +60,40 @@ func TestVoteDegeneratesToBinned(t *testing.T) {
 // local vote finds the informative attributes (DESIGN.md §10). This pins a
 // depth-capped regime on a wide sparsely-informative schema where the
 // trees must come out identical across the sweep's processor counts; the
-// run is fully deterministic, so the pin is stable.
+// run is fully deterministic, so the pin is stable. The 193-noise input is
+// EXP-VOTE's 200-attribute scenario. On both, the election must pay for its
+// ballot: at p=4 voting ships at most half binned mode's FindSplitI bytes.
 func TestVoteTreeProcessorInvariant(t *testing.T) {
-	tab := wideVoteTable(t, 2, 3, 1600, 60)
 	cfg := splitter.Config{MinSplit: 40, MaxDepth: 3}
 	procs := []int{1, 2, 4, 8}
-	var want []byte
-	for _, p := range procs {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, cfg, Options{Split: SplitVote, Bins: 32, VoteK: 3})
+	for _, noise := range []int{60, 193} {
+		tab := wideVoteTable(t, 2, 3, 1600, noise)
+		var want []byte
+		var voteSent int64
+		for _, p := range procs {
+			w := comm.NewWorld(p, timing.T3D())
+			res, err := TrainOpts(w, tab, cfg, Options{Split: SplitVote, Bins: 32, VoteK: 3})
+			if err != nil {
+				t.Fatalf("noise=%d p=%d: %v", noise, p, err)
+			}
+			if p == 4 {
+				voteSent, _ = findSplitIComm(res.Trace)
+			}
+			got := encodeTree(t, res.Tree)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("noise=%d p=%d: vote tree bytes differ from p=%d's", noise, p, procs[0])
+			}
+		}
+		binned, err := TrainOpts(comm.NewWorld(4, timing.T3D()), tab, cfg, Options{Split: SplitBinned, Bins: 32})
 		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
+			t.Fatalf("noise=%d binned: %v", noise, err)
 		}
-		got := encodeTree(t, res.Tree)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("p=%d: vote tree bytes differ from p=%d's", p, procs[0])
+		if binnedSent, _ := findSplitIComm(binned.Trace); 2*voteSent > binnedSent {
+			t.Errorf("noise=%d: vote FindSplitI bytes %d > half of binned's %d", noise, voteSent, binnedSent)
 		}
 	}
 }

@@ -59,8 +59,6 @@ type Config struct {
 	// Workers is the flusher count per model version; default
 	// max(2, GOMAXPROCS).
 	Workers int
-	// Shards is the model cache's shard count; default cache.DefaultShards.
-	Shards int
 	// MaxBodyBytes caps a request body; default 8 MiB.
 	MaxBodyBytes int64
 	// MaxRowsPerRequest caps one request's row group; default 4096.
@@ -156,7 +154,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg.withDefaults(),
-		cache: cache.New(cfg.Shards),
+		cache: cache.New(cache.DefaultShards),
 		stats: &Stats{},
 		mux:   http.NewServeMux(),
 	}
