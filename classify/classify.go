@@ -156,12 +156,9 @@ type Config struct {
 	Faults string
 	// FaultSeed seeds "random:" fault specs; required non-zero for them.
 	FaultSeed int64
-	// CheckpointEvery saves a level-boundary checkpoint every k levels
-	// (0 disables; crashes then recover by full replay).
-	CheckpointEvery int
-	// CheckpointDir persists checkpoints to this directory; implies
-	// CheckpointEvery 1 when that is unset. Required for checkpointing on
-	// a wire-backed world (per-process fragment files rendezvous there).
+	// CheckpointDir, when set, saves a level-boundary checkpoint into this
+	// directory after every level (unset: no checkpointing; crashes then
+	// recover by full replay).
 	CheckpointDir string
 	// Resume starts training from the last complete checkpoint in
 	// CheckpointDir instead of from scratch (the TCP coordinator's respawn
@@ -231,12 +228,11 @@ type Model struct {
 // engineOptions is the ScalParC engine's share of the configuration.
 func (c Config) engineOptions() scalparc.Options {
 	return scalparc.Options{
-		Split:           c.Split,
-		Bins:            c.Bins,
-		VoteK:           c.VoteK,
-		CheckpointEvery: c.CheckpointEvery,
-		CheckpointDir:   c.CheckpointDir,
-		Resume:          c.Resume,
+		Split:         c.Split,
+		Bins:          c.Bins,
+		VoteK:         c.VoteK,
+		CheckpointDir: c.CheckpointDir,
+		Resume:        c.Resume,
 	}
 }
 
@@ -278,7 +274,7 @@ var unsupported = []struct {
 // faultsOrCheckpoint reports whether a single run's fault injection or
 // checkpointing is asked for.
 func (c Config) faultsOrCheckpoint() bool {
-	return c.Faults != "" || c.CheckpointEvery != 0 || c.CheckpointDir != "" || c.Resume
+	return c.Faults != "" || c.CheckpointDir != "" || c.Resume
 }
 
 // Check reports why training would refuse a job, or nil: cfg trains one
@@ -305,7 +301,7 @@ func Check(cfg Config, forest *ForestConfig, wire bool) error {
 	if cfg.Processors < 0 {
 		return fmt.Errorf("classify: negative processor count %d", cfg.Processors)
 	}
-	return scalparc.CheckOptions(cfg.engineOptions(), forest.options(cfg), -1, wire)
+	return scalparc.CheckOptions(cfg.engineOptions(), forest.options(cfg), -1)
 }
 
 // Train builds a decision tree on the table under the configuration. The

@@ -235,9 +235,8 @@ func TestTrainFaultConfigValidation(t *testing.T) {
 	tab := questTable(t, 200)
 	bad := []Config{
 		{Algorithm: Serial, Faults: "crash@FindSplitI:1:0"},
-		{Algorithm: SPRINT, Processors: 2, CheckpointEvery: 1},
+		{Algorithm: SPRINT, Processors: 2, CheckpointDir: "x"},
 		{Algorithm: SLIQ, CheckpointDir: "x"},
-		{Processors: 2, CheckpointEvery: -1},
 		{Processors: 2, Faults: "random:3"}, // random without seed
 		{Processors: 2, Faults: "nonsense"},
 	}
@@ -255,9 +254,9 @@ func TestTrainRecoversFromInjectedCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := Train(tab, Config{
-		Processors:      4,
-		Faults:          "crash@PerformSplitI:1:2",
-		CheckpointEvery: 1,
+		Processors:    4,
+		Faults:        "crash@PerformSplitI:1:2",
+		CheckpointDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +282,7 @@ func TestUnsupportedCombinations(t *testing.T) {
 	}{
 		"split mode without ScalParC": {job{cfg: Config{Algorithm: SPRINT, Split: SplitBinned}},
 			func(j *job) { j.cfg.Algorithm = ScalParC }},
-		"faults or checkpoint without ScalParC": {job{cfg: Config{Algorithm: SPRINT, CheckpointEvery: 1}},
+		"faults or checkpoint without ScalParC": {job{cfg: Config{Algorithm: SPRINT, CheckpointDir: "x"}},
 			func(j *job) { j.cfg.Algorithm = ScalParC }},
 		"wire without a parallel algorithm": {job{cfg: Config{Algorithm: Serial, Processors: 2}, wire: true},
 			func(j *job) { j.cfg.Algorithm = SPRINT }},
@@ -295,8 +294,8 @@ func TestUnsupportedCombinations(t *testing.T) {
 			func(j *job) { j.cfg.Algorithm = ScalParC }},
 		"forest on a wire": {job{cfg: Config{Processors: 2}, forest: forest, wire: true},
 			func(j *job) { j.wire = false }},
-		"forest with faults or checkpoint": {job{cfg: Config{CheckpointEvery: 1}, forest: forest},
-			func(j *job) { j.cfg.CheckpointEvery = 0 }},
+		"forest with faults or checkpoint": {job{cfg: Config{CheckpointDir: "x"}, forest: forest},
+			func(j *job) { j.cfg.CheckpointDir = "" }},
 		"forest with pruning": {job{cfg: Config{Prune: true}, forest: forest},
 			func(j *job) { j.cfg.Prune = false }},
 	}

@@ -170,8 +170,7 @@ func run(args []string, stdout io.Writer) error {
 	faultSpec := fs.String("faults", "", "fault-injection spec (scalparc only), e.g. crash@FindSplitI:1:2 or random:4:crash,straggle; the hang, reset, truncate and delay kinds need -transport=tcp, e.g. reset@FindSplitI:1:2:0")
 	faultSeed := fs.Int64("fault-seed", 0, "seed for random: fault specs (required non-zero for them)")
 	detectTimeout := fs.Duration("detect-timeout", 0, "suspect a silent peer after this long without traffic (-transport=tcp; 0 = fail-stop EOF detection only)")
-	ckptDir := fs.String("checkpoint", "", "persist level-boundary checkpoints to this directory (scalparc only)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint every k tree levels (0 = off, or 1 when -checkpoint is set)")
+	ckptDir := fs.String("checkpoint", "", "checkpoint every tree level to this directory (scalparc only)")
 	compileStats := fs.Bool("compile", false, "compile the tree for batch inference and print the flat-table stats")
 	dump := fs.Bool("dump", false, "print the induced tree")
 	importance := fs.Bool("importance", false, "print gini attribute importance")
@@ -269,7 +268,6 @@ func run(args []string, stdout io.Writer) error {
 		VoteK:             *voteK,
 		Faults:            *faultSpec,
 		FaultSeed:         *faultSeed,
-		CheckpointEvery:   *ckptEvery,
 		CheckpointDir:     *ckptDir,
 	}
 	var forestCfg *classify.ForestConfig

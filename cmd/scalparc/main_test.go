@@ -391,15 +391,13 @@ var faultFlagRejections = []struct {
 	{"faults without scalparc", []string{"-quest-function", "1", "-records", "100",
 		"-algo", "serial", "-faults", "crash@FindSplitI:1:0"}, "-algo scalparc"},
 	{"checkpoint without scalparc", []string{"-quest-function", "1", "-records", "100",
-		"-algo", "sprint", "-procs", "2", "-checkpoint-every", "1"}, "-algo scalparc"},
+		"-algo", "sprint", "-procs", "2", "-checkpoint", "ck"}, "-algo scalparc"},
 	{"random spec without seed", []string{"-quest-function", "1", "-records", "100",
 		"-faults", "random:3"}, "seed"},
 	{"bad fault spec", []string{"-quest-function", "1", "-records", "100",
 		"-faults", "melt@FindSplitI:1:0"}, "unknown kind"},
 	{"fault rank out of range", []string{"-quest-function", "1", "-records", "100",
 		"-procs", "2", "-faults", "crash@FindSplitI:1:7"}, "out of range"},
-	{"negative checkpoint interval", []string{"-quest-function", "1", "-records", "100",
-		"-checkpoint-every", "-2"}, "checkpoint-every"},
 	{"zero detect-timeout", []string{"-quest-function", "1", "-records", "100",
 		"-transport", "tcp", "-procs", "2", "-detect-timeout", "0s"}, "must be > 0"},
 	{"negative detect-timeout", []string{"-quest-function", "1", "-records", "100",

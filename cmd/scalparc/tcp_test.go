@@ -122,7 +122,6 @@ var tcpFlagRejections = [][]string{
 	{"-quest-function", "1", "-records", "200", "-transport", "bogus"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-algo", "serial"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-cv", "3"},
-	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-checkpoint-every", "1"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-phases"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-procs", "0"},
 }

@@ -81,11 +81,8 @@ func TestWriteMissingDirectory(t *testing.T) {
 
 // TestEveryFileWriteGoesThroughAtomicfile keeps DESIGN.md's claim true: no
 // non-test source of the root module outside this package calls os.Create or
-// os.WriteFile. The one exception, by name, is the checkpoint store's
-// writability probe — an empty file created to be deleted. (benchmark/ is
-// its own frozen module and is not walked.)
+// os.WriteFile. (benchmark/ is its own frozen module and is not walked.)
 func TestEveryFileWriteGoesThroughAtomicfile(t *testing.T) {
-	const probe = "internal/scalparc/checkpoint.go"
 	root := filepath.Join("..", "..")
 	inPlace := regexp.MustCompile(`\bos\.(Create|WriteFile)\(`)
 	checked := 0
@@ -109,7 +106,7 @@ func TestEveryFileWriteGoesThroughAtomicfile(t *testing.T) {
 		}
 		checked++
 		for n, line := range strings.Split(string(src), "\n") {
-			if inPlace.MatchString(line) && !(rel == probe && strings.Contains(line, "os.Create(probe)")) {
+			if inPlace.MatchString(line) {
 				t.Errorf("%s:%d writes a file in place; use atomicfile.Write: %s", rel, n+1, strings.TrimSpace(line))
 			}
 		}

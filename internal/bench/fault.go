@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"text/tabwriter"
 
 	"repro/classify"
@@ -11,9 +12,9 @@ import (
 // crash. One rank is killed mid-induction (FindSplitI at level 2, a point
 // every tree in this configuration reaches) and the run recovers on the
 // shrunk machine two ways — full replay from the root, and restart from a
-// level-boundary checkpoint taken every level. Both must induce the exact
-// fault-free tree; the table reports what the recovery costs in modeled
-// runtime over the fault-free baseline.
+// level-boundary checkpoint taken every level into a temporary directory.
+// Both must induce the exact fault-free tree; the table reports what the
+// recovery costs in modeled runtime over the fault-free baseline.
 func Faults(e *Env, n int, procs []int) error {
 	w := e.Out
 	fmt.Fprintf(w, "EXP-FAULT — crash recovery overhead at %s records (crash@FindSplitI:2, recover on p-1)\n", human(n))
@@ -35,8 +36,11 @@ func Faults(e *Env, n int, procs []int) error {
 		if err != nil {
 			return err
 		}
-		crash.CheckpointEvery = 1
+		if crash.CheckpointDir, err = os.MkdirTemp("", "exp-fault-"); err != nil {
+			return err
+		}
 		ckpt, err := classify.Train(tab, crash)
+		os.RemoveAll(crash.CheckpointDir)
 		if err != nil {
 			return err
 		}

@@ -281,9 +281,8 @@ func TestWireCheckpointCrashRecovery(t *testing.T) {
 		}
 	}()
 	cfg := classify.Config{
-		Faults:          "crash@PerformSplitI:1:2",
-		CheckpointEvery: 1,
-		CheckpointDir:   t.TempDir(),
+		Faults:        "crash@PerformSplitI:1:2",
+		CheckpointDir: t.TempDir(),
 	}
 	models := make([]*classify.Model, p)
 	errs := make([]error, p)

@@ -1,6 +1,7 @@
 package scalparc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,32 +20,33 @@ import (
 
 // Level-boundary checkpointing.
 //
-// At the end of every CheckpointEvery-th level each rank deposits a frame
-// into the run's CheckpointStore (the simulation's stand-in for stable
-// storage, which survives rank crashes): dense rank 0 writes the shared
-// replicated state — record count, completed-level stats, split strategy,
-// quantile cuts, and the tree so far, including its open frontier — and
-// every rank writes its own fragment frame holding its share of every
-// active node's attribute-list segments. A barrier in front of the deposit
-// makes the frame a consistent cut: either every rank completed the level
-// or no frame is promoted.
+// With Options.CheckpointDir set, at the end of every level each rank writes
+// its frames into the run's CheckpointStore (a directory: stable storage,
+// which survives rank crashes): dense rank 0 writes the shared replicated
+// state — record count, completed-level stats, split strategy, quantile
+// cuts, and the tree so far as a model document, its open frontier written
+// as label-0 leaves — and every rank writes its own fragment frame holding
+// its share of every active node's attribute-list segments. A barrier in
+// front of the save makes a complete frame set a consistent cut: either
+// every rank completed the level or the set is never read.
 //
 // Recovery reads the latest complete checkpoint on the survivors: the tree
-// is decoded, the active frontier is recovered as the preorder walk of its
-// open (non-leaf, childless) nodes — exactly the order buildChildren
-// appended them in, because all frontier nodes sit at one depth — and every
-// node's global list is reassembled from the fragments of the p ranks that
-// wrote it, each survivor taking its BlockRange share under the shrunken
-// world size. The record map is rebuilt empty (its contents are transient
-// within a level). Because every split decision is a pure function of
-// globally reduced counts, induction resumed this way produces the same
-// tree as the fault-free run, whatever the surviving processor count.
+// is decoded and its frontier reopened as the active set (see reopen), and
+// every node's global list is reassembled from the fragments of the p ranks
+// that wrote it, each survivor taking its BlockRange share under the
+// shrunken world size. The record map is rebuilt empty (its contents are
+// transient within a level). Because every split decision is a pure
+// function of globally reduced counts, induction resumed this way produces
+// the same tree as the fault-free run, whatever the surviving processor
+// count.
 
-// The checkpoint wire format is little-endian with two frame types.
+// The checkpoint frames are little-endian binary with two frame types; the
+// shared frame ends in the tree's model document (tree.Encode).
 const (
-	ckptSharedMagic = 0x53435031 // "SCP1": shared replicated state
-	ckptFragMagic   = 0x53435046 // "SCPF": one rank's list fragments
-	ckptVersion     = 1
+	ckptSharedMagic   = 0x53435031 // "SCP1": shared replicated state
+	ckptFragMagic     = 0x53435046 // "SCPF": one rank's list fragments
+	ckptSharedVersion = 2
+	ckptFragVersion   = 1
 )
 
 // Checkpoint is one complete level-boundary snapshot: the shared frame and
@@ -56,55 +58,36 @@ type Checkpoint struct {
 	Frags   [][]byte
 }
 
-// CheckpointStore is the run's stable storage: its contents survive rank
-// crashes, and recovery reads the last complete snapshot from it. Without a
-// directory it collects per-rank frames in memory and promotes them to a
-// complete Checkpoint once every writer of a level has deposited — enough
-// for a simulated world, whose ranks share one process. With a directory,
-// every rank's frames go straight to per-rank files there (the only on-disk
-// format, for simulated and wire-backed worlds alike; on the latter the
-// shared directory is the ranks' only rendezvous) and Latest scans it for
-// the newest complete set; each save prunes the sets older than the one it
+// CheckpointStore is the run's stable storage, a directory: its contents
+// survive rank crashes, and recovery reads the last complete snapshot from
+// it. Every rank's frames go straight to per-rank files there (one format
+// for simulated and wire-backed worlds alike; on the latter the shared
+// directory is the ranks' only rendezvous) and Latest scans it for the
+// newest complete set; each save prunes the sets older than the one it
 // would fall back to (see prune). Files are written with
 // atomicfile.WriteDurable and saves are barrier-fronted, so a complete set
 // on disk is a consistent cut and survives a power loss.
 type CheckpointStore struct {
-	mu      sync.Mutex
-	dir     string
-	latest  *Checkpoint
-	pending *Checkpoint
-	left    int // writers still missing from pending
-	err     error
+	mu  sync.Mutex
+	dir string
+	err error
 }
 
-// NewCheckpointStore returns an empty store. A non-empty dir makes it
-// file-backed: the directory is created if absent and probed for
-// writability up front, so a bad path fails the run before any training
-// happens. Frame files already in dir are left alone (see clearFrames).
+// NewCheckpointStore opens dir as a checkpoint directory: it is created if
+// absent and probed for writability up front, with the same temp-and-rename
+// a save does, so a bad path fails the run before any training happens.
+// Frame files already in dir are left alone (see clearFrames). TrainForest
+// opens its directory through here too.
 func NewCheckpointStore(dir string) (*CheckpointStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("scalparc: creating checkpoint dir: %w", err)
-		}
-		probe := filepath.Join(dir, ".ckpt-probe")
-		f, err := os.Create(probe)
-		if err != nil {
-			return nil, fmt.Errorf("scalparc: checkpoint dir not writable: %w", err)
-		}
-		f.Close()
-		os.Remove(probe)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("scalparc: creating checkpoint dir: %w", err)
 	}
+	probe := filepath.Join(dir, ".ckpt-probe")
+	if err := atomicfile.Write(probe, func(io.Writer) error { return nil }); err != nil {
+		return nil, fmt.Errorf("scalparc: checkpoint dir not writable: %w", err)
+	}
+	os.Remove(probe)
 	return &CheckpointStore{dir: dir}, nil
-}
-
-// Latest returns the last complete checkpoint, or nil.
-func (s *CheckpointStore) Latest() *Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dir != "" {
-		return loadFrames(s.dir)
-	}
-	return s.latest
 }
 
 // Err returns the first persistence error, if any.
@@ -114,43 +97,21 @@ func (s *CheckpointStore) Err() error {
 	return s.err
 }
 
-// put deposits one rank's frame for a level. shared is non-nil only from
-// dense rank 0. Buffers are copied, so callers may reuse theirs. In memory,
-// a deposit for a different (level, writers) shape than the pending frame
-// discards the pending frame — that happens when a crash interrupted a
-// save, leaving it forever incomplete.
+// put writes one rank's frames for a level to their files. shared is
+// non-nil only from dense rank 0, whose save then prunes. The first
+// persistence error is kept for Err.
 func (s *CheckpointStore) put(level, writer, writers int, shared, frag []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir != "" {
-		err := writeFrame(filepath.Join(s.dir, fragName(level, writers, writer)), frag)
-		if err == nil && shared != nil {
-			if err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared); err == nil {
-				s.prune(level)
-			}
+	err := writeFrame(filepath.Join(s.dir, fragName(level, writers, writer)), frag)
+	if err == nil && shared != nil {
+		if err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared); err == nil {
+			s.prune(level)
 		}
-		if err != nil && s.err == nil {
-			s.err = err
-		}
-		return
 	}
-	if s.pending == nil || s.pending.Level != level || s.pending.Writers != writers {
-		s.pending = &Checkpoint{Level: level, Writers: writers, Frags: make([][]byte, writers)}
-		s.left = writers
+	if err != nil && s.err == nil {
+		s.err = err
 	}
-	if writer < 0 || writer >= writers || s.pending.Frags[writer] != nil {
-		return
-	}
-	s.pending.Frags[writer] = append([]byte(nil), frag...)
-	if shared != nil {
-		s.pending.Shared = append([]byte(nil), shared...)
-	}
-	s.left--
-	if s.left > 0 || s.pending.Shared == nil {
-		return
-	}
-	s.latest = s.pending
-	s.pending = nil
 }
 
 // Frame files: ck-L<level>-W<writers>.shared (dense rank 0) and
@@ -241,20 +202,22 @@ sets:
 	}
 }
 
-// loadFrames assembles the newest complete frame set in dir. A set is
-// complete when its shared file and every one of its W fragment files read
-// back; incomplete sets (a save a failure interrupted) are skipped. Any
-// complete set for a level decodes to the same global state.
-func loadFrames(dir string) *Checkpoint {
+// Latest assembles the newest complete frame set in the directory, or nil.
+// A set is complete when its shared file and every one of its W fragment
+// files read back; incomplete sets (a save a failure interrupted) are
+// skipped. Any complete set for a level decodes to the same global state.
+func (s *CheckpointStore) Latest() *Checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var err error
 next:
-	for _, ck := range frameSets(dir) {
-		if ck.Shared, err = os.ReadFile(filepath.Join(dir, sharedName(ck.Level, ck.Writers))); err != nil {
+	for _, ck := range frameSets(s.dir) {
+		if ck.Shared, err = os.ReadFile(filepath.Join(s.dir, sharedName(ck.Level, ck.Writers))); err != nil {
 			continue
 		}
 		ck.Frags = make([][]byte, ck.Writers)
 		for w := range ck.Frags {
-			if ck.Frags[w], err = os.ReadFile(filepath.Join(dir, fragName(ck.Level, ck.Writers, w))); err != nil {
+			if ck.Frags[w], err = os.ReadFile(filepath.Join(s.dir, fragName(ck.Level, ck.Writers, w))); err != nil {
 				continue next
 			}
 		}
@@ -271,9 +234,6 @@ next:
 // first save is barrier-fronted), so the concurrent removals cannot race a
 // write; removal errors (a peer got there first) are ignored.
 func (s *CheckpointStore) clearFrames() {
-	if s.dir == "" {
-		return
-	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -311,13 +271,16 @@ type sharedFrame struct {
 	n          int
 	levelStats []LevelStats // one per completed level
 	root       *tree.Node
+	active     []*nodeState // the reopened frontier
 }
 
-// encodeShared serialises the replicated induction state.
+// encodeShared serialises the replicated induction state. The tree goes in
+// as its model document, each active (open) node — this rank's own, flipped
+// back right after — written as a label-0 leaf.
 func (wk *worker) encodeShared() []byte {
 	var e enc
 	e.u32(ckptSharedMagic)
-	e.u32(ckptVersion)
+	e.u32(ckptSharedVersion)
 	e.u64(uint64(wk.n))
 	e.u32(uint32(len(wk.levelStats)))
 	for _, ls := range wk.levelStats {
@@ -327,22 +290,55 @@ func (wk *worker) encodeShared() []byte {
 		e.f64(ls.ModeledSeconds)
 	}
 	wk.finder.encodeState(&e, wk.schema.NumAttrs())
-	encodeNode(&e, wk.root)
-	return e.b
+	for _, ns := range wk.active {
+		ns.node.Leaf = true
+	}
+	doc := bytes.NewBuffer(e.b)
+	err := (&tree.Tree{Schema: wk.schema, Root: wk.root}).Encode(doc)
+	for _, ns := range wk.active {
+		ns.node.Leaf = false
+	}
+	if err != nil {
+		// Only a non-finite float fails to encode, and none gets in: tables
+		// and the frame decoders (dec.finite) reject them.
+		panic(err)
+	}
+	return doc.Bytes()
 }
 
 // decodeShared parses a shared frame, validating it against the schema and —
 // through finder, which also receives its section's state — against the
-// split strategy the caller is running.
+// split strategy the caller is running. The tree comes back with its
+// frontier reopened. Only a canonical frame is accepted: one that
+// re-encodes to the same bytes.
 func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*sharedFrame, error) {
+	sh, off, err := decodeSharedHead(raw, schema, finder)
+	if err != nil {
+		return nil, err
+	}
+	t, err := decodeTree(bytes.NewReader(raw[off:]), schema)
+	if err != nil {
+		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %w", err)
+	}
+	sh.root, sh.active = t.Root, reopen(t.Root, len(sh.levelStats))
+	again := (&worker{schema: schema, n: sh.n, levelStats: sh.levelStats, finder: finder, root: sh.root, active: sh.active}).encodeShared()
+	if !bytes.Equal(again, raw) {
+		return nil, fmt.Errorf("scalparc: checkpoint shared frame: not canonical (re-encodes to %d bytes, not %d)", len(again), len(raw))
+	}
+	return sh, nil
+}
+
+// decodeSharedHead parses the binary part of a shared frame, everything
+// before the model document, and returns the document's offset.
+func decodeSharedHead(raw []byte, schema *dataset.Schema, finder splitFinder) (*sharedFrame, int, error) {
 	d := dec{b: raw}
-	if d.u32() != ckptSharedMagic || d.u32() != ckptVersion {
-		return nil, fmt.Errorf("scalparc: checkpoint shared frame: bad magic or version")
+	if d.u32() != ckptSharedMagic || d.u32() != ckptSharedVersion {
+		return nil, 0, fmt.Errorf("scalparc: checkpoint shared frame: bad magic or version")
 	}
 	sh := &sharedFrame{n: int(d.u64())}
 	nLevels := int(d.u32())
 	if d.err == nil && (nLevels < 0 || nLevels > 1<<20) {
-		return nil, fmt.Errorf("scalparc: checkpoint shared frame: implausible level count %d", nLevels)
+		return nil, 0, fmt.Errorf("scalparc: checkpoint shared frame: implausible level count %d", nLevels)
 	}
 	for i := 0; i < nLevels && d.err == nil; i++ {
 		sh.levelStats = append(sh.levelStats, LevelStats{
@@ -353,113 +349,48 @@ func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*shar
 		})
 	}
 	finder.decodeState(&d, schema)
-	sh.root = decodeNode(&d, schema, 0)
 	if d.err != nil {
-		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %w", d.err)
+		return nil, 0, fmt.Errorf("scalparc: checkpoint shared frame: %w", d.err)
 	}
-	if d.off != len(raw) {
-		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %d trailing bytes", len(raw)-d.off)
-	}
-	return sh, nil
+	return sh, d.off, nil
 }
 
-// encodeNode writes one tree node in preorder. Mid-induction trees contain
-// open nodes — internal, not yet decided, no children — which the generic
-// tree serialisation has no business accepting; this codec is private to
-// checkpoints exactly so it can represent them.
-func encodeNode(e *enc, n *tree.Node) {
-	var flags uint8
-	if n.Leaf {
-		flags |= 1
-	} else if n.Subset != nil {
-		flags |= 2
-	}
-	e.u8(flags)
-	e.u32(uint32(n.Label))
-	e.u32(uint32(len(n.Hist)))
-	for _, h := range n.Hist {
-		e.u64(uint64(h))
-	}
-	if n.Leaf {
-		return
-	}
-	e.u32(uint32(n.Attr))
-	e.u8(uint8(n.Kind))
-	e.f64(n.Threshold)
-	e.f64(n.Gini)
-	if n.Subset != nil {
-		e.u32(uint32(len(n.Subset)))
-		for _, b := range n.Subset {
-			if b {
-				e.u8(1)
-			} else {
-				e.u8(0)
+// reopen turns the non-empty leaves at depth back into open nodes, nothing
+// but their histograms, and returns them as the active set. They are exactly
+// the frontier encodeShared wrote as leaves: buildChildren makes only an
+// empty child a leaf on creation, so a non-empty node at the newest depth is
+// still undecided. All of them sit at that one depth, so preorder is
+// left-to-right level order — the order buildChildren appended them in.
+func reopen(root *tree.Node, depth int) []*nodeState {
+	var active []*nodeState
+	var walk func(n *tree.Node, d int)
+	walk = func(n *tree.Node, d int) {
+		if d < depth {
+			for _, ch := range n.Children {
+				walk(ch, d+1)
 			}
+		} else if n.Leaf && n.Size() > 0 {
+			*n = tree.Node{Hist: n.Hist}
+			active = append(active, &nodeState{node: n, hist: n.Hist, depth: depth})
 		}
 	}
-	e.u32(uint32(len(n.Children)))
-	for _, ch := range n.Children {
-		encodeNode(e, ch)
-	}
+	walk(root, 0)
+	return active
 }
 
-const maxTreeDepth = 1 << 12 // recursion guard against corrupt frames
-
-func decodeNode(d *dec, schema *dataset.Schema, depth int) *tree.Node {
-	if d.err != nil {
-		return nil
+// decodeTree reads a model document holding one tree over schema's shape —
+// a shared frame's tree or a forest tree file — and re-points it at schema,
+// so a document from a different run cannot be silently mixed in.
+func decodeTree(r io.Reader, schema *dataset.Schema) (*tree.Tree, error) {
+	t, err := tree.Decode(r)
+	if err != nil {
+		return nil, err
 	}
-	if depth > maxTreeDepth {
-		d.fail("tree deeper than %d", maxTreeDepth)
-		return nil
+	if err := schema.SameShape(t.Schema); err != nil {
+		return nil, fmt.Errorf("tree does not match the training schema: %w", err)
 	}
-	n := &tree.Node{}
-	flags := d.u8()
-	if flags > 2 {
-		d.fail("node flags %#x", flags)
-		return nil
-	}
-	n.Leaf = flags&1 != 0
-	n.Label = int(int32(d.u32()))
-	nh := int(d.u32())
-	if d.err == nil && nh != schema.NumClasses() {
-		d.fail("node histogram has %d classes, schema has %d", nh, schema.NumClasses())
-		return nil
-	}
-	for i := 0; i < nh && d.err == nil; i++ {
-		n.Hist = append(n.Hist, int64(d.u64()))
-	}
-	if n.Leaf {
-		return n
-	}
-	n.Attr = int(int32(d.u32()))
-	n.Kind = dataset.Kind(d.u8())
-	n.Threshold = d.f64()
-	n.Gini = d.f64()
-	if flags&2 != 0 {
-		ns := int(d.u32())
-		if d.err == nil && ns > len(d.b)-d.off {
-			d.fail("truncated subset")
-			return nil
-		}
-		n.Subset = make([]bool, 0, ns)
-		for i := 0; i < ns && d.err == nil; i++ {
-			b := d.u8()
-			if b > 1 {
-				d.fail("subset flag byte %d", b)
-			}
-			n.Subset = append(n.Subset, b != 0)
-		}
-	}
-	nc := int(d.u32())
-	if d.err == nil && nc > len(d.b)-d.off {
-		d.fail("truncated child list")
-		return nil
-	}
-	for i := 0; i < nc && d.err == nil; i++ {
-		n.Children = append(n.Children, decodeNode(d, schema, depth+1))
-	}
-	return n
+	t.Schema = schema
+	return t, nil
 }
 
 // fragFrame is one rank's decoded attribute-list fragments: lens[a][i] is
@@ -484,7 +415,7 @@ func fragKind(attr dataset.Attribute) uint8 {
 func (wk *worker) encodeFrag() ([]byte, int) {
 	var e enc
 	e.u32(ckptFragMagic)
-	e.u32(ckptVersion)
+	e.u32(ckptFragVersion)
 	e.u32(uint32(wk.schema.NumAttrs()))
 	e.u32(uint32(len(wk.active)))
 	entries := 0
@@ -515,7 +446,7 @@ func (wk *worker) encodeFrag() ([]byte, int) {
 // against the schema and the shared frame's frontier size.
 func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, error) {
 	d := dec{b: raw}
-	if d.u32() != ckptFragMagic || d.u32() != ckptVersion {
+	if d.u32() != ckptFragMagic || d.u32() != ckptFragVersion {
 		return nil, fmt.Errorf("scalparc: checkpoint fragment: bad magic or version")
 	}
 	nAttrs := int(d.u32())
@@ -530,6 +461,7 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 	case nNodes != wantNodes:
 		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d nodes, tree frontier has %d", nNodes, wantNodes)
 	}
+	nc := schema.NumClasses()
 	fr := &fragFrame{
 		lens: make([][]int64, nAttrs),
 		cont: make([][][]dataset.ContEntry, nAttrs),
@@ -555,13 +487,14 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 			if kind == 0 {
 				list := make([]dataset.ContEntry, 0, cnt)
 				for j := 0; j < cnt && d.err == nil; j++ {
-					list = append(list, dataset.ContEntry{Val: d.f64(), Rid: int32(d.u32()), Cid: d.u8()})
+					list = append(list, dataset.ContEntry{Val: d.finite(), Rid: int32(d.u32()), Cid: d.class(nc)})
 				}
 				fr.cont[a][i] = list
 			} else {
 				list := make([]dataset.CatEntry, 0, cnt)
+				card := schema.Attrs[a].Cardinality()
 				for j := 0; j < cnt && d.err == nil; j++ {
-					list = append(list, dataset.CatEntry{Val: int32(d.u32()), Rid: int32(d.u32()), Cid: d.u8()})
+					list = append(list, dataset.CatEntry{Val: int32(d.index(card)), Rid: int32(d.u32()), Cid: d.class(nc)})
 				}
 				fr.cat[a][i] = list
 			}
@@ -574,29 +507,6 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d trailing bytes", len(raw)-d.off)
 	}
 	return fr, nil
-}
-
-// frontier returns the tree's open nodes — internal, undecided, childless —
-// in preorder as the next level's active set. All frontier nodes sit at one
-// depth, so preorder restricted to them is exactly left-to-right level
-// order: the order buildChildren appended them in before the checkpoint.
-func frontier(root *tree.Node, depth int) []*nodeState {
-	var out []*nodeState
-	var walk func(n *tree.Node)
-	walk = func(n *tree.Node) {
-		if n.Leaf {
-			return
-		}
-		if len(n.Children) == 0 {
-			out = append(out, &nodeState{node: n, hist: n.Hist, depth: depth})
-			return
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(root)
-	return out
 }
 
 // restore is newWorker's post-step on the recovery path, where presort is
@@ -613,9 +523,7 @@ func (wk *worker) restore(ck *Checkpoint) error {
 	if sh.n != wk.n {
 		return fmt.Errorf("scalparc: checkpoint shared frame: %d records, training table has %d", sh.n, wk.n)
 	}
-	wk.root = sh.root
-	wk.active = frontier(sh.root, len(sh.levelStats))
-	wk.levelStats = sh.levelStats
+	wk.root, wk.active, wk.levelStats = sh.root, sh.active, sh.levelStats
 	frs := make([]*fragFrame, len(ck.Frags))
 	for w, raw := range ck.Frags {
 		if frs[w], err = decodeFrag(raw, schema, len(wk.active)); err != nil {
@@ -631,6 +539,16 @@ func (wk *worker) restore(ck *Checkpoint) error {
 	for a, attr := range schema.Attrs {
 		for w := range frs {
 			byRank[w] = frs[w].lens[a]
+		}
+		// Every node's list holds each of its records once per attribute.
+		for i, ns := range wk.active {
+			var got int64
+			for _, lens := range byRank {
+				got += lens[i]
+			}
+			if got != ns.node.Size() {
+				return fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, ns.node.Size())
+			}
 		}
 		var moved int
 		if attr.Kind == dataset.Continuous {
@@ -676,41 +594,50 @@ func (d *dec) fail(format string, args ...any) {
 	}
 }
 
+// zeros is what every read returns once a dec has failed.
+var zeros [8]byte
+
+// take returns the next n (at most 8) bytes, or n zero bytes once d failed.
 func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
+	if d.err == nil && d.off+n > len(d.b) {
 		d.fail("truncated frame at byte %d", d.off)
-		return nil
 	}
-	out := d.b[d.off : d.off+n]
+	if d.err != nil {
+		return zeros[:n]
+	}
 	d.off += n
-	return out
+	return d.b[d.off-n : d.off]
 }
 
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
+func (d *dec) u8() uint8    { return d.take(1)[0] }
+func (d *dec) u32() uint32  { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *dec) u64() uint64  { return binary.LittleEndian.Uint64(d.take(8)) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// finite, class and index read a value that induction would misuse out of
+// range — a float that becomes a split threshold the tree's model document
+// cannot hold unless finite, a class id or a categorical value that indexes
+// a count vector — and fail d on one.
+func (d *dec) finite() float64 {
+	v := d.f64()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail("value %v is not finite", v)
+	}
+	return v
+}
+
+func (d *dec) class(classes int) uint8 {
+	c := d.u8()
+	if int(c) >= classes {
+		d.fail("class id %d outside [0, %d)", c, classes)
+	}
+	return c
+}
+
+func (d *dec) index(n int) uint32 {
+	v := d.u32()
+	if uint64(v) >= uint64(n) {
+		d.fail("categorical value %d outside [0, %d)", int32(v), n)
+	}
+	return v
+}

@@ -191,7 +191,7 @@ func TestCheckpointDirKeepsTwoLevels(t *testing.T) {
 		if len(levels) > 2 {
 			t.Errorf("%s: %d levels' frame sets left after %d levels, want at most 2", name, len(levels), res.Levels)
 		}
-		if ck := loadFrames(dir); ck == nil || ck.Level != newest {
+		if ck := (&CheckpointStore{dir: dir}).Latest(); ck == nil || ck.Level != newest {
 			t.Errorf("%s: newest complete set %+v, want level %d", name, ck, newest)
 		}
 	}

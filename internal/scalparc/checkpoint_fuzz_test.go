@@ -23,15 +23,12 @@ var frameFinders = []Options{
 // level boundary's frames with the frontier size they were written for.
 func seedFrames(f *testing.F, tab *dataset.Table, opts Options) (ck *Checkpoint, frontierNodes int) {
 	cfg := splitter.Config{MaxDepth: 3}.Normalize()
-	ck = captureCheckpoint(f, tab, cfg, 2, opts).Latest()
-	if ck == nil {
-		f.Fatalf("%v run promoted no checkpoint", opts.Split)
-	}
+	ck, _ = captureCheckpoint(f, tab, cfg, 2, opts)
 	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts))
 	if err != nil {
 		f.Fatal(err)
 	}
-	return ck, len(frontier(sh.root, len(sh.levelStats)))
+	return ck, len(sh.active)
 }
 
 // allocatedBy reports the heap bytes fn allocated (the fuzz engine runs one
@@ -45,9 +42,13 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodeShared: the shared-frame decoder never panics, allocates in
-// proportion to its input (the level-count, cut-vector, subset and
-// child-list guards are what is under test), and accepts only canonical
-// frames — whatever it accepts re-encodes to the same bytes.
+// proportion to its input, and accepts only canonical frames — whatever it
+// accepts re-encodes to the same bytes. The binary header, whose level-count
+// and cut-vector guards are under test, is held to 64 bytes per input byte.
+// The model document after it is tree.Decode's, where encoding/json
+// allocates an element and a discarded type error per wrong-typed value (up
+// to ~165 bytes per byte, for two-byte numbers where schema attributes
+// belong), so the document's bytes alone get 256.
 func FuzzDecodeShared(f *testing.F) {
 	tab := faultTestTable(f)
 	for i, opts := range frameFinders {
@@ -56,15 +57,22 @@ func FuzzDecodeShared(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		finder := newSplitFinder(frameFinders[int(which)%len(frameFinders)])
-		var sh *sharedFrame
+		var off int
 		var err error
-		if got, limit := allocatedBy(func() { sh, err = decodeShared(data, tab.Schema, finder) }), uint64(64<<10+64*len(data)); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+		if got, limit := allocatedBy(func() { _, off, err = decodeSharedHead(data, tab.Schema, finder) }), uint64(64<<10+64*len(data)); got > limit {
+			t.Fatalf("decoding the header of %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			off = len(data)
+		}
+		var sh *sharedFrame
+		if got, limit := allocatedBy(func() { sh, err = decodeShared(data, tab.Schema, finder) }), uint64(64<<10+64*off+256*(len(data)-off)); got > limit {
+			t.Fatalf("decoding %d bytes (%d of model document) allocated %d (limit %d)", len(data), len(data)-off, got, limit)
 		}
 		if err != nil {
 			return
 		}
-		wk := &worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, finder: finder, root: sh.root}
+		wk := &worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, finder: finder, root: sh.root, active: sh.active}
 		if again := wk.encodeShared(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted shared frame re-encodes differently (%d bytes -> %d)", len(data), len(again))
 		}
@@ -98,24 +106,28 @@ func FuzzDecodeFrag(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Rebuild the worker state encodeFrag reads: per attribute, the
-		// nodes' segments concatenated in node order.
-		wk := &worker{schema: tab.Schema, active: make([]*nodeState, nodes)}
-		na := tab.Schema.NumAttrs()
-		wk.cont, wk.cat, wk.segs = make([][]dataset.ContEntry, na), make([][]dataset.CatEntry, na), make([][]seg, na)
-		for a := range wk.segs {
-			for i := 0; i < int(nodes); i++ {
-				n := int(fr.lens[a][i])
-				wk.segs[a] = append(wk.segs[a], seg{off: len(wk.cont[a]) + len(wk.cat[a]), n: n})
-				if fr.cont[a] != nil {
-					wk.cont[a] = append(wk.cont[a], fr.cont[a][i]...)
-				} else {
-					wk.cat[a] = append(wk.cat[a], fr.cat[a][i]...)
-				}
-			}
-		}
-		if again, _ := wk.encodeFrag(); !bytes.Equal(again, data) {
+		if again, _ := fragWorker(tab.Schema, fr, int(nodes)).encodeFrag(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted fragment re-encodes differently (%d bytes -> %d)", len(data), len(again))
 		}
 	})
+}
+
+// fragWorker rebuilds the worker state encodeFrag reads from a decoded
+// fragment: per attribute, the nodes' entry lists concatenated in node order.
+func fragWorker(schema *dataset.Schema, fr *fragFrame, nodes int) *worker {
+	wk := &worker{schema: schema, active: make([]*nodeState, nodes)}
+	na := schema.NumAttrs()
+	wk.cont, wk.cat, wk.segs = make([][]dataset.ContEntry, na), make([][]dataset.CatEntry, na), make([][]seg, na)
+	for a := range wk.segs {
+		for i := 0; i < nodes; i++ {
+			off := len(wk.cont[a]) + len(wk.cat[a])
+			if fr.cont[a] != nil {
+				wk.cont[a] = append(wk.cont[a], fr.cont[a][i]...)
+			} else {
+				wk.cat[a] = append(wk.cat[a], fr.cat[a][i]...)
+			}
+			wk.segs[a] = append(wk.segs[a], seg{off: off, n: len(wk.cont[a]) + len(wk.cat[a]) - off})
+		}
+	}
+	return wk
 }

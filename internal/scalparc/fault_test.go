@@ -18,6 +18,7 @@ import (
 	"repro/internal/splitter"
 	"repro/internal/timing"
 	"repro/internal/trace"
+	"repro/internal/tree"
 )
 
 // siteRecorder is a passive injector that records every distinct
@@ -76,9 +77,9 @@ func TestCrashRecoverySweep(t *testing.T) {
 	if testing.Short() {
 		ps = []int{3}
 	}
+	dir := t.TempDir()
 	for _, p := range ps {
-		opts := Options{CheckpointEvery: 1}
-		sites, _ := recordSites(t, tab, cfg, p, opts)
+		sites, _ := recordSites(t, tab, cfg, p, Options{CheckpointDir: dir})
 
 		// One crash per (phase, level), rotating the victim rank; prefer
 		// rank (level+phase) mod p when it communicates at the site.
@@ -98,7 +99,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 			}
 			ev := faults.Event{Rank: victim, Phase: k.Phase, Level: k.Level, Kind: faults.Crash}
 			w := comm.NewWorld(p, timing.T3D())
-			opts := Options{CheckpointEvery: 1, Faults: faults.NewSchedule(p, ev)}
+			opts := Options{CheckpointDir: dir, Faults: faults.NewSchedule(p, ev)}
 			res, err := TrainOpts(w, tab, cfg, opts)
 			if err != nil {
 				t.Fatalf("p=%d crash@%v: %v", p, ev, err)
@@ -218,7 +219,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 		faults.Event{Rank: 3, Phase: trace.PerformSplitII, Level: 2, Kind: faults.Crash},
 	)
 	w := comm.NewWorld(p, timing.T3D())
-	res, err := TrainOpts(w, tab, cfg, Options{CheckpointEvery: 1, Faults: sched})
+	res, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: t.TempDir(), Faults: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +352,12 @@ func TestRandomRecoverableSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	check := func(seed int64) bool {
 		p := 3 + int(uint64(seed)%3) // 3..5
 		sched := faults.Random(seed, p, 4, 4, faults.Crash, faults.Drop, faults.Straggle)
 		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, cfg, Options{CheckpointEvery: 1, Faults: sched})
+		res, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir, Faults: sched})
 		if err != nil {
 			t.Logf("seed %d p=%d: %v (schedule %v)", seed, p, err, sched.Events())
 			return false
@@ -376,16 +378,19 @@ func TestRandomRecoverableSchedules(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip: decoding a checkpoint and re-encoding it must
-// reproduce the original bytes — the codec loses nothing a resume needs.
+// reproduce the original bytes — the codec loses nothing a resume needs —
+// the decoded frontier must be the active set the writer held, and a frame
+// that is well-formed but wrong must be an error, not a panic.
 func TestCheckpointRoundTrip(t *testing.T) {
-	tab := faultTestTable(t)
+	// Quest F5 at this size leaves empty m-way children at the depth of the
+	// last checkpoint (the chaos table's F3 leaves none there).
+	tab, err := datagen.Generate(datagen.Config{Function: 5, Attrs: datagen.Nine, Seed: 31}, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := splitter.Config{}.Normalize()
 	p := 3
-	store := captureCheckpoint(t, tab, cfg, p, Options{})
-	ck := store.Latest()
-	if ck == nil {
-		t.Fatal("no checkpoint promoted")
-	}
+	ck, held := captureCheckpoint(t, tab, cfg, p, Options{})
 	finder := newSplitFinder(Options{})
 	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
 	if err != nil {
@@ -395,16 +400,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("shared frame level %d != checkpoint level %d", len(sh.levelStats), ck.Level)
 	}
 	// Re-encode the decoded shared frame through a scratch worker.
-	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, finder: finder}
+	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, active: sh.active, finder: finder}
 	wk.levelStats = sh.levelStats
 	re := wk.encodeShared()
 	if string(re) != string(ck.Shared) {
 		t.Fatalf("shared frame round-trip mismatch: %d bytes -> %d bytes", len(ck.Shared), len(re))
 	}
-	active := frontier(sh.root, len(sh.levelStats))
-	if len(active) == 0 {
-		t.Fatal("checkpointed tree has no open frontier")
+
+	// The reopened frontier is the writer's active set: same count, order
+	// and histograms. An empty leaf beside it at the same depth shows the
+	// reopening rule tells the two kinds of leaf apart.
+	active := sh.active
+	want := held[ck.Level]
+	if len(active) == 0 || len(active) != len(want) {
+		t.Fatalf("decoded frontier has %d nodes, the writer held %d", len(active), len(want))
 	}
+	for i, ns := range active {
+		if fmt.Sprint(ns.hist) != fmt.Sprint(want[i]) {
+			t.Fatalf("frontier node %d: histogram %v, the writer held %v", i, ns.hist, want[i])
+		}
+	}
+	if emptyLeavesAt(sh.root, ck.Level) == 0 {
+		t.Fatalf("level %d has no empty leaf beside its open nodes; the reopening rule goes unexercised", ck.Level)
+	}
+
 	for w, frag := range ck.Frags {
 		if _, err := decodeFrag(frag, tab.Schema, len(active)); err != nil {
 			t.Fatalf("writer %d: %v", w, err)
@@ -419,13 +438,76 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := decodeFrag(ck.Frags[0][:len(ck.Frags[0])-2], tab.Schema, len(active)); err == nil {
 		t.Fatal("fragment truncation went undetected")
 	}
+
+	// Well-formed but wrong fragments: each edit is re-encoded into writer
+	// 0's frame. A class id or categorical value out of range fails the
+	// fragment decode; a segment one entry short fails restore's count
+	// check against the node's histogram.
+	edits := map[string]func(fr *fragFrame){
+		"class id": func(fr *fragFrame) {
+			a, i := firstSegment(t, tab.Schema, fr, dataset.Continuous)
+			fr.cont[a][i][0].Cid = uint8(tab.Schema.NumClasses())
+		},
+		"categorical value": func(fr *fragFrame) {
+			a, i := firstSegment(t, tab.Schema, fr, dataset.Categorical)
+			fr.cat[a][i][0].Val = int32(tab.Schema.Attrs[a].Cardinality())
+		},
+		"segment total": func(fr *fragFrame) {
+			a, i := firstSegment(t, tab.Schema, fr, dataset.Continuous)
+			fr.cont[a][i] = fr.cont[a][i][1:]
+		},
+	}
+	for name, edit := range edits {
+		fr, err := decodeFrag(ck.Frags[0], tab.Schema, len(active))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(fr)
+		bad := *ck
+		bad.Frags = append([][]byte(nil), ck.Frags...)
+		bad.Frags[0], _ = fragWorker(tab.Schema, fr, len(active)).encodeFrag()
+		w := comm.NewWorld(p, timing.T3D())
+		if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(&bad); err == nil {
+			t.Errorf("%s: restored from a wrong fragment", name)
+		}
+	}
 }
 
-// captureCheckpoint trains under opts with per-level checkpointing on and
-// returns the store.
-func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p int, opts Options) *CheckpointStore {
+// firstSegment locates fr's first non-empty segment of an attribute of kind.
+func firstSegment(t *testing.T, schema *dataset.Schema, fr *fragFrame, kind dataset.Kind) (a, i int) {
 	t.Helper()
-	store, err := NewCheckpointStore("")
+	for a, attr := range schema.Attrs {
+		for i, n := range fr.lens[a] {
+			if attr.Kind == kind && n > 0 {
+				return a, i
+			}
+		}
+	}
+	t.Fatalf("fragment has no %v entry", kind)
+	return 0, 0
+}
+
+// emptyLeavesAt counts the leaves at depth that no training record reached.
+func emptyLeavesAt(n *tree.Node, depth int) int {
+	if depth == 0 {
+		if n.Leaf && n.Size() == 0 {
+			return 1
+		}
+		return 0
+	}
+	count := 0
+	for _, ch := range n.Children {
+		count += emptyLeavesAt(ch, depth-1)
+	}
+	return count
+}
+
+// captureCheckpoint trains under opts with checkpointing into a fresh
+// directory and returns the newest complete checkpoint, plus the active
+// sets' histograms dense rank 0 held after each level, by level count.
+func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p int, opts Options) (*Checkpoint, map[int][][]int64) {
+	t.Helper()
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,15 +515,29 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 	w.ResetClocks()
 	w.ResetStats()
 	w.ResetMemory()
-	factory := RecordMapFactory(DistributedNodeTable)
+	held := map[int][][]int64{}
 	w.Run(func(c *comm.Comm) {
-		wk := newWorker(c, tab, cfg, factory, opts)
+		wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
 		wk.presort(tab)
-		wk.ckpt, wk.ckptEvery = store, 1
-		wk.induce()
+		wk.ckpt = store
+		for len(wk.active) > 0 {
+			wk.runLevel()
+			if c.Rank() == 0 {
+				for _, ns := range wk.active {
+					held[len(wk.levelStats)] = append(held[len(wk.levelStats)], ns.hist)
+				}
+			}
+		}
 		wk.free()
 	})
-	return store
+	if err := store.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ck := store.Latest()
+	if ck == nil {
+		t.Fatalf("%v run left no complete checkpoint", opts.Split)
+	}
+	return ck, held
 }
 
 // TestCheckpointRestoreRejectsMismatchedOptions: a checkpoint written under
@@ -451,10 +547,7 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
 	tab := faultTestTable(t)
 	cfg := splitter.Config{}.Normalize()
-	ck := captureCheckpoint(t, tab, cfg, 2, Options{Split: SplitBinned, Bins: 16}).Latest()
-	if ck == nil {
-		t.Fatal("no checkpoint promoted")
-	}
+	ck, _ := captureCheckpoint(t, tab, cfg, 2, Options{Split: SplitBinned, Bins: 16})
 	restore := func(tab *dataset.Table, opts Options) error {
 		w := comm.NewWorld(1, timing.T3D())
 		return newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, opts).restore(ck)
@@ -498,7 +591,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if _, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	ck := loadFrames(dir)
+	ck := (&CheckpointStore{dir: dir}).Latest()
 	if ck == nil {
 		t.Fatal("no complete frame set on disk")
 	}
@@ -513,7 +606,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if sh.n != tab.NumRows() || len(sh.levelStats) != ck.Level {
 		t.Fatalf("persisted checkpoint n=%d level=%d, want n=%d level=%d", sh.n, len(sh.levelStats), tab.NumRows(), ck.Level)
 	}
-	active := frontier(sh.root, len(sh.levelStats))
+	active := sh.active
 	for w, frag := range ck.Frags {
 		if _, err := decodeFrag(frag, tab.Schema, len(active)); err != nil {
 			t.Fatalf("writer %d: %v", w, err)
@@ -535,7 +628,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if err := os.WriteFile(path, ck.Frags[1][:len(ck.Frags[1])/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := loadFrames(dir)
+	torn := (&CheckpointStore{dir: dir}).Latest()
 	if torn == nil || torn.Level != ck.Level {
 		t.Fatalf("frame set with a torn fragment not assembled: %+v", torn)
 	}
@@ -565,14 +658,12 @@ func TestCheckpointStoreUnwritableDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointOptionsValidation covers the Options-level rejections.
+// TestCheckpointOptionsValidation: an unusable CheckpointDir fails the run
+// before any training.
 func TestCheckpointOptionsValidation(t *testing.T) {
 	tab := faultTestTable(t)
 	cfg := splitter.Config{}
 	w := comm.NewWorld(2, timing.T3D())
-	if _, err := TrainOpts(w, tab, cfg, Options{CheckpointEvery: -1}); err == nil {
-		t.Fatal("negative CheckpointEvery accepted")
-	}
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ package scalparc
 // may produce split candidates. The draw is a pure function of (the tree's
 // feature seed, level, active-node index) — all replicated, and the
 // active-node order is itself invariant under the processor count and
-// identical after a checkpoint restore (the frontier walk re-lists nodes in
+// identical after a checkpoint restore (reopen re-lists the frontier in
 // construction order) — so every rank vetoes the same groups and the
 // induced tree keeps the engine's p-invariance and crash-recovery
 // guarantees.

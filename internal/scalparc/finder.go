@@ -101,7 +101,7 @@ func (s *frameState) decodeState(d *dec, schema *dataset.Schema) {
 			d.fail("truncated cut vector")
 		}
 		for j := 0; j < n && d.err == nil; j++ {
-			s.cuts[a] = append(s.cuts[a], d.f64())
+			s.cuts[a] = append(s.cuts[a], d.finite())
 		}
 	}
 }

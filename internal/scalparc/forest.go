@@ -15,7 +15,7 @@ package scalparc
 // completion order never matters because results are slotted by index.
 //
 // Fault tolerance has two layers. Within a tree the engine's own recovery
-// applies (shrink + replay from checkpoint). If a tree's run still fails
+// applies (shrink + replay from the root). If a tree's run still fails
 // terminally, the tree is recorded lost and training continues: a crash
 // costs at most the in-flight tree, never the ensemble. With CheckpointDir
 // set, every completed tree is additionally persisted atomically
@@ -57,8 +57,8 @@ type ForestOptions struct {
 	// summation, so Parallel changes only wall time, never the results.
 	Parallel int
 	// Engine carries the per-tree engine options (split strategy, bins,
-	// fault injection, per-tree checkpointing). Its Resume and
-	// CheckpointDir fields must be zero: the forest layer owns persistence.
+	// fault injection). Its Resume and CheckpointDir fields must be zero:
+	// the forest layer owns persistence.
 	Engine Options
 	// FaultsFor, when non-nil, supplies the fault injector for each tree's
 	// world by tree index (overriding Engine.Faults) — the chaos harness
@@ -66,7 +66,8 @@ type ForestOptions struct {
 	FaultsFor func(treeIdx int) comm.FaultInjector
 	// CheckpointDir, when set, persists every completed tree to
 	// tree_<i>.json in the directory (atomically) and restores completed
-	// trees from it on a rerun. The directory must exist and be writable.
+	// trees from it on a rerun. The directory is created if absent and
+	// must be writable, as for Options.CheckpointDir.
 	CheckpointDir string
 }
 
@@ -119,7 +120,7 @@ func forestTreePath(dir string, i int) string {
 func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*ForestResult, error) {
 	// Every tree's run would reject a bad option alike; checking once up
 	// front reports it as the configuration error it is, not as T lost trees.
-	if err := CheckOptions(fo.Engine, &fo, tab.Schema.NumAttrs(), false); err != nil {
+	if err := CheckOptions(fo.Engine, &fo, tab.Schema.NumAttrs()); err != nil {
 		return nil, err
 	}
 	fo.Procs = max(fo.Procs, 1)
@@ -134,8 +135,8 @@ func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*Fo
 		return nil, fmt.Errorf("scalparc: empty training set")
 	}
 	if fo.CheckpointDir != "" {
-		if st, err := os.Stat(fo.CheckpointDir); err != nil || !st.IsDir() {
-			return nil, fmt.Errorf("scalparc: forest CheckpointDir %q is not a directory", fo.CheckpointDir)
+		if _, err := NewCheckpointStore(fo.CheckpointDir); err != nil {
+			return nil, err
 		}
 	}
 
@@ -250,23 +251,18 @@ func saveForestTree(path string, t *tree.Tree) error {
 	return nil
 }
 
-// loadForestTree restores a persisted tree, requiring its schema to match
-// the training schema's shape (attribute count/kinds and class count) so a
-// directory from a different run cannot be silently mixed in.
+// loadForestTree restores a persisted tree through decodeTree, so the
+// forest shares the training schema and a directory from a different run
+// cannot be silently mixed in.
 func loadForestTree(path string, schema *dataset.Schema) (*tree.Tree, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	t, err := tree.Decode(fh)
+	t, err := decodeTree(fh, schema)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scalparc: persisted tree %s: %w", path, err)
 	}
-	if err := schema.SameShape(t.Schema); err != nil {
-		return nil, fmt.Errorf("scalparc: persisted tree %s does not match the training schema: %w", path, err)
-	}
-	// Re-point at the training schema so the forest shares one object.
-	t.Schema = schema
 	return t, nil
 }

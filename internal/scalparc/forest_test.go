@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
@@ -190,7 +191,8 @@ func TestForestCrashLosesAtMostInFlightTree(t *testing.T) {
 // contract: completed trees land in the directory atomically, a crashed
 // tree leaves no file, and a rerun over the same directory restores the
 // survivors and trains only what is missing — converging on the byte-exact
-// fault-free forest.
+// fault-free forest. A missing directory is created; an unusable one fails
+// the run before any tree trains.
 func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	tab := forestTestTable(t)
 	cfg := splitter.Config{MinSplit: 8}
@@ -254,6 +256,26 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	}
 	if !bytes.Equal(encodeForest(t, res3.Forest), encodeForest(t, clean.Forest)) {
 		t.Error("forest retrained over a foreign tree file differs from the fault-free forest")
+	}
+
+	// The directory is opened like the engine's: a missing one is created,
+	// and one that cannot be created fails before any tree trains.
+	fo.CheckpointDir = filepath.Join(t.TempDir(), "missing", "dir")
+	if _, err := TrainForest(tab, cfg, fo); err != nil {
+		t.Fatalf("missing checkpoint dir: %v", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(fo.CheckpointDir, "tree_*.json")); len(files) != fo.Trees {
+		t.Fatalf("created checkpoint dir holds %d tree files, want %d", len(files), fo.Trees)
+	}
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fo.CheckpointDir = filepath.Join(blocker, "sub")
+	var started atomic.Int32
+	fo.FaultsFor = func(int) comm.FaultInjector { started.Add(1); return nil }
+	if _, err := TrainForest(tab, cfg, fo); err == nil || started.Load() != 0 {
+		t.Fatalf("unusable checkpoint dir: err = %v after %d tree(s) started", err, started.Load())
 	}
 }
 

@@ -232,18 +232,13 @@ type Options struct {
 	// collective corruption is a deterministic protocol violation and
 	// surfaces as a *comm.ProtocolError instead.
 	Faults comm.FaultInjector
-	// CheckpointEvery saves a level-boundary checkpoint after every k-th
-	// completed level (0: no checkpointing; recovery then replays the
-	// whole induction). Negative is an error.
-	CheckpointEvery int
-	// CheckpointDir keeps the run's checkpoints in this directory instead
-	// of in memory, as per-rank frame files written atomically and fsynced
-	// (one format for every world; see CheckpointStore). Implies
-	// CheckpointEvery=1 when that is unset. The directory is created if
-	// absent and must be writable; a previous run's frames in it are
-	// removed unless Resume is set. On a wire-backed (distributed) world it
-	// is required when checkpointing: the shared directory is the stable
-	// storage the per-process frame files rendezvous in.
+	// CheckpointDir, when set, saves a level-boundary checkpoint after every
+	// completed level into this directory, as per-rank frame files written
+	// atomically and fsynced (one format for every world; see
+	// CheckpointStore). Unset, there is no checkpointing and recovery
+	// replays the whole induction. The directory is created if absent and
+	// must be writable; a previous run's frames in it are removed unless
+	// Resume is set.
 	CheckpointDir string
 	// Resume starts the run from the last complete checkpoint in
 	// CheckpointDir instead of from scratch — the respawn path after a
@@ -255,11 +250,11 @@ type Options struct {
 // CheckOptions reports the first error in the engine's own options: a value
 // out of range, or a field set without the options it needs. o is one
 // engine run's options or, when fo is non-nil, the Engine every tree of
-// that forest runs, and fo is checked too. wire says the run's world is
-// wire-backed, and attrs is the table's attribute count (negative before
-// the table is known: FeatureSample's upper bound is then not checked).
+// that forest runs, and fo is checked too. attrs is the table's attribute
+// count (negative before the table is known: FeatureSample's upper bound is
+// then not checked).
 // Zero values are valid everywhere: they select the defaults.
-func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
+func CheckOptions(o Options, fo *ForestOptions, attrs int) error {
 	if fo != nil {
 		switch {
 		case fo.Trees < 1:
@@ -290,14 +285,6 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
 		return fmt.Errorf("scalparc: FeatureSample %d is negative", o.featureSample)
 	case attrs >= 0 && o.featureSample > attrs:
 		return fmt.Errorf("scalparc: FeatureSample %d out of range [0, %d attributes]", o.featureSample, attrs)
-	case o.CheckpointEvery < 0:
-		return fmt.Errorf("scalparc: CheckpointEvery %d is negative (-checkpoint-every)", o.CheckpointEvery)
-	case wire && o.CheckpointEvery > 0 && o.CheckpointDir == "":
-		// A transport-backed world has one rank per process, so an
-		// in-memory store could never cover the peers: the shared
-		// checkpoint directory is the rendezvous for the per-process
-		// fragment files.
-		return fmt.Errorf("scalparc: checkpointing on a wire transport requires CheckpointDir (per-process frames need shared stable storage)")
 	case o.Resume && o.CheckpointDir == "":
 		return fmt.Errorf("scalparc: Resume requires CheckpointDir (the frames to resume from)")
 	}
@@ -309,7 +296,7 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int, wire bool) error {
 // paper's algorithm. The world's clocks, stats, and memory meters are reset
 // at the start of the run.
 func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Options) (*Result, error) {
-	if err := CheckOptions(opts, nil, tab.Schema.NumAttrs(), w.Distributed()); err != nil {
+	if err := CheckOptions(opts, nil, tab.Schema.NumAttrs()); err != nil {
 		return nil, err
 	}
 	if opts.Split != SplitExact && opts.Bins == 0 {
@@ -317,9 +304,6 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	}
 	if opts.Split == SplitVote && opts.VoteK == 0 {
 		opts.VoteK = DefaultVoteK
-	}
-	if opts.CheckpointDir != "" && opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 1
 	}
 	factory := opts.RecordMap
 	if factory == nil {
@@ -336,7 +320,7 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 		return nil, fmt.Errorf("scalparc: empty training set")
 	}
 	var store *CheckpointStore
-	if opts.CheckpointEvery > 0 {
+	if opts.CheckpointDir != "" {
 		var err error
 		if store, err = NewCheckpointStore(opts.CheckpointDir); err != nil {
 			return nil, err
@@ -467,7 +451,7 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 			out.presort = c.Clock()
 		}
 	}
-	wk.ckpt, wk.ckptEvery = store, opts.CheckpointEvery
+	wk.ckpt = store
 	t := wk.induce()
 	// Final consistency point: after this barrier no rank can fail (there
 	// are no operations left), so either every survivor records a result
@@ -501,9 +485,8 @@ type worker struct {
 	// root is the tree under construction (replicated on every rank).
 	root *tree.Node
 
-	// Level-boundary checkpointing (nil ckpt: off). See checkpoint.go.
-	ckpt      *CheckpointStore
-	ckptEvery int
+	// Level-boundary checkpointing (nil: off). See checkpoint.go.
+	ckpt *CheckpointStore
 
 	// Attribute lists: cont[a] / cat[a] hold the local fragments of every
 	// active node's list for attribute a, concatenated in node order;
@@ -698,8 +681,7 @@ func (wk *worker) runLevel() {
 	stats.ModeledSeconds = wk.c.Clock() - levelStart
 	wk.levelStats = append(wk.levelStats, stats)
 
-	if wk.ckpt != nil && wk.ckptEvery > 0 && len(wk.active) > 0 &&
-		len(wk.levelStats)%wk.ckptEvery == 0 {
+	if wk.ckpt != nil && len(wk.active) > 0 {
 		wk.saveCheckpoint()
 	}
 }

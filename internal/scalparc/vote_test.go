@@ -138,7 +138,7 @@ func TestVoteCrashRecovery(t *testing.T) {
 	tab := wideVoteTable(t, 3, 31, 240, 24)
 	cfg := splitter.Config{}.Normalize()
 	const p = 4
-	opts := Options{Split: SplitVote, Bins: 16, VoteK: tab.Schema.NumAttrs(), CheckpointEvery: 1}
+	opts := Options{Split: SplitVote, Bins: 16, VoteK: tab.Schema.NumAttrs(), CheckpointDir: t.TempDir()}
 	w := comm.NewWorld(p, timing.T3D())
 	oracle, err := TrainOpts(w, tab, cfg, opts)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestVoteCrashRecovery(t *testing.T) {
 		}
 	}
 
-	smallK := Options{Split: SplitVote, Bins: 16, VoteK: 2, CheckpointEvery: 1,
+	smallK := Options{Split: SplitVote, Bins: 16, VoteK: 2, CheckpointDir: t.TempDir(),
 		Faults: faults.NewSchedule(p, faults.Event{Rank: 2, Phase: trace.FindSplitI, Level: 1, Kind: faults.Crash})}
 	w = comm.NewWorld(p, timing.T3D())
 	res, err := TrainOpts(w, tab, cfg, smallK)
