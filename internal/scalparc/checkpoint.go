@@ -357,10 +357,11 @@ func decodeSharedHead(raw []byte, schema *dataset.Schema, finder splitFinder) (*
 
 // reopen turns the non-empty leaves at depth back into open nodes, nothing
 // but their histograms, and returns them as the active set. They are exactly
-// the frontier encodeShared wrote as leaves: buildChildren makes only an
-// empty child a leaf on creation, so a non-empty node at the newest depth is
-// still undecided. All of them sit at that one depth, so preorder is
-// left-to-right level order — the order buildChildren appended them in.
+// the frontier encodeShared wrote as leaves: the node rule (splitter.Grow)
+// makes only an empty child a leaf on creation, so a non-empty node at the
+// newest depth is still undecided. All of them sit at that one depth, so
+// preorder is left-to-right level order — the order buildChildren appended
+// them in.
 func reopen(root *tree.Node, depth int) []*nodeState {
 	var active []*nodeState
 	var walk func(n *tree.Node, d int)
@@ -371,7 +372,7 @@ func reopen(root *tree.Node, depth int) []*nodeState {
 			}
 		} else if n.Leaf && n.Size() > 0 {
 			*n = tree.Node{Hist: n.Hist}
-			active = append(active, &nodeState{node: n, hist: n.Hist, depth: depth})
+			active = append(active, &nodeState{node: n, depth: depth})
 		}
 	}
 	walk(root, 0)

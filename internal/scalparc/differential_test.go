@@ -54,7 +54,7 @@ func TestExactMatchesSLIQByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := splitter.Config{MinSplit: 4}
-			oracle, err := sliq.Train(tab, cfg)
+			oracle, _, _, err := sliq.TrainTraced(tab, cfg, timing.T3D())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -416,8 +416,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("decoded frontier has %d nodes, the writer held %d", len(active), len(want))
 	}
 	for i, ns := range active {
-		if fmt.Sprint(ns.hist) != fmt.Sprint(want[i]) {
-			t.Fatalf("frontier node %d: histogram %v, the writer held %v", i, ns.hist, want[i])
+		if fmt.Sprint(ns.node.Hist) != fmt.Sprint(want[i]) {
+			t.Fatalf("frontier node %d: histogram %v, the writer held %v", i, ns.node.Hist, want[i])
 		}
 	}
 	if emptyLeavesAt(sh.root, ck.Level) == 0 {
@@ -524,7 +524,7 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 			wk.runLevel()
 			if c.Rank() == 0 {
 				for _, ns := range wk.active {
-					held[len(wk.levelStats)] = append(held[len(wk.levelStats)], ns.hist)
+					held[len(wk.levelStats)] = append(held[len(wk.levelStats)], ns.node.Hist)
 				}
 			}
 		}

@@ -214,7 +214,7 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 				}
 				base := (i2*len(contAttrs) + k) * nc
 				m := &f.m
-				m.Reset(wk.active[i].hist, prefix[base:base+nc])
+				m.Reset(wk.active[i].node.Hist, prefix[base:base+nc])
 				list := wk.cont[a][sg.off : sg.off+sg.n]
 				nb := nextBounds[i2*len(contAttrs)+k]
 				nextVal, hasNext := nb.Val, nb.Has == 1

@@ -8,7 +8,6 @@ import (
 	"repro/internal/nodetable"
 	"repro/internal/splitter"
 	"repro/internal/trace"
-	"repro/internal/tree"
 )
 
 // findSplits returns the globally agreed winning candidate for every
@@ -75,12 +74,11 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 	for i := range wk.active {
 		offsets[i] = -1
 		if doSplit[i] {
-			cand := cands[splitIdx[i]]
 			offsets[i] = total
-			d := wk.childCount(cand)
+			d := len(wk.active[i].node.Children)
 			total += d * nc
 			dTotal += d
-			entTotal += wk.segs[int(cand.Attr)][i].n
+			entTotal += wk.segs[int(cands[splitIdx[i]].Attr)][i].n
 		}
 	}
 
@@ -99,14 +97,14 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 		childs := childsBuf[work : work+sg.n]
 		if wk.schema.Attrs[a].Kind == dataset.Continuous {
 			for j, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-				ch := childOfCont(cand, e.Val)
+				ch := cand.ContChild(e.Val)
 				childs[j] = ch
 				vec[offsets[i]+int(ch)*nc+int(e.Cid)]++
 				assigns = append(assigns, nodetable.Assignment{Rid: e.Rid, Child: ch})
 			}
 		} else {
 			for j, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-				ch := childOfCat(cand, e.Val)
+				ch := cand.CatChild(e.Val)
 				childs[j] = ch
 				vec[offsets[i]+int(ch)*nc+int(e.Cid)]++
 				assigns = append(assigns, nodetable.Assignment{Rid: e.Rid, Child: ch})
@@ -138,11 +136,11 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 	histsBuf := grabRaw(wk.ar, &wk.ar.histsBuf, dTotal)
 	childHists := grab(wk.ar, &wk.ar.childHists, len(wk.active))
 	used := 0
-	for i := range wk.active {
+	for i, ns := range wk.active {
 		if !doSplit[i] {
 			continue
 		}
-		d := wk.childCount(cands[splitIdx[i]])
+		d := len(ns.node.Children)
 		childHists[i] = histsBuf[used : used+d]
 		used += d
 		for k := 0; k < d; k++ {
@@ -152,11 +150,11 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 	return splitChild, childHists
 }
 
-// buildChildren materialises the next level's tree nodes and active set,
-// identically on every rank. It returns the new active set and, per old
-// node and child number, the index into the new active set (-1 for empty
-// children, which become leaves immediately).
-func (wk *worker) buildChildren(doSplit []bool, splitIdx []int, childHists [][][]int64) ([]*nodeState, [][]int) {
+// buildChildren grows the next level's tree nodes (splitter.Grow) and
+// active set, identically on every rank. It returns the new active set and,
+// per old node and child number, the index into the new active set (-1 for
+// empty children, which Grow makes leaves).
+func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*nodeState, [][]int) {
 	var next []*nodeState
 	dTotal := 0
 	for i := range wk.active {
@@ -171,26 +169,15 @@ func (wk *worker) buildChildren(doSplit []bool, splitIdx []int, childHists [][][
 		if !doSplit[i] {
 			continue
 		}
-		hists := childHists[i]
-		ns.node.Children = make([]*tree.Node, len(hists))
-		childIndex[i] = childIdxBuf[used : used+len(hists)]
-		used += len(hists)
-		parentMajority := tree.Majority(ns.hist)
-		for k, hist := range hists {
-			child := &tree.Node{Hist: hist}
-			ns.node.Children[k] = child
-			var size int64
-			for _, c := range hist {
-				size += c
+		splitter.Grow(ns.node, childHists[i])
+		childIndex[i] = childIdxBuf[used : used+len(childHists[i])]
+		used += len(childHists[i])
+		for k, child := range ns.node.Children {
+			childIndex[i][k] = -1
+			if !child.Leaf {
+				childIndex[i][k] = len(next)
+				next = append(next, &nodeState{node: child, depth: ns.depth + 1})
 			}
-			if size == 0 {
-				child.Leaf = true
-				child.Label = parentMajority
-				childIndex[i][k] = -1
-				continue
-			}
-			childIndex[i][k] = len(next)
-			next = append(next, &nodeState{node: child, hist: hist, depth: ns.depth + 1})
 		}
 	}
 	return next, childIndex
@@ -271,11 +258,10 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 			if !doSplit[i] {
 				continue
 			}
-			cand := cands[splitIdx[i]]
-			d := wk.childCount(cand)
+			d := len(childIndex[i])
 			sg := wk.segs[a][i]
 			var childs []uint8
-			if int(cand.Attr) == a {
+			if int(cands[splitIdx[i]].Attr) == a {
 				childs = splitChild[i]
 			} else {
 				childs = answers[cursor : cursor+sg.n]

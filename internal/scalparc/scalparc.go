@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dataset"
-	"repro/internal/gini"
 	"repro/internal/nodetable"
 	"repro/internal/psort"
 	"repro/internal/splitter"
@@ -469,7 +468,6 @@ type seg struct{ off, n int }
 // nodeState is one active node, replicated consistently on every rank.
 type nodeState struct {
 	node  *tree.Node
-	hist  []int64
 	depth int
 }
 
@@ -575,9 +573,8 @@ func (wk *worker) presort(tab *dataset.Table) {
 	for _, cl := range tab.Class[lo:hi] {
 		localHist[cl]++
 	}
-	hist := comm.AllReduceSum(c, localHist)
-	wk.root = &tree.Node{Hist: hist}
-	wk.active = []*nodeState{{node: wk.root, hist: hist, depth: 0}}
+	wk.root = &tree.Node{Hist: comm.AllReduceSum(c, localHist)}
+	wk.active = []*nodeState{{node: wk.root, depth: 0}}
 }
 
 // chargeLists meters the attribute lists and the finder's long-lived state
@@ -614,19 +611,15 @@ func (wk *worker) runLevel() {
 	levelStart := wk.c.Clock()
 	stats := LevelStats{ActiveNodes: len(wk.active)}
 	for _, ns := range wk.active {
-		for _, c := range ns.hist {
-			stats.Records += c
-		}
+		stats.Records += ns.node.Size()
 	}
 	// Termination tests (FindSplitII's first half): replicated, no
 	// communication — every rank has every node's global histogram.
-	needSplit := grab(wk.ar, &wk.ar.needSplit, len(wk.active))
 	splitIdx := grabRaw(wk.ar, &wk.ar.splitIdx, len(wk.active)) // index among need-split nodes, or -1
 	nNeed := 0
 	for i, ns := range wk.active {
 		splitIdx[i] = -1
-		if wk.shouldTrySplit(ns) {
-			needSplit[i] = true
+		if wk.cfg.TrySplit(ns.node, ns.depth) {
 			splitIdx[i] = nNeed
 			nNeed++
 		}
@@ -641,19 +634,13 @@ func (wk *worker) runLevel() {
 	cands := wk.findSplits(splitIdx, nNeed)
 
 	// Final split-or-leaf decision, replicated.
-	doSplit := grab(wk.ar, &wk.ar.doSplit, len(wk.active))
+	doSplit := grabRaw(wk.ar, &wk.ar.doSplit, len(wk.active))
 	for i, ns := range wk.active {
-		if !needSplit[i] {
-			makeLeaf(ns.node, ns.hist)
-			continue
+		cand := splitter.Invalid
+		if splitIdx[i] >= 0 {
+			cand = cands[splitIdx[i]]
 		}
-		cand := cands[splitIdx[i]]
-		if !cand.Valid || cand.Gini >= gini.Index(ns.hist) {
-			makeLeaf(ns.node, ns.hist)
-			continue
-		}
-		doSplit[i] = true
-		wk.recordDecision(ns.node, cand)
+		doSplit[i] = splitter.Decide(ns.node, cand, wk.schema)
 	}
 
 	// PerformSplitI: assignments from the splitting attributes' lists into
@@ -661,7 +648,7 @@ func (wk *worker) runLevel() {
 	splitChild, childHists := wk.performSplitI(doSplit, splitIdx, cands)
 
 	// Build the next level's node set (replicated).
-	nextActive, childStates := wk.buildChildren(doSplit, splitIdx, childHists)
+	nextActive, childStates := wk.buildChildren(doSplit, childHists)
 
 	// PerformSplitII: split every attribute list consistently.
 	wk.performSplitII(doSplit, splitIdx, cands, splitChild, nextActive, childStates)
@@ -684,74 +671,4 @@ func (wk *worker) runLevel() {
 	if wk.ckpt != nil && len(wk.active) > 0 {
 		wk.saveCheckpoint()
 	}
-}
-
-// shouldTrySplit applies the pre-candidate termination criteria in the
-// exact order the serial oracle uses.
-func (wk *worker) shouldTrySplit(ns *nodeState) bool {
-	var size int64
-	classes := 0
-	for _, c := range ns.hist {
-		size += c
-		if c > 0 {
-			classes++
-		}
-	}
-	if classes <= 1 {
-		return false
-	}
-	if wk.cfg.MaxDepth > 0 && ns.depth >= wk.cfg.MaxDepth {
-		return false
-	}
-	return size >= int64(wk.cfg.MinSplit)
-}
-
-// recordDecision writes the winning candidate into the tree node.
-func (wk *worker) recordDecision(n *tree.Node, cand splitter.Candidate) {
-	attr := int(cand.Attr)
-	n.Attr = attr
-	n.Kind = wk.schema.Attrs[attr].Kind
-	n.Gini = cand.Gini
-	if cand.Kind == splitter.ContSplit {
-		n.Threshold = cand.Threshold
-	}
-	if cand.Kind == splitter.CatSubset {
-		subset := make([]bool, wk.schema.Attrs[attr].Cardinality())
-		for v := range subset {
-			subset[v] = cand.Subset&(1<<uint(v)) != 0
-		}
-		n.Subset = subset
-	}
-}
-
-// childCount returns the number of children a candidate produces.
-func (wk *worker) childCount(cand splitter.Candidate) int {
-	if cand.Kind == splitter.CatMWay {
-		return wk.schema.Attrs[cand.Attr].Cardinality()
-	}
-	return 2
-}
-
-// childOfValue returns the child a splitting-attribute entry descends to.
-func childOfCont(cand splitter.Candidate, v float64) uint8 {
-	if v <= cand.Threshold {
-		return 0
-	}
-	return 1
-}
-
-func childOfCat(cand splitter.Candidate, v int32) uint8 {
-	if cand.Kind == splitter.CatSubset {
-		if v < 64 && cand.Subset&(1<<uint(v)) != 0 {
-			return 0
-		}
-		return 1
-	}
-	return uint8(v)
-}
-
-// makeLeaf finalises a node as a leaf with its majority label.
-func makeLeaf(n *tree.Node, hist []int64) {
-	n.Leaf = true
-	n.Label = tree.Majority(hist)
 }

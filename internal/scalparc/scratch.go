@@ -31,9 +31,8 @@ type scratch struct {
 	disabled bool
 
 	// runLevel
-	needSplit []bool
-	splitIdx  []int
-	doSplit   []bool
+	splitIdx []int
+	doSplit  []bool
 
 	// performSplitI
 	offsets    []int

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/comm"
-	"repro/internal/gini"
 	"repro/internal/histogram"
 	"repro/internal/splitter"
 	"repro/internal/trace"
@@ -187,7 +186,7 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// the exchange and evaluation are repeated.
 	fb := grabRaw(wk.ar, &f.fbNodes, 0)
 	for i := 0; i < nNeed; i++ {
-		if !out[i].Valid || out[i].Gini >= gini.Index(wk.active[nodeOf[i]].hist) {
+		if !out[i].Beats(wk.active[nodeOf[i]].node) {
 			fb = append(fb, i)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 type nodeState struct {
 	node  *tree.Node
 	lists *dataset.Lists
-	hist  []int64
 	depth int
 }
 
@@ -53,7 +52,7 @@ func train(tab *dataset.Table, cfg splitter.Config, onSplit func(nodeRecords, li
 	lists.SortContinuous()
 
 	root := &tree.Node{Hist: tab.ClassHistogram()}
-	active := []*nodeState{{node: root, lists: lists, hist: root.Hist, depth: 0}}
+	active := []*nodeState{{node: root, lists: lists, depth: 0}}
 
 	// childOf maps a global record id to its child number within the node
 	// currently being split — the serial analogue of SPRINT's per-node
@@ -64,61 +63,34 @@ func train(tab *dataset.Table, cfg splitter.Config, onSplit func(nodeRecords, li
 	for len(active) > 0 {
 		var next []*nodeState
 		for _, ns := range active {
-			cand := bestSplit(ns, cfg)
-			if !cand.Valid || cand.Gini >= gini.Index(ns.hist) {
-				makeLeaf(ns.node, ns.hist)
+			cand := splitter.Invalid
+			if cfg.TrySplit(ns.node, ns.depth) {
+				cand = bestSplit(ns, cfg)
+			}
+			if !splitter.Decide(ns.node, cand, tab.Schema) {
 				continue
 			}
 			if onSplit != nil {
-				var size int64
-				for _, c := range ns.hist {
-					size += c
-				}
+				size := ns.node.Size()
 				onSplit(size, size*int64(tab.Schema.NumAttrs()))
 			}
-			next = append(next, splitNode(ns, cand, tab.Schema, cfg, childOf)...)
+			next = append(next, splitNode(ns, cand, tab.Schema, childOf)...)
 		}
 		active = next
 	}
 	return &tree.Tree{Schema: tab.Schema, Root: root}, nil
 }
 
-// makeLeaf finalises a node as a leaf with the majority label.
-func makeLeaf(n *tree.Node, hist []int64) {
-	n.Leaf = true
-	n.Label = tree.Majority(hist)
-	n.Hist = hist
-}
-
-// bestSplit returns the winning candidate for a node, or Invalid if the
-// node must become a leaf. The candidate order mirrors the parallel
-// formulation exactly.
+// bestSplit returns the winning candidate for a node that tries to split.
+// The candidate order mirrors the parallel formulation exactly.
 func bestSplit(ns *nodeState, cfg splitter.Config) splitter.Candidate {
-	size := int64(0)
-	classes := 0
-	for _, c := range ns.hist {
-		size += c
-		if c > 0 {
-			classes++
-		}
-	}
-	if classes <= 1 { // pure
-		return splitter.Invalid
-	}
-	if cfg.MaxDepth > 0 && ns.depth >= cfg.MaxDepth {
-		return splitter.Invalid
-	}
-	if size < int64(cfg.MinSplit) {
-		return splitter.Invalid
-	}
-
 	best := splitter.Invalid
 	for a, attr := range ns.lists.Schema.Attrs {
 		var cand splitter.Candidate
 		if attr.Kind == dataset.Continuous {
-			cand = bestContinuous(ns.lists.Cont[a], ns.hist, a)
+			cand = bestContinuous(ns.lists.Cont[a], ns.node.Hist, a)
 		} else {
-			m := splitter.NewCountMatrix(attr.Cardinality(), len(ns.hist))
+			m := splitter.NewCountMatrix(attr.Cardinality(), len(ns.node.Hist))
 			for _, e := range ns.lists.Cat[a] {
 				m.Add(e.Val, e.Cid)
 			}
@@ -151,36 +123,19 @@ func bestContinuous(list []dataset.ContEntry, hist []int64, attr int) splitter.C
 	return best
 }
 
-// splitNode applies the winning candidate: records the decision in the
-// tree, partitions every attribute list stably among the children, and
-// returns the child states that remain active.
-func splitNode(ns *nodeState, cand splitter.Candidate, schema *dataset.Schema, cfg splitter.Config, childOf []uint8) []*nodeState {
+// splitNode applies the winning candidate, already recorded in the node:
+// partitions every attribute list stably among the children, grows them,
+// and returns the child states that remain active.
+func splitNode(ns *nodeState, cand splitter.Candidate, schema *dataset.Schema, childOf []uint8) []*nodeState {
 	attr := int(cand.Attr)
-	nChildren := 2
-	if cand.Kind == splitter.CatMWay {
-		nChildren = schema.Attrs[attr].Cardinality()
-	}
-
-	ns.node.Attr = attr
-	ns.node.Kind = schema.Attrs[attr].Kind
-	ns.node.Gini = cand.Gini
-	if cand.Kind == splitter.ContSplit {
-		ns.node.Threshold = cand.Threshold
-	}
-	if cand.Kind == splitter.CatSubset {
-		subset := make([]bool, schema.Attrs[attr].Cardinality())
-		for v := range subset {
-			subset[v] = cand.Subset&(1<<uint(v)) != 0
-		}
-		ns.node.Subset = subset
-	}
+	nChildren := len(ns.node.Children)
 
 	// Phase 1 (PerformSplitI analogue): the splitting attribute's list
 	// determines each record's child; record it in the rid -> child map
 	// and accumulate the child class histograms.
 	childHists := make([][]int64, nChildren)
 	for k := range childHists {
-		childHists[k] = make([]int64, len(ns.hist))
+		childHists[k] = make([]int64, len(ns.node.Hist))
 	}
 	assign := func(rid int32, cid uint8, child uint8) {
 		childOf[rid] = child
@@ -188,16 +143,11 @@ func splitNode(ns *nodeState, cand splitter.Candidate, schema *dataset.Schema, c
 	}
 	if schema.Attrs[attr].Kind == dataset.Continuous {
 		for _, e := range ns.lists.Cont[attr] {
-			child := uint8(1)
-			if e.Val <= cand.Threshold {
-				child = 0
-			}
-			assign(e.Rid, e.Cid, child)
+			assign(e.Rid, e.Cid, cand.ContChild(e.Val))
 		}
 	} else {
 		for _, e := range ns.lists.Cat[attr] {
-			child := childOfCategorical(cand, e.Val)
-			assign(e.Rid, e.Cid, child)
+			assign(e.Rid, e.Cid, cand.CatChild(e.Val))
 		}
 	}
 
@@ -226,41 +176,12 @@ func splitNode(ns *nodeState, cand splitter.Candidate, schema *dataset.Schema, c
 		}
 	}
 
-	parentMajority := tree.Majority(ns.hist)
-	ns.node.Children = make([]*tree.Node, nChildren)
+	splitter.Grow(ns.node, childHists)
 	var out []*nodeState
-	for k := 0; k < nChildren; k++ {
-		child := &tree.Node{Hist: childHists[k]}
-		ns.node.Children[k] = child
-		var size int64
-		for _, c := range childHists[k] {
-			size += c
+	for k, child := range ns.node.Children {
+		if !child.Leaf {
+			out = append(out, &nodeState{node: child, lists: childLists[k], depth: ns.depth + 1})
 		}
-		if size == 0 {
-			// Empty child (an unpopulated categorical value): a leaf
-			// predicting the parent's majority.
-			child.Leaf = true
-			child.Label = parentMajority
-			continue
-		}
-		out = append(out, &nodeState{
-			node:  child,
-			lists: childLists[k],
-			hist:  childHists[k],
-			depth: ns.depth + 1,
-		})
 	}
 	return out
-}
-
-// childOfCategorical returns the child a categorical value descends to
-// under the candidate's decision.
-func childOfCategorical(cand splitter.Candidate, v int32) uint8 {
-	if cand.Kind == splitter.CatSubset {
-		if v < 64 && cand.Subset&(1<<uint(v)) != 0 {
-			return 0
-		}
-		return 1
-	}
-	return uint8(v)
 }

@@ -18,14 +18,15 @@
 // memory-resident class list — O(N) no matter what — is SLIQ's scalability
 // wall and the opening move of SPRINT's and ScalParC's designs.
 //
-// Split selection reuses package splitter, so SLIQ induces exactly the
-// same tree as the serial SPRINT-style classifier and as ScalParC.
+// Split selection and the node rule come from package splitter, so SLIQ
+// induces exactly the same tree as the serial SPRINT-style classifier and
+// as ScalParC.
 package sliq
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/extmem"
 	"repro/internal/gini"
@@ -39,82 +40,33 @@ import (
 type listSource interface {
 	scanCont(attr int, fn func(dataset.ContEntry)) error
 	scanCat(attr int, fn func(dataset.CatEntry)) error
-	close() error
 }
 
-// Train builds a decision tree with in-memory attribute lists.
-func Train(tab *dataset.Table, cfg splitter.Config) (*tree.Tree, error) {
-	lists := dataset.BuildLists(tab, 0)
-	lists.SortContinuous()
-	return induce(tab, cfg, &memSource{lists: lists}, nil)
-}
-
-// tracer carries a modeled serial clock and its phase attribution. SLIQ
-// has no communication world, so the tracer is the single "rank" of the
-// resulting trace. A nil tracer disables all accounting.
-type tracer struct {
-	rt    *trace.RankTrace
-	clock int64
-	model timing.Model
-}
-
-func (t *tracer) phase(p trace.Phase, level int) {
-	if t == nil {
-		return
-	}
-	t.rt.SetPhase(p, level, t.clock)
-}
-
-func (t *tracer) charge(seconds float64) {
-	if t == nil || seconds <= 0 {
-		return
-	}
-	d := int64(math.Round(seconds * 1e12))
-	t.clock += d
-	t.rt.AddPicos(d)
-}
-
-func (t *tracer) chargeScan(n int) {
-	if t != nil {
-		t.charge(t.model.ScanTime(n))
-	}
-}
-
-func (t *tracer) chargeSplit(n int) {
-	if t != nil {
-		t.charge(t.model.SplitTime(n))
-	}
-}
-
-func (t *tracer) chargeHash(n int) {
-	if t != nil {
-		t.charge(t.model.HashTime(n))
-	}
-}
-
-// TrainTraced is Train with a modeled serial clock: every list scan is
-// charged to the cost model and attributed to a phase, producing the
-// same per-phase/per-level breakdown the parallel engines report (as a
-// one-rank trace). SLIQ merges FindSplitI into its evaluation scan and
-// never physically splits a list, so FindSplitI and PerformSplitII
-// report zero by construction: the evaluation scans land in FindSplitII
-// and the class-list rewrite in PerformSplitI.
+// TrainTraced builds the tree with in-memory attribute lists on a modeled
+// serial clock: SLIQ runs as the only rank of a one-processor world, so
+// every list scan is charged to the cost model and attributed to a phase
+// exactly as a parallel run's computation is, producing the same
+// per-phase/per-level breakdown the parallel engines report. SLIQ merges
+// FindSplitI into its evaluation scan and never physically splits a list,
+// so FindSplitI and PerformSplitII report zero by construction: the
+// evaluation scans land in FindSplitII and the class-list rewrite in
+// PerformSplitI.
 func TrainTraced(tab *dataset.Table, cfg splitter.Config, model timing.Model) (*tree.Tree, *trace.Trace, float64, error) {
+	w := comm.NewWorld(1, model)
+	c := w.Rank(0)
 	lists := dataset.BuildLists(tab, 0)
-	tr := &tracer{rt: trace.NewRank(), model: model}
-	tr.phase(trace.Sort, 0)
+	c.SetPhase(trace.Sort, 0)
 	lists.SortContinuous()
-	for _, c := range lists.Cont {
-		tr.charge(model.SortTime(len(c)))
+	for _, l := range lists.Cont {
+		c.Compute(model.SortTime(len(l)))
 	}
-	tr.phase(trace.Other, 0)
-	t, err := induce(tab, cfg, &memSource{lists: lists}, tr)
+	c.SetPhase(trace.Other, 0)
+	t, err := induce(c, tab, cfg, &memSource{lists: lists})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	tr.rt.Finish(tr.clock)
-	out := &trace.Trace{Ranks: []*trace.RankTrace{tr.rt}, FinalPicos: []int64{tr.clock}}
-	return t, out, out.TotalSeconds(), nil
+	tr := w.Trace()
+	return t, tr, tr.TotalSeconds(), nil
 }
 
 // DiskStats reports the disk traffic of a TrainDisk run.
@@ -128,7 +80,7 @@ func TrainDisk(tab *dataset.Table, cfg splitter.Config, dir string, bufSize int)
 	if err != nil {
 		return nil, DiskStats{}, err
 	}
-	src := &diskSource{store: store, schema: tab.Schema}
+	src := &diskSource{store: store}
 	lists := dataset.BuildLists(tab, 0)
 	lists.SortContinuous()
 	for a, attr := range tab.Schema.Attrs {
@@ -142,7 +94,8 @@ func TrainDisk(tab *dataset.Table, cfg splitter.Config, dir string, bufSize int)
 			return nil, DiskStats{}, err
 		}
 	}
-	t, err := induce(tab, cfg, src, nil)
+	// The disk run reports I/O, not modeled time: its clock is discarded.
+	t, err := induce(comm.NewWorld(1, timing.T3D()).Rank(0), tab, cfg, src)
 	stats := store.Stats()
 	if cerr := store.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -168,12 +121,7 @@ func (m *memSource) scanCat(a int, fn func(dataset.CatEntry)) error {
 	return nil
 }
 
-func (m *memSource) close() error { return nil }
-
-type diskSource struct {
-	store  *extmem.Store
-	schema *dataset.Schema
-}
+type diskSource struct{ store *extmem.Store }
 
 func (d *diskSource) scanCont(a int, fn func(dataset.ContEntry)) error {
 	return d.store.ScanCont(listName(a), func(e dataset.ContEntry) error {
@@ -189,12 +137,9 @@ func (d *diskSource) scanCat(a int, fn func(dataset.CatEntry)) error {
 	})
 }
 
-func (d *diskSource) close() error { return nil }
-
 // nodeState is one active leaf of the growing tree.
 type nodeState struct {
 	node  *tree.Node
-	hist  []int64
 	depth int
 }
 
@@ -206,8 +151,9 @@ type contScan struct {
 	best    splitter.Candidate
 }
 
-func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer) (*tree.Tree, error) {
-	defer src.close()
+// induce runs SLIQ as the one rank c, charging its list passes to c's
+// clock.
+func induce(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, src listSource) (*tree.Tree, error) {
 	if err := tab.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -220,30 +166,31 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 		return nil, fmt.Errorf("sliq: empty training set")
 	}
 	schema := tab.Schema
+	model := c.Model()
 
 	// The class list: SLIQ's memory-resident rid -> leaf mapping.
 	classList := make([]int32, n)
 	root := &tree.Node{Hist: tab.ClassHistogram()}
-	active := []*nodeState{{node: root, hist: root.Hist, depth: 0}}
+	active := []*nodeState{{node: root, depth: 0}}
 
 	for level := 0; len(active) > 0; level++ {
 		needSplit := make([]bool, len(active))
 		for i, ns := range active {
-			needSplit[i] = shouldTrySplit(ns, cfg)
+			needSplit[i] = cfg.TrySplit(ns.node, ns.depth)
 		}
 
 		// Evaluation pass: one scan per attribute list evaluates every
 		// active leaf's candidates at once. Every list is scanned in full
 		// each level — retired records included — which is exactly SLIQ's
 		// cost profile, so the full list length is charged.
-		tr.phase(trace.FindSplitII, level)
+		c.SetPhase(trace.FindSplitII, level)
 		best := make([]splitter.Candidate, len(active))
 		for a, attr := range schema.Attrs {
 			if attr.Kind == dataset.Continuous {
 				states := make([]*contScan, len(active))
 				for i := range active {
 					if needSplit[i] {
-						states[i] = &contScan{m: gini.NewMatrix(active[i].hist, nil)}
+						states[i] = &contScan{m: gini.NewMatrix(active[i].node.Hist, nil)}
 					}
 				}
 				err := src.scanCont(a, func(e dataset.ContEntry) {
@@ -297,18 +244,13 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 					}
 				}
 			}
-			tr.chargeScan(n)
+			c.Compute(model.ScanTime(n))
 		}
 
-		// Decisions.
+		// Decisions: best[i] is Invalid for a node that did not try.
 		doSplit := make([]bool, len(active))
 		for i, ns := range active {
-			if !needSplit[i] || !best[i].Valid || best[i].Gini >= gini.Index(ns.hist) {
-				makeLeaf(ns.node, ns.hist)
-				continue
-			}
-			doSplit[i] = true
-			recordDecision(ns.node, best[i], schema)
+			doSplit[i] = splitter.Decide(ns.node, best[i], schema)
 		}
 
 		// Apply pass: first retire records whose leaf is finished, then
@@ -327,26 +269,20 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 			}
 		}
 
-		var next []*nodeState
-		childIndex := make([][]int32, len(active))
 		childHists := make([][][]int64, len(active))
 		for i, ns := range active {
-			if !doSplit[i] {
-				continue
+			if doSplit[i] {
+				childHists[i] = make([][]int64, len(ns.node.Children))
+				for k := range childHists[i] {
+					childHists[i][k] = make([]int64, schema.NumClasses())
+				}
 			}
-			d := childCount(best[i], schema)
-			childIndex[i] = make([]int32, d)
-			childHists[i] = make([][]int64, d)
-			for k := 0; k < d; k++ {
-				childHists[i][k] = make([]int64, schema.NumClasses())
-			}
-			_ = ns
 		}
 
 		// The class-list rewrite is SLIQ's analogue of ScalParC's
 		// PerformSplitI; there is no PerformSplitII because lists are
 		// never physically partitioned.
-		tr.phase(trace.PerformSplitI, level)
+		c.SetPhase(trace.PerformSplitI, level)
 		splitAttrs := map[int]bool{}
 		for i := range active {
 			if doSplit[i] {
@@ -363,10 +299,7 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 					if l < 0 || !doSplit[l] || int(best[l].Attr) != a {
 						return
 					}
-					child := uint8(1)
-					if e.Val <= best[l].Threshold {
-						child = 0
-					}
+					child := best[l].ContChild(e.Val)
 					newClassList[e.Rid] = assigned
 					pendingChild[e.Rid] = child
 					childHists[l][child][e.Cid]++
@@ -380,7 +313,7 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 					if l < 0 || !doSplit[l] || int(best[l].Attr) != a {
 						return
 					}
-					child := childOfCategorical(best[l], e.Val)
+					child := best[l].CatChild(e.Val)
 					newClassList[e.Rid] = assigned
 					pendingChild[e.Rid] = child
 					childHists[l][child][e.Cid]++
@@ -389,31 +322,24 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 					return nil, err
 				}
 			}
-			tr.chargeSplit(n)
+			c.Compute(model.SplitTime(n))
 		}
 
 		// Materialise children now that their histograms are complete.
+		var next []*nodeState
+		childIndex := make([][]int32, len(active))
 		for i, ns := range active {
 			if !doSplit[i] {
 				continue
 			}
-			ns.node.Children = make([]*tree.Node, len(childHists[i]))
-			parentMajority := tree.Majority(ns.hist)
-			for k, hist := range childHists[i] {
-				child := &tree.Node{Hist: hist}
-				ns.node.Children[k] = child
-				var size int64
-				for _, c := range hist {
-					size += c
+			splitter.Grow(ns.node, childHists[i])
+			childIndex[i] = make([]int32, len(ns.node.Children))
+			for k, child := range ns.node.Children {
+				childIndex[i][k] = -1
+				if !child.Leaf {
+					childIndex[i][k] = int32(len(next))
+					next = append(next, &nodeState{node: child, depth: ns.depth + 1})
 				}
-				if size == 0 {
-					child.Leaf = true
-					child.Label = parentMajority
-					childIndex[i][k] = -1
-					continue
-				}
-				childIndex[i][k] = int32(len(next))
-				next = append(next, &nodeState{node: child, hist: hist, depth: ns.depth + 1})
 			}
 		}
 
@@ -427,66 +353,9 @@ func induce(tab *dataset.Table, cfg splitter.Config, src listSource, tr *tracer)
 				return nil, fmt.Errorf("sliq: record %d missed by every apply scan", rid)
 			}
 		}
-		tr.chargeHash(n)
+		c.Compute(model.HashTime(n))
 		classList = newClassList
 		active = next
 	}
 	return &tree.Tree{Schema: schema, Root: root}, nil
-}
-
-func shouldTrySplit(ns *nodeState, cfg splitter.Config) bool {
-	var size int64
-	classes := 0
-	for _, c := range ns.hist {
-		size += c
-		if c > 0 {
-			classes++
-		}
-	}
-	if classes <= 1 {
-		return false
-	}
-	if cfg.MaxDepth > 0 && ns.depth >= cfg.MaxDepth {
-		return false
-	}
-	return size >= int64(cfg.MinSplit)
-}
-
-func makeLeaf(n *tree.Node, hist []int64) {
-	n.Leaf = true
-	n.Label = tree.Majority(hist)
-}
-
-func recordDecision(n *tree.Node, cand splitter.Candidate, schema *dataset.Schema) {
-	attr := int(cand.Attr)
-	n.Attr = attr
-	n.Kind = schema.Attrs[attr].Kind
-	n.Gini = cand.Gini
-	if cand.Kind == splitter.ContSplit {
-		n.Threshold = cand.Threshold
-	}
-	if cand.Kind == splitter.CatSubset {
-		subset := make([]bool, schema.Attrs[attr].Cardinality())
-		for v := range subset {
-			subset[v] = cand.Subset&(1<<uint(v)) != 0
-		}
-		n.Subset = subset
-	}
-}
-
-func childCount(cand splitter.Candidate, schema *dataset.Schema) int {
-	if cand.Kind == splitter.CatMWay {
-		return schema.Attrs[cand.Attr].Cardinality()
-	}
-	return 2
-}
-
-func childOfCategorical(cand splitter.Candidate, v int32) uint8 {
-	if cand.Kind == splitter.CatSubset {
-		if v < 64 && cand.Subset&(1<<uint(v)) != 0 {
-			return 0
-		}
-		return 1
-	}
-	return uint8(v)
 }

@@ -8,7 +8,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/serial"
 	"repro/internal/splitter"
+	"repro/internal/timing"
+	"repro/internal/tree"
 )
+
+// train is TrainTraced without the trace.
+func train(tab *dataset.Table, cfg splitter.Config) (*tree.Tree, error) {
+	t, _, _, err := TrainTraced(tab, cfg, timing.T3D())
+	return t, err
+}
 
 func TestSliqMatchesSerialOracle(t *testing.T) {
 	for _, f := range []int{1, 2, 3, 7} {
@@ -20,7 +28,7 @@ func TestSliqMatchesSerialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Train(tab, splitter.Config{})
+		got, err := train(tab, splitter.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +53,7 @@ func TestSliqCategoricalAndConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Train(tab, cfg)
+		got, err := train(tab, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +80,7 @@ func TestSliqDuplicateHeavyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Train(tab, splitter.Config{})
+	got, err := train(tab, splitter.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +91,11 @@ func TestSliqDuplicateHeavyData(t *testing.T) {
 
 func TestSliqErrors(t *testing.T) {
 	empty := dataset.NewTable(datagen.Schema(datagen.Seven), 0)
-	if _, err := Train(empty, splitter.Config{}); err == nil {
+	if _, err := train(empty, splitter.Config{}); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 	bad := &dataset.Schema{Classes: []string{"A", "B"}}
-	if _, err := Train(dataset.NewTable(bad, 0), splitter.Config{}); err == nil {
+	if _, err := train(dataset.NewTable(bad, 0), splitter.Config{}); err == nil {
 		t.Fatal("invalid schema accepted")
 	}
 }
@@ -97,7 +105,7 @@ func TestTrainDiskSameTreeAsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := Train(tab, splitter.Config{})
+	mem, err := train(tab, splitter.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

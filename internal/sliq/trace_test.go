@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 	"repro/internal/trace"
@@ -14,7 +15,7 @@ func TestTrainTracedSameTreeAndConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Train(tab, splitter.Config{})
+	want, err := serial.Train(tab, splitter.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestTrainTracedSameTreeAndConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatal("TrainTraced induced a different tree than Train")
+		t.Fatal("TrainTraced induced a different tree than the serial oracle")
 	}
 	if len(tr.Ranks) != 1 {
 		t.Fatalf("serial trace has %d ranks", len(tr.Ranks))

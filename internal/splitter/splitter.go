@@ -1,14 +1,17 @@
 // Package splitter holds the split-selection logic shared by the serial
-// classifier and both parallel classifiers: induction parameters, split
-// candidates with a deterministic total order, and categorical split
-// evaluation from a count matrix.
+// classifiers (the SPRINT-style oracle and SLIQ) and the parallel engine:
+// induction parameters, split candidates with a deterministic total order,
+// categorical split evaluation from a count matrix, the vote election, and
+// the node rule (node.go) — whether a node tries to split, whether its
+// winner beats it, what the node records, which child a value descends to,
+// and how children are grown.
 //
 // All candidate ginis are pure functions of integer class counts, so the
 // serial and parallel paths — which obtain the same integer counts by
 // different routes (local scans vs prefix scans and reductions) — compute
 // bit-identical float64 ginis. Together with the deterministic candidate
-// order this guarantees ScalParC builds exactly the serial tree for every
-// processor count.
+// order and the one node rule this guarantees ScalParC builds exactly the
+// serial tree for every processor count.
 package splitter
 
 import (

@@ -18,9 +18,8 @@
 // per-phase times sum *exactly* to the modeled runtime T_p — checkable
 // with == rather than a tolerance.
 //
-// The package is dependency-free so that both the parallel engine (via
-// package comm) and the serial SLIQ baseline (which has no communication
-// layer at all) can produce comparable breakdowns.
+// Package comm is the only writer; the serial SLIQ baseline runs as the
+// one rank of a comm world, so its breakdown is booked the same way.
 package trace
 
 // Phase identifies one phase of the paper's induction loop. Other is the

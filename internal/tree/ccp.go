@@ -51,7 +51,7 @@ func (t *Tree) PruneCCP(val *dataset.Table) (int, error) {
 			break
 		}
 		weakest.Leaf = true
-		weakest.Label = majority(weakest.Hist)
+		weakest.Label = Majority(weakest.Hist)
 		weakest.Children = nil
 		weakest.Subset = nil
 

@@ -36,7 +36,7 @@ func pruneNode(n *Node, pruned *int) *Node {
 	leafErr := leafErrors(n) + 0.5
 	if leafErr <= subtree+se {
 		*pruned += n.count(func(m *Node) bool { return !m.Leaf })
-		return &Node{Leaf: true, Label: majority(n.Hist), Hist: n.Hist}
+		return &Node{Leaf: true, Label: Majority(n.Hist), Hist: n.Hist}
 	}
 	return n
 }
@@ -67,9 +67,10 @@ func subtreeErrors(n *Node) float64 {
 	return sum
 }
 
-// majority returns the index of the largest histogram entry, ties broken
-// toward the smallest class index (matching the induction's leaf labeling).
-func majority(h []int64) int {
+// Majority returns the index of the largest histogram entry, ties broken
+// toward the smallest class index: the leaf label every classifier and
+// pruner applies.
+func Majority(h []int64) int {
 	best, bestCount := 0, int64(-1)
 	for i, c := range h {
 		if c > bestCount {
@@ -78,7 +79,3 @@ func majority(h []int64) int {
 	}
 	return best
 }
-
-// Majority exposes the deterministic majority-label rule shared by the
-// classifiers.
-func Majority(h []int64) int { return majority(h) }
