@@ -70,18 +70,24 @@ chaos:
 # fault kinds (hang/delay/reset/truncate at phase boundaries, p in {2,4}), each run
 # required to terminate within the detection bound and produce the
 # byte-identical tree of a fault-free run, plus the coordinator's
-# respawn-from-checkpoint path. No -race: these launch OS processes.
+# respawn-from-checkpoint path. Every case writes a -trace file; a failing
+# one leaves it, with its output and tree, in CHAOS_ARTIFACT_DIR. No -race:
+# these launch OS processes.
 chaos-tcp:
 	CHAOS_TCP=1 CHAOS_ARTIFACT_DIR="$(CHAOS_ARTIFACT_DIR)" $(GO) test -count=1 \
 		-timeout 10m -run 'TestTCPChaos|TestTCPOrphanRespawn' ./cmd/scalparc
 
-# The TCP transport backend: unit tests, the sim-vs-tcp differential
-# (byte-identical trees and modeled runtimes at p in {2,4}), and the
-# real-process crash-recovery sweep. The CLI tests spawn worker OS
-# processes, so this target runs without -race (make race covers the
-# transport's in-process meshes and the simulated side).
+# The TCP transport backend: unit tests, the engine-level books
+# differential (every rank's stats, peak, clock and trace in every
+# process), the JSON form a rank's trace crosses the wire in, the
+# sim-vs-tcp CLI differential (byte-identical trees, modeled runtimes,
+# phase tables and Chrome traces at p in {2,4}), and the real-process
+# crash-recovery runs. The CLI tests spawn worker OS processes, so this
+# target runs without -race (make race covers the transport's in-process
+# meshes and the simulated side).
 tcp:
 	$(GO) test -count=1 ./internal/comm/tcptransport
+	$(GO) test -count=1 -run 'TestRankTraceJSON' ./internal/trace
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the

@@ -18,10 +18,10 @@ import (
 	"time"
 )
 
-// dumpChaosTCP preserves a failing chaos run's coordinator output and
-// tree files in $CHAOS_ARTIFACT_DIR (set by `make chaos-tcp` in CI), so
-// the evidence survives as a build artifact. Registered as a cleanup; a
-// passing test writes nothing.
+// dumpChaosTCP preserves a failing chaos run's coordinator output, tree
+// file and Chrome trace (every survivor's timeline) in $CHAOS_ARTIFACT_DIR
+// (set by `make chaos-tcp` in CI), so the evidence survives as a build
+// artifact. Registered as a cleanup; a passing test writes nothing.
 func dumpChaosTCP(t *testing.T, label string, out *bytes.Buffer, files ...string) {
 	t.Cleanup(func() {
 		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
@@ -82,12 +82,13 @@ func TestTCPChaosHangFindSplitI(t *testing.T) {
 	clean, cleanWall := chaosOracle(t, base, dir)
 
 	hungPath := filepath.Join(dir, "hung.json")
+	tracePath := filepath.Join(dir, "hung-trace.json")
 	args := append(append([]string(nil), base...),
 		"-transport", "tcp", "-detect-timeout", detect.String(),
 		"-checkpoint", filepath.Join(dir, "ck"),
-		"-faults", "hang@FindSplitI:2:1", "-json-out", hungPath)
+		"-faults", "hang@FindSplitI:2:1", "-json-out", hungPath, "-trace", tracePath)
 	var out bytes.Buffer
-	dumpChaosTCP(t, "hang-findsplit-gate", &out, hungPath)
+	dumpChaosTCP(t, "hang-findsplit-gate", &out, hungPath, tracePath)
 	start := time.Now()
 	if err := run(args, &out); err != nil {
 		t.Fatalf("hung run: %v\n%s", err, out.String())
@@ -132,12 +133,13 @@ func TestTCPOrphanRespawnFromCheckpoint(t *testing.T) {
 	clean, _ := chaosOracle(t, base, dir)
 
 	outPath := filepath.Join(dir, "respawn.json")
+	tracePath := filepath.Join(dir, "respawn-trace.json")
 	args := append(append([]string(nil), base...),
 		"-transport", "tcp", "-detect-timeout", "400ms",
 		"-checkpoint", filepath.Join(dir, "ck"),
-		"-faults", "hang@FindSplitI:1:1", "-json-out", outPath)
+		"-faults", "hang@FindSplitI:1:1", "-json-out", outPath, "-trace", tracePath)
 	var out bytes.Buffer
-	dumpChaosTCP(t, "orphan-respawn", &out, outPath)
+	dumpChaosTCP(t, "orphan-respawn", &out, outPath, tracePath)
 	if err := run(args, &out); err != nil {
 		t.Fatalf("respawn run: %v\n%s", err, out.String())
 	}
@@ -147,6 +149,12 @@ func TestTCPOrphanRespawnFromCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(s, "finished on 1 processors") {
 		t.Fatalf("respawned run did not finish solo:\n%s", s)
+	}
+	// The report speaks of the run the user asked for, not the respawn.
+	for _, want := range []string{"lost ranks [1]", "on 2 processors"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
 	}
 	got, err := os.ReadFile(outPath)
 	if err != nil {
@@ -187,12 +195,13 @@ func TestTCPChaosSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d-%s", procs, tc.name), func(t *testing.T) {
 				victim := procs - 1
 				outPath := filepath.Join(dir, tc.name+".json")
+				tracePath := filepath.Join(dir, tc.name+"-trace.json")
 				args := append(append([]string(nil), base...),
 					"-transport", "tcp", "-detect-timeout", detect,
 					"-checkpoint", filepath.Join(dir, "ck-"+tc.name),
-					"-faults", fmt.Sprintf(tc.spec, victim), "-json-out", outPath)
+					"-faults", fmt.Sprintf(tc.spec, victim), "-json-out", outPath, "-trace", tracePath)
 				var out bytes.Buffer
-				dumpChaosTCP(t, fmt.Sprintf("p%d-%s", procs, tc.name), &out, outPath)
+				dumpChaosTCP(t, fmt.Sprintf("p%d-%s", procs, tc.name), &out, outPath, tracePath)
 				if err := run(args, &out); err != nil {
 					t.Fatalf("chaos run: %v\n%s", err, out.String())
 				}

@@ -240,9 +240,6 @@ func run(args []string, stdout io.Writer) error {
 		if *cvFolds > 0 {
 			return fmt.Errorf("-cv requires -transport=sim")
 		}
-		if *phases || *traceOut != "" {
-			return fmt.Errorf("phase traces are per-process and do not cross the wire; -phases and -trace require -transport=sim")
-		}
 	default:
 		return fmt.Errorf("unknown -transport %q (want sim or tcp)", *transport)
 	}

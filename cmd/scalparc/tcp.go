@@ -8,9 +8,9 @@ package main
 // rebuilds the identical dataset from the shared flags, trains over the
 // wire, and the surviving dense-rank-0 worker publishes the tree and
 // metrics back through a result file: one header line — the metrics as
-// JSON, comm and memory stats pooled over every surviving rank — then the
-// tree document exactly as Tree.Encode wrote it (a deep tree is megabytes,
-// so it is neither wrapped in the header's JSON nor parsed twice).
+// JSON, every surviving rank's books, phase trace included — then the tree
+// document exactly as Tree.Encode wrote it (a deep tree is megabytes, so
+// it is neither wrapped in the header's JSON nor parsed twice).
 //
 // With -detect-timeout the workers suspect silent peers by heartbeat
 // timeout, and with -checkpoint the coordinator becomes a supervisor:
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/classify"
@@ -37,6 +38,8 @@ import (
 // failed attempt is relaunched at the surviving world size with the
 // resume environment set, and with the fault spec cleared — injected
 // faults are one-shot, they struck the attempt they were scheduled for.
+// A respawned attempt's rank r stands for its parent attempt's r-th
+// survivor, so the reported lost ranks are the original run's.
 func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect time.Duration, ckptDir string, stdout io.Writer) (*classify.Model, error) {
 	opts := tcptransport.LaunchOpts{}
 	if detect > 0 {
@@ -50,10 +53,13 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 			opts.Grace = 100 * time.Millisecond
 		}
 	}
-	p := procs
+	ids := make([]int, procs) // ids[r]: the original rank this attempt's rank r stands for
+	for r := range ids {
+		ids[r] = r
+	}
 	launchArgs := args
 	for attempt := 0; ; attempt++ {
-		job, err := tcptransport.LaunchWith(p, launchArgs, workerOut, opts)
+		job, err := tcptransport.LaunchWith(len(ids), launchArgs, workerOut, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -69,19 +75,31 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 			if err != nil {
 				return nil, fmt.Errorf("decoding worker tree: %w", err)
 			}
-			// Coordinator-level respawns are recoveries the workers of the
-			// final attempt never saw; fold them into the reported count.
+			// The final attempt's workers never saw the coordinator's
+			// respawns or earlier attempts' losses: a rank of the run as
+			// asked for is lost unless the final attempt ran it and kept it.
 			metrics.Recoveries += attempt
+			metrics.Processors = procs
+			gone := metrics.Lost
+			metrics.Lost = nil
+			for id := range procs {
+				if r := slices.Index(ids, id); r < 0 || slices.Contains(gone, r) {
+					metrics.Lost = append(metrics.Lost, id)
+				}
+			}
 			return &classify.Model{Tree: tree, Metrics: metrics}, nil
 		}
 		survivors := job.Survivors()
 		job.Close()
-		if ckptDir == "" || survivors < 1 || attempt+1 >= procs {
+		if ckptDir == "" || len(survivors) < 1 || attempt+1 >= procs {
 			return nil, werr
 		}
 		fmt.Fprintf(stdout, "tcp attempt %d failed (%v); respawning %d survivor(s) from checkpoint %s\n",
-			attempt+1, werr, survivors, ckptDir)
-		p = survivors
+			attempt+1, werr, len(survivors), ckptDir)
+		for i, r := range survivors {
+			ids[i] = ids[r]
+		}
+		ids = ids[:len(survivors)]
 		opts.Resume = true
 		// Flag order wins ties, so appending overrides any fault spec in
 		// the original command line without rewriting it.
@@ -127,15 +145,11 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Dura
 		}
 		return err
 	}
-	poolStats(w, &model.Metrics)
 	for phys := 0; phys < tr.Rank(); phys++ {
 		if w.Live(phys) {
 			return tcptransport.WriteStatus("ok")
 		}
 	}
-	// Per-process phase traces don't cross the wire; -phases and -trace
-	// are rejected up front for -transport=tcp.
-	model.Metrics.Trace = nil
 	header, err := json.Marshal(model.Metrics)
 	if err != nil {
 		return err
@@ -150,58 +164,4 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Dura
 	// The status write comes after the result write: the coordinator's
 	// watchdog starts its grace clock at the first "ok".
 	return tcptransport.WriteStatus("ok")
-}
-
-// poolStats runs one more SPMD section over the survivors to pool the
-// per-process communication and memory stats: a transport-backed world
-// only observes its own rank, so without this the published metrics
-// would cover 1/p of the machine.
-func poolStats(w *comm.World, m *classify.Metrics) {
-	w.SetFaultInjector(nil) // training is done; no more injected faults
-	var sent, recv, suspicions int64
-	var peaks []int64
-	w.Run(func(c *comm.Comm) {
-		for {
-			ok := func() (ok bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						var rf *comm.RankFailure
-						if e, isErr := r.(error); isErr && errors.As(e, &rf) && rf.Recoverable() {
-							return
-						}
-						panic(r)
-					}
-				}()
-				st := c.Stats()
-				mine := []int64{st.BytesSent, st.BytesRecv, c.Mem().Peak(), st.Suspicions}
-				all := comm.AllgatherFlat(c, mine)
-				sent, recv, suspicions, peaks = 0, 0, 0, peaks[:0]
-				for i := 0; i+3 < len(all); i += 4 {
-					sent += all[i]
-					recv += all[i+1]
-					peaks = append(peaks, all[i+2])
-					suspicions += all[i+3]
-				}
-				return true
-			}()
-			if ok {
-				return
-			}
-			// A peer process died between training and the stats
-			// exchange: shrink with the other survivors and retry.
-			if c.TryShrink() != nil {
-				// The vote itself evicted or orphaned this rank; the
-				// training result is already in hand, so publish this
-				// rank's own stats unpooled rather than aborting.
-				st := c.Stats()
-				sent, recv, suspicions = st.BytesSent, st.BytesRecv, st.Suspicions
-				peaks = []int64{c.Mem().Peak()}
-				return
-			}
-		}
-	})
-	m.BytesSent, m.BytesRecv = sent, recv
-	m.PeakMemoryPerRank = peaks
-	m.FinalRanks = w.LiveRanks()
-	m.Suspicions = suspicions
 }

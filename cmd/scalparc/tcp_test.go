@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -30,41 +31,64 @@ func TestMain(m *testing.M) {
 // TestTCPDifferential is the end-to-end transport differential: train
 // the same Quest dataset on the simulated backend and on real worker
 // processes over localhost TCP, and assert the induced trees are
-// byte-identical at each processor count.
+// byte-identical at each processor count, and so is every per-rank
+// figure the coordinator reports: the phase table, the Chrome trace, and
+// the peak-memory and traffic line.
 func TestTCPDifferential(t *testing.T) {
 	dir := t.TempDir()
 	for _, procs := range []int{2, 4} {
 		base := []string{"-quest-function", "3", "-records", "3000", "-seed", "11",
-			"-procs", fmt.Sprint(procs)}
-		simPath := filepath.Join(dir, fmt.Sprintf("sim-%d.json", procs))
-		tcpPath := filepath.Join(dir, fmt.Sprintf("tcp-%d.json", procs))
-		simArgs := append(append([]string(nil), base...), "-json-out", simPath)
-		tcpArgs := append(append([]string(nil), base...), "-transport=tcp", "-json-out", tcpPath)
-		var simOut, tcpOut bytes.Buffer
-		if err := run(simArgs, &simOut); err != nil {
-			t.Fatalf("p=%d sim: %v", procs, err)
+			"-procs", fmt.Sprint(procs), "-phases"}
+		outs, trees, traces := map[string]string{}, map[string][]byte{}, map[string][]byte{}
+		for _, backend := range []string{"sim", "tcp"} {
+			treePath := filepath.Join(dir, fmt.Sprintf("%s-%d.json", backend, procs))
+			tracePath := filepath.Join(dir, fmt.Sprintf("%s-%d-trace.json", backend, procs))
+			args := append(append([]string(nil), base...), "-transport="+backend,
+				"-json-out", treePath, "-trace", tracePath)
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("p=%d %s: %v", procs, backend, err)
+			}
+			outs[backend] = out.String()
+			trees[backend], traces[backend] = readFile(t, treePath), readFile(t, tracePath)
 		}
-		if err := run(tcpArgs, &tcpOut); err != nil {
-			t.Fatalf("p=%d tcp: %v", procs, err)
+		if !bytes.Equal(trees["sim"], trees["tcp"]) {
+			t.Fatalf("p=%d: trees diverged between backends\nsim: %s\ntcp: %s", procs, trees["sim"], trees["tcp"])
 		}
-		sim, err := os.ReadFile(simPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcp, err := os.ReadFile(tcpPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sim, tcp) {
-			t.Fatalf("p=%d: trees diverged between backends\nsim: %s\ntcp: %s", procs, sim, tcp)
+		if !bytes.Equal(traces["sim"], traces["tcp"]) {
+			t.Fatalf("p=%d: Chrome traces diverged between backends", procs)
 		}
 		// The backends must also agree on the modeled machine: same
-		// deterministic runtime to the picosecond.
-		simLine, tcpLine := pick(simOut.String(), "modeled runtime"), pick(tcpOut.String(), "modeled runtime")
-		if simLine == "" || simLine != tcpLine {
-			t.Fatalf("p=%d: modeled runtimes diverged:\nsim: %q\ntcp: %q", procs, simLine, tcpLine)
+		// deterministic runtime to the picosecond, and every rank's memory,
+		// traffic and phase buckets.
+		for _, substr := range []string{"modeled runtime", "peak memory"} {
+			simLine, tcpLine := pick(outs["sim"], substr), pick(outs["tcp"], substr)
+			if simLine == "" || simLine != tcpLine {
+				t.Fatalf("p=%d: %q lines diverged:\nsim: %q\ntcp: %q", procs, substr, simLine, tcpLine)
+			}
+		}
+		simTable, tcpTable := phaseTable(outs["sim"]), phaseTable(outs["tcp"])
+		if simTable == "" || simTable != tcpTable {
+			t.Fatalf("p=%d: phase tables diverged:\nsim:\n%s\ntcp:\n%s", procs, simTable, tcpTable)
 		}
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// phaseTable returns the -phases report in a run's output: from its
+// heading up to the line announcing the Chrome trace.
+func phaseTable(out string) string {
+	_, table, _ := strings.Cut(out, "phase breakdown")
+	table, _, _ = strings.Cut(table, "wrote Chrome trace")
+	return table
 }
 
 // pick returns the (trimmed) first output line containing the substring,
@@ -84,15 +108,18 @@ func pick(out, substr string) string {
 
 // TestTCPCrashRecovery kills one worker process mid-training with an
 // injected fault and expects the survivors to shrink, replay, and
-// deliver the same tree a fault-free run induces.
+// deliver the same tree a fault-free run induces. The run is also
+// diagnosed from its Chrome trace alone: each survivor's thread must show
+// that it detected the failure and joined the shrink.
 func TestTCPCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-quest-function", "2", "-records", "2000", "-seed", "7", "-procs", "3"}
 	cleanPath := filepath.Join(dir, "clean.json")
 	crashPath := filepath.Join(dir, "crash.json")
+	tracePath := filepath.Join(dir, "crash-trace.json")
 	cleanArgs := append(append([]string(nil), base...), "-json-out", cleanPath)
 	crashArgs := append(append([]string(nil), base...), "-transport=tcp",
-		"-faults", "crash@FindSplitI:2:1", "-json-out", crashPath)
+		"-faults", "crash@FindSplitI:2:1", "-json-out", crashPath, "-trace", tracePath)
 	if err := run(cleanArgs, io.Discard); err != nil {
 		t.Fatalf("clean: %v", err)
 	}
@@ -104,16 +131,32 @@ func TestTCPCrashRecovery(t *testing.T) {
 	if !strings.Contains(s, "recovered from 1 failure(s)") || !strings.Contains(s, "finished on 2 processors") {
 		t.Fatalf("crash run did not report recovery:\n%s", s)
 	}
-	clean, err := os.ReadFile(cleanPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed, err := os.ReadFile(crashPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(clean, crashed) {
+	if !bytes.Equal(readFile(t, cleanPath), readFile(t, crashPath)) {
 		t.Fatal("post-recovery tree differs from the fault-free tree")
+	}
+
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(readFile(t, tracePath), &chrome); err != nil {
+		t.Fatalf("parsing the Chrome trace: %v", err)
+	}
+	instants := map[string]bool{} // "tid name"
+	for _, e := range chrome.TraceEvents {
+		if e.Ph == "i" {
+			instants[fmt.Sprint(e.Tid, " ", e.Name)] = true
+		}
+	}
+	for _, survivor := range []int{0, 2} {
+		for _, name := range []string{"fault:detected", "recovery:shrink"} {
+			if !instants[fmt.Sprint(survivor, " ", name)] {
+				t.Errorf("rank %d's thread has no %q event; instant events: %v", survivor, name, instants)
+			}
+		}
 	}
 }
 
@@ -122,7 +165,6 @@ var tcpFlagRejections = [][]string{
 	{"-quest-function", "1", "-records", "200", "-transport", "bogus"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-algo", "serial"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-cv", "3"},
-	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-phases"},
 	{"-quest-function", "1", "-records", "200", "-transport", "tcp", "-procs", "0"},
 }
 

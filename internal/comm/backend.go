@@ -1,11 +1,13 @@
 package comm
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"unsafe"
 
 	"repro/internal/timing"
+	"repro/internal/trace"
 )
 
 // This file is the backend seam: the only place that knows a World is one
@@ -23,6 +25,7 @@ import (
 //	suspicions      timeout verdicts the machine has reached
 //	interrupt       releasing ranks the machine has blocked, after a loss
 //	rendezvous      the survivors' meeting inside Shrink
+//	ExchangeBooks   every rank's books in every process, after a run
 //
 // The simulated machine (tr == nil) moves everything by reference between
 // goroutines, through the deposit cells, the counting barrier and the
@@ -32,8 +35,8 @@ import (
 // NewTransportWorld creates a World driven by a wire transport: the
 // local process runs exactly rank t.Rank() of a t.Size()-rank machine
 // whose other ranks are peer processes. The full per-rank bookkeeping
-// arrays exist (results are indexed by physical rank as usual) but only
-// the local rank's entries are ever written; peers report their own.
+// arrays exist (results are indexed by physical rank as usual); operations
+// write only the local rank's entries, and ExchangeBooks fills the peers'.
 func NewTransportWorld(t Transport, model timing.Model) *World {
 	w := NewWorld(t.Size(), model)
 	w.tr = t
@@ -52,6 +55,43 @@ func NewTransportWorld(t Transport, model timing.Model) *World {
 // Distributed reports whether this World runs over a wire transport
 // (one local rank per process) rather than the simulated machine.
 func (w *World) Distributed() bool { return w.tr != nil }
+
+// ExchangeBooks fills the peer slots Stats, PeakMemory, Trace and MaxClock
+// read, so both machines report every rank: on a wire each live process
+// sends its rank's stats, tracked peak, clock and phase trace to the
+// others once (the simulated machine holds them already). Bookkeeping, not
+// a modeled operation: no fault site, bytes, op count or clock advance. An
+// error (a peer lost after the last operation) may leave peer slots
+// unfilled. Call only while no SPMD section is running.
+func (w *World) ExchangeBooks() error {
+	if w.tr == nil {
+		return nil
+	}
+	type book struct { // the clock rides in the frame header
+		Stats Stats
+		Peak  int64
+		Trace *trace.RankTrace
+	}
+	me := w.self
+	data, err := json.Marshal(book{w.stats[me], w.mem[me].Peak(), w.traces[me]})
+	if err != nil {
+		return fmt.Errorf("comm: encoding rank %d's books: %w", me, err)
+	}
+	frames, err := w.tr.Exchange(TagDeposit, Frame{Clock: w.clocks[me], Data: data})
+	if err != nil {
+		return fmt.Errorf("comm: books exchange: %w", err)
+	}
+	for d, f := range frames {
+		var b book
+		if phys := w.physOf[d]; phys != me {
+			if err := json.Unmarshal(f.Data, &b); err != nil {
+				return &ProtocolError{Op: "ExchangeBooks", Rank: me, Detail: err.Error()}
+			}
+			w.stats[phys], w.mem[phys], w.clocks[phys], w.traces[phys] = b.Stats, MemMeter{peak: b.Peak}, f.Clock, b.Trace
+		}
+	}
+	return nil
+}
 
 // runsHere reports whether physical rank phys executes in this process:
 // every rank of the simulated machine, the local rank alone of a wire one.

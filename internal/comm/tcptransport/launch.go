@@ -306,17 +306,18 @@ func (j *Job) Statuses() map[int]string {
 	return out
 }
 
-// Survivors counts the workers that ended the attempt alive — finished
-// cleanly or aborted as orphans — which is the world size a respawn
-// from checkpoint should use.
-func (j *Job) Survivors() int {
-	n := 0
-	for _, s := range j.Statuses() {
-		if s == "ok" || s == "orphaned" {
-			n++
+// Survivors lists, ascending, the ranks of the workers that ended the
+// attempt alive — finished cleanly or aborted as orphans. Their count is
+// the world size a respawn from checkpoint should use.
+func (j *Job) Survivors() []int {
+	var alive []int
+	st := j.Statuses()
+	for r := range j.procs {
+		if st[r] == "ok" || st[r] == "orphaned" {
+			alive = append(alive, r)
 		}
 	}
-	return n
+	return alive
 }
 
 // Close releases the job's scratch directory (result and status files).

@@ -218,14 +218,22 @@ func (t *T) reader(peer int, c net.Conn) {
 	}
 }
 
-// popLocked removes and returns the next frame of the tag from the peer
-// at exactly the given epoch, dropping older frames on the way.
-func (t *T) popLocked(peer int, tag comm.Tag, epoch uint64) (wireFrame, bool) {
+// trimLocked drops the peer's frames of the tag older than the epoch and
+// returns what is left. A peer's epochs never decrease on its connection,
+// so the stale frames are all at the head of the queue.
+func (t *T) trimLocked(peer int, tag comm.Tag, epoch uint64) []wireFrame {
 	q := t.queues[peer][tag]
 	for len(q) > 0 && q[0].epoch < epoch {
 		q = q[1:]
 	}
 	t.queues[peer][tag] = q
+	return q
+}
+
+// popLocked removes and returns the next frame of the tag from the peer
+// at exactly the given epoch, dropping older frames on the way.
+func (t *T) popLocked(peer int, tag comm.Tag, epoch uint64) (wireFrame, bool) {
+	q := t.trimLocked(peer, tag, epoch)
 	if len(q) > 0 && q[0].epoch == epoch {
 		t.queues[peer][tag] = q[1:]
 		return q[0], true
@@ -295,24 +303,14 @@ func (t *T) fail(calls []int) error {
 	return ErrPeerFailed
 }
 
-// livePeersLocked returns the live peers (self excluded), ascending.
-func (t *T) livePeersLocked() []int {
+// peersLocked returns the peers (self excluded) in the mask, ascending:
+// t.live for the live peers, or t.prevLive for the current epoch's
+// members — the membership agreed at the last Shrink, dead or not.
+// Collectives address exactly the members: a member death makes the op
+// fail (and the group recover), never silently shrink mid-epoch.
+func (t *T) peersLocked(mask []bool) []int {
 	peers := make([]int, 0, t.p-1)
-	for r, alive := range t.live {
-		if alive && r != t.rank {
-			peers = append(peers, r)
-		}
-	}
-	return peers
-}
-
-// epochPeersLocked returns the peers belonging to the current epoch —
-// the membership agreed at the last Shrink, dead or not. Collectives
-// must address exactly this set: a member death makes the op fail (and
-// the group recover), never silently shrink mid-epoch.
-func (t *T) epochPeersLocked() []int {
-	peers := make([]int, 0, t.p-1)
-	for r, in := range t.prevLive {
+	for r, in := range mask {
 		if in && r != t.rank {
 			peers = append(peers, r)
 		}
@@ -342,7 +340,7 @@ func (t *T) write(peer int, f wireFrame) error {
 func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 	t.mu.Lock()
 	epoch := t.epoch
-	peers := t.epochPeersLocked()
+	peers := t.peersLocked(t.prevLive)
 	if t.failedLocked(peers) {
 		calls := t.failLocked()
 		t.mu.Unlock()
@@ -371,12 +369,7 @@ func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 		ready := true
 		orphaned := false // a missing frame's sender is dead
 		for _, peer := range peers {
-			q := t.queues[peer][tag]
-			for len(q) > 0 && q[0].epoch < epoch {
-				q = q[1:]
-			}
-			t.queues[peer][tag] = q
-			if len(q) == 0 {
+			if len(t.trimLocked(peer, tag, epoch)) == 0 {
 				ready = false
 				if !t.live[peer] {
 					orphaned = true
@@ -467,7 +460,7 @@ func (t *T) Shrink(clock int64) ([]int, int64, error) {
 			mask |= 1 << r
 		}
 	}
-	peers := t.livePeersLocked()
+	peers := t.peersLocked(t.live)
 	t.mu.Unlock()
 
 	var payload [8]byte
@@ -541,7 +534,7 @@ func (t *T) Shrink(clock int64) ([]int, int64, error) {
 		// partitioned party, not the last survivor; abort and let the
 		// coordinator respawn the true survivors from the checkpoint.
 		evicted := union&(1<<t.rank) != 0
-		if evicted || (len(t.livePeersLocked()) == 0 && len(t.epochPeersLocked()) > 0) {
+		if evicted || (len(t.peersLocked(t.live)) == 0 && len(t.peersLocked(t.prevLive)) > 0) {
 			t.inShrink = false
 			t.mu.Unlock()
 			return nil, 0, ErrOrphaned
@@ -568,15 +561,7 @@ func (t *T) Shrink(clock int64) ([]int, int64, error) {
 	// for an op the survivors abandoned — would otherwise linger).
 	for peer := range t.queues {
 		for tag := range t.queues[peer] {
-			q := t.queues[peer][tag]
-			k := 0
-			for _, f := range q {
-				if f.epoch >= t.epoch {
-					q[k] = f
-					k++
-				}
-			}
-			t.queues[peer][tag] = q[:k]
+			t.trimLocked(peer, comm.Tag(tag), t.epoch)
 		}
 	}
 	t.mu.Unlock()

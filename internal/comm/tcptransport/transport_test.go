@@ -12,6 +12,8 @@ import (
 
 	"repro/classify"
 	"repro/internal/comm"
+	"repro/internal/scalparc"
+	"repro/internal/splitter"
 	"repro/internal/timing"
 )
 
@@ -321,6 +323,68 @@ func TestWireCheckpointCrashRecovery(t *testing.T) {
 		mm := models[r].Metrics
 		if mm.Recoveries != 1 || mm.FinalRanks != p-1 || len(mm.Lost) != 1 || mm.Lost[0] != victim {
 			t.Fatalf("survivor %d recovery metrics %+v", r, mm)
+		}
+	}
+}
+
+// TestTrainBooksMatchSimulated is the engine-level books differential:
+// TrainOpts over an in-process TCP mesh must return, in every process,
+// every rank's stats, tracked peak, final clock and phase trace (buckets,
+// spans, events) exactly as the simulated run reports them — the peers'
+// slots included, not just the process's own rank.
+func TestTrainBooksMatchSimulated(t *testing.T) {
+	tab, err := classify.GenerateQuest(classify.QuestConfig{Function: 2, Records: 1500, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 4} {
+		for _, opts := range []scalparc.Options{{}, {Split: scalparc.SplitBinned, Bins: 16}} {
+			sim, err := scalparc.TrainOpts(comm.NewWorld(p, timing.T3D()), tab, splitter.Config{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := ConnectLocal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := make([]*scalparc.Result, p)
+			errs := make([]error, p)
+			var wg sync.WaitGroup
+			for i, tr := range ts {
+				wg.Add(1)
+				go func(i int, w *comm.World) {
+					defer wg.Done()
+					wire[i], errs[i] = scalparc.TrainOpts(w, tab, splitter.Config{}, opts)
+				}(i, comm.NewTransportWorld(tr, timing.T3D()))
+			}
+			wg.Wait()
+			for _, tr := range ts {
+				tr.Close()
+			}
+			for proc, res := range wire {
+				if errs[proc] != nil {
+					t.Fatalf("p=%d %v: process %d: %v", p, opts.Split, proc, errs[proc])
+				}
+				where := fmt.Sprintf("p=%d %v process %d", p, opts.Split, proc)
+				if res.ModeledSeconds != sim.ModeledSeconds {
+					t.Errorf("%s: modeled %v s, sim %v s", where, res.ModeledSeconds, sim.ModeledSeconds)
+				}
+				for r := 0; r < p; r++ {
+					got, want := res.Trace.Ranks[r], sim.Trace.Ranks[r]
+					switch {
+					case res.Stats[r] != sim.Stats[r]:
+						t.Errorf("%s: rank %d stats %+v, sim %+v", where, r, res.Stats[r], sim.Stats[r])
+					case res.PeakMemoryPerRank[r] != sim.PeakMemoryPerRank[r]:
+						t.Errorf("%s: rank %d peak %d, sim %d", where, r, res.PeakMemoryPerRank[r], sim.PeakMemoryPerRank[r])
+					case res.Trace.FinalPicos[r] != sim.Trace.FinalPicos[r]:
+						t.Errorf("%s: rank %d final clock %d, sim %d", where, r, res.Trace.FinalPicos[r], sim.Trace.FinalPicos[r])
+					case !reflect.DeepEqual(got.Buckets(), want.Buckets()),
+						!reflect.DeepEqual(got.Spans(), want.Spans()),
+						!reflect.DeepEqual(got.Events(), want.Events()):
+						t.Errorf("%s: rank %d trace differs from the sim's", where, r)
+					}
+				}
+			}
 		}
 	}
 }

@@ -50,6 +50,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -269,15 +270,7 @@ func (w *World) MaxClock() float64 {
 }
 
 // MaxClockPicos is MaxClock in the clock's native integer picoseconds.
-func (w *World) MaxClockPicos() int64 {
-	var max int64
-	for _, c := range w.clocks {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
+func (w *World) MaxClockPicos() int64 { return slices.Max(w.clocks) }
 
 // ResetClocks zeroes every rank's virtual clock and the attributed times
 // of the phase traces (times and clocks must reset together, or the
@@ -310,11 +303,7 @@ func (w *World) Trace() *trace.Trace {
 
 // Stats returns a copy of the accumulated per-rank statistics. Call only
 // while no SPMD section is running.
-func (w *World) Stats() []Stats {
-	out := make([]Stats, w.p)
-	copy(out, w.stats)
-	return out
-}
+func (w *World) Stats() []Stats { return slices.Clone(w.stats) }
 
 // ResetStats zeroes the per-rank statistics and the byte/operation
 // counters of the phase traces (they mirror the stats, so they reset

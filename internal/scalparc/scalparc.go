@@ -293,7 +293,8 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int) error {
 // TrainOpts runs ScalParC on the world's processors and returns the tree
 // with run metrics — the engine's one entry point; the zero Options is the
 // paper's algorithm. The world's clocks, stats, and memory meters are reset
-// at the start of the run.
+// at the start of the run, and the result's per-rank figures cover every
+// rank on both machines.
 func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Options) (*Result, error) {
 	if err := CheckOptions(opts, nil, tab.Schema.NumAttrs()); err != nil {
 		return nil, err
@@ -393,6 +394,9 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	res.Levels = len(res.PerLevel)
 	res.FinalRanks = w.LiveRanks()
 	res.Lost = w.Lost()
+	// A wire world has booked only its own rank so far. A peer lost before
+	// the books cross costs the figures below its slots, not the tree.
+	_ = w.ExchangeBooks()
 	res.ModeledSeconds = w.MaxClock()
 	res.PeakMemoryPerRank = w.PeakMemory()
 	res.Stats = w.Stats()

@@ -22,6 +22,11 @@
 // one rank of a comm world, so its breakdown is booked the same way.
 package trace
 
+import (
+	"encoding/json"
+	"slices"
+)
+
 // Phase identifies one phase of the paper's induction loop. Other is the
 // catch-all for work outside the four phases and the presort (initial
 // list construction, the root histogram reduction, the rebalancing
@@ -106,8 +111,7 @@ type Event struct {
 // owning rank's goroutine; no locking.
 type RankTrace struct {
 	cur       Key
-	curIdx    int // index of cur in buckets, or -1 if not yet materialised
-	idx       map[Key]int
+	curIdx    int      // index of cur in buckets, or -1 if not yet looked up
 	buckets   []Bucket // first-touch (chronological) order
 	spans     []Span
 	spanStart int64
@@ -116,7 +120,7 @@ type RankTrace struct {
 
 // NewRank returns an empty trace positioned at (Other, 0).
 func NewRank() *RankTrace {
-	return &RankTrace{curIdx: -1, idx: make(map[Key]int)}
+	return &RankTrace{curIdx: -1}
 }
 
 // Current returns the current (phase, level) tag.
@@ -143,16 +147,16 @@ func (t *RankTrace) closeSpan(now int64) {
 	t.spanStart = now
 }
 
-// bucket returns the current bucket, materialising it on first use.
+// bucket returns the current bucket, materialising it on first use. The
+// lookup is a scan, once per phase switch: a run has a few hundred
+// buckets and switches phase a few times per level.
 func (t *RankTrace) bucket() *Bucket {
 	if t.curIdx < 0 {
-		i, ok := t.idx[t.cur]
-		if !ok {
-			i = len(t.buckets)
-			t.idx[t.cur] = i
-			t.buckets = append(t.buckets, Bucket{Key: t.cur})
-		}
-		t.curIdx = i
+		t.curIdx = slices.IndexFunc(t.buckets, func(b Bucket) bool { return b.Key == t.cur })
+	}
+	if t.curIdx < 0 {
+		t.curIdx = len(t.buckets)
+		t.buckets = append(t.buckets, Bucket{Key: t.cur})
 	}
 	return &t.buckets[t.curIdx]
 }
@@ -248,19 +252,37 @@ func (t *RankTrace) TotalPicos() int64 {
 
 // Clone returns a deep copy (used to snapshot a live trace).
 func (t *RankTrace) Clone() *RankTrace {
-	c := &RankTrace{
-		cur:       t.cur,
-		curIdx:    t.curIdx,
-		idx:       make(map[Key]int, len(t.idx)),
-		buckets:   append([]Bucket(nil), t.buckets...),
-		spans:     append([]Span(nil), t.spans...),
-		spanStart: t.spanStart,
-		events:    append([]Event(nil), t.events...),
+	c := *t
+	c.buckets, c.spans, c.events = slices.Clone(t.buckets), slices.Clone(t.spans), slices.Clone(t.events)
+	return &c
+}
+
+// rankJSON is a RankTrace's JSON form: its whole state but the cached
+// bucket position.
+type rankJSON struct {
+	Cur       Key
+	Buckets   []Bucket
+	Spans     []Span
+	SpanStart int64
+	Events    []Event
+}
+
+// MarshalJSON encodes the trace's whole state, so one rank's books can
+// cross a wire transport (comm's World.ExchangeBooks) and the TCP
+// coordinator's result header.
+func (t *RankTrace) MarshalJSON() ([]byte, error) {
+	return json.Marshal(rankJSON{t.cur, t.buckets, t.spans, t.spanStart, t.events})
+}
+
+// UnmarshalJSON restores a trace MarshalJSON wrote. The result is as
+// writable as the original: further attributions land in its buckets.
+func (t *RankTrace) UnmarshalJSON(b []byte) error {
+	var s rankJSON
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
 	}
-	for k, v := range t.idx {
-		c.idx[k] = v
-	}
-	return c
+	*t = RankTrace{cur: s.Cur, curIdx: -1, buckets: s.Buckets, spans: s.Spans, spanStart: s.SpanStart, events: s.Events}
+	return nil
 }
 
 // Trace is a whole run's breakdown: one RankTrace per rank plus each

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,40 @@ func TestResetSplitsTimesAndComm(t *testing.T) {
 	bs = rt.Buckets()
 	if bs[0].BytesSent != 0 || bs[0].BytesRecv != 0 || bs[0].Ops != 0 {
 		t.Fatalf("ResetComm must zero comm: %+v", bs[0])
+	}
+}
+
+// TestRankTraceJSONRoundTrip pins the form a rank's trace crosses a wire
+// in: the decoded trace keeps its buckets, spans and events, closes its
+// open span as the original would, and stays writable.
+func TestRankTraceJSONRoundTrip(t *testing.T) {
+	rt := NewRank()
+	rt.SetPhase(Sort, 0, 0)
+	rt.AddPicos(7)
+	rt.AddComm(30, 40)
+	rt.AddEvent("fault:detected", 7)
+	rt.SetPhase(FindSplitI, 1, 7)
+	rt.AddPicos(5)
+	data, err := json.Marshal(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got RankTrace
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("decoding %s: %v", data, err)
+	}
+	rt.Finish(12)
+	got.Finish(12)
+	if !slices.Equal(got.Buckets(), rt.Buckets()) || !slices.Equal(got.Spans(), rt.Spans()) ||
+		!slices.Equal(got.Events(), rt.Events()) || len(got.Buckets()) != 2 || len(got.Spans()) != 2 {
+		t.Fatalf("round trip through %s lost state:\ngot  %+v %+v %+v\nwant %+v %+v %+v", data,
+			got.Buckets(), got.Spans(), got.Events(), rt.Buckets(), rt.Spans(), rt.Events())
+	}
+	got.AddPicos(3)
+	got.SetPhase(Sort, 0, 15)
+	got.AddPicos(1)
+	if b := got.Buckets(); b[1].Picos != 8 || b[0].Picos != 8 {
+		t.Fatalf("attributions after decoding landed wrong: %+v", b)
 	}
 }
 
