@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
+.PHONY: all build fmt vet loc test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
 
 all: build fmt vet test bench-module
 
@@ -17,6 +17,15 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package of the root module, then their total: the
+# scorecard of a simplicity change. benchmark/ is its own module, so ./...
+# leaves it out.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 # benchmark/ is its own module (replace repro => ../): the root build
 # never sees it, so vet and smoke-test it against this tree explicitly.

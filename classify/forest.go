@@ -46,6 +46,8 @@ type ForestMetrics struct {
 	// Trees echoes the requested ensemble size; Trained, Restored, and
 	// len(Lost) partition it.
 	Trees, Trained, Restored int
+	// Processors is the size of the world each tree trained on.
+	Processors int
 	// Lost lists indices of trees whose runs failed terminally. A lost
 	// tree never fails the run as long as one tree survives.
 	Lost []int
@@ -79,7 +81,7 @@ func (f *ForestConfig) options(e Config) *scalparc.ForestOptions {
 		Trees:         f.Trees,
 		Seed:          f.Seed,
 		FeatureSample: f.FeatureSample,
-		Procs:         e.Processors,
+		Procs:         max(e.Processors, 1),
 		Model:         e.machine(),
 		Parallel:      f.Parallel,
 		CheckpointDir: f.CheckpointDir,
@@ -95,7 +97,8 @@ func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
 	}
-	res, err := scalparc.TrainForest(tab, cfg.Engine.splitterConfig(), *cfg.options(cfg.Engine))
+	opts := cfg.options(cfg.Engine)
+	res, err := scalparc.TrainForest(tab, cfg.Engine.splitterConfig(), *opts)
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +106,7 @@ func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
 		Forest: res.Forest,
 		Metrics: ForestMetrics{
 			Trees:          cfg.Trees,
+			Processors:     opts.Procs,
 			Trained:        res.TrainedTrees,
 			Restored:       res.RestoredTrees,
 			Lost:           res.LostTrees,

@@ -43,6 +43,15 @@ func TestRunForestMode(t *testing.T) {
 		t.Fatalf("written forest has %d trees, want 6", f.NumTrees())
 	}
 	assertNoTempFiles(t, dir)
+
+	// -procs 0 trains every tree on one rank, and says so.
+	out.Reset()
+	if err := run([]string{"-quest-function", "2", "-records", "2000", "-forest", "2", "-procs", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "forest of 2 trees on 1 processors each"; !strings.Contains(out.String(), want) {
+		t.Fatalf("-procs 0: output missing %q:\n%s", want, out.String())
+	}
 }
 
 func TestRunForestCheckpointRerun(t *testing.T) {

@@ -42,7 +42,7 @@ func runForest(stdout io.Writer, train, test *classify.Table, cfg classify.Fores
 	}
 	mm := fm.Metrics
 	fmt.Fprintf(stdout, "forest of %d trees on %d processors each: %d trained, %d restored, %d lost\n",
-		mm.Trees, cfg.Engine.Processors, mm.Trained, mm.Restored, len(mm.Lost))
+		mm.Trees, mm.Processors, mm.Trained, mm.Restored, len(mm.Lost))
 	fmt.Fprintf(stdout, "modeled runtime %.3fs summed over trained trees, wall %.3fs; total traffic %.2f MB sent\n",
 		mm.ModeledSeconds, mm.WallSeconds, float64(mm.BytesSent)/1e6)
 	if len(mm.Lost) > 0 {

@@ -6,28 +6,31 @@ import (
 	"unsafe"
 )
 
-// ContEntry is one entry of a continuous attribute list: the attribute
-// value, the global record id, and the class label. SPRINT and its
-// descendants carry the class label in every list so the split-determining
-// scan needs no extra lookups.
-type ContEntry struct {
-	Val float64
+// Entry is one entry of an attribute list: the attribute value, the global
+// record id, and the class label. SPRINT and its descendants carry the
+// class label in every list so the split-determining scan needs no extra
+// lookups. The two list kinds differ only in the value's type.
+type Entry[V float64 | int32] struct {
+	Val V
 	Rid int32
 	Cid uint8
 }
 
-// CatEntry is one entry of a categorical attribute list.
-type CatEntry struct {
-	Val int32
-	Rid int32
-	Cid uint8
-}
+// ContEntry is one entry of a continuous attribute list, CatEntry one of a
+// categorical list.
+type (
+	ContEntry = Entry[float64]
+	CatEntry  = Entry[int32]
+)
 
-// ContEntrySize and CatEntrySize are the in-memory sizes used for the
+// EntrySize is the in-memory size of an Entry[V], used for the
 // byte-accurate memory accounting of Figure 3(b).
+func EntrySize[V float64 | int32]() int64 { return int64(unsafe.Sizeof(Entry[V]{})) }
+
+// ContEntrySize and CatEntrySize are EntrySize of the two list kinds.
 var (
-	ContEntrySize = int64(unsafe.Sizeof(ContEntry{}))
-	CatEntrySize  = int64(unsafe.Sizeof(CatEntry{}))
+	ContEntrySize = EntrySize[float64]()
+	CatEntrySize  = EntrySize[int32]()
 )
 
 // Lists holds the vertically fragmented form of a table: one attribute list

@@ -2,7 +2,10 @@
 // sort of distributed continuous attribute lists, followed by the parallel
 // shift that rebalances the sorted list so every processor again owns an
 // equal contiguous block (the load-balanced initial distribution the rest
-// of the induction relies on).
+// of the induction relies on). The shift is the package's one answer to
+// redistributing an ordered, segmented list into block shares: Shift also
+// rebalances every node's lists per level (ABL-REBAL), and its receive
+// side, Reassemble, rebuilds them from checkpoint fragments.
 //
 // The total order is (value, record id): ties broken by record id make the
 // global order — and therefore every downstream split decision — fully
@@ -122,49 +125,120 @@ func logish(n int) float64 {
 	return float64(l)
 }
 
-// Rebalance is the parallel shift: given a globally ordered distributed
-// list with arbitrary per-rank counts, it redistributes entries so rank r
-// holds exactly the positions BlockRange(N, p, r) of the global order,
-// preserving order. Every rank must call it.
+// Rebalance is the parallel shift of one list: given a globally ordered
+// distributed list with arbitrary per-rank counts, it redistributes entries
+// so rank r holds exactly the positions BlockRange(N, p, r) of the global
+// order, preserving order. Every rank must call it.
 func Rebalance(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
-	p := c.Size()
+	out, _ := Shift(c, local, []int64{int64(len(local))})
+	return out
+}
+
+// Shift is the parallel shift of a segmented list. list concatenates, in
+// node order, this rank's segments of several globally ordered node lists;
+// lens[i] is node i's segment length, and every rank passes the same node
+// count. Afterwards rank r holds exactly positions BlockRange(total_i, p, r)
+// of every node i's global order, order preserved; Shift returns that list,
+// nodes concatenated in order, with its per-node lengths. Every rank must
+// call it: one Allgather of the lengths, one AllToAll of the entries (none
+// when every node is empty), and a list pass over what arrives. Peers may
+// read list in place until they pass their next collective, so the caller
+// must not overwrite it before then.
+func Shift[E any](c *comm.Comm, list []E, lens []int64) ([]E, []int64) {
+	p, me := c.Size(), c.Rank()
 	if p == 1 {
-		return local
+		return list, lens
 	}
-	counts := comm.AllgatherFlat(c, []int64{int64(len(local))})
-	var myStart, n int64
-	for r, cnt := range counts {
-		if r < c.Rank() {
-			myStart += cnt
+	byRank := comm.Allgather(c, lens)
+	prefix := make([]int64, len(lens)) // node i's entries on ranks below me
+	totals := make([]int64, len(lens))
+	var all int64
+	for r, row := range byRank {
+		for i, n := range row {
+			if r < me {
+				prefix[i] += n
+			}
+			totals[i] += n
+			all += n
 		}
-		n += cnt
 	}
-	if n == 0 {
-		return local[:0]
+	if all == 0 {
+		return list[:0], lens
 	}
 
-	send := make([][]dataset.ContEntry, p)
-	i := 0
-	for i < len(local) {
-		pos := int(myStart) + i
-		owner := dataset.BlockOwner(int(n), p, pos)
-		_, hi := dataset.BlockRange(int(n), p, owner)
-		end := i + (hi - pos)
-		if end > len(local) {
-			end = len(local)
+	// Route each segment to the block owners of its global positions, in
+	// contiguous chunks. A destination's first chunk is a capacity-clipped
+	// subslice of list, so a destination receiving one chunk (every
+	// destination of a one-node shift) costs no copy, and appending a
+	// second chunk copies instead of overwriting list.
+	send := make([][]E, p)
+	off := 0
+	for i, n := range lens {
+		for j := 0; j < int(n); {
+			pos := int(prefix[i]) + j
+			owner := dataset.BlockOwner(int(totals[i]), p, pos)
+			_, hi := dataset.BlockRange(int(totals[i]), p, owner)
+			end := min(j+hi-pos, int(n))
+			chunk := list[off+j : off+end : off+end]
+			if send[owner] == nil {
+				send[owner] = chunk
+			} else {
+				send[owner] = append(send[owner], chunk...)
+			}
+			j = end
 		}
-		send[owner] = local[i:end]
-		i = end
+		off += int(n)
 	}
 	recv := comm.AllToAll(c, send)
-	total := 0
-	for _, r := range recv {
-		total += len(r)
+
+	// Each source's buffer holds only my entries, ordered by (node,
+	// position), so per-source cursors suffice and Reassemble's in-chunk
+	// offset is not needed.
+	cursors := make([]int, p)
+	out, outLens := Reassemble(me, p, byRank, func(r, _, _, n int) []E {
+		cursors[r] += n
+		return recv[r][cursors[r]-n : cursors[r]]
+	})
+	c.Compute(c.Model().SplitTime(len(out)))
+	return out, outLens
+}
+
+// Reassemble is the shift's local receive side: it builds rank me's block
+// share of every node's global list from per-source fragments. byRank[r][i]
+// is source r's entry count for node i; sources hold contiguous chunks of
+// every node's global order, in source order. My share of node i is
+// BlockRange(total_i, p, me), and every source contributes its overlap
+// with it; take(r, node, srcOff, n) returns n consecutive entries of
+// node's chunk on source r, starting srcOff into that chunk. There is at
+// least one source, but their count need not equal p: checkpoint recovery
+// reassembles a p-survivor distribution from the fragments of the ranks
+// that wrote them. Returns the share, nodes concatenated in order, and its
+// per-node lengths.
+func Reassemble[E any](me, p int, byRank [][]int64, take func(r, node, srcOff, n int) []E) ([]E, []int64) {
+	totals := make([]int64, len(byRank[0]))
+	for _, row := range byRank {
+		for i, n := range row {
+			totals[i] += n
+		}
 	}
-	out := make([]dataset.ContEntry, 0, total)
-	for _, r := range recv { // rank order preserves the global order
-		out = append(out, r...)
+	lens := make([]int64, len(totals))
+	size := 0
+	for i, t := range totals {
+		lo, hi := dataset.BlockRange(int(t), p, me)
+		lens[i] = int64(hi - lo)
+		size += hi - lo
 	}
-	c.Compute(c.Model().SplitTime(total))
-	return out
+	out := make([]E, 0, size)
+	for i, t := range totals {
+		lo, hi := dataset.BlockRange(int(t), p, me)
+		var srcLo int64
+		for r, row := range byRank {
+			srcHi := srcLo + row[i]
+			if ovLo, ovHi := max(srcLo, int64(lo)), min(srcHi, int64(hi)); ovLo < ovHi {
+				out = append(out, take(r, i, int(ovLo-srcLo), int(ovHi-ovLo))...)
+			}
+			srcLo = srcHi
+		}
+	}
+	return out, lens
 }

@@ -2,6 +2,7 @@ package psort
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,100 @@ func TestSortAdvancesClockAndCommunicates(t *testing.T) {
 		if s.BytesSent == 0 {
 			t.Fatalf("rank %d sent no bytes during parallel sort", r)
 		}
+	}
+}
+
+// tagged is a shift test entry naming its node and its position in that
+// node's global order.
+type tagged struct{ node, pos int32 }
+
+// TestShiftSegmentedProperty: after Shift, rank r holds positions
+// BlockRange(total_i, p, r) of every node i's global order, order
+// preserved, and the returned lengths say so — over random per-rank,
+// per-node lengths with empty segments, empty ranks, one node and many.
+func TestShiftSegmentedProperty(t *testing.T) {
+	ps := []int{1, 2, 3, 5, 8}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := ps[rng.Intn(len(ps))]
+		nodes := 1
+		if rng.Intn(3) > 0 {
+			nodes += rng.Intn(12)
+		}
+		lens := make([][]int64, p)
+		totals := make([]int64, nodes)
+		in := make([][]tagged, p)
+		for r := range lens {
+			lens[r] = make([]int64, nodes)
+			emptyRank := rng.Intn(4) == 0
+			for i := range lens[r] {
+				if !emptyRank && rng.Intn(3) > 0 {
+					lens[r][i] = int64(rng.Intn(20))
+				}
+				for j := int64(0); j < lens[r][i]; j++ {
+					in[r] = append(in[r], tagged{int32(i), int32(totals[i] + j)})
+				}
+				totals[i] += lens[r][i]
+			}
+		}
+		w := comm.NewWorld(p, timing.T3D())
+		out := make([][]tagged, p)
+		outLens := make([][]int64, p)
+		w.Run(func(c *comm.Comm) {
+			out[c.Rank()], outLens[c.Rank()] = Shift(c, in[c.Rank()], lens[c.Rank()])
+		})
+		for r := 0; r < p; r++ {
+			var want []tagged
+			for i, total := range totals {
+				lo, hi := dataset.BlockRange(int(total), p, r)
+				if outLens[r][i] != int64(hi-lo) {
+					t.Logf("p=%d rank %d node %d: length %d, want %d", p, r, i, outLens[r][i], hi-lo)
+					return false
+				}
+				for pos := lo; pos < hi; pos++ {
+					want = append(want, tagged{int32(i), int32(pos)})
+				}
+			}
+			if len(out[r]) != len(want) {
+				t.Logf("p=%d rank %d: %d entries, want %d", p, r, len(out[r]), len(want))
+				return false
+			}
+			for k := range want {
+				if out[r][k] != want[k] {
+					t.Logf("p=%d rank %d entry %d: %+v, want %+v", p, r, k, out[r][k], want[k])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShiftSendsSingleChunksUncopied: a destination receiving one chunk is
+// sent a subslice of the input, so a one-node shift allocates about one
+// copy of the list (the output), not two.
+func TestShiftSendsSingleChunksUncopied(t *testing.T) {
+	const p, n = 4, 1 << 16
+	local := make([]dataset.ContEntry, n)
+	for i := range local {
+		local[i] = dataset.ContEntry{Val: float64(i), Rid: int32(i)}
+	}
+	w := comm.NewWorld(p, timing.T3D())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.Run(func(c *comm.Comm) {
+		var mine []dataset.ContEntry
+		if c.Rank() == 0 {
+			mine = local // all entries start on rank 0
+		}
+		Rebalance(c, mine)
+	})
+	runtime.ReadMemStats(&after)
+	listBytes := uint64(n * dataset.ContEntrySize)
+	if got := after.TotalAlloc - before.TotalAlloc; got > listBytes*3/2 {
+		t.Fatalf("shifting a %d-byte list allocated %d bytes: single-chunk sends are being copied", listBytes, got)
 	}
 }

@@ -2,12 +2,15 @@ package scalparc
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/nodetable"
+	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
+	"repro/internal/tree"
 )
 
 // allocWorker builds a single-rank worker over a generated table. With
@@ -89,11 +92,11 @@ func TestNodeTableSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLevelLoopSteadyStateAllocs runs full inductions at two sizes and
-// checks the per-level allocation overhead beyond the unavoidable
-// per-tree-node work stays modest — the end-to-end shape of the arena win.
-// (Exact per-level O(1) is pinned by the phase-level tests above; a full
-// level legitimately allocates per new tree node.)
+// TestLevelLoopSteadyStateAllocs smokes the arena across a full multi-level
+// induction at p > 1. It pins no count: per-level O(1) is pinned only for
+// FindSplit and the node table by the tests above (a full level
+// legitimately allocates per new tree node), and PerformSplitII's double
+// buffer by TestDoubleBufferIsTwoArrays.
 func TestLevelLoopSteadyStateAllocs(t *testing.T) {
 	induce := func(rows int) {
 		tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, rows)
@@ -109,4 +112,67 @@ func TestLevelLoopSteadyStateAllocs(t *testing.T) {
 	// race detector build tags used in CI; correctness (identical trees)
 	// is pinned by the differential harness.
 	induce(2_000)
+}
+
+// TestDoubleBufferIsTwoArrays: with the arena on (default options, p = 2),
+// PerformSplitII scatters every attribute's list into its spare backing
+// and retires the live one into the spare's place, so level after level
+// each list alternates between exactly two backing arrays. With
+// PerNodeComms the arena is off (fresh arrays every level), and the tree
+// must still equal the oracle's.
+func TestDoubleBufferIsTwoArrays(t *testing.T) {
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := splitter.Config{MinSplit: 2}.Normalize()
+	want, err := serial.Train(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na := tab.Schema.NumAttrs()
+	for _, opts := range []Options{{}, {PerNodeComms: true}} {
+		const p = 2
+		// backs[r][l][a]: rank r's backing array of attribute a after level l.
+		backs := make([][][]unsafe.Pointer, p)
+		trees := make([]*tree.Tree, p)
+		w := comm.NewWorld(p, timing.T3D())
+		w.Run(func(c *comm.Comm) {
+			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
+			wk.presort(tab)
+			for len(wk.active) > 0 {
+				wk.runLevel()
+				level := make([]unsafe.Pointer, na)
+				for a := range level {
+					level[a] = unsafe.Pointer(unsafe.SliceData(wk.cont[a]))
+					if wk.cont[a] == nil {
+						level[a] = unsafe.Pointer(unsafe.SliceData(wk.cat[a]))
+					}
+				}
+				backs[c.Rank()] = append(backs[c.Rank()], level)
+			}
+			trees[c.Rank()] = &tree.Tree{Schema: tab.Schema, Root: wk.root}
+			wk.free()
+		})
+		for r := range trees {
+			if !trees[r].Equal(want) {
+				t.Fatalf("%+v: rank %d's tree differs from the oracle's", opts, r)
+			}
+		}
+		if opts.PerNodeComms {
+			continue
+		}
+		for r, levels := range backs {
+			if len(levels) < 4 {
+				t.Fatalf("rank %d: only %d levels; the check needs a deeper tree", r, len(levels))
+			}
+			for a := 0; a < na; a++ {
+				for l := 1; l < len(levels); l++ {
+					if levels[l][a] == levels[l-1][a] || (l >= 2 && levels[l][a] != levels[l-2][a]) {
+						t.Fatalf("rank %d attribute %d: level %d's list does not alternate between two backing arrays", r, a, l)
+					}
+				}
+			}
+		}
+	}
 }

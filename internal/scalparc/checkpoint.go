@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/dataset"
+	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -551,17 +552,18 @@ func (wk *worker) restore(ck *Checkpoint) error {
 				return fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, ns.node.Size())
 			}
 		}
-		var moved int
+		var lens []int64
 		if attr.Kind == dataset.Continuous {
-			wk.cont[a], wk.segs[a], moved = reassembleBlocked(me, p, byRank, func(r, node, off, n int) []dataset.ContEntry {
+			wk.cont[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.ContEntry {
 				return frs[r].cont[a][node][off : off+n]
 			})
 		} else {
-			wk.cat[a], wk.segs[a], moved = reassembleBlocked(me, p, byRank, func(r, node, off, n int) []dataset.CatEntry {
+			wk.cat[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.CatEntry {
 				return frs[r].cat[a][node][off : off+n]
 			})
 		}
-		total += moved
+		wk.segs[a] = segsOf(lens)
+		total += len(wk.cont[a]) + len(wk.cat[a])
 	}
 	wk.chargeLists()
 

@@ -45,10 +45,10 @@ func (wk *worker) attrAllowed(active, attr int) bool {
 
 // sampleFeatures draws the level's per-node attribute subsets into wk.feat
 // (nil when subsampling is off). Each node's subset is a partial
-// Fisher-Yates draw of featSample attributes from a stream seeded by
-// (featSeed, level, node index).
+// Fisher-Yates draw of featureSample attributes from a stream seeded by
+// (featureSeed, level, node index).
 func (wk *worker) sampleFeatures() {
-	if wk.featSample <= 0 {
+	if wk.opts.featureSample <= 0 {
 		wk.feat = nil
 		return
 	}
@@ -66,9 +66,9 @@ func (wk *worker) sampleFeatures() {
 		for a := range idx {
 			idx[a] = int32(a)
 		}
-		state := mix64(mix64(wk.featSeed, uint64(wk.level)), uint64(i))
+		state := mix64(mix64(wk.opts.featureSeed, uint64(wk.level)), uint64(i))
 		mask := wk.feat[i*na : (i+1)*na]
-		for j := 0; j < wk.featSample; j++ {
+		for j := 0; j < wk.opts.featureSample; j++ {
 			r := j + int(splitmix64(&state)%uint64(na-j))
 			idx[j], idx[r] = idx[r], idx[j]
 			mask[idx[j]] = true

@@ -19,7 +19,7 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 	if nNeed == 0 {
 		return nil
 	}
-	if !wk.perNode {
+	if !wk.opts.PerNodeComms {
 		return wk.finder.find(wk, splitIdx, nNeed)
 	}
 	cands := make([]splitter.Candidate, nNeed)
@@ -45,7 +45,7 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 // child histograms. The per-node ablation mode runs one record-map update
 // and one reduction per node instead of one per level.
 func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter.Candidate) ([][]uint8, [][][]int64) {
-	if !wk.perNode {
+	if !wk.opts.PerNodeComms {
 		return wk.performSplitIBatch(doSplit, splitIdx, cands)
 	}
 	splitChild := make([][]uint8, len(wk.active))
@@ -67,8 +67,6 @@ func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter
 func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []splitter.Candidate) ([][]uint8, [][][]int64) {
 	wk.c.SetPhase(trace.PerformSplitI, wk.level)
 	nc := wk.schema.NumClasses()
-	model := wk.c.Model()
-
 	offsets := grabRaw(wk.ar, &wk.ar.offsets, len(wk.active))
 	total, entTotal, dTotal := 0, 0, 0
 	for i := range wk.active {
@@ -96,25 +94,14 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 		sg := wk.segs[a][i]
 		childs := childsBuf[work : work+sg.n]
 		if wk.schema.Attrs[a].Kind == dataset.Continuous {
-			for j, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-				ch := cand.ContChild(e.Val)
-				childs[j] = ch
-				vec[offsets[i]+int(ch)*nc+int(e.Cid)]++
-				assigns = append(assigns, nodetable.Assignment{Rid: e.Rid, Child: ch})
-			}
+			assigns = assign(wk.cont[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.ContChild, childs, vec[offsets[i]:], nc, assigns)
 		} else {
-			for j, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-				ch := cand.CatChild(e.Val)
-				childs[j] = ch
-				vec[offsets[i]+int(ch)*nc+int(e.Cid)]++
-				assigns = append(assigns, nodetable.Assignment{Rid: e.Rid, Child: ch})
-			}
+			assigns = assign(wk.cat[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.CatChild, childs, vec[offsets[i]:], nc, assigns)
 		}
 		splitChild[i] = childs
 		work += sg.n
 	}
-	wk.c.Compute(model.SplitTime(work))
-
+	wk.c.Compute(wk.c.Model().SplitTime(work))
 	stash(wk.ar, &wk.ar.assigns, assigns)
 
 	// Assignment buffer (8 bytes each) plus the per-entry child arrays
@@ -148,6 +135,20 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 		}
 	}
 	return splitChild, childHists
+}
+
+// assign is PerformSplitI's pass over one splitting segment: each entry's
+// child under cand's rule goes into childs, its (child, class) count into
+// the node's histogram hist, and its record-map assignment onto assigns.
+func assign[V float64 | int32](list []dataset.Entry[V], cand splitter.Candidate, child func(splitter.Candidate, V) uint8,
+	childs []uint8, hist []int64, nc int, assigns []nodetable.Assignment) []nodetable.Assignment {
+	for j, e := range list {
+		ch := child(cand, e.Val)
+		childs[j] = ch
+		hist[int(ch)*nc+int(e.Cid)]++
+		assigns = append(assigns, nodetable.Assignment{Rid: e.Rid, Child: ch})
+	}
+	return assigns
 }
 
 // buildChildren grows the next level's tree nodes (splitter.Grow) and
@@ -190,14 +191,13 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 	splitChild [][]uint8, next []*nodeState, childIndex [][]int) {
 
 	wk.c.SetPhase(trace.PerformSplitII, wk.level)
-	model := wk.c.Model()
 
 	// The tech-report optimization: gather every attribute's enquiry rids
 	// up front and resolve them in one round, trading n_a-times larger
 	// buffers for 2·(n_a - 2) fewer all-to-all steps per level.
 	var batchedAnswers []uint8
 	var batchedOffsets []int
-	if wk.batched {
+	if wk.opts.BatchedEnquiry {
 		all := grabRaw(wk.ar, &wk.ar.enqRids, 0)
 		batchedOffsets = grabRaw(wk.ar, &wk.ar.offCache, wk.schema.NumAttrs()+1)
 		for a := range wk.schema.Attrs {
@@ -210,8 +210,6 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 	}
 
 	for a := range wk.schema.Attrs {
-		isCont := wk.schema.Attrs[a].Kind == dataset.Continuous
-
 		// Enquiry pass: rids of every segment that needs child numbers
 		// from the record map, in node order. Per-level mode batches the
 		// whole attribute into one enquiry, reusing one rid buffer across
@@ -221,9 +219,9 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 		// partition pass below.
 		var answers []uint8
 		switch {
-		case wk.batched:
+		case wk.opts.BatchedEnquiry:
 			answers = batchedAnswers[batchedOffsets[a]:batchedOffsets[a+1]]
-		case wk.perNode:
+		case wk.opts.PerNodeComms:
 			for i := range wk.active {
 				if !doSplit[i] || int(cands[splitIdx[i]].Attr) == a {
 					continue
@@ -237,95 +235,22 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 			answers = wk.rm.Lookup(rids)
 		}
 
-		// Partition pass: rebuild the attribute's backing with the next
-		// level's segments (dropping records retired into leaves). Each
-		// node's segment is partitioned stably into its child segments by
-		// one counting pass plus one scatter pass into a spare backing
-		// array, which is then swapped with the live one — a per-attribute
-		// double buffer reused level after level.
-		newSegs := grabRaw(wk.ar, &wk.ar.spareSegs[a], len(next))
-		spareCont := wk.ar.spareCont[a]
-		spareCat := wk.ar.spareCat[a]
-		if isCont {
-			spareCont = grabRaw(wk.ar, &wk.ar.spareCont[a], len(wk.cont[a]))
-		} else {
-			spareCat = grabRaw(wk.ar, &wk.ar.spareCat[a], len(wk.cat[a]))
-		}
-		cursor, out := 0, 0
-		oldBytes := int64(len(wk.cont[a]))*dataset.ContEntrySize + int64(len(wk.cat[a]))*dataset.CatEntrySize
-		work := 0
-		for i := range wk.active {
-			if !doSplit[i] {
-				continue
-			}
-			d := len(childIndex[i])
-			sg := wk.segs[a][i]
-			var childs []uint8
+		// A split node's entries take phase I's child numbers on its
+		// splitting attribute and the next answers, in node order, on
+		// every other.
+		cursor := 0
+		childs := func(i int) []uint8 {
 			if int(cands[splitIdx[i]].Attr) == a {
-				childs = splitChild[i]
-			} else {
-				childs = answers[cursor : cursor+sg.n]
-				cursor += sg.n
+				return splitChild[i]
 			}
-			work += sg.n
-			bn := grab(wk.ar, &wk.ar.bucketNs, d)
-			for _, ch := range childs {
-				bn[ch]++
-			}
-			for k := 0; k < d; k++ {
-				ni := childIndex[i][k]
-				cnt := bn[k]
-				if ni < 0 {
-					if cnt != 0 {
-						panic(fmt.Sprintf("scalparc: %d local entries in globally empty child", cnt))
-					}
-					continue
-				}
-				newSegs[ni] = seg{off: out, n: cnt}
-				bn[k] = out // repurposed as the child's running write offset
-				out += cnt
-			}
-			if isCont {
-				for j, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-					k := childs[j]
-					spareCont[bn[k]] = e
-					bn[k]++
-				}
-			} else {
-				for j, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-					k := childs[j]
-					spareCat[bn[k]] = e
-					bn[k]++
-				}
-			}
+			cursor += wk.segs[a][i].n
+			return answers[cursor-wk.segs[a][i].n : cursor]
 		}
-		wk.c.Compute(model.SplitTime(work))
-
-		newCont, newCat := spareCont[:0], spareCat[:0]
-		if isCont {
-			newCont = spareCont[:out]
+		if wk.schema.Attrs[a].Kind == dataset.Continuous {
+			partition(wk, a, &wk.cont[a], &wk.ar.spareCont[a], doSplit, childs, len(next), childIndex)
 		} else {
-			newCat = spareCat[:out]
+			partition(wk, a, &wk.cat[a], &wk.ar.spareCat[a], doSplit, childs, len(next), childIndex)
 		}
-		newBytes := int64(len(newCont))*dataset.ContEntrySize + int64(len(newCat))*dataset.CatEntrySize
-		wk.c.Mem().Alloc(newBytes) // double-buffer peak while both exist
-		if !wk.ar.disabled {
-			// The retired backing arrays become next level's spares.
-			if isCont {
-				wk.ar.spareCont[a] = wk.cont[a]
-			} else {
-				wk.ar.spareCat[a] = wk.cat[a]
-			}
-			wk.ar.spareSegs[a] = wk.segs[a]
-		}
-		if isCont {
-			wk.cont[a] = newCont
-		} else {
-			wk.cat[a] = newCat
-		}
-		wk.segs[a] = newSegs
-		wk.c.Mem().Free(oldBytes)
-		wk.listBytes += newBytes - oldBytes
 	}
 
 	// The phase-I child arrays (1 byte per entry) are no longer needed.
@@ -352,13 +277,72 @@ func (wk *worker) collectEnquiryRids(a int, doSplit []bool, splitIdx []int, cand
 func (wk *worker) segRids(a, i int, out []int32) []int32 {
 	sg := wk.segs[a][i]
 	if wk.schema.Attrs[a].Kind == dataset.Continuous {
-		for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-			out = append(out, e.Rid)
-		}
-	} else {
-		for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
-			out = append(out, e.Rid)
-		}
+		return appendRids(out, wk.cont[a][sg.off:sg.off+sg.n])
+	}
+	return appendRids(out, wk.cat[a][sg.off:sg.off+sg.n])
+}
+
+// appendRids appends the record ids of list's entries to out.
+func appendRids[V float64 | int32](out []int32, list []dataset.Entry[V]) []int32 {
+	for _, e := range list {
+		out = append(out, e.Rid)
 	}
 	return out
+}
+
+// partition rebuilds attribute a's list with the next level's nodeCount
+// segments, dropping records retired into leaves. Each split node's
+// segment is partitioned stably into its child segments (childs(i) gives
+// its entries' child numbers) by one counting pass plus one scatter pass
+// into the spare backing, which then becomes the live list while the
+// retired one becomes the next level's spare: a per-attribute double
+// buffer reused level after level.
+func partition[V float64 | int32](wk *worker, a int, live, spare *[]dataset.Entry[V], doSplit []bool,
+	childs func(i int) []uint8, nodeCount int, childIndex [][]int) {
+	newSegs := grabRaw(wk.ar, &wk.ar.spareSegs[a], nodeCount)
+	dst := grabRaw(wk.ar, spare, len(*live))
+	out, work := 0, 0
+	for i := range wk.active {
+		if !doSplit[i] {
+			continue
+		}
+		d := len(childIndex[i])
+		sg := wk.segs[a][i]
+		cs := childs(i)
+		work += sg.n
+		bn := grab(wk.ar, &wk.ar.bucketNs, d)
+		for _, ch := range cs {
+			bn[ch]++
+		}
+		for k := 0; k < d; k++ {
+			ni := childIndex[i][k]
+			cnt := bn[k]
+			if ni < 0 {
+				if cnt != 0 {
+					panic(fmt.Sprintf("scalparc: %d local entries in globally empty child", cnt))
+				}
+				continue
+			}
+			newSegs[ni] = seg{off: out, n: cnt}
+			bn[k] = out // repurposed as the child's running write offset
+			out += cnt
+		}
+		for j, e := range (*live)[sg.off : sg.off+sg.n] {
+			k := cs[j]
+			dst[bn[k]] = e
+			bn[k]++
+		}
+	}
+	wk.c.Compute(wk.c.Model().SplitTime(work))
+
+	oldBytes := int64(len(*live)) * dataset.EntrySize[V]()
+	newBytes := int64(out) * dataset.EntrySize[V]()
+	wk.c.Mem().Alloc(newBytes) // double-buffer peak while both exist
+	if !wk.ar.disabled {
+		// The retired backing arrays become next level's spares.
+		*spare, wk.ar.spareSegs[a] = *live, wk.segs[a]
+	}
+	*live, wk.segs[a] = dst[:out], newSegs
+	wk.c.Mem().Free(oldBytes)
+	wk.listBytes += newBytes - oldBytes
 }

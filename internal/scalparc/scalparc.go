@@ -499,10 +499,9 @@ type worker struct {
 
 	active []*nodeState
 
+	opts Options // schedule knobs and feature subsampling are read from here
+
 	listBytes  int64 // currently tracked attribute-list bytes
-	perNode    bool  // ABL-NODE: per-node instead of per-level comms
-	batched    bool  // tech-report optimization: one enquiry per level
-	rebalance  bool  // ABL-REBAL: re-equalise list shares per level
 	level      int   // current tree level, for phase attribution
 	levelStats []LevelStats
 
@@ -510,13 +509,10 @@ type worker struct {
 	// state; see finder.go.
 	finder splitFinder
 
-	// Per-node feature subsampling (forest mode; see features.go):
-	// featSample attributes are drawn per active node per level from
-	// featSeed. feat is the current level's flat mask, nil when off.
-	featSample int
-	featSeed   uint64
-	feat       []bool
-	featIdx    []int32
+	// Per-node feature subsampling (forest mode; see features.go): feat
+	// is the current level's flat mask, nil when off.
+	feat    []bool
+	featIdx []int32
 
 	// ar is the per-level scratch arena (see scratch.go).
 	ar *scratch
@@ -529,21 +525,17 @@ type worker struct {
 func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory RecordMapFactory, opts Options) *worker {
 	na := tab.Schema.NumAttrs()
 	return &worker{
-		c:          c,
-		schema:     tab.Schema,
-		cfg:        cfg,
-		n:          tab.NumRows(),
-		rm:         factory(c, tab.NumRows()),
-		cont:       make([][]dataset.ContEntry, na),
-		cat:        make([][]dataset.CatEntry, na),
-		segs:       make([][]seg, na),
-		perNode:    opts.PerNodeComms,
-		batched:    opts.BatchedEnquiry,
-		rebalance:  opts.RebalanceLevels,
-		finder:     newSplitFinder(opts),
-		featSample: opts.featureSample,
-		featSeed:   opts.featureSeed,
-		ar:         newScratch(na, opts.PerNodeComms),
+		c:      c,
+		schema: tab.Schema,
+		cfg:    cfg,
+		n:      tab.NumRows(),
+		rm:     factory(c, tab.NumRows()),
+		cont:   make([][]dataset.ContEntry, na),
+		cat:    make([][]dataset.CatEntry, na),
+		segs:   make([][]seg, na),
+		opts:   opts,
+		finder: newSplitFinder(opts),
+		ar:     newScratch(na, opts.PerNodeComms),
 	}
 }
 
@@ -658,7 +650,7 @@ func (wk *worker) runLevel() {
 	wk.performSplitII(doSplit, splitIdx, cands, splitChild, nextActive, childStates)
 
 	wk.active = nextActive
-	if wk.rebalance {
+	if wk.opts.RebalanceLevels {
 		// The extra all-to-alls are outside the paper's four phases.
 		wk.c.SetPhase(trace.Other, wk.level)
 		wk.rebalanceLists()
