@@ -90,7 +90,8 @@ chaos-tcp:
 # differential (every rank's stats, peak, clock and trace in every
 # process), the JSON form a rank's trace crosses the wire in, the
 # sim-vs-tcp CLI differential (byte-identical trees, modeled runtimes,
-# phase tables and Chrome traces at p in {2,4}), and the real-process
+# phase tables and Chrome traces at p in {2,4}; TestTCPForest's forests at
+# p in {2,3}), and the real-process
 # crash-recovery runs. The CLI tests spawn worker OS processes, so this
 # target runs without -race (make race covers the transport's in-process
 # meshes and the simulated side).
@@ -139,8 +140,8 @@ guard:
 
 # Forest suite: the scalparc forest chaos/determinism tests, the compiled
 # batch-vote differentials (including the CompileForest fuzz corpus run as
-# unit cases) and the CLI -forest end-to-end tests. EXP-FOREST's table is
-# part of `make experiments-check`.
+# unit cases) and the CLI -forest end-to-end tests, TestTCPForest's worker
+# processes included. EXP-FOREST's table is part of `make experiments-check`.
 forest:
 	$(GO) test -run 'Forest' ./internal/scalparc ./internal/infer ./classify ./cmd/scalparc ./internal/serve
 

@@ -161,7 +161,7 @@ func BenchmarkBlockedUpdates(b *testing.B) {
 				as[rid] = nodetable.Assignment{Rid: int32(rid), Child: uint8(rid % 3)}
 			}
 			for i := 0; i < b.N; i++ {
-				w.ResetMemory()
+				w.Reset()
 				w.Run(func(c *comm.Comm) {
 					nt := nodetable.NewWithBlock(c, n, mode.block)
 					defer nt.Free()

@@ -225,15 +225,24 @@ type Model struct {
 	Metrics Metrics
 }
 
-// engineOptions is the ScalParC engine's share of the configuration.
-func (c Config) engineOptions() scalparc.Options {
-	return scalparc.Options{
+// engineOptions is the ScalParC engine's share of the configuration, its
+// fault spec scheduled for a world of p ranks.
+func (c Config) engineOptions(p int) (scalparc.Options, error) {
+	opts := scalparc.Options{
 		Split:         c.Split,
 		Bins:          c.Bins,
 		VoteK:         c.VoteK,
 		CheckpointDir: c.CheckpointDir,
 		Resume:        c.Resume,
 	}
+	if c.Faults != "" {
+		schedule, err := faults.Parse(c.Faults, c.FaultSeed, p)
+		if err != nil {
+			return opts, err
+		}
+		opts.Faults = schedule
+	}
+	return opts, nil
 }
 
 // job is one training job as the unsupported table's predicates see it.
@@ -263,10 +272,8 @@ var unsupported = []struct {
 		func(j job) bool { return j.wireOnly && !j.wire }},
 	{"forest without ScalParC", "a forest is built from ScalParC trees (-algo scalparc)",
 		func(j job) bool { return j.forest != nil && j.cfg.Algorithm != ScalParC }},
-	{"forest on a wire", "a forest trains its trees as independent in-process worlds and requires the simulated machine (-transport=sim)",
-		func(j job) bool { return j.forest != nil && j.wire }},
-	{"forest with faults or checkpoint", "fault injection and per-run checkpointing are single-tree options; a forest checkpoints per tree (ForestConfig.CheckpointDir, -forest-checkpoint)",
-		func(j job) bool { return j.forest != nil && (j.cfg.faultsOrCheckpoint() || j.cfg.FaultSeed != 0) }},
+	{"forest pool on a wire or with faults", "a forest pool (Parallel > 1) trains several worlds at once, but a wire is one world and a fault schedule addresses one world's ranks",
+		func(j job) bool { return j.forest != nil && j.forest.Parallel > 1 && (j.wire || j.cfg.Faults != "") }},
 	{"forest with pruning", "pruning is a single-tree option (bagging relies on fully grown trees)",
 		func(j job) bool { return j.forest != nil && j.cfg.Prune }},
 }
@@ -283,11 +290,11 @@ func (c Config) faultsOrCheckpoint() bool {
 // TrainForest call it first; a caller can call it before building data.
 func Check(cfg Config, forest *ForestConfig, wire bool) error {
 	j := job{cfg: cfg, forest: forest, wire: wire}
-	if cfg.Faults != "" {
-		s, err := faults.Parse(cfg.Faults, cfg.FaultSeed, max(cfg.Processors, 1))
-		if err != nil {
-			return err
-		}
+	opts, err := cfg.engineOptions(max(cfg.Processors, 1))
+	if err != nil {
+		return err
+	}
+	if s, ok := opts.Faults.(*faults.Schedule); ok {
 		j.wireOnly = s.NeedsWire()
 	}
 	for _, r := range unsupported {
@@ -301,7 +308,7 @@ func Check(cfg Config, forest *ForestConfig, wire bool) error {
 	if cfg.Processors < 0 {
 		return fmt.Errorf("classify: negative processor count %d", cfg.Processors)
 	}
-	return scalparc.CheckOptions(cfg.engineOptions(), forest.options(cfg), -1)
+	return scalparc.CheckOptions(opts, forest.options(cfg, opts), -1)
 }
 
 // Train builds a decision tree on the table under the configuration. The
@@ -349,16 +356,12 @@ func TrainWorld(w *comm.World, tab *Table, cfg Config) (*Model, error) {
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
 	}
-	opts := cfg.engineOptions()
+	opts, err := cfg.engineOptions(w.Size())
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Algorithm == SPRINT {
 		opts.RecordMap = sprint.ReplicatedTable
-	}
-	if cfg.Faults != "" {
-		schedule, err := faults.Parse(cfg.Faults, cfg.FaultSeed, w.Size())
-		if err != nil {
-			return nil, err
-		}
-		opts.Faults = schedule
 	}
 	res, err := scalparc.TrainOpts(w, tab, cfg.splitterConfig(), opts)
 	if err != nil {

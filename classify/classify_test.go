@@ -292,10 +292,9 @@ func TestUnsupportedCombinations(t *testing.T) {
 			func(j *job) { j.wire = true }},
 		"forest without ScalParC": {job{cfg: Config{Algorithm: SPRINT}, forest: forest},
 			func(j *job) { j.cfg.Algorithm = ScalParC }},
-		"forest on a wire": {job{cfg: Config{Processors: 2}, forest: forest, wire: true},
-			func(j *job) { j.wire = false }},
-		"forest with faults or checkpoint": {job{cfg: Config{CheckpointDir: "x"}, forest: forest},
-			func(j *job) { j.cfg.CheckpointDir = "" }},
+		"forest pool on a wire or with faults": {job{cfg: Config{Processors: 2, Faults: "crash@FindSplitI:1:1"},
+			forest: &ForestConfig{Trees: 2, Parallel: 2}},
+			func(j *job) { j.forest.Parallel = 1 }},
 		"forest with pruning": {job{cfg: Config{Prune: true}, forest: forest},
 			func(j *job) { j.cfg.Prune = false }},
 	}

@@ -1,15 +1,17 @@
 package classify
 
 // Forest training and evaluation: the public face of the bagged-ensemble
-// layer (internal/scalparc's TrainForest plus internal/infer's compiled
-// batch-vote engine). A forest is T independent ScalParC runs over
-// deterministic bootstrap resamples with per-node feature subsampling;
-// same seed, same forest, at any processor count or pool width.
+// layer (internal/scalparc's TrainForest and TrainForestWorld plus
+// internal/infer's compiled batch-vote engine). A forest is T ScalParC runs,
+// back to back on one world, over deterministic bootstrap resamples with
+// per-node feature subsampling; same seed, same forest, at any processor
+// count, pool width or transport.
 
 import (
 	"fmt"
 	"io"
 
+	"repro/internal/comm"
 	"repro/internal/infer"
 	"repro/internal/scalparc"
 	"repro/internal/tree"
@@ -28,16 +30,17 @@ type ForestConfig struct {
 	// FeatureSample is the per-node attribute subset size (0 disables
 	// subsampling, leaving pure bagging).
 	FeatureSample int
-	// Parallel bounds how many trees train concurrently (0 = 1). It
-	// affects wall time only, never the induced forest.
+	// Parallel is how many simulated worlds TrainForest trains trees on
+	// concurrently (0 = 1). It affects wall time only, never the induced
+	// forest. A wire world, and a fault spec, need Parallel <= 1.
 	Parallel int
-	// CheckpointDir, when set, persists each completed tree atomically and
-	// lets a rerun restore completed trees instead of retraining them.
-	CheckpointDir string
-	// Engine configures each tree's ScalParC run (processors, machine,
+	// Engine configures every tree's ScalParC run (processors, machine,
 	// split strategy, depth limits). Algorithm must be ScalParC (the zero
-	// value); fault injection, checkpointing, pruning, and Resume are not
-	// forest options and must be unset.
+	// value) and Prune unset. Its fault spec is installed for every tree's
+	// run, each event firing once, in the first tree that reaches its
+	// site; its CheckpointDir persists each finished tree atomically and
+	// lets a rerun restore the trees that match instead of retraining them
+	// (Resume changes nothing).
 	Engine Config
 }
 
@@ -72,8 +75,8 @@ type ForestModel struct {
 }
 
 // options is the forest engine's form of the job, its trees training under
-// e (nil for no forest).
-func (f *ForestConfig) options(e Config) *scalparc.ForestOptions {
+// e with engine options opts (nil for no forest).
+func (f *ForestConfig) options(e Config, opts scalparc.Options) *scalparc.ForestOptions {
 	if f == nil {
 		return nil
 	}
@@ -84,22 +87,51 @@ func (f *ForestConfig) options(e Config) *scalparc.ForestOptions {
 		Procs:         max(e.Processors, 1),
 		Model:         e.machine(),
 		Parallel:      f.Parallel,
-		CheckpointDir: f.CheckpointDir,
-		Engine:        e.engineOptions(),
+		Engine:        opts,
 	}
 }
 
-// TrainForest builds a bagged ensemble of cfg.Trees ScalParC trees.
+// TrainForest builds a bagged ensemble of cfg.Trees ScalParC trees on
+// simulated worlds of cfg.Engine.Processors ranks.
 func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
-	if err := Check(cfg.Engine, &cfg, false); err != nil {
+	return trainForest(nil, tab, cfg)
+}
+
+// TrainForestWorld trains the forest tree after tree on a caller-provided
+// world — TrainWorld's counterpart, the entry point of a forest's
+// rank-worker processes (cmd/scalparc -forest -transport=tcp). The world
+// defines the machine size, so cfg.Engine.Processors is ignored. A
+// terminal error ends training on the world: the remaining trees are lost,
+// and the error is returned beside the model of the trees before it (a nil
+// model when none survived).
+func TrainForestWorld(w *comm.World, tab *Table, cfg ForestConfig) (*ForestModel, error) {
+	return trainForest(w, tab, cfg)
+}
+
+// trainForest is both entry points: on w, or on TrainForest's pool of
+// simulated worlds when w is nil.
+func trainForest(w *comm.World, tab *Table, cfg ForestConfig) (*ForestModel, error) {
+	if w != nil {
+		cfg.Engine.Processors = w.Size()
+	}
+	if err := Check(cfg.Engine, &cfg, w != nil && w.Distributed()); err != nil {
 		return nil, err
 	}
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
 	}
-	opts := cfg.options(cfg.Engine)
-	res, err := scalparc.TrainForest(tab, cfg.Engine.splitterConfig(), *opts)
+	engine, err := cfg.Engine.engineOptions(max(cfg.Engine.Processors, 1))
 	if err != nil {
+		return nil, err
+	}
+	opts := cfg.options(cfg.Engine, engine)
+	var res *scalparc.ForestResult
+	if w == nil {
+		res, err = scalparc.TrainForest(tab, cfg.Engine.splitterConfig(), *opts)
+	} else {
+		res, err = scalparc.TrainForestWorld(w, tab, cfg.Engine.splitterConfig(), *opts)
+	}
+	if res == nil {
 		return nil, err
 	}
 	m := &ForestModel{
@@ -120,7 +152,7 @@ func TrainForest(tab *Table, cfg ForestConfig) (*ForestModel, error) {
 		m.Metrics.Recoveries += run.Recoveries
 		m.Metrics.VoteFallbacks += run.VoteFallbacks
 	}
-	return m, nil
+	return m, err
 }
 
 // EvaluateForest classifies every record of the table by majority vote of

@@ -94,7 +94,7 @@ func TestEvaluateIsEvaluateForestOfOne(t *testing.T) {
 }
 
 func TestTrainForestRejectsEngineMisuse(t *testing.T) {
-	tab, err := GenerateQuest(QuestConfig{Function: 1, Records: 50, Seed: 3})
+	tab, err := GenerateQuest(QuestConfig{Function: 1, Records: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,43 @@ func TestTrainForestRejectsEngineMisuse(t *testing.T) {
 		engine Config
 	}{
 		{"algorithm", Config{Algorithm: Serial}},
-		{"faults", Config{Faults: "crash@FindSplitI:1:2"}},
-		{"checkpoint", Config{CheckpointDir: t.TempDir()}},
 		{"prune", Config{Prune: true}},
 	} {
 		if _, err := TrainForest(tab, ForestConfig{Trees: 2, Engine: tc.engine}); err == nil {
 			t.Errorf("%s: engine misuse not rejected", tc.name)
+		}
+	}
+
+	// Faults and a checkpoint directory are every tree's: a crash is
+	// recovered inside its tree, and the forest is the fault-free one.
+	clean, err := TrainForest(tab, ForestConfig{Trees: 2, Engine: Config{Processors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := clean.Forest.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		engine Config
+	}{
+		{"faults", Config{Processors: 2, Faults: "crash@FindSplitI:1:1"}},
+		{"checkpoint", Config{Processors: 2, CheckpointDir: t.TempDir()}},
+	} {
+		m, err := TrainForest(tab, ForestConfig{Trees: 2, Engine: tc.engine})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got bytes.Buffer
+		if err := m.Forest.Encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Metrics.Lost) != 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: lost trees %v, or the forest differs from the fault-free one", tc.name, m.Metrics.Lost)
+		}
+		if tc.engine.Faults != "" && m.Metrics.Recoveries < 1 {
+			t.Errorf("%s: metrics %+v report no recovery", tc.name, m.Metrics)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,7 +60,7 @@ func TestRunForestCheckpointRerun(t *testing.T) {
 	args := []string{
 		"-quest-function", "1", "-records", "600", "-procs", "2",
 		"-forest", "3", "-split", "binned", "-bins", "16", "-minsplit", "8",
-		"-forest-checkpoint", ckpt,
+		"-checkpoint", ckpt,
 	}
 	var out1 bytes.Buffer
 	if err := run(args, &out1); err != nil {
@@ -75,6 +76,24 @@ func TestRunForestCheckpointRerun(t *testing.T) {
 	if !strings.Contains(out2.String(), "0 trained, 3 restored") {
 		t.Fatalf("rerun did not restore from the checkpoint dir:\n%s", out2.String())
 	}
+	// Another -forest-seed over the same directory is another forest: it
+	// restores nothing and writes the fresh forest of its seed.
+	dir := t.TempDir()
+	other := append([]string{"-forest-seed", "2", "-json-out", filepath.Join(dir, "fresh.json")}, args[:len(args)-2]...)
+	if err := run(other, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out3 bytes.Buffer
+	other = append(other, "-checkpoint", ckpt, "-json-out", filepath.Join(dir, "rerun.json"))
+	if err := run(other, &out3); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out3.String(), "3 trained, 0 restored") {
+		t.Fatalf("another seed restored trees of the first forest:\n%s", out3.String())
+	}
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "fresh.json")), readFile(t, filepath.Join(dir, "rerun.json"))) {
+		t.Fatal("another seed's forest over the checkpoint dir differs from its fresh forest")
+	}
 }
 
 // forestFlagRejections are TestRunForestFlagValidation's rejected flags,
@@ -86,9 +105,9 @@ var forestFlagRejections = []struct {
 	{"negative", []string{"-forest", "-1"}},
 	{"orphan-sample", []string{"-feature-sample", "3"}},
 	{"algo", []string{"-forest", "2", "-algo", "serial"}},
-	{"tcp", []string{"-forest", "2", "-transport", "tcp"}},
+	{"pool-tcp", []string{"-forest", "2", "-forest-parallel", "2", "-transport", "tcp"}},
 	{"cv", []string{"-forest", "2", "-cv", "3"}},
-	{"faults", []string{"-forest", "2", "-faults", "crash@FindSplitI:1:2"}},
+	{"pool-faults", []string{"-forest", "2", "-forest-parallel", "2", "-faults", "crash@FindSplitI:1:2"}},
 	{"prune", []string{"-forest", "2", "-prune"}},
 	{"dump", []string{"-forest", "2", "-dump"}},
 }
@@ -98,6 +117,17 @@ func TestRunForestFlagValidation(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(quest("200", tc.args...), &out); err == nil {
 			t.Errorf("%s: flag misuse not rejected", tc.name)
+		}
+	}
+	// One world trains every tree, so a forest runs over TCP and under a
+	// fault schedule.
+	for name, args := range map[string][]string{
+		"tcp":    {"-forest", "2", "-procs", "2", "-transport", "tcp"},
+		"faults": {"-forest", "2", "-faults", "crash@FindSplitI:1:2"},
+	} {
+		var out bytes.Buffer
+		if err := run(quest("200", args...), &out); err != nil || !strings.Contains(out.String(), "2 trained, 0 restored, 0 lost") {
+			t.Errorf("%s: forest rejected or lost trees (%v):\n%s", name, err, out.String())
 		}
 	}
 }

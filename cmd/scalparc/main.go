@@ -31,15 +31,11 @@ import (
 	"repro/internal/scalparc"
 )
 
-// runForest is the -forest arm of run: train a bagged ensemble, report its
-// aggregate figures, evaluate by compiled majority vote, and optionally
+// reportForest is the -forest arm of run: report a trained ensemble's
+// aggregate figures, evaluate it by compiled majority vote, and optionally
 // write the forest JSON (readable back by cmd/serve's -model and POST
 // /models, and classify.DecodeModel).
-func runForest(stdout io.Writer, train, test *classify.Table, cfg classify.ForestConfig, jsonOut string, compileStats bool) error {
-	fm, err := classify.TrainForest(train, cfg)
-	if err != nil {
-		return err
-	}
+func reportForest(stdout io.Writer, fm *classify.ForestModel, train, test *classify.Table, jsonOut string, compileStats bool) error {
 	mm := fm.Metrics
 	fmt.Fprintf(stdout, "forest of %d trees on %d processors each: %d trained, %d restored, %d lost\n",
 		mm.Trees, mm.Processors, mm.Trained, mm.Restored, len(mm.Lost))
@@ -47,6 +43,9 @@ func runForest(stdout io.Writer, train, test *classify.Table, cfg classify.Fores
 		mm.ModeledSeconds, mm.WallSeconds, float64(mm.BytesSent)/1e6)
 	if len(mm.Lost) > 0 {
 		fmt.Fprintf(stdout, "lost trees %v: the ensemble continues on the survivors\n", mm.Lost)
+	}
+	if mm.Recoveries > 0 {
+		fmt.Fprintf(stdout, "recovered from %d failure(s) within trees\n", mm.Recoveries)
 	}
 	if mm.VoteFallbacks > 0 {
 		fmt.Fprintf(stdout, "vote split finding fell back to full histograms %d time(s)\n", mm.VoteFallbacks)
@@ -165,12 +164,11 @@ func run(args []string, stdout io.Writer) error {
 	forest := fs.Int("forest", 0, "train a bagged forest of this many trees instead of a single tree (scalparc only)")
 	featureSample := fs.Int("feature-sample", 0, "per-node attribute subset size for -forest (0 = bagging only)")
 	forestSeed := fs.Uint64("forest-seed", 1, "bootstrap/feature-stream seed for -forest")
-	forestParallel := fs.Int("forest-parallel", 0, "how many forest trees train concurrently (0 = 1; results are identical at any width)")
-	forestCkpt := fs.String("forest-checkpoint", "", "persist each completed forest tree to this directory and restore completed trees on a rerun")
+	forestParallel := fs.Int("forest-parallel", 0, "how many simulated worlds train forest trees concurrently (0 = 1; results are identical at any width)")
 	faultSpec := fs.String("faults", "", "fault-injection spec (scalparc only), e.g. crash@FindSplitI:1:2 or random:4:crash,straggle; the hang, reset, truncate and delay kinds need -transport=tcp, e.g. reset@FindSplitI:1:2:0")
 	faultSeed := fs.Int64("fault-seed", 0, "seed for random: fault specs (required non-zero for them)")
 	detectTimeout := fs.Duration("detect-timeout", 0, "suspect a silent peer after this long without traffic (-transport=tcp; 0 = fail-stop EOF detection only)")
-	ckptDir := fs.String("checkpoint", "", "checkpoint every tree level to this directory (scalparc only)")
+	ckptDir := fs.String("checkpoint", "", "checkpoint every tree level (with -forest: every finished tree) to this directory (scalparc only)")
 	compileStats := fs.Bool("compile", false, "compile the tree for batch inference and print the flat-table stats")
 	dump := fs.Bool("dump", false, "print the induced tree")
 	importance := fs.Bool("importance", false, "print gini attribute importance")
@@ -213,8 +211,8 @@ func run(args []string, stdout io.Writer) error {
 	if *forest < 0 {
 		return fmt.Errorf("-forest must be >= 0 (got %d)", *forest)
 	}
-	if *forest == 0 && (*featureSample != 0 || *forestParallel != 0 || *forestCkpt != "") {
-		return fmt.Errorf("-feature-sample, -forest-parallel, and -forest-checkpoint require -forest")
+	if *forest == 0 && (*featureSample != 0 || *forestParallel != 0) {
+		return fmt.Errorf("-feature-sample and -forest-parallel require -forest")
 	}
 	if *testFrac < 0 || *testFrac >= 1 {
 		return fmt.Errorf("-test-frac must be in [0, 1) (got %v)", *testFrac)
@@ -270,7 +268,7 @@ func run(args []string, stdout io.Writer) error {
 	var forestCfg *classify.ForestConfig
 	if *forest > 0 {
 		forestCfg = &classify.ForestConfig{Trees: *forest, Seed: *forestSeed, FeatureSample: *featureSample,
-			Parallel: *forestParallel, CheckpointDir: *forestCkpt, Engine: trainCfg}
+			Parallel: *forestParallel, Engine: trainCfg}
 	}
 	if err := classify.Check(trainCfg, forestCfg, *transport == "tcp"); err != nil {
 		return err
@@ -342,10 +340,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if forestCfg != nil {
-		return runForest(stdout, train, test, *forestCfg, *jsonOut, *compileStats)
-	}
-
 	if *cvFolds > 0 {
 		// Cross-validate over the full available data (train + test).
 		full := train
@@ -366,14 +360,32 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	var model *classify.Model
+	var job *tcpResult
 	switch {
 	case *transport == "tcp" && tcptransport.IsWorker():
-		return trainTCPWorker(train, trainCfg, *detectTimeout)
+		return trainTCPWorker(train, trainCfg, forestCfg, *detectTimeout)
 	case *transport == "tcp":
 		fmt.Fprintf(stdout, "tcp transport: %d rank processes over localhost\n", *procs)
-		model, err = trainTCPCoordinator(args, *procs, os.Stderr, *detectTimeout, *ckptDir, stdout)
-	default:
+		if job, err = trainTCPCoordinator(args, *procs, os.Stderr, *detectTimeout, *ckptDir, stdout); err != nil {
+			return err
+		}
+	}
+	if forestCfg != nil {
+		var fm *classify.ForestModel
+		if job != nil {
+			fm, err = job.forest()
+		} else {
+			fm, err = classify.TrainForest(train, *forestCfg)
+		}
+		if err != nil {
+			return err
+		}
+		return reportForest(stdout, fm, train, test, *jsonOut, *compileStats)
+	}
+	var model *classify.Model
+	if job != nil {
+		model, err = job.tree()
+	} else {
 		model, err = classify.Train(train, trainCfg)
 	}
 	if err != nil {

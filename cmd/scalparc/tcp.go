@@ -6,11 +6,12 @@ package main
 // rank's listener, re-executes itself once per rank with the same
 // command line plus the worker environment, and waits; each worker
 // rebuilds the identical dataset from the shared flags, trains over the
-// wire, and the surviving dense-rank-0 worker publishes the tree and
-// metrics back through a result file: one header line — the metrics as
-// JSON, every surviving rank's books, phase trace included — then the tree
-// document exactly as Tree.Encode wrote it (a deep tree is megabytes, so
-// it is neither wrapped in the header's JSON nor parsed twice).
+// wire, and the surviving dense-rank-0 worker publishes the model and
+// metrics back through a result file, one format for a tree and a forest:
+// one header line — the metrics as JSON (a tree's with every surviving
+// rank's books, phase trace included) — then the model document exactly as
+// Encode wrote it (a deep tree is megabytes, so it is neither wrapped in
+// the header's JSON nor parsed twice), read back by the one model parser.
 //
 // With -detect-timeout the workers suspect silent peers by heartbeat
 // timeout, and with -checkpoint the coordinator becomes a supervisor:
@@ -32,15 +33,26 @@ import (
 	"repro/internal/comm/tcptransport"
 )
 
-// trainTCPCoordinator spawns the rank workers and reassembles their
-// result into a Model, so the rest of run() treats a TCP run exactly
-// like a simulated one. When checkpointing is on it also retries: a
-// failed attempt is relaunched at the surviving world size with the
-// resume environment set, and with the fault spec cleared — injected
-// faults are one-shot, they struck the attempt they were scheduled for.
-// A respawned attempt's rank r stands for its parent attempt's r-th
-// survivor, so the reported lost ranks are the original run's.
-func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect time.Duration, ckptDir string, stdout io.Writer) (*classify.Model, error) {
+// tcpResult is a finished TCP job as the coordinator reads it: the result
+// writer's metrics header and model, and what only the coordinator saw —
+// the respawns it took and the final attempt's ids.
+type tcpResult struct {
+	procs    int
+	header   []byte
+	model    *classify.Forest
+	respawns int
+	ids      []int
+}
+
+// trainTCPCoordinator spawns the rank workers and reads back their result,
+// so the rest of run() treats a TCP run exactly like a simulated one. When
+// checkpointing is on it also retries: a failed attempt is relaunched at
+// the surviving world size with the resume environment set, and with the
+// fault spec cleared — injected faults are one-shot, they struck the
+// attempt they were scheduled for. A respawned attempt's rank r stands for
+// its parent attempt's r-th survivor, so the reported lost ranks are the
+// original run's.
+func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect time.Duration, ckptDir string, stdout io.Writer) (*tcpResult, error) {
 	opts := tcptransport.LaunchOpts{}
 	if detect > 0 {
 		// The watchdog grace mirrors the detection timeout: by the time
@@ -67,27 +79,11 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 		if werr == nil {
 			job.Close()
 			header, doc, _ := bytes.Cut(data, []byte("\n"))
-			var metrics classify.Metrics
-			if err := json.Unmarshal(header, &metrics); err != nil {
-				return nil, fmt.Errorf("decoding worker result: %w", err)
-			}
-			tree, err := classify.DecodeTree(bytes.NewReader(doc))
+			model, err := classify.DecodeModel(bytes.NewReader(doc))
 			if err != nil {
-				return nil, fmt.Errorf("decoding worker tree: %w", err)
+				return nil, fmt.Errorf("decoding worker model: %w", err)
 			}
-			// The final attempt's workers never saw the coordinator's
-			// respawns or earlier attempts' losses: a rank of the run as
-			// asked for is lost unless the final attempt ran it and kept it.
-			metrics.Recoveries += attempt
-			metrics.Processors = procs
-			gone := metrics.Lost
-			metrics.Lost = nil
-			for id := range procs {
-				if r := slices.Index(ids, id); r < 0 || slices.Contains(gone, r) {
-					metrics.Lost = append(metrics.Lost, id)
-				}
-			}
-			return &classify.Model{Tree: tree, Metrics: metrics}, nil
+			return &tcpResult{procs: procs, header: header, model: model, respawns: attempt, ids: ids}, nil
 		}
 		survivors := job.Survivors()
 		job.Close()
@@ -107,14 +103,50 @@ func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect t
 	}
 }
 
+// tree is a single-tree job's model. The final attempt's workers never saw
+// the coordinator's respawns or earlier attempts' losses: a rank of the
+// run as asked for is lost unless the final attempt ran it and kept it.
+func (r *tcpResult) tree() (*classify.Model, error) {
+	var m classify.Metrics
+	if err := json.Unmarshal(r.header, &m); err != nil {
+		return nil, fmt.Errorf("decoding worker result: %w", err)
+	}
+	if len(r.model.Trees) != 1 {
+		return nil, fmt.Errorf("decoding worker result: a forest of %d trees, not a tree", len(r.model.Trees))
+	}
+	m.Recoveries += r.respawns
+	m.Processors = r.procs
+	gone := m.Lost
+	m.Lost = nil
+	for id := range r.procs {
+		if rank := slices.Index(r.ids, id); rank < 0 || slices.Contains(gone, rank) {
+			m.Lost = append(m.Lost, id)
+		}
+	}
+	return &classify.Model{Tree: r.model.Trees[0], Metrics: m}, nil
+}
+
+// forest is a forest job's model; a respawn counts as a recovery, as it
+// does for a tree.
+func (r *tcpResult) forest() (*classify.ForestModel, error) {
+	var m classify.ForestMetrics
+	if err := json.Unmarshal(r.header, &m); err != nil {
+		return nil, fmt.Errorf("decoding worker result: %w", err)
+	}
+	m.Recoveries += r.respawns
+	m.Processors = r.procs
+	return &classify.ForestModel{Forest: r.model, Metrics: m}, nil
+}
+
 // trainTCPWorker is one rank's whole life: connect the mesh described by
-// the worker environment, train, and (if this process ends up as the
-// lowest surviving physical rank) publish the result. Every exit
-// publishes a status verdict so the coordinator can size a respawn: a
-// rank killed by fault injection is "dead", a rank that lost every peer
-// under detection is "orphaned", and a rank that finished is "ok". A
-// hung rank writes nothing — that silence is what the watchdog keys on.
-func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Duration) error {
+// the worker environment, train the tree, or the forest when one is given
+// (its Engine is cfg), and (if this process ends up as the lowest surviving
+// physical rank) publish the result. Every exit publishes a status verdict
+// so the coordinator can size a respawn: a rank killed by fault injection
+// is "dead", a rank that lost every peer under detection is "orphaned", and
+// a rank that finished is "ok". A hung rank writes nothing — that silence
+// is what the watchdog keys on.
+func trainTCPWorker(train *classify.Table, cfg classify.Config, forest *classify.ForestConfig, detect time.Duration) error {
 	tr, err := tcptransport.FromEnvTimeout(detect)
 	if err != nil {
 		return err
@@ -133,16 +165,31 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Dura
 		// so the reported runtime reflects the detection latency.
 		w.SetDetectTimeout(detect.Seconds())
 	}
-	model, err := classify.TrainWorld(w, train, cfg)
-	if err != nil {
-		if errors.Is(err, tcptransport.ErrOrphaned) {
-			_ = tcptransport.WriteStatus("orphaned")
-			return nil
+	// A forest that lost trees to the error that ended its world still has
+	// a model: the trees before it, lost ones recorded.
+	var metrics any
+	var model interface{ Encode(io.Writer) error }
+	if forest == nil {
+		var m *classify.Model
+		if m, err = classify.TrainWorld(w, train, cfg); m != nil {
+			metrics, model = m.Metrics, m.Tree
 		}
-		if !w.Live(tr.Rank()) {
-			_ = tcptransport.WriteStatus("dead")
-			return nil
+	} else {
+		f := *forest
+		f.Engine = cfg
+		var m *classify.ForestModel
+		if m, err = classify.TrainForestWorld(w, train, f); m != nil {
+			metrics, model = m.Metrics, m.Forest
 		}
+	}
+	switch {
+	case errors.Is(err, tcptransport.ErrOrphaned):
+		_ = tcptransport.WriteStatus("orphaned")
+		return nil
+	case !w.Live(tr.Rank()):
+		_ = tcptransport.WriteStatus("dead")
+		return nil
+	case model == nil:
 		return err
 	}
 	for phys := 0; phys < tr.Rank(); phys++ {
@@ -150,12 +197,12 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, detect time.Dura
 			return tcptransport.WriteStatus("ok")
 		}
 	}
-	header, err := json.Marshal(model.Metrics)
+	header, err := json.Marshal(metrics)
 	if err != nil {
 		return err
 	}
 	result := bytes.NewBuffer(append(header, '\n'))
-	if err := model.Tree.Encode(result); err != nil {
+	if err := model.Encode(result); err != nil {
 		return err
 	}
 	if err := tcptransport.WriteResult(result.Bytes()); err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -157,6 +158,88 @@ func TestTCPCrashRecovery(t *testing.T) {
 				t.Errorf("rank %d's thread has no %q event; instant events: %v", survivor, name, instants)
 			}
 		}
+	}
+}
+
+// TestTCPForest: a forest trains tree after tree on one world, so over TCP
+// every tree runs across the worker processes, and the forest file, the
+// summary lines and the accuracy lines are the simulated run's (wall time
+// masked). A crash is recovered inside its tree without changing the
+// forest, and a -checkpoint rerun restores every tree.
+func TestTCPForest(t *testing.T) {
+	dir := t.TempDir()
+	for _, procs := range []int{2, 3} {
+		base := []string{"-quest-function", "2", "-records", "2000", "-seed", "5",
+			"-procs", fmt.Sprint(procs), "-forest", "3", "-feature-sample", "3"}
+		outs, forests := map[string]string{}, map[string][]byte{}
+		for _, variant := range []string{"sim", "tcp", "tcp-crash"} {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.json", variant, procs))
+			args := append(append([]string(nil), base...), "-json-out", path)
+			switch variant {
+			case "tcp":
+				args = append(args, "-transport=tcp")
+			case "tcp-crash":
+				args = append(args, "-transport=tcp", "-faults", "crash@FindSplitI:1:1")
+			}
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("p=%d %s: %v", procs, variant, err)
+			}
+			outs[variant], forests[variant] = out.String(), readFile(t, path)
+		}
+		for _, variant := range []string{"tcp", "tcp-crash"} {
+			if !bytes.Equal(forests["sim"], forests[variant]) {
+				t.Fatalf("p=%d: the %s forest differs from the simulated one", procs, variant)
+			}
+		}
+		if !strings.Contains(outs["tcp-crash"], "recovered from") {
+			t.Fatalf("p=%d: the crash run reports no recovery:\n%s", procs, outs["tcp-crash"])
+		}
+		wall := regexp.MustCompile(`wall [0-9.]+s`)
+		for _, substr := range []string{"forest of", "modeled runtime", "training ", "held-out "} {
+			simLine := wall.ReplaceAllString(pick(outs["sim"], substr), "wall")
+			tcpLine := wall.ReplaceAllString(pick(outs["tcp"], substr), "wall")
+			if simLine == "" || simLine != tcpLine {
+				t.Fatalf("p=%d: %q lines diverged:\nsim: %q\ntcp: %q", procs, substr, simLine, tcpLine)
+			}
+		}
+	}
+
+	ckpt := filepath.Join(dir, "ckpt")
+	args := []string{"-quest-function", "2", "-records", "2000", "-seed", "5", "-procs", "2",
+		"-forest", "3", "-transport=tcp", "-checkpoint", ckpt}
+	for i, want := range []string{"3 trained, 0 restored", "0 trained, 3 restored"} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("checkpoint run %d: %v", i+1, err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("checkpoint run %d does not report %q:\n%s", i+1, want, out.String())
+		}
+	}
+
+	// A rank hung in tree 1 (op #3 of its level-1 FindSplitI site, counted
+	// over the whole forest) orphans its peer at p=2: the attempt dies
+	// wholesale, and the respawn restores tree 0 and trains the rest.
+	ckpt = filepath.Join(dir, "orphan-ckpt")
+	oracle := filepath.Join(dir, "orphan-sim.json")
+	base := []string{"-quest-function", "1", "-records", "1200", "-seed", "3", "-procs", "2", "-forest", "3"}
+	if err := run(append(append([]string(nil), base...), "-json-out", oracle), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	path := filepath.Join(dir, "orphan-tcp.json")
+	if err := run(append(base, "-transport=tcp", "-detect-timeout", "400ms", "-checkpoint", ckpt,
+		"-faults", "hang@FindSplitI:1:1#3", "-json-out", path), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"respawning 1 survivor(s)", "2 trained, 1 restored, 0 lost"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("orphaned forest run does not report %q:\n%s", want, out.String())
+		}
+	}
+	if !bytes.Equal(readFile(t, oracle), readFile(t, path)) {
+		t.Fatal("the respawned forest differs from the simulated one")
 	}
 }
 

@@ -610,9 +610,9 @@ func TestResetClocks(t *testing.T) {
 	if w.MaxClock() <= 0 {
 		t.Fatal("clock should be positive")
 	}
-	w.ResetClocks()
+	w.Reset()
 	if w.MaxClock() != 0 {
-		t.Fatal("ResetClocks did not zero clocks")
+		t.Fatal("Reset did not zero clocks")
 	}
 }
 
@@ -669,7 +669,7 @@ func TestStatsConservation(t *testing.T) {
 func TestStatsReset(t *testing.T) {
 	w := NewWorld(2, timing.T3D())
 	w.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
-	w.ResetStats()
+	w.Reset()
 	for r, s := range w.Stats() {
 		if s != (Stats{}) {
 			t.Fatalf("rank %d stats not reset: %+v", r, s)
@@ -723,10 +723,10 @@ func TestWorldMemoryAccessors(t *testing.T) {
 	if peaks[0] != 100 || peaks[1] != 200 {
 		t.Fatalf("peaks=%v", peaks)
 	}
-	w.ResetMemory()
+	w.Reset()
 	for _, pk := range w.PeakMemory() {
 		if pk != 0 {
-			t.Fatal("ResetMemory did not zero peaks")
+			t.Fatal("Reset did not zero peaks")
 		}
 	}
 }

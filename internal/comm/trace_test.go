@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/timing"
@@ -225,38 +226,31 @@ func TestTraceSpansTileEachRankTimeline(t *testing.T) {
 func TestResetClocksResetsTraceTimes(t *testing.T) {
 	w := NewWorld(2, timing.T3D())
 	w.Run(mixedWorkload)
-	w.ResetClocks()
+	w.Reset()
 	tr := w.Trace()
 	for r := 0; r < 2; r++ {
-		if tr.Ranks[r].TotalPicos() != 0 {
-			t.Fatalf("rank %d: trace times survived ResetClocks", r)
-		}
-		// Comm counters must survive a clock reset: stats were not reset.
-		var sent int64
-		for _, b := range tr.Ranks[r].Buckets() {
-			sent += b.BytesSent
-		}
-		if sent != w.Stats()[r].BytesSent {
-			t.Fatalf("rank %d: trace bytes %d diverged from stats %d after ResetClocks", r, sent, w.Stats()[r].BytesSent)
+		if tr.Ranks[r].TotalPicos() != 0 || len(tr.Ranks[r].Spans()) != 0 || len(tr.Ranks[r].Events()) != 0 {
+			t.Fatalf("rank %d: trace times, spans or events survived Reset", r)
 		}
 	}
 }
 
+// TestResetStatsResetsTraceComm: a reset world lists no bucket of the run
+// before it, so a second run's trace equals a fresh world's.
 func TestResetStatsResetsTraceComm(t *testing.T) {
 	w := NewWorld(2, timing.T3D())
 	w.Run(mixedWorkload)
-	w.ResetStats()
-	tr := w.Trace()
-	for r := 0; r < 2; r++ {
-		for _, b := range tr.Ranks[r].Buckets() {
-			if b.BytesSent != 0 || b.BytesRecv != 0 || b.Ops != 0 {
-				t.Fatalf("rank %d: trace comm counters survived ResetStats: %+v", r, b)
-			}
+	w.Reset()
+	for r, rt := range w.Trace().Ranks {
+		if bs := rt.Buckets(); len(bs) != 0 {
+			t.Fatalf("rank %d: buckets survived Reset: %+v", r, bs)
 		}
-		// Times must survive a stats reset.
-		if tr.Ranks[r].TotalPicos() != tr.FinalPicos[r] {
-			t.Fatalf("rank %d: trace times diverged from clock after ResetStats", r)
-		}
+	}
+	w.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
+	fresh := NewWorld(2, timing.T3D())
+	fresh.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
+	if !reflect.DeepEqual(w.Trace(), fresh.Trace()) {
+		t.Fatal("a run on a reset world traced differently from one on a fresh world")
 	}
 }
 

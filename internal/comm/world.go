@@ -272,14 +272,16 @@ func (w *World) MaxClock() float64 {
 // MaxClockPicos is MaxClock in the clock's native integer picoseconds.
 func (w *World) MaxClockPicos() int64 { return slices.Max(w.clocks) }
 
-// ResetClocks zeroes every rank's virtual clock and the attributed times
-// of the phase traces (times and clocks must reset together, or the
-// "per-phase times sum to the clock" invariant would break). Call only
-// while no SPMD section is running.
-func (w *World) ResetClocks() {
+// Reset returns every rank's books to a fresh world's: clock, stats,
+// memory meter, and phase trace — a new one, so a later run lists only its
+// own buckets. The live set is kept: ranks lost earlier stay lost. Call
+// only while no SPMD section is running.
+func (w *World) Reset() {
 	for i := range w.clocks {
 		w.clocks[i] = 0
-		w.traces[i].ResetTimes()
+		w.stats[i] = Stats{}
+		w.mem[i] = MemMeter{}
+		w.traces[i] = trace.NewRank()
 	}
 }
 
@@ -305,16 +307,6 @@ func (w *World) Trace() *trace.Trace {
 // while no SPMD section is running.
 func (w *World) Stats() []Stats { return slices.Clone(w.stats) }
 
-// ResetStats zeroes the per-rank statistics and the byte/operation
-// counters of the phase traces (they mirror the stats, so they reset
-// together). Call only while no SPMD section is running.
-func (w *World) ResetStats() {
-	for i := range w.stats {
-		w.stats[i] = Stats{}
-		w.traces[i].ResetComm()
-	}
-}
-
 // PeakMemory returns the per-rank peak tracked memory in bytes. Call only
 // while no SPMD section is running.
 func (w *World) PeakMemory() []int64 {
@@ -323,14 +315,6 @@ func (w *World) PeakMemory() []int64 {
 		out[i] = w.mem[i].Peak()
 	}
 	return out
-}
-
-// ResetMemory resets the per-rank memory meters (both current and peak).
-// Call only while no SPMD section is running.
-func (w *World) ResetMemory() {
-	for i := range w.mem {
-		w.mem[i] = MemMeter{}
-	}
 }
 
 // Comm is one rank's handle onto the world. All methods are called from

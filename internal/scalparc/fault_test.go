@@ -512,9 +512,6 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 		t.Fatal(err)
 	}
 	w := comm.NewWorld(p, timing.T3D())
-	w.ResetClocks()
-	w.ResetStats()
-	w.ResetMemory()
 	held := map[int][][]int64{}
 	w.Run(func(c *comm.Comm) {
 		wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)

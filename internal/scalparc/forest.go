@@ -1,30 +1,34 @@
 package scalparc
 
 // Forest training: bagging plus per-node feature subsampling (features.go)
-// layered over the single-tree engine. Every tree is an independent
-// ScalParC run — its own comm world over the same processor count — on a
-// deterministic bootstrap resample of the shared input table, so the
-// within-tree parallelism (the four phases, the split strategies, fault
-// recovery) is exactly the engine's, and across-tree parallelism is a
-// bounded pool of concurrent worlds.
+// layered over the single-tree engine. A forest is T TrainOpts runs back to
+// back on one world, each on a deterministic bootstrap resample of the
+// shared input table, so the within-tree parallelism (the four phases, the
+// split strategies, fault recovery) is exactly the engine's.
+// TrainForestWorld trains on the caller's world, a wire one included;
+// TrainForest runs a pool of Parallel simulated worlds pulling tree indices
+// from one queue.
 //
 // Determinism: tree i's bootstrap indices and feature seed are pure
-// functions of (ForestOptions.Seed, i) via splitmix64 streams, and each
-// engine run is invariant under its processor count, so the same seed
-// yields a byte-identical forest at any Procs and any Parallel — tree
-// completion order never matters because results are slotted by index.
+// functions of (ForestOptions.Seed, i) via splitmix64 streams, each engine
+// run is invariant under its processor count, and results are slotted by
+// index, so the same seed yields a byte-identical forest at any Procs and
+// any Parallel.
 //
 // Fault tolerance has two layers. Within a tree the engine's own recovery
-// applies (shrink + replay from the root). If a tree's run still fails
-// terminally, the tree is recorded lost and training continues: a crash
-// costs at most the in-flight tree, never the ensemble. With CheckpointDir
-// set, every completed tree is additionally persisted atomically
-// (tree_<i>.json via atomicfile.WriteDurable), and a rerun pointed at the same
-// directory restores completed trees instead of retraining them, so a
-// whole-process crash also loses only in-flight trees.
+// applies (shrink + replay), and later trees train on the survivors. A
+// terminal error loses the tree and retires its world: a poisoned
+// collective leaves ranks dead with no failure epoch to recover them in.
+// The pool opens a fresh world for that slot, so a crash costs at most the
+// in-flight tree, never the ensemble; on a caller's world the remaining
+// trees are lost with the same error. With Engine.CheckpointDir set,
+// finished trees are persisted and a rerun restores the ones that match,
+// so a whole-process crash also loses only in-flight trees.
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,34 +52,37 @@ type ForestOptions struct {
 	// FeatureSample is the per-node attribute subset size every tree
 	// evaluates as split candidates (0: no subsampling; see features.go).
 	FeatureSample int
-	// Procs is the processor count of each tree's world (0: 1).
+	// Procs is the processor count of TrainForest's worlds (0: 1).
+	// TrainForestWorld takes the caller's world's.
 	Procs int
-	// Model is the timing model for the worlds (zero value: timing.T3D()).
+	// Model is the timing model of TrainForest's worlds (zero value:
+	// timing.T3D()). TrainForestWorld takes the caller's world's.
 	Model timing.Model
-	// Parallel bounds how many tree worlds train concurrently (0: 1).
-	// Forest bytes and modeled seconds are per-tree figures aggregated by
-	// summation, so Parallel changes only wall time, never the results.
+	// Parallel is how many worlds TrainForest trains on concurrently
+	// (0: 1). Forest bytes and modeled seconds are per-tree figures
+	// aggregated by summation, so Parallel changes only wall time, never
+	// the results. Concurrent worlds share Engine.Faults: leave it nil
+	// with Parallel > 1.
 	Parallel int
-	// Engine carries the per-tree engine options (split strategy, bins,
-	// fault injection). Its Resume and CheckpointDir fields must be zero:
-	// the forest layer owns persistence.
+	// Engine carries every tree's engine options (split strategy, bins,
+	// fault injection). Engine.Faults is installed for every tree's run,
+	// so each of its events fires once, in the first tree that reaches its
+	// site. Engine.CheckpointDir is the forest's directory of finished
+	// trees; the trees themselves write no level frames, and Resume
+	// changes nothing.
 	Engine Options
 	// FaultsFor, when non-nil, supplies the fault injector for each tree's
-	// world by tree index (overriding Engine.Faults) — the chaos harness
+	// run by tree index (overriding Engine.Faults) — the chaos harness
 	// crashes a rank in one designated tree this way.
 	FaultsFor func(treeIdx int) comm.FaultInjector
-	// CheckpointDir, when set, persists every completed tree to
-	// tree_<i>.json in the directory (atomically) and restores completed
-	// trees from it on a rerun. The directory is created if absent and
-	// must be writable, as for Options.CheckpointDir.
-	CheckpointDir string
 }
 
 // TreeRun reports one tree's training outcome.
 type TreeRun struct {
 	// Seed is the tree's derived determinism seed.
 	Seed uint64
-	// Restored marks a tree loaded from CheckpointDir instead of trained.
+	// Restored marks a tree loaded from the checkpoint directory instead
+	// of trained.
 	Restored bool
 	// Err is the terminal training error of a lost tree ("" otherwise).
 	Err string
@@ -109,24 +116,66 @@ type ForestResult struct {
 	WallSeconds float64
 }
 
-// forestTreePath names tree i's persisted model file in the checkpoint dir.
-func forestTreePath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("tree_%03d.json", i))
-}
-
-// TrainForest trains a bagged forest of fo.Trees trees over the table and
-// returns the ensemble with per-tree metrics. At least one tree must
-// survive; lost trees are reported, not fatal.
+// TrainForest trains a bagged forest of fo.Trees trees over the table on a
+// pool of fo.Parallel simulated worlds of fo.Procs ranks and returns the
+// ensemble with per-tree metrics. At least one tree must survive; lost
+// trees are reported, not fatal.
 func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*ForestResult, error) {
-	// Every tree's run would reject a bad option alike; checking once up
-	// front reports it as the configuration error it is, not as T lost trees.
-	if err := CheckOptions(fo.Engine, &fo, tab.Schema.NumAttrs()); err != nil {
+	f, err := newForest(tab, cfg, fo)
+	if err != nil {
 		return nil, err
 	}
-	fo.Procs = max(fo.Procs, 1)
-	fo.Parallel = max(fo.Parallel, 1)
-	if fo.Model == (timing.Model{}) {
-		fo.Model = timing.T3D()
+	model := fo.Model
+	if model == (timing.Model{}) {
+		model = timing.T3D()
+	}
+	var wg sync.WaitGroup
+	for range max(fo.Parallel, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A world a terminal error retired is replaced, never reused.
+			for f.trainTrees(comm.NewWorld(max(fo.Procs, 1), model)) != nil {
+			}
+		}()
+	}
+	wg.Wait()
+	return f.finish(nil)
+}
+
+// TrainForestWorld trains the forest tree after tree on the caller's world,
+// whose size and model it takes, as TrainOpts does. On a wire world every
+// process runs it, and the processes make the same restore decisions. A
+// terminal error retires w: the trees not yet trained are lost with it, and
+// it is returned beside the result of the trees before it, so a caller can
+// tell what ended its world (a wire worker: its own orphaning).
+func TrainForestWorld(w *comm.World, tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*ForestResult, error) {
+	f, err := newForest(tab, cfg, fo)
+	if err != nil {
+		return nil, err
+	}
+	return f.finish(f.trainTrees(w))
+}
+
+// forest is one forest training run: its inputs, the queue of tree indices
+// still to train, and the per-tree slots every world writes its trees into.
+type forest struct {
+	tab   *dataset.Table
+	cfg   splitter.Config
+	fo    ForestOptions
+	res   *ForestResult
+	trees []*tree.Tree
+	queue chan int
+	start time.Time
+}
+
+// newForest checks the options once, up front — every tree would reject a
+// bad option alike, and it is one configuration error, not T lost trees —
+// opens the checkpoint directory, and makes every restore decision before
+// any tree trains.
+func newForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*forest, error) {
+	if err := CheckOptions(fo.Engine, &fo, tab.Schema.NumAttrs()); err != nil {
+		return nil, err
 	}
 	if err := tab.Schema.Validate(); err != nil {
 		return nil, err
@@ -134,98 +183,96 @@ func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*Fo
 	if tab.NumRows() == 0 {
 		return nil, fmt.Errorf("scalparc: empty training set")
 	}
-	if fo.CheckpointDir != "" {
-		if _, err := NewCheckpointStore(fo.CheckpointDir); err != nil {
+	if fo.Engine.CheckpointDir != "" {
+		if _, err := NewCheckpointStore(fo.Engine.CheckpointDir); err != nil {
 			return nil, err
 		}
 	}
-
-	res := &ForestResult{PerTree: make([]TreeRun, fo.Trees)}
-	trees := make([]*tree.Tree, fo.Trees)
-	start := time.Now()
-
-	sem := make(chan struct{}, fo.Parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < fo.Trees; i++ {
-		treeSeed := mix64(fo.Seed, uint64(i))
-		run := &res.PerTree[i]
-		run.Seed = treeSeed
-
-		if fo.CheckpointDir != "" {
-			if t, err := loadForestTree(forestTreePath(fo.CheckpointDir, i), tab.Schema); err == nil {
-				trees[i], run.Restored = t, true
-				continue
-			}
-		}
-
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, treeSeed uint64, run *TreeRun) {
-			defer func() { <-sem; wg.Done() }()
-			trees[i] = trainForestTree(tab, cfg, fo, i, treeSeed, run)
-		}(i, treeSeed, run)
+	f := &forest{tab: tab, cfg: cfg, fo: fo, start: time.Now(),
+		res:   &ForestResult{PerTree: make([]TreeRun, fo.Trees)},
+		trees: make([]*tree.Tree, fo.Trees),
+		queue: make(chan int, fo.Trees),
 	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
+	for i := range f.trees {
+		run := &f.res.PerTree[i]
+		run.Seed = mix64(fo.Seed, uint64(i))
+		if f.trees[i] = f.loadTree(i); f.trees[i] != nil {
+			run.Restored = true
+		} else {
+			f.queue <- i
+		}
+	}
+	close(f.queue)
+	return f, nil
+}
 
-	f := &tree.Forest{Schema: tab.Schema}
-	for i, t := range trees {
+// trainTrees trains queued trees back to back on w until the queue is
+// empty (nil) or a tree's terminal error retires w (that error; the tree is
+// recorded lost).
+func (f *forest) trainTrees(w *comm.World) error {
+	for i := range f.queue {
+		run := &f.res.PerTree[i]
+		opts := f.fo.Engine
+		opts.CheckpointDir, opts.Resume = "", false
+		opts.featureSample = f.fo.FeatureSample
+		opts.featureSeed = mix64(run.Seed, 0xFEA7)
+		if f.fo.FaultsFor != nil {
+			opts.Faults = f.fo.FaultsFor(i)
+		}
+		boot := f.tab.Gather(bootstrapIndices(run.Seed, f.tab.NumRows()))
+		r, err := TrainOpts(w, boot, f.cfg, opts)
+		if err != nil {
+			run.Err = err.Error()
+			return err
+		}
+		run.Levels = r.Levels
+		run.ModeledSeconds = r.ModeledSeconds
+		run.Recoveries = r.Recoveries
+		run.VoteFallbacks = r.VoteFallbacks
+		for _, s := range r.Stats {
+			run.Stats.Add(s)
+		}
+		if err := f.saveTree(w, i, r.Tree); err != nil {
+			run.Err = err.Error()
+			continue
+		}
+		f.trees[i] = r.Tree
+	}
+	return nil
+}
+
+// finish assembles the result from the per-tree slots. retired is the
+// error that retired a caller's world, if one did: the trees still queued
+// are lost with it, and it is returned — wrapped, should no tree survive.
+func (f *forest) finish(retired error) (*ForestResult, error) {
+	for i := range f.queue {
+		f.res.PerTree[i].Err = retired.Error()
+	}
+	res := f.res
+	res.WallSeconds = time.Since(f.start).Seconds()
+	res.Forest = &tree.Forest{Schema: f.tab.Schema}
+	for i, t := range f.trees {
 		run := &res.PerTree[i]
 		switch {
 		case t == nil:
 			res.LostTrees = append(res.LostTrees, i)
 		case run.Restored:
 			res.RestoredTrees++
-			f.Trees = append(f.Trees, t)
+			res.Forest.Trees = append(res.Forest.Trees, t)
 		default:
 			res.TrainedTrees++
-			f.Trees = append(f.Trees, t)
+			res.Forest.Trees = append(res.Forest.Trees, t)
 			res.ModeledSeconds += run.ModeledSeconds
 			res.Stats.Add(run.Stats)
 		}
 	}
-	if len(f.Trees) == 0 {
-		return nil, fmt.Errorf("scalparc: all %d forest trees failed; last error: %s", fo.Trees, res.PerTree[fo.Trees-1].Err)
-	}
-	res.Forest = f
-	return res, nil
-}
-
-// trainForestTree runs one tree end to end: bootstrap resample, engine
-// training on a fresh world, optional persistence. A terminal engine error
-// marks the tree lost (nil return) — the ensemble absorbs it.
-func trainForestTree(tab *dataset.Table, cfg splitter.Config, fo ForestOptions,
-	i int, treeSeed uint64, run *TreeRun) *tree.Tree {
-	boot := tab.Gather(bootstrapIndices(treeSeed, tab.NumRows()))
-
-	opts := fo.Engine
-	opts.featureSample = fo.FeatureSample
-	opts.featureSeed = mix64(treeSeed, 0xFEA7)
-	if fo.FaultsFor != nil {
-		opts.Faults = fo.FaultsFor(i)
-	}
-
-	w := comm.NewWorld(fo.Procs, fo.Model)
-	r, err := TrainOpts(w, boot, cfg, opts)
-	if err != nil {
-		run.Err = err.Error()
-		return nil
-	}
-	run.Levels = r.Levels
-	run.ModeledSeconds = r.ModeledSeconds
-	run.Recoveries = r.Recoveries
-	run.VoteFallbacks = r.VoteFallbacks
-	for _, s := range r.Stats {
-		run.Stats.Add(s)
-	}
-
-	if fo.CheckpointDir != "" {
-		if err := saveForestTree(forestTreePath(fo.CheckpointDir, i), r.Tree); err != nil {
-			run.Err = err.Error()
-			return nil
+	if len(res.Forest.Trees) == 0 {
+		if retired == nil {
+			retired = errors.New(res.PerTree[f.fo.Trees-1].Err)
 		}
+		return nil, fmt.Errorf("scalparc: all %d forest trees failed; last error: %w", f.fo.Trees, retired)
 	}
-	return r.Tree
+	return res, retired
 }
 
 // bootstrapIndices draws n row indices with replacement from the tree's
@@ -239,30 +286,53 @@ func bootstrapIndices(treeSeed uint64, n int) []int {
 	return idx
 }
 
-// saveForestTree persists a completed tree with atomicfile.WriteDurable — a
-// rerun restores from these files after a crash, so they are fsynced, not
-// just renamed into place. A crash mid-write leaves at most a stale temp
-// file, never a torn tree_<i>.json.
-func saveForestTree(path string, t *tree.Tree) error {
-	err := atomicfile.WriteDurable(path, t.Encode)
+// treePath names tree i's file in the checkpoint directory by its index and
+// a fingerprint of everything that decides the tree: its derived seed, the
+// feature sample, the split strategy's parameters, the splitter config and
+// the record count — the inputs the engine's frames refuse to mix. A file
+// left by another forest in the same directory has another name.
+func (f *forest) treePath(i int) string {
+	o := f.fo.Engine
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %d %d %d %d %+v %d", f.res.PerTree[i].Seed, f.fo.FeatureSample,
+		o.Split, o.Bins, o.VoteK, f.cfg.Normalize(), f.tab.NumRows())
+	return filepath.Join(o.CheckpointDir, fmt.Sprintf("tree_%03d-%016x.json", i, h.Sum64()))
+}
+
+// saveTree persists a finished tree with atomicfile.WriteDurable — a rerun
+// restores from these files after a crash, so they are fsynced, not just
+// renamed into place, and a crash mid-write leaves at most a stale temp
+// file, never a torn tree file. Dense rank 0 writes it, as it writes a
+// level's shared frame: on a wire, the lowest live rank.
+func (f *forest) saveTree(w *comm.World, i int, t *tree.Tree) error {
+	if f.fo.Engine.CheckpointDir == "" {
+		return nil
+	}
+	var err error
+	w.Run(func(c *comm.Comm) {
+		if c.Rank() == 0 {
+			err = atomicfile.WriteDurable(f.treePath(i), t.Encode)
+		}
+	})
 	if err != nil {
 		return fmt.Errorf("scalparc: persisting forest tree: %w", err)
 	}
 	return nil
 }
 
-// loadForestTree restores a persisted tree through decodeTree, so the
-// forest shares the training schema and a directory from a different run
-// cannot be silently mixed in.
-func loadForestTree(path string, schema *dataset.Schema) (*tree.Tree, error) {
-	fh, err := os.Open(path)
+// loadTree restores tree i from the checkpoint directory, or returns nil
+// when there is none to restore: no directory, no file, or a file
+// decodeTree refuses (another schema's), which is retrained over, not
+// mixed in.
+func (f *forest) loadTree(i int) *tree.Tree {
+	if f.fo.Engine.CheckpointDir == "" {
+		return nil
+	}
+	fh, err := os.Open(f.treePath(i))
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	defer fh.Close()
-	t, err := decodeTree(fh, schema)
-	if err != nil {
-		return nil, fmt.Errorf("scalparc: persisted tree %s: %w", path, err)
-	}
-	return t, nil
+	t, _ := decodeTree(fh, f.tab.Schema)
+	return t
 }

@@ -2,12 +2,16 @@ package scalparc
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -191,8 +195,9 @@ func TestForestCrashLosesAtMostInFlightTree(t *testing.T) {
 // contract: completed trees land in the directory atomically, a crashed
 // tree leaves no file, and a rerun over the same directory restores the
 // survivors and trains only what is missing — converging on the byte-exact
-// fault-free forest. A missing directory is created; an unusable one fails
-// the run before any tree trains.
+// fault-free forest. A file of another forest (another seed, another
+// schema) is retrained over, not restored. A missing directory is created;
+// an unusable one fails the run before any tree trains.
 func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	tab := forestTestTable(t)
 	cfg := splitter.Config{MinSplit: 8}
@@ -203,9 +208,17 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	treeFiles := func(dir, pattern string) []string {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
 
 	const victim = 1
-	fo.CheckpointDir = dir
+	fo.Engine.CheckpointDir = dir
 	fo.FaultsFor = killTreeFaults(victim)
 	res, err := TrainForest(tab, cfg, fo)
 	if err != nil {
@@ -214,14 +227,10 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	if len(res.LostTrees) != 1 || res.LostTrees[0] != victim {
 		t.Fatalf("LostTrees = %v, want [%d]", res.LostTrees, victim)
 	}
-	if _, err := os.Stat(forestTreePath(dir, victim)); !os.IsNotExist(err) {
-		t.Fatalf("lost tree left a checkpoint file: %v", err)
+	if files := treeFiles(dir, "tree_001-*.json"); len(files) != 0 {
+		t.Fatalf("lost tree left a checkpoint file: %v", files)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "tree_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != fo.Trees-1 {
+	if files := treeFiles(dir, "tree_*.json"); len(files) != fo.Trees-1 {
 		t.Fatalf("checkpoint dir has %d tree files, want %d", len(files), fo.Trees-1)
 	}
 
@@ -237,21 +246,45 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 		t.Error("checkpoint-completed forest differs from the fault-free forest")
 	}
 
+	// Another seed's forest over the same directory restores none of these
+	// trees: it is the fresh forest of its own seed.
+	other := fo
+	other.Seed++
+	other.Engine.CheckpointDir = ""
+	fresh, err := TrainForest(tab, cfg, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Engine.CheckpointDir = dir
+	res4, err := TrainForest(tab, cfg, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res4.RestoredTrees != 0 || !bytes.Equal(encodeForest(t, res4.Forest), encodeForest(t, fresh.Forest)) {
+		t.Fatalf("another seed's forest restored %d tree(s) from the directory, or differs from its fresh forest", res4.RestoredTrees)
+	}
+
 	// A tree file persisted under a schema of the same size but another
 	// attribute kind belongs to a different run: it is retrained over, not
 	// restored into this forest.
 	foreign := &dataset.Schema{Attrs: append([]dataset.Attribute(nil), tab.Schema.Attrs...), Classes: tab.Schema.Classes}
 	foreign.Attrs[0] = dataset.Attribute{Name: "salary", Kind: dataset.Categorical, Values: []string{"low", "high"}}
 	leaf := &tree.Tree{Schema: foreign, Root: &tree.Node{Leaf: true, Hist: []int64{1, 0}}}
-	if err := saveForestTree(forestTreePath(dir, 0), leaf); err != nil {
-		t.Fatal(err)
+	first := treeFiles(dir, "tree_000-*.json")
+	if len(first) != 2 {
+		t.Fatalf("tree 0 has %d files, want one per seed", len(first))
+	}
+	for _, path := range first {
+		if err := atomicfile.Write(path, leaf.Encode); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res3, err := TrainForest(tab, cfg, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res3.RestoredTrees != fo.Trees-1 || res3.TrainedTrees != 1 {
-		t.Fatalf("rerun over a foreign tree_000.json restored %d / trained %d trees, want %d / 1",
+		t.Fatalf("rerun over a foreign tree_000 file restored %d / trained %d trees, want %d / 1",
 			res3.RestoredTrees, res3.TrainedTrees, fo.Trees-1)
 	}
 	if !bytes.Equal(encodeForest(t, res3.Forest), encodeForest(t, clean.Forest)) {
@@ -260,22 +293,115 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 
 	// The directory is opened like the engine's: a missing one is created,
 	// and one that cannot be created fails before any tree trains.
-	fo.CheckpointDir = filepath.Join(t.TempDir(), "missing", "dir")
+	fo.Engine.CheckpointDir = filepath.Join(t.TempDir(), "missing", "dir")
 	if _, err := TrainForest(tab, cfg, fo); err != nil {
 		t.Fatalf("missing checkpoint dir: %v", err)
 	}
-	if files, _ := filepath.Glob(filepath.Join(fo.CheckpointDir, "tree_*.json")); len(files) != fo.Trees {
+	if files := treeFiles(fo.Engine.CheckpointDir, "tree_*.json"); len(files) != fo.Trees {
 		t.Fatalf("created checkpoint dir holds %d tree files, want %d", len(files), fo.Trees)
 	}
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fo.CheckpointDir = filepath.Join(blocker, "sub")
+	fo.Engine.CheckpointDir = filepath.Join(blocker, "sub")
 	var started atomic.Int32
 	fo.FaultsFor = func(int) comm.FaultInjector { started.Add(1); return nil }
 	if _, err := TrainForest(tab, cfg, fo); err == nil || started.Load() != 0 {
 		t.Fatalf("unusable checkpoint dir: err = %v after %d tree(s) started", err, started.Load())
+	}
+}
+
+// TestTrainForestWorldRetiresItsWorld: on a caller's world the forest is
+// the pool's, byte for byte, and a terminal error ends training there — the
+// remaining trees are lost with that error, which is returned beside the
+// trees before it.
+func TestTrainForestWorldRetiresItsWorld(t *testing.T) {
+	tab := forestTestTable(t)
+	cfg := splitter.Config{MinSplit: 8}
+	fo := baseForestOptions()
+	pool, err := TrainForest(tab, cfg, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TrainForestWorld(comm.NewWorld(3, timing.T3D()), tab, cfg, fo)
+	if err != nil || !bytes.Equal(encodeForest(t, res.Forest), encodeForest(t, pool.Forest)) {
+		t.Fatalf("forest on a caller's world differs from the pool's (err %v)", err)
+	}
+
+	fo.FaultsFor = killTreeFaults(1)
+	res, err = TrainForestWorld(comm.NewWorld(2, timing.T3D()), tab, cfg, fo)
+	var pe *comm.ProtocolError
+	if !errors.As(err, &pe) || res == nil || !reflect.DeepEqual(res.LostTrees, []int{1, 2, 3}) {
+		t.Fatalf("err = %v, lost = %v; want the poisoning error beside tree 0", err, res.LostTrees)
+	}
+	for _, i := range res.LostTrees {
+		if res.PerTree[i].Err != err.Error() {
+			t.Errorf("lost tree %d records %q, want the retiring error", i, res.PerTree[i].Err)
+		}
+	}
+	if !res.Forest.Trees[0].Equal(pool.Forest.Trees[0]) {
+		t.Error("the tree before the poisoned one differs from the pool's")
+	}
+}
+
+// sameBooks fails unless a run reports exactly the books of want: its tree,
+// modeled runtime, per-rank stats and peaks, and every rank's trace
+// buckets, spans and events.
+func sameBooks(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if !got.Tree.Equal(want.Tree) || got.ModeledSeconds != want.ModeledSeconds ||
+		!reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(got.PeakMemoryPerRank, want.PeakMemoryPerRank) {
+		t.Errorf("%s: tree, modeled seconds, stats or peaks differ from a fresh world's", name)
+	}
+	for r, w := range want.Trace.Ranks {
+		g := got.Trace.Ranks[r]
+		if !reflect.DeepEqual(g.Buckets(), w.Buckets()) || !reflect.DeepEqual(g.Spans(), w.Spans()) ||
+			!reflect.DeepEqual(g.Events(), w.Events()) {
+			t.Errorf("%s: rank %d's trace (%d buckets) differs from a fresh world's (%d buckets)",
+				name, r, len(g.Buckets()), len(w.Buckets()))
+		}
+	}
+}
+
+// TestReusedWorldReportsFreshBooks: the forest trains its trees back to
+// back on one world, so every run on a reused world — deeper or shallower
+// than the one before — must report what a fresh world would. A tree after
+// a poisoned one trains on the fresh world the pool opens in its place.
+func TestReusedWorldReportsFreshBooks(t *testing.T) {
+	tab := forestTestTable(t)
+	runs := []splitter.Config{{MinSplit: 8}, {MaxDepth: 1}, {}, {MaxDepth: 3}}
+	for _, p := range []int{1, 2, 4} {
+		w := comm.NewWorld(p, timing.T3D())
+		for i, cfg := range runs {
+			got, err := TrainOpts(w, tab, cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBooks(t, fmt.Sprintf("p=%d run %d", p, i), got, want)
+		}
+	}
+
+	for _, p := range []int{2, 4} {
+		fo := baseForestOptions()
+		fo.Procs, fo.Trees = p, 2
+		clean, err := TrainForest(tab, splitter.Config{MinSplit: 8}, fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo.FaultsFor = killTreeFaults(0)
+		res, err := TrainForest(tab, splitter.Config{MinSplit: 8}, fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := res.PerTree[1], clean.PerTree[1]
+		if len(res.LostTrees) != 1 || !res.Forest.Trees[0].Equal(clean.Forest.Trees[1]) || !reflect.DeepEqual(got, want) {
+			t.Errorf("p=%d: the tree after a poisoned one reports %+v, want %+v", p, got, want)
+		}
 	}
 }
 

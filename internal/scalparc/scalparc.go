@@ -262,8 +262,6 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int) error {
 			return fmt.Errorf("scalparc: forest Procs %d out of range", fo.Procs)
 		case fo.Parallel < 0:
 			return fmt.Errorf("scalparc: forest Parallel %d out of range", fo.Parallel)
-		case o.Resume || o.CheckpointDir != "":
-			return fmt.Errorf("scalparc: per-tree checkpoint directories are owned by the forest layer; set ForestOptions.CheckpointDir")
 		}
 		o.featureSample = fo.FeatureSample
 	}
@@ -292,9 +290,9 @@ func CheckOptions(o Options, fo *ForestOptions, attrs int) error {
 
 // TrainOpts runs ScalParC on the world's processors and returns the tree
 // with run metrics — the engine's one entry point; the zero Options is the
-// paper's algorithm. The world's clocks, stats, and memory meters are reset
-// at the start of the run, and the result's per-rank figures cover every
-// rank on both machines.
+// paper's algorithm. The world's books are reset at the start of the run
+// (World.Reset), so a reused world reports what a fresh one would, and the
+// result's per-rank figures cover every rank on both machines.
 func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Options) (*Result, error) {
 	if err := CheckOptions(opts, nil, tab.Schema.NumAttrs()); err != nil {
 		return nil, err
@@ -334,9 +332,7 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 		defer w.SetFaultInjector(nil)
 	}
 
-	w.ResetClocks()
-	w.ResetStats()
-	w.ResetMemory()
+	w.Reset()
 
 	// Outcomes are indexed by physical rank: dense rank ids are renumbered
 	// when the world shrinks after a crash, physical ids never move. Ranks

@@ -194,8 +194,8 @@ func (t *RankTrace) Events() []Event {
 func (t *RankTrace) Finish(now int64) { t.closeSpan(now) }
 
 // ResetTimes zeroes the attributed virtual time and clears the timeline,
-// keeping byte and operation counters. Paired with the world's clock
-// reset so that "sum of bucket times == clock" survives a reset.
+// keeping byte and operation counters and the bucket list itself (a world
+// resets to a NewRank instead, see comm.World.Reset).
 func (t *RankTrace) ResetTimes() {
 	for i := range t.buckets {
 		t.buckets[i].Picos = 0
@@ -206,7 +206,6 @@ func (t *RankTrace) ResetTimes() {
 }
 
 // ResetComm zeroes the byte and operation counters, keeping times.
-// Paired with the world's stats reset.
 func (t *RankTrace) ResetComm() {
 	for i := range t.buckets {
 		t.buckets[i].BytesSent = 0
