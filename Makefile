@@ -45,11 +45,12 @@ bench:
 # Race-detect the packages with real goroutine concurrency: the simulated
 # machine (one goroutine per rank), the TCP transport (per-peer readers and
 # the heartbeater beside each rank; its tests are in-process meshes, no
-# worker processes), the engine driving them, the compiled predictor (table
-# prediction fans out over a worker pool), and the inference server
+# worker processes), the engine driving them, the presort (its scratch is
+# refilled while peers may still read what it sent), the compiled predictor
+# (table prediction fans out over a worker pool), and the inference server
 # (micro-batcher + sharded model cache).
 race:
-	$(GO) test -race ./internal/comm ./internal/comm/tcptransport ./internal/scalparc \
+	$(GO) test -race ./internal/comm ./internal/comm/tcptransport ./internal/scalparc ./internal/psort \
 		./internal/infer ./internal/serve/... ./cmd/serve
 
 # The inference server's full suite: soak/race tests (N clients x M
@@ -101,6 +102,7 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
+# presort's radix sort and merge (against the comparator sort), the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
 # reflective one), the TCP frame decoder, the checkpoint frame decoders and
@@ -112,6 +114,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
+	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/tree

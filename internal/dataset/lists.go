@@ -111,7 +111,9 @@ func CompareContEntries(a, b ContEntry) int {
 }
 
 // SortContinuous sorts every continuous list in CompareContEntries order.
-// This is the serial analogue of the presort phase.
+// This is the serial analogue of the presort phase. It keeps the comparator
+// sort: the serial and SLIQ oracles sort with it, so the differential tests
+// compare the parallel presort's radix sort against an independent sort.
 func (l *Lists) SortContinuous() {
 	for a := range l.Schema.Attrs {
 		list := l.Cont[a]

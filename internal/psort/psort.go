@@ -10,6 +10,18 @@
 // The total order is (value, record id): ties broken by record id make the
 // global order — and therefore every downstream split decision — fully
 // deterministic and independent of the processor count.
+//
+// No step compares entries to sort them. The local sort is a stable LSD
+// radix sort on 8-bit digits of an order-preserving 64-bit key of the
+// value: a negative value takes its inverted bits, any other value its bits
+// with the sign bit set, and -0 first becomes +0, because the order calls
+// the two equal. Entries with equal keys keep their input order, which is
+// record-id order for every list BuildLists emits; other input is first
+// sorted by record id with the same passes. All digit histograms are
+// counted in one pass, and a digit every entry shares costs no pass. The
+// sample pool and the received runs are merged, p ways, over a heap of run
+// heads. NaN, which has a key but no place in the order, never reaches a
+// list: Table.AppendRow rejects non-finite values.
 package psort
 
 import (
@@ -28,13 +40,33 @@ func less(a, b dataset.ContEntry) bool {
 // Sort globally sorts the distributed list and rebalances it: afterwards
 // rank r holds exactly positions BlockRange(N, p, r) of the sorted order.
 // Every rank must call it (it communicates). The local input is consumed.
+// A rank sorting several lists passes them through one Sorter instead.
 func Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
+	var s Sorter
+	return s.Sort(c, local)
+}
+
+// Sorter is one rank's presort scratch, kept across the lists it sorts and
+// grown as needed: spare is the radix sort's ping-pong partner, merged the
+// output of the p-way merge. Neither is refilled while a peer may read it.
+// spare is always the buffer the radix sort did not leave its result in,
+// which no peer is sent. merged is sent in the shift and refilled at the
+// next list's merge, after that list's sample Allgather, which a peer
+// enters only once it has read the last shift (rule 2 in internal/comm).
+// The zero Sorter is ready to use.
+type Sorter struct {
+	spare, merged []dataset.ContEntry
+}
+
+// Sort is the package Sort reusing s's scratch; the local input is
+// consumed, and its storage may become s's scratch.
+func (s *Sorter) Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
 	p := c.Size()
 	model := c.Model()
 
 	// Step 1: local sort.
 	c.Compute(model.SortTime(len(local)))
-	slices.SortFunc(local, dataset.CompareContEntries)
+	local, s.spare = radixSort(local, slices.Grow(s.spare[:0], len(local)))
 
 	if p == 1 {
 		return local
@@ -45,13 +77,13 @@ func Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
 	// every local quantile is essential: sampling fewer positions
 	// concentrates the pool near each fragment's interior quantiles and
 	// collapses the splitters onto the global median.
-	s := p - 1
-	if len(local) < s {
-		s = len(local)
+	n := p - 1
+	if len(local) < n {
+		n = len(local)
 	}
-	samples := make([]dataset.ContEntry, 0, s)
-	for i := 1; i <= s; i++ {
-		idx := i * len(local) / (s + 1)
+	samples := make([]dataset.ContEntry, 0, n)
+	for i := 1; i <= n; i++ {
+		idx := i * len(local) / (n + 1)
 		if idx < len(local) {
 			samples = append(samples, local[idx])
 		}
@@ -62,10 +94,11 @@ func Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
 	// whose growth with p bends the memory and runtime curves at large p.
 	// Each rank's contribution arrives sorted, so ordering the pool is a
 	// p-way merge (n·log2 p comparisons), not a full sort.
-	pool := comm.AllgatherFlat(c, samples)
+	runs := comm.Allgather(c, samples)
+	pool := make([]dataset.ContEntry, runsLen(runs))
 	c.Mem().Alloc(int64(len(pool)) * dataset.ContEntrySize)
 	c.Compute(float64(len(pool)) * logish(p) / model.SortRate)
-	slices.SortFunc(pool, dataset.CompareContEntries)
+	mergeRuns(pool, runs)
 	splitters := make([]dataset.ContEntry, 0, p-1)
 	for i := 1; i < p; i++ {
 		idx := i * len(pool) / p
@@ -86,8 +119,8 @@ func Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
 	for d := 0; d < p; d++ {
 		end := len(local)
 		if d < len(splitters) {
-			s := splitters[d]
-			end = sort.Search(len(local), func(i int) bool { return less(s, local[i]) })
+			sp := splitters[d]
+			end = sort.Search(len(local), func(i int) bool { return less(sp, local[i]) })
 		}
 		if end < start {
 			end = start
@@ -97,23 +130,24 @@ func Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
 	}
 	recv := comm.AllToAll(c, send)
 
-	// Step 5: merge the p sorted runs. The runs arrive in rank order and
-	// each is sorted, so a final sort acts as the multiway merge; charge
-	// merge cost (n·log2 p comparisons).
-	total := 0
-	for _, r := range recv {
-		total += len(r)
-	}
-	merged := make([]dataset.ContEntry, 0, total)
-	for _, r := range recv {
-		merged = append(merged, r...)
-	}
+	// Step 5: merge the p sorted runs (n·log2 p comparisons) into the
+	// scratch merge buffer and shift the result into block shares.
+	total := runsLen(recv)
 	c.Mem().Alloc(int64(total) * dataset.ContEntrySize)
-	c.Compute(float64(total) * logish(p) / model.SortRate) // n·log2(p) merge comparisons
-	slices.SortFunc(merged, dataset.CompareContEntries)
-	out := Rebalance(c, merged)
+	c.Compute(float64(total) * logish(p) / model.SortRate)
+	s.merged = mergeRuns(slices.Grow(s.merged[:0], total)[:total], recv)
+	out := Rebalance(c, s.merged)
 	c.Mem().Free(int64(total) * dataset.ContEntrySize)
-	return out
+	return slices.Clip(out) // a shift of nothing returns its input
+}
+
+// runsLen is the runs' total length.
+func runsLen(runs [][]dataset.ContEntry) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	return n
 }
 
 // logish returns ceil(log2(n)) for n >= 1 (1 for n <= 2).

@@ -547,8 +547,9 @@ func (wk *worker) presort(tab *dataset.Table) {
 	// lists stay in record order. The finder then takes whatever it needs
 	// off the freshly sorted lists (binned and vote: quantile cuts).
 	c.SetPhase(trace.Sort, 0)
+	var sorter psort.Sorter
 	for _, a := range wk.schema.ContIndices() {
-		wk.cont[a] = psort.Sort(c, wk.cont[a])
+		wk.cont[a] = sorter.Sort(c, wk.cont[a])
 	}
 	wk.finder.prepare(wk)
 	c.SetPhase(trace.Other, 0)
