@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet loc test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
+.PHONY: all build fmt vet loc profile test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
 
 all: build fmt vet test bench-module
 
@@ -26,6 +26,17 @@ loc:
 	while read -r pkg files; do \
 		if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; \
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+
+# Host CPU profile of BenchmarkInduction (one exact-split induction, Quest
+# F2, 20k records, p=4): the profile and test binary go to .bench_build/,
+# then the hottest functions print by flat and by cumulative time.
+# Informational, like loc: a perf change shows its before/after rows.
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkInduction$$' -benchtime=3s \
+		-o .bench_build/repro.test -cpuprofile .bench_build/induction.cpu.pprof .
+	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
+	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
 
 # benchmark/ is its own module (replace repro => ../): the root build
 # never sees it, so vet and smoke-test it against this tree explicitly.
@@ -102,6 +113,7 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
+# exact finder's segment scan (against the Candidate fold it replaced), the
 # presort's radix sort and merge (against the comparator sort), the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
@@ -114,6 +126,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
+	$(GO) test -fuzz=FuzzExactScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer

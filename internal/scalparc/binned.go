@@ -214,7 +214,7 @@ func bestBinnedCont(chunk []uint32, below, above []int64, cuts []float64, nc int
 		nAbove += h
 		sqAbove += h * h
 	}
-	best := splitter.Invalid
+	var best contBest
 	for b := range cuts {
 		for j := 0; j < nc; j++ {
 			v := int64(chunk[b*nc+j])
@@ -235,14 +235,7 @@ func bestBinnedCont(chunk []uint32, below, above []int64, cuts []float64, nc int
 		if nBelow == 0 || nAbove == 0 {
 			continue
 		}
-		cand := splitter.Candidate{
-			Valid:     true,
-			Gini:      gini.BinarySplit(nBelow, sqBelow, nAbove, sqAbove),
-			Attr:      int32(attr),
-			Kind:      splitter.ContSplit,
-			Threshold: cuts[b],
-		}
-		best = splitter.Best(best, cand)
+		best = best.fold(gini.BinarySplit(nBelow, sqBelow, nAbove, sqAbove), cuts[b])
 	}
-	return best
+	return best.candidate(attr)
 }

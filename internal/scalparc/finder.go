@@ -213,29 +213,9 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 					continue
 				}
 				base := (i2*len(contAttrs) + k) * nc
-				m := &f.m
-				m.Reset(wk.active[i].node.Hist, prefix[base:base+nc])
-				list := wk.cont[a][sg.off : sg.off+sg.n]
-				nb := nextBounds[i2*len(contAttrs)+k]
-				nextVal, hasNext := nb.Val, nb.Has == 1
-				for j, e := range list {
-					m.Move(e.Cid)
-					nv, ok := nextVal, hasNext
-					if j+1 < len(list) {
-						nv, ok = list[j+1].Val, true
-					}
-					if !ok || nv == e.Val {
-						continue
-					}
-					cand := splitter.Candidate{
-						Valid:     true,
-						Gini:      m.Split(),
-						Attr:      int32(a),
-						Kind:      splitter.ContSplit,
-						Threshold: e.Val,
-					}
-					best[i2] = splitter.Best(best[i2], cand)
-				}
+				f.m.Reset(wk.active[i].node.Hist, prefix[base:base+nc])
+				cand := scanSegment(&f.m, wk.cont[a][sg.off:sg.off+sg.n], nextBounds[i2*len(contAttrs)+k], a)
+				best[i2] = splitter.Best(best[i2], cand)
 			}
 		}
 		wk.c.Compute(model.ScanTime(scanned))
@@ -289,4 +269,59 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 	// global reduction with the deterministic candidate order.
 	wk.c.SetPhase(trace.FindSplitII, wk.level)
 	return stash(wk.ar, &f.bestOut, comm.AllReduceInto(wk.c, best, f.bestOut, splitter.Best))
+}
+
+// scanSegment is FindSplitII's gini scan of one non-empty local segment of
+// attribute attr's list: m, seeded with the segment's global starting
+// counts, moves past every entry, and the split "A <= v" is a candidate
+// wherever the next global value differs from v. Only the last entry's next
+// value lies on another rank (nb, the first value after the segment, if
+// any), so it is checked after the loop and the loop itself reads the next
+// local entry unconditionally.
+func scanSegment(m *gini.Matrix, list []dataset.ContEntry, nb boundary, attr int) splitter.Candidate {
+	var best contBest
+	last := len(list) - 1
+	for j, e := range list[:last] {
+		m.Move(e.Cid)
+		if list[j+1].Val != e.Val {
+			best = best.fold(m.Split(), e.Val)
+		}
+	}
+	e := list[last]
+	m.Move(e.Cid)
+	if nb.Has == 1 && nb.Val != e.Val {
+		best = best.fold(m.Split(), e.Val)
+	}
+	return best.candidate(attr)
+}
+
+// contBest is the running winner of one continuous (node, attribute) scan,
+// held in locals (registers between gini calls), so no splitter.Candidate
+// is built or stored per split point. Folded in ascending threshold order
+// it is exactly splitter.Best over the scan's candidates: they share Attr,
+// Kind and Subset and their thresholds strictly increase, so under
+// splitter.Better a later candidate wins only with a strictly lower gini.
+// Both the exact scan and the binned boundary scan fold through it.
+type contBest struct {
+	found     bool
+	gini      float64
+	threshold float64
+}
+
+// fold returns b with the candidate "A <= threshold" of gini g folded in;
+// threshold must exceed every threshold already folded.
+func (b contBest) fold(g, threshold float64) contBest {
+	if !b.found || g < b.gini {
+		return contBest{found: true, gini: g, threshold: threshold}
+	}
+	return b
+}
+
+// candidate is the winner as a splitter.Candidate of attribute attr, or
+// splitter.Invalid when nothing was folded.
+func (b contBest) candidate(attr int) splitter.Candidate {
+	if !b.found {
+		return splitter.Invalid
+	}
+	return splitter.Candidate{Valid: true, Gini: b.gini, Attr: int32(attr), Kind: splitter.ContSplit, Threshold: b.threshold}
 }

@@ -102,7 +102,10 @@ func bestSplit(ns *nodeState, cfg splitter.Config) splitter.Candidate {
 }
 
 // bestContinuous scans a sorted continuous list evaluating the gini of
-// every valid candidate point ("A <= v" where the next value differs).
+// every valid candidate point ("A <= v" where the next value differs). It
+// keeps the Candidate-per-point fold through splitter.Best, as SLIQ's scan
+// does, while ScalParC's scans fold in registers: the serial and SLIQ
+// oracles stay independent of the fold the differential tests check.
 func bestContinuous(list []dataset.ContEntry, hist []int64, attr int) splitter.Candidate {
 	m := gini.NewMatrix(hist, nil)
 	best := splitter.Invalid
