@@ -138,21 +138,21 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 
-# Benchmark-regression guards, all CI steps; exit non-zero on regression.
-# A guard is a gate that needs a clock — exact invariants (tree identity,
-# FindSplitI ops and bytes, accuracy ordering, chaos loss bounds) are
-# package tests under `go test ./...`: GUARD-HOTPATH (gini kernel >= 2x the
-# frozen naive scan; induction allocs/op vs the archived
-# BENCH_induction.json), GUARD-PREDICT (compiled batch inference >= 4x the
-# frozen pre-engine walk with bit-identical labels), and GUARD-SERVE (the
-# HTTP serving path: bit-identical labels over the wire, whole requests per
-# flush, a p99 disaster line; failing runs dump latency histograms into
-# SERVE_ARTIFACT_DIR for CI to upload) — see EXPERIMENTS.md.
-SERVE_ARTIFACT_DIR ?= serve-latency
+# Benchmark-regression guards, one CI step; exit non-zero on regression.
+# A guard is a gate that needs a clock, so it is a TestGuard* test beside
+# the code it gates that skips unless GUARD=1: GUARD-HOTPATH's kernel gate
+# (internal/gini: the incremental gini scan >= 2x the frozen naive scan),
+# GUARD-PREDICT (internal/infer: bit-identical labels, then compiled batch
+# inference >= 4x the frozen pre-engine walk) and GUARD-SERVE
+# (internal/serve: bit-identical labels over HTTP, whole requests per
+# flush, a p99 disaster line; a failing run dumps latency histograms into
+# SERVE_ARTIFACT_DIR for CI to upload). -p 1 times one package at a time.
+# Exact invariants, the induction's allocation count among them, are plain
+# package tests under `go test ./...` — see EXPERIMENTS.md.
+SERVE_ARTIFACT_DIR ?= $(CURDIR)/serve-latency
 guard:
-	$(GO) run ./cmd/benchrunner -exp hotpathguard
-	$(GO) run ./cmd/benchrunner -exp predictguard
-	SERVE_ARTIFACT_DIR="$(SERVE_ARTIFACT_DIR)" $(GO) run ./cmd/benchrunner -exp serveguard
+	GUARD=1 SERVE_ARTIFACT_DIR="$(SERVE_ARTIFACT_DIR)" $(GO) test -count=1 -p 1 -v -run '^TestGuard' \
+		./internal/gini ./internal/infer ./internal/serve
 
 # Forest suite: the scalparc forest chaos/determinism tests, the compiled
 # batch-vote differentials (including the CompileForest fuzz corpus run as

@@ -200,50 +200,20 @@ func BenchmarkAllToAll(b *testing.B) {
 	}
 }
 
-// BenchmarkInduction is one full induction at p=4 with allocation
-// reporting: the body GUARD-HOTPATH's allocation gate measures.
+// BenchmarkInduction is one full exact-split induction (Quest F2, 20k
+// records, p=4) with allocation reporting: the body `make profile`
+// profiles. TestInductionAllocs (internal/scalparc) gates the same
+// induction's allocation count.
 func BenchmarkInduction(b *testing.B) {
-	bench.BenchInduction(b, bench.HotpathRecords, bench.HotpathProcs)
-}
-
-// BenchmarkGiniScan is MICRO: the FindSplitII split-point scan throughput
-// (the production incremental kernel).
-func BenchmarkGiniScan(b *testing.B) {
-	bench.BenchGiniScanIncremental(b, bench.ScanEntries)
-}
-
-// BenchmarkGiniScanNaive is the frozen pre-optimization scan formulation;
-// the ratio to BenchmarkGiniScan is the kernel speedup GUARD-HOTPATH pins.
-func BenchmarkGiniScanNaive(b *testing.B) {
-	bench.BenchGiniScanNaive(b, bench.ScanEntries)
-}
-
-// BenchmarkPredict is the compiled batch engine classifying the 1M-row
-// fixture table: the body GUARD-PREDICT holds to >= 4x the naive walk.
-func BenchmarkPredict(b *testing.B) {
-	bench.BenchPredictCompiled(b, bench.PredictRows)
-}
-
-// BenchmarkPredictWalk is the hoisted pointer walker — the engine's
-// differential oracle — on the same fixture.
-func BenchmarkPredictWalk(b *testing.B) {
-	bench.BenchPredictWalk(b, bench.PredictRows)
-}
-
-// BenchmarkPredictNaive is the frozen pre-engine PredictTable body; the
-// ratio to BenchmarkPredict is the speedup GUARD-PREDICT pins.
-func BenchmarkPredictNaive(b *testing.B) {
-	bench.BenchPredictNaive(b, bench.PredictRows)
-}
-
-// BenchmarkNodeTable is MICRO: distributed node-table update + enquiry.
-func BenchmarkNodeTable(b *testing.B) {
-	bench.BenchNodeTable(b, 100_000, 8)
-}
-
-// BenchmarkParallelSort is MICRO: the presort (sample sort + shift).
-func BenchmarkParallelSort(b *testing.B) {
-	bench.BenchParallelSort(b, 200_000, 8)
+	tab := benchTable(b)
+	w := comm.NewWorld(4, timing.T3D())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkEndToEnd is the library-level path a user takes: generate,

@@ -37,7 +37,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "generator seed")
 	maxDepth := fs.Int("depth", 0, "maximum tree depth (0 = unlimited)")
 	traceOut := fs.String("trace", "", "write the per-rank timelines of the per-phase breakdown (EXP-PHASES) as Chrome trace-event JSON to this file")
-	benchDir := fs.String("benchdir", ".", "directory holding the frozen BENCH_*.json archive (hotpathguard reads its allocation baseline there)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -53,8 +52,8 @@ func run(args []string, out io.Writer) error {
 		Out: out, Scale: *scale, Function: *function, Seed: *seed, MaxDepth: *maxDepth,
 		// Latencies scale with the data so reduced sweeps keep the full-size
 		// comp/comm balance (see bench.ScaledMachine).
-		Machine:  bench.ScaledMachine(*scale),
-		BenchDir: *benchDir, Trace: *traceOut,
+		Machine: bench.ScaledMachine(*scale),
+		Trace:   *traceOut,
 	}
 	for _, x := range selected {
 		if err := x.Run(env); err != nil {

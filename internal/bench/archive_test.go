@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,22 +12,23 @@ import (
 )
 
 // TestTrajectoryFiles pins the frozen archive: each of the seven checked-in
-// BENCH_*.json loads through the one generic reader, opens every run with
-// the same six host keys in the same order, and re-saves byte for byte.
+// BENCH_*.json opens every run with the same six host keys in the same
+// order, and re-saves byte for byte. Nothing but tests reads the files; the
+// docs cite them as history.
 func TestTrajectoryFiles(t *testing.T) {
-	repoRoot := filepath.Join("..", "..")
 	hostKeys := []string{"label", "date", "go", "goos", "goarch", "numcpu"}
 	for _, name := range []string{
 		"BENCH_induction.json", "BENCH_scan.json", "BENCH_predict.json", "BENCH_serve.json",
 		"BENCH_tcp.json", "BENCH_vote.json", "BENCH_forest.json",
 	} {
 		t.Run(name, func(t *testing.T) {
-			checkedIn, err := os.ReadFile(filepath.Join(repoRoot, name))
-			if err != nil {
-				t.Fatal(err)
+			checkedIn := readRepoFile(t, name)
+			var a struct {
+				Experiment string            `json:"experiment"`
+				Notes      string            `json:"notes"`
+				Runs       []json.RawMessage `json:"runs"`
 			}
-			a, err := loadArchive[json.RawMessage](repoRoot, name)
-			if err != nil {
+			if err := json.Unmarshal([]byte(checkedIn), &a); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.HasPrefix(a.Experiment, "EXP-") || a.Notes == "" || len(a.Runs) == 0 {
@@ -52,7 +54,7 @@ func TestTrajectoryFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(append(resaved, '\n'), checkedIn) {
+			if string(resaved)+"\n" != checkedIn {
 				t.Errorf("re-saving %s changes its bytes", name)
 			}
 		})
@@ -88,5 +90,28 @@ func TestOnlyWriteArtifactWritesFiles(t *testing.T) {
 				t.Errorf("%s:%d writes a file outside writeArtifact: %s", file, n+1, strings.TrimSpace(line))
 			}
 		}
+	}
+}
+
+// TestWriteServeArtifact: writeArtifact, which writes -trace (GUARD-SERVE's
+// artifact is internal/serve's now), creates its directory and replaces the
+// file atomically, leaving nothing beside it.
+func TestWriteServeArtifact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	for _, body := range []string{"first", "second"} {
+		err := writeArtifact(dir, "run.json", func(w io.Writer) error {
+			_, err := io.WriteString(w, body)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "run.json"))
+	if err != nil || string(data) != "second" {
+		t.Fatalf("artifact = %q (%v), want the second write", data, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("artifact directory holds %d entries (%v), want run.json alone", len(entries), err)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"text/tabwriter"
 
 	"repro/classify"
+	"repro/internal/atomicfile"
 	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/nodetable"
@@ -420,6 +422,16 @@ func Phases(e *Env, n, p int) error {
 		fmt.Fprintf(w, "wrote Chrome trace to %s\n", e.Trace)
 	}
 	return nil
+}
+
+// writeArtifact is the one place this package writes a file: name inside
+// dir, created if missing, replaced atomically. A failure is the os error,
+// which names the path.
+func writeArtifact(dir, name string, fill func(io.Writer) error) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return atomicfile.Write(filepath.Join(dir, name), fill)
 }
 
 // PhaseCmp compares where the modeled time goes across the three

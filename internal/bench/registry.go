@@ -7,14 +7,11 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/serial"
-	"repro/internal/splitter"
 	"repro/internal/timing"
-	"repro/internal/tree"
 )
 
 // Env is what one benchrunner invocation hands every experiment it runs:
-// where to print, the workload knobs, and where the BENCH_*.json archive is.
+// where to print, the workload knobs, and where EXP-PHASES writes its trace.
 type Env struct {
 	Out      io.Writer
 	Scale    float64      // fraction of the paper's record counts to run
@@ -22,7 +19,6 @@ type Env struct {
 	Seed     int64        // generator seed
 	MaxDepth int          // maximum tree depth (0 = unlimited)
 	Machine  timing.Model // the simulated machine (see ScaledMachine)
-	BenchDir string       // directory holding the frozen BENCH_*.json archive
 	Trace    string       // file EXP-PHASES writes its Chrome trace to, if set
 
 	grid *Grid // the Figure 3 sweep feeds four experiments; it runs once
@@ -45,16 +41,6 @@ func quest(function int, seed int64, n int, labelNoise float64) (*dataset.Table,
 
 func (e *Env) quest(n int, labelNoise float64) (*dataset.Table, error) {
 	return quest(e.Function, e.Seed, n, labelNoise)
-}
-
-// questTree grows the serial classifier's tree on a quest table — the model
-// the inference fixtures serve.
-func questTree(function int, seed int64, n int, labelNoise float64) (*tree.Tree, error) {
-	tab, err := quest(function, seed, n, labelNoise)
-	if err != nil {
-		return nil, err
-	}
-	return serial.Train(tab, splitter.Config{})
 }
 
 // sweep returns the Figure 3 sweep, running it on first use.
@@ -88,10 +74,6 @@ func onSweep(print func(io.Writer, *Grid)) func(*Env) error {
 // Experiment is one row of DESIGN.md's per-experiment index.
 type Experiment struct {
 	Name string // what -exp calls it
-	// Guard marks a CI regression gate that needs a clock: `make guard`
-	// and the CI workflow each run it as its own step. Exact invariants
-	// are package tests, so a guard is never Recorded.
-	Guard bool
 	// Recorded marks an experiment whose output rides the virtual clocks
 	// alone — the same bytes on every host — and is archived in
 	// experiments_output.txt (`make experiments-check` regenerates and
@@ -127,10 +109,6 @@ var Experiments = []Experiment{
 	{Name: "levels", Recorded: true, Run: func(e *Env) error { return Levels(e, e.records(2), 16) }},
 	{Name: "binned", Recorded: true, Run: func(e *Env) error { return BinnedSweep(e, e.records(0), 8) }},
 	{Name: "vote", Recorded: true, Run: Vote},
-	{Name: "hotpathguard", Guard: true, Run: HotpathGuard},
-	{Name: "predictguard", Guard: true, Run: PredictGuard},
-	// serveguard measures real wall-clock HTTP serving on loopback.
-	{Name: "serveguard", Guard: true, Run: ServeGuard},
 	{Name: "forest", Recorded: true, Run: Forest},
 	{Name: "fault", Run: func(e *Env) error { return Faults(e, e.records(0), []int{4, 8, 16}) }},
 	{Name: "micro", Recorded: true, Run: Micro},

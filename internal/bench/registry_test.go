@@ -64,55 +64,33 @@ func TestDesignIndexMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestGuardsWiredIntoMakeAndCI: `make guard` and the CI workflow keep one
-// step per guard (the artifact uploads need them), so a guard added to the
-// registry must be added to both — and nothing else may pose as one. A
-// guard is a gate that needs a clock: output that is the same bytes on
-// every host is an exact invariant, and belongs in `go test`, so no row is
-// both a guard and recorded.
-func TestGuardsWiredIntoMakeAndCI(t *testing.T) {
-	for _, x := range Experiments {
-		if x.Guard && x.Recorded {
-			t.Errorf("-exp %s is both a guard and recorded: pin its exact gates in a package test instead", x.Name)
-		}
-	}
+// makeTarget is the recipe of one Makefile target, up to its blank line.
+func makeTarget(t *testing.T, name string) string {
+	t.Helper()
 	makefile := readRepoFile(t, "Makefile")
-	guardTarget := makefile[strings.Index(makefile, "\nguard:"):]
-	guardTarget = guardTarget[:strings.Index(guardTarget, "\n\n")]
-	for file, text := range map[string]string{"Makefile guard target": guardTarget, ".github/workflows/ci.yml": readRepoFile(t, ".github/workflows/ci.yml")} {
-		var invoked []string
-		for _, m := range regexp.MustCompile(`benchrunner -exp ([a-z0-9]+guard)\b`).FindAllStringSubmatch(text, -1) {
-			invoked = append(invoked, m[1])
-		}
-		slices.Sort(invoked)
-		want := strings.Split(Names(func(x Experiment) bool { return x.Guard }), ", ")
-		slices.Sort(want)
-		if !slices.Equal(invoked, want) {
-			t.Errorf("%s runs guards %v, the registry marks %v", file, invoked, want)
-		}
+	i := strings.Index(makefile, "\n"+name+":")
+	if i < 0 {
+		t.Fatalf("the Makefile has no %s target", name)
 	}
+	target := makefile[i:]
+	return target[:strings.Index(target, "\n\n")]
 }
 
-// TestFuzzersWiredIntoMake: `make fuzz`, which CI runs, smokes every Fuzz*
-// function of the root module in the package that declares it.
-func TestFuzzersWiredIntoMake(t *testing.T) {
-	makefile := readRepoFile(t, "Makefile")
-	fuzzTarget := makefile[strings.Index(makefile, "\nfuzz:"):]
-	fuzzTarget = fuzzTarget[:strings.Index(fuzzTarget, "\n\n")]
-	if !strings.Contains(readRepoFile(t, ".github/workflows/ci.yml"), "make fuzz") {
-		t.Error(".github/workflows/ci.yml does not run make fuzz")
-	}
+// walkGoFiles calls visit with every Go file of the root module (benchmark/
+// is its own module), its package directory relative to the repository
+// root, slash-separated, and its source.
+func walkGoFiles(t *testing.T, visit func(pkg, path string, src []byte)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
-	found := 0
+	visited := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join(root, "benchmark")) {
-			return filepath.SkipDir // hidden directories, and benchmark/'s own module
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -120,18 +98,89 @@ func TestFuzzersWiredIntoMake(t *testing.T) {
 			return err
 		}
 		pkg, _ := filepath.Rel(root, filepath.Dir(path))
-		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+		visited++
+		visit(filepath.ToSlash(pkg), path, src)
+		return nil
+	})
+	if err != nil || visited == 0 {
+		t.Fatalf("walked %d Go files from %s: %v", visited, root, err)
+	}
+}
+
+// TestGuardsWiredIntoMakeAndCI: a gate that needs a clock is a TestGuard*
+// test that skips unless GUARD=1. `make guard`, which CI runs, sets GUARD=1,
+// runs one package at a time (-p 1) so no gate is timed beside another,
+// and names every package that declares one.
+func TestGuardsWiredIntoMakeAndCI(t *testing.T) {
+	guardTarget := makeTarget(t, "guard")
+	for _, want := range []string{"GUARD=1 ", " -p 1 "} {
+		if !strings.Contains(guardTarget, want) {
+			t.Errorf("the Makefile guard target lacks %q", want)
+		}
+	}
+	if !strings.Contains(readRepoFile(t, ".github/workflows/ci.yml"), "make guard") {
+		t.Error(".github/workflows/ci.yml does not run make guard")
+	}
+	decl := regexp.MustCompile(`(?m)^func (TestGuard[A-Z]\w*)\(`)
+	found := 0
+	walkGoFiles(t, func(pkg, path string, src []byte) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
 			found++
-			step := regexp.MustCompile(`(?m)-fuzz=` + m[1] + ` .* \./` + regexp.QuoteMeta(filepath.ToSlash(pkg)) + `$`)
+			if !regexp.MustCompile(`\s\./` + regexp.QuoteMeta(pkg) + `(\s|$)`).MatchString(guardTarget) {
+				t.Errorf("%s (%s) is in a package the Makefile guard target does not test", m[1], path)
+			}
+		}
+	})
+	if found == 0 {
+		t.Fatal("no TestGuard* functions found")
+	}
+}
+
+// TestRaceTargetRacedInCI: every package `make race` races, some CI step
+// races too.
+func TestRaceTargetRacedInCI(t *testing.T) {
+	pkg := regexp.MustCompile(`\./\S+`)
+	var raced []string
+	for _, line := range strings.Split(readRepoFile(t, ".github/workflows/ci.yml"), "\n") {
+		if strings.Contains(line, "go test -race ") {
+			raced = append(raced, pkg.FindAllString(line, -1)...)
+		}
+	}
+	want := pkg.FindAllString(makeTarget(t, "race"), -1)
+	if len(want) == 0 {
+		t.Fatal("the Makefile race target names no package")
+	}
+	for _, p := range want {
+		if !slices.Contains(raced, p) {
+			t.Errorf("make race races %s; no CI step does", p)
+		}
+	}
+}
+
+// TestFuzzersWiredIntoMake: `make fuzz`, which CI runs, smokes every Fuzz*
+// function of the root module in the package that declares it.
+func TestFuzzersWiredIntoMake(t *testing.T) {
+	fuzzTarget := makeTarget(t, "fuzz")
+	if !strings.Contains(readRepoFile(t, ".github/workflows/ci.yml"), "make fuzz") {
+		t.Error(".github/workflows/ci.yml does not run make fuzz")
+	}
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	walkGoFiles(t, func(pkg, path string, src []byte) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			found++
+			step := regexp.MustCompile(`(?m)-fuzz=` + string(m[1]) + ` .* \./` + regexp.QuoteMeta(pkg) + `$`)
 			if !step.MatchString(fuzzTarget) {
 				t.Errorf("%s (%s) is missing from the Makefile fuzz target", m[1], path)
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if found == 0 {
 		t.Fatal("no Fuzz* functions found; is the walk rooted at the repository?")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/comm"
+	"repro/internal/dataset"
 	"repro/internal/timing"
 )
 
@@ -404,4 +405,30 @@ func TestLookupCorruptIndexIsProtocolError(t *testing.T) {
 	mustProtocolError(t, "NodeTable.Lookup", func(nt *Table) {
 		nt.Lookup([]int32{-1})
 	})
+}
+
+// BenchmarkNodeTable is MICRO: the distributed node table's update +
+// enquiry round trip (the parallel hashing paradigm), 100k records on 8
+// ranks.
+func BenchmarkNodeTable(b *testing.B) {
+	const n, p = 100_000, 8
+	w := comm.NewWorld(p, timing.T3D())
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Run(func(c *comm.Comm) {
+			nt := New(c, n)
+			defer nt.Free()
+			lo, hi := dataset.BlockRange(n, p, c.Rank())
+			as := make([]Assignment, 0, hi-lo)
+			rids := make([]int32, 0, hi-lo)
+			for rid := lo; rid < hi; rid++ {
+				as = append(as, Assignment{Rid: int32(rid), Child: uint8(rid % 2)})
+				rids = append(rids, int32(n-1-rid))
+			}
+			nt.Update(as)
+			nt.Lookup(rids)
+		})
+	}
 }

@@ -537,3 +537,29 @@ func BenchmarkLocalSort(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkParallelSort is MICRO: the presort (local sort, p-way merge and
+// block shift) of 200k entries on 8 ranks.
+func BenchmarkParallelSort(b *testing.B) {
+	const n, p = 200_000, 8
+	rng := rand.New(rand.NewSource(1))
+	entries := make([]dataset.ContEntry, n)
+	for i := range entries {
+		entries[i] = dataset.ContEntry{Val: rng.Float64(), Rid: int32(i)}
+	}
+	w := comm.NewWorld(p, timing.T3D())
+	b.SetBytes(n * dataset.ContEntrySize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		locals := make([][]dataset.ContEntry, p)
+		for r := 0; r < p; r++ {
+			lo, hi := dataset.BlockRange(n, p, r)
+			locals[r] = append([]dataset.ContEntry(nil), entries[lo:hi]...)
+		}
+		b.StartTimer()
+		w.Run(func(c *comm.Comm) {
+			Sort(c, locals[c.Rank()])
+		})
+	}
+}

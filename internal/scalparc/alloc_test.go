@@ -114,6 +114,31 @@ func TestLevelLoopSteadyStateAllocs(t *testing.T) {
 	induce(2_000)
 }
 
+// inductionAllocsBaseline is the allocations of one induction (Quest F2,
+// 20k records, p = 4) in the last run BENCH_induction.json recorded:
+// "generic presort (slices.SortFunc)", 2026-08-05. A count is the same on
+// every host.
+const inductionAllocsBaseline = 2971
+
+// TestInductionAllocs is GUARD-HOTPATH's allocation gate: a whole
+// induction may allocate at most 20% more often than the recorded run.
+func TestInductionAllocs(t *testing.T) {
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := comm.NewWorld(4, timing.T3D())
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := TrainOpts(w, tab, splitter.Config{}, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per induction (recorded %d, gate +20%%)", allocs, inductionAllocsBaseline)
+	if allocs > 1.2*inductionAllocsBaseline {
+		t.Errorf("induction allocation regression: %.0f allocs/op vs recorded %d (>20%%)", allocs, inductionAllocsBaseline)
+	}
+}
+
 // TestDoubleBufferIsTwoArrays: with the arena on (default options, p = 2),
 // PerformSplitII scatters every attribute's list into its spare backing
 // and retires the live one into the spare's place, so level after level

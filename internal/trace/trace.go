@@ -193,27 +193,6 @@ func (t *RankTrace) Events() []Event {
 // once, after the last operation.
 func (t *RankTrace) Finish(now int64) { t.closeSpan(now) }
 
-// ResetTimes zeroes the attributed virtual time and clears the timeline,
-// keeping byte and operation counters and the bucket list itself (a world
-// resets to a NewRank instead, see comm.World.Reset).
-func (t *RankTrace) ResetTimes() {
-	for i := range t.buckets {
-		t.buckets[i].Picos = 0
-	}
-	t.spans = nil
-	t.spanStart = 0
-	t.events = nil
-}
-
-// ResetComm zeroes the byte and operation counters, keeping times.
-func (t *RankTrace) ResetComm() {
-	for i := range t.buckets {
-		t.buckets[i].BytesSent = 0
-		t.buckets[i].BytesRecv = 0
-		t.buckets[i].Ops = 0
-	}
-}
-
 // Buckets returns the rank's buckets in first-touch order.
 func (t *RankTrace) Buckets() []Bucket {
 	out := make([]Bucket, len(t.buckets))

@@ -86,27 +86,6 @@ func TestSpansCoverTimeline(t *testing.T) {
 	}
 }
 
-func TestResetSplitsTimesAndComm(t *testing.T) {
-	rt := NewRank()
-	rt.SetPhase(PerformSplitI, 2, 0)
-	rt.AddPicos(9)
-	rt.AddComm(10, 20)
-	rt.ResetTimes()
-	bs := rt.Buckets()
-	if bs[0].Picos != 0 || bs[0].BytesSent != 10 {
-		t.Fatalf("ResetTimes must zero times only: %+v", bs[0])
-	}
-	if len(rt.Spans()) != 0 {
-		t.Fatal("ResetTimes must clear spans")
-	}
-	rt.AddComm(1, 1)
-	rt.ResetComm()
-	bs = rt.Buckets()
-	if bs[0].BytesSent != 0 || bs[0].BytesRecv != 0 || bs[0].Ops != 0 {
-		t.Fatalf("ResetComm must zero comm: %+v", bs[0])
-	}
-}
-
 // TestRankTraceJSONRoundTrip pins the form a rank's trace crosses a wire
 // in: the decoded trace keeps its buckets, spans and events, closes its
 // open span as the original would, and stays writable.
