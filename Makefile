@@ -76,14 +76,17 @@ serve-test:
 
 # Chaos suite under the race detector: crash-at-every-(phase,level)
 # recovery sweeps, checkpoint round-trips, fault-injector and detection
-# tests, and the CLI's end-to-end fault paths. Failing scalparc sweeps dump
-# Chrome traces into CHAOS_ARTIFACT_DIR (CI uploads them as artifacts).
+# tests, the CLI's end-to-end fault paths, and the oracle matrix's faulted
+# cells on both transports (TestOracleMatrix/{sim,tcp}/faulted). Failing
+# scalparc cells dump Chrome traces into CHAOS_ARTIFACT_DIR (CI uploads
+# them as artifacts).
 CHAOS_ARTIFACT_DIR ?= chaos-traces
 chaos:
 	CHAOS_ARTIFACT_DIR="$(CHAOS_ARTIFACT_DIR)" $(GO) test -race \
 		-run 'Fault|Crash|Checkpoint|Straggler|Corrupt|Recover|Schedule|Detection|Shrink|Truncat' \
 		./internal/faults ./internal/comm ./internal/scalparc \
 		./internal/nodetable ./internal/extmem ./classify ./cmd/scalparc
+	CHAOS_ARTIFACT_DIR="$(CHAOS_ARTIFACT_DIR)" $(GO) test -race -count=1 -run 'TestOracleMatrix/.*/faulted' ./internal/scalparc
 	$(GO) test -race -count=1 -run 'Crash|Shrink|Suspicion|Hung|Wire|Orphan' ./internal/comm/tcptransport
 	$(MAKE) chaos-tcp
 
@@ -100,7 +103,9 @@ chaos-tcp:
 
 # The TCP transport backend: unit tests, the engine-level books
 # differential (every rank's stats, peak, clock and trace in every
-# process), the JSON form a rank's trace crosses the wire in, the
+# process), the JSON form a rank's trace crosses the wire in, the oracle
+# matrix's TCP cells (every mode's tree over an in-process mesh, fault-free,
+# after a crash and across a torn link: TestOracleMatrix/tcp), the
 # sim-vs-tcp CLI differential (byte-identical trees, modeled runtimes,
 # phase tables and Chrome traces at p in {2,4}; TestTCPForest's forests at
 # p in {2,3}), and the real-process
@@ -110,6 +115,7 @@ chaos-tcp:
 tcp:
 	$(GO) test -count=1 ./internal/comm/tcptransport
 	$(GO) test -count=1 -run 'TestRankTraceJSON' ./internal/trace
+	$(GO) test -count=1 -run 'TestOracleMatrix/tcp' ./internal/scalparc
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the

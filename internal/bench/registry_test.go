@@ -160,6 +160,40 @@ func TestRaceTargetRacedInCI(t *testing.T) {
 	}
 }
 
+// TestOracleMatrixWiredIntoMake: `make chaos` runs the oracle matrix's
+// faulted cells and `make tcp` its TCP cells. TestOracleMatrix (in
+// internal/scalparc) groups its cells as TestOracleMatrix/{sim,tcp}/
+// {fault-free,faulted}/<cell>; a -run pattern selects a name the way go test
+// matches it, one regexp per slash-separated level.
+func TestOracleMatrixWiredIntoMake(t *testing.T) {
+	selects := func(pattern, name string) bool {
+		levels := strings.Split(name, "/")
+		for i, p := range strings.Split(pattern, "/") {
+			if i >= len(levels) || !regexp.MustCompile(p).MatchString(levels[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	run := regexp.MustCompile(`-run '([^']*)'`)
+	for target, names := range map[string][]string{
+		"chaos": {"TestOracleMatrix/sim/faulted/cell", "TestOracleMatrix/tcp/faulted/cell"},
+		"tcp":   {"TestOracleMatrix/tcp/fault-free/cell", "TestOracleMatrix/tcp/faulted/cell"},
+	} {
+		var patterns []string
+		for _, line := range strings.Split(strings.ReplaceAll(makeTarget(t, target), "\\\n", " "), "\n") {
+			if m := run.FindStringSubmatch(line); m != nil && strings.Contains(line, " test ") && strings.Contains(line, "./internal/scalparc") {
+				patterns = append(patterns, m[1])
+			}
+		}
+		for _, name := range names {
+			if !slices.ContainsFunc(patterns, func(p string) bool { return selects(p, name) }) {
+				t.Errorf("make %s runs no go test of ./internal/scalparc whose -run selects %s (patterns %q)", target, name, patterns)
+			}
+		}
+	}
+}
+
 // TestFuzzersWiredIntoMake: `make fuzz`, which CI runs, smokes every Fuzz*
 // function of the root module in the package that declares it.
 func TestFuzzersWiredIntoMake(t *testing.T) {

@@ -5,31 +5,9 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/datagen"
-	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 )
-
-func TestBatchedEnquirySameTree(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 77}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Train(tab, splitter.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 7} {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, splitter.Config{}, Options{BatchedEnquiry: true})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Tree.Equal(want) {
-			t.Fatalf("p=%d: batched enquiry changed the tree", p)
-		}
-	}
-}
 
 func TestBatchedEnquirySavesRoundsCostsMemory(t *testing.T) {
 	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 5}, 4000)

@@ -2,6 +2,7 @@ package scalparc
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -31,14 +32,20 @@ func seedFrames(f *testing.F, tab *dataset.Table, opts Options) (ck *Checkpoint,
 	return ck, len(sh.active)
 }
 
-// allocatedBy reports the heap bytes fn allocated (the fuzz engine runs one
-// input at a time per process, so the process-wide counter is fn's).
+// allocatedBy reports the heap bytes fn allocates, the least over three
+// calls: the counter is process-wide, so a call can also be charged for
+// another goroutine's allocations (the runtime's, or a parallel test's
+// when go test runs the seeds). fn must be safe to repeat.
 func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // FuzzDecodeShared: the shared-frame decoder never panics, allocates in
@@ -50,7 +57,7 @@ func allocatedBy(fn func()) uint64 {
 // to ~165 bytes per byte, for two-byte numbers where schema attributes
 // belong), so the document's bytes alone get 256.
 func FuzzDecodeShared(f *testing.F) {
-	tab := faultTestTable(f)
+	tab := faultData.tab(f)
 	for i, opts := range frameFinders {
 		ck, _ := seedFrames(f, tab, opts)
 		f.Add(ck.Shared, uint8(i))
@@ -83,7 +90,7 @@ func FuzzDecodeShared(f *testing.F) {
 // whose segment-length guard (cnt > remaining/9) keeps a lying count from
 // sizing an allocation.
 func FuzzDecodeFrag(f *testing.F) {
-	tab := faultTestTable(f)
+	tab := faultData.tab(f)
 	for _, opts := range frameFinders {
 		ck, nodes := seedFrames(f, tab, opts)
 		for _, frag := range ck.Frags {

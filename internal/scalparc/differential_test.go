@@ -3,6 +3,7 @@ package scalparc
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,66 +12,24 @@ import (
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/sliq"
 	"repro/internal/splitter"
 	"repro/internal/timing"
-	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
-// diffProcCounts are the processor counts the differential harness sweeps.
-var diffProcCounts = []int{1, 2, 3, 5, 8}
-
-func encodeTree(t *testing.T, tr *tree.Tree) []byte {
+// encoded is a tree's or a forest's model document.
+func encoded(t testing.TB, model interface{ Encode(io.Writer) error }) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := model.Encode(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
+// accuracy is the share of the table's rows tr labels right.
 func accuracy(tr *tree.Tree, tab *dataset.Table) float64 {
-	pred := tr.PredictTable(tab)
-	hits := 0
-	for i, c := range tab.Class {
-		if pred[i] == int(c) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(tab.Class))
-}
-
-// TestExactMatchesSLIQByteIdentical: on generator datasets, the exact-mode
-// parallel tree serialises to exactly the bytes of the serial SLIQ tree for
-// every processor count — the strongest form of the paper's "identical to
-// the serial tree" claim, covering structure, thresholds, histograms, and
-// labels at once.
-func TestExactMatchesSLIQByteIdentical(t *testing.T) {
-	for _, fn := range []int{1, 2, 6} {
-		for _, seed := range []int64{7, 8} {
-			tab, err := datagen.Generate(datagen.Config{Function: fn, Attrs: datagen.Seven, Seed: seed}, 600)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := splitter.Config{MinSplit: 4}
-			oracle, _, _, err := sliq.TrainTraced(tab, cfg, timing.T3D())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := encodeTree(t, oracle)
-			for _, p := range diffProcCounts {
-				w := comm.NewWorld(p, timing.T3D())
-				res, err := TrainOpts(w, tab, cfg, Options{Split: SplitExact})
-				if err != nil {
-					t.Fatalf("fn=%d seed=%d p=%d: %v", fn, seed, p, err)
-				}
-				if got := encodeTree(t, res.Tree); !bytes.Equal(got, want) {
-					t.Errorf("fn=%d seed=%d p=%d: exact tree bytes differ from SLIQ oracle", fn, seed, p)
-				}
-			}
-		}
-	}
+	return labelAccuracy(tr.PredictTable(tab), tab)
 }
 
 // TestBinnedAccuracyNearExact: binned split finding is an approximation, but
@@ -105,33 +64,6 @@ func TestBinnedAccuracyNearExact(t *testing.T) {
 	}
 }
 
-// TestBinnedTreeProcessorInvariant: the quantile cuts are sampled at fixed
-// global positions of the sorted lists, so the binned tree — unlike most
-// histogram approximations — must not depend on the processor count.
-func TestBinnedTreeProcessorInvariant(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 3}, 700)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := splitter.Config{MinSplit: 4}
-	var want []byte
-	for _, p := range diffProcCounts {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, cfg, Options{Split: SplitBinned, Bins: 16})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		got := encodeTree(t, res.Tree)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("p=%d: binned tree bytes differ from p=%d's", p, diffProcCounts[0])
-		}
-	}
-}
-
 // balancedDataset builds a table whose continuous attributes each carry d
 // distinct values in equal frequency (n/d records per value, shuffled), plus
 // one categorical attribute. When d divides the bin budget, every value-run
@@ -147,91 +79,25 @@ func balancedDataset(rng *rand.Rand, n, d int) *dataset.Table {
 		},
 		Classes: []string{"C0", "C1"},
 	}
-	cols := make([][]float64, 2)
-	for a := range cols {
-		col := make([]float64, n)
-		for i := range col {
-			col[i] = float64(i % d) // exactly n/d of each value
+	x, y := equalFrequency(rng, n, d), equalFrequency(rng, n, d)
+	return handTable(s, n, func(i int) ([]float64, int) {
+		row := []float64{x[i], y[i], float64(rng.Intn(3))}
+		if x[i]+y[i] > float64(d) || rng.Intn(10) == 0 {
+			return row, 1
 		}
-		rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
-		cols[a] = col
-	}
-	tab := dataset.NewTable(s, n)
-	for i := 0; i < n; i++ {
-		row := []float64{cols[0][i], cols[1][i], float64(rng.Intn(3))}
-		cl := 0
-		if cols[0][i]+cols[1][i] > float64(d) || rng.Intn(10) == 0 {
-			cl = 1
-		}
-		if err := tab.AppendRow(row, cl); err != nil {
-			panic(err)
-		}
-	}
-	return tab
+		return row, 0
+	})
 }
 
-// TestBinnedDegeneratesToExact: when every continuous attribute has at most
-// B distinct values in equal frequency (d | B), the cuts enumerate the
-// distinct values and binned mode must reproduce the exact tree bit for bit
-// — the degeneracy anchor that ties the approximation to the oracle. On a
-// categorical-heavy input in that regime it must also communicate less.
-func TestBinnedDegeneratesToExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := []int{2, 4, 8}[rng.Intn(3)]
-		n := d * (8 + rng.Intn(30)) // multiple of d: equal frequencies
-		tab := balancedDataset(rng, n, d)
-		cfg := splitter.Config{MinSplit: 2 + rng.Intn(6)}
-		p := diffProcCounts[rng.Intn(len(diffProcCounts))]
-
-		w := comm.NewWorld(p, timing.T3D())
-		exact, err := TrainOpts(w, tab, cfg, Options{})
-		if err != nil {
-			t.Logf("seed %d: exact: %v", seed, err)
-			return false
-		}
-		w = comm.NewWorld(p, timing.T3D())
-		binned, err := TrainOpts(w, tab, cfg, Options{Split: SplitBinned, Bins: 2 * d})
-		if err != nil {
-			t.Logf("seed %d: binned: %v", seed, err)
-			return false
-		}
-		if !bytes.Equal(encodeTree(t, exact.Tree), encodeTree(t, binned.Tree)) {
-			t.Logf("seed %d: binned tree diverged (n=%d d=%d p=%d cfg=%+v)", seed, n, d, p, cfg)
-			return false
-		}
-		return true
+// equalFrequency is a shuffled column of n values with exactly n/d of each
+// of 0..d-1.
+func equalFrequency(rng *rand.Rand, n, d int) []float64 {
+	col := make([]float64, n)
+	for i := range col {
+		col[i] = float64(i % d)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-
-	// One fixed input where binning must also be cheaper, not just exact:
-	// a categorical-heavy table at p=8, whose exact int64 count matrices
-	// outweigh binned mode's uint32 histogram slices. The identical tree
-	// must cost fewer FindSplitI collectives and fewer FindSplitI bytes.
-	const d, p = 8, 8
-	tab := categoricalHeavyDataset(12_500, d)
-	cfg := splitter.Config{MinSplit: 16}
-	exact, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binned, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, cfg, Options{Split: SplitBinned, Bins: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeTree(t, exact.Tree), encodeTree(t, binned.Tree)) {
-		t.Error("categorical-heavy table: binned tree with Bins = distinct values differs from exact")
-	}
-	eSent, eOps := findSplitIComm(exact.Trace)
-	bSent, bOps := findSplitIComm(binned.Trace)
-	if bOps >= eOps {
-		t.Errorf("categorical-heavy table: binned FindSplitI collectives %d >= exact %d", bOps, eOps)
-	}
-	if bSent >= eSent {
-		t.Errorf("categorical-heavy table: binned FindSplitI bytes %d >= exact %d", bSent, eSent)
-	}
+	rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
+	return col
 }
 
 // categoricalHeavyDataset builds binned mode's cheapest home: two
@@ -256,42 +122,15 @@ func categoricalHeavyDataset(n, d int) *dataset.Table {
 		Classes: []string{"C0", "C1"},
 	}
 	rng := rand.New(rand.NewSource(17))
-	cols := make([][]float64, 2)
-	for a := range cols {
-		col := make([]float64, n)
-		for i := range col {
-			col[i] = float64(i % d)
-		}
-		rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
-		cols[a] = col
-	}
-	tab := dataset.NewTable(s, n)
-	for i := 0; i < n; i++ {
+	x, y := equalFrequency(rng, n, d), equalFrequency(rng, n, d)
+	return handTable(s, n, func(i int) ([]float64, int) {
 		j, k, l := rng.Intn(16), rng.Intn(16), rng.Intn(16)
-		cls := 0
-		if cols[0][i] > float64(d/2) != (j < 8) || rng.Intn(12) == 0 {
-			cls = 1
+		row := []float64{x[i], y[i], float64(j), float64(k), float64(l)}
+		if x[i] > float64(d/2) != (j < 8) || rng.Intn(12) == 0 {
+			return row, 1
 		}
-		if err := tab.AppendRow([]float64{cols[0][i], cols[1][i], float64(j), float64(k), float64(l)}, cls); err != nil {
-			panic(err)
-		}
-	}
-	return tab
-}
-
-// findSplitIComm totals a run's FindSplitI traffic over every rank and
-// level: bytes sent (the bandwidth term) and communication operations (the
-// latency term).
-func findSplitIComm(tr *trace.Trace) (sent, ops int64) {
-	for _, rt := range tr.Ranks {
-		for _, b := range rt.Buckets() {
-			if b.Phase == trace.FindSplitI {
-				sent += b.BytesSent
-				ops += b.Ops
-			}
-		}
-	}
-	return sent, ops
+		return row, 0
+	})
 }
 
 // TestBinnedRandomDatasets: binned mode must induce a structurally valid

@@ -6,240 +6,24 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
-// siteRecorder is a passive injector that records every distinct
-// (rank, phase, level) site the run's communication operations touch, so
-// the chaos sweep can aim crashes only at sites that exist. Per-rank site
-// sets keep Act race-free.
-type siteRecorder struct {
-	mu    sync.Mutex
-	sites map[comm.Site]bool
-}
-
-func (r *siteRecorder) Act(at comm.Site) comm.FaultAction {
-	key := comm.Site{Rank: at.Rank, Phase: at.Phase, Level: at.Level}
-	r.mu.Lock()
-	r.sites[key] = true
-	r.mu.Unlock()
-	return comm.FaultAction{}
-}
-
-func faultTestTable(t testing.TB) *dataset.Table {
-	t.Helper()
-	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 31}, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-// recordSites trains fault-free and returns every (rank, phase, level)
-// communication site plus the oracle result.
-func recordSites(t *testing.T, tab *dataset.Table, cfg splitter.Config, p int, opts Options) (map[comm.Site]bool, *Result) {
-	t.Helper()
-	rec := &siteRecorder{sites: make(map[comm.Site]bool)}
-	opts.Faults = rec
-	w := comm.NewWorld(p, timing.T3D())
-	res, err := TrainOpts(w, tab, cfg, opts)
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
-	return rec.sites, res
-}
-
-// TestCrashRecoverySweep is the chaos sweep at the heart of the fault
-// model's acceptance criterion: for every (phase, level) the induction
-// visits, fail-stop one rank at that site and require the survivors to
-// recover a tree identical to the fault-free oracle — at several processor
-// counts, resuming from level-boundary checkpoints.
-func TestCrashRecoverySweep(t *testing.T) {
-	tab := faultTestTable(t)
-	cfg := splitter.Config{}.Normalize()
-	oracle, err := serial.Train(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := []int{2, 3, 5, 8}
-	if testing.Short() {
-		ps = []int{3}
-	}
-	dir := t.TempDir()
-	for _, p := range ps {
-		sites, _ := recordSites(t, tab, cfg, p, Options{CheckpointDir: dir})
-
-		// One crash per (phase, level), rotating the victim rank; prefer
-		// rank (level+phase) mod p when it communicates at the site.
-		byPL := make(map[trace.Key][]int)
-		for s := range sites {
-			k := trace.Key{Phase: s.Phase, Level: s.Level}
-			byPL[k] = append(byPL[k], s.Rank)
-		}
-		for k, ranks := range byPL {
-			victim := ranks[0]
-			want := (k.Level + int(k.Phase)) % p
-			for _, r := range ranks {
-				if r == want {
-					victim = r
-					break
-				}
-			}
-			ev := faults.Event{Rank: victim, Phase: k.Phase, Level: k.Level, Kind: faults.Crash}
-			w := comm.NewWorld(p, timing.T3D())
-			opts := Options{CheckpointDir: dir, Faults: faults.NewSchedule(p, ev)}
-			res, err := TrainOpts(w, tab, cfg, opts)
-			if err != nil {
-				t.Fatalf("p=%d crash@%v: %v", p, ev, err)
-			}
-			preFailed := t.Failed()
-			if !res.Tree.Equal(oracle) {
-				dumpChaosTrace(t, res, fmt.Sprintf("p%d-%v-L%d-r%d", p, ev.Phase, ev.Level, victim))
-				t.Fatalf("p=%d crash@%v: recovered tree differs from fault-free oracle", p, ev)
-			}
-			if res.Recoveries != 1 {
-				t.Errorf("p=%d crash@%v: Recoveries = %d, want 1", p, ev, res.Recoveries)
-			}
-			if res.FinalRanks != p-1 {
-				t.Errorf("p=%d crash@%v: FinalRanks = %d, want %d", p, ev, res.FinalRanks, p-1)
-			}
-			if len(res.Lost) != 1 || res.Lost[0] != victim {
-				t.Errorf("p=%d crash@%v: Lost = %v, want [%d]", p, ev, res.Lost, victim)
-			}
-			assertFaultEvents(t, res, victim)
-			if t.Failed() && !preFailed {
-				dumpChaosTrace(t, res, fmt.Sprintf("p%d-%v-L%d-r%d", p, ev.Phase, ev.Level, victim))
-			}
-		}
-	}
-}
-
-// dumpChaosTrace writes a failing run's Chrome trace into the directory
-// named by $CHAOS_ARTIFACT_DIR (set by `make chaos` in CI), so the
-// timeline of a failed chaos case survives as a build artifact.
-func dumpChaosTrace(t *testing.T, res *Result, label string) {
-	t.Helper()
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" || res == nil || res.Trace == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("chaos trace dir: %v", err)
-		return
-	}
-	path := filepath.Join(dir, label+".trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Logf("chaos trace: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := res.Trace.WriteChrome(f); err != nil {
-		t.Logf("chaos trace: %v", err)
-		return
-	}
-	t.Logf("wrote chaos trace to %s", path)
-}
-
-// assertFaultEvents checks the crash, detection, and recovery instants are
-// visible on the run's trace timelines.
-func assertFaultEvents(t *testing.T, res *Result, victim int) {
-	t.Helper()
-	names := make(map[string]int)
-	for _, rt := range res.Trace.Ranks {
-		for _, e := range rt.Events() {
-			names[e.Name]++
-		}
-	}
-	for _, want := range []string{"fault:crash", "fault:detected", "recovery:shrink"} {
-		if names[want] == 0 {
-			t.Errorf("trace events %v missing %q", names, want)
-		}
-	}
-	crashEvents := 0
-	for _, e := range res.Trace.Ranks[victim].Events() {
-		if e.Name == "fault:crash" {
-			crashEvents++
-		}
-	}
-	if crashEvents != 1 {
-		t.Errorf("victim rank %d has %d fault:crash events, want 1", victim, crashEvents)
-	}
-}
-
-// TestCrashRecoveryWithoutCheckpoint exercises the full-replay path: with
-// checkpointing off, survivors rebuild from the input and still converge to
-// the oracle tree, because the tree is invariant under the processor count.
-func TestCrashRecoveryWithoutCheckpoint(t *testing.T) {
-	tab := faultTestTable(t)
-	cfg := splitter.Config{}.Normalize()
-	oracle, err := serial.Train(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 4} {
-		ev := faults.Event{Rank: p - 1, Phase: trace.FindSplitII, Level: 1, Kind: faults.Crash}
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, cfg, Options{Faults: faults.NewSchedule(p, ev)})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Tree.Equal(oracle) {
-			t.Fatalf("p=%d: full-replay recovery tree differs from oracle", p)
-		}
-		if res.Recoveries != 1 || res.FinalRanks != p-1 {
-			t.Fatalf("p=%d: Recoveries=%d FinalRanks=%d, want 1 and %d", p, res.Recoveries, res.FinalRanks, p-1)
-		}
-	}
-}
-
-// TestDoubleCrashRecovery loses two ranks at different levels of one run.
-func TestDoubleCrashRecovery(t *testing.T) {
-	tab := faultTestTable(t)
-	cfg := splitter.Config{}.Normalize()
-	oracle, err := serial.Train(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := 5
-	sched := faults.NewSchedule(p,
-		faults.Event{Rank: 1, Phase: trace.FindSplitI, Level: 1, Kind: faults.Crash},
-		faults.Event{Rank: 3, Phase: trace.PerformSplitII, Level: 2, Kind: faults.Crash},
-	)
-	w := comm.NewWorld(p, timing.T3D())
-	res, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: t.TempDir(), Faults: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Tree.Equal(oracle) {
-		t.Fatal("double-crash recovery tree differs from oracle")
-	}
-	if res.FinalRanks != p-2 {
-		t.Fatalf("FinalRanks = %d, want %d", res.FinalRanks, p-2)
-	}
-	if len(res.Lost) != 2 {
-		t.Fatalf("Lost = %v, want two ranks", res.Lost)
-	}
-}
-
 // TestStragglerConservation injects virtual-clock skew and checks the
 // accounting invariants survive it exactly: every rank's per-bucket times
 // still sum to its final clock (integer picoseconds, == not ~=), the skew
 // shows up in the modeled runtime, and the tree is untouched.
 func TestStragglerConservation(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	p := 4
 	w0 := comm.NewWorld(p, timing.T3D())
@@ -282,7 +66,7 @@ func TestStragglerConservation(t *testing.T) {
 // TestDropAndCorruptRetries: transport faults on the wire heal via modeled
 // retransmission — counted, traced, and invisible in the tree.
 func TestDropAndCorruptRetries(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	p := 3
 	w0 := comm.NewWorld(p, timing.T3D())
@@ -322,7 +106,7 @@ func TestDropAndCorruptRetries(t *testing.T) {
 // deterministic protocol violation — it must surface as a *comm.ProtocolError
 // from TrainOpts, never panic and never loop retrying.
 func TestCollectiveCorruptionIsTypedError(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	p := 3
 	sched := faults.NewSchedule(p,
@@ -339,41 +123,6 @@ func TestCollectiveCorruptionIsTypedError(t *testing.T) {
 	}
 	if rf != nil && rf.Recoverable() {
 		t.Fatalf("corruption-caused failure %v must not be recoverable", rf)
-	}
-}
-
-// TestRandomRecoverableSchedules drives randomized crash/drop/straggle
-// schedules through quick.Check: whatever recoverable chaos the seed draws,
-// the tree must equal the oracle.
-func TestRandomRecoverableSchedules(t *testing.T) {
-	tab := faultTestTable(t)
-	cfg := splitter.Config{}.Normalize()
-	oracle, err := serial.Train(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	check := func(seed int64) bool {
-		p := 3 + int(uint64(seed)%3) // 3..5
-		sched := faults.Random(seed, p, 4, 4, faults.Crash, faults.Drop, faults.Straggle)
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir, Faults: sched})
-		if err != nil {
-			t.Logf("seed %d p=%d: %v (schedule %v)", seed, p, err, sched.Events())
-			return false
-		}
-		if !res.Tree.Equal(oracle) {
-			t.Logf("seed %d p=%d: tree differs (schedule %v)", seed, p, sched.Events())
-			return false
-		}
-		return true
-	}
-	cfgq := &quick.Config{MaxCount: 12}
-	if testing.Short() {
-		cfgq.MaxCount = 4
-	}
-	if err := quick.Check(check, cfgq); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -542,7 +291,7 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 // another — that would silently continue as a hybrid nobody asked for — and
 // the error names both sides.
 func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	ck, _ := captureCheckpoint(t, tab, cfg, 2, Options{Split: SplitBinned, Bins: 16})
 	restore := func(tab *dataset.Table, opts Options) error {
@@ -580,7 +329,7 @@ func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
 // the same per-rank frame files a wire-backed run writes — the one on-disk
 // format — and they reload through the same scan, bit-identical.
 func TestCheckpointDirPersistence(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	dir := t.TempDir()
 	p := 3
@@ -658,7 +407,7 @@ func TestCheckpointStoreUnwritableDir(t *testing.T) {
 // TestCheckpointOptionsValidation: an unusable CheckpointDir fails the run
 // before any training.
 func TestCheckpointOptionsValidation(t *testing.T) {
-	tab := faultTestTable(t)
+	tab := faultData.tab(t)
 	cfg := splitter.Config{}
 	w := comm.NewWorld(2, timing.T3D())
 	blocker := filepath.Join(t.TempDir(), "blocker")

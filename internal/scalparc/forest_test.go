@@ -22,24 +22,6 @@ import (
 	"repro/internal/tree"
 )
 
-func forestTestTable(t *testing.T) *dataset.Table {
-	t.Helper()
-	tab, err := datagen.Generate(datagen.Config{Function: 1, Attrs: datagen.Nine, Seed: 7}, 240)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-func encodeForest(t *testing.T, f *tree.Forest) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if err := f.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
-
 func baseForestOptions() ForestOptions {
 	return ForestOptions{
 		Trees:         4,
@@ -50,42 +32,12 @@ func baseForestOptions() ForestOptions {
 	}
 }
 
-// TestForestDeterministicAcrossProcsAndPool pins the forest determinism
-// guarantee: the same seed yields a byte-identical forest at p ∈ {1, 2, 4}
-// and at any across-tree pool width — bootstrap and feature streams are
-// pure functions of (Seed, tree index), each engine run is p-invariant, and
-// results slot by index, so neither knob can reorder or change anything.
-func TestForestDeterministicAcrossProcsAndPool(t *testing.T) {
-	tab := forestTestTable(t)
-	cfg := splitter.Config{MinSplit: 8}
-	var want []byte
-	for _, procs := range []int{1, 2, 4} {
-		for _, pool := range []int{1, 4} {
-			fo := baseForestOptions()
-			fo.Procs, fo.Parallel = procs, pool
-			res, err := TrainForest(tab, cfg, fo)
-			if err != nil {
-				t.Fatalf("procs=%d pool=%d: %v", procs, pool, err)
-			}
-			if res.Forest.NumTrees() != fo.Trees {
-				t.Fatalf("procs=%d pool=%d: %d trees, want %d", procs, pool, res.Forest.NumTrees(), fo.Trees)
-			}
-			got := encodeForest(t, res.Forest)
-			if want == nil {
-				want = got
-			} else if !bytes.Equal(got, want) {
-				t.Errorf("procs=%d pool=%d: forest bytes differ from the procs=1 pool=1 forest", procs, pool)
-			}
-		}
-	}
-}
-
 // TestForestFeatureSamplingChangesTrees sanity-checks that per-node feature
 // subsampling is actually wired through training: with distinct feature
 // seeds the per-tree masks differ and so must some trees, whereas bagging
 // alone with the same tree seed is deterministic.
 func TestForestFeatureSamplingChangesTrees(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	cfg := splitter.Config{MinSplit: 8}
 	fo := baseForestOptions()
 	a, err := TrainForest(tab, cfg, fo)
@@ -97,7 +49,7 @@ func TestForestFeatureSamplingChangesTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(encodeForest(t, a.Forest), encodeForest(t, b.Forest)) {
+	if bytes.Equal(encoded(t, a.Forest), encoded(t, b.Forest)) {
 		t.Fatal("forests with and without feature subsampling are identical; the mask is not reaching the engine")
 	}
 }
@@ -106,7 +58,7 @@ func TestForestFeatureSamplingChangesTrees(t *testing.T) {
 // reject is one configuration error, reported before any tree trains — not
 // T lost trees ending in "all forest trees failed".
 func TestForestConfigErrorFailsUpFront(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	for _, tc := range []struct {
 		edit func(*ForestOptions)
 		want string
@@ -156,7 +108,7 @@ func killTreeFaults(victim int) func(int) comm.FaultInjector {
 // other tree survives byte-identical to the fault-free run, and training
 // reports success.
 func TestForestCrashLosesAtMostInFlightTree(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	cfg := splitter.Config{MinSplit: 8}
 	fo := baseForestOptions()
 	clean, err := TrainForest(tab, cfg, fo)
@@ -199,7 +151,7 @@ func TestForestCrashLosesAtMostInFlightTree(t *testing.T) {
 // schema) is retrained over, not restored. A missing directory is created;
 // an unusable one fails the run before any tree trains.
 func TestForestCheckpointPersistsAndRestores(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	cfg := splitter.Config{MinSplit: 8}
 	dir := t.TempDir()
 
@@ -242,7 +194,7 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	if res2.RestoredTrees != fo.Trees-1 || res2.TrainedTrees != 1 {
 		t.Fatalf("rerun restored %d / trained %d trees, want %d / 1", res2.RestoredTrees, res2.TrainedTrees, fo.Trees-1)
 	}
-	if !bytes.Equal(encodeForest(t, res2.Forest), encodeForest(t, clean.Forest)) {
+	if !bytes.Equal(encoded(t, res2.Forest), encoded(t, clean.Forest)) {
 		t.Error("checkpoint-completed forest differs from the fault-free forest")
 	}
 
@@ -260,7 +212,7 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res4.RestoredTrees != 0 || !bytes.Equal(encodeForest(t, res4.Forest), encodeForest(t, fresh.Forest)) {
+	if res4.RestoredTrees != 0 || !bytes.Equal(encoded(t, res4.Forest), encoded(t, fresh.Forest)) {
 		t.Fatalf("another seed's forest restored %d tree(s) from the directory, or differs from its fresh forest", res4.RestoredTrees)
 	}
 
@@ -287,7 +239,7 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 		t.Fatalf("rerun over a foreign tree_000 file restored %d / trained %d trees, want %d / 1",
 			res3.RestoredTrees, res3.TrainedTrees, fo.Trees-1)
 	}
-	if !bytes.Equal(encodeForest(t, res3.Forest), encodeForest(t, clean.Forest)) {
+	if !bytes.Equal(encoded(t, res3.Forest), encoded(t, clean.Forest)) {
 		t.Error("forest retrained over a foreign tree file differs from the fault-free forest")
 	}
 
@@ -317,7 +269,7 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 // remaining trees are lost with that error, which is returned beside the
 // trees before it.
 func TestTrainForestWorldRetiresItsWorld(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	cfg := splitter.Config{MinSplit: 8}
 	fo := baseForestOptions()
 	pool, err := TrainForest(tab, cfg, fo)
@@ -325,7 +277,7 @@ func TestTrainForestWorldRetiresItsWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := TrainForestWorld(comm.NewWorld(3, timing.T3D()), tab, cfg, fo)
-	if err != nil || !bytes.Equal(encodeForest(t, res.Forest), encodeForest(t, pool.Forest)) {
+	if err != nil || !bytes.Equal(encoded(t, res.Forest), encoded(t, pool.Forest)) {
 		t.Fatalf("forest on a caller's world differs from the pool's (err %v)", err)
 	}
 
@@ -369,7 +321,7 @@ func sameBooks(t *testing.T, name string, got, want *Result) {
 // than the one before — must report what a fresh world would. A tree after
 // a poisoned one trains on the fresh world the pool opens in its place.
 func TestReusedWorldReportsFreshBooks(t *testing.T) {
-	tab := forestTestTable(t)
+	tab := forestData.tab(t)
 	runs := []splitter.Config{{MinSplit: 8}, {MaxDepth: 1}, {}, {MaxDepth: 3}}
 	for _, p := range []int{1, 2, 4} {
 		w := comm.NewWorld(p, timing.T3D())

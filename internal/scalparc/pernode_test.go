@@ -5,33 +5,9 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/datagen"
-	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 )
-
-// TestPerNodeModeSameTree: the ablation changes the communication
-// structure, never the result.
-func TestPerNodeModeSameTree(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 31}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Train(tab, splitter.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 7} {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, splitter.Config{}, Options{PerNodeComms: true})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Tree.Equal(want) {
-			t.Fatalf("p=%d: per-node mode changed the tree", p)
-		}
-	}
-}
 
 // TestPerNodeModeCostsMoreCommunicationSteps verifies the section 3.1
 // argument: per-node communication multiplies the number of collective
@@ -74,24 +50,5 @@ func TestPerNodeModeCostsMoreCommunicationSteps(t *testing.T) {
 	if perNode.ModeledSeconds <= perLevel.ModeledSeconds {
 		t.Fatalf("per-node mode should be slower: %v vs %v",
 			perNode.ModeledSeconds, perLevel.ModeledSeconds)
-	}
-}
-
-func TestTrainOptsDefaultsMatchTrain(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 1, Attrs: datagen.Seven, Seed: 2}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := comm.NewWorld(3, timing.T3D())
-	a, err := TrainOpts(w, tab, splitter.Config{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrainOpts(w, tab, splitter.Config{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Tree.Equal(b.Tree) || a.ModeledSeconds != b.ModeledSeconds {
-		t.Fatal("empty Options must behave exactly like Train")
 	}
 }

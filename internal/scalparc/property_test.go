@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dataset"
-	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 	"repro/internal/tree"
@@ -59,46 +58,6 @@ func randomDataset(rng *rand.Rand) *dataset.Table {
 		}
 	}
 	return tab
-}
-
-// TestOracleProperty: for random schemas, data, configurations, and
-// processor counts, ScalParC induces the serial tree exactly.
-func TestOracleProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tab := randomDataset(rng)
-		cfg := splitter.Config{
-			MaxDepth: rng.Intn(6), // 0 = unlimited
-			MinSplit: rng.Intn(8),
-		}
-		want, err := serial.Train(tab, cfg)
-		if err != nil {
-			t.Logf("seed %d: serial: %v", seed, err)
-			return false
-		}
-		p := 1 + rng.Intn(7)
-		w := comm.NewWorld(p, timing.T3D())
-		opts := Options{
-			PerNodeComms:    rng.Intn(4) == 0,
-			RebalanceLevels: rng.Intn(3) == 0,
-		}
-		if !opts.PerNodeComms {
-			opts.BatchedEnquiry = rng.Intn(3) == 0
-		}
-		res, err := TrainOpts(w, tab, cfg, opts)
-		if err != nil {
-			t.Logf("seed %d: parallel: %v", seed, err)
-			return false
-		}
-		if !res.Tree.Equal(want) {
-			t.Logf("seed %d: trees differ (n=%d, p=%d, cfg=%+v)", seed, tab.NumRows(), p, cfg)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestHistogramInvariantProperty: in every induced tree, each internal

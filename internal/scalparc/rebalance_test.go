@@ -7,50 +7,9 @@ import (
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/serial"
 	"repro/internal/splitter"
 	"repro/internal/timing"
 )
-
-func TestRebalanceSameTree(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 4}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Train(tab, splitter.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 7} {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, splitter.Config{}, Options{RebalanceLevels: true})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Tree.Equal(want) {
-			t.Fatalf("p=%d: rebalancing changed the tree", p)
-		}
-	}
-}
-
-func TestRebalanceComposesWithOtherOptions(t *testing.T) {
-	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 6}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Train(tab, splitter.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := comm.NewWorld(3, timing.T3D())
-	res, err := TrainOpts(w, tab, splitter.Config{}, Options{RebalanceLevels: true, BatchedEnquiry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Tree.Equal(want) {
-		t.Fatal("rebalance + batched changed the tree")
-	}
-}
 
 // correlatedTable builds the pathological case for the fixed distribution:
 // every attribute is a copy of the same value (so all lists concentrate

@@ -385,7 +385,10 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 		res.PresortModeledSeconds = max(res.PresortModeledSeconds, out.presort)
 	}
 	if res.Tree == nil {
-		return nil, fmt.Errorf("scalparc: no surviving rank produced a tree")
+		// The simulated machine never kills its last live rank, so only a
+		// wire world gets here: this process's one rank fail-stopped, and
+		// Run absorbed its unwind.
+		return nil, fmt.Errorf("scalparc: this process's rank was lost: %w", comm.ErrCrashed)
 	}
 	res.Levels = len(res.PerLevel)
 	res.FinalRanks = w.LiveRanks()

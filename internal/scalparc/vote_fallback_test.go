@@ -1,10 +1,10 @@
 package scalparc
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/splitter"
 	"repro/internal/timing"
@@ -19,72 +19,18 @@ import (
 // rank-sized block but steps across blocks, tracking the class exactly. At
 // p=2 with 8 rows each rank's local histogram puts all its records in one
 // bin of attribute 2, so no rank can nominate it — only the fused global
-// histogram reveals the boundary.
-func blindVoteTable(t *testing.T) *dataset.Table {
-	t.Helper()
-	schema := &dataset.Schema{
-		Attrs: []dataset.Attribute{
-			{Name: "flat0", Kind: dataset.Continuous},
-			{Name: "flat1", Kind: dataset.Continuous},
-			{Name: "step", Kind: dataset.Continuous},
-		},
-		Classes: []string{"lo", "hi"},
-	}
-	tab := dataset.NewTable(schema, 8)
-	for r := 0; r < 8; r++ {
-		step, class := 0.0, 0
+// histogram reveals the boundary. TestVoteFallbackRescuesBlindElection
+// holds the vote tree to the binned tree, its root to a split, and every
+// multi-rank run to a recorded fallback.
+func blindVoteTable() *dataset.Table {
+	schema := &dataset.Schema{Classes: []string{"lo", "hi"}, Attrs: []dataset.Attribute{
+		{Name: "flat0", Kind: dataset.Continuous}, {Name: "flat1", Kind: dataset.Continuous}, {Name: "step", Kind: dataset.Continuous}}}
+	return handTable(schema, 8, func(r int) ([]float64, int) {
 		if r >= 4 {
-			step, class = 1.0, 1
+			return []float64{0, 0, 1}, 1
 		}
-		if err := tab.AppendRow([]float64{0, 0, step}, class); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tab
-}
-
-// TestVoteFallbackRescuesBlindElection pins the re-vote fallback end to end:
-// on the blind scenario the election elects nothing (every ballot is blank),
-// the fallback must re-run the node through the full-layout reduce-scatter,
-// and the resulting tree must equal the binned tree — a root split on the
-// stepping attribute with two pure leaves — at every processor count, with
-// the fallback counter recording the rescue wherever locality blinds the
-// vote.
-func TestVoteFallbackRescuesBlindElection(t *testing.T) {
-	tab := blindVoteTable(t)
-	cfg := splitter.Config{MinSplit: 2}
-	var want []byte
-	sawFallback := false
-	for _, p := range []int{1, 2, 4} {
-		w := comm.NewWorld(p, timing.T3D())
-		binned, err := TrainOpts(w, tab, cfg, Options{Split: SplitBinned, Bins: 4})
-		if err != nil {
-			t.Fatalf("p=%d binned: %v", p, err)
-		}
-		w = comm.NewWorld(p, timing.T3D())
-		vote, err := TrainOpts(w, tab, cfg, Options{Split: SplitVote, Bins: 4, VoteK: 1})
-		if err != nil {
-			t.Fatalf("p=%d vote: %v", p, err)
-		}
-		if vote.Tree.Root.Leaf {
-			t.Fatalf("p=%d: vote leafed the root; the fallback did not rescue the blind election", p)
-		}
-		if !bytes.Equal(encodeTree(t, vote.Tree), encodeTree(t, binned.Tree)) {
-			t.Errorf("p=%d: fallback vote tree bytes differ from binned tree", p)
-		}
-		if p > 1 && vote.VoteFallbacks > 0 {
-			sawFallback = true
-		}
-		got := encodeTree(t, vote.Tree)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("p=%d: vote tree bytes differ across processor counts", p)
-		}
-	}
-	if !sawFallback {
-		t.Error("no multi-rank run reported a re-vote fallback; the scenario no longer exercises the rescue path")
-	}
+		return []float64{0, 0, 0}, 0
+	})
 }
 
 // assertVoteNeverLeafsBinnedSplit walks the two trees in lockstep down their
@@ -120,7 +66,7 @@ func assertVoteNeverLeafsBinnedSplit(t *testing.T, vote, binned *tree.Node, path
 // a vote leaf and a binned split.
 func TestVoteNeverLeafsWhereBinnedSplits(t *testing.T) {
 	for _, fn := range []int{1, 2, 3} {
-		tab := wideVoteTable(t, fn, 7, 1200, 40)
+		tab := quest(datagen.Config{Function: fn, Attrs: datagen.Seven, Seed: 7}, 1200, 40, splitter.Config{}).tab(t)
 		cfg := splitter.Config{MinSplit: 4}
 		for _, p := range []int{1, 3, 4} {
 			w := comm.NewWorld(p, timing.T3D())
@@ -154,18 +100,13 @@ func TestVoteNeverLeafsWhereBinnedSplits(t *testing.T) {
 // p=1 split on A: the election was processor-dependent. With abstention the
 // blind ranks cast no votes, the tally is B×2, A×1, both fit the elected
 // set, and the fused evaluation picks A at every p.
-func regionVoteTable(t *testing.T) *dataset.Table {
-	t.Helper()
-	schema := &dataset.Schema{
-		Attrs: []dataset.Attribute{
-			{Name: "decoy", Kind: dataset.Continuous},
-			{Name: "a", Kind: dataset.Continuous},
-			{Name: "b", Kind: dataset.Continuous},
-		},
-		Classes: []string{"c0", "c1", "c2"},
-	}
-	tab := dataset.NewTable(schema, 64)
-	for r := 0; r < 64; r++ {
+// TestVoteSmallNodePInvariance's rows hold the vote tree to the binned tree
+// at every p down to MinSplit=2 with no depth cap, past the regime DESIGN.md
+// §10 used to caveat.
+func regionVoteTable() *dataset.Table {
+	schema := &dataset.Schema{Classes: []string{"c0", "c1", "c2"}, Attrs: []dataset.Attribute{
+		{Name: "decoy", Kind: dataset.Continuous}, {Name: "a", Kind: dataset.Continuous}, {Name: "b", Kind: dataset.Continuous}}}
+	return handTable(schema, 64, func(r int) ([]float64, int) {
 		a, b, class := 0.0, 0.0, 0
 		switch blk := r / 8; {
 		case blk == 0: // A-region: a separates c0 from c1 perfectly.
@@ -182,46 +123,6 @@ func regionVoteTable(t *testing.T) *dataset.Table {
 			}
 		default: // ballast: pure c0, every attribute constant.
 		}
-		if err := tab.AppendRow([]float64{0, a, b}, class); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tab
-}
-
-// TestVoteSmallNodePInvariance extends the p-invariance differential past
-// the MinSplit-40/depth-3 regime DESIGN.md §10 used to caveat: on the
-// region family — where whole ranks are pure or empty at every node below
-// the root — the vote tree must be byte-identical to the binned tree at
-// every processor count down to MinSplit=2 with no depth cap. Pre-fix the
-// family was processor-dependent (see regionVoteTable: blind ranks' decoy
-// ballots crowded the globally best attribute out of the election at p=8).
-func TestVoteSmallNodePInvariance(t *testing.T) {
-	tab := regionVoteTable(t)
-	cfg := splitter.Config{MinSplit: 2}
-	var want []byte
-	for _, p := range []int{1, 2, 4, 8} {
-		w := comm.NewWorld(p, timing.T3D())
-		binned, err := TrainOpts(w, tab, cfg, Options{Split: SplitBinned, Bins: 4})
-		if err != nil {
-			t.Fatalf("p=%d binned: %v", p, err)
-		}
-		w = comm.NewWorld(p, timing.T3D())
-		vote, err := TrainOpts(w, tab, cfg, Options{Split: SplitVote, Bins: 4, VoteK: 1})
-		if err != nil {
-			t.Fatalf("p=%d vote: %v", p, err)
-		}
-		if vote.Tree.Root.Leaf {
-			t.Fatalf("p=%d: vote leafed the root of the region family", p)
-		}
-		if !bytes.Equal(encodeTree(t, vote.Tree), encodeTree(t, binned.Tree)) {
-			t.Errorf("p=%d: small-node vote tree bytes differ from binned tree", p)
-		}
-		got := encodeTree(t, vote.Tree)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("p=%d: small-node vote tree bytes differ across processor counts", p)
-		}
-	}
+		return []float64{0, a, b}, class
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +43,13 @@ const decodeFuzzMaxRows = 8
 // reject verdict, and on accept the same rows, bit for bit. The new
 // decoder runs twice, on a fresh buffer and on one reused across the whole
 // fuzz run, so state surviving from an earlier body shows as a mismatch.
+//
+// On a fresh buffer it must also allocate in proportion to the body: at
+// most 64 KiB plus 32 bytes per body byte, the least of three runs (server
+// goroutines of earlier tests may still allocate beside it). Measured on an
+// x86-64 Linux host: the seeds allocate 0.9–2.7 KB each; the costliest shape
+// found by hand, one 3 000-character non-ASCII value name, 5.3 bytes per
+// byte.
 func FuzzDecodeJSONRows(f *testing.F) {
 	for _, seed := range []string{
 		`{"rows": [[1,"a",2]]}`,
@@ -130,6 +138,9 @@ func FuzzDecodeJSONRows(f *testing.F) {
 	sc, catIndex := decodeFuzzSchema, buildCatIndex(decodeFuzzSchema)
 	reused := &reqBuf{}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if got, limit := allocatedBy(func() { _ = decodeJSONRows(body, sc, catIndex, decodeFuzzMaxRows, &reqBuf{}) }), uint64(64<<10+32*len(body)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(body), got, limit)
+		}
 		want := &reqBuf{}
 		wantErr := oracleDecodeJSONRows(body, sc, catIndex, decodeFuzzMaxRows, want)
 
@@ -279,4 +290,20 @@ func TestContentTypeRouting(t *testing.T) {
 			t.Errorf("Content-Type %q: /models answered %d to a training CSV, want %d", tc.contentType, code, want)
 		}
 	}
+}
+
+// allocatedBy reports the heap bytes fn allocates, the least over three
+// calls: the counter is process-wide, so a call can also be charged for
+// another goroutine's allocations (the runtime's, or a parallel test's
+// when go test runs the seeds). fn must be safe to repeat.
+func allocatedBy(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
