@@ -27,9 +27,10 @@ loc:
 		if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; \
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
-# Host CPU profile of BenchmarkInduction (one exact-split induction, Quest
-# F2, 20k records, p=4): the profile and test binary go to .bench_build/,
-# then the hottest functions print by flat and by cumulative time.
+# Host CPU profiles of BenchmarkInduction (one exact-split induction, Quest
+# F2, 20k records, p=4) and BenchmarkInductionBinned (one binned induction
+# of the wide table, p=2): the profiles and test binary go to .bench_build/,
+# then each one's hottest functions print by flat and by cumulative time.
 # Informational, like loc: a perf change shows its before/after rows.
 profile:
 	@mkdir -p .bench_build
@@ -37,6 +38,10 @@ profile:
 		-o .bench_build/repro.test -cpuprofile .bench_build/induction.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
 	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkInductionBinned$$' -benchtime=3s \
+		-o .bench_build/repro.test -cpuprofile .bench_build/binned.cpu.pprof .
+	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof
+	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof
 
 # benchmark/ is its own module (replace repro => ../): the root build
 # never sees it, so vet and smoke-test it against this tree explicitly.
@@ -119,19 +124,21 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
-# exact finder's segment scan (against the Candidate fold it replaced), the
-# presort's radix sort and merge (against the comparator sort), the
-# compiled-vs-walker prediction differential, the model decoder, the
-# server's request handling and its JSON row decoder (against the frozen
-# reflective one), the TCP frame decoder, the checkpoint frame decoders and
-# the -faults spec parser. CI runs this target; a test fails when a Fuzz*
-# function of the root module is missing from it. The model and checkpoint
-# frame decoders cap minimization: shrinking one interesting input
-# otherwise takes the default 60s, i.e. the whole pass.
+# binned mode's sorted-segment histogram kernel (against one BinOf per
+# entry), the exact finder's segment scan (against the Candidate fold it
+# replaced), the presort's radix sort and merge (against the comparator
+# sort), the compiled-vs-walker prediction differential, the model
+# decoder, the server's request handling and its JSON row decoder (against
+# the frozen reflective one), the TCP frame decoder, the checkpoint frame
+# decoders and the -faults spec parser. CI runs this target; a test fails
+# when a Fuzz* function of the root module is missing from it. The model
+# and checkpoint frame decoders cap minimization: shrinking one interesting
+# input otherwise takes the default 60s, i.e. the whole pass.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
+	$(GO) test -fuzz=FuzzCountSorted -fuzztime=$(FUZZTIME) -run='^$$' ./internal/histogram
 	$(GO) test -fuzz=FuzzExactScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer

@@ -216,6 +216,27 @@ func BenchmarkInduction(b *testing.B) {
 	}
 }
 
+// BenchmarkInductionBinned is one binned induction (B = 64, MaxDepth 8,
+// p=2) of a wide table with allocation reporting: the seven Quest
+// attributes plus 57 continuous noise columns, 20k records. It is the
+// binned body `make profile` profiles, where the histogram kernel and the
+// presort of 63 continuous lists carry the work.
+func BenchmarkInductionBinned(b *testing.B) {
+	tab, err := datagen.GenerateWide(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, benchRecords, 57)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := comm.NewWorld(2, timing.T3D())
+	opts := scalparc.Options{Split: scalparc.SplitBinned, Bins: 64}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scalparc.TrainOpts(w, tab, splitter.Config{MaxDepth: 8}, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEndToEnd is the library-level path a user takes: generate,
 // train, evaluate.
 func BenchmarkEndToEnd(b *testing.B) {

@@ -22,9 +22,9 @@ import (
 )
 
 // CutPositions returns the global sorted-order positions (ascending, unique)
-// whose values delimit b quantile bins of n records: position ⌈(k+1)·n/b⌉-1
-// for each interior boundary k. There are at most b-1 positions; fewer when
-// n < b.
+// whose values delimit b quantile bins of n records: position ⌊(k+1)·n/b⌋-1
+// for each interior boundary k, skipping repeats and any position at or past
+// n-1. There are at most b-1 positions; fewer when n < b.
 func CutPositions(n, b int) []int {
 	if n <= 0 || b < 2 {
 		return nil
@@ -68,6 +68,26 @@ func Cuts(vals []float64) []float64 {
 // when v exceeds every cut. A cut vector of length m defines m+1 bins.
 func BinOf(cuts []float64, v float64) int {
 	return sort.SearchFloat64s(cuts, v)
+}
+
+// CountSorted adds one count per entry of seg to hist, at slot
+// BinOf(cuts, e.Val)*nc + e.Cid, where hist is one group's slot range.
+//
+// Precondition: seg is sorted ascending by Val, as every node segment of a
+// continuous attribute list is. Its bins then never decrease, so a cursor
+// starts at bin 0 and moves only when a value passes the current cut, by a
+// binary search over the cuts after it: an entry in the same bin as its
+// predecessor costs one compare, a bin change O(log B). An unsorted segment
+// miscounts silently.
+func CountSorted(hist []uint32, cuts []float64, seg []dataset.ContEntry, nc int) {
+	b, base := 0, 0
+	for _, e := range seg {
+		if b < len(cuts) && e.Val > cuts[b] {
+			b += 1 + BinOf(cuts[b+1:], e.Val)
+			base = b * nc
+		}
+		hist[base+int(e.Cid)]++
+	}
 }
 
 // Group is one (need-split node, attribute) slot range of the level's

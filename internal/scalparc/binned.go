@@ -122,18 +122,17 @@ func (f *binnedFinder) binCounts(wk *worker) []int {
 }
 
 // accumulateHist counts this rank's list segments into the layout's local
-// histogram vector and returns the number of entries scanned. uint32 counts
-// are safe: record ids are int32, so no count can reach 2³¹.
+// histogram vector and returns the number of entries scanned. A continuous
+// segment is value-sorted (DESIGN.md §5), so histogram.CountSorted bins it
+// with a forward cursor over the cuts. uint32 counts are safe: record ids
+// are int32, so no count can reach 2³¹.
 func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, nodeOf []int, hist []uint32) int {
 	nc := layout.Classes
 	scanned := 0
 	for _, g := range layout.Groups {
 		sg := wk.segs[g.Attr][nodeOf[g.Node]]
 		if wk.schema.Attrs[g.Attr].Kind == dataset.Continuous {
-			cuts := f.cuts[g.Attr]
-			for _, e := range wk.cont[g.Attr][sg.off : sg.off+sg.n] {
-				hist[g.Off+histogram.BinOf(cuts, e.Val)*nc+int(e.Cid)]++
-			}
+			histogram.CountSorted(hist[g.Off:g.Off+g.Len], f.cuts[g.Attr], wk.cont[g.Attr][sg.off:sg.off+sg.n], nc)
 		} else {
 			for _, e := range wk.cat[g.Attr][sg.off : sg.off+sg.n] {
 				hist[g.Off+int(e.Val)*nc+int(e.Cid)]++
