@@ -193,7 +193,7 @@ func BenchmarkAllToAll(b *testing.B) {
 					for d := range send {
 						send[d] = payload
 					}
-					comm.AllToAll(c, send)
+					comm.AllToAllInto(c, send, nil)
 				})
 			}
 		})

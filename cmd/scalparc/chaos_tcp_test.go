@@ -49,6 +49,18 @@ func dumpChaosTCP(t *testing.T, label string, out *bytes.Buffer, files ...string
 	})
 }
 
+// runChaos runs the CLI into out and appends a returned error there too,
+// so a failing run's artifact ends with how every rank ended (Wait's
+// error lists each rank's verdict, as do the "tcp attempt N failed" lines
+// above it).
+func runChaos(args []string, out *bytes.Buffer) error {
+	err := run(args, out)
+	if err != nil {
+		fmt.Fprintln(out, "scalparc:", err)
+	}
+	return err
+}
+
 // chaosOracle trains the fault-free tree on the simulated backend and
 // returns its -json-out bytes plus the wall time of the clean run, the
 // baseline for the bounded-completion assertions.
@@ -90,7 +102,7 @@ func TestTCPChaosHangFindSplitI(t *testing.T) {
 	var out bytes.Buffer
 	dumpChaosTCP(t, "hang-findsplit-gate", &out, hungPath, tracePath)
 	start := time.Now()
-	if err := run(args, &out); err != nil {
+	if err := runChaos(args, &out); err != nil {
 		t.Fatalf("hung run: %v\n%s", err, out.String())
 	}
 	elapsed := time.Since(start)
@@ -140,7 +152,7 @@ func TestTCPOrphanRespawnFromCheckpoint(t *testing.T) {
 		"-faults", "hang@FindSplitI:1:1", "-json-out", outPath, "-trace", tracePath)
 	var out bytes.Buffer
 	dumpChaosTCP(t, "orphan-respawn", &out, outPath, tracePath)
-	if err := run(args, &out); err != nil {
+	if err := runChaos(args, &out); err != nil {
 		t.Fatalf("respawn run: %v\n%s", err, out.String())
 	}
 	s := out.String()
@@ -202,7 +214,7 @@ func TestTCPChaosSweep(t *testing.T) {
 					"-faults", fmt.Sprintf(tc.spec, victim), "-json-out", outPath, "-trace", tracePath)
 				var out bytes.Buffer
 				dumpChaosTCP(t, fmt.Sprintf("p%d-%s", procs, tc.name), &out, outPath, tracePath)
-				if err := run(args, &out); err != nil {
+				if err := runChaos(args, &out); err != nil {
 					t.Fatalf("chaos run: %v\n%s", err, out.String())
 				}
 				got, err := os.ReadFile(outPath)

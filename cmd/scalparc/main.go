@@ -138,10 +138,18 @@ func loadCSV(path string, s *classify.Schema) (*classify.Table, error) {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	os.Exit(exitStatus(run(os.Args[1:], os.Stdout)))
+}
+
+// exitStatus reports a failure on stderr and returns the process's exit
+// status. A rank worker's status is its verdict to the coordinator
+// (tcptransport.ExitCode); a dead or orphaned rank is not a failure.
+func exitStatus(err error) int {
+	code := tcptransport.ExitCode(err)
+	if code == tcptransport.ExitFailed {
 		fmt.Fprintln(os.Stderr, "scalparc:", err)
-		os.Exit(1)
 	}
+	return code
 }
 
 func run(args []string, stdout io.Writer) error {

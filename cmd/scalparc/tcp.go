@@ -55,10 +55,11 @@ type tcpResult struct {
 func trainTCPCoordinator(args []string, procs int, workerOut io.Writer, detect time.Duration, ckptDir string, stdout io.Writer) (*tcpResult, error) {
 	opts := tcptransport.LaunchOpts{}
 	if detect > 0 {
-		// The watchdog grace mirrors the detection timeout: by the time
-		// the run is decided the survivors already waited one detect to
-		// suspect the hung rank, so one more is enough for every live
-		// worker to finish writing its files. The floor absorbs process
+		// The watchdog grace mirrors the detection timeout: the run is
+		// decided only once the result is written or a worker ended
+		// orphaned or failed, so a rank still running is either exiting
+		// or one the survivors already waited a detect to suspect, and
+		// one more is enough for the former. The floor absorbs process
 		// scheduling noise at very small timeouts.
 		opts.Grace = detect
 		if opts.Grace < 100*time.Millisecond {
@@ -141,11 +142,12 @@ func (r *tcpResult) forest() (*classify.ForestModel, error) {
 // trainTCPWorker is one rank's whole life: connect the mesh described by
 // the worker environment, train the tree, or the forest when one is given
 // (its Engine is cfg), and (if this process ends up as the lowest surviving
-// physical rank) publish the result. Every exit publishes a status verdict
-// so the coordinator can size a respawn: a rank killed by fault injection
-// is "dead", a rank that lost every peer under detection is "orphaned", and
-// a rank that finished is "ok". A hung rank writes nothing — that silence
-// is what the watchdog keys on.
+// physical rank) publish the result. Its outcome is the worker's verdict,
+// which main turns into the exit status the coordinator reads
+// (tcptransport.ExitCode): nil for a finished rank, ErrDead for a rank
+// killed by fault injection, ErrOrphaned for a rank that lost every peer
+// under detection, any other error for a failure. A hung rank never
+// returns — the watchdog reaps it.
 func trainTCPWorker(train *classify.Table, cfg classify.Config, forest *classify.ForestConfig, detect time.Duration) error {
 	tr, err := tcptransport.FromEnvTimeout(detect)
 	if err != nil {
@@ -184,17 +186,15 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, forest *classify
 	}
 	switch {
 	case errors.Is(err, tcptransport.ErrOrphaned):
-		_ = tcptransport.WriteStatus("orphaned")
-		return nil
+		return err
 	case !w.Live(tr.Rank()):
-		_ = tcptransport.WriteStatus("dead")
-		return nil
+		return tcptransport.ErrDead
 	case model == nil:
 		return err
 	}
 	for phys := 0; phys < tr.Rank(); phys++ {
 		if w.Live(phys) {
-			return tcptransport.WriteStatus("ok")
+			return nil
 		}
 	}
 	header, err := json.Marshal(metrics)
@@ -205,10 +205,5 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, forest *classify
 	if err := model.Encode(result); err != nil {
 		return err
 	}
-	if err := tcptransport.WriteResult(result.Bytes()); err != nil {
-		return err
-	}
-	// The status write comes after the result write: the coordinator's
-	// watchdog starts its grace clock at the first "ok".
-	return tcptransport.WriteStatus("ok")
+	return tcptransport.WriteResult(result.Bytes())
 }

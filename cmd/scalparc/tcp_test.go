@@ -17,14 +17,11 @@ import (
 // TestMain lets the test binary serve as the rank-worker re-exec target:
 // tcptransport.Launch re-executes the current executable, which in a
 // test process is the test binary itself. Worker invocations run the
-// real CLI entry point and exit before the testing framework takes over.
+// real CLI entry point and exit with main's verdict status before the
+// testing framework takes over.
 func TestMain(m *testing.M) {
 	if tcptransport.IsWorker() {
-		if err := run(os.Args[1:], io.Discard); err != nil {
-			fmt.Fprintln(os.Stderr, "scalparc worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+		os.Exit(exitStatus(run(os.Args[1:], io.Discard)))
 	}
 	os.Exit(m.Run())
 }
@@ -105,6 +102,32 @@ func pick(out, substr string) string {
 		}
 	}
 	return ""
+}
+
+// TestTCPDetectTimeoutWaitsForResultWriter: a fault-free run under a short
+// -detect-timeout must not be reaped while the result writer encodes a big
+// tree. The non-writer finishes long before rank 0 publishes (this table's
+// tree is ~238k nodes, ~17 MB of JSON), and a peer's plain finish must
+// not start the watchdog's grace clock; the tree is the one the same run
+// without detection induces.
+func TestTCPDetectTimeoutWaitsForResultWriter(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-quest-function", "5", "-records", "600000", "-noise", "0.4", "-procs", "2", "-transport=tcp"}
+	trees := map[string][]byte{}
+	for _, variant := range []string{"fail-stop", "detect"} {
+		path := filepath.Join(dir, variant+".json")
+		args := append(append([]string(nil), base...), "-json-out", path)
+		if variant == "detect" {
+			args = append(args, "-detect-timeout", "100ms")
+		}
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("%s run: %v", variant, err)
+		}
+		trees[variant] = readFile(t, path)
+	}
+	if !bytes.Equal(trees["fail-stop"], trees["detect"]) {
+		t.Fatal("the -detect-timeout tree differs from the fail-stop one")
+	}
 }
 
 // TestTCPCrashRecovery kills one worker process mid-training with an

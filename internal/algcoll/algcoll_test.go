@@ -101,7 +101,7 @@ func TestAllReduceMatchesComm(t *testing.T) {
 		ok := make([]bool, p)
 		w.Run(func(c *comm.Comm) {
 			a := AllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
-			d := comm.AllReduceSum(c, inputs[c.Rank()])
+			d := comm.AllReduceSumInto(c, inputs[c.Rank()], nil)
 			good := len(a) == len(d)
 			for i := range d {
 				if a[i] != d[i] {
@@ -169,7 +169,7 @@ func TestAllToAllMatchesComm(t *testing.T) {
 		ok := make([]bool, p)
 		w.Run(func(c *comm.Comm) {
 			a := AllToAll(c, sends[c.Rank()])
-			d := comm.AllToAll(c, sends[c.Rank()])
+			d := comm.AllToAllInto(c, sends[c.Rank()], nil)
 			good := true
 			for r := range d {
 				if len(a[r]) != len(d[r]) {
@@ -199,7 +199,7 @@ func TestExScanMatchesComm(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			local := []int64{int64(c.Rank() + 1), int64(c.Rank() * 3)}
 			a := ExScan(c, local, func(x, y int64) int64 { return x + y }, 0)
-			d := comm.ExScanSum(c, local)
+			d := comm.ExScanSumInto(c, local, nil)
 			good := len(a) == len(d)
 			for i := range d {
 				if a[i] != d[i] {
@@ -254,14 +254,14 @@ func TestPropertyEquivalence(t *testing.T) {
 		ok := true
 		w.Run(func(c *comm.Comm) {
 			a := AllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
-			d := comm.AllReduceSum(c, inputs[c.Rank()])
+			d := comm.AllReduceSumInto(c, inputs[c.Rank()], nil)
 			for i := range d {
 				if a[i] != d[i] {
 					ok = false
 				}
 			}
 			s1 := ExScan(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y }, 0)
-			s2 := comm.ExScanSum(c, inputs[c.Rank()])
+			s2 := comm.ExScanSumInto(c, inputs[c.Rank()], nil)
 			for i := range s2 {
 				if s1[i] != s2[i] {
 					ok = false

@@ -15,7 +15,7 @@ func TestCandidateGather(t *testing.T) {
 		results := make([][]int32, p)
 		w.Run(func(c *Comm) {
 			me := int32(c.Rank())
-			results[c.Rank()] = CandidateGather(c, []int32{me, me + 100, -1})
+			results[c.Rank()] = CandidateGatherInto(c, []int32{me, me + 100, -1}, nil)
 		})
 		for r := 0; r < p; r++ {
 			got := results[r]
@@ -55,7 +55,7 @@ func TestCandidateGatherClockSync(t *testing.T) {
 		w.Run(func(c *Comm) {
 			c.SetPhase(trace.FindSplitI, 2)
 			c.Compute(stagger(c.Rank()))
-			CandidateGather(c, make([]int32, n))
+			CandidateGatherInto(c, make([]int32, n), nil)
 		})
 		want := picos(stagger(p-1)) + picos(model.Allgather(p, n*sizeOf[int32]()))
 		tr := w.Trace()
@@ -89,7 +89,7 @@ func TestCandidateGatherLengthMismatchIsProtocolError(t *testing.T) {
 				mu.Unlock()
 			}
 		}()
-		CandidateGather(c, make([]int32, 2+c.Rank()))
+		CandidateGatherInto(c, make([]int32, 2+c.Rank()), nil)
 	})
 	if len(got) == 0 {
 		t.Fatal("length-mismatched CandidateGather did not unwind")

@@ -22,10 +22,10 @@ func ensureLen[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// The *Into collective variants reuse a caller-provided output buffer
-// (growing it only when too small) so steady-state callers allocate
-// nothing per call. Two rules keep reuse race-free under the barrier
-// protocol:
+// The *Into collectives write into a caller-provided output buffer
+// (growing it only when too small; nil allocates) so steady-state callers
+// allocate nothing per call. Two rules keep reuse race-free under the
+// barrier protocol:
 //
 //  1. out must not alias x: other ranks fold the caller's deposited x
 //     concurrently with the caller writing out.
@@ -38,21 +38,16 @@ func ensureLen[T any](buf []T, n int) []T {
 // buffer is refilled at the next level, after the current level's trailing
 // collectives.
 
-// AllToAll performs one step of all-to-all personalized communication:
+// AllToAllInto performs one step of all-to-all personalized communication:
 // every rank provides one buffer per destination (send[d] goes to rank d)
 // and receives one buffer per source (recv[s] came from rank s). Buffers
-// may be empty or nil; lengths may differ per pair (all-to-allv).
+// may be empty or nil; lengths may differ per pair (all-to-allv). recv is
+// reused as the received-buffer index (see the *Into reuse rules above —
+// the received buffers themselves may alias the senders' buffers either
+// way, only the p-entry index is pooled).
 //
 // This is the primitive of the paper's parallel hashing paradigm: with m
 // keys hashed per processor it runs in O(m) time provided m is Ω(p).
-func AllToAll[T any](c *Comm, send [][]T) [][]T {
-	return AllToAllInto(c, send, nil)
-}
-
-// AllToAllInto is AllToAll reusing recv as the received-buffer index
-// (grown as needed; see the *Into reuse rules above — note the received
-// buffers themselves may alias the senders' buffers either way, only the
-// p-entry index is pooled).
 func AllToAllInto[T any](c *Comm, send, recv [][]T) [][]T {
 	p := c.Size()
 	if len(send) != p {
@@ -102,15 +97,10 @@ func foldRanks[T any](c *Comm, name string, all []deposit, lo, hi, n int, out []
 	}
 }
 
-// AllReduce combines equal-length vectors from every rank elementwise with
-// op (applied in rank order, so non-commutative ops are still deterministic)
-// and returns the combined vector on every rank.
-func AllReduce[T any](c *Comm, x []T, op func(a, b T) T) []T {
-	return AllReduceInto(c, x, nil, op)
-}
-
-// AllReduceInto is AllReduce writing into out (grown as needed; see the
-// *Into reuse rules above). It returns the result slice.
+// AllReduceInto combines equal-length vectors from every rank elementwise
+// with op (applied in rank order, so non-commutative ops are still
+// deterministic) and returns the combined vector on every rank, written
+// into out (see the *Into reuse rules above).
 func AllReduceInto[T any](c *Comm, x, out []T, op func(a, b T) T) []T {
 	p, n := c.Size(), len(x)
 	all := exchangeSlices(c, x)
@@ -121,28 +111,18 @@ func AllReduceInto[T any](c *Comm, x, out []T, op func(a, b T) T) []T {
 	return out
 }
 
-// AllReduceSum is AllReduce specialised to elementwise integer sums, the
-// operation used for count matrices.
-func AllReduceSum(c *Comm, x []int64) []int64 {
-	return AllReduce(c, x, func(a, b int64) int64 { return a + b })
-}
-
-// AllReduceSumInto is AllReduceSum writing into out (grown as needed).
+// AllReduceSumInto is AllReduceInto specialised to elementwise integer
+// sums, the operation used for count matrices.
 func AllReduceSumInto(c *Comm, x, out []int64) []int64 {
 	return AllReduceInto(c, x, out, func(a, b int64) int64 { return a + b })
 }
 
-// ExScan computes an exclusive prefix scan: rank r receives the fold (in
-// rank order) of the vectors contributed by ranks 0..r-1; rank 0 receives a
-// vector of zero values. This is the operation FindSplitI uses to turn local
-// class-count matrices into the global count matrix at the start of each
-// rank's list fragment.
-func ExScan[T any](c *Comm, x []T, op func(a, b T) T, zero T) []T {
-	return ExScanInto(c, x, nil, op, zero)
-}
-
-// ExScanInto is ExScan writing into out (grown as needed; see the *Into
-// reuse rules above).
+// ExScanInto computes an exclusive prefix scan into out (see the *Into
+// reuse rules above): rank r receives the fold (in rank order) of the
+// vectors contributed by ranks 0..r-1; rank 0 receives a vector of zero
+// values. This is the operation FindSplitI uses to turn local class-count
+// matrices into the global count matrix at the start of each rank's list
+// fragment.
 func ExScanInto[T any](c *Comm, x, out []T, op func(a, b T) T, zero T) []T {
 	return scanInto(c, "ExScan", false, x, out, op, zero)
 }
@@ -166,27 +146,16 @@ func scanInto[T any](c *Comm, name string, reverse bool, x, out []T, op func(a, 
 	return out
 }
 
-// ExScanSum is ExScan specialised to integer sums.
-func ExScanSum(c *Comm, x []int64) []int64 {
-	return ExScan(c, x, func(a, b int64) int64 { return a + b }, 0)
-}
-
-// ExScanSumInto is ExScanSum writing into out (grown as needed).
+// ExScanSumInto is ExScanInto specialised to integer sums.
 func ExScanSumInto(c *Comm, x, out []int64) []int64 {
 	return ExScanInto(c, x, out, func(a, b int64) int64 { return a + b }, 0)
 }
 
-// ReverseExScan is ExScan with the rank order reversed: rank r receives the
-// fold (in increasing rank order) of the vectors contributed by ranks
-// r+1..p-1; the last rank receives zero values. FindSplitII uses it to
-// learn the first attribute value of the next non-empty segment to the
-// right, in O(log p) modeled rounds instead of an O(p)-bytes allgather.
-func ReverseExScan[T any](c *Comm, x []T, op func(a, b T) T, zero T) []T {
-	return ReverseExScanInto(c, x, nil, op, zero)
-}
-
-// ReverseExScanInto is ReverseExScan writing into out (grown as needed;
-// see the *Into reuse rules above).
+// ReverseExScanInto is ExScanInto with the rank order reversed: rank r
+// receives the fold (in increasing rank order) of the vectors contributed
+// by ranks r+1..p-1; the last rank receives zero values. FindSplitII uses
+// it to learn the first attribute value of the next non-empty segment to
+// the right, in O(log p) modeled rounds instead of an O(p)-bytes allgather.
 func ReverseExScanInto[T any](c *Comm, x, out []T, op func(a, b T) T, zero T) []T {
 	return scanInto(c, "ReverseExScan", true, x, out, op, zero)
 }
@@ -221,22 +190,17 @@ func AllgatherInto[T any](c *Comm, x []T, out [][]T) [][]T {
 	return out
 }
 
-// CandidateGather gathers one equal-length contribution vector from every
-// rank and returns them concatenated in rank order — the fixed-size vote
-// primitive of top-k attribute-voting split finding: each rank deposits its
-// nomination ballot and every rank receives the full ballot box. Unlike
-// Allgather (whose per-rank results may alias the senders' buffers on the
-// simulated machine), the result is a private flat copy, and unlike
-// allgatherv, equal contribution lengths are a protocol invariant: a rank
-// whose ballot disagrees in size is a data-boundary fault, reported as a
-// typed *ProtocolError. The communication pattern — and the modeled cost —
-// is an allgather of len(x) elements per rank.
-func CandidateGather[T any](c *Comm, x []T) []T {
-	return CandidateGatherInto(c, x, nil)
-}
-
-// CandidateGatherInto is CandidateGather writing into out (grown as needed;
-// see the *Into reuse rules above).
+// CandidateGatherInto gathers one equal-length contribution vector from
+// every rank and returns them concatenated in rank order, written into out
+// (see the *Into reuse rules above) — the fixed-size vote primitive of
+// top-k attribute-voting split finding: each rank deposits its nomination
+// ballot and every rank receives the full ballot box. Unlike Allgather
+// (whose per-rank results may alias the senders' buffers on the simulated
+// machine), the result is a private flat copy, and unlike allgatherv, equal
+// contribution lengths are a protocol invariant: a rank whose ballot
+// disagrees in size is a data-boundary fault, reported as a typed
+// *ProtocolError. The communication pattern — and the modeled cost — is an
+// allgather of len(x) elements per rank.
 func CandidateGatherInto[T any](c *Comm, x, out []T) []T {
 	p := c.Size()
 	es := sizeOf[T]()
@@ -299,21 +263,16 @@ func ReduceSum(c *Comm, root int, x []int64) []int64 {
 	return Reduce(c, root, x, func(a, b int64) int64 { return a + b })
 }
 
-// ReduceScatter combines equal-length vectors from every rank elementwise
-// with op (applied in rank order) and scatters the result: rank r receives
-// the contiguous segment of counts[r] elements starting at
-// counts[0]+…+counts[r-1] of the combined vector. counts must be identical
-// on every rank and sum to the vector length (MPI_Reduce_scatter).
+// ReduceScatterInto combines equal-length vectors from every rank
+// elementwise with op (applied in rank order) and scatters the result into
+// out (see the *Into reuse rules above): rank r receives the contiguous
+// segment of counts[r] elements starting at counts[0]+…+counts[r-1] of the
+// combined vector. counts must be identical on every rank and sum to the
+// vector length (MPI_Reduce_scatter).
 //
 // This is the histogram-exchange primitive of binned split finding: every
 // rank contributes the full local count vector but owns — and pays receive
 // bytes for — only its own slice of the global histogram.
-func ReduceScatter[T any](c *Comm, x []T, counts []int, op func(a, b T) T) []T {
-	return ReduceScatterInto(c, x, nil, counts, op)
-}
-
-// ReduceScatterInto is ReduceScatter writing into out (grown as needed;
-// see the *Into reuse rules above).
 func ReduceScatterInto[T any](c *Comm, x, out []T, counts []int, op func(a, b T) T) []T {
 	p := c.Size()
 	if len(counts) != p {
@@ -344,16 +303,10 @@ func ReduceScatterInto[T any](c *Comm, x, out []T, counts []int, op func(a, b T)
 	return out
 }
 
-// ReduceScatterSum32 is ReduceScatter specialised to elementwise uint32
-// sums, the wire format of the binned histogram exchange (record ids are
-// int32, so any global class count fits in 32 bits at half the wire cost
-// of the int64 count matrices).
-func ReduceScatterSum32(c *Comm, x []uint32, counts []int) []uint32 {
-	return ReduceScatter(c, x, counts, func(a, b uint32) uint32 { return a + b })
-}
-
-// ReduceScatterSum32Into is ReduceScatterSum32 writing into out (grown as
-// needed).
+// ReduceScatterSum32Into is ReduceScatterInto specialised to elementwise
+// uint32 sums, the wire format of the binned histogram exchange (record ids
+// are int32, so any global class count fits in 32 bits at half the wire
+// cost of the int64 count matrices).
 func ReduceScatterSum32Into(c *Comm, x, out []uint32, counts []int) []uint32 {
 	return ReduceScatterInto(c, x, out, counts, func(a, b uint32) uint32 { return a + b })
 }

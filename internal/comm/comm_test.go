@@ -64,7 +64,7 @@ func TestAllToAllIdentityPermutation(t *testing.T) {
 			for d := 0; d < p; d++ {
 				send[d] = []int32{int32(c.Rank()*1000 + d)}
 			}
-			got[c.Rank()] = AllToAll(c, send)
+			got[c.Rank()] = AllToAllInto(c, send, nil)
 		})
 		for me := 0; me < p; me++ {
 			for src := 0; src < p; src++ {
@@ -91,7 +91,7 @@ func TestAllToAllVariableLengths(t *testing.T) {
 				send[d] = append(send[d], c.Rank()*100+d*10+i)
 			}
 		}
-		got[c.Rank()] = AllToAll(c, send)
+		got[c.Rank()] = AllToAllInto(c, send, nil)
 	})
 	for me := 0; me < p; me++ {
 		for src := 0; src < p; src++ {
@@ -126,7 +126,7 @@ func TestAllToAllConservesElements(t *testing.T) {
 		}
 		recv := make([][][]int64, p)
 		w.Run(func(c *Comm) {
-			recv[c.Rank()] = AllToAll(c, sent[c.Rank()])
+			recv[c.Rank()] = AllToAllInto(c, sent[c.Rank()], nil)
 		})
 		for me := 0; me < p; me++ {
 			for src := 0; src < p; src++ {
@@ -153,7 +153,7 @@ func TestAllReduceSum(t *testing.T) {
 		results := make([][]int64, p)
 		w.Run(func(c *Comm) {
 			local := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
-			results[c.Rank()] = AllReduceSum(c, local)
+			results[c.Rank()] = AllReduceSumInto(c, local, nil)
 		})
 		var wantSq int64
 		for r := 0; r < p; r++ {
@@ -177,7 +177,7 @@ func TestAllReduceNonCommutativeDeterministic(t *testing.T) {
 	w := NewWorld(p, timing.T3D())
 	results := make([][]int, p)
 	w.Run(func(c *Comm) {
-		results[c.Rank()] = AllReduce(c, []int{c.Rank()}, func(a, b int) int { return a*10 + b })
+		results[c.Rank()] = AllReduceInto(c, []int{c.Rank()}, nil, func(a, b int) int { return a*10 + b })
 	})
 	want := 123 // ((0*10+1)*10+2)*10+3
 	for r := 0; r < p; r++ {
@@ -192,7 +192,7 @@ func TestAllReduceLengthMismatchPanics(t *testing.T) {
 	panicked := make([]bool, 2)
 	w.Run(func(c *Comm) {
 		defer func() { panicked[c.Rank()] = recover() != nil }()
-		AllReduceSum(c, make([]int64, 1+c.Rank()))
+		AllReduceSumInto(c, make([]int64, 1+c.Rank()), nil)
 	})
 	for r, p := range panicked {
 		if !p {
@@ -206,7 +206,7 @@ func TestExScanSum(t *testing.T) {
 		w := NewWorld(p, timing.T3D())
 		results := make([][]int64, p)
 		w.Run(func(c *Comm) {
-			results[c.Rank()] = ExScanSum(c, []int64{int64(c.Rank() + 1), 10})
+			results[c.Rank()] = ExScanSumInto(c, []int64{int64(c.Rank() + 1), 10}, nil)
 		})
 		for r := 0; r < p; r++ {
 			want0 := int64(r * (r + 1) / 2) // sum of 1..r
@@ -243,7 +243,7 @@ func TestReverseExScan(t *testing.T) {
 		if c.Rank() == 5 {
 			mine = bound{1, 5.5}
 		}
-		results[c.Rank()] = ReverseExScan(c, []bound{mine}, firstDefined, bound{})
+		results[c.Rank()] = ReverseExScanInto(c, []bound{mine}, nil, firstDefined, bound{})
 	})
 	want := []bound{{1, 2.5}, {1, 2.5}, {1, 5.5}, {1, 5.5}, {1, 5.5}, {0, 0}}
 	for r := 0; r < p; r++ {
@@ -258,7 +258,7 @@ func TestReverseExScanSumMirrorsExScan(t *testing.T) {
 	w := NewWorld(p, timing.T3D())
 	results := make([][]int64, p)
 	w.Run(func(c *Comm) {
-		results[c.Rank()] = ReverseExScan(c, []int64{int64(c.Rank() + 1)},
+		results[c.Rank()] = ReverseExScanInto(c, []int64{int64(c.Rank() + 1)}, nil,
 			func(a, b int64) int64 { return a + b }, 0)
 	})
 	for r := 0; r < p; r++ {
@@ -280,7 +280,7 @@ func TestReverseExScanLengthMismatchPanics(t *testing.T) {
 	panicked := make([]bool, 2)
 	w.Run(func(c *Comm) {
 		defer func() { panicked[c.Rank()] = recover() != nil }()
-		ReverseExScan(c, make([]int64, 1+c.Rank()), func(a, b int64) int64 { return a + b }, 0)
+		ReverseExScanInto(c, make([]int64, 1+c.Rank()), nil, func(a, b int64) int64 { return a + b }, 0)
 	})
 	if !panicked[0] {
 		// Rank 1 folds nothing (no ranks to its right), so only ranks
@@ -293,7 +293,7 @@ func TestExScanRankZeroGetsZeroValue(t *testing.T) {
 	w := NewWorld(3, timing.T3D())
 	results := make([][]float64, 3)
 	w.Run(func(c *Comm) {
-		results[c.Rank()] = ExScan(c, []float64{float64(c.Rank()) + 0.5},
+		results[c.Rank()] = ExScanInto(c, []float64{float64(c.Rank()) + 0.5}, nil,
 			func(a, b float64) float64 { return a + b }, 0)
 	})
 	if results[0][0] != 0 {
@@ -380,7 +380,7 @@ func TestReduceScatter(t *testing.T) {
 			for i := range x {
 				x[i] = int64(c.Rank()*1000 + i)
 			}
-			results[c.Rank()] = ReduceScatter(c, x, counts, func(a, b int64) int64 { return a + b })
+			results[c.Rank()] = ReduceScatterInto(c, x, nil, counts, func(a, b int64) int64 { return a + b })
 		})
 		off := 0
 		for r := 0; r < p; r++ {
@@ -421,7 +421,7 @@ func TestReduceScatterValidatesCounts(t *testing.T) {
 		}
 	}()
 	c := w.Rank(0)
-	ReduceScatterSum32(c, []uint32{1, 2, 3}, []int{1, 1}) // sums to 2, not 3
+	ReduceScatterSum32Into(c, []uint32{1, 2, 3}, nil, []int{1, 1}) // sums to 2, not 3
 }
 
 func TestBcast(t *testing.T) {
@@ -532,14 +532,14 @@ func TestSingleRankDegenerate(t *testing.T) {
 	w := NewWorld(1, timing.T3D())
 	w.Run(func(c *Comm) {
 		c.Barrier()
-		r := AllToAll(c, [][]int{{1, 2, 3}})
+		r := AllToAllInto(c, [][]int{{1, 2, 3}}, nil)
 		if len(r) != 1 || len(r[0]) != 3 {
 			panic("p=1 alltoall")
 		}
-		if s := AllReduceSum(c, []int64{7})[0]; s != 7 {
+		if s := AllReduceSumInto(c, []int64{7}, nil)[0]; s != 7 {
 			panic("p=1 allreduce")
 		}
-		if s := ExScanSum(c, []int64{7})[0]; s != 0 {
+		if s := ExScanSumInto(c, []int64{7}, nil)[0]; s != 0 {
 			panic("p=1 exscan")
 		}
 		if g := Allgather(c, []int{5}); len(g) != 1 || g[0][0] != 5 {
@@ -582,7 +582,7 @@ func TestClockMonotonic(t *testing.T) {
 	w.Run(func(c *Comm) {
 		prev := c.Clock()
 		for i := 0; i < 5; i++ {
-			AllReduceSum(c, []int64{1})
+			AllReduceSumInto(c, []int64{1}, nil)
 			if c.Clock() < prev {
 				panic("clock went backwards")
 			}
@@ -624,7 +624,7 @@ func TestStatsCountBytes(t *testing.T) {
 		for d := 0; d < p; d++ {
 			send[d] = []int64{1, 2} // 16 bytes per destination
 		}
-		AllToAll(c, send)
+		AllToAllInto(c, send, nil)
 	})
 	st := w.Stats()
 	for r := 0; r < p; r++ {
@@ -654,7 +654,7 @@ func TestStatsConservation(t *testing.T) {
 		}
 	}
 	w.Run(func(c *Comm) {
-		AllToAll(c, sent[c.Rank()])
+		AllToAllInto(c, sent[c.Rank()], nil)
 	})
 	var totSent, totRecv int64
 	for _, s := range w.Stats() {
@@ -668,7 +668,7 @@ func TestStatsConservation(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	w := NewWorld(2, timing.T3D())
-	w.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
+	w.Run(func(c *Comm) { AllReduceSumInto(c, []int64{1}, nil) })
 	w.Reset()
 	for r, s := range w.Stats() {
 		if s != (Stats{}) {
@@ -756,7 +756,7 @@ func TestConsecutiveCollectivesNoCrosstalk(t *testing.T) {
 	ok := make([]bool, p)
 	w.Run(func(c *Comm) {
 		for i := 0; i < 50; i++ {
-			s := AllReduceSum(c, []int64{int64(i)})[0]
+			s := AllReduceSumInto(c, []int64{int64(i)}, nil)[0]
 			if s != int64(i*p) {
 				return
 			}

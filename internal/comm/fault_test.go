@@ -110,7 +110,7 @@ func TestShrinkRenumbersDense(t *testing.T) {
 		mu.Unlock()
 		// The shrunken world must be fully operational: collectives over
 		// the dense ids, p2p both ways.
-		sum := AllReduceSum(c, []int64{int64(c.Rank())})
+		sum := AllReduceSumInto(c, []int64{int64(c.Rank())}, nil)
 		if want := int64(0 + 1 + 2); sum[0] != want {
 			t.Errorf("rank %d: post-shrink AllReduce = %d, want %d", c.Phys(), sum[0], want)
 		}
@@ -210,7 +210,7 @@ func TestCollectiveCorruptAborts(t *testing.T) {
 				mu.Unlock()
 			}
 		}()
-		AllReduceSum(c, []int64{1})
+		AllReduceSumInto(c, []int64{1}, nil)
 	})
 	var pe *ProtocolError
 	if !errors.As(errs[2], &pe) {
@@ -288,7 +288,7 @@ func TestCollectiveLengthMismatchIsProtocolError(t *testing.T) {
 				mu.Unlock()
 			}
 		}()
-		AllReduceSum(c, make([]int64, 1+c.Rank()))
+		AllReduceSumInto(c, make([]int64, 1+c.Rank()), nil)
 	})
 	if len(got) == 0 {
 		t.Fatal("length-mismatched AllReduce did not unwind")

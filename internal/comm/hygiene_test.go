@@ -97,7 +97,7 @@ func TestBarrierClearsDeposits(t *testing.T) {
 	p := 4
 	w := NewWorld(p, timing.T3D())
 	w.Run(func(c *Comm) {
-		AllReduceSum(c, []int64{int64(c.Rank())})
+		AllReduceSumInto(c, []int64{int64(c.Rank())}, nil)
 		Allgather(c, []int{c.Rank()})
 		c.Barrier()
 	})

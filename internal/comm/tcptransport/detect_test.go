@@ -95,7 +95,7 @@ func TestHungPeerSuspectedAndRecovered(t *testing.T) {
 					for round := 0; round < 5; round++ {
 						err = tryRun(func() {
 							for i := 0; i < 1000; i++ {
-								comm.AllReduceSum(c, []int64{1})
+								comm.AllReduceSumInto(c, []int64{1}, nil)
 							}
 						})
 						if err == nil {
@@ -113,7 +113,7 @@ func TestHungPeerSuspectedAndRecovered(t *testing.T) {
 				}
 				for {
 					err := tryRun(func() {
-						sum := comm.AllReduceSum(c, []int64{int64(c.Phys()) + 1})
+						sum := comm.AllReduceSumInto(c, []int64{int64(c.Phys()) + 1}, nil)
 						mu.Lock()
 						sums[c.Phys()] = sum
 						mu.Unlock()
@@ -191,7 +191,7 @@ func TestSuspicionThenLateEOFSingleShrink(t *testing.T) {
 					return
 				}
 				for {
-					err := tryRun(func() { comm.AllReduceSum(c, []int64{1}) })
+					err := tryRun(func() { comm.AllReduceSumInto(c, []int64{1}, nil) })
 					if err == nil {
 						break
 					}
@@ -205,7 +205,7 @@ func TestSuspicionThenLateEOFSingleShrink(t *testing.T) {
 				// The late EOF has landed by now; the next collective must
 				// run on the already-shrunk world without another recovery.
 				// (secondErr slots are per-rank; wg.Wait orders the reads.)
-				secondErr[c.Phys()] = tryRun(func() { comm.AllReduceSum(c, []int64{1}) })
+				secondErr[c.Phys()] = tryRun(func() { comm.AllReduceSumInto(c, []int64{1}, nil) })
 			})
 		}(r)
 	}
@@ -326,7 +326,7 @@ func TestWireResetSplitsPairWithoutDetection(t *testing.T) {
 				}
 				for {
 					err := tryRun(func() {
-						sum := comm.AllReduceSum(c, []int64{int64(c.Phys()) + 1})
+						sum := comm.AllReduceSumInto(c, []int64{int64(c.Phys()) + 1}, nil)
 						mu.Lock()
 						sums[c.Phys()] = sum
 						mu.Unlock()
@@ -375,7 +375,7 @@ func TestWireTruncatePairOrphansUnderDetection(t *testing.T) {
 				if c.Phys() == 1 {
 					waitTorn(sched, ts[1])
 				}
-				err := tryRun(func() { comm.AllReduceSum(c, []int64{1}) })
+				err := tryRun(func() { comm.AllReduceSumInto(c, []int64{1}, nil) })
 				if err == nil {
 					errs[c.Phys()] = errors.New("collective survived a torn pair")
 					return

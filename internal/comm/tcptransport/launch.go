@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -40,30 +41,33 @@ func ResultPath() string { return os.Getenv(envResult) }
 // from scratch.
 func IsResume() bool { return os.Getenv(envResume) != "" }
 
-// WriteStatus publishes this worker's exit verdict for the coordinator:
-// "ok" (finished, or deferred to the result writer), "dead" (its rank
-// was lost to an injected crash), or "orphaned" (aborted after losing
-// every peer under bounded-time detection). The coordinator's watchdog
-// and respawn sizing read these; a hung worker never writes one, which
-// is exactly how the watchdog tells it apart. Atomic like WriteResult.
-func WriteStatus(state string) error {
-	return writeScratch("status-"+os.Getenv(envRank), []byte(state))
-}
+// A worker's exit status is its only verdict to the coordinator: 0 is
+// finished (the result file written, or deferred to its writer), ExitDead
+// and ExitOrphaned are reserved, and any other status is a failure —
+// ExitFailed is the one ExitCode gives. Job.Wait maps a status back.
+const (
+	ExitFailed   = 1
+	ExitDead     = 3 // its rank was lost to an injected crash
+	ExitOrphaned = 4 // it lost every peer under bounded-time detection (ErrOrphaned)
+)
 
-// writeScratch publishes one of a worker's IPC files, by name, in the job's
-// scratch directory (the result file's). atomicfile.Write, not WriteDurable:
-// Job.Close deletes the directory, and the coordinator reads the files while
-// both processes are alive — an fsync would only put disk latency on the
-// job's clock.
-func writeScratch(name string, data []byte) error {
-	res := ResultPath()
-	if res == "" {
-		return fmt.Errorf("tcptransport: %s not set", envResult)
+// ErrDead is a worker's outcome when its own rank was lost to an injected
+// crash: the rank is gone, but the process ended as planned.
+var ErrDead = errors.New("tcptransport: this rank was lost to an injected crash")
+
+// ExitCode is the exit status that reports a worker's outcome: 0 for nil,
+// ExitDead and ExitOrphaned for ErrDead and ErrOrphaned (wrapped or not),
+// and ExitFailed for any other error.
+func ExitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, ErrDead):
+		return ExitDead
+	case errors.Is(err, ErrOrphaned):
+		return ExitOrphaned
 	}
-	return atomicfile.Write(filepath.Join(filepath.Dir(res), name), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return ExitFailed
 }
 
 // FromEnvTimeout connects the transport described by the worker
@@ -100,17 +104,59 @@ func FromEnv() (*T, error) { return FromEnvTimeout(0) }
 
 // Job is a coordinator's handle on a set of spawned rank workers.
 type Job struct {
-	procs  []*exec.Cmd
-	dir    string
-	result string
-	grace  time.Duration
-	hung   []int // ranks reaped by the watchdog
+	procs    []*exec.Cmd
+	dir      string
+	result   string
+	grace    time.Duration
+	verdicts []verdict // per rank, recorded by Wait
+}
+
+// verdict is how one worker ended, as Wait recorded it from its exit.
+type verdict struct {
+	end  end
+	exit error // a failed worker's exit error
+}
+
+type end int8
+
+const (
+	running  end = iota // not exited
+	finished            // exit status 0
+	dead                // ExitDead
+	orphaned            // ExitOrphaned
+	failed              // any other exit
+	reaped              // killed by Wait's watchdog
+)
+
+// verdictOf reads a worker's verdict off its exit error (exec.Cmd.Wait's).
+func verdictOf(err error) verdict {
+	var ee *exec.ExitError
+	if err == nil {
+		return verdict{end: finished}
+	}
+	if errors.As(err, &ee) {
+		switch ee.ExitCode() {
+		case ExitDead:
+			return verdict{end: dead}
+		case ExitOrphaned:
+			return verdict{end: orphaned}
+		}
+	}
+	return verdict{end: failed, exit: err}
+}
+
+var endNames = [...]string{"running", "finished", "dead", "orphaned", "failed", "reaped"}
+
+func (v verdict) String() string {
+	if v.end == failed {
+		return "failed with " + v.exit.Error()
+	}
+	return endNames[v.end]
 }
 
 // LaunchOpts tunes a worker launch beyond the defaults.
 type LaunchOpts struct {
-	// Grace arms Wait's watchdog: once any worker publishes a terminal
-	// status (or the result file appears, or a worker exits nonzero),
+	// Grace arms Wait's watchdog: once the run is decided (see Wait),
 	// processes still running after this long are presumed hung — the
 	// survivors already suspected and excluded them — and are killed.
 	// Zero disables the watchdog (Wait blocks until every exit).
@@ -199,15 +245,21 @@ func (j *Job) kill() {
 	}
 }
 
-// Wait blocks until every worker exits and returns the result file
-// written by the surviving dense-rank-0 worker. Nonzero worker exits are
-// an error; a missing result file (all result-writers crashed) is too.
+// Wait blocks until every worker exits, records each rank's verdict from
+// its exit status, and returns the result file written by the surviving
+// dense-rank-0 worker. A failed worker is an error, and so is a missing
+// result file (every result writer was lost); the error lists how every
+// rank ended. Dead and orphaned workers are not failures.
+//
 // With a grace configured (LaunchOpts.Grace), a watchdog reaps workers
-// that are still running once the run is otherwise decided — a hung rank
-// the survivors excluded must not hold the coordinator forever — and a
-// watchdog kill is not itself a worker error (the result file decides).
-// The job directory survives Wait so Statuses/Survivors can be consulted
-// for a respawn; call Close to release it.
+// still running one grace after the run is decided — a hung rank the
+// survivors excluded must not hold the coordinator forever. The run is
+// decided by an exit that finds the result file written, an orphaned
+// worker, or a failed one; a peer's plain finish never decides it, since
+// the result writer may still be encoding the model. A reaped worker is
+// not itself an error: the result file decides. The job directory
+// survives Wait so Survivors can be consulted for a respawn; call Close
+// to release it.
 func (j *Job) Wait() ([]byte, error) {
 	type exit struct {
 		rank int
@@ -217,110 +269,70 @@ func (j *Job) Wait() ([]byte, error) {
 	for i, c := range j.procs {
 		go func(rank int, c *exec.Cmd) { exits <- exit{rank, c.Wait()} }(i, c)
 	}
-	var (
-		firstErr  error
-		remaining = len(j.procs)
-		exited    = make([]bool, len(j.procs))
-		reaped    = make([]bool, len(j.procs))
-		decided   bool
-		deadline  time.Time
-		poll      <-chan time.Time
-	)
-	if j.grace > 0 {
-		ticker := time.NewTicker(20 * time.Millisecond)
-		defer ticker.Stop()
-		poll = ticker.C
-	}
-	for remaining > 0 {
+	j.verdicts = make([]verdict, len(j.procs))
+	var watchdog <-chan time.Time
+	for remaining := len(j.procs); remaining > 0; {
 		select {
 		case e := <-exits:
 			remaining--
-			exited[e.rank] = true
-			if e.err != nil && !reaped[e.rank] {
-				decided = true // a worker failing outright dooms the run
-				if firstErr == nil {
-					firstErr = fmt.Errorf("tcptransport: rank %d: %w", e.rank, e.err)
-				}
+			if j.verdicts[e.rank].end == reaped {
+				continue
 			}
-		case <-poll:
-			if !decided {
-				decided = j.decided()
+			v := verdictOf(e.err)
+			j.verdicts[e.rank] = v
+			if watchdog == nil && j.grace > 0 && (v.end == orphaned || v.end == failed || j.resultWritten()) {
+				watchdog = time.After(j.grace)
 			}
-			if decided && deadline.IsZero() {
-				deadline = time.Now().Add(j.grace)
-			}
-			if decided && time.Now().After(deadline) {
-				for i, c := range j.procs {
-					if !exited[i] && !reaped[i] && c.Process != nil {
-						reaped[i] = true
-						j.hung = append(j.hung, i)
-						c.Process.Kill()
-					}
+		case <-watchdog:
+			for r, c := range j.procs {
+				if j.verdicts[r].end == running {
+					j.verdicts[r].end = reaped
+					c.Process.Kill()
 				}
 			}
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for _, v := range j.verdicts {
+		if v.end == failed {
+			return nil, fmt.Errorf("tcptransport: a worker failed (%s)", j.ends())
+		}
 	}
 	data, err := os.ReadFile(j.result)
 	if err != nil {
-		if len(j.hung) > 0 {
-			return nil, fmt.Errorf("tcptransport: no result from workers (rank(s) %v hung, reaped by watchdog): %w", j.hung, err)
-		}
-		return nil, fmt.Errorf("tcptransport: no result from workers: %w", err)
+		return nil, fmt.Errorf("tcptransport: no result from workers (%s): %w", j.ends(), err)
 	}
 	return data, nil
 }
 
-// decided reports whether the run's outcome is already determined: the
-// result file exists, or some worker published an "ok"/"orphaned"
-// status. Both are written only at the very end of a worker's life, so
-// seeing one means every rank that is going to contribute has finished
-// the communication that needed the stragglers. A "dead" status does NOT
-// decide the run — a crashed rank writes it mid-training while the
-// survivors are still recovering.
-func (j *Job) decided() bool {
-	if _, err := os.Stat(j.result); err == nil {
-		return true
-	}
-	for _, s := range j.Statuses() {
-		if s == "ok" || s == "orphaned" {
-			return true
-		}
-	}
-	return false
+func (j *Job) resultWritten() bool {
+	_, err := os.Stat(j.result)
+	return err == nil
 }
 
-// Statuses returns the exit verdict each worker published ("ok",
-// "orphaned", "dead"), keyed by physical rank. Ranks that never wrote
-// one (hung, watchdog-reaped, or died hard) are absent.
-func (j *Job) Statuses() map[int]string {
-	out := make(map[int]string)
-	for r := range j.procs {
-		data, err := os.ReadFile(filepath.Join(j.dir, "status-"+strconv.Itoa(r)))
-		if err == nil {
-			out[r] = strings.TrimSpace(string(data))
-		}
+// ends lists how every rank ended, for Wait's errors.
+func (j *Job) ends() string {
+	parts := make([]string, len(j.verdicts))
+	for r, v := range j.verdicts {
+		parts[r] = fmt.Sprintf("rank %d %v", r, v)
 	}
-	return out
+	return strings.Join(parts, ", ")
 }
 
 // Survivors lists, ascending, the ranks of the workers that ended the
-// attempt alive — finished cleanly or aborted as orphans. Their count is
-// the world size a respawn from checkpoint should use.
+// attempt alive — finished, or aborted as orphans — by the verdicts Wait
+// recorded. Their count is the world size a respawn from checkpoint
+// should use.
 func (j *Job) Survivors() []int {
 	var alive []int
-	st := j.Statuses()
-	for r := range j.procs {
-		if st[r] == "ok" || st[r] == "orphaned" {
+	for r, v := range j.verdicts {
+		if v.end == finished || v.end == orphaned {
 			alive = append(alive, r)
 		}
 	}
 	return alive
 }
 
-// Close releases the job's scratch directory (result and status files).
+// Close releases the job's scratch directory (the result file).
 func (j *Job) Close() {
 	if j.dir != "" {
 		os.RemoveAll(j.dir)
@@ -328,11 +340,20 @@ func (j *Job) Close() {
 	}
 }
 
-// WriteResult atomically publishes a worker's result for the
-// coordinator (write-to-temp then rename, so a crash mid-write never
-// leaves a half result).
+// WriteResult atomically publishes a worker's result for the coordinator
+// (write-to-temp then rename, so a crash mid-write never leaves a half
+// result). atomicfile.Write, not WriteDurable: Job.Close deletes the
+// directory, and the result is on the job's clock — an fsync would only
+// put disk latency on it.
 func WriteResult(data []byte) error {
-	return writeScratch(filepath.Base(ResultPath()), data)
+	res := ResultPath()
+	if res == "" {
+		return fmt.Errorf("tcptransport: %s not set", envResult)
+	}
+	return atomicfile.Write(res, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // ConnectLocal builds a p-rank mesh inside one process (each rank's leg

@@ -59,9 +59,9 @@ func program(c *comm.Comm, out *[]string) {
 	res := []string{}
 	add := func(name string, v any) { res = append(res, fmt.Sprintf("%s=%v", name, v)) }
 
-	add("allreduce", comm.AllReduceSum(c, []int64{me, me * 2, 7}))
-	add("exscan", comm.ExScanSum(c, []int64{me + 1}))
-	add("revexscan", comm.ReverseExScan(c, []int64{me + 1}, func(a, b int64) int64 { return a + b }, 0))
+	add("allreduce", comm.AllReduceSumInto(c, []int64{me, me * 2, 7}, nil))
+	add("exscan", comm.ExScanSumInto(c, []int64{me + 1}, nil))
+	add("revexscan", comm.ReverseExScanInto(c, []int64{me + 1}, nil, func(a, b int64) int64 { return a + b }, 0))
 	add("allgather", comm.AllgatherFlat(c, []int32{int32(me), int32(me * 10)}))
 	add("bcast", comm.Bcast(c, p-1, []float64{3.5, float64(p)}))
 	add("reduce", comm.ReduceSum(c, 0, []int64{me, 1}))
@@ -75,14 +75,14 @@ func program(c *comm.Comm, out *[]string) {
 	for i := range vec {
 		vec[i] = uint32(int(me)*len(vec) + i)
 	}
-	add("reducescatter", comm.ReduceScatterSum32(c, vec, counts))
+	add("reducescatter", comm.ReduceScatterSum32Into(c, vec, nil, counts))
 	send := make([][]int64, p)
 	for d := range send {
 		for k := 0; k <= int(me); k++ {
 			send[d] = append(send[d], me*100+int64(d))
 		}
 	}
-	add("alltoall", comm.AllToAll(c, send))
+	add("alltoall", comm.AllToAllInto(c, send, nil))
 	partner := c.Rank() ^ 1
 	if partner >= p {
 		partner = c.Rank() // odd world: the top rank self-partners

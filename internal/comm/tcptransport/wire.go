@@ -34,6 +34,16 @@
 // observed as either an EOF or a shrink frame for the current epoch,
 // both of which push the laggard into another rendezvous, so the group
 // converges within one extra epoch.
+//
+// Launch runs a job as processes: the coordinator binds every rank's
+// listener, re-executes the current binary once per rank with the worker
+// environment, and learns how each worker ended from its exit status
+// alone — 0 finished, ExitDead and ExitOrphaned reserved, anything else a
+// failure (ExitCode). Job.Wait records those verdicts, reads the result
+// file the surviving dense-rank-0 worker published, and, with a grace,
+// reaps the workers still running one grace after the run is decided: by
+// an exit that finds the result written, an orphan, or a failure — never
+// by a peer's plain finish.
 package tcptransport
 
 import (

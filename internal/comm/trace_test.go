@@ -56,7 +56,7 @@ func TestAllToAllStatsMatchOracle(t *testing.T) {
 
 		w := NewWorld(p, timing.T3D())
 		w.Run(func(c *Comm) {
-			AllToAll(c, send[c.Rank()])
+			AllToAllInto(c, send[c.Rank()], nil)
 		})
 		stats := w.Stats()
 		for r := 0; r < p; r++ {
@@ -90,12 +90,12 @@ func mixedWorkload(c *Comm) {
 	for d := 0; d < p; d++ {
 		send[d] = make([]int64, (me+d)%3+1)
 	}
-	AllToAll(c, send)
+	AllToAllInto(c, send, nil)
 
 	c.SetPhase(trace.FindSplitI, 0)
-	ExScanSum(c, []int64{int64(me), 2})
-	ReverseExScan(c, []int64{int64(me)}, func(a, b int64) int64 { return a + b }, 0)
-	AllReduceSum(c, []int64{1, 2, 3})
+	ExScanSumInto(c, []int64{int64(me), 2}, nil)
+	ReverseExScanInto(c, []int64{int64(me)}, nil, func(a, b int64) int64 { return a + b }, 0)
+	AllReduceSumInto(c, []int64{1, 2, 3}, nil)
 	counts := make([]int, p)
 	hist := make([]uint32, 0, 2*p)
 	for r := 0; r < p; r++ {
@@ -104,11 +104,11 @@ func mixedWorkload(c *Comm) {
 			hist = append(hist, uint32(me+r+i))
 		}
 	}
-	ReduceScatterSum32(c, hist, counts)
+	ReduceScatterSum32Into(c, hist, nil, counts)
 
 	c.SetPhase(trace.FindSplitII, 1)
 	Allgather(c, make([]float64, me+1))
-	CandidateGather(c, []int32{int32(me), int32(me + 1), -1})
+	CandidateGatherInto(c, []int32{int32(me), int32(me + 1), -1}, nil)
 	Reduce(c, 0, []float64{float64(me)}, func(a, b float64) float64 { return a + b })
 	Bcast(c, 0, []int32{1, 2, 3, 4})
 
@@ -176,7 +176,7 @@ func TestReduceScatterClockSync(t *testing.T) {
 		w.Run(func(c *Comm) {
 			c.SetPhase(trace.FindSplitI, 3)
 			c.Compute(stagger(c.Rank()))
-			ReduceScatterSum32(c, make([]uint32, n), counts)
+			ReduceScatterSum32Into(c, make([]uint32, n), nil, counts)
 		})
 		// The slowest arrival is rank p-1; everyone must leave at that
 		// clock plus the modeled collective cost — integer picoseconds,
@@ -246,9 +246,9 @@ func TestResetStatsResetsTraceComm(t *testing.T) {
 			t.Fatalf("rank %d: buckets survived Reset: %+v", r, bs)
 		}
 	}
-	w.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
+	w.Run(func(c *Comm) { AllReduceSumInto(c, []int64{1}, nil) })
 	fresh := NewWorld(2, timing.T3D())
-	fresh.Run(func(c *Comm) { AllReduceSum(c, []int64{1}) })
+	fresh.Run(func(c *Comm) { AllReduceSumInto(c, []int64{1}, nil) })
 	if !reflect.DeepEqual(w.Trace(), fresh.Trace()) {
 		t.Fatal("a run on a reset world traced differently from one on a fresh world")
 	}
@@ -265,7 +265,7 @@ func BenchmarkAllToAll(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.Run(func(c *Comm) {
-					AllToAll(c, send)
+					AllToAllInto(c, send, nil)
 				})
 			}
 		})
@@ -280,7 +280,7 @@ func BenchmarkAllReduceSum(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.Run(func(c *Comm) {
-					AllReduceSum(c, x)
+					AllReduceSumInto(c, x, nil)
 				})
 			}
 		})

@@ -128,7 +128,7 @@ func (s *Sorter) Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEnt
 		send[d] = local[start:end]
 		start = end
 	}
-	recv := comm.AllToAll(c, send)
+	recv := comm.AllToAllInto(c, send, nil)
 
 	// Step 5: merge the p sorted runs (n·log2 p comparisons) into the
 	// scratch merge buffer and shift the result into block shares.
@@ -223,7 +223,7 @@ func Shift[E any](c *comm.Comm, list []E, lens []int64) ([]E, []int64) {
 		}
 		off += int(n)
 	}
-	recv := comm.AllToAll(c, send)
+	recv := comm.AllToAllInto(c, send, nil)
 
 	// Each source's buffer holds only my entries, ordered by (node,
 	// position), so per-source cursors suffice and Reassemble's in-chunk

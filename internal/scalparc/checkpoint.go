@@ -272,7 +272,7 @@ type sharedFrame struct {
 	n          int
 	levelStats []LevelStats // one per completed level
 	root       *tree.Node
-	active     []*nodeState // the reopened frontier
+	active     []*tree.Node // the reopened frontier
 }
 
 // encodeShared serialises the replicated induction state. The tree goes in
@@ -291,13 +291,13 @@ func (wk *worker) encodeShared() []byte {
 		e.f64(ls.ModeledSeconds)
 	}
 	wk.finder.encodeState(&e, wk.schema.NumAttrs())
-	for _, ns := range wk.active {
-		ns.node.Leaf = true
+	for _, n := range wk.active {
+		n.Leaf = true
 	}
 	doc := bytes.NewBuffer(e.b)
 	err := (&tree.Tree{Schema: wk.schema, Root: wk.root}).Encode(doc)
-	for _, ns := range wk.active {
-		ns.node.Leaf = false
+	for _, n := range wk.active {
+		n.Leaf = false
 	}
 	if err != nil {
 		// Only a non-finite float fails to encode, and none gets in: tables
@@ -363,8 +363,8 @@ func decodeSharedHead(raw []byte, schema *dataset.Schema, finder splitFinder) (*
 // newest depth is still undecided. All of them sit at that one depth, so
 // preorder is left-to-right level order — the order buildChildren appended
 // them in.
-func reopen(root *tree.Node, depth int) []*nodeState {
-	var active []*nodeState
+func reopen(root *tree.Node, depth int) []*tree.Node {
+	var active []*tree.Node
 	var walk func(n *tree.Node, d int)
 	walk = func(n *tree.Node, d int) {
 		if d < depth {
@@ -373,7 +373,7 @@ func reopen(root *tree.Node, depth int) []*nodeState {
 			}
 		} else if n.Leaf && n.Size() > 0 {
 			*n = tree.Node{Hist: n.Hist}
-			active = append(active, &nodeState{node: n, depth: depth})
+			active = append(active, n)
 		}
 	}
 	walk(root, 0)
@@ -543,13 +543,13 @@ func (wk *worker) restore(ck *Checkpoint) error {
 			byRank[w] = frs[w].lens[a]
 		}
 		// Every node's list holds each of its records once per attribute.
-		for i, ns := range wk.active {
+		for i, n := range wk.active {
 			var got int64
 			for _, lens := range byRank {
 				got += lens[i]
 			}
-			if got != ns.node.Size() {
-				return fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, ns.node.Size())
+			if got != n.Size() {
+				return fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, n.Size())
 			}
 		}
 		var lens []int64

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/splitter"
+	"repro/internal/tree"
 )
 
 // Checkpoint frames are read back from disk, so their decoders are a trust
@@ -122,7 +123,7 @@ func FuzzDecodeFrag(f *testing.F) {
 // fragWorker rebuilds the worker state encodeFrag reads from a decoded
 // fragment: per attribute, the nodes' entry lists concatenated in node order.
 func fragWorker(schema *dataset.Schema, fr *fragFrame, nodes int) *worker {
-	wk := &worker{schema: schema, active: make([]*nodeState, nodes)}
+	wk := &worker{schema: schema, active: make([]*tree.Node, nodes)}
 	na := schema.NumAttrs()
 	wk.cont, wk.cat, wk.segs = make([][]dataset.ContEntry, na), make([][]dataset.CatEntry, na), make([][]seg, na)
 	for a := range wk.segs {

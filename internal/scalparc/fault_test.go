@@ -164,9 +164,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(active) == 0 || len(active) != len(want) {
 		t.Fatalf("decoded frontier has %d nodes, the writer held %d", len(active), len(want))
 	}
-	for i, ns := range active {
-		if fmt.Sprint(ns.node.Hist) != fmt.Sprint(want[i]) {
-			t.Fatalf("frontier node %d: histogram %v, the writer held %v", i, ns.node.Hist, want[i])
+	for i, n := range active {
+		if fmt.Sprint(n.Hist) != fmt.Sprint(want[i]) {
+			t.Fatalf("frontier node %d: histogram %v, the writer held %v", i, n.Hist, want[i])
 		}
 	}
 	if emptyLeavesAt(sh.root, ck.Level) == 0 {
@@ -269,8 +269,8 @@ func captureCheckpoint(t testing.TB, tab *dataset.Table, cfg splitter.Config, p 
 		for len(wk.active) > 0 {
 			wk.runLevel()
 			if c.Rank() == 0 {
-				for _, ns := range wk.active {
-					held[len(wk.levelStats)] = append(held[len(wk.levelStats)], ns.node.Hist)
+				for _, n := range wk.active {
+					held[len(wk.levelStats)] = append(held[len(wk.levelStats)], n.Hist)
 				}
 			}
 		}

@@ -213,7 +213,7 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 					continue
 				}
 				base := (i2*len(contAttrs) + k) * nc
-				f.m.Reset(wk.active[i].node.Hist, prefix[base:base+nc])
+				f.m.Reset(wk.active[i].Hist, prefix[base:base+nc])
 				cand := scanSegment(&f.m, wk.cont[a][sg.off:sg.off+sg.n], nextBounds[i2*len(contAttrs)+k], a)
 				best[i2] = splitter.Best(best[i2], cand)
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nodetable"
 	"repro/internal/splitter"
 	"repro/internal/trace"
+	"repro/internal/tree"
 )
 
 // findSplits returns the globally agreed winning candidate for every
@@ -73,7 +74,7 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 		offsets[i] = -1
 		if doSplit[i] {
 			offsets[i] = total
-			d := len(wk.active[i].node.Children)
+			d := len(wk.active[i].Children)
 			total += d * nc
 			dTotal += d
 			entTotal += wk.segs[int(cands[splitIdx[i]].Attr)][i].n
@@ -116,18 +117,18 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 	var global []int64
 	if total > 0 {
 		wk.c.Mem().Alloc(int64(total) * 8)
-		global = comm.AllReduceSum(wk.c, vec)
+		global = comm.AllReduceSumInto(wk.c, vec, nil)
 		wk.c.Mem().Free(int64(total) * 8)
 	}
 
 	histsBuf := grabRaw(wk.ar, &wk.ar.histsBuf, dTotal)
 	childHists := grab(wk.ar, &wk.ar.childHists, len(wk.active))
 	used := 0
-	for i, ns := range wk.active {
+	for i, n := range wk.active {
 		if !doSplit[i] {
 			continue
 		}
-		d := len(ns.node.Children)
+		d := len(n.Children)
 		childHists[i] = histsBuf[used : used+d]
 		used += d
 		for k := 0; k < d; k++ {
@@ -155,8 +156,8 @@ func assign[V float64 | int32](list []dataset.Entry[V], cand splitter.Candidate,
 // active set, identically on every rank. It returns the new active set and,
 // per old node and child number, the index into the new active set (-1 for
 // empty children, which Grow makes leaves).
-func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*nodeState, [][]int) {
-	var next []*nodeState
+func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*tree.Node, [][]int) {
+	var next []*tree.Node
 	dTotal := 0
 	for i := range wk.active {
 		if doSplit[i] {
@@ -166,18 +167,18 @@ func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*node
 	childIdxBuf := grabRaw(wk.ar, &wk.ar.childIdxBuf, dTotal)
 	childIndex := grab(wk.ar, &wk.ar.childIndex, len(wk.active))
 	used := 0
-	for i, ns := range wk.active {
+	for i, n := range wk.active {
 		if !doSplit[i] {
 			continue
 		}
-		splitter.Grow(ns.node, childHists[i])
+		splitter.Grow(n, childHists[i])
 		childIndex[i] = childIdxBuf[used : used+len(childHists[i])]
 		used += len(childHists[i])
-		for k, child := range ns.node.Children {
+		for k, child := range n.Children {
 			childIndex[i][k] = -1
 			if !child.Leaf {
 				childIndex[i][k] = len(next)
-				next = append(next, &nodeState{node: child, depth: ns.depth + 1})
+				next = append(next, child)
 			}
 		}
 	}
@@ -188,7 +189,7 @@ func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*node
 // decisions: splitting attributes reuse the child assignments from phase I;
 // all other attributes enquire the record map, one attribute at a time.
 func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitter.Candidate,
-	splitChild [][]uint8, next []*nodeState, childIndex [][]int) {
+	splitChild [][]uint8, next []*tree.Node, childIndex [][]int) {
 
 	wk.c.SetPhase(trace.PerformSplitII, wk.level)
 
@@ -344,5 +345,4 @@ func partition[V float64 | int32](wk *worker, a int, live, spare *[]dataset.Entr
 	}
 	*live, wk.segs[a] = dst[:out], newSegs
 	wk.c.Mem().Free(oldBytes)
-	wk.listBytes += newBytes - oldBytes
 }

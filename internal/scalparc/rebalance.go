@@ -40,7 +40,6 @@ func shiftList[V float64 | int32](wk *worker, a int, list *[]dataset.Entry[V]) {
 	delta := int64(len(out)-len(*list)) * dataset.EntrySize[V]()
 	*list, wk.segs[a] = out, segsOf(outLens)
 	wk.c.Mem().Adjust(delta)
-	wk.listBytes += delta
 }
 
 // segsOf lays per-node segment lengths out back to back in node order.

@@ -468,12 +468,6 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 // seg is one active node's slice of an attribute list's local backing.
 type seg struct{ off, n int }
 
-// nodeState is one active node, replicated consistently on every rank.
-type nodeState struct {
-	node  *tree.Node
-	depth int
-}
-
 // worker is one rank's induction state.
 type worker struct {
 	c      *comm.Comm
@@ -496,12 +490,13 @@ type worker struct {
 	cat  [][]dataset.CatEntry
 	segs [][]seg
 
-	active []*nodeState
+	// active is the current level's open nodes, replicated consistently on
+	// every rank. Induction is level-synchronous: each sits at depth level.
+	active []*tree.Node
 
 	opts Options // schedule knobs and feature subsampling are read from here
 
-	listBytes  int64 // currently tracked attribute-list bytes
-	level      int   // current tree level, for phase attribution
+	level      int // current tree level: the active nodes' depth, and phase attribution
 	levelStats []LevelStats
 
 	// finder is the split-finding strategy (Options.Split) with all of its
@@ -569,19 +564,25 @@ func (wk *worker) presort(tab *dataset.Table) {
 	for _, cl := range tab.Class[lo:hi] {
 		localHist[cl]++
 	}
-	wk.root = &tree.Node{Hist: comm.AllReduceSum(c, localHist)}
-	wk.active = []*nodeState{{node: wk.root, depth: 0}}
+	wk.root = &tree.Node{Hist: comm.AllReduceSumInto(c, localHist, nil)}
+	wk.active = []*tree.Node{wk.root}
 }
 
 // chargeLists meters the attribute lists and the finder's long-lived state
 // once a post-step (presort or restore) has filled them; free releases both.
+// Every pass that resizes a list (partition, shiftList) meters the change,
+// so the lists' lengths always say what is charged.
 func (wk *worker) chargeLists() {
-	wk.listBytes = 0
+	wk.c.Mem().Alloc(wk.listBytes() + wk.finder.tracked())
+}
+
+// listBytes is the attribute lists' size at their current lengths.
+func (wk *worker) listBytes() int64 {
+	var b int64
 	for a := range wk.schema.Attrs {
-		wk.listBytes += int64(len(wk.cont[a])) * dataset.ContEntrySize
-		wk.listBytes += int64(len(wk.cat[a])) * dataset.CatEntrySize
+		b += int64(len(wk.cont[a]))*dataset.ContEntrySize + int64(len(wk.cat[a]))*dataset.CatEntrySize
 	}
-	wk.c.Mem().Alloc(wk.listBytes + wk.finder.tracked())
+	return b
 }
 
 // induce runs the level loop and returns the finished tree. The levels it
@@ -596,7 +597,7 @@ func (wk *worker) induce() *tree.Tree {
 
 // free releases the worker's tracked memory.
 func (wk *worker) free() {
-	wk.c.Mem().Free(wk.listBytes + wk.finder.tracked())
+	wk.c.Mem().Free(wk.listBytes() + wk.finder.tracked())
 	wk.rm.Free()
 }
 
@@ -606,16 +607,16 @@ func (wk *worker) runLevel() {
 	wk.level = len(wk.levelStats)
 	levelStart := wk.c.Clock()
 	stats := LevelStats{ActiveNodes: len(wk.active)}
-	for _, ns := range wk.active {
-		stats.Records += ns.node.Size()
+	for _, n := range wk.active {
+		stats.Records += n.Size()
 	}
 	// Termination tests (FindSplitII's first half): replicated, no
 	// communication — every rank has every node's global histogram.
 	splitIdx := grabRaw(wk.ar, &wk.ar.splitIdx, len(wk.active)) // index among need-split nodes, or -1
 	nNeed := 0
-	for i, ns := range wk.active {
+	for i, n := range wk.active {
 		splitIdx[i] = -1
-		if wk.cfg.TrySplit(ns.node, ns.depth) {
+		if wk.cfg.TrySplit(n, wk.level) {
 			splitIdx[i] = nNeed
 			nNeed++
 		}
@@ -631,12 +632,12 @@ func (wk *worker) runLevel() {
 
 	// Final split-or-leaf decision, replicated.
 	doSplit := grabRaw(wk.ar, &wk.ar.doSplit, len(wk.active))
-	for i, ns := range wk.active {
+	for i, n := range wk.active {
 		cand := splitter.Invalid
 		if splitIdx[i] >= 0 {
 			cand = cands[splitIdx[i]]
 		}
-		doSplit[i] = splitter.Decide(ns.node, cand, wk.schema)
+		doSplit[i] = splitter.Decide(n, cand, wk.schema)
 	}
 
 	// PerformSplitI: assignments from the splitting attributes' lists into

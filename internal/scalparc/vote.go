@@ -186,7 +186,7 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// the exchange and evaluation are repeated.
 	fb := grabRaw(wk.ar, &f.fbNodes, 0)
 	for i := 0; i < nNeed; i++ {
-		if !out[i].Beats(wk.active[nodeOf[i]].node) {
+		if !out[i].Beats(wk.active[nodeOf[i]]) {
 			fb = append(fb, i)
 		}
 	}
