@@ -18,7 +18,7 @@ import (
 //
 //	exchange        one deposit from every rank, to every rank
 //	exchangeColumn  column me of every rank's send matrix (all-to-all)
-//	post / take     the point-to-point hand-off
+//	post / take     the point-to-point hand-off (simulated machine only)
 //	runsHere        which ranks Run starts in this process
 //	kill / hang     what an injected crash or hang does to the machine
 //	strike          handing an injected socket fault to the wire
@@ -77,7 +77,7 @@ func (w *World) ExchangeBooks() error {
 	if err != nil {
 		return fmt.Errorf("comm: encoding rank %d's books: %w", me, err)
 	}
-	frames, err := w.tr.Exchange(TagDeposit, Frame{Clock: w.clocks[me], Data: data})
+	frames, err := w.tr.ExchangeEach(TagDeposit, everyRank(Frame{Clock: w.clocks[me], Data: data}, w.sz))
 	if err != nil {
 		return fmt.Errorf("comm: books exchange: %w", err)
 	}
@@ -117,7 +117,7 @@ func (c *Comm) exchange(op Op, tag Tag, local any, payload []byte) []deposit {
 		copy(all, w.cells[:w.sz])
 		c.await()
 	} else {
-		frames, err := w.tr.Exchange(tag, Frame{Clock: w.clocks[c.rank], Data: payload})
+		frames, err := w.tr.ExchangeEach(tag, everyRank(Frame{Clock: w.clocks[c.rank], Data: payload}, w.sz))
 		if err != nil {
 			c.failNow()
 		}
@@ -135,12 +135,21 @@ func (c *Comm) exchange(op Op, tag Tag, local any, payload []byte) []deposit {
 	return all
 }
 
+// everyRank is the frames of a plain collective: f for each of the n
+// dense ranks.
+func everyRank(f Frame, n int) []Frame {
+	fs := make([]Frame, n)
+	for d := range fs {
+		fs[d] = f
+	}
+	return fs
+}
+
 // encodeSlice views a flat []T as its raw bytes — the wire encoding of
 // every payload that crosses a Transport. Zero-copy: the caller must not
-// mutate x until the transport call consuming the view returns (both
-// Transport.Send and Transport.Exchange hand the bytes off before
-// returning, so the collectives' existing buffer rules already cover
-// this).
+// mutate x until the transport call consuming the view returns
+// (Transport.ExchangeEach hands the bytes off before returning, so the
+// collectives' existing buffer rules already cover this).
 func encodeSlice[T any](x []T) []byte {
 	if len(x) == 0 {
 		return nil
@@ -224,47 +233,39 @@ func exchangeColumn[T any](c *Comm, send, recv [][]T, own int) (maxSent int) {
 	return maxSent
 }
 
-// wireColumn is exchangeColumn over a wire: each pair exchanges only its
-// mutual buffers, as TagA2A frames in shifted-pairwise order, so bytes on
-// the wire are exactly the bytes the op owes; a deposit of the sent totals
-// alone supplies maxSent, the clock synchronization and the op's single
-// fault site.
+// wireColumn is exchangeColumn over a wire: one personalized deposit
+// (Transport.ExchangeEach) in which each pair exchanges only its mutual
+// buffers, so bytes on the wire are exactly the bytes the op owes. Every
+// frame's header carries its sender's clock and own-sent total, which
+// supply the clock synchronization and maxSent; the op is one fault site.
 func wireColumn[T any](c *Comm, send, recv [][]T, own int) (maxSent int) {
-	w, p, me := c.w, len(send), c.Rank()
-	all := exchangeSlices(c, []int64{int64(own)})
-	// Sends are eager (the peer's reader drains its socket), so pushing
-	// all p-1 frames before receiving any cannot deadlock. Empty buffers
-	// still send an empty frame: receivers always expect exactly one
-	// TagA2A frame per peer per call.
+	w, me := c.w, c.Rank()
+	c.enterOp(OpCollective)
 	es := uint32(sizeOf[T]())
-	for k := 1; k < p; k++ {
-		dst := (me + k) % p
-		f := Frame{Elem: es, Clock: w.clocks[c.rank], Data: encodeSlice(send[dst])}
-		if w.tr.Send(w.physOf[dst], TagA2A, f) != nil {
-			c.failNow()
-		}
+	fs := make([]Frame, len(send))
+	for d := range fs {
+		// An empty buffer still sends an empty frame: every rank expects
+		// exactly one frame from every peer per op.
+		fs[d] = Frame{Elem: es, Clock: w.clocks[c.rank], Sent: int64(own), Data: encodeSlice(send[d])}
 	}
-	recv[me] = send[me]
-	for k := 1; k < p; k++ {
-		src := (me - k + p) % p
-		f, err := w.tr.Recv(w.physOf[src], TagA2A)
-		if err != nil {
-			c.failNow()
-		}
+	frames, err := w.tr.ExchangeEach(TagDeposit, fs)
+	if err != nil {
+		c.failNow()
+	}
+	var latest int64
+	for src, f := range frames {
+		latest = max(latest, f.Clock)
+		maxSent = max(maxSent, int(f.Sent))
 		if f.Elem != es {
 			panic(&ProtocolError{Op: "AllToAll", Rank: c.Phys(),
 				Detail: fmt.Sprintf("element size mismatch: rank %d sent %d-byte elements, expected %d", src, f.Elem, es)})
 		}
-		recv[src] = decodeSlice[T](f.Data, "AllToAll", c.Phys())
-	}
-	for r := range all {
-		v := depositSlice[int64](c, all, r, "AllToAll")
-		if len(v) != 1 {
-			panic(&ProtocolError{Op: "AllToAll", Rank: c.Phys(),
-				Detail: fmt.Sprintf("malformed sent-total header from rank %d", r)})
+		if src != me {
+			recv[src] = decodeSlice[T](f.Data, "AllToAll", c.Phys())
 		}
-		maxSent = max(maxSent, int(v[0]))
 	}
+	recv[me] = send[me]
+	c.advanceTo(latest)
 	return maxSent
 }
 
@@ -277,16 +278,12 @@ type pmessage struct {
 // post hands x to dense rank dst as one eager message stamped with the
 // sender's clock: the caller may mutate x the moment it returns. The
 // simulated machine copies x into dst's mailbox, blocking only while
-// that is full; a wire transport has written the bytes out before
-// returning. Either unwinds with a *RankFailure if a peer fails first.
+// that is full, and unwinds with a *RankFailure if a peer fails first.
+// A wire carries collectives only, so there it panics, as hang does.
 func post[T any](c *Comm, dst int, x []T) {
 	w := c.w
 	if w.tr != nil {
-		f := Frame{Elem: uint32(sizeOf[T]()), Clock: c.ClockPicos(), Data: encodeSlice(x)}
-		if w.tr.Send(w.physOf[dst], TagP2P, f) != nil {
-			c.failNow()
-		}
-		return
+		panic(fmt.Sprintf("comm: Send to rank %d on a wire world: point-to-point runs on the simulated machine only", dst))
 	}
 	buf := make([]T, len(x))
 	copy(buf, x)
@@ -298,22 +295,13 @@ func post[T any](c *Comm, dst int, x []T) {
 }
 
 // take blocks for the next message dense rank src posted to this rank and
-// returns it with the sender's clock. A message of the wrong element type
-// (its Go type on the simulated machine, its element size on a wire) is
-// a *ProtocolError: the boundary between ranks is a data boundary, not a
-// programmer invariant local to one rank.
+// returns it with the sender's clock. A message of the wrong Go type is a
+// *ProtocolError: the boundary between ranks is a data boundary, not a
+// programmer invariant local to one rank. Like post, it panics on a wire.
 func take[T any](c *Comm, src int) ([]T, int64) {
 	w := c.w
 	if w.tr != nil {
-		f, err := w.tr.Recv(w.physOf[src], TagP2P)
-		if err != nil {
-			c.failNow()
-		}
-		if f.Elem != uint32(sizeOf[T]()) {
-			panic(&ProtocolError{Op: "Recv", Rank: c.Phys(),
-				Detail: fmt.Sprintf("type mismatch from rank %d: got %d-byte elements, expected %d", src, f.Elem, sizeOf[T]())})
-		}
-		return decodeSlice[T](f.Data, "Recv", c.Phys()), f.Clock
+		panic(fmt.Sprintf("comm: Recv from rank %d on a wire world: point-to-point runs on the simulated machine only", src))
 	}
 	var m pmessage
 	select {

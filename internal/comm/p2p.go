@@ -7,7 +7,8 @@ import "fmt"
 // while dst's small fixed buffering for this sender is full. The message
 // carries the sender's virtual clock so the receiver can model transfer
 // completion time. If a peer failure is detected while blocked, Send
-// unwinds with a *RankFailure.
+// unwinds with a *RankFailure. Point-to-point runs on the simulated
+// machine only: on a wire world Send and Recv panic.
 func Send[T any](c *Comm, dst int, x []T) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("comm: Send to rank %d out of range [0,%d)", dst, c.Size()))

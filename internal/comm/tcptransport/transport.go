@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,10 +334,22 @@ func (t *T) write(peer int, f wireFrame) error {
 	return writeFrame(c, f)
 }
 
-// Exchange implements the collective deposit primitive: push the frame
-// to every live peer, then block until every live peer's deposit for
-// this tag and epoch has arrived. Results are indexed by dense rank id.
+// Exchange is ExchangeEach with the one frame f for every rank; the
+// benchmark's probes call it, while comm builds its frames itself.
 func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
+	t.mu.Lock()
+	fs := make([]comm.Frame, len(t.peersLocked(t.prevLive))+1)
+	t.mu.Unlock()
+	for d := range fs {
+		fs[d] = f
+	}
+	return t.ExchangeEach(tag, fs)
+}
+
+// ExchangeEach is every wire collective: write fs[d] to each member peer
+// d, then block until every member peer's frame for this tag and epoch
+// has arrived. Frames and results are indexed by dense rank id.
+func (t *T) ExchangeEach(tag comm.Tag, fs []comm.Frame) ([]comm.Frame, error) {
 	t.mu.Lock()
 	epoch := t.epoch
 	peers := t.peersLocked(t.prevLive)
@@ -347,12 +359,17 @@ func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 		return nil, t.fail(calls)
 	}
 	t.mu.Unlock()
+	me, _ := slices.BinarySearch(peers, t.rank)
+	ranks := slices.Insert(peers, me, t.rank)
+	n := len(ranks)
 
-	wf := wireFrame{tag: tag, elem: f.Elem, epoch: epoch, clock: f.Clock, data: f.Data}
-	for _, peer := range peers {
+	// Shifted-pairwise order: dense rank me writes to me+1 first, so no
+	// peer is every rank's first destination.
+	for k := 1; k < n; k++ {
+		d := (me + k) % n
 		// A failed write is the peer's death; the reader will observe the
 		// EOF and the collect loop below unwinds the op.
-		_ = t.write(peer, wf)
+		_ = t.write(ranks[d], wireFrame{tag: tag, epoch: epoch, Frame: fs[d]})
 	}
 
 	t.mu.Lock()
@@ -368,8 +385,8 @@ func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 		// (TagShrink) breaks this wait.
 		ready := true
 		orphaned := false // a missing frame's sender is dead
-		for _, peer := range peers {
-			if len(t.trimLocked(peer, tag, epoch)) == 0 {
+		for d, peer := range ranks {
+			if d != me && len(t.trimLocked(peer, tag, epoch)) == 0 {
 				ready = false
 				if !t.live[peer] {
 					orphaned = true
@@ -386,12 +403,10 @@ func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 		}
 		t.cond.Wait()
 	}
-	ranks := append(append([]int(nil), peers...), t.rank)
-	sort.Ints(ranks)
-	out := make([]comm.Frame, len(ranks))
+	out := make([]comm.Frame, n)
 	for d, r := range ranks {
-		if r == t.rank {
-			out[d] = comm.Frame{Elem: f.Elem, Clock: f.Clock, Data: f.Data}
+		if d == me {
+			out[d] = fs[d]
 			continue
 		}
 		pf, ok := t.popLocked(r, tag, epoch)
@@ -399,47 +414,10 @@ func (t *T) Exchange(tag comm.Tag, f comm.Frame) ([]comm.Frame, error) {
 			t.mu.Unlock()
 			return nil, fmt.Errorf("tcptransport: exchange lost rank %d's frame", r)
 		}
-		out[d] = comm.Frame{Elem: pf.elem, Clock: pf.clock, Data: pf.data}
+		out[d] = pf.Frame
 	}
 	t.mu.Unlock()
 	return out, nil
-}
-
-// Send pushes an eager frame to a live peer.
-func (t *T) Send(dst int, tag comm.Tag, f comm.Frame) error {
-	t.mu.Lock()
-	epoch := t.epoch
-	if t.failedLocked([]int{dst}) {
-		calls := t.failLocked()
-		t.mu.Unlock()
-		return t.fail(calls)
-	}
-	t.mu.Unlock()
-	// Write errors surface as the peer's EOF on the reader side; the
-	// sender itself may proceed (eager send semantics) until an op that
-	// needs the peer observes the death.
-	_ = t.write(dst, wireFrame{tag: tag, elem: f.Elem, epoch: epoch, clock: f.Clock, data: f.Data})
-	return nil
-}
-
-// Recv blocks for the next frame of the tag from the peer.
-func (t *T) Recv(src int, tag comm.Tag) (comm.Frame, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	epoch := t.epoch
-	for {
-		if f, ok := t.popLocked(src, tag, epoch); ok {
-			return comm.Frame{Elem: f.elem, Clock: f.clock, Data: f.data}, nil
-		}
-		if t.failedLocked([]int{src}) {
-			calls := t.failLocked()
-			t.mu.Unlock()
-			err := t.fail(calls)
-			t.mu.Lock()
-			return comm.Frame{}, err
-		}
-		t.cond.Wait()
-	}
 }
 
 // Shrink is the recovery rendezvous. Survivors exchange 64-bit dead-set
@@ -465,7 +443,7 @@ func (t *T) Shrink(clock int64) ([]int, int64, error) {
 
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], mask)
-	wf := wireFrame{tag: comm.TagShrink, epoch: epoch, clock: clock, data: payload[:]}
+	wf := wireFrame{tag: comm.TagShrink, epoch: epoch, Frame: comm.Frame{Clock: clock, Data: payload[:]}}
 	for _, peer := range peers {
 		_ = t.write(peer, wf)
 	}
@@ -496,10 +474,8 @@ func (t *T) Shrink(clock int64) ([]int, int64, error) {
 				continue
 			}
 			if f, ok := t.popLocked(peer, comm.TagShrink, epoch); ok {
-				union |= binary.LittleEndian.Uint64(f.data)
-				if f.clock > maxClock {
-					maxClock = f.clock
-				}
+				union |= binary.LittleEndian.Uint64(f.Data)
+				maxClock = max(maxClock, f.Clock)
 				progressed = true
 				continue
 			}

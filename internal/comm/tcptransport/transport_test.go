@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,8 +51,8 @@ func runWire(t *testing.T, p int, inject func(rank int) comm.FaultInjector, fn f
 	return worlds
 }
 
-// program exercises every collective plus p2p and records the results a
-// rank observes; identical on both backends by construction of the
+// program exercises every collective and records the results a rank
+// observes; identical on both backends by construction of the
 // Transport seam, which the differential tests below assert.
 func program(c *comm.Comm, out *[]string) {
 	me := int64(c.Rank())
@@ -83,19 +84,6 @@ func program(c *comm.Comm, out *[]string) {
 		}
 	}
 	add("alltoall", comm.AllToAllInto(c, send, nil))
-	partner := c.Rank() ^ 1
-	if partner >= p {
-		partner = c.Rank() // odd world: the top rank self-partners
-	}
-	add("sendrecv", comm.SendRecv(c, partner, []int64{me}))
-	if p > 1 {
-		// A directed p2p pair: even ranks send to the next rank up.
-		if c.Rank()%2 == 0 && c.Rank()+1 < p {
-			comm.Send(c, c.Rank()+1, []int64{me, me, me})
-		} else if c.Rank()%2 == 1 {
-			add("recv", comm.Recv[int64](c, c.Rank()-1))
-		}
-	}
 	c.Barrier()
 	*out = res
 }
@@ -174,9 +162,9 @@ func recoverProgram(c *comm.Comm, out *[]string, lost *[]int) {
 
 // TestCrashRecoveryMatchesSimulated kills one rank mid-program on both
 // backends; the survivors must agree on the lost set, renumber, and
-// produce identical post-recovery results (every collective plus p2p
-// over the renumbered dense ids — the Shrink-then-collective
-// interleaving coverage).
+// produce identical post-recovery results (every collective over the
+// renumbered dense ids — the Shrink-then-collective interleaving
+// coverage).
 func TestCrashRecoveryMatchesSimulated(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		for _, n := range []int{0, 3, 7} {
@@ -219,12 +207,13 @@ func TestCrashRecoveryMatchesSimulated(t *testing.T) {
 	}
 }
 
-// TestSendAfterShrinkUsesDenseIds pins p2p renumbering on the wire:
-// after losing rank 1 of 3, dense ids 0 and 1 are physical 0 and 2, and
-// Send/Recv between them must route on the physical connections.
-func TestSendAfterShrinkUsesDenseIds(t *testing.T) {
+// TestAllToAllAfterShrinkUsesDenseIds pins the personalized exchange's
+// renumbering on the wire: after losing rank 1 of 3, dense ids 0 and 1 are
+// physical 0 and 2, and each survivor's buffer for dense rank d must reach
+// dense rank d over the physical connection.
+func TestAllToAllAfterShrinkUsesDenseIds(t *testing.T) {
 	p := 3
-	var got []int64
+	got := make([][][]int64, p)
 	runWire(t, p, func(rank int) comm.FaultInjector {
 		if rank == 1 {
 			return &nthOp{rank: 1, n: 0}
@@ -240,19 +229,37 @@ func TestSendAfterShrinkUsesDenseIds(t *testing.T) {
 				if c.Size() != 2 {
 					panic(fmt.Sprintf("size %d after shrink", c.Size()))
 				}
-				if c.Rank() == 0 {
-					comm.Send(c, 1, []int64{41, 42})
-				} else {
-					got = comm.Recv[int64](c, 0)
-				}
-				c.Barrier()
+				// Every buffer names its sender's physical id and the dense
+				// rank it is addressed to.
+				send := [][]int64{{int64(c.Phys()), 0}, {int64(c.Phys()), 1}}
+				got[c.Phys()] = comm.AllToAllInto(c, send, nil)
 			}
 		}()
 		c.Barrier()
 		c.Barrier()
 	})
-	if len(got) != 2 || got[1] != 42 {
-		t.Fatalf("post-shrink Recv got %v, want [41 42]", got)
+	// Dense rank d receives, from each sender, the buffer addressed to d.
+	want := [][][]int64{0: {{0, 0}, {2, 0}}, 2: {{0, 1}, {2, 1}}}
+	for _, phys := range []int{0, 2} {
+		if !reflect.DeepEqual(got[phys], want[phys]) {
+			t.Errorf("physical rank %d received %v after the shrink, want %v", phys, got[phys], want[phys])
+		}
+	}
+}
+
+// TestSendOnWirePanics: the wire carries collectives only, so a
+// point-to-point Send on a wire world panics with a message naming the
+// simulated machine instead of reaching the transport.
+func TestSendOnWirePanics(t *testing.T) {
+	msgs := make([]string, 2)
+	runWire(t, 2, nil, func(c *comm.Comm) {
+		defer func() { msgs[c.Rank()] = fmt.Sprint(recover()) }()
+		comm.Send(c, 1-c.Rank(), []int64{1})
+	})
+	for r, msg := range msgs {
+		if !strings.Contains(msg, "simulated machine") {
+			t.Errorf("rank %d: Send on a wire world panicked with %q, want a message naming the simulated machine", r, msg)
+		}
 	}
 }
 

@@ -10,6 +10,14 @@
 // coordinator or by ConnectLocal) before any rank starts connecting, so
 // dials never race the accept side.
 //
+// The wire carries collectives only. Every collective is one
+// ExchangeEach: one loop writes the op's frame to each member peer, in
+// shifted-pairwise order, and one loop collects each peer's frame for the
+// op (Exchange, which the benchmark's probes call, is the same with one
+// frame for every peer). An all-to-all is therefore one network round,
+// each peer receiving only its own buffer; there is no point-to-point
+// send.
+//
 // Failure detection has two modes. The base mode is fail-stop: a dying
 // rank closes its connections (deliberately on an injected crash via
 // Kill, implicitly on any exit), and every peer's reader observes EOF —
@@ -56,10 +64,11 @@ import (
 
 // Wire framing: a 4-byte little-endian length (of everything that
 // follows) and a fixed header — tag, element size, sender epoch, sender
-// virtual clock — then the flat payload. Header fields are fixed-width
-// so a frame is parseable without any payload knowledge.
+// virtual clock, sender's all-to-all sent total — then the flat payload.
+// Header fields are fixed-width so a frame is parseable without any
+// payload knowledge.
 const (
-	hdrLen   = 1 + 4 + 8 + 8
+	hdrLen   = 1 + 4 + 8 + 8 + 8
 	maxFrame = 1 << 30
 
 	// payloadChunk bounds how much readFrameFrom allocates ahead of the
@@ -69,22 +78,23 @@ const (
 	payloadChunk = 64 << 10
 )
 
+// wireFrame is a comm.Frame with the transport's own header words: its
+// tag and the sender's shrink epoch.
 type wireFrame struct {
 	tag   comm.Tag
-	elem  uint32
 	epoch uint64
-	clock int64
-	data  []byte
+	comm.Frame
 }
 
 func writeFrame(w io.Writer, f wireFrame) error {
-	buf := make([]byte, 4+hdrLen+len(f.data))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(hdrLen+len(f.data)))
+	buf := make([]byte, 4+hdrLen+len(f.Data))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(hdrLen+len(f.Data)))
 	buf[4] = byte(f.tag)
-	binary.LittleEndian.PutUint32(buf[5:], f.elem)
+	binary.LittleEndian.PutUint32(buf[5:], f.Elem)
 	binary.LittleEndian.PutUint64(buf[9:], f.epoch)
-	binary.LittleEndian.PutUint64(buf[17:], uint64(f.clock))
-	copy(buf[4+hdrLen:], f.data)
+	binary.LittleEndian.PutUint64(buf[17:], uint64(f.Clock))
+	binary.LittleEndian.PutUint64(buf[25:], uint64(f.Sent))
+	copy(buf[4+hdrLen:], f.Data)
 	_, err := w.Write(buf)
 	return err
 }
@@ -112,9 +122,12 @@ func readFrameFrom(r io.Reader) (wireFrame, error) {
 	}
 	f := wireFrame{
 		tag:   comm.Tag(hdr[0]),
-		elem:  binary.LittleEndian.Uint32(hdr[1:]),
 		epoch: binary.LittleEndian.Uint64(hdr[5:]),
-		clock: int64(binary.LittleEndian.Uint64(hdr[13:])),
+		Frame: comm.Frame{
+			Elem:  binary.LittleEndian.Uint32(hdr[1:]),
+			Clock: int64(binary.LittleEndian.Uint64(hdr[13:])),
+			Sent:  int64(binary.LittleEndian.Uint64(hdr[21:])),
+		},
 	}
 	if int(f.tag) >= comm.NumTags {
 		return wireFrame{}, fmt.Errorf("tcptransport: unknown frame tag %d", f.tag)
@@ -124,7 +137,7 @@ func readFrameFrom(r io.Reader) (wireFrame, error) {
 		if err != nil {
 			return wireFrame{}, err
 		}
-		f.data = data
+		f.Data = data
 	}
 	return f, nil
 }

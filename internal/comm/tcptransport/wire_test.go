@@ -14,10 +14,10 @@ import (
 // input it accepts must re-encode and re-decode to the identical frame.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range []wireFrame{
-		{tag: comm.TagDeposit, elem: 8, epoch: 1, clock: 42, data: []byte("payload")},
+		{tag: comm.TagDeposit, epoch: 1, Frame: comm.Frame{Elem: 8, Clock: 42, Data: []byte("payload")}},
+		{tag: comm.TagDeposit, Frame: comm.Frame{Elem: 4, Clock: 9, Sent: 1 << 40, Data: bytes.Repeat([]byte{7}, 256)}},
 		{tag: comm.TagBarrier},
-		{tag: comm.TagP2P, elem: 4, data: bytes.Repeat([]byte{7}, 256)},
-		{tag: comm.TagShrink, epoch: 3, data: make([]byte, 8)},
+		{tag: comm.TagShrink, epoch: 3, Frame: comm.Frame{Data: make([]byte, 8)}},
 		{tag: comm.TagHeartbeat, epoch: 7},
 	} {
 		var buf bytes.Buffer
@@ -49,8 +49,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding an accepted frame failed: %v", err)
 		}
-		if fr2.tag != fr.tag || fr2.elem != fr.elem || fr2.epoch != fr.epoch ||
-			fr2.clock != fr.clock || !bytes.Equal(fr2.data, fr.data) {
+		if fr2.tag != fr.tag || fr2.Elem != fr.Elem || fr2.epoch != fr.epoch ||
+			fr2.Clock != fr.Clock || fr2.Sent != fr.Sent || !bytes.Equal(fr2.Data, fr.Data) {
 			t.Fatalf("round trip changed the frame: %+v vs %+v", fr, fr2)
 		}
 	})
@@ -61,6 +61,9 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 	binary.LittleEndian.PutUint32(shortLen, hdrLen-1)
 	hugeLen := make([]byte, 4)
 	binary.LittleEndian.PutUint32(hugeLen, maxFrame+1)
+	tornHdr := make([]byte, 4, 6)
+	binary.LittleEndian.PutUint32(tornHdr, hdrLen)
+	tornHdr = append(tornHdr, 1, 2)
 	badTag := make([]byte, 4+hdrLen)
 	binary.LittleEndian.PutUint32(badTag, hdrLen)
 	badTag[4] = byte(comm.NumTags)
@@ -72,8 +75,8 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		{"torn length", []byte{1, 2}},
 		{"length below header", shortLen},
 		{"length above maxFrame", hugeLen},
-		{"torn header", append(make([]byte, 0, 8), 21, 0, 0, 0, 1, 2)},
-		{"unknown tag", badTag},
+		{"torn header", tornHdr},
+		{"first tag past NumTags", badTag},
 	}
 	for _, tc := range cases {
 		if _, err := readFrameFrom(bytes.NewReader(tc.in)); err == nil {

@@ -10,15 +10,17 @@ package comm
 //     deterministic oracle.
 //
 //   - A wire Transport (this interface, implemented by package
-//     tcptransport): each rank is a separate OS process, deposits and
-//     messages are encoded to flat bytes and framed onto real sockets,
-//     and wall clocks are real. A World constructed with
+//     tcptransport): each rank is a separate OS process, deposits are
+//     encoded to flat bytes and framed onto real sockets, and wall
+//     clocks are real. A World constructed with
 //     NewTransportWorld drives exactly one local rank over it.
 //
 // Both backends present the same *World / *Comm API, so every algorithm
-// in the repository (scalparc, sprint, psort, nodetable, and the test-only
-// textbook collectives of internal/algcoll) runs unchanged on either, and a
-// differential test can assert byte-identical trees between them.
+// in the repository (scalparc, sprint, psort, nodetable) runs unchanged on
+// either, and a differential test can assert byte-identical trees between
+// them. The wire carries collectives only: point-to-point Send/Recv, which
+// only internal/algcoll's test-only textbook collectives call, runs on the
+// simulated machine alone.
 //
 // Wire format contract. Element types crossing the transport are the
 // same "flat" structs of scalars the simulated collectives require (no
@@ -32,7 +34,7 @@ package comm
 // weaker of the two rules: the simulated machine may alias contribution
 // buffers in collective results (treat inputs as frozen during the call,
 // results as read-only), while a wire transport always hands back
-// private decoded copies. Send is an eager copy on both.
+// private decoded copies.
 
 // Tag classifies a transport frame — the typed message tags of the wire
 // protocol, one per class of operation in the op set.
@@ -40,16 +42,11 @@ type Tag uint8
 
 const (
 	// TagDeposit is a collective deposit: the exchange step beneath
-	// AllToAll headers, AllReduce, ExScan, Allgather, Reduce,
-	// ReduceScatter, Bcast, and Gather.
+	// AllToAll, AllReduce, ExScan, Allgather, Reduce, ReduceScatter,
+	// Bcast, and Gather.
 	TagDeposit Tag = iota
 	// TagBarrier is a barrier token (clock only, empty payload).
 	TagBarrier
-	// TagP2P is a point-to-point Send/Recv payload.
-	TagP2P
-	// TagA2A is an all-to-all personalized payload: unlike deposits,
-	// these frames carry only the bytes destined for the receiving rank.
-	TagA2A
 	// TagShrink is a recovery-rendezvous frame (dead-set bitmask).
 	TagShrink
 	// TagHeartbeat is a liveness beacon for bounded-time failure
@@ -61,7 +58,7 @@ const (
 
 	// NumTags is the number of frame tags (a wire transport demultiplexes
 	// inbound frames into one queue per peer per tag).
-	NumTags = 6
+	NumTags = 4
 )
 
 func (t Tag) String() string {
@@ -70,10 +67,6 @@ func (t Tag) String() string {
 		return "deposit"
 	case TagBarrier:
 		return "barrier"
-	case TagP2P:
-		return "p2p"
-	case TagA2A:
-		return "a2a"
 	case TagShrink:
 		return "shrink"
 	case TagHeartbeat:
@@ -86,23 +79,28 @@ func (t Tag) String() string {
 // Frame is one transport message. On the wire it is length-prefixed; the
 // fields here are the decoded header plus the payload.
 type Frame struct {
-	// Elem is the element size of the encoded []T (p2p type checking);
-	// zero for control frames.
+	// Elem is the element size of the encoded []T, so the receiver can
+	// reject a type-shape mismatch; zero when the payload is untyped.
 	Elem uint32
 	// Clock is the sender's virtual clock in picoseconds at send time.
 	// Virtual clocks keep their meaning on a wire transport — modeled
 	// time rides along with the real bytes — so modeled metrics stay
 	// comparable across backends.
 	Clock int64
+	// Sent is the sender's own-sent byte total on an all-to-all's frames,
+	// whose maximum prices the op; zero on every other frame.
+	Sent int64
 	// Data is the flat-encoded payload. A transport implementation must
 	// not retain or mutate it after the call that produced it returns.
 	Data []byte
 }
 
 // Transport is a wire backend beneath a World: it moves frames between
-// the local rank's process and its peers. All rank arguments are
-// physical ids (stable across Shrink renumbering); the World layer owns
-// the dense renumbering and translates at every call site.
+// the local rank's process and its peers. The ranks it reports (Dead,
+// the failure callback, Shrink's lost set) are physical ids, stable
+// across Shrink renumbering; the frames of ExchangeEach are indexed by
+// dense rank, ascending physical order over the epoch's
+// members, exactly as the World layer renumbers.
 //
 // Methods are called only from the local rank's SPMD goroutine, except
 // Close (and the failure callback, which the transport itself invokes
@@ -115,19 +113,14 @@ type Transport interface {
 	Rank() int
 	Size() int
 
-	// Exchange is the collective primitive: deposit one frame and
-	// receive every live rank's deposit of the same tag, indexed by
-	// dense rank id (ascending physical order over the live set, own
-	// deposit included). It blocks until every live rank has deposited
-	// and returns an error if any rank fails first.
-	Exchange(tag Tag, f Frame) ([]Frame, error)
-
-	// Send transmits an eager frame to a peer; the payload has been
-	// handed off (or copied) by the time it returns. Recv blocks for the
-	// next frame of the tag from the peer, erroring if a failure is
-	// detected first.
-	Send(dst int, tag Tag, f Frame) error
-	Recv(src int, tag Tag) (Frame, error)
+	// ExchangeEach is the collective primitive: fs holds one frame per
+	// dense rank (ascending physical order over the live set, own slot
+	// included), fs[d] goes to rank d alone, and the result holds, per
+	// dense rank, the frame that rank addressed to the caller (fs[own]
+	// itself in the caller's slot). It blocks until every live rank has
+	// deposited and returns an error if any rank fails first. A plain
+	// collective passes the same frame in every slot.
+	ExchangeEach(tag Tag, fs []Frame) ([]Frame, error)
 
 	// OnFailure registers the failure callback, invoked at most once per
 	// dead peer with its physical id, or with rank -1 when a peer
@@ -142,7 +135,7 @@ type Transport interface {
 	// Shrink is the recovery rendezvous: survivors exchange dead-set
 	// masks and agree on the epoch's lost set. It returns the physical
 	// ids lost since the previous Shrink and the maximum survivor clock.
-	// After it returns, Exchange indexes frames by the shrunken dense
+	// After it returns, ExchangeEach indexes frames by the shrunken dense
 	// ids.
 	Shrink(clock int64) (lost []int, maxClock int64, err error)
 

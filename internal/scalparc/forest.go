@@ -26,9 +26,11 @@ package scalparc
 // so a whole-process crash also loses only in-flight trees.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -167,6 +169,9 @@ type forest struct {
 	trees []*tree.Tree
 	queue chan int
 	start time.Time
+	// digest is the table's (tableDigest), set only with a checkpoint
+	// directory, whose tree file names carry it.
+	digest uint64
 }
 
 // newForest checks the options once, up front — every tree would reject a
@@ -183,15 +188,16 @@ func newForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*fore
 	if tab.NumRows() == 0 {
 		return nil, fmt.Errorf("scalparc: empty training set")
 	}
-	if fo.Engine.CheckpointDir != "" {
-		if _, err := NewCheckpointStore(fo.Engine.CheckpointDir); err != nil {
-			return nil, err
-		}
-	}
 	f := &forest{tab: tab, cfg: cfg, fo: fo, start: time.Now(),
 		res:   &ForestResult{PerTree: make([]TreeRun, fo.Trees)},
 		trees: make([]*tree.Tree, fo.Trees),
 		queue: make(chan int, fo.Trees),
+	}
+	if fo.Engine.CheckpointDir != "" {
+		if _, err := NewCheckpointStore(fo.Engine.CheckpointDir); err != nil {
+			return nil, err
+		}
+		f.digest = tableDigest(tab)
 	}
 	for i := range f.trees {
 		run := &f.res.PerTree[i]
@@ -288,15 +294,35 @@ func bootstrapIndices(treeSeed uint64, n int) []int {
 
 // treePath names tree i's file in the checkpoint directory by its index and
 // a fingerprint of everything that decides the tree: its derived seed, the
-// feature sample, the split strategy's parameters, the splitter config and
-// the record count — the inputs the engine's frames refuse to mix. A file
-// left by another forest in the same directory has another name.
+// feature sample, the split strategy's parameters, the splitter config, the
+// record count and the table's digest. A file left by another forest in the
+// same directory, or by this forest over another table, has another name.
 func (f *forest) treePath(i int) string {
 	o := f.fo.Engine
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %d %d %d %d %+v %d", f.res.PerTree[i].Seed, f.fo.FeatureSample,
-		o.Split, o.Bins, o.VoteK, f.cfg.Normalize(), f.tab.NumRows())
+	fmt.Fprintf(h, "%d %d %d %d %d %+v %d %d", f.res.PerTree[i].Seed, f.fo.FeatureSample,
+		o.Split, o.Bins, o.VoteK, f.cfg.Normalize(), f.tab.NumRows(), f.digest)
 	return filepath.Join(o.CheckpointDir, fmt.Sprintf("tree_%03d-%016x.json", i, h.Sum64()))
+}
+
+// tableDigest hashes every attribute column and the class column, so trees
+// persisted over one table are never restored over another of the same
+// schema and size. An attribute's column of the other kind is nil and
+// hashes as nothing. Values go in one at a time, little-endian, so the
+// digest allocates no copy of a column.
+func tableDigest(tab *dataset.Table) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for a := range tab.Schema.Attrs {
+		for _, v := range tab.ContColumn(a) {
+			h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+		}
+		for _, v := range tab.CatColumn(a) {
+			h.Write(binary.LittleEndian.AppendUint32(b[:0], uint32(v)))
+		}
+	}
+	h.Write(tab.Class)
+	return h.Sum64()
 }
 
 // saveTree persists a finished tree with atomicfile.WriteDurable — a rerun

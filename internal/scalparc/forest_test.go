@@ -264,6 +264,42 @@ func TestForestCheckpointPersistsAndRestores(t *testing.T) {
 	}
 }
 
+// TestForestCheckpointRerunOverAnotherTable: a checkpoint directory's trees
+// belong to the table they were trained on. A rerun with the same options
+// over another table of the same schema and size (Quest F5 for F2, another
+// seed) restores none of them and is that table's fresh forest.
+func TestForestCheckpointRerunOverAnotherTable(t *testing.T) {
+	gen := func(function int, seed int64) *dataset.Table {
+		tab, err := datagen.Generate(datagen.Config{Function: function, Seed: seed}, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	first, second := gen(2, 1), gen(5, 2)
+	cfg := splitter.Config{MinSplit: 8}
+	fo := baseForestOptions()
+	fo.Trees = 3
+	fresh, err := TrainForest(second, cfg, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo.Engine.CheckpointDir = t.TempDir()
+	if _, err := TrainForest(first, cfg, fo); err != nil {
+		t.Fatal(err)
+	}
+	res, err := TrainForest(second, cfg, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RestoredTrees != 0 || res.TrainedTrees != fo.Trees {
+		t.Fatalf("rerun over another table restored %d / trained %d trees, want 0 / %d", res.RestoredTrees, res.TrainedTrees, fo.Trees)
+	}
+	if !bytes.Equal(encoded(t, res.Forest), encoded(t, fresh.Forest)) {
+		t.Error("the rerun's forest differs from the other table's fresh forest")
+	}
+}
+
 // TestTrainForestWorldRetiresItsWorld: on a caller's world the forest is
 // the pool's, byte for byte, and a terminal error ends training there — the
 // remaining trees are lost with that error, which is returned beside the

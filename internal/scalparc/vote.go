@@ -32,8 +32,8 @@ import (
 //
 // Two refinements harden the election (DESIGN.md §12):
 //
-//   - Abstention: below the degenerate regime (k < votable attributes), a
-//     rank nominates a locally invalid attribute as a blank (-1), which
+//   - Abstention: below the degenerate regime (k < attributes), a rank
+//     nominates a locally invalid attribute as a blank (-1), which
 //     VoteSelect ignores. Without blanks, ranks whose segments of a small
 //     node are empty or pure pad their ballots with the lowest attribute
 //     indices, and the count of those spurious votes varies with p — the
@@ -45,8 +45,8 @@ import (
 //     the node's gini while the full histogram has one that does. Every
 //     rank sees the same reduced winners, so all ranks agree on the set of
 //     nodes needing rescue and re-run exactly those nodes through the
-//     exchange over every votable attribute — the binned path restricted to
-//     the fallback nodes — instead of silently leafing them. A node the
+//     exchange over every attribute — the binned path restricted to the
+//     fallback nodes — instead of silently leafing them. A node the
 //     fallback cannot split is a node binned mode would leaf too.
 type voteFinder struct {
 	binnedFinder
@@ -57,7 +57,6 @@ type voteFinder struct {
 
 	// Arena buffers of the election.
 	scores     []float64
-	votable    []int32
 	order      []int32
 	ballots    []int32
 	ballotsAll []int32
@@ -72,7 +71,6 @@ type voteFinder struct {
 	// the fallback runs.
 	fbNodes  []int
 	fbActive []int
-	fbSets   [][]int32
 	fbHist   []uint32
 	fbRound  exchangeBufs
 }
@@ -104,23 +102,20 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	}
 	wk.c.Compute(wk.c.Model().ScanTime(scanned + layout.Total))
 
-	// Nominate per node the kk best-scoring votable attributes (the ones
-	// the layout actually carries). The +Inf score of locally invalid
-	// attributes sorts them after every real candidate, so a ballot is
-	// always full — no blanks — and k >= attrs nominates everything.
-	votable := grabRaw(wk.ar, &f.votable, 0)
-	for a, b := range bins {
-		if b > 0 {
-			votable = append(votable, int32(a))
-		}
-	}
-	votable = stash(wk.ar, &f.votable, votable)
-	kk := min(f.k, len(votable))
-	order := grabRaw(wk.ar, &f.order, len(votable))
+	// Nominate per node the kk best-scoring attributes. Every attribute is
+	// a candidate: the layout carries a group for each (a continuous
+	// attribute has len(cuts)+1 >= 1 bins, a categorical one at least two
+	// values). The +Inf score of locally invalid attributes sorts them
+	// after every real candidate, where the abstention below blanks them;
+	// k >= attrs nominates everything on full ballots.
+	kk := min(f.k, numAttrs)
+	order := grabRaw(wk.ar, &f.order, numAttrs)
 	ballots := grabRaw(wk.ar, &f.ballots, nNeed*kk)
 	for i := 0; i < nNeed; i++ {
 		sc := scores[i*numAttrs : (i+1)*numAttrs]
-		copy(order, votable)
+		for a := range order {
+			order[a] = int32(a)
+		}
 		slices.SortFunc(order, func(a, b int32) int {
 			if sc[a] != sc[b] {
 				if sc[a] < sc[b] {
@@ -132,13 +127,13 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 		})
 		bal := ballots[i*kk : (i+1)*kk]
 		copy(bal, order[:kk])
-		if kk < len(votable) {
+		if kk < numAttrs {
 			// Abstain on locally invalid attributes instead of padding the
 			// ballot with them: a padded ballot votes for attrs 0..k-1 and
 			// the number of such ballots depends on how the records are cut
 			// into rank segments — i.e. on p. Blanks are ignored by
 			// VoteSelect, so only real local evidence elects. The degenerate
-			// regime (kk == len(votable)) keeps full ballots: there the
+			// regime (kk == numAttrs) keeps full ballots: there the
 			// elected set must be every attribute for the binned-equality
 			// anchor, whatever the local evidence.
 			for j, a := range bal {
@@ -154,9 +149,9 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// backing with full slice expressions, so VoteSelect's appends can never
 	// reallocate them away from the arena.
 	allBallots := stash(wk.ar, &f.ballotsAll, comm.CandidateGatherInto(wk.c, ballots, f.ballotsAll))
-	maxPer := min(2*f.k, len(votable))
+	maxPer := min(2*f.k, numAttrs)
 	tally := grabRaw(wk.ar, &f.tally, numAttrs)
-	candFlat := grabRaw(wk.ar, &f.candFlat, nNeed*len(votable))
+	candFlat := grabRaw(wk.ar, &f.candFlat, nNeed*numAttrs)
 	candSets := grabRaw(wk.ar, &f.candSets, nNeed)
 	votes := grabRaw(wk.ar, &f.nodeVotes, p*kk)
 	stride := nNeed * kk
@@ -164,8 +159,8 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 		for r := 0; r < p; r++ {
 			copy(votes[r*kk:(r+1)*kk], allBallots[r*stride+i*kk:r*stride+(i+1)*kk])
 		}
-		off := i * len(votable)
-		candSets[i] = splitter.VoteSelect(votes, numAttrs, maxPer, tally, candFlat[off:off:off+len(votable)])
+		off := i * numAttrs
+		candSets[i] = splitter.VoteSelect(votes, numAttrs, maxPer, tally, candFlat[off:off:off+numAttrs])
 	}
 
 	// Exchange only the elected candidates' histograms, evaluated from their
@@ -182,8 +177,8 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// every rank computes the same set of nodes whose election came up empty —
 	// no valid elected split, or none beating the node's own gini — and
 	// re-runs exactly those nodes through the exchange, now over every
-	// votable attribute. The local full histogram (hist) is still live; only
-	// the exchange and evaluation are repeated.
+	// attribute. The local full histogram (hist) is still live; only the
+	// exchange and evaluation are repeated.
 	fb := grabRaw(wk.ar, &f.fbNodes, 0)
 	for i := 0; i < nNeed; i++ {
 		if !out[i].Beats(wk.active[nodeOf[i]]) {
@@ -193,13 +188,11 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	fb = stash(wk.ar, &f.fbNodes, fb)
 	if len(fb) > 0 {
 		wk.c.SetPhase(trace.FindSplitI, wk.level)
-		fbSets := grabRaw(wk.ar, &f.fbSets, len(fb))
 		fbActive := grabRaw(wk.ar, &f.fbActive, len(fb))
 		for j, i := range fb {
-			fbSets[j] = votable
 			fbActive[j] = nodeOf[i]
 		}
-		fbLayout := histogram.NewLayoutSubset(fbSets, bins, nc)
+		fbLayout := histogram.NewLayout(len(fb), bins, nc)
 		fbBytes := int64(fbLayout.Total) * 4
 		wk.c.Mem().Alloc(fbBytes)
 		fbHist := project(layout, hist, fbLayout, fb, grabRaw(wk.ar, &f.fbHist, fbLayout.Total))
