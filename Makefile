@@ -28,10 +28,12 @@ loc:
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 # Host CPU profiles of BenchmarkInduction (one exact-split induction, Quest
-# F2, 20k records, p=4) and BenchmarkInductionBinned (one binned induction
-# of the wide table, p=2): the profiles and test binary go to .bench_build/,
-# then each one's hottest functions print by flat and by cumulative time.
-# Informational, like loc: a perf change shows its before/after rows.
+# F2, 20k records, p=4), BenchmarkInductionBinned (one binned induction of
+# the wide table, p=2) and internal/serve's BenchmarkHandler256 (one
+# 256-row JSON prediction request through the handler, no socket): the
+# profiles and test binaries go to .bench_build/, then each one's hottest
+# functions print by flat and by cumulative time. Informational, like loc:
+# a perf change shows its before/after rows.
 profile:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkInduction$$' -benchtime=3s \
@@ -42,6 +44,10 @@ profile:
 		-o .bench_build/repro.test -cpuprofile .bench_build/binned.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof
 	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkHandler256$$' -benchtime=3s \
+		-o .bench_build/serve.test -cpuprofile .bench_build/serve.cpu.pprof ./internal/serve
+	$(GO) tool pprof -top -nodecount=20 .bench_build/serve.test .bench_build/serve.cpu.pprof
+	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/serve.test .bench_build/serve.cpu.pprof
 
 # benchmark/ is its own module (replace repro => ../): the root build
 # never sees it, so vet and smoke-test it against this tree explicitly.
