@@ -82,8 +82,8 @@ race:
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/serve
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/serve
-	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
 
 # Chaos suite under the race detector: crash-at-every-(phase,level)
 # recovery sweeps, checkpoint round-trips, fault-injector and detection
@@ -130,31 +130,33 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
-# binned mode's sorted-segment histogram kernel (against one BinOf per
-# entry), the exact finder's segment scan (against the Candidate fold it
-# replaced), the presort's radix sort and merge (against the comparator
-# sort), the compiled-vs-walker prediction differential, the model
-# decoder, the server's request handling and its JSON row decoder (against
-# the frozen reflective one), the TCP frame decoder, the checkpoint frame
-# decoders and the -faults spec parser. CI runs this target; a test fails
-# when a Fuzz* function of the root module is missing from it. The model
-# and checkpoint frame decoders cap minimization: shrinking one interesting
-# input otherwise takes the default 60s, i.e. the whole pass.
+# exact finder's segment scan (against the Candidate fold it replaced), the
+# row store's branchless bin search (against histogram.BinOf), the
+# presort's radix sort and merge (against the comparator sort), the
+# compiled-vs-walker prediction differential, the model decoder, the
+# server's request handling and its JSON row decoder (against the frozen
+# reflective one), the TCP frame decoder, the checkpoint frame decoders
+# (shared, list fragment, node-index fragment) and the -faults spec
+# parser. CI runs this target; a test fails when a Fuzz* function of
+# the root module is missing from it. The bin search, the decoders and the
+# server's fuzzers cap minimization: shrinking one interesting input
+# otherwise takes the default 60s, i.e. the whole pass.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
-	$(GO) test -fuzz=FuzzCountSorted -fuzztime=$(FUZZTIME) -run='^$$' ./internal/histogram
 	$(GO) test -fuzz=FuzzExactScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzSearchCuts -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/tree
-	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport
 	$(GO) test -fuzz=FuzzDecodeShared -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzDecodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzDecodeNodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 
 # Benchmark-regression guards, one CI step; exit non-zero on regression.

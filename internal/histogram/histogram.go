@@ -70,26 +70,6 @@ func BinOf(cuts []float64, v float64) int {
 	return sort.SearchFloat64s(cuts, v)
 }
 
-// CountSorted adds one count per entry of seg to hist, at slot
-// BinOf(cuts, e.Val)*nc + e.Cid, where hist is one group's slot range.
-//
-// Precondition: seg is sorted ascending by Val, as every node segment of a
-// continuous attribute list is. Its bins then never decrease, so a cursor
-// starts at bin 0 and moves only when a value passes the current cut, by a
-// binary search over the cuts after it: an entry in the same bin as its
-// predecessor costs one compare, a bin change O(log B). An unsorted segment
-// miscounts silently.
-func CountSorted(hist []uint32, cuts []float64, seg []dataset.ContEntry, nc int) {
-	b, base := 0, 0
-	for _, e := range seg {
-		if b < len(cuts) && e.Val > cuts[b] {
-			b += 1 + BinOf(cuts[b+1:], e.Val)
-			base = b * nc
-		}
-		hist[base+int(e.Cid)]++
-	}
-}
-
 // Group is one (need-split node, attribute) slot range of the level's
 // concatenated histogram vector.
 type Group struct {

@@ -1,13 +1,8 @@
 package histogram
 
 import (
-	"cmp"
-	"math"
 	"reflect"
-	"slices"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestCutPositions(t *testing.T) {
@@ -79,60 +74,6 @@ func TestBinOf(t *testing.T) {
 	if got := BinOf(nil, 7); got != 0 {
 		t.Errorf("BinOf(nil, 7) = %d, want 0", got)
 	}
-}
-
-// fuzzValue decodes one byte into a value from a small domain, so fuzzed
-// values and cut samples collide often: the top eight codes are the edge
-// values (±Inf, ±0, ±MaxFloat64, the smallest subnormal, 1), the rest are
-// int8(c)/4, quarters between -32 and 31.75.
-func fuzzValue(c byte) float64 {
-	edges := [...]float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0,
-		-math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64, 1}
-	if c >= 0xf8 {
-		return edges[c-0xf8]
-	}
-	return float64(int8(c)) / 4
-}
-
-// FuzzCountSorted: the forward-cursor kernel equals one BinOf per entry.
-// Cuts come from Cuts over fuzzed, sorted samples (zero or more cuts); the
-// segment is fuzzed values, two bytes each (value code, class), stably
-// sorted by value, so -0 and +0 sit side by side in input order. The
-// histogram starts non-zero to pin that the kernel adds.
-func FuzzCountSorted(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(1))                           // no cuts, n = 0
-	f.Add([]byte{}, []byte{4, 0}, uint8(2))                       // no cuts, n = 1
-	f.Add([]byte{4}, []byte{4, 1}, uint8(2))                      // one cut, a tie at it
-	f.Add([]byte{4}, []byte{0, 0, 4, 1, 8, 0}, uint8(2))          // below, at, past one cut
-	f.Add([]byte{0xfb, 0xfa}, []byte{0xfa, 0, 0xfb, 1}, uint8(2)) // -0 and +0 on one cut
-	f.Add([]byte{0xf8, 0xf9}, []byte{0xf8, 0, 0xfc, 1, 0xf9, 2, 0xfd, 0}, uint8(3))
-	f.Add([]byte{1, 2, 2, 3, 9, 40}, []byte{0x80, 0, 1, 1, 2, 0, 2, 1, 3, 0, 7, 1, 40, 0, 41, 1, 0x7f, 0}, uint8(2))
-	f.Fuzz(func(t *testing.T, samples, vals []byte, classes uint8) {
-		nc := 1 + int(classes)%4
-		sv := make([]float64, len(samples))
-		for i, c := range samples {
-			sv[i] = fuzzValue(c)
-		}
-		slices.SortStableFunc(sv, cmp.Compare[float64])
-		cuts := Cuts(sv)
-		seg := make([]dataset.ContEntry, len(vals)/2)
-		for i := range seg {
-			seg[i] = dataset.ContEntry{Val: fuzzValue(vals[2*i]), Rid: int32(i), Cid: vals[2*i+1] % uint8(nc)}
-		}
-		slices.SortStableFunc(seg, func(a, b dataset.ContEntry) int { return cmp.Compare(a.Val, b.Val) })
-		want := make([]uint32, (len(cuts)+1)*nc)
-		for i := range want {
-			want[i] = uint32(i)
-		}
-		got := slices.Clone(want)
-		for _, e := range seg {
-			want[BinOf(cuts, e.Val)*nc+int(e.Cid)]++
-		}
-		CountSorted(got, cuts, seg, nc)
-		if !slices.Equal(got, want) {
-			t.Fatalf("cuts %v, segment %v:\n got %v\nwant %v", cuts, seg, got, want)
-		}
-	})
 }
 
 func TestLayout(t *testing.T) {

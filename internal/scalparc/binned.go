@@ -30,13 +30,18 @@ func computeCuts(c *comm.Comm, list []dataset.ContEntry, n, bins int) []float64 
 // binnedFinder is histogram-binned FindSplit. FindSplitI builds one dense
 // uint32 count vector covering every (need-split node, attribute) group —
 // continuous attributes bucketed by the presort-time quantile cuts,
-// categorical ones by domain value — and hands it to exchange.
+// categorical ones by domain value — from one pass over the row store, and
+// hands it to exchange.
 type binnedFinder struct {
 	frameState // tag is SplitBinned, or SplitVote when embedded in a voteFinder
+
+	// rows is the worker's row store, the records FindSplitI counts.
+	rows *rowStore
 
 	// Arena buffers (see scratch.go for the reuse rules).
 	attrBins []int
 	nodeOf   []int
+	groupOff []int
 	hist     []uint32
 	round    exchangeBufs
 	below    []int64
@@ -54,10 +59,10 @@ type exchangeBufs struct {
 	best, out []splitter.Candidate
 }
 
-func (f *binnedFinder) prepare(wk *worker) {
+func (f *binnedFinder) prepare(wk *worker, sorted *dataset.Lists) {
 	f.cuts = make([][]float64, wk.schema.NumAttrs())
 	for _, a := range wk.schema.ContIndices() {
-		f.cuts[a] = computeCuts(wk.c, wk.cont[a], wk.n, f.bins)
+		f.cuts[a] = computeCuts(wk.c, sorted.Cont[a], wk.n, f.bins)
 	}
 }
 
@@ -69,9 +74,9 @@ func (f *binnedFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Ca
 
 // localHist opens FindSplitI: it lays out one group per (need-split node,
 // attribute) with bins[a] bins each, charges the meter for the local
-// histogram vector (the caller releases it), and counts this rank's list
-// segments into it. It returns the layout, the need-split to active index
-// map, the vector, and the number of list entries scanned.
+// histogram vector (the caller releases it), and counts this rank's rows
+// into it. It returns the layout, the need-split to active index map, the
+// vector, and the number of (row, attribute) entries counted.
 func (f *binnedFinder) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*histogram.Layout, []int, []uint32, int) {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)
 	layout := histogram.NewLayout(nNeed, bins, wk.schema.NumClasses())
@@ -83,7 +88,7 @@ func (f *binnedFinder) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*
 	}
 	wk.c.Mem().Alloc(int64(layout.Total) * 4)
 	hist := grab(wk.ar, &f.hist, layout.Total)
-	return layout, nodeOf, hist, f.accumulateHist(wk, layout, nodeOf, hist)
+	return layout, nodeOf, hist, f.accumulateHist(wk, layout, splitIdx, hist)
 }
 
 // exchange is the one histogram exchange of binned and vote split finding:
@@ -121,26 +126,33 @@ func (f *binnedFinder) binCounts(wk *worker) []int {
 	return bins
 }
 
-// accumulateHist counts this rank's list segments into the layout's local
-// histogram vector and returns the number of entries scanned. A continuous
-// segment is value-sorted (DESIGN.md §5), so histogram.CountSorted bins it
-// with a forward cursor over the cuts. uint32 counts are safe: record ids
-// are int32, so no count can reach 2³¹.
-func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, nodeOf []int, hist []uint32) int {
-	nc := layout.Classes
-	scanned := 0
-	for _, g := range layout.Groups {
-		sg := wk.segs[g.Attr][nodeOf[g.Node]]
-		if wk.schema.Attrs[g.Attr].Kind == dataset.Continuous {
-			histogram.CountSorted(hist[g.Off:g.Off+g.Len], f.cuts[g.Attr], wk.cont[g.Attr][sg.off:sg.off+sg.n], nc)
-		} else {
-			for _, e := range wk.cat[g.Attr][sg.off : sg.off+sg.n] {
-				hist[g.Off+int(e.Val)*nc+int(e.Cid)]++
-			}
-		}
-		scanned += sg.n
+// accumulateHist is FindSplitI's one pass over the rows this rank owns:
+// each row of a need-split node adds one count per attribute, at its code's
+// bin of the node's group for that attribute. It returns the number of
+// (row, attribute) entries counted. binCounts gives every attribute at
+// least one bin, so the layout holds one group per attribute per node, in
+// attribute order: node i2's group of attribute a is Groups[i2·attrs + a].
+// uint32 counts are safe: record ids are int32, so no count can reach 2³¹.
+func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, splitIdx []int, hist []uint32) int {
+	rs, na, nc := f.rows, wk.schema.NumAttrs(), layout.Classes
+	off := grabRaw(wk.ar, &f.groupOff, len(layout.Groups))
+	for g, grp := range layout.Groups {
+		off[g] = grp.Off
 	}
-	return scanned
+	counted := 0
+	for r, i := range rs.node {
+		if i < 0 || splitIdx[i] < 0 {
+			continue
+		}
+		base := off[splitIdx[i]*na : (splitIdx[i]+1)*na]
+		codes := rs.codes[r*na : (r+1)*na]
+		cl := int(rs.class[r])
+		for a, o := range base {
+			hist[o+int(codes[a])*nc+cl]++
+		}
+		counted++
+	}
+	return counted * na
 }
 
 // evalHistGroup evaluates one (node, attribute) group from a reduced — or,

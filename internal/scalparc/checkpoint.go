@@ -26,28 +26,34 @@ import (
 // which survives rank crashes): dense rank 0 writes the shared replicated
 // state — record count, completed-level stats, split strategy, quantile
 // cuts, and the tree so far as a model document, its open frontier written
-// as label-0 leaves — and every rank writes its own fragment frame holding
-// its share of every active node's attribute-list segments. A barrier in
-// front of the save makes a complete frame set a consistent cut: either
-// every rank completed the level or the set is never read.
+// as label-0 leaves — and every rank writes its own fragment frame of its
+// records (records.encodeFrag). In exact mode that is its share of every
+// active node's attribute-list segments; in the histogram modes it is the
+// active-node index of every row it owns (rows.go). A barrier in front of
+// the save makes a complete frame set a consistent cut: either every rank
+// completed the level or the set is never read.
 //
 // Recovery reads the latest complete checkpoint on the survivors: the tree
-// is decoded and its frontier reopened as the active set (see reopen), and
-// every node's global list is reassembled from the fragments of the p ranks
-// that wrote it, each survivor taking its BlockRange share under the
-// shrunken world size. The record map is rebuilt empty (its contents are
-// transient within a level). Because every split decision is a pure
-// function of globally reduced counts, induction resumed this way produces
-// the same tree as the fault-free run, whatever the surviving processor
-// count.
+// is decoded and its frontier reopened as the active set (see reopen). In
+// exact mode every node's global list is reassembled from the fragments of
+// the p ranks that wrote it, each survivor taking its BlockRange share under
+// the shrunken world size, and the record map is rebuilt empty (its contents
+// are transient within a level). In the histogram modes each survivor takes
+// the node indices of the rows in its new BlockRange and recodes those rows
+// from its table block under the shared frame's cuts. Because every split
+// decision is a pure function of globally reduced counts, induction resumed
+// this way produces the same tree as the fault-free run, whatever the
+// surviving processor count.
 
-// The checkpoint frames are little-endian binary with two frame types; the
+// The checkpoint frames are little-endian binary with three frame types; the
 // shared frame ends in the tree's model document (tree.Encode).
 const (
 	ckptSharedMagic   = 0x53435031 // "SCP1": shared replicated state
 	ckptFragMagic     = 0x53435046 // "SCPF": one rank's list fragments
-	ckptSharedVersion = 2
+	ckptNodesMagic    = 0x5343504e // "SCPN": the node indices of one rank's rows
+	ckptSharedVersion = 3
 	ckptFragVersion   = 1
+	ckptNodesVersion  = 1
 )
 
 // Checkpoint is one complete level-boundary snapshot: the shared frame and
@@ -258,7 +264,7 @@ func (wk *worker) saveCheckpoint() {
 	if c.Rank() == 0 {
 		shared = wk.encodeShared()
 	}
-	frag, entries := wk.encodeFrag()
+	frag, entries := wk.recs.encodeFrag(wk)
 	wk.ckpt.put(len(wk.levelStats), c.Rank(), c.Size(), shared, frag)
 	// Model the stable-storage write like a list pass over the local
 	// entries written.
@@ -414,7 +420,7 @@ func fragKind(attr dataset.Attribute) uint8 {
 
 // encodeFrag serialises this rank's share of every active node's attribute
 // lists and reports the total entry count (for modeled write cost).
-func (wk *worker) encodeFrag() ([]byte, int) {
+func (l *lists) encodeFrag(wk *worker) ([]byte, int) {
 	var e enc
 	e.u32(ckptFragMagic)
 	e.u32(ckptFragVersion)
@@ -423,16 +429,16 @@ func (wk *worker) encodeFrag() ([]byte, int) {
 	entries := 0
 	for a, attr := range wk.schema.Attrs {
 		e.u8(fragKind(attr))
-		for _, sg := range wk.segs[a] {
+		for _, sg := range l.segs[a] {
 			e.u32(uint32(sg.n))
 			if attr.Kind == dataset.Continuous {
-				for _, en := range wk.cont[a][sg.off : sg.off+sg.n] {
+				for _, en := range l.cont[a][sg.off : sg.off+sg.n] {
 					e.f64(en.Val)
 					e.u32(uint32(en.Rid))
 					e.u8(en.Cid)
 				}
 			} else {
-				for _, en := range wk.cat[a][sg.off : sg.off+sg.n] {
+				for _, en := range l.cat[a][sg.off : sg.off+sg.n] {
 					e.u32(uint32(en.Val))
 					e.u32(uint32(en.Rid))
 					e.u8(en.Cid)
@@ -512,13 +518,14 @@ func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, 
 }
 
 // restore is newWorker's post-step on the recovery path, where presort is
-// the fresh-start one: it fills the lists, the frontier, and the level stats
-// (and, through decodeShared, the finder's state) from a checkpoint on the
-// (possibly shrunken) surviving world. Decode failures are deterministic —
-// every rank reads the same bytes — so all survivors fail identically.
-func (wk *worker) restore(ck *Checkpoint) error {
-	c, schema := wk.c, wk.schema
-	sh, err := decodeShared(ck.Shared, schema, wk.finder)
+// the fresh-start one: it fills the records, the frontier, and the level
+// stats (and, through decodeShared, the finder's state) from a checkpoint on
+// the (possibly shrunken) surviving world. tab is the training table, whose
+// block the row store recodes. Decode failures are deterministic — every
+// rank reads the same bytes — so all survivors fail identically.
+func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
+	c := wk.c
+	sh, err := decodeShared(ck.Shared, wk.schema, wk.finder)
 	if err != nil {
 		return err
 	}
@@ -526,16 +533,31 @@ func (wk *worker) restore(ck *Checkpoint) error {
 		return fmt.Errorf("scalparc: checkpoint shared frame: %d records, training table has %d", sh.n, wk.n)
 	}
 	wk.root, wk.active, wk.levelStats = sh.root, sh.active, sh.levelStats
+	entries, err := wk.recs.restore(wk, tab, ck)
+	if err != nil {
+		return err
+	}
+	wk.chargeRecords()
+
+	// Model the stable-storage reload like a list pass over the share read.
+	c.Compute(c.Model().SplitTime(entries))
+	c.Event("recovery:restore")
+	return nil
+}
+
+// restore reassembles every node's global list from the writers'
+// fragments; this survivor takes its block share under the shrunken world
+// size.
+func (l *lists) restore(wk *worker, _ *dataset.Table, ck *Checkpoint) (int, error) {
+	schema := wk.schema
 	frs := make([]*fragFrame, len(ck.Frags))
 	for w, raw := range ck.Frags {
+		var err error
 		if frs[w], err = decodeFrag(raw, schema, len(wk.active)); err != nil {
-			return err
+			return 0, err
 		}
 	}
-
-	// Reassemble every node's global list from the writers' fragments;
-	// this survivor takes its block share under the shrunken world size.
-	p, me := c.Size(), c.Rank()
+	p, me := wk.c.Size(), wk.c.Rank()
 	byRank := make([][]int64, len(frs))
 	total := 0
 	for a, attr := range schema.Attrs {
@@ -549,28 +571,23 @@ func (wk *worker) restore(ck *Checkpoint) error {
 				got += lens[i]
 			}
 			if got != n.Size() {
-				return fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, n.Size())
+				return 0, fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, n.Size())
 			}
 		}
 		var lens []int64
 		if attr.Kind == dataset.Continuous {
-			wk.cont[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.ContEntry {
+			l.cont[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.ContEntry {
 				return frs[r].cont[a][node][off : off+n]
 			})
 		} else {
-			wk.cat[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.CatEntry {
+			l.cat[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.CatEntry {
 				return frs[r].cat[a][node][off : off+n]
 			})
 		}
-		wk.segs[a] = segsOf(lens)
-		total += len(wk.cont[a]) + len(wk.cat[a])
+		l.segs[a] = segsOf(lens)
+		total += len(l.cont[a]) + len(l.cat[a])
 	}
-	wk.chargeLists()
-
-	// Model the stable-storage reload like a list pass over the share read.
-	c.Compute(c.Model().SplitTime(total))
-	c.Event("recovery:restore")
-	return nil
+	return total, nil
 }
 
 // enc is a little-endian append-only frame writer.

@@ -26,7 +26,7 @@ var frameFinders = []Options{
 func seedFrames(f *testing.F, tab *dataset.Table, opts Options) (ck *Checkpoint, frontierNodes int) {
 	cfg := splitter.Config{MaxDepth: 3}.Normalize()
 	ck, _ = captureCheckpoint(f, tab, cfg, 2, opts)
-	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts))
+	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts, nil))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func FuzzDecodeShared(f *testing.F) {
 		f.Add(ck.Shared, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
-		finder := newSplitFinder(frameFinders[int(which)%len(frameFinders)])
+		finder := newSplitFinder(frameFinders[int(which)%len(frameFinders)], nil)
 		var off int
 		var err error
 		if got, limit := allocatedBy(func() { _, off, err = decodeSharedHead(data, tab.Schema, finder) }), uint64(64<<10+64*len(data)); got > limit {
@@ -87,12 +87,12 @@ func FuzzDecodeShared(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrag is the same contract for one writer's fragment frame,
-// whose segment-length guard (cnt > remaining/9) keeps a lying count from
-// sizing an allocation.
+// FuzzDecodeFrag is the same contract for one writer's list fragment
+// frame, exact mode's, whose segment-length guard (cnt > remaining/9) keeps
+// a lying count from sizing an allocation.
 func FuzzDecodeFrag(f *testing.F) {
 	tab := faultData.tab(f)
-	for _, opts := range frameFinders {
+	for _, opts := range frameFinders[:1] {
 		ck, nodes := seedFrames(f, tab, opts)
 		for _, frag := range ck.Frags {
 			f.Add(frag, uint8(nodes))
@@ -114,16 +114,48 @@ func FuzzDecodeFrag(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again, _ := fragWorker(tab.Schema, fr, int(nodes)).encodeFrag(); !bytes.Equal(again, data) {
+		if again := encodeFragFrame(tab.Schema, fr, int(nodes)); !bytes.Equal(again, data) {
 			t.Fatalf("accepted fragment re-encodes differently (%d bytes -> %d)", len(data), len(again))
 		}
 	})
 }
 
-// fragWorker rebuilds the worker state encodeFrag reads from a decoded
-// fragment: per attribute, the nodes' entry lists concatenated in node order.
-func fragWorker(schema *dataset.Schema, fr *fragFrame, nodes int) *worker {
-	wk := &worker{schema: schema, active: make([]*tree.Node, nodes)}
+// FuzzDecodeNodeFrag is the same contract for the histogram modes'
+// node-index fragment: the decoder never panics, allocates in proportion to
+// its input (it sizes the rows only once the body is known to hold them),
+// and whatever it accepts re-encodes to the same bytes. The seeds are a
+// binned run's real fragments and TestNodeFragRejections' named bad ones.
+func FuzzDecodeNodeFrag(f *testing.F) {
+	tab := faultData.tab(f)
+	ck, frontier, bad := nodeFragSeeds(f, tab)
+	for w, frag := range ck.Frags {
+		f.Add(frag, uint8(w), uint8(2), uint8(frontier))
+	}
+	for _, b := range bad {
+		f.Add(b.frame, uint8(0), uint8(2), uint8(frontier))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, writer, writers, frontier uint8) {
+		ws := 1 + int(writers)%8
+		w := int(writer) % ws
+		var node []int32
+		var err error
+		if got, limit := allocatedBy(func() { node, err = decodeNodeFrag(data, tab.NumRows(), w, ws, int(frontier)) }), uint64(64<<10+64*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if again := encodeNodeFrag(w, ws, int(frontier), node); !bytes.Equal(again, data) {
+			t.Fatalf("accepted node fragment re-encodes differently (%d bytes -> %d)", len(data), len(again))
+		}
+	})
+}
+
+// encodeFragFrame re-encodes a decoded fragment through the worker state
+// encodeFrag reads: per attribute, the nodes' entry lists concatenated in
+// node order.
+func encodeFragFrame(schema *dataset.Schema, fr *fragFrame, nodes int) []byte {
+	wk := &worker{schema: schema, active: make([]*tree.Node, nodes), lists: &lists{}}
 	na := schema.NumAttrs()
 	wk.cont, wk.cat, wk.segs = make([][]dataset.ContEntry, na), make([][]dataset.CatEntry, na), make([][]seg, na)
 	for a := range wk.segs {
@@ -137,5 +169,6 @@ func fragWorker(schema *dataset.Schema, fr *fragFrame, nodes int) *worker {
 			wk.segs[a] = append(wk.segs[a], seg{off: off, n: len(wk.cont[a]) + len(wk.cat[a]) - off})
 		}
 	}
-	return wk
+	frame, _ := wk.lists.encodeFrag(wk)
+	return frame
 }

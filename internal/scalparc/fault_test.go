@@ -140,7 +140,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := splitter.Config{}.Normalize()
 	p := 3
 	ck, held := captureCheckpoint(t, tab, cfg, p, Options{})
-	finder := newSplitFinder(Options{})
+	finder := newSplitFinder(Options{}, nil)
 	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +214,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		edit(fr)
 		bad := *ck
 		bad.Frags = append([][]byte(nil), ck.Frags...)
-		bad.Frags[0], _ = fragWorker(tab.Schema, fr, len(active)).encodeFrag()
+		bad.Frags[0] = encodeFragFrame(tab.Schema, fr, len(active))
 		w := comm.NewWorld(p, timing.T3D())
-		if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(&bad); err == nil {
+		if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(tab, &bad); err == nil {
 			t.Errorf("%s: restored from a wrong fragment", name)
 		}
 	}
@@ -296,7 +296,7 @@ func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
 	ck, _ := captureCheckpoint(t, tab, cfg, 2, Options{Split: SplitBinned, Bins: 16})
 	restore := func(tab *dataset.Table, opts Options) error {
 		w := comm.NewWorld(1, timing.T3D())
-		return newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, opts).restore(ck)
+		return newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, opts).restore(tab, ck)
 	}
 	if err := restore(tab, Options{Split: SplitBinned, Bins: 16}); err != nil {
 		t.Fatalf("matching options rejected: %v", err)
@@ -344,7 +344,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if ck.Writers != p || len(ck.Frags) != p {
 		t.Fatalf("persisted checkpoint has %d writers / %d fragments, want %d", ck.Writers, len(ck.Frags), p)
 	}
-	finder := newSplitFinder(Options{})
+	finder := newSplitFinder(Options{}, nil)
 	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
 	if err != nil {
 		t.Fatal(err)

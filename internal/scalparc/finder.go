@@ -11,16 +11,19 @@ import (
 // splitFinder is the one seam between the level loop and the ways of
 // locating a node's best split. The paper's induction loop — presort once,
 // then FindSplitI/II and PerformSplitI/II per level — is the same for every
-// Options.Split; only FindSplit differs, so everything a strategy needs
-// beyond the worker's lists (bin cuts, vote parameters, scratch buffers, its
-// section of the checkpoint frame) lives behind this interface and the
-// worker never asks which strategy it is running. Implemented by exactFinder,
-// binnedFinder, and voteFinder (binnedFinder plus a candidate filter).
+// Options.Split; FindSplit differs, and so does the record layout it reads
+// (records.go), so everything a strategy needs beyond the worker's records
+// (bin cuts, vote parameters, scratch buffers, its section of the
+// checkpoint frame) lives behind this interface and the worker never asks
+// which strategy it is running. Implemented by exactFinder (on the
+// attribute lists), binnedFinder (on the row store), and voteFinder
+// (binnedFinder plus a candidate filter).
 type splitFinder interface {
 	// prepare runs once on a fresh start, inside the presort phase, right
 	// after the continuous lists are sorted — the only moment the global
-	// sorted order is laid out in contiguous rank blocks.
-	prepare(wk *worker)
+	// sorted order is laid out in contiguous rank blocks — and before the
+	// record layout is loaded.
+	prepare(wk *worker, sorted *dataset.Lists)
 	// find runs FindSplitI and the candidate half of FindSplitII for one
 	// batch of need-split nodes (splitIdx maps active-node index to
 	// need-split index, -1 if terminated) and returns the globally agreed
@@ -36,18 +39,24 @@ type splitFinder interface {
 	// tracked is the finder's long-lived metered memory in bytes, valid
 	// after prepare or decodeState; the worker charges and frees it.
 	tracked() int64
+	// binCuts is the quantile cut vector per attribute (nil for exact
+	// mode), valid after prepare or decodeState; the row store codes rows
+	// by it.
+	binCuts() [][]float64
 	// fallbacks feeds Result.VoteFallbacks.
 	fallbacks() int
 }
 
-// newSplitFinder builds the finder for validated, defaulted options.
-func newSplitFinder(opts Options) splitFinder {
+// newSplitFinder builds the finder for validated, defaulted options. rows
+// is the row store the histogram finders count from (nil for exact mode,
+// and wherever only the finder's frame section is used).
+func newSplitFinder(opts Options, rows *rowStore) splitFinder {
 	st := frameState{tag: opts.Split, bins: opts.Bins}
 	switch opts.Split {
 	case SplitBinned:
-		return &binnedFinder{frameState: st}
+		return &binnedFinder{frameState: st, rows: rows}
 	case SplitVote:
-		return &voteFinder{binnedFinder: binnedFinder{frameState: st}, k: opts.VoteK}
+		return &voteFinder{binnedFinder: binnedFinder{frameState: st, rows: rows}, k: opts.VoteK}
 	default:
 		return &exactFinder{frameState: st}
 	}
@@ -114,6 +123,8 @@ func (s *frameState) tracked() int64 {
 	return b
 }
 
+func (s *frameState) binCuts() [][]float64 { return s.cuts }
+
 // fallbacks is zero for every finder but voteFinder, which overrides it.
 func (*frameState) fallbacks() int { return 0 }
 
@@ -139,7 +150,7 @@ type exactFinder struct {
 	catVec     [2][]int64 // double-buffered (consecutive ReduceSums)
 }
 
-func (*exactFinder) prepare(*worker) {}
+func (*exactFinder) prepare(*worker, *dataset.Lists) {}
 
 func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)

@@ -736,9 +736,13 @@ var (
 	crashCkpt   = crashAt(trace.FindSplitI, 1, 1, true)
 	crashReplay = crashAt(trace.FindSplitI, 1, 1, false)
 	tears       = []fault{tearAt(faults.Reset, trace.FindSplitI, 1, 0, 1, false), tearAt(faults.Truncate, trace.PerformSplitII, 1, 1, 0, false)}
-	resumes     = []fault{{resume: true}, {resume: true, fewer: 1}}
-	simPs       = []int{1, 2, 3, 5, 8}
-	sevenQuest  = []data{quest7(1, 7, 300, splitter.Config{}), quest7(2, 14, 300, splitter.Config{}),
+	// The histogram modes' PerformSplitII is a local relabel that sends
+	// nothing, so their PerformSplit link is torn in PerformSplitI's
+	// reduction instead.
+	histTears  = []fault{tears[0], tearAt(faults.Truncate, trace.PerformSplitI, 1, 1, 0, false)}
+	resumes    = []fault{{resume: true}, {resume: true, fewer: 1}}
+	simPs      = []int{1, 2, 3, 5, 8}
+	sevenQuest = []data{quest7(1, 7, 300, splitter.Config{}), quest7(2, 14, 300, splitter.Config{}),
 		quest7(3, 21, 300, splitter.Config{}), quest7(6, 42, 300, splitter.Config{}), quest7(7, 49, 300, splitter.Config{})}
 )
 
@@ -799,7 +803,8 @@ var oracleRows = []row{
 	// which both ends go on as 1-rank worlds.
 	{data: []data{faultData}, modes: []mode{exact, binned, voteAll}, tcp: true, ps: []int{2, 3, 4}, faults: []fault{{}, crashCkpt, crashReplay}},
 	{data: []data{forestData}, modes: []mode{bagged}, tcp: true, ps: []int{2, 3, 4}, faults: []fault{{}, crashCkpt, crashReplay}},
-	{data: []data{faultData}, modes: []mode{exact, binned, voteAll}, tcp: true, ps: []int{2}, faults: tears},
+	{data: []data{faultData}, modes: []mode{exact}, tcp: true, ps: []int{2}, faults: tears},
+	{data: []data{faultData}, modes: []mode{binned, voteAll}, tcp: true, ps: []int{2}, faults: histTears},
 	// Replays on the survivors, vote k < attrs's oracle; forests crash
 	// inside a tree on the simulated machine too.
 	{data: []data{wideData}, modes: []mode{voteB(16, 2)}, ps: []int{3, 4, 5}, faults: []fault{crashReplay}},

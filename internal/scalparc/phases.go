@@ -38,18 +38,14 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 	return cands
 }
 
-// performSplitI walks every splitting attribute's local segments: assigns
-// each record its child number, sends the assignments into the record map
-// (blocked all-to-all rounds inside), and reduces the global per-child
-// class histograms. It returns the per-node child array for the splitting
-// attribute's local segment (reused by performSplitII) and the global
-// child histograms. The per-node ablation mode runs one record-map update
-// and one reduction per node instead of one per level.
-func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter.Candidate) ([][]uint8, [][][]int64) {
+// performSplitI assigns every record of a split node its child number (the
+// record layout's local pass, records.assign) and reduces the global
+// per-child class histograms, which it returns. The per-node ablation mode
+// runs one local pass and one reduction per node instead of one per level.
+func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][][]int64 {
 	if !wk.opts.PerNodeComms {
 		return wk.performSplitIBatch(doSplit, splitIdx, cands)
 	}
-	splitChild := make([][]uint8, len(wk.active))
 	childHists := make([][][]int64, len(wk.active))
 	mask := make([]bool, len(wk.active))
 	for i := range wk.active {
@@ -57,19 +53,17 @@ func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter
 			continue
 		}
 		mask[i] = true
-		sc, ch := wk.performSplitIBatch(mask, splitIdx, cands)
+		childHists[i] = wk.performSplitIBatch(mask, splitIdx, cands)[i]
 		mask[i] = false
-		splitChild[i] = sc[i]
-		childHists[i] = ch[i]
 	}
-	return splitChild, childHists
+	return childHists
 }
 
-func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []splitter.Candidate) ([][]uint8, [][][]int64) {
+func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][][]int64 {
 	wk.c.SetPhase(trace.PerformSplitI, wk.level)
 	nc := wk.schema.NumClasses()
 	offsets := grabRaw(wk.ar, &wk.ar.offsets, len(wk.active))
-	total, entTotal, dTotal := 0, 0, 0
+	total, dTotal := 0, 0
 	for i := range wk.active {
 		offsets[i] = -1
 		if doSplit[i] {
@@ -77,39 +71,11 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 			d := len(wk.active[i].Children)
 			total += d * nc
 			dTotal += d
-			entTotal += wk.segs[int(cands[splitIdx[i]].Attr)][i].n
 		}
 	}
 
 	vec := grab(wk.ar, &wk.ar.vec, total)
-	childsBuf := grabRaw(wk.ar, &wk.ar.childsBuf, entTotal)
-	splitChild := grab(wk.ar, &wk.ar.splitChild, len(wk.active))
-	assigns := grabRaw(wk.ar, &wk.ar.assigns, 0)
-	work := 0
-	for i := range wk.active {
-		if !doSplit[i] {
-			continue
-		}
-		cand := cands[splitIdx[i]]
-		a := int(cand.Attr)
-		sg := wk.segs[a][i]
-		childs := childsBuf[work : work+sg.n]
-		if wk.schema.Attrs[a].Kind == dataset.Continuous {
-			assigns = assign(wk.cont[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.ContChild, childs, vec[offsets[i]:], nc, assigns)
-		} else {
-			assigns = assign(wk.cat[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.CatChild, childs, vec[offsets[i]:], nc, assigns)
-		}
-		splitChild[i] = childs
-		work += sg.n
-	}
-	wk.c.Compute(wk.c.Model().SplitTime(work))
-	stash(wk.ar, &wk.ar.assigns, assigns)
-
-	// Assignment buffer (8 bytes each) plus the per-entry child arrays
-	// (1 byte each, alive until phase II consumes them).
-	wk.c.Mem().Alloc(int64(work) * 9)
-	wk.rm.Update(assigns)
-	wk.c.Mem().Free(int64(work) * 8) // assignments delivered
+	wk.recs.assign(wk, doSplit, splitIdx, cands, offsets, vec)
 
 	// The reduced histograms are subsliced into the tree's nodes, which
 	// outlive the level — global must be a fresh allocation, never arena
@@ -135,13 +101,57 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 			childHists[i][k] = global[offsets[i]+k*nc : offsets[i]+(k+1)*nc]
 		}
 	}
-	return splitChild, childHists
+	return childHists
 }
 
-// assign is PerformSplitI's pass over one splitting segment: each entry's
+// assign walks every splitting attribute's local segments: each entry's
+// child goes into splitChild and the node's histogram, and the assignments
+// into the record map (blocked all-to-all rounds inside).
+func (l *lists) assign(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, offsets []int, vec []int64) {
+	nc := wk.schema.NumClasses()
+	entTotal := 0
+	for i := range wk.active {
+		if doSplit[i] {
+			entTotal += l.segs[int(cands[splitIdx[i]].Attr)][i].n
+		}
+	}
+	childsBuf := grabRaw(wk.ar, &wk.ar.childsBuf, entTotal)
+	if cap(l.splitChild) < len(wk.active) {
+		l.splitChild = make([][]uint8, len(wk.active))
+	}
+	l.splitChild = l.splitChild[:len(wk.active)]
+	assigns := grabRaw(wk.ar, &wk.ar.assigns, 0)
+	work := 0
+	for i := range wk.active {
+		if !doSplit[i] {
+			continue
+		}
+		cand := cands[splitIdx[i]]
+		a := int(cand.Attr)
+		sg := l.segs[a][i]
+		childs := childsBuf[work : work+sg.n]
+		if wk.schema.Attrs[a].Kind == dataset.Continuous {
+			assigns = assignSeg(l.cont[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.ContChild, childs, vec[offsets[i]:], nc, assigns)
+		} else {
+			assigns = assignSeg(l.cat[a][sg.off:sg.off+sg.n], cand, splitter.Candidate.CatChild, childs, vec[offsets[i]:], nc, assigns)
+		}
+		l.splitChild[i] = childs
+		work += sg.n
+	}
+	wk.c.Compute(wk.c.Model().SplitTime(work))
+	stash(wk.ar, &wk.ar.assigns, assigns)
+
+	// Assignment buffer (8 bytes each) plus the per-entry child arrays
+	// (1 byte each, alive until split consumes them).
+	wk.c.Mem().Alloc(int64(work) * 9)
+	l.rm.Update(assigns)
+	wk.c.Mem().Free(int64(work) * 8) // assignments delivered
+}
+
+// assignSeg is PerformSplitI's pass over one splitting segment: each entry's
 // child under cand's rule goes into childs, its (child, class) count into
 // the node's histogram hist, and its record-map assignment onto assigns.
-func assign[V float64 | int32](list []dataset.Entry[V], cand splitter.Candidate, child func(splitter.Candidate, V) uint8,
+func assignSeg[V float64 | int32](list []dataset.Entry[V], cand splitter.Candidate, child func(splitter.Candidate, V) uint8,
 	childs []uint8, hist []int64, nc int, assigns []nodetable.Assignment) []nodetable.Assignment {
 	for j, e := range list {
 		ch := child(cand, e.Val)
@@ -185,14 +195,10 @@ func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*tree
 	return next, childIndex
 }
 
-// performSplitII splits every attribute list consistently with the level's
+// split splits every attribute list consistently with the level's
 // decisions: splitting attributes reuse the child assignments from phase I;
 // all other attributes enquire the record map, one attribute at a time.
-func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitter.Candidate,
-	splitChild [][]uint8, next []*tree.Node, childIndex [][]int) {
-
-	wk.c.SetPhase(trace.PerformSplitII, wk.level)
-
+func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, nextCount int, childIndex [][]int) {
 	// The tech-report optimization: gather every attribute's enquiry rids
 	// up front and resolve them in one round, trading n_a-times larger
 	// buffers for 2·(n_a - 2) fewer all-to-all steps per level.
@@ -203,11 +209,11 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 		batchedOffsets = grabRaw(wk.ar, &wk.ar.offCache, wk.schema.NumAttrs()+1)
 		for a := range wk.schema.Attrs {
 			batchedOffsets[a] = len(all)
-			all = wk.collectEnquiryRids(a, doSplit, splitIdx, cands, all)
+			all = l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, all)
 		}
 		batchedOffsets[wk.schema.NumAttrs()] = len(all)
 		stash(wk.ar, &wk.ar.enqRids, all)
-		batchedAnswers = wk.rm.Lookup(all)
+		batchedAnswers = l.rm.Lookup(all)
 	}
 
 	for a := range wk.schema.Attrs {
@@ -227,13 +233,13 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 				if !doSplit[i] || int(cands[splitIdx[i]].Attr) == a {
 					continue
 				}
-				rids := wk.segRids(a, i, make([]int32, 0, wk.segs[a][i].n))
-				answers = append(answers, wk.rm.Lookup(rids)...)
+				rids := l.segRids(wk, a, i, make([]int32, 0, l.segs[a][i].n))
+				answers = append(answers, l.rm.Lookup(rids)...)
 			}
 		default:
-			rids := wk.collectEnquiryRids(a, doSplit, splitIdx, cands, grabRaw(wk.ar, &wk.ar.enqRids, 0))
+			rids := l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, grabRaw(wk.ar, &wk.ar.enqRids, 0))
 			stash(wk.ar, &wk.ar.enqRids, rids)
-			answers = wk.rm.Lookup(rids)
+			answers = l.rm.Lookup(rids)
 		}
 
 		// A split node's entries take phase I's child numbers on its
@@ -242,22 +248,24 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 		cursor := 0
 		childs := func(i int) []uint8 {
 			if int(cands[splitIdx[i]].Attr) == a {
-				return splitChild[i]
+				return l.splitChild[i]
 			}
-			cursor += wk.segs[a][i].n
-			return answers[cursor-wk.segs[a][i].n : cursor]
+			cursor += l.segs[a][i].n
+			return answers[cursor-l.segs[a][i].n : cursor]
 		}
 		if wk.schema.Attrs[a].Kind == dataset.Continuous {
-			partition(wk, a, &wk.cont[a], &wk.ar.spareCont[a], doSplit, childs, len(next), childIndex)
+			partition(wk, l, a, &l.cont[a], &wk.ar.spareCont[a], doSplit, childs, nextCount, childIndex)
 		} else {
-			partition(wk, a, &wk.cat[a], &wk.ar.spareCat[a], doSplit, childs, len(next), childIndex)
+			partition(wk, l, a, &l.cat[a], &wk.ar.spareCat[a], doSplit, childs, nextCount, childIndex)
 		}
 	}
 
 	// The phase-I child arrays (1 byte per entry) are no longer needed.
 	var childBytes int64
-	for _, cs := range splitChild {
-		childBytes += int64(len(cs))
+	for i, split := range doSplit {
+		if split {
+			childBytes += int64(len(l.splitChild[i]))
+		}
 	}
 	wk.c.Mem().Free(childBytes)
 }
@@ -265,22 +273,22 @@ func (wk *worker) performSplitII(doSplit []bool, splitIdx []int, cands []splitte
 // collectEnquiryRids appends the rids of attribute a's segments that need
 // record-map answers (segments of split nodes not splitting on a), in node
 // order — the same order the partition pass consumes answers in.
-func (wk *worker) collectEnquiryRids(a int, doSplit []bool, splitIdx []int, cands []splitter.Candidate, out []int32) []int32 {
+func (l *lists) collectEnquiryRids(wk *worker, a int, doSplit []bool, splitIdx []int, cands []splitter.Candidate, out []int32) []int32 {
 	for i := range wk.active {
 		if doSplit[i] && int(cands[splitIdx[i]].Attr) != a {
-			out = wk.segRids(a, i, out)
+			out = l.segRids(wk, a, i, out)
 		}
 	}
 	return out
 }
 
 // segRids appends the rids of active node i's segment of attribute a.
-func (wk *worker) segRids(a, i int, out []int32) []int32 {
-	sg := wk.segs[a][i]
+func (l *lists) segRids(wk *worker, a, i int, out []int32) []int32 {
+	sg := l.segs[a][i]
 	if wk.schema.Attrs[a].Kind == dataset.Continuous {
-		return appendRids(out, wk.cont[a][sg.off:sg.off+sg.n])
+		return appendRids(out, l.cont[a][sg.off:sg.off+sg.n])
 	}
-	return appendRids(out, wk.cat[a][sg.off:sg.off+sg.n])
+	return appendRids(out, l.cat[a][sg.off:sg.off+sg.n])
 }
 
 // appendRids appends the record ids of list's entries to out.
@@ -298,7 +306,7 @@ func appendRids[V float64 | int32](out []int32, list []dataset.Entry[V]) []int32
 // into the spare backing, which then becomes the live list while the
 // retired one becomes the next level's spare: a per-attribute double
 // buffer reused level after level.
-func partition[V float64 | int32](wk *worker, a int, live, spare *[]dataset.Entry[V], doSplit []bool,
+func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]dataset.Entry[V], doSplit []bool,
 	childs func(i int) []uint8, nodeCount int, childIndex [][]int) {
 	newSegs := grabRaw(wk.ar, &wk.ar.spareSegs[a], nodeCount)
 	dst := grabRaw(wk.ar, spare, len(*live))
@@ -308,7 +316,7 @@ func partition[V float64 | int32](wk *worker, a int, live, spare *[]dataset.Entr
 			continue
 		}
 		d := len(childIndex[i])
-		sg := wk.segs[a][i]
+		sg := l.segs[a][i]
 		cs := childs(i)
 		work += sg.n
 		bn := grab(wk.ar, &wk.ar.bucketNs, d)
@@ -341,8 +349,8 @@ func partition[V float64 | int32](wk *worker, a int, live, spare *[]dataset.Entr
 	wk.c.Mem().Alloc(newBytes) // double-buffer peak while both exist
 	if !wk.ar.disabled {
 		// The retired backing arrays become next level's spares.
-		*spare, wk.ar.spareSegs[a] = *live, wk.segs[a]
+		*spare, wk.ar.spareSegs[a] = *live, l.segs[a]
 	}
-	*live, wk.segs[a] = dst[:out], newSegs
+	*live, l.segs[a] = dst[:out], newSegs
 	wk.c.Mem().Free(oldBytes)
 }

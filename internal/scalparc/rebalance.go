@@ -5,7 +5,7 @@ import (
 	"repro/internal/psort"
 )
 
-// rebalanceLists redistributes every active node's list segments so each
+// rebalance redistributes every active node's list segments so each
 // rank again holds an equal contiguous share of every node's list,
 // preserving global order (so continuous lists stay sorted).
 //
@@ -16,29 +16,29 @@ import (
 // pathologically correlated. This optional pass is the other side of that
 // trade: perfect balance every level, paid for with one parallel shift
 // (psort.Shift) per attribute per level. The induced tree is unchanged.
-func (wk *worker) rebalanceLists() {
+func (l *lists) rebalance(wk *worker) {
 	if wk.c.Size() == 1 || len(wk.active) == 0 {
 		return
 	}
 	for a, attr := range wk.schema.Attrs {
 		if attr.Kind == dataset.Continuous {
-			shiftList(wk, a, &wk.cont[a])
+			shiftList(wk, l, a, &l.cont[a])
 		} else {
-			shiftList(wk, a, &wk.cat[a])
+			shiftList(wk, l, a, &l.cat[a])
 		}
 	}
 }
 
 // shiftList shifts attribute a's list, whose segments lie back to back in
 // node order, and meters the change in its length.
-func shiftList[V float64 | int32](wk *worker, a int, list *[]dataset.Entry[V]) {
-	lens := make([]int64, len(wk.segs[a]))
-	for i, sg := range wk.segs[a] {
+func shiftList[V float64 | int32](wk *worker, l *lists, a int, list *[]dataset.Entry[V]) {
+	lens := make([]int64, len(l.segs[a]))
+	for i, sg := range l.segs[a] {
 		lens[i] = int64(sg.n)
 	}
 	out, outLens := psort.Shift(wk.c, *list, lens)
 	delta := int64(len(out)-len(*list)) * dataset.EntrySize[V]()
-	*list, wk.segs[a] = out, segsOf(outLens)
+	*list, l.segs[a] = out, segsOf(outLens)
 	wk.c.Mem().Adjust(delta)
 }
 

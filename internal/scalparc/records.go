@@ -1,0 +1,89 @@
+package scalparc
+
+import (
+	"repro/internal/dataset"
+	"repro/internal/splitter"
+)
+
+// records is the one seam between the level loop and the layout the
+// training records live in, chosen once in newWorker from Options.Split:
+//
+//   - exact mode's attribute lists (lists): its sorted scans need every
+//     attribute's values in global order, so PerformSplit splits the lists
+//     through the record map, as the paper does;
+//   - the histogram modes' row store (rowStore, rows.go): a binned or vote
+//     decision depends only on the reduced (node, attribute, bin, class)
+//     counts and on the cuts fixed at presort, so each rank keeps the rows
+//     it owns as bin codes and PerformSplit is a local relabel.
+//
+// The level loop, the checkpoint frames' shared half and the recovery
+// protocol are the same for both; the split finders read the layout they
+// were built for (exactFinder the lists, binnedFinder the row store).
+type records interface {
+	// load fills the layout on a fresh start, inside the presort phase,
+	// from the table and this rank's block of it, presorted into lists.
+	// The finder's prepare has already run, so its cuts are set.
+	load(wk *worker, tab *dataset.Table, sorted *dataset.Lists)
+	// assign is PerformSplitI's local pass: every record of a split node
+	// (doSplit) gets its child under the node's candidate, counted into vec
+	// at offsets[i] + child·classes + class. The layout keeps the children
+	// for split, charges the pass's modeled time, and (lists) delivers them
+	// to the record map. Under Options.PerNodeComms it runs once per node,
+	// with doSplit naming that node only.
+	assign(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, offsets []int, vec []int64)
+	// split is PerformSplitII: every record of a split node moves to its
+	// child's index among the nextCount nodes of the next level
+	// (childIndex), and every other record is retired.
+	split(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, nextCount int, childIndex [][]int)
+	// rebalance is Options.RebalanceLevels' pass after a level.
+	rebalance(wk *worker)
+	// encodeFrag serialises this rank's checkpoint fragment and returns it
+	// with the number of entries written (for the modeled write cost).
+	encodeFrag(wk *worker) ([]byte, int)
+	// restore fills the layout from a checkpoint's fragments once the
+	// shared frame has restored the frontier and the finder, and returns
+	// the number of entries this rank now holds (for the modeled reload
+	// cost). A bad fragment fails every survivor alike.
+	restore(wk *worker, tab *dataset.Table, ck *Checkpoint) (int, error)
+	// bytes is the layout's metered size at its current lengths; every pass
+	// that resizes it meters the change.
+	bytes() int64
+	// free releases what the layout holds beyond bytes (the record map).
+	free()
+}
+
+// lists is exact mode's layout: cont[a] / cat[a] hold the local fragments
+// of every active node's list for attribute a, concatenated in node order;
+// segs[a][i] locates node i's segment. The record map carries each level's
+// child numbers from the splitting attributes' lists to the others.
+type lists struct {
+	rm   RecordMap
+	cont [][]dataset.ContEntry
+	cat  [][]dataset.CatEntry
+	segs [][]seg
+
+	// splitChild[i] is PerformSplitI's child number per entry of split
+	// node i's segment of its splitting attribute, read by split. Kept
+	// across the per-node passes of one level (Options.PerNodeComms), so
+	// it is not arena scratch.
+	splitChild [][]uint8
+}
+
+func (l *lists) load(wk *worker, _ *dataset.Table, sorted *dataset.Lists) {
+	l.cont, l.cat = sorted.Cont, sorted.Cat
+	// One segment per attribute (cont[a] or cat[a], whichever the
+	// attribute has): the root owns everything.
+	for a := range l.segs {
+		l.segs[a] = []seg{{0, len(l.cont[a]) + len(l.cat[a])}}
+	}
+}
+
+func (l *lists) bytes() int64 {
+	var b int64
+	for a := range l.segs {
+		b += int64(len(l.cont[a]))*dataset.ContEntrySize + int64(len(l.cat[a]))*dataset.CatEntrySize
+	}
+	return b
+}
+
+func (l *lists) free() { l.rm.Free() }

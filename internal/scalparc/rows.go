@@ -1,0 +1,291 @@
+package scalparc
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/dataset"
+	"repro/internal/histogram"
+	"repro/internal/splitter"
+)
+
+// rowStore is the histogram modes' record layout (records.go), PV-Tree's
+// own: after the presort has fixed the cuts, rank r keeps the rows it owns,
+// rids dataset.BlockRange(N, p, r), for the rest of the run. Per row it
+// holds one bin code per attribute, its class, and its active-node index.
+//
+// A binned or vote decision reads nothing but reduced (node, attribute,
+// bin, class) counts, and a row's child under a candidate follows from its
+// code alone (v <= cuts[b] exactly when BinOf(cuts, v) <= b), so
+// FindSplitI is one pass over the rows, PerformSplitI counts the children
+// from the rows, and PerformSplitII relabels the rows locally: no record
+// map, no enquiries, no list partitions. The global counts do not depend
+// on the layout, so neither does the binned tree (DESIGN.md §5); vote's
+// local ballots are cast on row samples, as in PV-Tree (DESIGN.md §10).
+type rowStore struct {
+	// codes[r·attrs + a] is row r's bin code of attribute a (binCodes).
+	codes []uint16
+	// class is the rows' class labels: the table's own storage, read-only.
+	class []uint8
+	// node[r] is row r's active-node index, -1 once it is retired into a
+	// leaf.
+	node []int32
+	// child[r] is row r's child number under its node's split, written by
+	// assign and read by split within one level.
+	child []uint8
+
+	rules []splitRule // arena: the level's rule per active node
+}
+
+// maxCode bounds a row's codes: uint16 holds Bins <= 65536 quantile bins
+// (CheckOptions) and categorical domains up to 65536 values.
+const maxCode = 1 << 16
+
+// checkCodeWidth refuses a schema whose categorical domain does not fit a
+// row store code, naming the attribute. dataset.MaxCategories is far below
+// the bound today; this keeps the row store honest if that limit is raised.
+func checkCodeWidth(s *dataset.Schema) error {
+	for _, attr := range s.Attrs {
+		if attr.Kind == dataset.Categorical && attr.Cardinality() > maxCode {
+			return fmt.Errorf("scalparc: categorical attribute %q has %d values; the binned and vote row store codes at most %d",
+				attr.Name, attr.Cardinality(), maxCode)
+		}
+	}
+	return nil
+}
+
+// binCodes codes rows [lo, hi) of tab for the row store: one code per
+// (row, attribute), row-major — a continuous value as its bin
+// histogram.BinOf(cuts[a], v), a categorical value as itself. It is the only
+// place codes are made: a fresh start and a restore both code their block
+// with it.
+func binCodes(tab *dataset.Table, lo, hi int, cuts [][]float64) []uint16 {
+	na := tab.Schema.NumAttrs()
+	codes := make([]uint16, (hi-lo)*na)
+	for a, attr := range tab.Schema.Attrs {
+		if attr.Kind == dataset.Continuous {
+			cv := cuts[a]
+			for r, v := range tab.ContColumn(a)[lo:hi] {
+				codes[r*na+a] = uint16(searchCuts(cv, v))
+			}
+		} else {
+			for r, v := range tab.CatColumn(a)[lo:hi] {
+				codes[r*na+a] = uint16(v)
+			}
+		}
+	}
+	return codes
+}
+
+// searchCuts is histogram.BinOf for binCodes, where the values arrive in
+// table order: a binary search without a data-dependent branch. Each step
+// halves the range by the sign bit of cuts[i] - v, which is set exactly
+// when cuts[i] < v once adding +0 has folded a -0 difference into +0 (v and
+// the cuts are finite, as every table value is). A library search
+// mispredicts about every other step on such values; this one costs the
+// same on any input, and the searches of a column overlap.
+func searchCuts(cuts []float64, v float64) int {
+	base, n := 0, len(cuts)
+	for n > 1 {
+		half := n >> 1
+		below := math.Float64bits(cuts[base+half-1]-v+0) >> 63
+		base += half & -int(below)
+		n -= half
+	}
+	if n == 1 {
+		base += int(math.Float64bits(cuts[base]-v+0) >> 63)
+	}
+	return base
+}
+
+// fill codes this rank's block of tab and takes node as the rows' node
+// indices.
+func (rs *rowStore) fill(wk *worker, tab *dataset.Table, node []int32) {
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	rs.codes = binCodes(tab, lo, hi, wk.finder.binCuts())
+	rs.class = tab.Class[lo:hi]
+	rs.node = node
+	rs.child = make([]uint8, hi-lo)
+}
+
+// load codes the block after the cuts are sampled, the root owning every
+// row; the presorted lists are not kept. Coding is modeled like a list
+// pass over the block's entries.
+func (rs *rowStore) load(wk *worker, tab *dataset.Table, _ *dataset.Lists) {
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	rs.fill(wk, tab, make([]int32, hi-lo))
+	wk.c.Compute(wk.c.Model().SplitTime(len(rs.codes)))
+}
+
+func (rs *rowStore) bytes() int64 {
+	return int64(len(rs.codes))*2 + int64(len(rs.class)) + int64(len(rs.node))*4 + int64(len(rs.child))
+}
+
+// free has nothing to release: the row store builds no record map.
+func (*rowStore) free() {}
+
+// rebalance does nothing: a rank keeps the rows it owns for the whole run,
+// so Options.RebalanceLevels is a no-op in the histogram modes.
+func (*rowStore) rebalance(*worker) {}
+
+// splitRule is a split node's candidate in code space.
+type splitRule struct {
+	attr int
+	cont bool
+	bin  int // continuous: a code <= bin goes to child 0, any other to 1
+	cand splitter.Candidate
+}
+
+func newSplitRule(cand splitter.Candidate, cuts [][]float64) splitRule {
+	ru := splitRule{attr: int(cand.Attr), cand: cand}
+	if cand.Kind == splitter.ContSplit {
+		// Every binned threshold is a cut (bestBinnedCont), so "v <=
+		// threshold" is "code <= the cut's index".
+		cv := cuts[ru.attr]
+		ru.cont, ru.bin = true, histogram.BinOf(cv, cand.Threshold)
+		if ru.bin == len(cv) || cv[ru.bin] != cand.Threshold {
+			panic(fmt.Sprintf("scalparc: threshold %v of attribute %d is not a cut", cand.Threshold, ru.attr))
+		}
+	}
+	return ru
+}
+
+func (ru *splitRule) child(code uint16) uint8 {
+	if !ru.cont {
+		return ru.cand.CatChild(int32(code))
+	}
+	if int(code) > ru.bin {
+		return 1
+	}
+	return 0
+}
+
+func (rs *rowStore) assign(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, offsets []int, vec []int64) {
+	na, nc, cuts := wk.schema.NumAttrs(), wk.schema.NumClasses(), wk.finder.binCuts()
+	rules := grabRaw(wk.ar, &rs.rules, len(wk.active))
+	for i := range wk.active {
+		if doSplit[i] {
+			rules[i] = newSplitRule(cands[splitIdx[i]], cuts)
+		}
+	}
+	work := 0
+	for r, i := range rs.node {
+		if i < 0 || !doSplit[i] {
+			continue
+		}
+		ru := &rules[i]
+		ch := ru.child(rs.codes[r*na+ru.attr])
+		rs.child[r] = ch
+		vec[offsets[i]+int(ch)*nc+int(rs.class[r])]++
+		work++
+	}
+	wk.c.Compute(wk.c.Model().SplitTime(work))
+}
+
+// split relabels the owned rows: a row of a split node takes its child's
+// index in the next level, every other row retires. It sends nothing.
+func (rs *rowStore) split(wk *worker, doSplit []bool, _ []int, _ []splitter.Candidate, _ int, childIndex [][]int) {
+	moved := 0
+	for r, i := range rs.node {
+		if i < 0 {
+			continue
+		}
+		if !doSplit[i] {
+			rs.node[r] = -1
+			continue
+		}
+		ni := childIndex[i][rs.child[r]]
+		if ni < 0 {
+			panic(fmt.Sprintf("scalparc: row %d in a globally empty child", r))
+		}
+		rs.node[r] = int32(ni)
+		moved++
+	}
+	wk.c.Compute(wk.c.Model().SplitTime(moved))
+}
+
+// encodeFrag writes the rows' node indices, 4 bytes per row owned.
+func (rs *rowStore) encodeFrag(wk *worker) ([]byte, int) {
+	return encodeNodeFrag(wk.c.Rank(), wk.c.Size(), len(wk.active), rs.node), len(rs.node)
+}
+
+// encodeNodeFrag is the node-index fragment frame: magic, version, the
+// writer and writer count, the frontier size, the row count, then one int32
+// node index per row of the writer's block, in rid order.
+func encodeNodeFrag(writer, writers, frontier int, node []int32) []byte {
+	e := enc{b: make([]byte, 0, 24+4*len(node))}
+	e.u32(ckptNodesMagic)
+	e.u32(ckptNodesVersion)
+	e.u32(uint32(writer))
+	e.u32(uint32(writers))
+	e.u32(uint32(frontier))
+	e.u32(uint32(len(node)))
+	for _, i := range node {
+		e.u32(uint32(i))
+	}
+	return e.b
+}
+
+// decodeNodeFrag parses writer's node-index fragment of a checkpoint of n
+// records written by writers ranks, for a frontier of frontier nodes: its
+// rows must be exactly the writer's BlockRange, and every index a frontier
+// node or -1.
+func decodeNodeFrag(raw []byte, n, writer, writers, frontier int) ([]int32, error) {
+	d := dec{b: raw}
+	if d.u32() != ckptNodesMagic || d.u32() != ckptNodesVersion {
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: bad magic or version")
+	}
+	w, ws, fr, rows := int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())
+	lo, hi := dataset.BlockRange(n, writers, writer)
+	switch {
+	case d.err != nil:
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %w", d.err)
+	case w != writer || ws != writers:
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: written by rank %d of %d, expected %d of %d", w, ws, writer, writers)
+	case fr != frontier:
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d frontier nodes, tree frontier has %d", fr, frontier)
+	case rows != hi-lo:
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d rows, writer %d of %d owns %d", rows, writer, writers, hi-lo)
+	case len(raw)-d.off != 4*rows:
+		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d body bytes for %d rows", len(raw)-d.off, rows)
+	}
+	node := make([]int32, rows)
+	for r := range node {
+		node[r] = int32(d.u32())
+		if node[r] < -1 || int(node[r]) >= frontier {
+			return nil, fmt.Errorf("scalparc: checkpoint node fragment: row %d in node %d, outside [-1, %d)", lo+r, node[r], frontier)
+		}
+	}
+	return node, nil
+}
+
+// restore reads every writer's node indices, so a bad fragment fails every
+// survivor alike, and checks them against the frontier's class histograms
+// (tab holds every row's class). This survivor keeps the indices of its
+// new block and recodes the block.
+func (rs *rowStore) restore(wk *worker, tab *dataset.Table, ck *Checkpoint) (int, error) {
+	nodes := make([]int32, 0, wk.n)
+	for w, raw := range ck.Frags {
+		node, err := decodeNodeFrag(raw, wk.n, w, len(ck.Frags), len(wk.active))
+		if err != nil {
+			return 0, err
+		}
+		nodes = append(nodes, node...)
+	}
+	nc := wk.schema.NumClasses()
+	counts := make([]int64, len(wk.active)*nc)
+	for r, i := range nodes {
+		if i >= 0 {
+			counts[int(i)*nc+int(tab.Class[r])]++
+		}
+	}
+	for i, n := range wk.active {
+		if got := counts[i*nc : (i+1)*nc]; !slices.Equal(got, n.Hist) {
+			return 0, fmt.Errorf("scalparc: checkpoint node fragments: node %d holds class counts %v, histogram %v", i, got, n.Hist)
+		}
+	}
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	rs.fill(wk, tab, slices.Clone(nodes[lo:hi]))
+	return len(rs.codes), nil
+}

@@ -28,6 +28,12 @@
 // memory and communication per processor); package sprint substitutes the
 // replicated hash table of parallel SPRINT (O(N) in both) for the paper's
 // section 3.2 comparison.
+//
+// The histogram split modes (SplitBinned, SplitVote) decide from reduced
+// bin counts alone, so after the presort they leave the attribute lists for
+// a row store of bin codes (rows.go): FindSplitI is one pass over the rows a
+// rank owns, and PerformSplit relabels those rows locally, with no record
+// map and no enquiries.
 package scalparc
 
 import (
@@ -44,9 +50,10 @@ import (
 	"repro/internal/tree"
 )
 
-// RecordMap is the record-id to child-number mapping used by the splitting
-// phase. Both methods are collectives: every rank calls them once per use,
-// possibly with empty arguments.
+// RecordMap is the record-id to child-number mapping used by exact mode's
+// splitting phase (the histogram modes' row store needs none). Both methods
+// are collectives: every rank calls them once per use, possibly with empty
+// arguments.
 type RecordMap interface {
 	// Update stores this level's assignments.
 	Update(assignments []nodetable.Assignment)
@@ -92,7 +99,7 @@ type Result struct {
 	// WallSeconds is the host wall-clock time of the run.
 	WallSeconds float64
 	// PeakMemoryPerRank is each rank's peak tracked bytes (attribute
-	// lists, node table, communication buffers).
+	// lists and node table, or the row store; communication buffers).
 	PeakMemoryPerRank []int64
 	// Stats are the per-rank communication counters.
 	Stats []comm.Stats
@@ -177,8 +184,8 @@ const DefaultVoteK = 8
 // Options tunes the parallel induction engine beyond the split-selection
 // configuration.
 type Options struct {
-	// RecordMap supplies the splitting-phase mapping; nil selects the
-	// distributed node table.
+	// RecordMap supplies exact mode's splitting-phase mapping; nil selects
+	// the distributed node table. The histogram modes build none.
 	RecordMap RecordMapFactory
 	// PerNodeComms switches FindSplit reductions, record-map updates, and
 	// enquiries from one batch per level to one batch per node — the
@@ -191,7 +198,8 @@ type Options struct {
 	// opposite of the paper's fixed data distribution (§3.1). Restores
 	// per-node load balance on pathologically correlated data at the
 	// cost of one extra all-to-all per attribute per level. For the
-	// ABL-REBAL ablation; the induced tree is identical.
+	// ABL-REBAL ablation; the induced tree is identical. A no-op in the
+	// histogram modes, whose row store has no lists to rebalance.
 	RebalanceLevels bool
 	// BatchedEnquiry merges PerformSplitII's per-attribute node-table
 	// enquiries into a single enquiry per level — one of the
@@ -199,7 +207,8 @@ type Options struct {
 	// technical report [5]. Saves 2·(n_a - 2) all-to-all steps per level
 	// at the cost of n_a-times larger enquiry buffers (the paper goes
 	// one attribute at a time precisely to bound that memory). Mutually
-	// exclusive with PerNodeComms.
+	// exclusive with PerNodeComms. A no-op in the histogram modes, which
+	// make no enquiries.
 	BatchedEnquiry bool
 	// Split selects exact (default), histogram-binned, or top-k
 	// attribute-voting split finding.
@@ -302,6 +311,11 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	}
 	if opts.Split == SplitVote && opts.VoteK == 0 {
 		opts.VoteK = DefaultVoteK
+	}
+	if opts.Split != SplitExact {
+		if err := checkCodeWidth(tab.Schema); err != nil {
+			return nil, err
+		}
 	}
 	factory := opts.RecordMap
 	if factory == nil {
@@ -440,7 +454,7 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 		ck = store.Latest()
 	}
 	if ck != nil {
-		if err = wk.restore(ck); err != nil {
+		if err = wk.restore(tab, ck); err != nil {
 			return err
 		}
 	} else {
@@ -475,20 +489,19 @@ type worker struct {
 	cfg    splitter.Config
 	n      int // global record count
 
-	rm RecordMap
+	// recs holds the training records in the layout the split strategy
+	// reads, chosen once in newWorker (records.go). In exact mode it is the
+	// attribute lists, which the embedded *lists also names for exact
+	// mode's own code; in the histogram modes it is the row store and
+	// *lists is nil.
+	recs records
+	*lists
 
 	// root is the tree under construction (replicated on every rank).
 	root *tree.Node
 
 	// Level-boundary checkpointing (nil: off). See checkpoint.go.
 	ckpt *CheckpointStore
-
-	// Attribute lists: cont[a] / cat[a] hold the local fragments of every
-	// active node's list for attribute a, concatenated in node order;
-	// segs[a][i] locates node i's segment.
-	cont [][]dataset.ContEntry
-	cat  [][]dataset.CatEntry
-	segs [][]seg
 
 	// active is the current level's open nodes, replicated consistently on
 	// every rank. Induction is level-synchronous: each sits at depth level.
@@ -513,24 +526,36 @@ type worker struct {
 }
 
 // newWorker is the one constructor: it wires a rank's induction state from
-// the run's inputs and leaves the lists, the tree, and the frontier empty.
+// the run's inputs and leaves the records, the tree, and the frontier empty.
 // Exactly one of two post-steps fills them: presort on a fresh start,
-// restore (checkpoint.go) on recovery.
+// restore (checkpoint.go) on recovery. It also makes the run's one choice
+// of record layout: attribute lists for exact mode, a row store for the
+// histogram modes.
 func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory RecordMapFactory, opts Options) *worker {
 	na := tab.Schema.NumAttrs()
-	return &worker{
+	wk := &worker{
 		c:      c,
 		schema: tab.Schema,
 		cfg:    cfg,
 		n:      tab.NumRows(),
-		rm:     factory(c, tab.NumRows()),
-		cont:   make([][]dataset.ContEntry, na),
-		cat:    make([][]dataset.CatEntry, na),
-		segs:   make([][]seg, na),
 		opts:   opts,
-		finder: newSplitFinder(opts),
 		ar:     newScratch(na, opts.PerNodeComms),
 	}
+	var rows *rowStore
+	if opts.Split == SplitExact {
+		wk.lists = &lists{
+			rm:   factory(c, tab.NumRows()),
+			cont: make([][]dataset.ContEntry, na),
+			cat:  make([][]dataset.CatEntry, na),
+			segs: make([][]seg, na),
+		}
+		wk.recs = wk.lists
+	} else {
+		rows = &rowStore{}
+		wk.recs = rows
+	}
+	wk.finder = newSplitFinder(opts, rows)
+	return wk
 }
 
 // presort distributes the table, builds this rank's attribute lists, runs
@@ -539,25 +564,20 @@ func (wk *worker) presort(tab *dataset.Table) {
 	c := wk.c
 	lo, hi := dataset.BlockRange(wk.n, c.Size(), c.Rank())
 	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
-	wk.cont, wk.cat = local.Cont, local.Cat
 
 	// Sample sort + shift for every continuous attribute; the categorical
 	// lists stay in record order. The finder then takes whatever it needs
-	// off the freshly sorted lists (binned and vote: quantile cuts).
+	// off the freshly sorted lists (binned and vote: quantile cuts), and the
+	// record layout keeps the lists or codes the rows from the cuts.
 	c.SetPhase(trace.Sort, 0)
 	var sorter psort.Sorter
 	for _, a := range wk.schema.ContIndices() {
-		wk.cont[a] = sorter.Sort(c, wk.cont[a])
+		local.Cont[a] = sorter.Sort(c, local.Cont[a])
 	}
-	wk.finder.prepare(wk)
+	wk.finder.prepare(wk, local)
+	wk.recs.load(wk, tab, local)
 	c.SetPhase(trace.Other, 0)
-
-	// One segment per attribute (cont[a] or cat[a], whichever the attribute
-	// has): the root owns everything.
-	for a := range wk.segs {
-		wk.segs[a] = []seg{{0, len(wk.cont[a]) + len(wk.cat[a])}}
-	}
-	wk.chargeLists()
+	wk.chargeRecords()
 
 	// The root's global class histogram.
 	localHist := make([]int64, wk.schema.NumClasses())
@@ -568,21 +588,12 @@ func (wk *worker) presort(tab *dataset.Table) {
 	wk.active = []*tree.Node{wk.root}
 }
 
-// chargeLists meters the attribute lists and the finder's long-lived state
+// chargeRecords meters the record layout and the finder's long-lived state
 // once a post-step (presort or restore) has filled them; free releases both.
 // Every pass that resizes a list (partition, shiftList) meters the change,
-// so the lists' lengths always say what is charged.
-func (wk *worker) chargeLists() {
-	wk.c.Mem().Alloc(wk.listBytes() + wk.finder.tracked())
-}
-
-// listBytes is the attribute lists' size at their current lengths.
-func (wk *worker) listBytes() int64 {
-	var b int64
-	for a := range wk.schema.Attrs {
-		b += int64(len(wk.cont[a]))*dataset.ContEntrySize + int64(len(wk.cat[a]))*dataset.CatEntrySize
-	}
-	return b
+// so the layout's lengths always say what is charged.
+func (wk *worker) chargeRecords() {
+	wk.c.Mem().Alloc(wk.recs.bytes() + wk.finder.tracked())
 }
 
 // induce runs the level loop and returns the finished tree. The levels it
@@ -597,8 +608,8 @@ func (wk *worker) induce() *tree.Tree {
 
 // free releases the worker's tracked memory.
 func (wk *worker) free() {
-	wk.c.Mem().Free(wk.listBytes() + wk.finder.tracked())
-	wk.rm.Free()
+	wk.c.Mem().Free(wk.recs.bytes() + wk.finder.tracked())
+	wk.recs.free()
 }
 
 // runLevel executes the four phases for the current set of active nodes
@@ -640,21 +651,22 @@ func (wk *worker) runLevel() {
 		doSplit[i] = splitter.Decide(n, cand, wk.schema)
 	}
 
-	// PerformSplitI: assignments from the splitting attributes' lists into
-	// the record map, plus global child histograms.
-	splitChild, childHists := wk.performSplitI(doSplit, splitIdx, cands)
+	// PerformSplitI: every split node's records get their child numbers,
+	// plus global child histograms.
+	childHists := wk.performSplitI(doSplit, splitIdx, cands)
 
 	// Build the next level's node set (replicated).
-	nextActive, childStates := wk.buildChildren(doSplit, childHists)
+	nextActive, childIndex := wk.buildChildren(doSplit, childHists)
 
-	// PerformSplitII: split every attribute list consistently.
-	wk.performSplitII(doSplit, splitIdx, cands, splitChild, nextActive, childStates)
+	// PerformSplitII: move every record to its child consistently.
+	wk.c.SetPhase(trace.PerformSplitII, wk.level)
+	wk.recs.split(wk, doSplit, splitIdx, cands, len(nextActive), childIndex)
 
 	wk.active = nextActive
 	if wk.opts.RebalanceLevels {
 		// The extra all-to-alls are outside the paper's four phases.
 		wk.c.SetPhase(trace.Other, wk.level)
-		wk.rebalanceLists()
+		wk.recs.rebalance(wk)
 	}
 
 	for _, split := range doSplit {

@@ -34,12 +34,11 @@ type scratch struct {
 	splitIdx []int
 	doSplit  []bool
 
-	// performSplitI
+	// PerformSplitI (performSplitIBatch, lists.assign)
 	offsets    []int
 	vec        []int64
 	assigns    []nodetable.Assignment
 	childsBuf  []uint8
-	splitChild [][]uint8
 	histsBuf   [][]int64
 	childHists [][][]int64
 
@@ -47,7 +46,7 @@ type scratch struct {
 	childIdxBuf []int
 	childIndex  [][]int
 
-	// performSplitII
+	// PerformSplitII (lists.split)
 	enqRids   []int32
 	offCache  []int                 // batched-enquiry per-attribute offsets
 	bucketNs  []int                 // counting-sort child counts, then running offsets
