@@ -133,14 +133,15 @@ tcp:
 # exact finder's segment scan (against the Candidate fold it replaced), the
 # row store's branchless bin search (against histogram.BinOf), the
 # presort's radix sort and merge (against the comparator sort), the
+# histogram modes' cut selection (against sorting the whole column), the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
 # reflective one), the TCP frame decoder, the checkpoint frame decoders
 # (shared, list fragment, node-index fragment) and the -faults spec
 # parser. CI runs this target; a test fails when a Fuzz* function of
-# the root module is missing from it. The bin search, the decoders and the
-# server's fuzzers cap minimization: shrinking one interesting input
-# otherwise takes the default 60s, i.e. the whole pass.
+# the root module is missing from it. The bin search, the cut selection,
+# the decoders and the server's fuzzers cap minimization: shrinking one
+# interesting input otherwise takes the default 60s, i.e. the whole pass.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
@@ -148,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzExactScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSearchCuts -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
+	$(GO) test -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzPredict -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzCompileForest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/infer
 	$(GO) test -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/tree

@@ -219,8 +219,9 @@ func BenchmarkInduction(b *testing.B) {
 // BenchmarkInductionBinned is one binned induction (B = 64, MaxDepth 8,
 // p=2) of a wide table with allocation reporting: the seven Quest
 // attributes plus 57 continuous noise columns, 20k records. It is the
-// binned body `make profile` profiles, where the histogram kernel and the
-// presort of 63 continuous lists carry the work.
+// binned body `make profile` profiles, where the presort — each rank's
+// local key sorts of 63 continuous columns and the cut selection — coding
+// the rows, and the histogram kernel carry the work.
 func BenchmarkInductionBinned(b *testing.B) {
 	tab, err := datagen.GenerateWide(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, benchRecords, 57)
 	if err != nil {

@@ -5,10 +5,12 @@
 // (node, bin, class) count histograms and evaluating only the bin
 // boundaries as candidate thresholds.
 //
-// The cut values are taken from the globally sorted attribute list at fixed
-// quantile positions, so they are real data values (a candidate "A <= cut"
-// partitions records exactly, with no interpolation) and are independent of
-// the processor count — the binned tree is identical for every p. When an
+// The cut values are the attribute's values at fixed quantile positions
+// (CutPositions) of its global (value, record id) order, selected without
+// sorting the attribute globally (psort.Select), so they are real data
+// values (a candidate "A <= cut" partitions records exactly, with no
+// interpolation) and are independent of the processor count — the binned
+// tree is identical for every p. When an
 // attribute has at most B distinct values every distinct value becomes a
 // cut, the binned candidate set equals the exact one, and the binned tree
 // degenerates to the exact tree bit for bit.
@@ -47,8 +49,8 @@ func CutPositions(n, b int) []int {
 }
 
 // Cuts dedupes position-sampled values into a strictly increasing cut
-// vector. The input must be sorted ascending (values read off a sorted list
-// in position order are).
+// vector. The input must be sorted ascending (values at ascending positions
+// of a sorted order are).
 func Cuts(vals []float64) []float64 {
 	out := make([]float64, 0, len(vals))
 	for i, v := range vals {

@@ -22,6 +22,12 @@
 // sample pool and the received runs are merged, p ways, over a heap of run
 // heads. NaN, which has a key but no place in the order, never reaches a
 // list: Table.AppendRow rejects non-finite values.
+//
+// The histogram split modes need only a few order statistics per column,
+// not the sorted lists, so their presort is Select (select.go): each rank
+// sorts its own block's keys with the same radix passes, and an exact
+// distributed selection finds the values at given global positions of the
+// (value, record id) order without moving any entry between ranks.
 package psort
 
 import (

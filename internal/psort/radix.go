@@ -76,6 +76,41 @@ func radixSort(a, buf []dataset.ContEntry) (sorted, spare []dataset.ContEntry) {
 	return src, dst
 }
 
+// sortKeys is radixSort for bare keys, the histogram modes' local sort: a
+// stable LSD radix sort of a on the same 8-bit digits, with no record ids to
+// carry. buf (len(buf) >= len(a)) is the ping-pong partner; it returns the
+// sorted keys, which are a or buf[:len(a)], and the other of the two.
+func sortKeys(a, buf []uint64) (sorted, spare []uint64) {
+	src, dst := a[:len(a):len(a)], buf[:len(a)]
+	if len(a) < 2 {
+		return src, dst
+	}
+	var counts [8][256]int
+	for _, k := range src {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	for d := range counts {
+		if !offsets(&counts[d], len(src)) {
+			continue
+		}
+		shift := 8 * uint(d)
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[counts[d][b]] = k
+			counts[d][b]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
 // ridOrdered reports whether a is in non-decreasing record-id order.
 func ridOrdered(a []dataset.ContEntry) bool {
 	for i := 1; i < len(a); i++ {

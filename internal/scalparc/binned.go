@@ -5,27 +5,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gini"
 	"repro/internal/histogram"
+	"repro/internal/psort"
 	"repro/internal/splitter"
 	"repro/internal/trace"
 )
-
-// computeCuts samples continuous attribute cut values at the global quantile
-// positions of the freshly sorted list. After the presort, rank r holds
-// exactly the sorted positions dataset.BlockRange(n, p, r), so each rank
-// contributes the samples falling inside its block and an allgather in rank
-// order reassembles them already position-sorted. The result is identical on
-// every rank and independent of p.
-func computeCuts(c *comm.Comm, list []dataset.ContEntry, n, bins int) []float64 {
-	positions := histogram.CutPositions(n, bins)
-	lo, _ := dataset.BlockRange(n, c.Size(), c.Rank())
-	local := make([]float64, 0, len(positions)/c.Size()+1)
-	for _, pos := range positions {
-		if pos >= lo && pos < lo+len(list) {
-			local = append(local, list[pos-lo].Val)
-		}
-	}
-	return histogram.Cuts(comm.AllgatherFlat(c, local))
-}
 
 // binnedFinder is histogram-binned FindSplit. FindSplitI builds one dense
 // uint32 count vector covering every (need-split node, attribute) group —
@@ -59,10 +42,22 @@ type exchangeBufs struct {
 	best, out []splitter.Candidate
 }
 
-func (f *binnedFinder) prepare(wk *worker, sorted *dataset.Lists) {
+// prepare selects every continuous attribute's quantile cuts: the values at
+// histogram.CutPositions of its (value, rid) order, found by psort.Select
+// from the rank's own block of the table. No list is built and no entry
+// leaves its rank; the cuts are identical on every rank and independent of
+// p.
+func (f *binnedFinder) prepare(wk *worker, tab *dataset.Table) {
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	cont := wk.schema.ContIndices()
+	cols := make([][]float64, len(cont))
+	for k, a := range cont {
+		cols[k] = tab.ContColumn(a)[lo:hi]
+	}
+	vals := psort.Select(wk.c, cols, wk.n, histogram.CutPositions(wk.n, f.bins))
 	f.cuts = make([][]float64, wk.schema.NumAttrs())
-	for _, a := range wk.schema.ContIndices() {
-		f.cuts[a] = computeCuts(wk.c, sorted.Cont[a], wk.n, f.bins)
+	for k, a := range cont {
+		f.cuts[a] = histogram.Cuts(vals[k])
 	}
 }
 

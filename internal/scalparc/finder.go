@@ -19,11 +19,10 @@ import (
 // attribute lists), binnedFinder (on the row store), and voteFinder
 // (binnedFinder plus a candidate filter).
 type splitFinder interface {
-	// prepare runs once on a fresh start, inside the presort phase, right
-	// after the continuous lists are sorted — the only moment the global
-	// sorted order is laid out in contiguous rank blocks — and before the
-	// record layout is loaded.
-	prepare(wk *worker, sorted *dataset.Lists)
+	// prepare runs once on a fresh start, inside the presort phase, before
+	// the record layout is loaded: the histogram finders select their cuts
+	// from the table there.
+	prepare(wk *worker, tab *dataset.Table)
 	// find runs FindSplitI and the candidate half of FindSplitII for one
 	// batch of need-split nodes (splitIdx maps active-node index to
 	// need-split index, -1 if terminated) and returns the globally agreed
@@ -70,7 +69,7 @@ type frameState struct {
 	tag  SplitStrategy
 	bins int
 	// cuts[a] is the strictly increasing cut vector of continuous attribute
-	// a (nil for categorical attributes), sampled once at presort time and
+	// a (nil for categorical attributes), selected once at presort time and
 	// identical on every rank.
 	cuts [][]float64
 }
@@ -150,7 +149,7 @@ type exactFinder struct {
 	catVec     [2][]int64 // double-buffered (consecutive ReduceSums)
 }
 
-func (*exactFinder) prepare(*worker, *dataset.Lists) {}
+func (*exactFinder) prepare(*worker, *dataset.Table) {}
 
 func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)

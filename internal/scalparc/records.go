@@ -2,6 +2,7 @@ package scalparc
 
 import (
 	"repro/internal/dataset"
+	"repro/internal/psort"
 	"repro/internal/splitter"
 )
 
@@ -13,17 +14,18 @@ import (
 //     through the record map, as the paper does;
 //   - the histogram modes' row store (rowStore, rows.go): a binned or vote
 //     decision depends only on the reduced (node, attribute, bin, class)
-//     counts and on the cuts fixed at presort, so each rank keeps the rows
-//     it owns as bin codes and PerformSplit is a local relabel.
+//     counts and on the cuts the finder selected at presort, so each rank
+//     keeps the rows it owns as bin codes, builds no lists, and
+//     PerformSplit is a local relabel.
 //
 // The level loop, the checkpoint frames' shared half and the recovery
 // protocol are the same for both; the split finders read the layout they
 // were built for (exactFinder the lists, binnedFinder the row store).
 type records interface {
 	// load fills the layout on a fresh start, inside the presort phase,
-	// from the table and this rank's block of it, presorted into lists.
-	// The finder's prepare has already run, so its cuts are set.
-	load(wk *worker, tab *dataset.Table, sorted *dataset.Lists)
+	// from this rank's block of the table. The finder's prepare has already
+	// run, so its cuts are set.
+	load(wk *worker, tab *dataset.Table)
 	// assign is PerformSplitI's local pass: every record of a split node
 	// (doSplit) gets its child under the node's candidate, counted into vec
 	// at offsets[i] + child·classes + class. The layout keeps the children
@@ -69,8 +71,18 @@ type lists struct {
 	splitChild [][]uint8
 }
 
-func (l *lists) load(wk *worker, _ *dataset.Table, sorted *dataset.Lists) {
-	l.cont, l.cat = sorted.Cont, sorted.Cat
+// load builds this rank's block of every attribute list and sorts the
+// continuous ones globally (psort.Sort: sample sort + shift), after which
+// rank r holds positions BlockRange(N, p, r) of each; the categorical lists
+// stay in record order.
+func (l *lists) load(wk *worker, tab *dataset.Table) {
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
+	var sorter psort.Sorter
+	for _, a := range wk.schema.ContIndices() {
+		local.Cont[a] = sorter.Sort(wk.c, local.Cont[a])
+	}
+	l.cont, l.cat = local.Cont, local.Cat
 	// One segment per attribute (cont[a] or cat[a], whichever the
 	// attribute has): the root owns everything.
 	for a := range l.segs {

@@ -11,9 +11,10 @@ import (
 )
 
 // rowStore is the histogram modes' record layout (records.go), PV-Tree's
-// own: after the presort has fixed the cuts, rank r keeps the rows it owns,
-// rids dataset.BlockRange(N, p, r), for the rest of the run. Per row it
-// holds one bin code per attribute, its class, and its active-node index.
+// own: once the finder has selected the cuts from the same blocks, rank r
+// keeps the rows it owns, rids dataset.BlockRange(N, p, r), for the rest of
+// the run. Per row it holds one bin code per attribute, its class, and its
+// active-node index.
 //
 // A binned or vote decision reads nothing but reduced (node, attribute,
 // bin, class) counts, and a row's child under a candidate follows from its
@@ -109,10 +110,9 @@ func (rs *rowStore) fill(wk *worker, tab *dataset.Table, node []int32) {
 	rs.child = make([]uint8, hi-lo)
 }
 
-// load codes the block after the cuts are sampled, the root owning every
-// row; the presorted lists are not kept. Coding is modeled like a list
-// pass over the block's entries.
-func (rs *rowStore) load(wk *worker, tab *dataset.Table, _ *dataset.Lists) {
+// load codes the block after the cuts are selected, the root owning every
+// row. Coding is modeled like a list pass over the block's entries.
+func (rs *rowStore) load(wk *worker, tab *dataset.Table) {
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
 	rs.fill(wk, tab, make([]int32, hi-lo))
 	wk.c.Compute(wk.c.Model().SplitTime(len(rs.codes)))

@@ -108,10 +108,10 @@ func FuzzSearchCuts(f *testing.F) {
 }
 
 // serialCuts samples attribute a's cuts from its whole column, sorted on one
-// machine, at the presort's quantile positions.
+// machine in (value, rid) order, at the presort's quantile positions.
 func serialCuts(tab *dataset.Table, a, bins int) []float64 {
 	col := slices.Clone(tab.ContColumn(a))
-	slices.SortFunc(col, cmp.Compare[float64])
+	slices.SortStableFunc(col, cmp.Compare[float64])
 	var vals []float64
 	for _, pos := range histogram.CutPositions(len(col), bins) {
 		vals = append(vals, col[pos])
@@ -226,6 +226,29 @@ func routeRow(root *tree.Node, tab *dataset.Table, r, depth int) *tree.Node {
 		}
 	}
 	return n
+}
+
+// TestBinnedPeakMetersTheKeys: the histogram modes' presort holds every
+// continuous column's sorted keys of the rank's block at once while it
+// selects the cuts, and the meter says so: each rank's tracked peak is at
+// least its block's rows × continuous attributes × 8 bytes.
+func TestBinnedPeakMetersTheKeys(t *testing.T) {
+	tab := quest9(3, 11, 3000, splitter.Config{}).tab(t)
+	cont := len(tab.Schema.ContIndices())
+	for _, opts := range []Options{{Split: SplitBinned, Bins: 32}, {Split: SplitVote, Bins: 32, VoteK: 2}} {
+		for _, p := range []int{1, 2, 3} {
+			res, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, splitter.Config{MaxDepth: 3}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, peak := range res.PeakMemoryPerRank {
+				lo, hi := dataset.BlockRange(tab.NumRows(), p, r)
+				if want := int64(hi-lo) * int64(cont) * 8; peak < want {
+					t.Errorf("%v p=%d rank %d: tracked peak %d B, below the %d B of its sorted keys", opts.Split, p, r, peak, want)
+				}
+			}
+		}
+	}
 }
 
 // TestWideCategoricalRefused: the row store codes a categorical value in 16

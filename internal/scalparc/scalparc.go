@@ -1,10 +1,10 @@
 // Package scalparc implements the paper's primary contribution: ScalParC,
 // the scalable parallel decision-tree classifier.
 //
-// The training set is fragmented vertically into attribute lists and
-// horizontally into p equal blocks. Continuous lists are sorted exactly
-// once (parallel sample sort + shift). Induction then proceeds level by
-// level with the paper's four phases:
+// The training set is fragmented horizontally into p equal blocks and, in
+// exact mode, vertically into attribute lists. Continuous lists are sorted
+// exactly once (parallel sample sort + shift). Induction then proceeds
+// level by level with the paper's four phases:
 //
 //	FindSplitI     — count matrices: a parallel exclusive prefix scan for
 //	                 continuous attributes, reductions onto coordinator
@@ -30,10 +30,12 @@
 // section 3.2 comparison.
 //
 // The histogram split modes (SplitBinned, SplitVote) decide from reduced
-// bin counts alone, so after the presort they leave the attribute lists for
-// a row store of bin codes (rows.go): FindSplitI is one pass over the rows a
-// rank owns, and PerformSplit relabels those rows locally, with no record
-// map and no enquiries.
+// bin counts alone, so they build no attribute lists and sort nothing
+// globally: their presort selects each continuous attribute's quantile cuts
+// from the ranks' own blocks (psort.Select), and the rows a rank owns are
+// kept as bin codes in a row store (rows.go). FindSplitI is one pass over
+// those rows, and PerformSplit relabels them locally, with no record map
+// and no enquiries.
 package scalparc
 
 import (
@@ -44,7 +46,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/nodetable"
-	"repro/internal/psort"
 	"repro/internal/splitter"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -138,7 +139,7 @@ const (
 	// reductions. The tree is an approximation of the exact tree (identical
 	// when every attribute has at most Bins distinct equal-frequency
 	// values) but is still invariant under the processor count, because the
-	// cuts are sampled at fixed global quantile positions.
+	// cuts are the values at fixed global quantile positions.
 	SplitBinned
 	// SplitVote rides the binned histograms but exchanges only a top-k
 	// candidate subset of them (PV-Tree style): each rank scores its local
@@ -558,24 +559,17 @@ func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory Re
 	return wk
 }
 
-// presort distributes the table, builds this rank's attribute lists, runs
-// the presort, and opens the tree with the root as the only active node.
+// presort loads this rank's block of the table into the record layout and
+// opens the tree with the root as the only active node. The finder first
+// takes what it needs from the table (binned and vote: the quantile cuts),
+// then the layout loads: exact mode's lists sorted globally, or the
+// histogram modes' row store coded by the cuts.
 func (wk *worker) presort(tab *dataset.Table) {
 	c := wk.c
 	lo, hi := dataset.BlockRange(wk.n, c.Size(), c.Rank())
-	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
-
-	// Sample sort + shift for every continuous attribute; the categorical
-	// lists stay in record order. The finder then takes whatever it needs
-	// off the freshly sorted lists (binned and vote: quantile cuts), and the
-	// record layout keeps the lists or codes the rows from the cuts.
 	c.SetPhase(trace.Sort, 0)
-	var sorter psort.Sorter
-	for _, a := range wk.schema.ContIndices() {
-		local.Cont[a] = sorter.Sort(c, local.Cont[a])
-	}
-	wk.finder.prepare(wk, local)
-	wk.recs.load(wk, tab, local)
+	wk.finder.prepare(wk, tab)
+	wk.recs.load(wk, tab)
 	c.SetPhase(trace.Other, 0)
 	wk.chargeRecords()
 

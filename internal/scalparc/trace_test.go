@@ -52,32 +52,50 @@ func assertTraceConserves(t *testing.T, res *Result, w *comm.World, p int) {
 	}
 }
 
+// TestTraceConservation holds every split mode's books at p in {1, 2, 4}.
+// The presort — exact mode's sample sort and shift, the histogram modes'
+// local key sorts and cut selection — is charged to the Sort phase at
+// level 0 on every rank, and at p > 1 its exchanges are booked there as
+// bytes and ops.
 func TestTraceConservation(t *testing.T) {
 	tab, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 12}, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 4} {
-		w := comm.NewWorld(p, timing.T3D())
-		res, err := TrainOpts(w, tab, splitter.Config{}, Options{})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		assertTraceConserves(t, res, w, p)
-
-		// The presort must be attributed to the Sort phase at level 0.
-		cr := res.Trace.Ranks[res.Trace.CriticalRank()]
-		if cr.PhasePicos()[trace.Sort] == 0 {
-			t.Errorf("p=%d: no time attributed to the Sort phase", p)
-		}
-		// Every induction phase must have seen some time somewhere.
-		for _, ph := range []trace.Phase{trace.FindSplitI, trace.FindSplitII, trace.PerformSplitI, trace.PerformSplitII} {
-			var total int64
-			for _, rt := range res.Trace.Ranks {
-				total += rt.PhasePicos()[ph]
+	for _, opts := range []Options{{}, {Split: SplitBinned, Bins: 16}, {Split: SplitVote, Bins: 16, VoteK: 2}} {
+		for _, p := range []int{1, 2, 4} {
+			w := comm.NewWorld(p, timing.T3D())
+			res, err := TrainOpts(w, tab, splitter.Config{}, opts)
+			if err != nil {
+				t.Fatalf("%v p=%d: %v", opts.Split, p, err)
 			}
-			if total == 0 {
-				t.Errorf("p=%d: no time attributed to phase %s on any rank", p, ph)
+			assertTraceConserves(t, res, w, p)
+
+			for r, rt := range res.Trace.Ranks {
+				var sort trace.Bucket
+				for _, b := range rt.Buckets() {
+					if b.Phase == trace.Sort && b.Level == 0 {
+						sort.Picos += b.Picos
+						sort.BytesSent += b.BytesSent
+						sort.Ops += b.Ops
+					}
+				}
+				if sort.Picos == 0 || rt.PhasePicos()[trace.Sort] != sort.Picos {
+					t.Errorf("%v p=%d rank %d: %d picos in the Sort phase, %d of them at level 0", opts.Split, p, r, rt.PhasePicos()[trace.Sort], sort.Picos)
+				}
+				if p > 1 && (sort.BytesSent == 0 || sort.Ops == 0) {
+					t.Errorf("%v p=%d rank %d: the Sort phase booked %d bytes in %d ops", opts.Split, p, r, sort.BytesSent, sort.Ops)
+				}
+			}
+			// Every induction phase must have seen some time somewhere.
+			for _, ph := range []trace.Phase{trace.FindSplitI, trace.FindSplitII, trace.PerformSplitI, trace.PerformSplitII} {
+				var total int64
+				for _, rt := range res.Trace.Ranks {
+					total += rt.PhasePicos()[ph]
+				}
+				if total == 0 {
+					t.Errorf("%v p=%d: no time attributed to phase %s on any rank", opts.Split, p, ph)
+				}
 			}
 		}
 	}
