@@ -4,8 +4,7 @@
 // equal contiguous block (the load-balanced initial distribution the rest
 // of the induction relies on). The shift is the package's one answer to
 // redistributing an ordered, segmented list into block shares: Shift also
-// rebalances every node's lists per level (ABL-REBAL), and its receive
-// side, Reassemble, rebuilds them from checkpoint fragments.
+// rebalances every node's lists per level (ABL-REBAL).
 //
 // The total order is (value, record id): ties broken by record id make the
 // global order — and therefore every downstream split decision — fully
@@ -231,54 +230,32 @@ func Shift[E any](c *comm.Comm, list []E, lens []int64) ([]E, []int64) {
 	}
 	recv := comm.AllToAllInto(c, send, nil)
 
-	// Each source's buffer holds only my entries, ordered by (node,
-	// position), so per-source cursors suffice and Reassemble's in-chunk
-	// offset is not needed.
-	cursors := make([]int, p)
-	out, outLens := Reassemble(me, p, byRank, func(r, _, _, n int) []E {
-		cursors[r] += n
-		return recv[r][cursors[r]-n : cursors[r]]
-	})
-	c.Compute(c.Model().SplitTime(len(out)))
-	return out, outLens
-}
-
-// Reassemble is the shift's local receive side: it builds rank me's block
-// share of every node's global list from per-source fragments. byRank[r][i]
-// is source r's entry count for node i; sources hold contiguous chunks of
-// every node's global order, in source order. My share of node i is
-// BlockRange(total_i, p, me), and every source contributes its overlap
-// with it; take(r, node, srcOff, n) returns n consecutive entries of
-// node's chunk on source r, starting srcOff into that chunk. There is at
-// least one source, but their count need not equal p: checkpoint recovery
-// reassembles a p-survivor distribution from the fragments of the ranks
-// that wrote them. Returns the share, nodes concatenated in order, and its
-// per-node lengths.
-func Reassemble[E any](me, p int, byRank [][]int64, take func(r, node, srcOff, n int) []E) ([]E, []int64) {
-	totals := make([]int64, len(byRank[0]))
-	for _, row := range byRank {
-		for i, n := range row {
-			totals[i] += n
-		}
-	}
-	lens := make([]int64, len(totals))
+	// Receive: my share of node i is BlockRange(total_i, p, me), and every
+	// source sent its overlap with it. Each source's buffer holds only my
+	// entries, ordered by (node, position), so one cursor per source walks
+	// it.
+	outLens := make([]int64, len(lens))
 	size := 0
 	for i, t := range totals {
 		lo, hi := dataset.BlockRange(int(t), p, me)
-		lens[i] = int64(hi - lo)
+		outLens[i] = int64(hi - lo)
 		size += hi - lo
 	}
 	out := make([]E, 0, size)
+	cursors := make([]int, p)
 	for i, t := range totals {
 		lo, hi := dataset.BlockRange(int(t), p, me)
 		var srcLo int64
 		for r, row := range byRank {
 			srcHi := srcLo + row[i]
 			if ovLo, ovHi := max(srcLo, int64(lo)), min(srcHi, int64(hi)); ovLo < ovHi {
-				out = append(out, take(r, i, int(ovLo-srcLo), int(ovHi-ovLo))...)
+				n := int(ovHi - ovLo)
+				out = append(out, recv[r][cursors[r]:cursors[r]+n]...)
+				cursors[r] += n
 			}
 			srcLo = srcHi
 		}
 	}
-	return out, lens
+	c.Compute(c.Model().SplitTime(len(out)))
+	return out, outLens
 }

@@ -8,13 +8,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/atomicfile"
 	"repro/internal/dataset"
-	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -26,34 +26,34 @@ import (
 // which survives rank crashes): dense rank 0 writes the shared replicated
 // state — record count, completed-level stats, split strategy, quantile
 // cuts, and the tree so far as a model document, its open frontier written
-// as label-0 leaves — and every rank writes its own fragment frame of its
-// records (records.encodeFrag). In exact mode that is its share of every
-// active node's attribute-list segments; in the histogram modes it is the
-// active-node index of every row it owns (rows.go). A barrier in front of
-// the save makes a complete frame set a consistent cut: either every rank
-// completed the level or the set is never read.
+// as label-0 leaves — and every rank writes its fragment frame: the rids it
+// holds under each frontier node (records.frontierRids). The continuous
+// lists are sorted once, and a split only moves records between nodes, so
+// beside the replicated tree that is the whole state of a level boundary,
+// in every split mode. A barrier in front of the save makes a complete
+// frame set a consistent cut: either every rank completed the level or the
+// set is never read.
 //
 // Recovery reads the latest complete checkpoint on the survivors: the tree
-// is decoded and its frontier reopened as the active set (see reopen). In
-// exact mode every node's global list is reassembled from the fragments of
-// the p ranks that wrote it, each survivor taking its BlockRange share under
-// the shrunken world size, and the record map is rebuilt empty (its contents
-// are transient within a level). In the histogram modes each survivor takes
-// the node indices of the rows in its new BlockRange and recodes those rows
-// from its table block under the shared frame's cuts. Because every split
-// decision is a pure function of globally reduced counts, induction resumed
-// this way produces the same tree as the fault-free run, whatever the
-// surviving processor count.
+// is decoded and its frontier reopened as the active set (see reopen), and
+// every writer's fragment is read into one rid → frontier node map. Each
+// survivor then loads its block of the table exactly as a fresh start does
+// (exact mode presorts the lists again; the histogram modes code the rows
+// under the shared frame's cuts) and files the records under the frontier
+// (records.relabel), which leaves it the layout a fault-free run on the
+// survivors holds at that level. The record map starts empty: its contents
+// are transient within a level. Because every split decision is a pure
+// function of globally reduced counts, induction resumed this way produces
+// the same tree as the fault-free run, whatever the surviving processor
+// count.
 
-// The checkpoint frames are little-endian binary with three frame types; the
+// The checkpoint frames are little-endian binary with two frame types; the
 // shared frame ends in the tree's model document (tree.Encode).
 const (
 	ckptSharedMagic   = 0x53435031 // "SCP1": shared replicated state
-	ckptFragMagic     = 0x53435046 // "SCPF": one rank's list fragments
-	ckptNodesMagic    = 0x5343504e // "SCPN": the node indices of one rank's rows
+	ckptNodesMagic    = 0x5343504e // "SCPN": one rank's rids per frontier node
 	ckptSharedVersion = 3
-	ckptFragVersion   = 1
-	ckptNodesVersion  = 1
+	ckptNodesVersion  = 2
 )
 
 // Checkpoint is one complete level-boundary snapshot: the shared frame and
@@ -264,11 +264,11 @@ func (wk *worker) saveCheckpoint() {
 	if c.Rank() == 0 {
 		shared = wk.encodeShared()
 	}
-	frag, entries := wk.recs.encodeFrag(wk)
-	wk.ckpt.put(len(wk.levelStats), c.Rank(), c.Size(), shared, frag)
-	// Model the stable-storage write like a list pass over the local
-	// entries written.
-	c.Compute(c.Model().SplitTime(entries))
+	rids, segs := wk.recs.frontierRids(wk)
+	wk.ckpt.put(len(wk.levelStats), c.Rank(), c.Size(), shared, encodeNodeFrag(rids, segs))
+	// Model the stable-storage write like a list pass over the rids
+	// written.
+	c.Compute(c.Model().SplitTime(len(rids)))
 	c.Event("checkpoint")
 }
 
@@ -401,128 +401,96 @@ func decodeTree(r io.Reader, schema *dataset.Schema) (*tree.Tree, error) {
 	return t, nil
 }
 
-// fragFrame is one rank's decoded attribute-list fragments: lens[a][i] is
-// the entry count of active node i's segment for attribute a; cont[a][i] /
-// cat[a][i] the entries themselves, in global order within the fragment.
-type fragFrame struct {
-	lens [][]int64
-	cont [][][]dataset.ContEntry
-	cat  [][][]dataset.CatEntry
-}
-
-// fragKind is the attribute-kind byte of a fragment frame.
-func fragKind(attr dataset.Attribute) uint8 {
-	if attr.Kind == dataset.Categorical {
-		return 1
-	}
-	return 0
-}
-
-// encodeFrag serialises this rank's share of every active node's attribute
-// lists and reports the total entry count (for modeled write cost).
-func (l *lists) encodeFrag(wk *worker) ([]byte, int) {
-	var e enc
-	e.u32(ckptFragMagic)
-	e.u32(ckptFragVersion)
-	e.u32(uint32(wk.schema.NumAttrs()))
-	e.u32(uint32(len(wk.active)))
-	entries := 0
-	for a, attr := range wk.schema.Attrs {
-		e.u8(fragKind(attr))
-		for _, sg := range l.segs[a] {
-			e.u32(uint32(sg.n))
-			if attr.Kind == dataset.Continuous {
-				for _, en := range l.cont[a][sg.off : sg.off+sg.n] {
-					e.f64(en.Val)
-					e.u32(uint32(en.Rid))
-					e.u8(en.Cid)
-				}
-			} else {
-				for _, en := range l.cat[a][sg.off : sg.off+sg.n] {
-					e.u32(uint32(en.Val))
-					e.u32(uint32(en.Rid))
-					e.u8(en.Cid)
-				}
-			}
-			entries += sg.n
+// encodeNodeFrag is the fragment frame: magic, version, the frontier size,
+// then per frontier node in order its rid count and its rids, all u32.
+// rids holds the rids back to back; segs[i] locates node i's.
+func encodeNodeFrag(rids []int32, segs []seg) []byte {
+	e := enc{b: make([]byte, 0, 12+4*len(segs)+4*len(rids))}
+	e.u32(ckptNodesMagic)
+	e.u32(ckptNodesVersion)
+	e.u32(uint32(len(segs)))
+	for _, sg := range segs {
+		e.u32(uint32(sg.n))
+		for _, r := range rids[sg.off : sg.off+sg.n] {
+			e.u32(uint32(r))
 		}
 	}
-	return e.b, entries
+	return e.b
 }
 
-// decodeFrag parses one writer's fragment frame, validating its shape
-// against the schema and the shared frame's frontier size.
-func decodeFrag(raw []byte, schema *dataset.Schema, wantNodes int) (*fragFrame, error) {
+// decodeNodeFrag parses one writer's fragment of a checkpoint of n records
+// for a frontier of frontier nodes, returning what encodeNodeFrag took:
+// every rid must lie in [0, n).
+func decodeNodeFrag(raw []byte, n, frontier int) ([]int32, []seg, error) {
 	d := dec{b: raw}
-	if d.u32() != ckptFragMagic || d.u32() != ckptFragVersion {
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: bad magic or version")
+	if d.u32() != ckptNodesMagic || d.u32() != ckptNodesVersion {
+		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: bad magic or version")
 	}
-	nAttrs := int(d.u32())
-	nNodes := int(d.u32())
+	fr := int(d.u32())
 	switch {
 	case d.err != nil:
-		// Before anything is sized by the header: a frame torn inside it
-		// has read only some of these fields.
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
-	case nAttrs != schema.NumAttrs():
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d attributes, schema has %d", nAttrs, schema.NumAttrs())
-	case nNodes != wantNodes:
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d nodes, tree frontier has %d", nNodes, wantNodes)
+		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
+	case fr != frontier:
+		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %d frontier nodes, tree frontier has %d", fr, frontier)
 	}
-	nc := schema.NumClasses()
-	fr := &fragFrame{
-		lens: make([][]int64, nAttrs),
-		cont: make([][][]dataset.ContEntry, nAttrs),
-		cat:  make([][][]dataset.CatEntry, nAttrs),
-	}
-	for a := 0; a < nAttrs && d.err == nil; a++ {
-		kind := d.u8()
-		if d.err == nil && kind != fragKind(schema.Attrs[a]) {
-			return nil, fmt.Errorf("scalparc: checkpoint fragment: attribute %d kind mismatch", a)
+	segs := make([]seg, frontier)
+	rids := make([]int32, 0, (len(raw)-d.off)/4)
+	for i := range segs {
+		cnt := int(d.u32())
+		if cnt > (len(raw)-d.off)/4 {
+			return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: node %d counts %d rids past the body", i, cnt)
 		}
-		fr.lens[a] = make([]int64, nNodes)
-		if kind == 0 {
-			fr.cont[a] = make([][]dataset.ContEntry, nNodes)
-		} else {
-			fr.cat[a] = make([][]dataset.CatEntry, nNodes)
-		}
-		for i := 0; i < nNodes && d.err == nil; i++ {
-			cnt := int(d.u32())
-			if d.err == nil && cnt > (len(d.b)-d.off)/9 {
-				return nil, fmt.Errorf("scalparc: checkpoint fragment: truncated segment (attr %d, node %d)", a, i)
+		segs[i] = seg{off: len(rids), n: cnt}
+		for range cnt {
+			rid := d.u32()
+			if uint64(rid) >= uint64(n) {
+				return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: rid %d outside [0, %d)", rid, n)
 			}
-			fr.lens[a][i] = int64(cnt)
-			if kind == 0 {
-				list := make([]dataset.ContEntry, 0, cnt)
-				for j := 0; j < cnt && d.err == nil; j++ {
-					list = append(list, dataset.ContEntry{Val: d.finite(), Rid: int32(d.u32()), Cid: d.class(nc)})
-				}
-				fr.cont[a][i] = list
-			} else {
-				list := make([]dataset.CatEntry, 0, cnt)
-				card := schema.Attrs[a].Cardinality()
-				for j := 0; j < cnt && d.err == nil; j++ {
-					list = append(list, dataset.CatEntry{Val: int32(d.index(card)), Rid: int32(d.u32()), Cid: d.class(nc)})
-				}
-				fr.cat[a][i] = list
-			}
+			rids = append(rids, int32(rid))
 		}
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
+		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
 	}
 	if d.off != len(raw) {
-		return nil, fmt.Errorf("scalparc: checkpoint fragment: %d trailing bytes", len(raw)-d.off)
+		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %d trailing bytes", len(raw)-d.off)
 	}
-	return fr, nil
+	return rids, segs, nil
+}
+
+// fileByNode is a stable counting sort of items into the segments of a
+// frontier of frontier nodes, back to back in node order; node(x) is x's
+// node index, and an item whose index is -1 (retired) is dropped.
+func fileByNode[T any](items []T, frontier int, node func(T) int32) ([]T, []seg) {
+	lens := make([]int64, frontier)
+	kept := 0
+	for _, x := range items {
+		if i := node(x); i >= 0 {
+			lens[i]++
+			kept++
+		}
+	}
+	segs := segsOf(lens)
+	at := make([]int, frontier)
+	for i, sg := range segs {
+		at[i] = sg.off
+	}
+	out := make([]T, kept)
+	for _, x := range items {
+		if i := node(x); i >= 0 {
+			out[at[i]] = x
+			at[i]++
+		}
+	}
+	return out, segs
 }
 
 // restore is newWorker's post-step on the recovery path, where presort is
 // the fresh-start one: it fills the records, the frontier, and the level
 // stats (and, through decodeShared, the finder's state) from a checkpoint on
-// the (possibly shrunken) surviving world. tab is the training table, whose
-// block the row store recodes. Decode failures are deterministic — every
-// rank reads the same bytes — so all survivors fail identically.
+// the (possibly shrunken) surviving world. Both frames are decoded and
+// checked before the first collective; decode failures are deterministic —
+// every rank reads the same bytes — so all survivors fail identically.
 func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 	c := wk.c
 	sh, err := decodeShared(ck.Shared, wk.schema, wk.finder)
@@ -533,61 +501,65 @@ func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 		return fmt.Errorf("scalparc: checkpoint shared frame: %d records, training table has %d", sh.n, wk.n)
 	}
 	wk.root, wk.active, wk.levelStats = sh.root, sh.active, sh.levelStats
-	entries, err := wk.recs.restore(wk, tab, ck)
+	node, err := wk.frontierOf(tab, ck)
 	if err != nil {
 		return err
 	}
-	wk.chargeRecords()
 
-	// Model the stable-storage reload like a list pass over the share read.
+	// Load as a fresh start does, then file the records under the
+	// frontier, and rebalance as the checkpointed level did.
+	c.SetPhase(trace.Sort, 0)
+	wk.recs.load(wk, tab)
+	c.SetPhase(trace.Other, len(wk.levelStats)-1)
+	entries := wk.recs.relabel(wk, node)
+	wk.chargeRecords()
+	if wk.opts.RebalanceLevels {
+		wk.recs.rebalance(wk)
+	}
+
+	// Model the stable-storage reload like a list pass over the entries
+	// filed.
 	c.Compute(c.Model().SplitTime(entries))
 	c.Event("recovery:restore")
 	return nil
 }
 
-// restore reassembles every node's global list from the writers'
-// fragments; this survivor takes its block share under the shrunken world
-// size.
-func (l *lists) restore(wk *worker, _ *dataset.Table, ck *Checkpoint) (int, error) {
-	schema := wk.schema
-	frs := make([]*fragFrame, len(ck.Frags))
-	for w, raw := range ck.Frags {
-		var err error
-		if frs[w], err = decodeFrag(raw, schema, len(wk.active)); err != nil {
-			return 0, err
-		}
+// frontierOf reads every writer's fragment into one rid → frontier node
+// map, -1 for a retired record, and checks it against the reopened
+// frontier: no rid is claimed twice, and each frontier node's records,
+// counted by class from the table, match the node's histogram.
+func (wk *worker) frontierOf(tab *dataset.Table, ck *Checkpoint) ([]int32, error) {
+	node := make([]int32, wk.n)
+	for r := range node {
+		node[r] = -1
 	}
-	p, me := wk.c.Size(), wk.c.Rank()
-	byRank := make([][]int64, len(frs))
-	total := 0
-	for a, attr := range schema.Attrs {
-		for w := range frs {
-			byRank[w] = frs[w].lens[a]
+	for _, raw := range ck.Frags {
+		rids, segs, err := decodeNodeFrag(raw, wk.n, len(wk.active))
+		if err != nil {
+			return nil, err
 		}
-		// Every node's list holds each of its records once per attribute.
-		for i, n := range wk.active {
-			var got int64
-			for _, lens := range byRank {
-				got += lens[i]
-			}
-			if got != n.Size() {
-				return 0, fmt.Errorf("scalparc: checkpoint fragments: node %d has %d attribute-%d entries, histogram total %d", i, got, a, n.Size())
+		for i, sg := range segs {
+			for _, r := range rids[sg.off : sg.off+sg.n] {
+				if node[r] >= 0 {
+					return nil, fmt.Errorf("scalparc: checkpoint fragments: rid %d claimed by nodes %d and %d", r, node[r], i)
+				}
+				node[r] = int32(i)
 			}
 		}
-		var lens []int64
-		if attr.Kind == dataset.Continuous {
-			l.cont[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.ContEntry {
-				return frs[r].cont[a][node][off : off+n]
-			})
-		} else {
-			l.cat[a], lens = psort.Reassemble(me, p, byRank, func(r, node, off, n int) []dataset.CatEntry {
-				return frs[r].cat[a][node][off : off+n]
-			})
-		}
-		l.segs[a] = segsOf(lens)
-		total += len(l.cont[a]) + len(l.cat[a])
 	}
-	return total, nil
+	nc := wk.schema.NumClasses()
+	counts := make([]int64, len(wk.active)*nc)
+	for r, i := range node {
+		if i >= 0 {
+			counts[int(i)*nc+int(tab.Class[r])]++
+		}
+	}
+	for i, n := range wk.active {
+		if got := counts[i*nc : (i+1)*nc]; !slices.Equal(got, n.Hist) {
+			return nil, fmt.Errorf("scalparc: checkpoint fragments: node %d holds class counts %v, histogram %v", i, got, n.Hist)
+		}
+	}
+	return node, nil
 }
 
 // enc is a little-endian append-only frame writer.
@@ -634,30 +606,12 @@ func (d *dec) u32() uint32  { return binary.LittleEndian.Uint32(d.take(4)) }
 func (d *dec) u64() uint64  { return binary.LittleEndian.Uint64(d.take(8)) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
-// finite, class and index read a value that induction would misuse out of
-// range — a float that becomes a split threshold the tree's model document
-// cannot hold unless finite, a class id or a categorical value that indexes
-// a count vector — and fail d on one.
+// finite reads a float that becomes a split threshold, which the tree's
+// model document cannot hold unless finite, and fails d on any other.
 func (d *dec) finite() float64 {
 	v := d.f64()
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		d.fail("value %v is not finite", v)
-	}
-	return v
-}
-
-func (d *dec) class(classes int) uint8 {
-	c := d.u8()
-	if int(c) >= classes {
-		d.fail("class id %d outside [0, %d)", c, classes)
-	}
-	return c
-}
-
-func (d *dec) index(n int) uint32 {
-	v := d.u32()
-	if uint64(v) >= uint64(n) {
-		d.fail("categorical value %d outside [0, %d)", int32(v), n)
 	}
 	return v
 }

@@ -1,10 +1,12 @@
 package scalparc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,8 +176,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	for w, frag := range ck.Frags {
-		if _, err := decodeFrag(frag, tab.Schema, len(active)); err != nil {
+		rids, segs, err := decodeNodeFrag(frag, tab.NumRows(), len(active))
+		if err != nil {
 			t.Fatalf("writer %d: %v", w, err)
+		}
+		if again := encodeNodeFrag(rids, segs); string(again) != string(frag) {
+			t.Fatalf("writer %d: fragment round-trip mismatch: %d bytes -> %d bytes", w, len(frag), len(again))
 		}
 	}
 	// Corruption must be detected, not silently absorbed.
@@ -184,56 +190,174 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("truncation at %d bytes went undetected", cut)
 		}
 	}
-	if _, err := decodeFrag(ck.Frags[0][:len(ck.Frags[0])-2], tab.Schema, len(active)); err == nil {
+	if _, _, err := decodeNodeFrag(ck.Frags[0][:len(ck.Frags[0])-2], tab.NumRows(), len(active)); err == nil {
 		t.Fatal("fragment truncation went undetected")
 	}
 
-	// Well-formed but wrong fragments: each edit is re-encoded into writer
-	// 0's frame. A class id or categorical value out of range fails the
-	// fragment decode; a segment one entry short fails restore's count
-	// check against the node's histogram.
-	edits := map[string]func(fr *fragFrame){
-		"class id": func(fr *fragFrame) {
-			a, i := firstSegment(t, tab.Schema, fr, dataset.Continuous)
-			fr.cont[a][i][0].Cid = uint8(tab.Schema.NumClasses())
-		},
-		"categorical value": func(fr *fragFrame) {
-			a, i := firstSegment(t, tab.Schema, fr, dataset.Categorical)
-			fr.cat[a][i][0].Val = int32(tab.Schema.Attrs[a].Cardinality())
-		},
-		"segment total": func(fr *fragFrame) {
-			a, i := firstSegment(t, tab.Schema, fr, dataset.Continuous)
-			fr.cont[a][i] = fr.cont[a][i][1:]
-		},
+	// A well-formed but wrong fragment: writer 0's frame without its
+	// first rid decodes, but its node's class counts no longer match the
+	// histogram, which fails restore.
+	rids, segs, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), len(active))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, edit := range edits {
-		fr, err := decodeFrag(ck.Frags[0], tab.Schema, len(active))
-		if err != nil {
-			t.Fatal(err)
+	bad := *ck
+	bad.Frags = append([][]byte(nil), ck.Frags...)
+	bad.Frags[0] = encodeNodeFrag(dropRid(rids, segs, 0))
+	w := comm.NewWorld(p, timing.T3D())
+	if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(tab, &bad); err == nil || !strings.Contains(err.Error(), "class counts") {
+		t.Errorf("restored from a fragment one rid short: %v", err)
+	}
+}
+
+// TestRestoredListsMatchFreshRun: an exact checkpoint written by three
+// ranks and resumed on two leaves each rank the attribute lists a fresh
+// two-rank run holds at the same level, segment for segment: a restore
+// presorts the survivors' blocks and files the records under the frontier,
+// as that run's levels did, and under RebalanceLevels rebalances them as
+// the level did.
+func TestRestoredListsMatchFreshRun(t *testing.T) {
+	tab := faultData.tab(t)
+	cfg := splitter.Config{MaxDepth: 4}.Normalize()
+	for _, opts := range []Options{{}, {RebalanceLevels: true}} {
+		ck, _ := captureCheckpoint(t, tab, cfg, 3, opts)
+		if ck.Level < 2 {
+			t.Fatalf("checkpoint at level %d; the test needs a frontier below the root's children", ck.Level)
 		}
-		edit(fr)
-		bad := *ck
-		bad.Frags = append([][]byte(nil), ck.Frags...)
-		bad.Frags[0] = encodeFragFrame(tab.Schema, fr, len(active))
-		w := comm.NewWorld(p, timing.T3D())
-		if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(tab, &bad); err == nil {
-			t.Errorf("%s: restored from a wrong fragment", name)
+		const p = 2
+		restored, fresh := make([]*lists, p), make([]*lists, p)
+		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
+			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
+			if err := wk.restore(tab, ck); err != nil {
+				t.Error(err)
+				return
+			}
+			restored[c.Rank()] = wk.lists
+		})
+		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
+			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
+			wk.presort(tab)
+			for len(wk.levelStats) < ck.Level {
+				wk.runLevel()
+			}
+			fresh[c.Rank()] = wk.lists
+		})
+		for r := range p {
+			for a := range tab.Schema.Attrs {
+				got, want := restored[r], fresh[r]
+				if !slices.Equal(got.segs[a], want.segs[a]) {
+					t.Errorf("rebalance=%v rank %d attribute %d: restored segments %v, a fresh run's %v", opts.RebalanceLevels, r, a, got.segs[a], want.segs[a])
+				}
+				if !slices.Equal(got.cont[a], want.cont[a]) || !slices.Equal(got.cat[a], want.cat[a]) {
+					t.Errorf("rebalance=%v rank %d attribute %d: restored entries differ from a fresh run's", opts.RebalanceLevels, r, a)
+				}
+			}
 		}
 	}
 }
 
-// firstSegment locates fr's first non-empty segment of an attribute of kind.
-func firstSegment(t *testing.T, schema *dataset.Schema, fr *fragFrame, kind dataset.Kind) (a, i int) {
-	t.Helper()
-	for a, attr := range schema.Attrs {
-		for i, n := range fr.lens[a] {
-			if attr.Kind == kind && n > 0 {
-				return a, i
+// dropRid returns a fragment's rids and segments without the first rid
+// filed under a node at or after node i.
+func dropRid(rids []int32, segs []seg, i int) ([]int32, []seg) {
+	segs = slices.Clone(segs)
+	for segs[i].n == 0 {
+		i++
+	}
+	rids = slices.Delete(slices.Clone(rids), segs[i].off, segs[i].off+1)
+	segs[i].n--
+	for k := i + 1; k < len(segs); k++ {
+		segs[k].off--
+	}
+	return rids, segs
+}
+
+// fragFinders are the two record layouts a fragment is written from:
+// exact mode's lists and the histogram modes' row store.
+var fragFinders = []Options{{}, {Split: SplitBinned, Bins: 16}}
+
+// nodeFragSeeds returns a three-level run's real fragments under opts
+// (written by two ranks, for frontier nodes) and named fragments
+// decodeNodeFrag must refuse, each with the error it must give.
+func nodeFragSeeds(tb testing.TB, tab *dataset.Table, opts Options) (ck *Checkpoint, frontier int, bad map[string]struct {
+	frame []byte
+	want  string
+}) {
+	tb.Helper()
+	ck, _ = captureCheckpoint(tb, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
+	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts, nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frontier = len(sh.active)
+	rids, segs, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), frontier)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	past := slices.Clone(rids)
+	past[0] = int32(tab.NumRows())
+	huge := slices.Clone(ck.Frags[0])
+	binary.LittleEndian.PutUint32(huge[12:], uint32(len(huge)))
+	return ck, frontier, map[string]struct {
+		frame []byte
+		want  string
+	}{
+		"rid out of range":    {encodeNodeFrag(past, segs), fmt.Sprintf("outside [0, %d)", tab.NumRows())},
+		"count past the body": {huge, "past the body"},
+		"trailing bytes":      {append(slices.Clone(ck.Frags[0]), 0, 0, 0, 0), "4 trailing bytes"},
+		"wrong frontier size": {encodeNodeFrag(rids, segs[:frontier-1]), fmt.Sprintf("%d frontier nodes, tree frontier has %d", frontier-1, frontier)},
+	}
+}
+
+// TestNodeFragRejections: under both record layouts, each named bad
+// fragment fails to decode with its own error, and two well-formed but
+// wrong frame sets fail restore: one where a rid is claimed by two
+// writers, and one where a live rid is left out, which its node's class
+// counts catch.
+func TestNodeFragRejections(t *testing.T) {
+	tab := faultData.tab(t)
+	for _, opts := range fragFinders {
+		ck, frontier, bad := nodeFragSeeds(t, tab, opts)
+		for name, b := range bad {
+			if _, _, err := decodeNodeFrag(b.frame, tab.NumRows(), frontier); err == nil || !strings.Contains(err.Error(), b.want) {
+				t.Errorf("%v %s: error %v, want one containing %q", opts.Split, name, err, b.want)
+			}
+		}
+
+		restore := func(frags ...[]byte) error {
+			wk := newWorker(comm.NewWorld(1, timing.T3D()).Rank(0), tab, splitter.Config{MaxDepth: 3}.Normalize(), DistributedNodeTable, opts)
+			return wk.restore(tab, &Checkpoint{Level: ck.Level, Writers: len(frags), Shared: ck.Shared, Frags: frags})
+		}
+		if err := restore(ck.Frags...); err != nil {
+			t.Fatalf("%v: the real checkpoint did not restore: %v", opts.Split, err)
+		}
+		rids0, segs0, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids1, segs1, err := decodeNodeFrag(ck.Frags[1], tab.NumRows(), frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Writer 0's first rid filed again, under the same node, by writer 1.
+		i := slices.IndexFunc(segs0, func(sg seg) bool { return sg.n > 0 })
+		twice := slices.Insert(slices.Clone(rids1), segs1[i].off, rids0[segs0[i].off])
+		twiceSegs := slices.Clone(segs1)
+		twiceSegs[i].n++
+		for k := i + 1; k < frontier; k++ {
+			twiceSegs[k].off++
+		}
+		for name, tc := range map[string]struct {
+			frags [][]byte
+			want  string
+		}{
+			"rid claimed by two writers": {[][]byte{ck.Frags[0], encodeNodeFrag(twice, twiceSegs)}, "claimed by nodes"},
+			"live rid left out":          {[][]byte{ck.Frags[0], encodeNodeFrag(dropRid(rids1, segs1, 0))}, "class counts"},
+		} {
+			if err := restore(tc.frags...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v %s: restore error %v, want one containing %q", opts.Split, name, err, tc.want)
 			}
 		}
 	}
-	t.Fatalf("fragment has no %v entry", kind)
-	return 0, 0
 }
 
 // emptyLeavesAt counts the leaves at depth that no training record reached.
@@ -354,7 +478,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	}
 	active := sh.active
 	for w, frag := range ck.Frags {
-		if _, err := decodeFrag(frag, tab.Schema, len(active)); err != nil {
+		if _, _, err := decodeNodeFrag(frag, tab.NumRows(), len(active)); err != nil {
 			t.Fatalf("writer %d: %v", w, err)
 		}
 	}
@@ -378,7 +502,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if torn == nil || torn.Level != ck.Level {
 		t.Fatalf("frame set with a torn fragment not assembled: %+v", torn)
 	}
-	if _, err := decodeFrag(torn.Frags[1], tab.Schema, len(active)); err == nil {
+	if _, _, err := decodeNodeFrag(torn.Frags[1], tab.NumRows(), len(active)); err == nil {
 		t.Fatal("truncated on-disk fragment decoded without error")
 	}
 }

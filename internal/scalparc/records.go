@@ -18,13 +18,16 @@ import (
 //     keeps the rows it owns as bin codes, builds no lists, and
 //     PerformSplit is a local relabel.
 //
-// The level loop, the checkpoint frames' shared half and the recovery
-// protocol are the same for both; the split finders read the layout they
+// The level loop, the checkpoint frames and the recovery protocol are the
+// same for both: a fragment is the rids a rank holds per frontier node, and
+// a restore loads the layout as a fresh start does and relabels it from
+// the fragments (checkpoint.go). The split finders read the layout they
 // were built for (exactFinder the lists, binnedFinder the row store).
 type records interface {
-	// load fills the layout on a fresh start, inside the presort phase,
-	// from this rank's block of the table. The finder's prepare has already
-	// run, so its cuts are set.
+	// load fills the layout from this rank's block of the table, the root
+	// holding every record, inside the presort phase. The finder's cuts
+	// are set: prepare has run on a fresh start, and a restore has decoded
+	// them from the shared frame.
 	load(wk *worker, tab *dataset.Table)
 	// assign is PerformSplitI's local pass: every record of a split node
 	// (doSplit) gets its child under the node's candidate, counted into vec
@@ -39,14 +42,15 @@ type records interface {
 	split(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, nextCount int, childIndex [][]int)
 	// rebalance is Options.RebalanceLevels' pass after a level.
 	rebalance(wk *worker)
-	// encodeFrag serialises this rank's checkpoint fragment and returns it
-	// with the number of entries written (for the modeled write cost).
-	encodeFrag(wk *worker) ([]byte, int)
-	// restore fills the layout from a checkpoint's fragments once the
-	// shared frame has restored the frontier and the finder, and returns
-	// the number of entries this rank now holds (for the modeled reload
-	// cost). A bad fragment fails every survivor alike.
-	restore(wk *worker, tab *dataset.Table, ck *Checkpoint) (int, error)
+	// frontierRids returns the rids this rank holds under each frontier
+	// node, back to back in node order, with segs[i] locating node i's:
+	// its checkpoint fragment.
+	frontierRids(wk *worker) (rids []int32, segs []seg)
+	// relabel files the records of a freshly loaded layout under the
+	// frontier restored from a checkpoint: node[rid] is a record's frontier
+	// node, -1 once it is retired. It returns the entries this rank now
+	// holds (for the modeled reload cost).
+	relabel(wk *worker, node []int32) int
 	// bytes is the layout's metered size at its current lengths; every pass
 	// that resizes it meters the change.
 	bytes() int64
@@ -88,6 +92,31 @@ func (l *lists) load(wk *worker, tab *dataset.Table) {
 	for a := range l.segs {
 		l.segs[a] = []seg{{0, len(l.cont[a]) + len(l.cat[a])}}
 	}
+}
+
+// frontierRids reads the rids off attribute 0's list (cont[0] or cat[0],
+// the other is empty): every attribute's segment of a node holds the same
+// records, and the segments lie back to back in node order.
+func (l *lists) frontierRids(*worker) ([]int32, []seg) {
+	rids := make([]int32, 0, len(l.cont[0])+len(l.cat[0]))
+	return appendRids(appendRids(rids, l.cont[0]), l.cat[0]), l.segs[0]
+}
+
+// relabel partitions every attribute's root list stably by frontier node
+// and drops the retired records. Each rank keeps the entries of its own
+// presorted block, in order, as every level's partition does, so the
+// lists are those a fault-free run on this world holds at the level.
+func (l *lists) relabel(wk *worker, node []int32) int {
+	entries := 0
+	for a := range l.segs {
+		if wk.schema.Attrs[a].Kind == dataset.Continuous {
+			l.cont[a], l.segs[a] = fileByNode(l.cont[a], len(wk.active), func(e dataset.ContEntry) int32 { return node[e.Rid] })
+		} else {
+			l.cat[a], l.segs[a] = fileByNode(l.cat[a], len(wk.active), func(e dataset.CatEntry) int32 { return node[e.Rid] })
+		}
+		entries += len(l.cont[a]) + len(l.cat[a])
+	}
+	return entries
 }
 
 func (l *lists) bytes() int64 {

@@ -3,7 +3,6 @@ package scalparc
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/histogram"
@@ -100,21 +99,14 @@ func searchCuts(cuts []float64, v float64) int {
 	return base
 }
 
-// fill codes this rank's block of tab and takes node as the rows' node
-// indices.
-func (rs *rowStore) fill(wk *worker, tab *dataset.Table, node []int32) {
-	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
-	rs.codes = binCodes(tab, lo, hi, wk.finder.binCuts())
-	rs.class = tab.Class[lo:hi]
-	rs.node = node
-	rs.child = make([]uint8, hi-lo)
-}
-
 // load codes the block after the cuts are selected, the root owning every
 // row. Coding is modeled like a list pass over the block's entries.
 func (rs *rowStore) load(wk *worker, tab *dataset.Table) {
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
-	rs.fill(wk, tab, make([]int32, hi-lo))
+	rs.codes = binCodes(tab, lo, hi, wk.finder.binCuts())
+	rs.class = tab.Class[lo:hi]
+	rs.node = make([]int32, hi-lo)
+	rs.child = make([]uint8, hi-lo)
 	wk.c.Compute(wk.c.Model().SplitTime(len(rs.codes)))
 }
 
@@ -205,87 +197,19 @@ func (rs *rowStore) split(wk *worker, doSplit []bool, _ []int, _ []splitter.Cand
 	wk.c.Compute(wk.c.Model().SplitTime(moved))
 }
 
-// encodeFrag writes the rows' node indices, 4 bytes per row owned.
-func (rs *rowStore) encodeFrag(wk *worker) ([]byte, int) {
-	return encodeNodeFrag(wk.c.Rank(), wk.c.Size(), len(wk.active), rs.node), len(rs.node)
+// frontierRids files the owned rows under their frontier nodes.
+func (rs *rowStore) frontierRids(wk *worker) ([]int32, []seg) {
+	lo, _ := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	rids := make([]int32, len(rs.node))
+	for r := range rids {
+		rids[r] = int32(lo + r)
+	}
+	return fileByNode(rids, len(wk.active), func(rid int32) int32 { return rs.node[int(rid)-lo] })
 }
 
-// encodeNodeFrag is the node-index fragment frame: magic, version, the
-// writer and writer count, the frontier size, the row count, then one int32
-// node index per row of the writer's block, in rid order.
-func encodeNodeFrag(writer, writers, frontier int, node []int32) []byte {
-	e := enc{b: make([]byte, 0, 24+4*len(node))}
-	e.u32(ckptNodesMagic)
-	e.u32(ckptNodesVersion)
-	e.u32(uint32(writer))
-	e.u32(uint32(writers))
-	e.u32(uint32(frontier))
-	e.u32(uint32(len(node)))
-	for _, i := range node {
-		e.u32(uint32(i))
-	}
-	return e.b
-}
-
-// decodeNodeFrag parses writer's node-index fragment of a checkpoint of n
-// records written by writers ranks, for a frontier of frontier nodes: its
-// rows must be exactly the writer's BlockRange, and every index a frontier
-// node or -1.
-func decodeNodeFrag(raw []byte, n, writer, writers, frontier int) ([]int32, error) {
-	d := dec{b: raw}
-	if d.u32() != ckptNodesMagic || d.u32() != ckptNodesVersion {
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: bad magic or version")
-	}
-	w, ws, fr, rows := int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())
-	lo, hi := dataset.BlockRange(n, writers, writer)
-	switch {
-	case d.err != nil:
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %w", d.err)
-	case w != writer || ws != writers:
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: written by rank %d of %d, expected %d of %d", w, ws, writer, writers)
-	case fr != frontier:
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d frontier nodes, tree frontier has %d", fr, frontier)
-	case rows != hi-lo:
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d rows, writer %d of %d owns %d", rows, writer, writers, hi-lo)
-	case len(raw)-d.off != 4*rows:
-		return nil, fmt.Errorf("scalparc: checkpoint node fragment: %d body bytes for %d rows", len(raw)-d.off, rows)
-	}
-	node := make([]int32, rows)
-	for r := range node {
-		node[r] = int32(d.u32())
-		if node[r] < -1 || int(node[r]) >= frontier {
-			return nil, fmt.Errorf("scalparc: checkpoint node fragment: row %d in node %d, outside [-1, %d)", lo+r, node[r], frontier)
-		}
-	}
-	return node, nil
-}
-
-// restore reads every writer's node indices, so a bad fragment fails every
-// survivor alike, and checks them against the frontier's class histograms
-// (tab holds every row's class). This survivor keeps the indices of its
-// new block and recodes the block.
-func (rs *rowStore) restore(wk *worker, tab *dataset.Table, ck *Checkpoint) (int, error) {
-	nodes := make([]int32, 0, wk.n)
-	for w, raw := range ck.Frags {
-		node, err := decodeNodeFrag(raw, wk.n, w, len(ck.Frags), len(wk.active))
-		if err != nil {
-			return 0, err
-		}
-		nodes = append(nodes, node...)
-	}
-	nc := wk.schema.NumClasses()
-	counts := make([]int64, len(wk.active)*nc)
-	for r, i := range nodes {
-		if i >= 0 {
-			counts[int(i)*nc+int(tab.Class[r])]++
-		}
-	}
-	for i, n := range wk.active {
-		if got := counts[i*nc : (i+1)*nc]; !slices.Equal(got, n.Hist) {
-			return 0, fmt.Errorf("scalparc: checkpoint node fragments: node %d holds class counts %v, histogram %v", i, got, n.Hist)
-		}
-	}
+// relabel takes the node indices of the rows this rank owns.
+func (rs *rowStore) relabel(wk *worker, node []int32) int {
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
-	rs.fill(wk, tab, slices.Clone(nodes[lo:hi]))
-	return len(rs.codes), nil
+	copy(rs.node, node[lo:hi])
+	return hi - lo
 }

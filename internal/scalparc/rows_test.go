@@ -269,66 +269,3 @@ func TestWideCategoricalRefused(t *testing.T) {
 		}
 	}
 }
-
-// nodeFragSeeds returns a binned run's real node-index fragments (written
-// by two ranks, for frontier nodes) and named fragments decodeNodeFrag must
-// refuse when read as writer 0 of two, each with the error it must give.
-func nodeFragSeeds(tb testing.TB, tab *dataset.Table) (ck *Checkpoint, frontier int, bad map[string]struct {
-	frame []byte
-	want  string
-}) {
-	tb.Helper()
-	ck, _ = captureCheckpoint(tb, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, Options{Split: SplitBinned, Bins: 16})
-	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(Options{Split: SplitBinned, Bins: 16}, nil))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	frontier = len(sh.active)
-	node, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), 0, 2, frontier)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	past := slices.Clone(node)
-	past[0] = int32(frontier)
-	return ck, frontier, map[string]struct {
-		frame []byte
-		want  string
-	}{
-		"truncated body":           {ck.Frags[0][:len(ck.Frags[0])-2], "body bytes"},
-		"wrong writer count":       {encodeNodeFrag(0, 3, frontier, node), "rank 0 of 3, expected 0 of 2"},
-		"index past the frontier":  {encodeNodeFrag(0, 2, frontier, past), fmt.Sprintf("outside [-1, %d)", frontier)},
-		"row count off BlockRange": {encodeNodeFrag(0, 2, frontier, node[1:]), "owns"},
-	}
-}
-
-// TestNodeFragRejections: each named bad fragment fails to decode with its
-// own error, and a well-formed fragment whose rows disagree with the
-// frontier's class histograms fails restore.
-func TestNodeFragRejections(t *testing.T) {
-	tab := faultData.tab(t)
-	ck, frontier, bad := nodeFragSeeds(t, tab)
-	for name, b := range bad {
-		if _, err := decodeNodeFrag(b.frame, tab.NumRows(), 0, 2, frontier); err == nil || !strings.Contains(err.Error(), b.want) {
-			t.Errorf("%s: error %v, want one containing %q", name, err, b.want)
-		}
-	}
-
-	opts := Options{Split: SplitBinned, Bins: 16}
-	restore := func(ck *Checkpoint) error {
-		return newWorker(comm.NewWorld(1, timing.T3D()).Rank(0), tab, splitter.Config{MaxDepth: 3}.Normalize(), DistributedNodeTable, opts).restore(tab, ck)
-	}
-	if err := restore(ck); err != nil {
-		t.Fatalf("the real checkpoint did not restore: %v", err)
-	}
-	node, err := decodeNodeFrag(ck.Frags[1], tab.NumRows(), 1, 2, frontier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := slices.IndexFunc(node, func(i int32) bool { return i >= 0 })
-	node[r] = -1 // a live row retired: decodes, but its node's histogram no longer adds up
-	moved := *ck
-	moved.Frags = [][]byte{ck.Frags[0], encodeNodeFrag(1, 2, frontier, node)}
-	if err := restore(&moved); err == nil || !strings.Contains(err.Error(), "class counts") {
-		t.Errorf("a fragment whose rows disagree with the histograms restored: %v", err)
-	}
-}

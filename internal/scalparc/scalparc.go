@@ -36,6 +36,13 @@
 // kept as bin codes in a row store (rows.go). FindSplitI is one pass over
 // those rows, and PerformSplit relabels them locally, with no record map
 // and no enquiries.
+//
+// With a checkpoint directory, every level boundary is saved as the
+// replicated tree plus, per rank, the rids it holds under each frontier
+// node: the lists are sorted once and a split only moves records between
+// nodes, so nothing else is state. Recovery loads the table as a fresh
+// start does and files the records under the restored frontier, in every
+// split mode (checkpoint.go).
 package scalparc
 
 import (
