@@ -28,18 +28,24 @@ loc:
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 # Host CPU profiles of BenchmarkInduction (one exact-split induction, Quest
-# F2, 20k records, p=4), BenchmarkInductionBinned (one binned induction of
-# the wide table, p=2) and internal/serve's BenchmarkHandler256 (one
-# 256-row JSON prediction request through the handler, no socket): the
-# profiles and test binaries go to .bench_build/, then each one's hottest
-# functions print by flat and by cumulative time. Informational, like loc:
-# a perf change shows its before/after rows.
+# F2, 20k records, p=4), BenchmarkInductionDeep (one exact-split induction
+# of train-deep-exact's shape: 5 % label noise, 60k records, p=2, unlimited
+# depth), BenchmarkInductionBinned (one binned induction of the wide table,
+# p=2) and internal/serve's BenchmarkHandler256 (one 256-row JSON prediction
+# request through the handler, no socket): the profiles and test binaries
+# go to .bench_build/, then each one's hottest functions print by flat and
+# by cumulative time. Informational, like loc: a perf change shows its
+# before/after rows.
 profile:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkInduction$$' -benchtime=3s \
 		-o .bench_build/repro.test -cpuprofile .bench_build/induction.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
 	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/induction.cpu.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkInductionDeep$$' -benchtime=3s \
+		-o .bench_build/repro.test -cpuprofile .bench_build/deep.cpu.pprof .
+	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/deep.cpu.pprof
+	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/deep.cpu.pprof
 	$(GO) test -run '^$$' -bench '^BenchmarkInductionBinned$$' -benchtime=3s \
 		-o .bench_build/repro.test -cpuprofile .bench_build/binned.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof
@@ -147,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzSplitScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gini
 	$(GO) test -fuzz=FuzzExactScan -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzTwoSymbolCounts -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSearchCuts -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzSort -fuzztime=$(FUZZTIME) -run='^$$' ./internal/psort
 	$(GO) test -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/psort

@@ -216,6 +216,34 @@ func BenchmarkInduction(b *testing.B) {
 	}
 }
 
+// deepRecords is BenchmarkInductionDeep's row count: a fifth of the
+// benchmark module's train-deep-exact table, so one induction takes a few
+// hundred milliseconds and `make profile` stays short.
+const deepRecords = 60_000
+
+// BenchmarkInductionDeep is one exact-split induction of train-deep-exact's
+// shape at deepRecords rows: Quest F2 with 5 % label noise, p=2, unlimited
+// depth, so the tree grows 39 levels (65 at 300k rows) of mostly small
+// nodes. It is the deep body `make profile` profiles, where PerformSplitII
+// (the node table's Lookup and partition), the gini scan and FindSplitI's
+// class counts carry the work.
+func BenchmarkInductionDeep(b *testing.B) {
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1, LabelNoise: 0.05}, deepRecords)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := comm.NewWorld(2, timing.T3D())
+	var res *scalparc.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = scalparc.TrainOpts(w, tab, splitter.Config{}, scalparc.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Levels), "levels")
+}
+
 // BenchmarkInductionBinned is one binned induction (B = 64, MaxDepth 8,
 // p=2) of a wide table with allocation reporting: the seven Quest
 // attributes plus 57 continuous noise columns, 20k records. It is the

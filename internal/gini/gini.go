@@ -85,12 +85,13 @@ func SplitIndexTotal(total int64, parts ...[]int64) float64 {
 // candidate's gini depends only on the integer counts, never on which scan
 // formulation produced them. The sums of squares are exact: class counts
 // are bounded by the int32 record-id space, so Σ h_j² ≤ n² < 2⁶².
+//
+// A split with no records skips both terms and returns 0, with no separate
+// test of the total: that keeps BinarySplit, and Sums.Split around it,
+// within the compiler's inlining budget, so a scan's sums stay in
+// registers across the evaluation instead of being spilled for a call.
 func BinarySplit(nBelow, sqBelow, nAbove, sqAbove int64) float64 {
-	total := nBelow + nAbove
-	if total == 0 {
-		return 0
-	}
-	tf := float64(total)
+	tf := float64(nBelow + nAbove)
 	sum := 0.0
 	if nBelow > 0 {
 		nf := float64(nBelow)
@@ -110,12 +111,30 @@ func BinarySplit(nBelow, sqBelow, nAbove, sqAbove int64) float64 {
 // advances through the (sorted) list. Alongside the histograms the matrix
 // maintains the partition sizes and integer sums of squared counts, making
 // Split O(1) per candidate.
+//
+// A hot scan keeps those four sums in a local Sums instead (Sums, then Step
+// per entry, then Sums.Split), so the per-entry chain runs through
+// registers, not through the matrix's fields; only the two class counters
+// an entry touches are read and written in memory. Both forms compute the
+// same integers, so their ginis are bit-identical.
 type Matrix struct {
 	Below []int64
 	Above []int64
 
-	nBelow, nAbove   int64 // partition sizes Σ_j h_j
-	sqBelow, sqAbove int64 // Σ_j h_j², maintained incrementally
+	sums Sums
+}
+
+// Sums are the four integers BinarySplit reads: the partition sizes
+// Σ_j h_j and the sums of squared class counts Σ_j h_j² of Below and
+// Above. A value of at most four words, so a scan holding one in a local
+// keeps it in registers.
+type Sums struct {
+	nBelow, sqBelow, nAbove, sqAbove int64
+}
+
+// Split returns the gini index of the binary split the sums describe.
+func (s Sums) Split() float64 {
+	return BinarySplit(s.nBelow, s.sqBelow, s.nAbove, s.sqAbove)
 }
 
 // NewMatrix creates a matrix with all counts in Above, initialised from the
@@ -146,8 +165,8 @@ func (m *Matrix) Reset(total, alreadyBelow []int64) {
 		m.Below[j] = alreadyBelow[j]
 		m.Above[j] -= alreadyBelow[j]
 	}
-	m.nBelow, m.sqBelow = sumAndSquares(m.Below)
-	m.nAbove, m.sqAbove = sumAndSquares(m.Above)
+	m.sums.nBelow, m.sums.sqBelow = sumAndSquares(m.Below)
+	m.sums.nAbove, m.sums.sqAbove = sumAndSquares(m.Above)
 }
 
 func sumAndSquares(h []int64) (n, sq int64) {
@@ -158,21 +177,24 @@ func sumAndSquares(h []int64) (n, sq int64) {
 	return n, sq
 }
 
-// Move transfers one record of the given class from Above to Below,
-// advancing the candidate split point past it. (h+1)² - h² = 2h+1, so the
-// running sums of squares update in O(1).
-func (m *Matrix) Move(class uint8) {
+// Sums returns the matrix's current sums, the start of a Step scan.
+func (m *Matrix) Sums() Sums { return m.sums }
+
+// Step transfers one record of the given class from Above to Below and
+// returns s advanced past it. (h+1)² - h² = 2h+1, so the sums update in
+// O(1). The matrix's own sums are left as they were: a scan either Moves
+// or Steps from Sums, and Reset starts the next one.
+func (m *Matrix) Step(s Sums, class uint8) Sums {
 	b := m.Below[class]
-	m.sqBelow += 2*b + 1
 	m.Below[class] = b + 1
-	m.nBelow++
 	a := m.Above[class]
-	m.sqAbove -= 2*a - 1
 	m.Above[class] = a - 1
-	m.nAbove--
+	return Sums{s.nBelow + 1, s.sqBelow + 2*b + 1, s.nAbove - 1, s.sqAbove - (2*a - 1)}
 }
 
+// Move is Step on the matrix's own sums, advancing the candidate split
+// point past one record of the given class.
+func (m *Matrix) Move(class uint8) { m.sums = m.Step(m.sums, class) }
+
 // Split returns the gini index of the binary split at the current point.
-func (m *Matrix) Split() float64 {
-	return BinarySplit(m.nBelow, m.sqBelow, m.nAbove, m.sqAbove)
-}
+func (m *Matrix) Split() float64 { return m.sums.Split() }

@@ -146,3 +146,37 @@ func TestMatrixWithAlreadyBelowSeed(t *testing.T) {
 		}
 	}
 }
+
+func TestStepMatchesMove(t *testing.T) {
+	// A Step scan from Sums must reach the same integers as Move on the
+	// matrix's own sums — bit-identical ginis and class vectors — and
+	// leave the matrix's own sums where they were.
+	classes := []uint8{2, 0, 1, 1, 0, 2, 2, 0, 1, 0, 0}
+	total := []int64{6, 4, 5}
+	below := []int64{1, 0, 2}
+	moved := NewMatrix(total, below)
+	stepped := NewMatrix(total, below)
+	start := stepped.Split()
+	s := stepped.Sums()
+	for i, c := range classes {
+		moved.Move(c)
+		s = stepped.Step(s, c)
+		if got, want := s.Split(), moved.Split(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("position %d: Step gini %v, Move gini %v", i, got, want)
+		}
+	}
+	if s != moved.Sums() {
+		t.Fatalf("Step sums %+v, Move sums %+v", s, moved.Sums())
+	}
+	for j := range total {
+		if stepped.Below[j] != moved.Below[j] || stepped.Above[j] != moved.Above[j] {
+			t.Fatalf("class %d: Step vectors %d/%d, Move vectors %d/%d", j, stepped.Below[j], stepped.Above[j], moved.Below[j], moved.Above[j])
+		}
+	}
+	if got := stepped.Split(); math.Float64bits(got) != math.Float64bits(start) {
+		t.Fatalf("Step moved the matrix's own sums: Split %v, was %v", got, start)
+	}
+	if g := BinarySplit(0, 0, 0, 0); math.Float64bits(g) != 0 {
+		t.Fatalf("empty split gini %v, want +0", g)
+	}
+}

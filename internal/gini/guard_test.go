@@ -33,8 +33,9 @@ func scanFixture(n int) ([]dataset.ContEntry, []int64) {
 }
 
 // BenchmarkGiniScan is the production FindSplitII split-point scan: the
-// incremental Matrix keeps running partition sizes and integer sums of
-// squared class counts, so each candidate is one O(1) Split.
+// running partition sizes and integer sums of squared class counts live in
+// a local Sums that Step advances past each entry, so each candidate is
+// one O(1) Sums.Split.
 func BenchmarkGiniScan(b *testing.B) {
 	list, hist := scanFixture(scanEntries)
 	b.SetBytes(int64(len(list)) * dataset.ContEntrySize)
@@ -42,10 +43,11 @@ func BenchmarkGiniScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewMatrix(hist, nil)
+		s := m.Sums()
 		best := 1.0
 		for _, e := range list {
-			m.Move(e.Cid)
-			if g := m.Split(); g < best {
+			s = m.Step(s, e.Cid)
+			if g := s.Split(); g < best {
 				best = g
 			}
 		}

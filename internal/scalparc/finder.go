@@ -185,9 +185,7 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 				}
 				sg := wk.segs[a][i]
 				base := (i2*len(contAttrs) + k) * nc
-				for _, e := range wk.cont[a][sg.off : sg.off+sg.n] {
-					counts[base+int(e.Cid)]++
-				}
+				countClasses(counts[base:base+nc], wk.cont[a][sg.off:sg.off+sg.n])
 				scanned += sg.n
 				if sg.n > 0 {
 					bounds[i2*len(contAttrs)+k] = boundary{Has: 1, Val: wk.cont[a][sg.off].Val}
@@ -281,26 +279,50 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 	return stash(wk.ar, &f.bestOut, comm.AllReduceInto(wk.c, best, f.bestOut, splitter.Best))
 }
 
+// countClasses adds the class counts of list's entries to counts, one slot
+// per class. Two classes are counted as a register sum of the class ids —
+// the ones, with the zeros the rest — instead of a read-modify-write of a
+// counter slot per entry, whose store-to-load chain on two hot slots would
+// bound the loop; more classes take the per-class loop.
+func countClasses(counts []int64, list []dataset.ContEntry) {
+	if len(counts) == 2 {
+		var ones int
+		for _, e := range list {
+			ones += int(e.Cid)
+		}
+		counts[0] += int64(len(list) - ones)
+		counts[1] += int64(ones)
+		return
+	}
+	for _, e := range list {
+		counts[e.Cid]++
+	}
+}
+
 // scanSegment is FindSplitII's gini scan of one non-empty local segment of
 // attribute attr's list: m, seeded with the segment's global starting
-// counts, moves past every entry, and the split "A <= v" is a candidate
+// counts, steps past every entry, and the split "A <= v" is a candidate
 // wherever the next global value differs from v. Only the last entry's next
 // value lies on another rank (nb, the first value after the segment, if
 // any), so it is checked after the loop and the loop itself reads the next
-// local entry unconditionally.
+// local entry unconditionally. The four running sums stay in a local
+// gini.Sums and the winner in a local contBest, so per entry only the two
+// class counters it moves are written to memory; m's class vectors end the
+// scan at the segment's end counts, its own sums stay as Reset left them.
 func scanSegment(m *gini.Matrix, list []dataset.ContEntry, nb boundary, attr int) splitter.Candidate {
 	var best contBest
+	s := m.Sums()
 	last := len(list) - 1
 	for j, e := range list[:last] {
-		m.Move(e.Cid)
+		s = m.Step(s, e.Cid)
 		if list[j+1].Val != e.Val {
-			best = best.fold(m.Split(), e.Val)
+			best = best.fold(s.Split(), e.Val)
 		}
 	}
 	e := list[last]
-	m.Move(e.Cid)
+	s = m.Step(s, e.Cid)
 	if nb.Has == 1 && nb.Val != e.Val {
-		best = best.fold(m.Split(), e.Val)
+		best = best.fold(s.Split(), e.Val)
 	}
 	return best.candidate(attr)
 }

@@ -299,13 +299,34 @@ func appendRids[V float64 | int32](out []int32, list []dataset.Entry[V]) []int32
 	return out
 }
 
+// countChildren adds the number of entries bound for each child to bn, one
+// slot per child. A binary split's children are counted as a register sum
+// of the child bytes, like countClasses' two classes; multiway splits take
+// the per-child loop. A byte >= len(bn) is not caught here: partition's
+// scatter indexes bn with it and fails.
+func countChildren(bn []int, cs []uint8) {
+	if len(bn) == 2 {
+		var ones int
+		for _, ch := range cs {
+			ones += int(ch)
+		}
+		bn[0] += len(cs) - ones
+		bn[1] += ones
+		return
+	}
+	for _, ch := range cs {
+		bn[ch]++
+	}
+}
+
 // partition rebuilds attribute a's list with the next level's nodeCount
 // segments, dropping records retired into leaves. Each split node's
 // segment is partitioned stably into its child segments (childs(i) gives
-// its entries' child numbers) by one counting pass plus one scatter pass
-// into the spare backing, which then becomes the live list while the
-// retired one becomes the next level's spare: a per-attribute double
-// buffer reused level after level.
+// its entries' child numbers) by one counting pass (countChildren: a
+// register sum for a binary split) plus one scatter pass into the spare
+// backing, which then becomes the live list while the retired one becomes
+// the next level's spare: a per-attribute double buffer reused level after
+// level.
 func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]dataset.Entry[V], doSplit []bool,
 	childs func(i int) []uint8, nodeCount int, childIndex [][]int) {
 	newSegs := grabRaw(wk.ar, &wk.ar.spareSegs[a], nodeCount)
@@ -320,9 +341,7 @@ func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]da
 		cs := childs(i)
 		work += sg.n
 		bn := grab(wk.ar, &wk.ar.bucketNs, d)
-		for _, ch := range cs {
-			bn[ch]++
-		}
+		countChildren(bn, cs)
 		for k := 0; k < d; k++ {
 			ni := childIndex[i][k]
 			cnt := bn[k]
