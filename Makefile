@@ -136,14 +136,14 @@ tcp:
 	$(GO) test -count=1 -run 'TestTCP' ./cmd/scalparc
 
 # Short fuzzing passes over the CSV reader, the gini scan kernel, the
-# exact finder's segment scan (against the Candidate fold it replaced), the
+# exact mode's segment scan (against the Candidate fold it replaced), the
 # row store's branchless bin search (against histogram.BinOf), the
 # presort's radix sort and merge (against the comparator sort), the
 # histogram modes' cut selection (against sorting the whole column), the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
 # reflective one), the TCP frame decoder, the checkpoint frame decoders
-# (shared, list fragment, node-index fragment) and the -faults spec
+# (the shared frame and the one fragment frame) and the -faults spec
 # parser. CI runs this target; a test fails when a Fuzz* function of
 # the root module is missing from it. The bin search, the cut selection,
 # the decoders and the server's fuzzers cap minimization: shrinking one

@@ -13,10 +13,11 @@ import (
 	"repro/internal/tree"
 )
 
-// allocWorker builds a single-rank worker over a generated table. With
-// p = 1 every collective completes synchronously from the calling
-// goroutine, so phase methods can be driven directly, without World.Run.
-func allocWorker(t *testing.T, rows int) *worker {
+// allocWorker builds a single-rank worker under opts over a generated
+// table. With p = 1 every collective completes synchronously from the
+// calling goroutine, so phase methods can be driven directly, without
+// World.Run.
+func allocWorker(t *testing.T, rows int, opts Options) *worker {
 	t.Helper()
 	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, rows)
 	if err != nil {
@@ -24,17 +25,19 @@ func allocWorker(t *testing.T, rows int) *worker {
 	}
 	w := comm.NewWorld(1, timing.T3D())
 	cfg := splitter.Config{MinSplit: 2}.Normalize()
-	wk := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{})
+	wk := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, opts)
 	wk.presort(tab)
 	return wk
 }
 
 // findSplitsAllocs measures the steady-state allocations of one full
-// FindSplit pass (prefix scan, gini scans of every attribute, categorical
-// reductions, candidate all-reduce) after an arena warmup run.
-func findSplitsAllocs(t *testing.T, rows int) float64 {
+// FindSplit pass under opts (exact: prefix scan, gini scans of every
+// attribute, categorical reductions, candidate all-reduce; binned and vote:
+// the row pass, the election, the reduce-scatter) after an arena warmup
+// run.
+func findSplitsAllocs(t *testing.T, rows int, opts Options) float64 {
 	t.Helper()
-	wk := allocWorker(t, rows)
+	wk := allocWorker(t, rows, opts)
 	splitIdx := []int{0}
 	wk.findSplits(splitIdx, 1) // warmup: grows the arena to high-water size
 	return testing.AllocsPerRun(10, func() {
@@ -42,22 +45,25 @@ func findSplitsAllocs(t *testing.T, rows int) float64 {
 	})
 }
 
-// TestFindSplitsSteadyStateAllocs pins the tentpole property: after the
-// first level grows the arena, a FindSplit pass allocates O(1) — a small
-// constant (boxed collective deposits and per-attribute reduction outputs)
-// that does not grow with the record count.
+// TestFindSplitsSteadyStateAllocs pins the arena property in every split
+// mode: after the first level grows the arena, a FindSplit pass allocates
+// O(1) — a small constant (boxed collective deposits and per-attribute
+// reduction outputs) that does not grow with the record count.
 func TestFindSplitsSteadyStateAllocs(t *testing.T) {
-	small := findSplitsAllocs(t, 1_000)
-	large := findSplitsAllocs(t, 8_000)
-	if small != large {
-		t.Errorf("steady-state FindSplit allocations scale with data: %.1f at 1k rows, %.1f at 8k rows", small, large)
-	}
-	// A loose ceiling: one boxed deposit per collective plus one reduction
-	// output per categorical attribute. Function-2 seven-attribute data has
-	// 3 categorical attributes; anything near the record count means a hot
-	// path regressed.
-	if large > 32 {
-		t.Errorf("steady-state FindSplit allocations too high: %.1f per pass", large)
+	for _, opts := range []Options{{}, {Split: SplitBinned, Bins: 64}, {Split: SplitVote, Bins: 64, VoteK: 2}} {
+		small := findSplitsAllocs(t, 1_000, opts)
+		large := findSplitsAllocs(t, 8_000, opts)
+		t.Logf("%v: %.1f allocations per pass at 1k rows, %.1f at 8k rows", opts.Split, small, large)
+		if small != large {
+			t.Errorf("%v: steady-state FindSplit allocations scale with data: %.1f at 1k rows, %.1f at 8k rows", opts.Split, small, large)
+		}
+		// A loose ceiling: one boxed deposit per collective plus one
+		// reduction output per categorical attribute. Function-2
+		// seven-attribute data has 3 categorical attributes; anything near
+		// the record count means a hot path regressed.
+		if large > 32 {
+			t.Errorf("%v: steady-state FindSplit allocations too high: %.1f per pass", opts.Split, large)
+		}
 	}
 }
 
@@ -168,10 +174,11 @@ func TestDoubleBufferIsTwoArrays(t *testing.T) {
 			for len(wk.active) > 0 {
 				wk.runLevel()
 				level := make([]unsafe.Pointer, na)
+				l := wk.recs.(*lists)
 				for a := range level {
-					level[a] = unsafe.Pointer(unsafe.SliceData(wk.cont[a]))
-					if wk.cont[a] == nil {
-						level[a] = unsafe.Pointer(unsafe.SliceData(wk.cat[a]))
+					level[a] = unsafe.Pointer(unsafe.SliceData(l.cont[a]))
+					if l.cont[a] == nil {
+						level[a] = unsafe.Pointer(unsafe.SliceData(l.cat[a]))
 					}
 				}
 				backs[c.Rank()] = append(backs[c.Rank()], level)

@@ -10,30 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// binnedFinder is histogram-binned FindSplit. FindSplitI builds one dense
-// uint32 count vector covering every (need-split node, attribute) group —
-// continuous attributes bucketed by the presort-time quantile cuts,
-// categorical ones by domain value — from one pass over the row store, and
-// hands it to exchange.
-type binnedFinder struct {
-	frameState // tag is SplitBinned, or SplitVote when embedded in a voteFinder
-
-	// rows is the worker's row store, the records FindSplitI counts.
-	rows *rowStore
-
-	// Arena buffers (see scratch.go for the reuse rules).
-	attrBins []int
-	nodeOf   []int
-	groupOff []int
-	hist     []uint32
-	round    exchangeBufs
-	below    []int64
-	above    []int64
-	catFlat  []int64
-	catRows  [][]int64
-	catMat   splitter.CountMatrix
-}
-
 // exchangeBufs is the arena of one exchange round. Rounds that overlap in
 // one FindSplit (vote's elected and fallback rounds: the first round's
 // winners are still live while the second runs) each get their own.
@@ -42,29 +18,34 @@ type exchangeBufs struct {
 	best, out []splitter.Candidate
 }
 
-// prepare selects every continuous attribute's quantile cuts: the values at
-// histogram.CutPositions of its (value, rid) order, found by psort.Select
-// from the rank's own block of the table. No list is built and no entry
-// leaves its rank; the cuts are identical on every rank and independent of
-// p.
-func (f *binnedFinder) prepare(wk *worker, tab *dataset.Table) {
+// selectCuts selects every continuous attribute's quantile cuts: the
+// values at histogram.CutPositions of its (value, rid) order, found by
+// psort.Select from the rank's own block of the table. No list is built and
+// no entry leaves its rank; the cuts are identical on every rank and
+// independent of p.
+func (rs *rowStore) selectCuts(wk *worker, tab *dataset.Table) {
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
 	cont := wk.schema.ContIndices()
 	cols := make([][]float64, len(cont))
 	for k, a := range cont {
 		cols[k] = tab.ContColumn(a)[lo:hi]
 	}
-	vals := psort.Select(wk.c, cols, wk.n, histogram.CutPositions(wk.n, f.bins))
-	f.cuts = make([][]float64, wk.schema.NumAttrs())
+	vals := psort.Select(wk.c, cols, wk.n, histogram.CutPositions(wk.n, rs.bins))
+	rs.cuts = make([][]float64, wk.schema.NumAttrs())
 	for k, a := range cont {
-		f.cuts[a] = histogram.Cuts(vals[k])
+		rs.cuts[a] = histogram.Cuts(vals[k])
 	}
 }
 
-func (f *binnedFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
-	layout, nodeOf, hist, scanned := f.localHist(wk, f.binCounts(wk), splitIdx, nNeed)
+// find is histogram-binned FindSplit: FindSplitI builds one dense uint32
+// count vector covering every (need-split node, attribute) group —
+// continuous attributes bucketed by the presort-time quantile cuts,
+// categorical ones by domain value — from one pass over the rows, and hands
+// it to exchange.
+func (rs *rowStore) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
+	layout, nodeOf, hist, scanned := rs.localHist(wk, rs.binCounts(wk), splitIdx, nNeed)
 	wk.c.Compute(wk.c.Model().ScanTime(scanned))
-	return f.exchange(wk, &f.round, layout, hist, nodeOf, int64(layout.Total)*4)
+	return rs.exchange(wk, &rs.round, layout, hist, nodeOf, int64(layout.Total)*4)
 }
 
 // localHist opens FindSplitI: it lays out one group per (need-split node,
@@ -72,18 +53,18 @@ func (f *binnedFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Ca
 // histogram vector (the caller releases it), and counts this rank's rows
 // into it. It returns the layout, the need-split to active index map, the
 // vector, and the number of (row, attribute) entries counted.
-func (f *binnedFinder) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*histogram.Layout, []int, []uint32, int) {
+func (rs *rowStore) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*histogram.Layout, []int, []uint32, int) {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)
 	layout := histogram.NewLayout(nNeed, bins, wk.schema.NumClasses())
-	nodeOf := grabRaw(wk.ar, &f.nodeOf, nNeed)
+	nodeOf := grabRaw(wk.ar, &rs.nodeOf, nNeed)
 	for i, i2 := range splitIdx {
 		if i2 >= 0 {
 			nodeOf[i2] = i
 		}
 	}
 	wk.c.Mem().Alloc(int64(layout.Total) * 4)
-	hist := grab(wk.ar, &f.hist, layout.Total)
-	return layout, nodeOf, hist, f.accumulateHist(wk, layout, splitIdx, hist)
+	hist := grab(wk.ar, &rs.hist, layout.Total)
+	return layout, nodeOf, hist, rs.accumulateHist(wk, layout, splitIdx, hist)
 }
 
 // exchange is the one histogram exchange of binned and vote split finding:
@@ -95,12 +76,12 @@ func (f *binnedFinder) localHist(wk *worker, bins, splitIdx []int, nNeed int) (*
 // layout node to its active-node index. release is the meter charge of the
 // histogram buffers that die with the evaluation, freed before the closing
 // all-reduce.
-func (f *binnedFinder) exchange(wk *worker, x *exchangeBufs, layout *histogram.Layout, hist []uint32, activeOf []int, release int64) []splitter.Candidate {
+func (rs *rowStore) exchange(wk *worker, x *exchangeBufs, layout *histogram.Layout, hist []uint32, activeOf []int, release int64) []splitter.Candidate {
 	c := wk.c
 	mine := stash(wk.ar, &x.mine, comm.ReduceScatterSum32Into(c, hist, x.mine, layout.OwnerCounts(c.Size())))
 	c.SetPhase(trace.FindSplitII, wk.level)
 	best := grab(wk.ar, &x.best, len(activeOf)) // zero value is Invalid
-	evaluated := f.evalOwnedGroups(wk, layout, mine, best, activeOf)
+	evaluated := rs.evalOwnedGroups(wk, layout, mine, best, activeOf)
 	c.Compute(c.Model().ScanTime(evaluated))
 	c.Mem().Free(release)
 	return stash(wk.ar, &x.out, comm.AllReduceInto(c, best, x.out, splitter.Best))
@@ -109,11 +90,11 @@ func (f *binnedFinder) exchange(wk *worker, x *exchangeBufs, layout *histogram.L
 // binCounts returns the per-attribute bin counts of the histogram layout:
 // quantile cuts + 1 for continuous attributes, the domain cardinality for
 // categorical ones. Every attribute has at least one bin.
-func (f *binnedFinder) binCounts(wk *worker) []int {
-	bins := grabRaw(wk.ar, &f.attrBins, wk.schema.NumAttrs())
+func (rs *rowStore) binCounts(wk *worker) []int {
+	bins := grabRaw(wk.ar, &rs.attrBins, wk.schema.NumAttrs())
 	for a, attr := range wk.schema.Attrs {
 		if attr.Kind == dataset.Continuous {
-			bins[a] = len(f.cuts[a]) + 1
+			bins[a] = len(rs.cuts[a]) + 1
 		} else {
 			bins[a] = attr.Cardinality()
 		}
@@ -128,9 +109,9 @@ func (f *binnedFinder) binCounts(wk *worker) []int {
 // least one bin, so the layout holds one group per attribute per node, in
 // attribute order: node i2's group of attribute a is Groups[i2·attrs + a].
 // uint32 counts are safe: record ids are int32, so no count can reach 2³¹.
-func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, splitIdx []int, hist []uint32) int {
-	rs, na, nc := f.rows, wk.schema.NumAttrs(), layout.Classes
-	off := grabRaw(wk.ar, &f.groupOff, len(layout.Groups))
+func (rs *rowStore) accumulateHist(wk *worker, layout *histogram.Layout, splitIdx []int, hist []uint32) int {
+	na, nc := wk.schema.NumAttrs(), layout.Classes
+	off := grabRaw(wk.ar, &rs.groupOff, len(layout.Groups))
 	for g, grp := range layout.Groups {
 		off[g] = grp.Off
 	}
@@ -153,22 +134,22 @@ func (f *binnedFinder) accumulateHist(wk *worker, layout *histogram.Layout, spli
 // evalHistGroup evaluates one (node, attribute) group from a reduced — or,
 // for vote-mode local scoring, local — histogram chunk: bin boundaries for
 // continuous attributes, splitter.BestCategorical for categorical ones.
-func (f *binnedFinder) evalHistGroup(wk *worker, grp histogram.Group, chunk []uint32, below, above []int64, nc int) splitter.Candidate {
+func (rs *rowStore) evalHistGroup(wk *worker, grp histogram.Group, chunk []uint32, below, above []int64, nc int) splitter.Candidate {
 	if wk.schema.Attrs[grp.Attr].Kind == dataset.Continuous {
-		return bestBinnedCont(chunk, below, above, f.cuts[grp.Attr], nc, grp.Attr)
+		return bestBinnedCont(chunk, below, above, rs.cuts[grp.Attr], nc, grp.Attr)
 	}
-	flat := grabRaw(wk.ar, &f.catFlat, len(chunk))
+	flat := grabRaw(wk.ar, &rs.catFlat, len(chunk))
 	for j, v := range chunk {
 		flat[j] = int64(v)
 	}
 	// Arena-backed count matrix: the rows alias catFlat, consumed before
 	// the next group reuses either.
-	rows := grabRaw(wk.ar, &f.catRows, grp.Bins)
+	rows := grabRaw(wk.ar, &rs.catRows, grp.Bins)
 	for v := 0; v < grp.Bins; v++ {
 		rows[v] = flat[v*nc : (v+1)*nc]
 	}
-	f.catMat.Counts = rows
-	return splitter.BestCategorical(&f.catMat, grp.Attr, wk.cfg.CategoricalBinary)
+	rs.catMat.Counts = rows
+	return splitter.BestCategorical(&rs.catMat, grp.Attr, wk.cfg.CategoricalBinary)
 }
 
 // evalOwnedGroups evaluates this rank's contiguous block of the layout's
@@ -177,11 +158,11 @@ func (f *binnedFinder) evalHistGroup(wk *worker, grp histogram.Group, chunk []ui
 // node index back to its active-node index so the per-node feature mask
 // (forest mode) can veto groups; masked groups ride the exchange but never
 // produce a candidate. Returns the number of histogram slots evaluated.
-func (f *binnedFinder) evalOwnedGroups(wk *worker, layout *histogram.Layout, mine []uint32, best []splitter.Candidate, activeOf []int) int {
+func (rs *rowStore) evalOwnedGroups(wk *worker, layout *histogram.Layout, mine []uint32, best []splitter.Candidate, activeOf []int) int {
 	nc := layout.Classes
 	glo, ghi := layout.GroupRange(wk.c.Size(), wk.c.Rank())
-	below := grabRaw(wk.ar, &f.below, nc)
-	above := grabRaw(wk.ar, &f.above, nc)
+	below := grabRaw(wk.ar, &rs.below, nc)
+	above := grabRaw(wk.ar, &rs.above, nc)
 	off, evaluated := 0, 0
 	for g := glo; g < ghi; g++ {
 		grp := layout.Groups[g]
@@ -191,7 +172,7 @@ func (f *binnedFinder) evalOwnedGroups(wk *worker, layout *histogram.Layout, min
 			continue
 		}
 		evaluated += grp.Len
-		cand := f.evalHistGroup(wk, grp, chunk, below, above, nc)
+		cand := rs.evalHistGroup(wk, grp, chunk, below, above, nc)
 		best[grp.Node] = splitter.Best(best[grp.Node], cand)
 	}
 	return evaluated

@@ -262,7 +262,7 @@ func (wk *worker) saveCheckpoint() {
 	c.Barrier()
 	var shared []byte
 	if c.Rank() == 0 {
-		shared = wk.encodeShared()
+		shared = wk.encodeShared(wk.recs.frame())
 	}
 	rids, segs := wk.recs.frontierRids(wk)
 	wk.ckpt.put(len(wk.levelStats), c.Rank(), c.Size(), shared, encodeNodeFrag(rids, segs))
@@ -272,8 +272,8 @@ func (wk *worker) saveCheckpoint() {
 	c.Event("checkpoint")
 }
 
-// sharedFrame is the decoded replicated state, minus the split finder's
-// section, which decodes straight into the finder.
+// sharedFrame is the decoded replicated state, minus the split mode's
+// section, which decodes straight into the mode's frameState.
 type sharedFrame struct {
 	n          int
 	levelStats []LevelStats // one per completed level
@@ -281,10 +281,11 @@ type sharedFrame struct {
 	active     []*tree.Node // the reopened frontier
 }
 
-// encodeShared serialises the replicated induction state. The tree goes in
-// as its model document, each active (open) node — this rank's own, flipped
-// back right after — written as a label-0 leaf.
-func (wk *worker) encodeShared() []byte {
+// encodeShared serialises the replicated induction state with st as the
+// split mode's section. The tree goes in as its model document, each active
+// (open) node — this rank's own, flipped back right after — written as a
+// label-0 leaf.
+func (wk *worker) encodeShared(st *frameState) []byte {
 	var e enc
 	e.u32(ckptSharedMagic)
 	e.u32(ckptSharedVersion)
@@ -296,7 +297,7 @@ func (wk *worker) encodeShared() []byte {
 		e.u64(uint64(ls.Records))
 		e.f64(ls.ModeledSeconds)
 	}
-	wk.finder.encodeState(&e, wk.schema.NumAttrs())
+	st.encodeState(&e, wk.schema.NumAttrs())
 	for _, n := range wk.active {
 		n.Leaf = true
 	}
@@ -314,12 +315,12 @@ func (wk *worker) encodeShared() []byte {
 }
 
 // decodeShared parses a shared frame, validating it against the schema and —
-// through finder, which also receives its section's state — against the
-// split strategy the caller is running. The tree comes back with its
-// frontier reopened. Only a canonical frame is accepted: one that
-// re-encodes to the same bytes.
-func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*sharedFrame, error) {
-	sh, off, err := decodeSharedHead(raw, schema, finder)
+// through st, the split mode's section, which also receives the frame's
+// cuts — against the mode and bin count the caller is running. The tree
+// comes back with its frontier reopened. Only a canonical frame is
+// accepted: one that re-encodes to the same bytes.
+func decodeShared(raw []byte, schema *dataset.Schema, st *frameState) (*sharedFrame, error) {
+	sh, off, err := decodeSharedHead(raw, schema, st)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +329,7 @@ func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*shar
 		return nil, fmt.Errorf("scalparc: checkpoint shared frame: %w", err)
 	}
 	sh.root, sh.active = t.Root, reopen(t.Root, len(sh.levelStats))
-	again := (&worker{schema: schema, n: sh.n, levelStats: sh.levelStats, finder: finder, root: sh.root, active: sh.active}).encodeShared()
+	again := (&worker{schema: schema, n: sh.n, levelStats: sh.levelStats, root: sh.root, active: sh.active}).encodeShared(st)
 	if !bytes.Equal(again, raw) {
 		return nil, fmt.Errorf("scalparc: checkpoint shared frame: not canonical (re-encodes to %d bytes, not %d)", len(again), len(raw))
 	}
@@ -337,7 +338,7 @@ func decodeShared(raw []byte, schema *dataset.Schema, finder splitFinder) (*shar
 
 // decodeSharedHead parses the binary part of a shared frame, everything
 // before the model document, and returns the document's offset.
-func decodeSharedHead(raw []byte, schema *dataset.Schema, finder splitFinder) (*sharedFrame, int, error) {
+func decodeSharedHead(raw []byte, schema *dataset.Schema, st *frameState) (*sharedFrame, int, error) {
 	d := dec{b: raw}
 	if d.u32() != ckptSharedMagic || d.u32() != ckptSharedVersion {
 		return nil, 0, fmt.Errorf("scalparc: checkpoint shared frame: bad magic or version")
@@ -355,7 +356,7 @@ func decodeSharedHead(raw []byte, schema *dataset.Schema, finder splitFinder) (*
 			ModeledSeconds: d.f64(),
 		})
 	}
-	finder.decodeState(&d, schema)
+	st.decodeState(&d, schema)
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("scalparc: checkpoint shared frame: %w", d.err)
 	}
@@ -487,13 +488,14 @@ func fileByNode[T any](items []T, frontier int, node func(T) int32) ([]T, []seg)
 
 // restore is newWorker's post-step on the recovery path, where presort is
 // the fresh-start one: it fills the records, the frontier, and the level
-// stats (and, through decodeShared, the finder's state) from a checkpoint on
-// the (possibly shrunken) surviving world. Both frames are decoded and
-// checked before the first collective; decode failures are deterministic —
-// every rank reads the same bytes — so all survivors fail identically.
+// stats (and, through decodeShared, the split mode's cuts) from a
+// checkpoint on the (possibly shrunken) surviving world. Both frames are
+// decoded and checked before the first collective; decode failures are
+// deterministic — every rank reads the same bytes — so all survivors fail
+// identically.
 func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 	c := wk.c
-	sh, err := decodeShared(ck.Shared, wk.schema, wk.finder)
+	sh, err := decodeShared(ck.Shared, wk.schema, wk.recs.frame())
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,8 @@ import (
 
 // Checkpoint frames are read back from disk, so their decoders are a trust
 // boundary. The fuzz seeds are the real frames of a three-level run under
-// each split finder; frameFinders maps a fuzz selector to the finder a
-// shared frame must have been written under.
+// each split mode and badSharedFrames' named bad ones; frameFinders maps a
+// fuzz selector to the options a shared frame must have been written under.
 var frameFinders = []Options{
 	{},
 	{Split: SplitBinned, Bins: 16},
@@ -25,7 +25,7 @@ var frameFinders = []Options{
 func seedFrames(f *testing.F, tab *dataset.Table, opts Options) (ck *Checkpoint, frontierNodes int) {
 	cfg := splitter.Config{MaxDepth: 3}.Normalize()
 	ck, _ = captureCheckpoint(f, tab, cfg, 2, opts)
-	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts, nil))
+	sh, err := decodeShared(ck.Shared, tab.Schema, &frameState{tag: opts.Split, bins: opts.Bins})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,25 +62,29 @@ func FuzzDecodeShared(f *testing.F) {
 		ck, _ := seedFrames(f, tab, opts)
 		f.Add(ck.Shared, uint8(i))
 	}
+	for _, b := range badSharedFrames(f, tab) {
+		f.Add(b.frame, b.which)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
-		finder := newSplitFinder(frameFinders[int(which)%len(frameFinders)], nil)
+		opts := frameFinders[int(which)%len(frameFinders)]
+		st := &frameState{tag: opts.Split, bins: opts.Bins}
 		var off int
 		var err error
-		if got, limit := allocatedBy(func() { _, off, err = decodeSharedHead(data, tab.Schema, finder) }), uint64(64<<10+64*len(data)); got > limit {
+		if got, limit := allocatedBy(func() { _, off, err = decodeSharedHead(data, tab.Schema, st) }), uint64(64<<10+64*len(data)); got > limit {
 			t.Fatalf("decoding the header of %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
 		if err != nil {
 			off = len(data)
 		}
 		var sh *sharedFrame
-		if got, limit := allocatedBy(func() { sh, err = decodeShared(data, tab.Schema, finder) }), uint64(64<<10+64*off+256*(len(data)-off)); got > limit {
+		if got, limit := allocatedBy(func() { sh, err = decodeShared(data, tab.Schema, st) }), uint64(64<<10+64*off+256*(len(data)-off)); got > limit {
 			t.Fatalf("decoding %d bytes (%d of model document) allocated %d (limit %d)", len(data), len(data)-off, got, limit)
 		}
 		if err != nil {
 			return
 		}
-		wk := &worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, finder: finder, root: sh.root, active: sh.active}
-		if again := wk.encodeShared(); !bytes.Equal(again, data) {
+		wk := &worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, root: sh.root, active: sh.active}
+		if again := wk.encodeShared(st); !bytes.Equal(again, data) {
 			t.Fatalf("accepted shared frame re-encodes differently (%d bytes -> %d)", len(data), len(again))
 		}
 	})

@@ -114,8 +114,9 @@ func FuzzTwoSymbolCounts(f *testing.F) {
 // partitionFixture is one rank's single-node, single-attribute list and a
 // worker just complete enough for partition.
 func partitionFixture(n int) (*worker, *lists, []dataset.ContEntry) {
-	wk := &worker{c: comm.NewWorld(1, timing.T3D()).Rank(0), ar: newScratch(1, false), active: []*tree.Node{{}}}
-	l := &lists{segs: [][]seg{{{off: 0, n: n}}}}
+	wk := &worker{c: comm.NewWorld(1, timing.T3D()).Rank(0), ar: &scratch{}, active: []*tree.Node{{}}}
+	l := newLists(nil, 1)
+	l.segs[0] = []seg{{off: 0, n: n}}
 	live := make([]dataset.ContEntry, n)
 	for j := range live {
 		live[j] = dataset.ContEntry{Val: float64(j), Rid: int32(j)}

@@ -142,8 +142,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := splitter.Config{}.Normalize()
 	p := 3
 	ck, held := captureCheckpoint(t, tab, cfg, p, Options{})
-	finder := newSplitFinder(Options{}, nil)
-	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
+	st := &frameState{}
+	sh, err := decodeShared(ck.Shared, tab.Schema, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("shared frame level %d != checkpoint level %d", len(sh.levelStats), ck.Level)
 	}
 	// Re-encode the decoded shared frame through a scratch worker.
-	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, active: sh.active, finder: finder}
+	wk := &worker{schema: tab.Schema, n: sh.n, root: sh.root, active: sh.active}
 	wk.levelStats = sh.levelStats
-	re := wk.encodeShared()
+	re := wk.encodeShared(st)
 	if string(re) != string(ck.Shared) {
 		t.Fatalf("shared frame round-trip mismatch: %d bytes -> %d bytes", len(ck.Shared), len(re))
 	}
@@ -186,7 +186,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// Corruption must be detected, not silently absorbed.
 	for _, cut := range []int{1, len(ck.Shared) / 2, len(ck.Shared) - 1} {
-		if _, err := decodeShared(ck.Shared[:cut], tab.Schema, finder); err == nil {
+		if _, err := decodeShared(ck.Shared[:cut], tab.Schema, st); err == nil {
 			t.Fatalf("truncation at %d bytes went undetected", cut)
 		}
 	}
@@ -210,29 +210,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoredListsMatchFreshRun: an exact checkpoint written by three
-// ranks and resumed on two leaves each rank the attribute lists a fresh
-// two-rank run holds at the same level, segment for segment: a restore
-// presorts the survivors' blocks and files the records under the frontier,
-// as that run's levels did, and under RebalanceLevels rebalances them as
-// the level did.
+// TestRestoredListsMatchFreshRun: a checkpoint written by three ranks and
+// resumed on two leaves each rank the records a fresh two-rank run holds at
+// the same level: in exact mode the attribute lists, segment for segment,
+// and in binned mode the row store's node index per row. A restore loads
+// the survivors' blocks and files the records under the frontier, as that
+// run's levels did, and under RebalanceLevels rebalances the lists as the
+// level did.
 func TestRestoredListsMatchFreshRun(t *testing.T) {
 	tab := faultData.tab(t)
 	cfg := splitter.Config{MaxDepth: 4}.Normalize()
-	for _, opts := range []Options{{}, {RebalanceLevels: true}} {
+	for _, opts := range []Options{{}, {RebalanceLevels: true}, {Split: SplitBinned, Bins: 16}} {
 		ck, _ := captureCheckpoint(t, tab, cfg, 3, opts)
 		if ck.Level < 2 {
 			t.Fatalf("checkpoint at level %d; the test needs a frontier below the root's children", ck.Level)
 		}
 		const p = 2
-		restored, fresh := make([]*lists, p), make([]*lists, p)
+		restored, fresh := make([]records, p), make([]records, p)
 		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
 			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
 			if err := wk.restore(tab, ck); err != nil {
 				t.Error(err)
 				return
 			}
-			restored[c.Rank()] = wk.lists
+			restored[c.Rank()] = wk.recs
 		})
 		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
 			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
@@ -240,11 +241,17 @@ func TestRestoredListsMatchFreshRun(t *testing.T) {
 			for len(wk.levelStats) < ck.Level {
 				wk.runLevel()
 			}
-			fresh[c.Rank()] = wk.lists
+			fresh[c.Rank()] = wk.recs
 		})
 		for r := range p {
+			if rows, ok := fresh[r].(*rowStore); ok {
+				if got := restored[r].(*rowStore).node; !slices.Equal(got, rows.node) {
+					t.Errorf("%v rank %d: restored row nodes %v, a fresh run's %v", opts.Split, r, got, rows.node)
+				}
+				continue
+			}
+			got, want := restored[r].(*lists), fresh[r].(*lists)
 			for a := range tab.Schema.Attrs {
-				got, want := restored[r], fresh[r]
 				if !slices.Equal(got.segs[a], want.segs[a]) {
 					t.Errorf("rebalance=%v rank %d attribute %d: restored segments %v, a fresh run's %v", opts.RebalanceLevels, r, a, got.segs[a], want.segs[a])
 				}
@@ -284,7 +291,7 @@ func nodeFragSeeds(tb testing.TB, tab *dataset.Table, opts Options) (ck *Checkpo
 }) {
 	tb.Helper()
 	ck, _ = captureCheckpoint(tb, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
-	sh, err := decodeShared(ck.Shared, tab.Schema, newSplitFinder(opts, nil))
+	sh, err := decodeShared(ck.Shared, tab.Schema, &frameState{tag: opts.Split, bins: opts.Bins})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -356,6 +363,80 @@ func TestNodeFragRejections(t *testing.T) {
 			if err := restore(tc.frags...); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%v %s: restore error %v, want one containing %q", opts.Split, name, err, tc.want)
 			}
+		}
+	}
+}
+
+// badSharedFrame is a shared frame decodeShared must refuse under
+// frameFinders[which], with the error it must give.
+type badSharedFrame struct {
+	which uint8
+	frame []byte
+	want  string
+}
+
+// badSharedFrames rewrites the shared frame of a three-level run on two
+// ranks with one cut vector broken in each of the ways a presort never
+// writes one.
+func badSharedFrames(tb testing.TB, tab *dataset.Table) map[string]badSharedFrame {
+	tb.Helper()
+	cont, cat := tab.Schema.ContIndices()[0], tab.Schema.CatIndices()[0]
+	// rewrite returns the frame of a run under frameFinders[which], its
+	// cuts edited by edit.
+	rewrite := func(which uint8, edit func(cuts [][]float64)) []byte {
+		opts := frameFinders[which]
+		ck, _ := captureCheckpoint(tb, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
+		st := &frameState{tag: opts.Split, bins: opts.Bins}
+		sh, err := decodeShared(ck.Shared, tab.Schema, st)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		edit(st.cuts)
+		return (&worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, root: sh.root, active: sh.active}).encodeShared(st)
+	}
+	return map[string]badSharedFrame{
+		"cuts not increasing": {1, rewrite(1, func(cuts [][]float64) {
+			cuts[cont][0], cuts[cont][1] = cuts[cont][1], cuts[cont][0]
+		}), fmt.Sprintf("cuts of attribute %d not strictly increasing at cut 1", cont)},
+		"more cuts than bins allow": {1, rewrite(1, func(cuts [][]float64) {
+			for len(cuts[cont]) < frameFinders[1].Bins {
+				cuts[cont] = append(cuts[cont], cuts[cont][len(cuts[cont])-1]+1)
+			}
+		}), fmt.Sprintf("%d cuts of attribute %d, more than %d bins allow", frameFinders[1].Bins, cont, frameFinders[1].Bins)},
+		"cut on a categorical attribute": {1, rewrite(1, func(cuts [][]float64) {
+			cuts[cat] = []float64{0.5}
+		}), fmt.Sprintf("1 cuts of categorical attribute %d", cat)},
+		"cut in an exact frame": {0, rewrite(0, func(cuts [][]float64) {
+			cuts[cont] = []float64{1}
+		}), fmt.Sprintf("exact frame holds 1 cuts of attribute %d", cont)},
+	}
+}
+
+// TestSharedCutRejections: each named bad shared frame fails to decode
+// with its own error, and a run resuming from a frame set around it fails
+// with that error instead of training under the broken cuts.
+func TestSharedCutRejections(t *testing.T) {
+	tab := faultData.tab(t)
+	for name, b := range badSharedFrames(t, tab) {
+		opts := frameFinders[b.which]
+		if _, err := decodeShared(b.frame, tab.Schema, &frameState{tag: opts.Split, bins: opts.Bins}); err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, b.want)
+		}
+		ck, _ := captureCheckpoint(t, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
+		store, err := NewCheckpointStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, frag := range ck.Frags {
+			var shared []byte
+			if w == 0 {
+				shared = b.frame
+			}
+			store.put(ck.Level, w, ck.Writers, shared, frag)
+		}
+		opts.CheckpointDir, opts.Resume = store.dir, true
+		if _, err := TrainOpts(comm.NewWorld(2, timing.T3D()), tab, splitter.Config{MaxDepth: 3}, opts); err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: resume error %v, want one containing %q", name, err, b.want)
 		}
 	}
 }
@@ -468,8 +549,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if ck.Writers != p || len(ck.Frags) != p {
 		t.Fatalf("persisted checkpoint has %d writers / %d fragments, want %d", ck.Writers, len(ck.Frags), p)
 	}
-	finder := newSplitFinder(Options{}, nil)
-	sh, err := decodeShared(ck.Shared, tab.Schema, finder)
+	sh, err := decodeShared(ck.Shared, tab.Schema, &frameState{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,128 +4,118 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/gini"
+	"repro/internal/nodetable"
+	"repro/internal/psort"
 	"repro/internal/splitter"
 	"repro/internal/trace"
 )
 
-// splitFinder is the one seam between the level loop and the ways of
-// locating a node's best split. The paper's induction loop — presort once,
-// then FindSplitI/II and PerformSplitI/II per level — is the same for every
-// Options.Split; FindSplit differs, and so does the record layout it reads
-// (records.go), so everything a strategy needs beyond the worker's records
-// (bin cuts, vote parameters, scratch buffers, its section of the
-// checkpoint frame) lives behind this interface and the worker never asks
-// which strategy it is running. Implemented by exactFinder (on the
-// attribute lists), binnedFinder (on the row store), and voteFinder
-// (binnedFinder plus a candidate filter).
-type splitFinder interface {
-	// prepare runs once on a fresh start, inside the presort phase, before
-	// the record layout is loaded: the histogram finders select their cuts
-	// from the table there.
-	prepare(wk *worker, tab *dataset.Table)
-	// find runs FindSplitI and the candidate half of FindSplitII for one
-	// batch of need-split nodes (splitIdx maps active-node index to
-	// need-split index, -1 if terminated) and returns the globally agreed
-	// winner per need-split node. A collective: every rank calls it with
-	// the same batch.
-	find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate
-	// encodeState and decodeState own the finder's section of the shared
-	// checkpoint frame. decodeState fails d unless the frame was written
-	// under the strategy and bin count this finder was built for: a resume
-	// must continue the run it checkpointed, not a hybrid of two.
-	encodeState(e *enc, numAttrs int)
-	decodeState(d *dec, schema *dataset.Schema)
-	// tracked is the finder's long-lived metered memory in bytes, valid
-	// after prepare or decodeState; the worker charges and frees it.
-	tracked() int64
-	// binCuts is the quantile cut vector per attribute (nil for exact
-	// mode), valid after prepare or decodeState; the row store codes rows
-	// by it.
-	binCuts() [][]float64
-	// fallbacks feeds Result.VoteFallbacks.
-	fallbacks() int
+// lists is exact mode's records: cont[a] / cat[a] hold the local fragments
+// of every active node's list for attribute a, concatenated in node order;
+// segs[a][i] locates node i's segment. The record map carries each level's
+// child numbers from the splitting attributes' lists to the others. Its
+// frame section holds no cuts.
+type lists struct {
+	frameState
+	rm   RecordMap
+	cont [][]dataset.ContEntry
+	cat  [][]dataset.CatEntry
+	segs [][]seg
+
+	// splitChild[i] is PerformSplitI's child number per entry of split
+	// node i's segment of its splitting attribute, read by split. Kept
+	// across the per-node passes of one level (Options.PerNodeComms), so
+	// it is not arena scratch.
+	splitChild [][]uint8
+
+	// Arena buffers (see scratch.go for the reuse rules). FindSplit:
+	counts     []int64
+	prefix     []int64
+	bounds     []boundary
+	nextBounds []boundary
+	best       []splitter.Candidate
+	bestOut    []splitter.Candidate
+	m          gini.Matrix
+	catVec     [2][]int64 // double-buffered (consecutive ReduceSums)
+	// PerformSplitI (assign):
+	assigns   []nodetable.Assignment
+	childsBuf []uint8
+	// PerformSplitII (split, partition):
+	enqRids   []int32
+	offCache  []int                 // batched-enquiry per-attribute offsets
+	bucketNs  []int                 // counting-sort child counts, then running offsets
+	spareCont [][]dataset.ContEntry // double buffers swapped with the lists
+	spareCat  [][]dataset.CatEntry
+	spareSegs [][]seg
 }
 
-// newSplitFinder builds the finder for validated, defaulted options. rows
-// is the row store the histogram finders count from (nil for exact mode,
-// and wherever only the finder's frame section is used).
-func newSplitFinder(opts Options, rows *rowStore) splitFinder {
-	st := frameState{tag: opts.Split, bins: opts.Bins}
-	switch opts.Split {
-	case SplitBinned:
-		return &binnedFinder{frameState: st, rows: rows}
-	case SplitVote:
-		return &voteFinder{binnedFinder: binnedFinder{frameState: st, rows: rows}, k: opts.VoteK}
-	default:
-		return &exactFinder{frameState: st}
+// newLists builds empty lists for numAttrs attributes over the record map
+// rm.
+func newLists(rm RecordMap, numAttrs int) *lists {
+	return &lists{
+		rm:        rm,
+		cont:      make([][]dataset.ContEntry, numAttrs),
+		cat:       make([][]dataset.CatEntry, numAttrs),
+		segs:      make([][]seg, numAttrs),
+		spareCont: make([][]dataset.ContEntry, numAttrs),
+		spareCat:  make([][]dataset.CatEntry, numAttrs),
+		spareSegs: make([][]seg, numAttrs),
 	}
 }
 
-// frameState is the part of a finder that crosses a checkpoint — exactly its
-// section of the shared frame: the strategy tag, the bin count, and one
-// quantile cut vector per attribute. Every finder embeds it (exactFinder
-// with zero bins and no cuts), so the section has one codec.
-type frameState struct {
-	tag  SplitStrategy
-	bins int
-	// cuts[a] is the strictly increasing cut vector of continuous attribute
-	// a (nil for categorical attributes), selected once at presort time and
-	// identical on every rank.
-	cuts [][]float64
+// load builds this rank's block of every attribute list and sorts the
+// continuous ones globally (psort.Sort: sample sort + shift), after which
+// rank r holds positions BlockRange(N, p, r) of each; the categorical lists
+// stay in record order.
+func (l *lists) load(wk *worker, tab *dataset.Table) {
+	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
+	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
+	var sorter psort.Sorter
+	for _, a := range wk.schema.ContIndices() {
+		local.Cont[a] = sorter.Sort(wk.c, local.Cont[a])
+	}
+	l.cont, l.cat = local.Cont, local.Cat
+	// One segment per attribute (cont[a] or cat[a], whichever the
+	// attribute has): the root owns everything.
+	for a := range l.segs {
+		l.segs[a] = []seg{{0, len(l.cont[a]) + len(l.cat[a])}}
+	}
 }
 
-func (s *frameState) encodeState(e *enc, numAttrs int) {
-	e.u8(uint8(s.tag))
-	e.u32(uint32(s.bins))
-	e.u32(uint32(numAttrs))
-	for a := 0; a < numAttrs; a++ {
-		var cv []float64
-		if s.cuts != nil {
-			cv = s.cuts[a]
+// frontierRids reads the rids off attribute 0's list (cont[0] or cat[0],
+// the other is empty): every attribute's segment of a node holds the same
+// records, and the segments lie back to back in node order.
+func (l *lists) frontierRids(*worker) ([]int32, []seg) {
+	rids := make([]int32, 0, len(l.cont[0])+len(l.cat[0]))
+	return appendRids(appendRids(rids, l.cont[0]), l.cat[0]), l.segs[0]
+}
+
+// relabel partitions every attribute's root list stably by frontier node
+// and drops the retired records. Each rank keeps the entries of its own
+// presorted block, in order, as every level's partition does, so the
+// lists are those a fault-free run on this world holds at the level.
+func (l *lists) relabel(wk *worker, node []int32) int {
+	entries := 0
+	for a := range l.segs {
+		if wk.schema.Attrs[a].Kind == dataset.Continuous {
+			l.cont[a], l.segs[a] = fileByNode(l.cont[a], len(wk.active), func(e dataset.ContEntry) int32 { return node[e.Rid] })
+		} else {
+			l.cat[a], l.segs[a] = fileByNode(l.cat[a], len(wk.active), func(e dataset.CatEntry) int32 { return node[e.Rid] })
 		}
-		e.u32(uint32(len(cv)))
-		for _, v := range cv {
-			e.f64(v)
-		}
+		entries += len(l.cont[a]) + len(l.cat[a])
 	}
+	return entries
 }
 
-func (s *frameState) decodeState(d *dec, schema *dataset.Schema) {
-	tag, bins := SplitStrategy(d.u8()), int(d.u32())
-	if d.err == nil && (tag != s.tag || bins != s.bins) {
-		d.fail("written by a %v run with %d bins, but Options ask for %v with %d bins", tag, bins, s.tag, s.bins)
-	}
-	nAttrs := int(d.u32())
-	if d.err == nil && nAttrs != schema.NumAttrs() {
-		d.fail("%d attributes, schema has %d", nAttrs, schema.NumAttrs())
-	}
-	if d.err != nil {
-		return
-	}
-	s.cuts = make([][]float64, nAttrs)
-	for a := range s.cuts {
-		n := int(d.u32())
-		if d.err == nil && n > (len(d.b)-d.off)/8 {
-			d.fail("truncated cut vector")
-		}
-		for j := 0; j < n && d.err == nil; j++ {
-			s.cuts[a] = append(s.cuts[a], d.finite())
-		}
-	}
-}
-
-func (s *frameState) tracked() int64 {
+func (l *lists) bytes() int64 {
 	var b int64
-	for _, cv := range s.cuts {
-		b += int64(len(cv)) * 8
+	for a := range l.segs {
+		b += int64(len(l.cont[a]))*dataset.ContEntrySize + int64(len(l.cat[a]))*dataset.CatEntrySize
 	}
 	return b
 }
 
-func (s *frameState) binCuts() [][]float64 { return s.cuts }
-
-// fallbacks is zero for every finder but voteFinder, which overrides it.
-func (*frameState) fallbacks() int { return 0 }
+func (l *lists) free() { l.rm.Free() }
 
 // boundary carries a segment's first value across ranks so the gini scan
 // can tell whether its last local entry is a valid split point (a candidate
@@ -135,30 +125,16 @@ type boundary struct {
 	Val float64
 }
 
-// exactFinder is the paper's FindSplit: every distinct attribute value is a
-// candidate threshold. It has no state beyond its arena buffers.
-type exactFinder struct {
-	frameState
-	counts     []int64
-	prefix     []int64
-	bounds     []boundary
-	nextBounds []boundary
-	best       []splitter.Candidate
-	bestOut    []splitter.Candidate
-	m          gini.Matrix
-	catVec     [2][]int64 // double-buffered (consecutive ReduceSums)
-}
-
-func (*exactFinder) prepare(*worker, *dataset.Table) {}
-
-func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
+// find is the paper's FindSplit: every distinct attribute value is a
+// candidate threshold.
+func (l *lists) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)
 	contAttrs := wk.schema.ContIndices()
 	catAttrs := wk.schema.CatIndices()
 	nc := wk.schema.NumClasses()
 	model := wk.c.Model()
 
-	best := grab(wk.ar, &f.best, nNeed) // zero value is Invalid
+	best := grab(wk.ar, &l.best, nNeed) // zero value is Invalid
 
 	// --- Continuous attributes ---
 	if len(contAttrs) > 0 {
@@ -166,8 +142,8 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 		// exclusive prefix scan turns them into each rank's global
 		// starting count matrix. Segment-first values travel alongside so
 		// scans can validate their final candidate across rank borders.
-		counts := grab(wk.ar, &f.counts, nNeed*len(contAttrs)*nc)
-		bounds := grab(wk.ar, &f.bounds, nNeed*len(contAttrs))
+		counts := grab(wk.ar, &l.counts, nNeed*len(contAttrs)*nc)
+		bounds := grab(wk.ar, &l.bounds, nNeed*len(contAttrs))
 		scanned := 0
 		for i := range wk.active {
 			i2 := splitIdx[i]
@@ -183,22 +159,22 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 					// every rank skips the same pairs.
 					continue
 				}
-				sg := wk.segs[a][i]
+				sg := l.segs[a][i]
 				base := (i2*len(contAttrs) + k) * nc
-				countClasses(counts[base:base+nc], wk.cont[a][sg.off:sg.off+sg.n])
+				countClasses(counts[base:base+nc], l.cont[a][sg.off:sg.off+sg.n])
 				scanned += sg.n
 				if sg.n > 0 {
-					bounds[i2*len(contAttrs)+k] = boundary{Has: 1, Val: wk.cont[a][sg.off].Val}
+					bounds[i2*len(contAttrs)+k] = boundary{Has: 1, Val: l.cont[a][sg.off].Val}
 				}
 			}
 		}
 		wk.c.Compute(model.ScanTime(scanned))
 		transient := int64(len(counts))*8 + int64(len(bounds))*16*2
 		wk.c.Mem().Alloc(transient)
-		prefix := stash(wk.ar, &f.prefix, comm.ExScanSumInto(wk.c, counts, f.prefix))
+		prefix := stash(wk.ar, &l.prefix, comm.ExScanSumInto(wk.c, counts, l.prefix))
 		// The first value after each of my segments: fold "first
 		// non-empty" over the ranks to my right.
-		nextBounds := stash(wk.ar, &f.nextBounds, comm.ReverseExScanInto(wk.c, bounds, f.nextBounds, func(a, b boundary) boundary {
+		nextBounds := stash(wk.ar, &l.nextBounds, comm.ReverseExScanInto(wk.c, bounds, l.nextBounds, func(a, b boundary) boundary {
 			if a.Has == 1 {
 				return a
 			}
@@ -216,13 +192,13 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 				if !wk.attrAllowed(i, a) {
 					continue
 				}
-				sg := wk.segs[a][i]
+				sg := l.segs[a][i]
 				if sg.n == 0 {
 					continue
 				}
 				base := (i2*len(contAttrs) + k) * nc
-				f.m.Reset(wk.active[i].Hist, prefix[base:base+nc])
-				cand := scanSegment(&f.m, wk.cont[a][sg.off:sg.off+sg.n], nextBounds[i2*len(contAttrs)+k], a)
+				l.m.Reset(wk.active[i].Hist, prefix[base:base+nc])
+				cand := scanSegment(&l.m, l.cont[a][sg.off:sg.off+sg.n], nextBounds[i2*len(contAttrs)+k], a)
 				best[i2] = splitter.Best(best[i2], cand)
 			}
 		}
@@ -241,16 +217,16 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 		// Double-buffered: consecutive per-attribute ReduceSums have no
 		// gating collective between them, so the vector deposited for
 		// attribute ci may still be folding while ci+1 fills its own.
-		vec := grab(wk.ar, &f.catVec[ci%2], nNeed*card*nc)
+		vec := grab(wk.ar, &l.catVec[ci%2], nNeed*card*nc)
 		counted := 0
 		for i := range wk.active {
 			i2 := splitIdx[i]
 			if i2 < 0 || !wk.attrAllowed(i, a) {
 				continue
 			}
-			sg := wk.segs[a][i]
+			sg := l.segs[a][i]
 			base := i2 * card * nc
-			for _, e := range wk.cat[a][sg.off : sg.off+sg.n] {
+			for _, e := range l.cat[a][sg.off : sg.off+sg.n] {
 				vec[base+int(e.Val)*nc+int(e.Cid)]++
 			}
 			counted += sg.n
@@ -276,7 +252,7 @@ func (f *exactFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Can
 	// FindSplitII's closing step: the overall best split per node via a
 	// global reduction with the deterministic candidate order.
 	wk.c.SetPhase(trace.FindSplitII, wk.level)
-	return stash(wk.ar, &f.bestOut, comm.AllReduceInto(wk.c, best, f.bestOut, splitter.Best))
+	return stash(wk.ar, &l.bestOut, comm.AllReduceInto(wk.c, best, l.bestOut, splitter.Best))
 }
 
 // countClasses adds the class counts of list's entries to counts, one slot

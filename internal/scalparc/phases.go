@@ -14,14 +14,14 @@ import (
 // findSplits returns the globally agreed winning candidate for every
 // need-split node (splitIdx maps active-node index to need-split index,
 // -1 if terminated). In the default per-level mode all nodes share one
-// batch of the finder's collectives; in the per-node ablation mode (§3.1)
+// batch of the mode's collectives; in the per-node ablation mode (§3.1)
 // each node runs its own.
 func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 	if nNeed == 0 {
 		return nil
 	}
 	if !wk.opts.PerNodeComms {
-		return wk.finder.find(wk, splitIdx, nNeed)
+		return wk.recs.find(wk, splitIdx, nNeed)
 	}
 	cands := make([]splitter.Candidate, nNeed)
 	for i := range wk.active {
@@ -33,7 +33,7 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 			one[j] = -1
 		}
 		one[i] = 0
-		cands[splitIdx[i]] = wk.finder.find(wk, one, 1)[0]
+		cands[splitIdx[i]] = wk.recs.find(wk, one, 1)[0]
 	}
 	return cands
 }
@@ -115,12 +115,12 @@ func (l *lists) assign(wk *worker, doSplit []bool, splitIdx []int, cands []split
 			entTotal += l.segs[int(cands[splitIdx[i]].Attr)][i].n
 		}
 	}
-	childsBuf := grabRaw(wk.ar, &wk.ar.childsBuf, entTotal)
+	childsBuf := grabRaw(wk.ar, &l.childsBuf, entTotal)
 	if cap(l.splitChild) < len(wk.active) {
 		l.splitChild = make([][]uint8, len(wk.active))
 	}
 	l.splitChild = l.splitChild[:len(wk.active)]
-	assigns := grabRaw(wk.ar, &wk.ar.assigns, 0)
+	assigns := grabRaw(wk.ar, &l.assigns, 0)
 	work := 0
 	for i := range wk.active {
 		if !doSplit[i] {
@@ -139,7 +139,7 @@ func (l *lists) assign(wk *worker, doSplit []bool, splitIdx []int, cands []split
 		work += sg.n
 	}
 	wk.c.Compute(wk.c.Model().SplitTime(work))
-	stash(wk.ar, &wk.ar.assigns, assigns)
+	stash(wk.ar, &l.assigns, assigns)
 
 	// Assignment buffer (8 bytes each) plus the per-entry child arrays
 	// (1 byte each, alive until split consumes them).
@@ -205,14 +205,14 @@ func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitt
 	var batchedAnswers []uint8
 	var batchedOffsets []int
 	if wk.opts.BatchedEnquiry {
-		all := grabRaw(wk.ar, &wk.ar.enqRids, 0)
-		batchedOffsets = grabRaw(wk.ar, &wk.ar.offCache, wk.schema.NumAttrs()+1)
+		all := grabRaw(wk.ar, &l.enqRids, 0)
+		batchedOffsets = grabRaw(wk.ar, &l.offCache, wk.schema.NumAttrs()+1)
 		for a := range wk.schema.Attrs {
 			batchedOffsets[a] = len(all)
 			all = l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, all)
 		}
 		batchedOffsets[wk.schema.NumAttrs()] = len(all)
-		stash(wk.ar, &wk.ar.enqRids, all)
+		stash(wk.ar, &l.enqRids, all)
 		batchedAnswers = l.rm.Lookup(all)
 	}
 
@@ -237,8 +237,8 @@ func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitt
 				answers = append(answers, l.rm.Lookup(rids)...)
 			}
 		default:
-			rids := l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, grabRaw(wk.ar, &wk.ar.enqRids, 0))
-			stash(wk.ar, &wk.ar.enqRids, rids)
+			rids := l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, grabRaw(wk.ar, &l.enqRids, 0))
+			stash(wk.ar, &l.enqRids, rids)
 			answers = l.rm.Lookup(rids)
 		}
 
@@ -254,9 +254,9 @@ func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitt
 			return answers[cursor-l.segs[a][i].n : cursor]
 		}
 		if wk.schema.Attrs[a].Kind == dataset.Continuous {
-			partition(wk, l, a, &l.cont[a], &wk.ar.spareCont[a], doSplit, childs, nextCount, childIndex)
+			partition(wk, l, a, &l.cont[a], &l.spareCont[a], doSplit, childs, nextCount, childIndex)
 		} else {
-			partition(wk, l, a, &l.cat[a], &wk.ar.spareCat[a], doSplit, childs, nextCount, childIndex)
+			partition(wk, l, a, &l.cat[a], &l.spareCat[a], doSplit, childs, nextCount, childIndex)
 		}
 	}
 
@@ -329,7 +329,7 @@ func countChildren(bn []int, cs []uint8) {
 // level.
 func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]dataset.Entry[V], doSplit []bool,
 	childs func(i int) []uint8, nodeCount int, childIndex [][]int) {
-	newSegs := grabRaw(wk.ar, &wk.ar.spareSegs[a], nodeCount)
+	newSegs := grabRaw(wk.ar, &l.spareSegs[a], nodeCount)
 	dst := grabRaw(wk.ar, spare, len(*live))
 	out, work := 0, 0
 	for i := range wk.active {
@@ -340,7 +340,7 @@ func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]da
 		sg := l.segs[a][i]
 		cs := childs(i)
 		work += sg.n
-		bn := grab(wk.ar, &wk.ar.bucketNs, d)
+		bn := grab(wk.ar, &l.bucketNs, d)
 		countChildren(bn, cs)
 		for k := 0; k < d; k++ {
 			ni := childIndex[i][k]
@@ -368,7 +368,7 @@ func partition[V float64 | int32](wk *worker, l *lists, a int, live, spare *[]da
 	wk.c.Mem().Alloc(newBytes) // double-buffer peak while both exist
 	if !wk.ar.disabled {
 		// The retired backing arrays become next level's spares.
-		*spare, wk.ar.spareSegs[a] = *live, l.segs[a]
+		*spare, l.spareSegs[a] = *live, l.segs[a]
 	}
 	*live, l.segs[a] = dst[:out], newSegs
 	wk.c.Mem().Free(oldBytes)

@@ -9,21 +9,24 @@ import (
 	"repro/internal/splitter"
 )
 
-// rowStore is the histogram modes' record layout (records.go), PV-Tree's
-// own: once the finder has selected the cuts from the same blocks, rank r
-// keeps the rows it owns, rids dataset.BlockRange(N, p, r), for the rest of
-// the run. Per row it holds one bin code per attribute, its class, and its
-// active-node index.
+// rowStore is the histogram modes' records (records.go), PV-Tree's own:
+// once the presort has selected the cuts from the same blocks (selectCuts),
+// rank r keeps the rows it owns, rids dataset.BlockRange(N, p, r), for the
+// rest of the run. Per row it holds one bin code per attribute, its class,
+// and its active-node index.
 //
 // A binned or vote decision reads nothing but reduced (node, attribute,
 // bin, class) counts, and a row's child under a candidate follows from its
 // code alone (v <= cuts[b] exactly when BinOf(cuts, v) <= b), so
-// FindSplitI is one pass over the rows, PerformSplitI counts the children
-// from the rows, and PerformSplitII relabels the rows locally: no record
-// map, no enquiries, no list partitions. The global counts do not depend
-// on the layout, so neither does the binned tree (DESIGN.md §5); vote's
-// local ballots are cast on row samples, as in PV-Tree (DESIGN.md §10).
+// FindSplitI is one pass over the rows (binned.go), PerformSplitI counts
+// the children from the rows, and PerformSplitII relabels the rows
+// locally: no record map, no enquiries, no list partitions. The global
+// counts do not depend on the layout, so neither does the binned tree
+// (DESIGN.md §5); vote's local ballots are cast on row samples, as in
+// PV-Tree (DESIGN.md §10).
 type rowStore struct {
+	frameState // tag is SplitBinned, or SplitVote when embedded in a voteStore
+
 	// codes[r·attrs + a] is row r's bin code of attribute a (binCodes).
 	codes []uint16
 	// class is the rows' class labels: the table's own storage, read-only.
@@ -35,7 +38,18 @@ type rowStore struct {
 	// assign and read by split within one level.
 	child []uint8
 
-	rules []splitRule // arena: the level's rule per active node
+	// Arena buffers (see scratch.go for the reuse rules).
+	rules    []splitRule // the level's rule per active node
+	attrBins []int
+	nodeOf   []int
+	groupOff []int
+	hist     []uint32
+	round    exchangeBufs
+	below    []int64
+	above    []int64
+	catFlat  []int64
+	catRows  [][]int64
+	catMat   splitter.CountMatrix
 }
 
 // maxCode bounds a row's codes: uint16 holds Bins <= 65536 quantile bins
@@ -99,11 +113,15 @@ func searchCuts(cuts []float64, v float64) int {
 	return base
 }
 
-// load codes the block after the cuts are selected, the root owning every
-// row. Coding is modeled like a list pass over the block's entries.
+// load codes the block, the root owning every row, under the cuts a
+// restore decoded or, on a fresh start, the cuts it selects first. Coding
+// is modeled like a list pass over the block's entries.
 func (rs *rowStore) load(wk *worker, tab *dataset.Table) {
+	if rs.cuts == nil {
+		rs.selectCuts(wk, tab)
+	}
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
-	rs.codes = binCodes(tab, lo, hi, wk.finder.binCuts())
+	rs.codes = binCodes(tab, lo, hi, rs.cuts)
 	rs.class = tab.Class[lo:hi]
 	rs.node = make([]int32, hi-lo)
 	rs.child = make([]uint8, hi-lo)
@@ -111,7 +129,11 @@ func (rs *rowStore) load(wk *worker, tab *dataset.Table) {
 }
 
 func (rs *rowStore) bytes() int64 {
-	return int64(len(rs.codes))*2 + int64(len(rs.class)) + int64(len(rs.node))*4 + int64(len(rs.child))
+	b := int64(len(rs.codes))*2 + int64(len(rs.class)) + int64(len(rs.node))*4 + int64(len(rs.child))
+	for _, cv := range rs.cuts {
+		b += int64(len(cv)) * 8
+	}
+	return b
 }
 
 // free has nothing to release: the row store builds no record map.
@@ -154,11 +176,11 @@ func (ru *splitRule) child(code uint16) uint8 {
 }
 
 func (rs *rowStore) assign(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, offsets []int, vec []int64) {
-	na, nc, cuts := wk.schema.NumAttrs(), wk.schema.NumClasses(), wk.finder.binCuts()
+	na, nc := wk.schema.NumAttrs(), wk.schema.NumClasses()
 	rules := grabRaw(wk.ar, &rs.rules, len(wk.active))
 	for i := range wk.active {
 		if doSplit[i] {
-			rules[i] = newSplitRule(cands[splitIdx[i]], cuts)
+			rules[i] = newSplitRule(cands[splitIdx[i]], rs.cuts)
 		}
 	}
 	work := 0

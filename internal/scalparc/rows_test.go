@@ -142,7 +142,7 @@ func TestRowHistogramsMatchSerialCount(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
 			wk.presort(tab)
-			f := wk.finder.(*binnedFinder)
+			f := wk.recs.(*rowStore)
 			if c.Rank() == 0 && !slices.EqualFunc(f.cuts, cuts, slices.Equal[[]float64]) {
 				t.Errorf("p=%d: the engine's cuts %v differ from the serial ones %v", p, f.cuts, cuts)
 			}

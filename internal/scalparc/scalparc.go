@@ -29,13 +29,16 @@
 // replicated hash table of parallel SPRINT (O(N) in both) for the paper's
 // section 3.2 comparison.
 //
-// The histogram split modes (SplitBinned, SplitVote) decide from reduced
-// bin counts alone, so they build no attribute lists and sort nothing
-// globally: their presort selects each continuous attribute's quantile cuts
-// from the ranks' own blocks (psort.Select), and the rows a rank owns are
-// kept as bin codes in a row store (rows.go). FindSplitI is one pass over
-// those rows, and PerformSplit relabels them locally, with no record map
-// and no enquiries.
+// The level loop is the same in every split mode; the records and the
+// FindSplit and PerformSplit on them are one type per mode behind one seam
+// (records.go). The histogram split modes (SplitBinned, SplitVote) decide
+// from reduced bin counts alone, so they build no attribute lists and sort
+// nothing globally: their presort selects each continuous attribute's
+// quantile cuts from the ranks' own blocks (psort.Select), and the rows a
+// rank owns are kept as bin codes in a row store (rows.go). FindSplitI is
+// one pass over those rows, and PerformSplit relabels them locally, with
+// no record map and no enquiries. Vote's type is the row store plus a
+// candidate filter (vote.go).
 //
 // With a checkpoint directory, every level boundary is saved as the
 // replicated tree plus, per rank, the rids it holds under each frontier
@@ -482,7 +485,7 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 	// or every survivor unwinds into another recovery round together.
 	c.SetPhase(trace.Other, wk.level)
 	c.Barrier()
-	out.tree, out.perLevel, out.fallbacks = t, wk.levelStats, wk.finder.fallbacks()
+	out.tree, out.perLevel, out.fallbacks = t, wk.levelStats, wk.recs.fallbacks()
 	wk.free()
 	return nil
 }
@@ -497,13 +500,10 @@ type worker struct {
 	cfg    splitter.Config
 	n      int // global record count
 
-	// recs holds the training records in the layout the split strategy
-	// reads, chosen once in newWorker (records.go). In exact mode it is the
-	// attribute lists, which the embedded *lists also names for exact
-	// mode's own code; in the histogram modes it is the row store and
-	// *lists is nil.
+	// recs is the split mode (Options.Split) with all of its state: the
+	// training records in the layout the mode reads, and the mode's
+	// FindSplit and PerformSplit on them (records.go).
 	recs records
-	*lists
 
 	// root is the tree under construction (replicated on every rank).
 	root *tree.Node
@@ -520,10 +520,6 @@ type worker struct {
 	level      int // current tree level: the active nodes' depth, and phase attribution
 	levelStats []LevelStats
 
-	// finder is the split-finding strategy (Options.Split) with all of its
-	// state; see finder.go.
-	finder splitFinder
-
 	// Per-node feature subsampling (forest mode; see features.go): feat
 	// is the current level's flat mask, nil when off.
 	feat    []bool
@@ -537,45 +533,37 @@ type worker struct {
 // the run's inputs and leaves the records, the tree, and the frontier empty.
 // Exactly one of two post-steps fills them: presort on a fresh start,
 // restore (checkpoint.go) on recovery. It also makes the run's one choice
-// of record layout: attribute lists for exact mode, a row store for the
-// histogram modes.
+// of split mode: attribute lists for exact mode, a row store for binned,
+// and the row store with a candidate filter for vote.
 func newWorker(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, factory RecordMapFactory, opts Options) *worker {
-	na := tab.Schema.NumAttrs()
 	wk := &worker{
 		c:      c,
 		schema: tab.Schema,
 		cfg:    cfg,
 		n:      tab.NumRows(),
 		opts:   opts,
-		ar:     newScratch(na, opts.PerNodeComms),
+		ar:     &scratch{disabled: opts.PerNodeComms},
 	}
-	var rows *rowStore
-	if opts.Split == SplitExact {
-		wk.lists = &lists{
-			rm:   factory(c, tab.NumRows()),
-			cont: make([][]dataset.ContEntry, na),
-			cat:  make([][]dataset.CatEntry, na),
-			segs: make([][]seg, na),
-		}
-		wk.recs = wk.lists
-	} else {
-		rows = &rowStore{}
-		wk.recs = rows
+	st := frameState{tag: opts.Split, bins: opts.Bins}
+	switch opts.Split {
+	case SplitBinned:
+		wk.recs = &rowStore{frameState: st}
+	case SplitVote:
+		wk.recs = &voteStore{rowStore: rowStore{frameState: st}, k: opts.VoteK}
+	default:
+		wk.recs = newLists(factory(c, wk.n), tab.Schema.NumAttrs())
 	}
-	wk.finder = newSplitFinder(opts, rows)
 	return wk
 }
 
-// presort loads this rank's block of the table into the record layout and
-// opens the tree with the root as the only active node. The finder first
-// takes what it needs from the table (binned and vote: the quantile cuts),
-// then the layout loads: exact mode's lists sorted globally, or the
-// histogram modes' row store coded by the cuts.
+// presort loads this rank's block of the table into the records and opens
+// the tree with the root as the only active node: exact mode's lists sorted
+// globally, or the histogram modes' row store coded by the quantile cuts it
+// selects from the table first.
 func (wk *worker) presort(tab *dataset.Table) {
 	c := wk.c
 	lo, hi := dataset.BlockRange(wk.n, c.Size(), c.Rank())
 	c.SetPhase(trace.Sort, 0)
-	wk.finder.prepare(wk, tab)
 	wk.recs.load(wk, tab)
 	c.SetPhase(trace.Other, 0)
 	wk.chargeRecords()
@@ -589,12 +577,12 @@ func (wk *worker) presort(tab *dataset.Table) {
 	wk.active = []*tree.Node{wk.root}
 }
 
-// chargeRecords meters the record layout and the finder's long-lived state
-// once a post-step (presort or restore) has filled them; free releases both.
-// Every pass that resizes a list (partition, shiftList) meters the change,
-// so the layout's lengths always say what is charged.
+// chargeRecords meters the records, cuts included, once a post-step
+// (presort or restore) has filled them; free releases them. Every pass that
+// resizes a list (partition, shiftList) meters the change, so the records'
+// lengths always say what is charged.
 func (wk *worker) chargeRecords() {
-	wk.c.Mem().Alloc(wk.recs.bytes() + wk.finder.tracked())
+	wk.c.Mem().Alloc(wk.recs.bytes())
 }
 
 // induce runs the level loop and returns the finished tree. The levels it
@@ -609,7 +597,7 @@ func (wk *worker) induce() *tree.Tree {
 
 // free releases the worker's tracked memory.
 func (wk *worker) free() {
-	wk.c.Mem().Free(wk.recs.bytes() + wk.finder.tracked())
+	wk.c.Mem().Free(wk.recs.bytes())
 	wk.recs.free()
 }
 
@@ -639,7 +627,7 @@ func (wk *worker) runLevel() {
 	wk.sampleFeatures()
 
 	// FindSplit: winning candidate per need-split node (globally agreed),
-	// by whichever strategy the finder implements.
+	// by whichever split mode the records implement.
 	cands := wk.findSplits(splitIdx, nNeed)
 
 	// Final split-or-leaf decision, replicated.

@@ -1,24 +1,20 @@
 package scalparc
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/nodetable"
-)
-
 // scratch is a worker's per-level arena: every transient buffer the level
-// loop and the splitting phases need is grown once to its high-water size
-// and then reused across levels, so a steady-state level allocates O(1) (a
-// handful of boxed collective deposits and per-attribute reduction
-// outputs), independent of the record count. The split finders keep their
-// FindSplit buffers in their own structs, under the same rules and through
-// the same grab/stash helpers.
+// loop needs is grown once to its high-water size and then reused across
+// levels, so a steady-state level allocates O(1) (a handful of boxed
+// collective deposits and per-attribute reduction outputs), independent of
+// the record count. The records of each split mode (records.go) keep their
+// own FindSplit and PerformSplit buffers in their own structs, under the
+// same rules and through the same grab/stash helpers, gated by the same
+// disabled switch.
 //
 // Reuse of buffers that travel through collectives follows the *Into rules
 // documented in package comm: a buffer deposited at one level is refilled
 // no earlier than the next level, after the current level's trailing
 // collectives have proven every rank consumed it. The one sub-level reuse —
-// the categorical count vector, deposited once per attribute with no
-// gating collective in between — is double-buffered instead.
+// exact mode's categorical count vector, deposited once per attribute with
+// no gating collective in between — is double-buffered instead.
 //
 // The memory meter keeps charging the modeled per-level byte footprint of
 // these buffers even though the host now reuses them: the meter models the
@@ -34,34 +30,15 @@ type scratch struct {
 	splitIdx []int
 	doSplit  []bool
 
-	// PerformSplitI (performSplitIBatch, lists.assign)
+	// PerformSplitI (performSplitIBatch)
 	offsets    []int
 	vec        []int64
-	assigns    []nodetable.Assignment
-	childsBuf  []uint8
 	histsBuf   [][]int64
 	childHists [][][]int64
 
 	// buildChildren
 	childIdxBuf []int
 	childIndex  [][]int
-
-	// PerformSplitII (lists.split)
-	enqRids   []int32
-	offCache  []int                 // batched-enquiry per-attribute offsets
-	bucketNs  []int                 // counting-sort child counts, then running offsets
-	spareCont [][]dataset.ContEntry // double buffers swapped with the lists
-	spareCat  [][]dataset.CatEntry
-	spareSegs [][]seg
-}
-
-func newScratch(numAttrs int, disabled bool) *scratch {
-	return &scratch{
-		disabled:  disabled,
-		spareCont: make([][]dataset.ContEntry, numAttrs),
-		spareCat:  make([][]dataset.CatEntry, numAttrs),
-		spareSegs: make([][]seg, numAttrs),
-	}
 }
 
 // grabRaw returns *buf resliced to length n with unspecified contents,

@@ -10,15 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// voteFinder is binnedFinder plus a candidate filter, which is how PV-Tree
+// voteStore is the row store plus a candidate filter, which is how PV-Tree
 // defines voting: instead of reduce-scattering the full (node, attribute,
 // bin, class) histogram vector — O(attrs) slots per node — each rank scores
 // its *local* histograms, nominates its top-k attributes per need-split
 // node, and a small fixed-size ballot exchange elects a global candidate set
 // of at most 2k attributes per node. Only the candidates' histograms then
-// ride binnedFinder.exchange, cutting the dominant FindSplit exchange from
-// O(attrs) to O(k) per node. Cuts, the local histogram, the exchange, and
-// the checkpoint section are all the embedded finder's.
+// ride rowStore.exchange, cutting the dominant FindSplit exchange from
+// O(attrs) to O(k) per node. The rows, the cuts, the local histogram, the
+// exchange, PerformSplit and the checkpoint section are all the embedded
+// row store's.
 //
 // The local vote orders a node's attributes by local binned gini ascending
 // (locally invalid attributes score +Inf), ties toward the lower attribute
@@ -48,8 +49,8 @@ import (
 //     exchange over every attribute — the binned path restricted to the
 //     fallback nodes — instead of silently leafing them. A node the
 //     fallback cannot split is a node binned mode would leaf too.
-type voteFinder struct {
-	binnedFinder
+type voteStore struct {
+	rowStore
 	// k is the per-rank nomination count (Options.VoteK).
 	k int
 	// rescued counts the nodes the re-vote fallback re-ran.
@@ -75,27 +76,27 @@ type voteFinder struct {
 	fbRound  exchangeBufs
 }
 
-func (f *voteFinder) fallbacks() int { return f.rescued }
+func (vs *voteStore) fallbacks() int { return vs.rescued }
 
-func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
+func (vs *voteStore) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	nc := wk.schema.NumClasses()
 	numAttrs := wk.schema.NumAttrs()
 	p := wk.c.Size()
-	bins := f.binCounts(wk)
-	layout, nodeOf, hist, scanned := f.localHist(wk, bins, splitIdx, nNeed)
+	bins := vs.binCounts(wk)
+	layout, nodeOf, hist, scanned := vs.localHist(wk, bins, splitIdx, nNeed)
 
 	// Local vote: score every group from the local (unreduced) histogram.
-	scores := grabRaw(wk.ar, &f.scores, nNeed*numAttrs)
+	scores := grabRaw(wk.ar, &vs.scores, nNeed*numAttrs)
 	for i := range scores {
 		scores[i] = math.Inf(1)
 	}
-	below := grabRaw(wk.ar, &f.below, nc)
-	above := grabRaw(wk.ar, &f.above, nc)
+	below := grabRaw(wk.ar, &vs.below, nc)
+	above := grabRaw(wk.ar, &vs.above, nc)
 	for _, grp := range layout.Groups {
 		if !wk.attrAllowed(nodeOf[grp.Node], grp.Attr) {
 			continue
 		}
-		cand := f.evalHistGroup(wk, grp, hist[grp.Off:grp.Off+grp.Len], below, above, nc)
+		cand := vs.evalHistGroup(wk, grp, hist[grp.Off:grp.Off+grp.Len], below, above, nc)
 		if cand.Valid {
 			scores[grp.Node*numAttrs+grp.Attr] = cand.Gini
 		}
@@ -108,9 +109,9 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// values). The +Inf score of locally invalid attributes sorts them
 	// after every real candidate, where the abstention below blanks them;
 	// k >= attrs nominates everything on full ballots.
-	kk := min(f.k, numAttrs)
-	order := grabRaw(wk.ar, &f.order, numAttrs)
-	ballots := grabRaw(wk.ar, &f.ballots, nNeed*kk)
+	kk := min(vs.k, numAttrs)
+	order := grabRaw(wk.ar, &vs.order, numAttrs)
+	ballots := grabRaw(wk.ar, &vs.ballots, nNeed*kk)
 	for i := 0; i < nNeed; i++ {
 		sc := scores[i*numAttrs : (i+1)*numAttrs]
 		for a := range order {
@@ -148,12 +149,12 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// identical election per node. Candidate sets are carved out of one flat
 	// backing with full slice expressions, so VoteSelect's appends can never
 	// reallocate them away from the arena.
-	allBallots := stash(wk.ar, &f.ballotsAll, comm.CandidateGatherInto(wk.c, ballots, f.ballotsAll))
-	maxPer := min(2*f.k, numAttrs)
-	tally := grabRaw(wk.ar, &f.tally, numAttrs)
-	candFlat := grabRaw(wk.ar, &f.candFlat, nNeed*numAttrs)
-	candSets := grabRaw(wk.ar, &f.candSets, nNeed)
-	votes := grabRaw(wk.ar, &f.nodeVotes, p*kk)
+	allBallots := stash(wk.ar, &vs.ballotsAll, comm.CandidateGatherInto(wk.c, ballots, vs.ballotsAll))
+	maxPer := min(2*vs.k, numAttrs)
+	tally := grabRaw(wk.ar, &vs.tally, numAttrs)
+	candFlat := grabRaw(wk.ar, &vs.candFlat, nNeed*numAttrs)
+	candSets := grabRaw(wk.ar, &vs.candSets, nNeed)
+	votes := grabRaw(wk.ar, &vs.nodeVotes, p*kk)
 	stride := nNeed * kk
 	for i := 0; i < nNeed; i++ {
 		for r := 0; r < p; r++ {
@@ -170,8 +171,8 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	sub := histogram.NewLayoutSubset(candSets, bins, nc)
 	held := int64(layout.Total+sub.Total) * 4
 	wk.c.Mem().Alloc(int64(sub.Total) * 4)
-	candHist := project(layout, hist, sub, nil, grabRaw(wk.ar, &f.candHist, sub.Total))
-	out := f.exchange(wk, &f.round, sub, candHist, nodeOf, 0)
+	candHist := project(layout, hist, sub, nil, grabRaw(wk.ar, &vs.candHist, sub.Total))
+	out := vs.exchange(wk, &vs.round, sub, candHist, nodeOf, 0)
 
 	// Re-vote fallback: the reduced winners are identical on every rank, so
 	// every rank computes the same set of nodes whose election came up empty —
@@ -179,30 +180,30 @@ func (f *voteFinder) find(wk *worker, splitIdx []int, nNeed int) []splitter.Cand
 	// re-runs exactly those nodes through the exchange, now over every
 	// attribute. The local full histogram (hist) is still live; only the
 	// exchange and evaluation are repeated.
-	fb := grabRaw(wk.ar, &f.fbNodes, 0)
+	fb := grabRaw(wk.ar, &vs.fbNodes, 0)
 	for i := 0; i < nNeed; i++ {
 		if !out[i].Beats(wk.active[nodeOf[i]]) {
 			fb = append(fb, i)
 		}
 	}
-	fb = stash(wk.ar, &f.fbNodes, fb)
+	fb = stash(wk.ar, &vs.fbNodes, fb)
 	if len(fb) > 0 {
 		wk.c.SetPhase(trace.FindSplitI, wk.level)
-		fbActive := grabRaw(wk.ar, &f.fbActive, len(fb))
+		fbActive := grabRaw(wk.ar, &vs.fbActive, len(fb))
 		for j, i := range fb {
 			fbActive[j] = nodeOf[i]
 		}
 		fbLayout := histogram.NewLayout(len(fb), bins, nc)
 		fbBytes := int64(fbLayout.Total) * 4
 		wk.c.Mem().Alloc(fbBytes)
-		fbHist := project(layout, hist, fbLayout, fb, grabRaw(wk.ar, &f.fbHist, fbLayout.Total))
+		fbHist := project(layout, hist, fbLayout, fb, grabRaw(wk.ar, &vs.fbHist, fbLayout.Total))
 		// The fallback evaluates a superset of the elected candidates from
 		// the same fused statistics, so its winner supersedes the elected
 		// one — this is exactly the candidate binned mode would pick.
-		for j, c := range f.exchange(wk, &f.fbRound, fbLayout, fbHist, fbActive, fbBytes) {
+		for j, c := range vs.exchange(wk, &vs.fbRound, fbLayout, fbHist, fbActive, fbBytes) {
 			out[fb[j]] = c
 		}
-		f.rescued += len(fb)
+		vs.rescued += len(fb)
 	}
 	wk.c.Mem().Free(held)
 	return out
