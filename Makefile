@@ -34,8 +34,11 @@ loc:
 # p=2) and internal/serve's BenchmarkHandler256 (one 256-row JSON prediction
 # request through the handler, no socket): the profiles and test binaries
 # go to .bench_build/, then each one's hottest functions print by flat and
-# by cumulative time. Informational, like loc: a perf change shows its
-# before/after rows.
+# by cumulative time. One more BenchmarkInductionDeep run records every
+# allocation (-memprofilerate=1, in its own run so the CPU profiles are
+# untouched) and prints the top allocation sites by object count: the
+# allocation-site map of host memory. Informational, like loc: a perf change
+# shows its before/after rows.
 profile:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkInduction$$' -benchtime=3s \
@@ -46,6 +49,9 @@ profile:
 		-o .bench_build/repro.test -cpuprofile .bench_build/deep.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/deep.cpu.pprof
 	$(GO) tool pprof -top -cum -nodecount=20 .bench_build/repro.test .bench_build/deep.cpu.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkInductionDeep$$' -benchtime=1x -memprofilerate=1 \
+		-o .bench_build/repro.test -memprofile .bench_build/deep.mem.pprof .
+	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=20 .bench_build/repro.test .bench_build/deep.mem.pprof
 	$(GO) test -run '^$$' -bench '^BenchmarkInductionBinned$$' -benchtime=3s \
 		-o .bench_build/repro.test -cpuprofile .bench_build/binned.cpu.pprof .
 	$(GO) tool pprof -top -nodecount=20 .bench_build/repro.test .bench_build/binned.cpu.pprof

@@ -43,17 +43,25 @@ var ErrOrphaned = errors.New("tcptransport: rank orphaned (lost every peer under
 const heartbeatDivisor = 3
 
 // deadlineReader arms a fresh read deadline before every Read, so a
-// connection only times out after a full window with no bytes at all.
+// connection only times out after a full window with no bytes at all. The
+// first window opens with the peer's first bytes: a dial completes on the
+// coordinator's listener before the listening worker may even run, and
+// every rank heartbeats each peer before ConnectTimeout returns.
 type deadlineReader struct {
-	c net.Conn
-	d time.Duration
+	c     net.Conn
+	d     time.Duration
+	heard bool
 }
 
 func (r *deadlineReader) Read(p []byte) (int, error) {
-	if err := r.c.SetReadDeadline(time.Now().Add(r.d)); err != nil {
-		return 0, err
+	if r.heard {
+		if err := r.c.SetReadDeadline(time.Now().Add(r.d)); err != nil {
+			return 0, err
+		}
 	}
-	return r.c.Read(p)
+	n, err := r.c.Read(p)
+	r.heard = r.heard || n > 0
+	return n, err
 }
 
 // heartbeater keeps every connection warm so peers' read deadlines only
@@ -62,44 +70,51 @@ func (t *T) heartbeater() {
 	interval := t.detect / heartbeatDivisor
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	hb := wireFrame{tag: comm.TagHeartbeat}
 	for {
 		select {
 		case <-t.hbStop:
 			return
 		case <-ticker.C:
 		}
-		if t.hung.Load() {
-			// A hang silences the whole NIC, heartbeats included — that
-			// is the point of the fault.
+		t.beat(interval)
+	}
+}
+
+// beat writes one heartbeat to every live peer. ConnectTimeout sends the
+// first one itself, before it returns: a peer's deadlines start with this
+// rank's first bytes, which must arrive before this rank can hang.
+func (t *T) beat(interval time.Duration) {
+	if t.hung.Load() {
+		// A hang silences the whole NIC, heartbeats included — that is
+		// the point of the fault.
+		return
+	}
+	hb := wireFrame{tag: comm.TagHeartbeat}
+	for peer := range t.conns {
+		if t.conns[peer] == nil {
 			continue
 		}
-		for peer := range t.conns {
-			if t.conns[peer] == nil {
-				continue
-			}
-			t.mu.Lock()
-			skip := !t.live[peer] || t.killed || t.closed
-			if !skip && time.Now().Before(t.frozenUntil[peer]) {
-				skip = true // a delay fault freezes this pair's heartbeats too
-			}
-			t.mu.Unlock()
-			if skip {
-				continue
-			}
-			t.wmu[peer].Lock()
-			if c := t.conns[peer]; c != nil {
-				// A write deadline so a peer that stopped reading (its
-				// socket buffer is full) cannot wedge the heartbeater —
-				// the failed write costs nothing; the peer's own reader
-				// deadline handles its fate.
-				c.SetWriteDeadline(time.Now().Add(interval))
-				hb.epoch = t.epochNow()
-				_ = writeFrame(c, hb)
-				c.SetWriteDeadline(time.Time{})
-			}
-			t.wmu[peer].Unlock()
+		t.mu.Lock()
+		skip := !t.live[peer] || t.killed || t.closed
+		if !skip && time.Now().Before(t.frozenUntil[peer]) {
+			skip = true // a delay fault freezes this pair's heartbeats too
 		}
+		t.mu.Unlock()
+		if skip {
+			continue
+		}
+		t.wmu[peer].Lock()
+		if c := t.conns[peer]; c != nil {
+			// A write deadline so a peer that stopped reading (its
+			// socket buffer is full) cannot wedge the heartbeater — the
+			// failed write costs nothing; the peer's own reader deadline
+			// handles its fate.
+			c.SetWriteDeadline(time.Now().Add(interval))
+			hb.epoch = t.epochNow()
+			_ = writeFrame(c, hb)
+			c.SetWriteDeadline(time.Time{})
+		}
+		t.wmu[peer].Unlock()
 	}
 }
 

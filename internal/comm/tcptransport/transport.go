@@ -152,6 +152,7 @@ func ConnectTimeout(rank int, ln net.Listener, addrs []string, detect time.Durat
 		}
 	}
 	if t.detect > 0 && p > 1 {
+		t.beat(t.detect / heartbeatDivisor)
 		t.hbStop = make(chan struct{})
 		go t.heartbeater()
 	}

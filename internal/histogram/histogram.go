@@ -94,12 +94,13 @@ type Layout struct {
 }
 
 // NewLayout builds the layout for nNeed need-split nodes where attribute a
-// contributes bins[a] bins per node (0 skips the attribute entirely).
+// contributes bins[a] bins per node (0 skips the attribute entirely). Its
+// groups are one allocation, however many nodes there are.
 func NewLayout(nNeed int, bins []int, classes int) *Layout {
 	if classes <= 0 {
 		panic(fmt.Sprintf("histogram: NewLayout with %d classes", classes))
 	}
-	l := &Layout{Classes: classes}
+	l := &Layout{Classes: classes, Groups: make([]Group, 0, nNeed*len(bins))}
 	for i := 0; i < nNeed; i++ {
 		for a, b := range bins {
 			if b <= 0 {
@@ -125,7 +126,7 @@ func NewLayoutSubset(cands [][]int32, bins []int, classes int) *Layout {
 	if classes <= 0 {
 		panic(fmt.Sprintf("histogram: NewLayoutSubset with %d classes", classes))
 	}
-	l := &Layout{Classes: classes}
+	l := &Layout{Classes: classes, Groups: make([]Group, 0, len(cands)*len(bins))}
 	for i, set := range cands {
 		prev := int32(-1)
 		for _, a := range set {

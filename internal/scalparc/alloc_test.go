@@ -14,12 +14,13 @@ import (
 )
 
 // allocWorker builds a single-rank worker under opts over a generated
-// table. With p = 1 every collective completes synchronously from the
-// calling goroutine, so phase methods can be driven directly, without
-// World.Run.
+// table, Quest F2 with 5 % label noise so that deep levels hold many
+// need-split nodes (train-deep-exact's shape). With p = 1 every collective
+// completes synchronously from the calling goroutine, so phase methods can
+// be driven directly, without World.Run.
 func allocWorker(t *testing.T, rows int, opts Options) *worker {
 	t.Helper()
-	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, rows)
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1, LabelNoise: 0.05}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,33 +35,56 @@ func allocWorker(t *testing.T, rows int, opts Options) *worker {
 // FindSplit pass under opts (exact: prefix scan, gini scans of every
 // attribute, categorical reductions, candidate all-reduce; binned and vote:
 // the row pass, the election, the reduce-scatter) after an arena warmup
-// run.
-func findSplitsAllocs(t *testing.T, rows int, opts Options) float64 {
+// run, at the first level with at least nodes need-split nodes. It returns
+// that level's need-split count beside the allocations.
+func findSplitsAllocs(t *testing.T, rows, nodes int, opts Options) (float64, int) {
 	t.Helper()
 	wk := allocWorker(t, rows, opts)
-	splitIdx := []int{0}
-	wk.findSplits(splitIdx, 1) // warmup: grows the arena to high-water size
-	return testing.AllocsPerRun(10, func() {
-		wk.findSplits(splitIdx, 1)
-	})
+	for {
+		splitIdx := make([]int, len(wk.active))
+		nNeed := 0
+		for i, n := range wk.active {
+			splitIdx[i] = -1
+			if wk.cfg.TrySplit(n, len(wk.levelStats)) {
+				splitIdx[i] = nNeed
+				nNeed++
+			}
+		}
+		if nNeed >= nodes {
+			wk.findSplits(splitIdx, nNeed) // warmup: grows the arena to high-water size
+			return testing.AllocsPerRun(10, func() {
+				wk.findSplits(splitIdx, nNeed)
+			}), nNeed
+		}
+		if len(wk.active) == 0 {
+			t.Fatalf("%v: no level of the %d-row tree has %d need-split nodes", opts.Split, rows, nodes)
+		}
+		wk.runLevel()
+	}
 }
 
 // TestFindSplitsSteadyStateAllocs pins the arena property in every split
 // mode: after the first level grows the arena, a FindSplit pass allocates
 // O(1) — a small constant (boxed collective deposits and per-attribute
-// reduction outputs) that does not grow with the record count.
+// reduction outputs) that grows neither with the record count nor with the
+// number of need-split nodes: a deep level's pass allocates exactly what
+// the root's does.
 func TestFindSplitsSteadyStateAllocs(t *testing.T) {
 	for _, opts := range []Options{{}, {Split: SplitBinned, Bins: 64}, {Split: SplitVote, Bins: 64, VoteK: 2}} {
-		small := findSplitsAllocs(t, 1_000, opts)
-		large := findSplitsAllocs(t, 8_000, opts)
-		t.Logf("%v: %.1f allocations per pass at 1k rows, %.1f at 8k rows", opts.Split, small, large)
+		small, _ := findSplitsAllocs(t, 1_000, 1, opts)
+		large, _ := findSplitsAllocs(t, 8_000, 1, opts)
+		deep, nNeed := findSplitsAllocs(t, 8_000, 16, opts)
+		t.Logf("%v: %.1f allocations per pass at 1k rows, %.1f at 8k rows, %.1f at %d need-split nodes", opts.Split, small, large, deep, nNeed)
 		if small != large {
 			t.Errorf("%v: steady-state FindSplit allocations scale with data: %.1f at 1k rows, %.1f at 8k rows", opts.Split, small, large)
 		}
+		if deep != large {
+			t.Errorf("%v: steady-state FindSplit allocations scale with nodes: %.1f at the root, %.1f at %d need-split nodes", opts.Split, large, deep, nNeed)
+		}
 		// A loose ceiling: one boxed deposit per collective plus one
 		// reduction output per categorical attribute. Function-2
-		// seven-attribute data has 3 categorical attributes; anything near
-		// the record count means a hot path regressed.
+		// seven-attribute data has one categorical attribute (elevel);
+		// anything near the record count means a hot path regressed.
 		if large > 32 {
 			t.Errorf("%v: steady-state FindSplit allocations too high: %.1f per pass", opts.Split, large)
 		}

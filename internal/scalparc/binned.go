@@ -138,18 +138,14 @@ func (rs *rowStore) evalHistGroup(wk *worker, grp histogram.Group, chunk []uint3
 	if wk.schema.Attrs[grp.Attr].Kind == dataset.Continuous {
 		return bestBinnedCont(chunk, below, above, rs.cuts[grp.Attr], nc, grp.Attr)
 	}
+	// Arena-backed count matrix, consumed before the next group reuses
+	// catFlat.
 	flat := grabRaw(wk.ar, &rs.catFlat, len(chunk))
 	for j, v := range chunk {
 		flat[j] = int64(v)
 	}
-	// Arena-backed count matrix: the rows alias catFlat, consumed before
-	// the next group reuses either.
-	rows := grabRaw(wk.ar, &rs.catRows, grp.Bins)
-	for v := 0; v < grp.Bins; v++ {
-		rows[v] = flat[v*nc : (v+1)*nc]
-	}
-	rs.catMat.Counts = rows
-	return splitter.BestCategorical(&rs.catMat, grp.Attr, wk.cfg.CategoricalBinary)
+	m := splitter.CountMatrix{Counts: flat, Classes: nc}
+	return splitter.BestCategorical(&m, grp.Attr, wk.cfg.CategoricalBinary)
 }
 
 // evalOwnedGroups evaluates this rank's contiguous block of the layout's

@@ -241,8 +241,8 @@ func (l *lists) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate
 				if i2 < 0 || !wk.attrAllowed(i, a) {
 					continue
 				}
-				m := splitter.FromFlat(red[i2*card*nc:(i2+1)*card*nc], card, nc)
-				cand := splitter.BestCategorical(m, a, wk.cfg.CategoricalBinary)
+				m := splitter.CountMatrix{Counts: red[i2*card*nc : (i2+1)*card*nc], Classes: nc}
+				cand := splitter.BestCategorical(&m, a, wk.cfg.CategoricalBinary)
 				best[i2] = splitter.Best(best[i2], cand)
 			}
 		}

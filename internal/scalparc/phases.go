@@ -40,13 +40,15 @@ func (wk *worker) findSplits(splitIdx []int, nNeed int) []splitter.Candidate {
 
 // performSplitI assigns every record of a split node its child number (the
 // record layout's local pass, records.assign) and reduces the global
-// per-child class histograms, which it returns. The per-node ablation mode
-// runs one local pass and one reduction per node instead of one per level.
-func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][][]int64 {
+// per-child class histograms, which it returns: per active node that
+// splits, its children's histograms back to back (splitter.Grow's layout).
+// The per-node ablation mode runs one local pass and one reduction per node
+// instead of one per level.
+func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][]int64 {
 	if !wk.opts.PerNodeComms {
 		return wk.performSplitIBatch(doSplit, splitIdx, cands)
 	}
-	childHists := make([][][]int64, len(wk.active))
+	childHists := make([][]int64, len(wk.active))
 	mask := make([]bool, len(wk.active))
 	for i := range wk.active {
 		if !doSplit[i] {
@@ -59,18 +61,16 @@ func (wk *worker) performSplitI(doSplit []bool, splitIdx []int, cands []splitter
 	return childHists
 }
 
-func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][][]int64 {
+func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []splitter.Candidate) [][]int64 {
 	wk.c.SetPhase(trace.PerformSplitI, wk.level)
 	nc := wk.schema.NumClasses()
 	offsets := grabRaw(wk.ar, &wk.ar.offsets, len(wk.active))
-	total, dTotal := 0, 0
+	total := 0
 	for i := range wk.active {
 		offsets[i] = -1
 		if doSplit[i] {
 			offsets[i] = total
-			d := len(wk.active[i].Children)
-			total += d * nc
-			dTotal += d
+			total += len(wk.active[i].Children) * nc
 		}
 	}
 
@@ -87,18 +87,10 @@ func (wk *worker) performSplitIBatch(doSplit []bool, splitIdx []int, cands []spl
 		wk.c.Mem().Free(int64(total) * 8)
 	}
 
-	histsBuf := grabRaw(wk.ar, &wk.ar.histsBuf, dTotal)
 	childHists := grab(wk.ar, &wk.ar.childHists, len(wk.active))
-	used := 0
 	for i, n := range wk.active {
-		if !doSplit[i] {
-			continue
-		}
-		d := len(n.Children)
-		childHists[i] = histsBuf[used : used+d]
-		used += d
-		for k := 0; k < d; k++ {
-			childHists[i][k] = global[offsets[i]+k*nc : offsets[i]+(k+1)*nc]
+		if doSplit[i] {
+			childHists[i] = global[offsets[i] : offsets[i]+len(n.Children)*nc]
 		}
 	}
 	return childHists
@@ -166,12 +158,12 @@ func assignSeg[V float64 | int32](list []dataset.Entry[V], cand splitter.Candida
 // active set, identically on every rank. It returns the new active set and,
 // per old node and child number, the index into the new active set (-1 for
 // empty children, which Grow makes leaves).
-func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*tree.Node, [][]int) {
+func (wk *worker) buildChildren(doSplit []bool, childHists [][]int64) ([]*tree.Node, [][]int) {
 	var next []*tree.Node
 	dTotal := 0
-	for i := range wk.active {
+	for i, n := range wk.active {
 		if doSplit[i] {
-			dTotal += len(childHists[i])
+			dTotal += len(n.Children)
 		}
 	}
 	childIdxBuf := grabRaw(wk.ar, &wk.ar.childIdxBuf, dTotal)
@@ -182,8 +174,8 @@ func (wk *worker) buildChildren(doSplit []bool, childHists [][][]int64) ([]*tree
 			continue
 		}
 		splitter.Grow(n, childHists[i])
-		childIndex[i] = childIdxBuf[used : used+len(childHists[i])]
-		used += len(childHists[i])
+		childIndex[i] = childIdxBuf[used : used+len(n.Children)]
+		used += len(n.Children)
 		for k, child := range n.Children {
 			childIndex[i][k] = -1
 			if !child.Leaf {

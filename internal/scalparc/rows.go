@@ -48,8 +48,6 @@ type rowStore struct {
 	below    []int64
 	above    []int64
 	catFlat  []int64
-	catRows  [][]int64
-	catMat   splitter.CountMatrix
 }
 
 // maxCode bounds a row's codes: uint16 holds Bins <= 65536 quantile bins

@@ -16,6 +16,10 @@ package scalparc
 // exact mode's categorical count vector, deposited once per attribute with
 // no gating collective in between — is double-buffered instead.
 //
+// Class counts keep the collectives' flat layout (package splitter): a split
+// node's child histograms are one subslice of PerformSplitI's reduced
+// vector, so no slot holds row views of reduced counts.
+//
 // The memory meter keeps charging the modeled per-level byte footprint of
 // these buffers even though the host now reuses them: the meter models the
 // algorithm's memory requirement, not the Go heap (DESIGN.md §5).
@@ -33,8 +37,7 @@ type scratch struct {
 	// PerformSplitI (performSplitIBatch)
 	offsets    []int
 	vec        []int64
-	histsBuf   [][]int64
-	childHists [][][]int64
+	childHists [][]int64
 
 	// buildChildren
 	childIdxBuf []int

@@ -135,14 +135,12 @@ func splitNode(ns *nodeState, cand splitter.Candidate, schema *dataset.Schema, c
 
 	// Phase 1 (PerformSplitI analogue): the splitting attribute's list
 	// determines each record's child; record it in the rid -> child map
-	// and accumulate the child class histograms.
-	childHists := make([][]int64, nChildren)
-	for k := range childHists {
-		childHists[k] = make([]int64, len(ns.node.Hist))
-	}
+	// and accumulate the child class histograms, back to back.
+	nc := len(ns.node.Hist)
+	childHists := make([]int64, nChildren*nc)
 	assign := func(rid int32, cid uint8, child uint8) {
 		childOf[rid] = child
-		childHists[child][cid]++
+		childHists[int(child)*nc+int(cid)]++
 	}
 	if schema.Attrs[attr].Kind == dataset.Continuous {
 		for _, e := range ns.lists.Cont[attr] {

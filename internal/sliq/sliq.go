@@ -269,13 +269,12 @@ func induce(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, src listSourc
 			}
 		}
 
-		childHists := make([][][]int64, len(active))
+		// Per split node, its children's class histograms back to back.
+		nc := schema.NumClasses()
+		childHists := make([][]int64, len(active))
 		for i, ns := range active {
 			if doSplit[i] {
-				childHists[i] = make([][]int64, len(ns.node.Children))
-				for k := range childHists[i] {
-					childHists[i][k] = make([]int64, schema.NumClasses())
-				}
+				childHists[i] = make([]int64, len(ns.node.Children)*nc)
 			}
 		}
 
@@ -302,7 +301,7 @@ func induce(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, src listSourc
 					child := best[l].ContChild(e.Val)
 					newClassList[e.Rid] = assigned
 					pendingChild[e.Rid] = child
-					childHists[l][child][e.Cid]++
+					childHists[l][int(child)*nc+int(e.Cid)]++
 				})
 				if err != nil {
 					return nil, err
@@ -316,7 +315,7 @@ func induce(c *comm.Comm, tab *dataset.Table, cfg splitter.Config, src listSourc
 					child := best[l].CatChild(e.Val)
 					newClassList[e.Rid] = assigned
 					pendingChild[e.Rid] = child
-					childHists[l][child][e.Cid]++
+					childHists[l][int(child)*nc+int(e.Cid)]++
 				})
 				if err != nil {
 					return nil, err

@@ -80,14 +80,16 @@ func (c Candidate) CatChild(v int32) uint8 {
 	return 1
 }
 
-// Grow fills a decided node's child slots, child k with class histogram
-// hists[k]. An empty child becomes a leaf labelled with the parent's
-// majority class; every other child is left open (not a leaf) for the next
-// level.
-func Grow(n *tree.Node, hists [][]int64) {
+// Grow fills a decided node's child slots from hists, the children's class
+// histograms back to back: child k's is the k-th run of len(n.Hist) counts,
+// which it keeps as its own Hist (no copy). An empty child becomes a leaf
+// labelled with the parent's majority class; every other child is left open
+// (not a leaf) for the next level.
+func Grow(n *tree.Node, hists []int64) {
 	label := tree.Majority(n.Hist)
-	for k, h := range hists {
-		child := &tree.Node{Hist: h}
+	nc := len(n.Hist)
+	for k := range n.Children {
+		child := &tree.Node{Hist: hists[k*nc : (k+1)*nc : (k+1)*nc]}
 		if child.Size() == 0 {
 			child.Leaf, child.Label = true, label
 		}

@@ -30,7 +30,7 @@ func TestNodeRule(t *testing.T) {
 	// majority ties between classes 1 and 2.
 	grown := node(1, 3, 3)
 	split := Decide(grown, Candidate{Valid: true, Attr: 1, Kind: CatMWay}, schema)
-	Grow(grown, [][]int64{{1, 3, 0}, {0, 0, 0}, {0, 0, 3}})
+	Grow(grown, []int64{1, 3, 0, 0, 0, 0, 0, 0, 3})
 	loser := node(3, 2, 0)
 	lost := Decide(loser, Candidate{Valid: true, Gini: g, Attr: 0, Kind: ContSplit}, schema)
 	subNode := node(3, 2, 0)
@@ -64,5 +64,31 @@ func TestNodeRule(t *testing.T) {
 		if tc.got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// TestGrowChildHistsAreTheirRuns pins how Grow reads the split's child
+// histograms, one vector back to back: child k keeps the k-th run of
+// len(Hist) counts without a copy, and its capacity ends with its run, so
+// an append to one child's Hist never writes into its sibling's counts.
+func TestGrowChildHistsAreTheirRuns(t *testing.T) {
+	schema := &dataset.Schema{
+		Attrs:   []dataset.Attribute{{Name: "c", Kind: dataset.Categorical, Values: []string{"a", "b", "c"}}},
+		Classes: []string{"A", "B"},
+	}
+	n := &tree.Node{Hist: []int64{4, 3}}
+	if !Decide(n, Candidate{Valid: true, Attr: 0, Kind: CatMWay}, schema) {
+		t.Fatal("the m-way candidate did not split the node")
+	}
+	hists := []int64{1, 2, 3, 0, 0, 1}
+	Grow(n, hists)
+	for k, c := range n.Children {
+		if len(c.Hist) != 2 || cap(c.Hist) != 2 || &c.Hist[0] != &hists[2*k] {
+			t.Fatalf("child %d: Hist %v (cap %d) is not run %d of %v in place", k, c.Hist, cap(c.Hist), k, hists)
+		}
+	}
+	grown := append(n.Children[0].Hist, 9)
+	if hists[2] != 3 || grown[2] != 9 {
+		t.Fatalf("an append to child 0's Hist wrote into child 1's run: %v", hists)
 	}
 }

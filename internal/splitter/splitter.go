@@ -12,6 +12,12 @@
 // bit-identical float64 ginis. Together with the deterministic candidate
 // order and the one node rule this guarantees ScalParC builds exactly the
 // serial tree for every processor count.
+//
+// Class counts have one layout: a flat row-major []int64, the vector the
+// parallel engine's collectives carry. A count matrix is one row of classes
+// per domain value (CountMatrix), and a split node's child histograms are
+// one row per child (Grow), so a reduced vector is evaluated and grown from
+// where it lies, never copied into row views.
 package splitter
 
 import (
@@ -118,81 +124,66 @@ func Best(a, b Candidate) Candidate {
 }
 
 // CountMatrix is the class-count matrix of one categorical attribute at one
-// node: Counts[v][j] records of domain value v bearing class j.
+// node, row-major: Counts[v·Classes + j] records of domain value v bearing
+// class j. It is the layout the collectives reduce, so a reduced vector is
+// evaluated where it lies.
 type CountMatrix struct {
-	Counts [][]int64
+	Counts  []int64
+	Classes int
 }
 
 // NewCountMatrix allocates a zero matrix for the given cardinality and
 // class count.
 func NewCountMatrix(cardinality, classes int) *CountMatrix {
-	backing := make([]int64, cardinality*classes)
-	m := &CountMatrix{Counts: make([][]int64, cardinality)}
-	for v := range m.Counts {
-		m.Counts[v], backing = backing[:classes], backing[classes:]
-	}
-	return m
+	return &CountMatrix{Counts: make([]int64, cardinality*classes), Classes: classes}
 }
 
 // Add counts one record.
-func (m *CountMatrix) Add(value int32, class uint8) { m.Counts[value][class]++ }
+func (m *CountMatrix) Add(value int32, class uint8) { m.Counts[int(value)*m.Classes+int(class)]++ }
 
-// Flat returns the matrix as one row-major vector (the wire format for
-// reductions).
-func (m *CountMatrix) Flat() []int64 {
-	if len(m.Counts) == 0 {
-		return nil
-	}
-	classes := len(m.Counts[0])
-	out := make([]int64, 0, len(m.Counts)*classes)
-	for _, row := range m.Counts {
-		out = append(out, row...)
-	}
-	return out
-}
+// cardinality is the number of rows, one per domain value.
+func (m *CountMatrix) cardinality() int { return len(m.Counts) / m.Classes }
 
-// FromFlat rebuilds a matrix from Flat's format.
-func FromFlat(flat []int64, cardinality, classes int) *CountMatrix {
-	if len(flat) != cardinality*classes {
-		panic(fmt.Sprintf("splitter: FromFlat length %d != %d*%d", len(flat), cardinality, classes))
-	}
-	m := NewCountMatrix(cardinality, classes)
-	for v := 0; v < cardinality; v++ {
-		copy(m.Counts[v], flat[v*classes:(v+1)*classes])
-	}
-	return m
-}
+// row is domain value v's class counts.
+func (m *CountMatrix) row(v int) []int64 { return m.Counts[v*m.Classes : (v+1)*m.Classes] }
 
 // BestCategorical evaluates the best split of the attribute from its global
 // count matrix: m-way by default, greedy binary subset when binary is set.
 // The candidate is invalid when fewer than two children would be non-empty.
+// The m-way gini folds the rows in order exactly as gini.SplitIndex of the
+// rows does, so both compute the same bits.
 func BestCategorical(m *CountMatrix, attr int, binary bool) Candidate {
 	if binary {
 		return bestSubset(m, attr)
 	}
+	card := m.cardinality()
 	nonEmpty := 0
 	var total int64
-	for _, row := range m.Counts {
-		empty := true
-		for _, c := range row {
-			total += c
-			if c > 0 {
-				empty = false
-			}
+	for v := 0; v < card; v++ {
+		var n int64
+		for _, c := range m.row(v) {
+			n += c
 		}
-		if !empty {
+		if n > 0 {
+			total += n
 			nonEmpty++
 		}
 	}
 	if nonEmpty < 2 {
 		return Invalid
 	}
-	return Candidate{
-		Valid: true,
-		Gini:  gini.SplitIndexTotal(total, m.Counts...),
-		Attr:  int32(attr),
-		Kind:  CatMWay,
+	g := 0.0
+	for v := 0; v < card; v++ {
+		row := m.row(v)
+		var n int64
+		for _, c := range row {
+			n += c
+		}
+		if n > 0 {
+			g += float64(n) / float64(total) * gini.Index(row)
+		}
 	}
+	return Candidate{Valid: true, Gini: g, Attr: int32(attr), Kind: CatMWay}
 }
 
 // bestSubset finds a binary subset split greedily: starting from the empty
@@ -200,21 +191,17 @@ func BestCategorical(m *CountMatrix, attr int, binary bool) Candidate {
 // the left side, keeping the best configuration seen. Values are considered
 // in ascending order so the result is deterministic.
 func bestSubset(m *CountMatrix, attr int) Candidate {
-	card := len(m.Counts)
+	card, classes := m.cardinality(), m.Classes
 	if card > 64 {
 		panic(fmt.Sprintf("splitter: subset split over cardinality %d > 64", card))
-	}
-	classes := 0
-	if card > 0 {
-		classes = len(m.Counts[0])
 	}
 	left := make([]int64, classes)
 	right := make([]int64, classes)
 	present := make([]bool, card)
 	presentCount := 0
 	var total int64
-	for v, row := range m.Counts {
-		for j, c := range row {
+	for v := 0; v < card; v++ {
+		for j, c := range m.row(v) {
 			right[j] += c
 			total += c
 			if c > 0 {
@@ -238,17 +225,18 @@ func bestSubset(m *CountMatrix, attr int) Candidate {
 			if inLeft[v] || !present[v] {
 				continue
 			}
-			for j := 0; j < classes; j++ {
-				left[j] += m.Counts[v][j]
-				right[j] -= m.Counts[v][j]
+			row := m.row(v)
+			for j, c := range row {
+				left[j] += c
+				right[j] -= c
 			}
 			g := gini.SplitIndexTotal(total, left, right)
 			if g < bestG {
 				bestG, bestV = g, v
 			}
-			for j := 0; j < classes; j++ {
-				left[j] -= m.Counts[v][j]
-				right[j] += m.Counts[v][j]
+			for j, c := range row {
+				left[j] -= c
+				right[j] += c
 			}
 		}
 		if bestV < 0 {
@@ -256,9 +244,9 @@ func bestSubset(m *CountMatrix, attr int) Candidate {
 		}
 		inLeft[bestV] = true
 		mask |= 1 << uint(bestV)
-		for j := 0; j < classes; j++ {
-			left[j] += m.Counts[bestV][j]
-			right[j] -= m.Counts[bestV][j]
+		for j, c := range m.row(bestV) {
+			left[j] += c
+			right[j] -= c
 		}
 		cand := Candidate{Valid: true, Gini: bestG, Attr: int32(attr), Kind: CatSubset, Subset: mask}
 		if Better(cand, best) {
@@ -271,18 +259,14 @@ func bestSubset(m *CountMatrix, attr int) Candidate {
 // SubsetHists splits a count matrix into the (left, right) class histograms
 // induced by a subset mask.
 func SubsetHists(m *CountMatrix, mask uint64) (left, right []int64) {
-	classes := 0
-	if len(m.Counts) > 0 {
-		classes = len(m.Counts[0])
-	}
-	left = make([]int64, classes)
-	right = make([]int64, classes)
-	for v, row := range m.Counts {
+	left = make([]int64, m.Classes)
+	right = make([]int64, m.Classes)
+	for v := 0; v < m.cardinality(); v++ {
 		dst := right
 		if v < 64 && mask&(1<<uint(v)) != 0 {
 			dst = left
 		}
-		for j, c := range row {
+		for j, c := range m.row(v) {
 			dst[j] += c
 		}
 	}

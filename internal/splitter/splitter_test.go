@@ -1,6 +1,7 @@
 package splitter
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -112,43 +113,28 @@ func TestBestDeterministicAnyOrder(t *testing.T) {
 	}
 }
 
-func TestCountMatrixFlatRoundTrip(t *testing.T) {
+func TestCountMatrixRowMajor(t *testing.T) {
 	m := NewCountMatrix(3, 2)
 	m.Add(0, 1)
 	m.Add(2, 0)
 	m.Add(2, 0)
-	flat := m.Flat()
 	want := []int64{0, 1, 0, 0, 2, 0}
+	if m.Classes != 2 || len(m.Counts) != len(want) {
+		t.Fatalf("matrix %+v", m)
+	}
 	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("Flat=%v", flat)
+		if m.Counts[i] != want[i] {
+			t.Fatalf("Counts=%v, want %v", m.Counts, want)
 		}
 	}
-	back := FromFlat(flat, 3, 2)
-	for v := range m.Counts {
-		for j := range m.Counts[v] {
-			if back.Counts[v][j] != m.Counts[v][j] {
-				t.Fatal("FromFlat mismatch")
-			}
-		}
-	}
-}
-
-func TestFromFlatPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad length accepted")
-		}
-	}()
-	FromFlat([]int64{1, 2, 3}, 2, 2)
 }
 
 func TestBestCategoricalMWay(t *testing.T) {
 	// Perfect separation across three values.
 	m := NewCountMatrix(3, 2)
-	m.Counts[0][0] = 5
-	m.Counts[1][1] = 4
-	m.Counts[2][0] = 2
+	m.Counts[0*2+0] = 5
+	m.Counts[1*2+1] = 4
+	m.Counts[2*2+0] = 2
 	c := BestCategorical(m, 7, false)
 	if !c.Valid || c.Kind != CatMWay || c.Attr != 7 {
 		t.Fatalf("candidate %+v", c)
@@ -156,12 +142,61 @@ func TestBestCategoricalMWay(t *testing.T) {
 	if c.Gini != 0 {
 		t.Fatalf("perfect m-way split gini = %v", c.Gini)
 	}
+
+	// Seeded random matrices, empty rows and zero-count classes included:
+	// the m-way gini must be gini.SplitIndex of the rows to the bit, so
+	// the flat loop's fold order cannot drift from the reference's.
+	rng := rand.New(rand.NewSource(49))
+	valid := 0
+	for trial := 0; trial < 500; trial++ {
+		card, classes := 2+rng.Intn(7), 2+rng.Intn(3)
+		m := NewCountMatrix(card, classes)
+		rows := make([][]int64, card)
+		nonEmpty := 0
+		for v := range rows {
+			rows[v] = m.Counts[v*classes : (v+1)*classes]
+			if rng.Intn(4) == 0 {
+				continue // an empty row
+			}
+			for j := range rows[v] {
+				if rng.Intn(3) > 0 {
+					rows[v][j] = rng.Int63n(1000)
+				}
+			}
+			if sum(rows[v]) > 0 {
+				nonEmpty++
+			}
+		}
+		c := BestCategorical(m, 3, false)
+		if c.Valid != (nonEmpty >= 2) {
+			t.Fatalf("trial %d: valid %v with %d non-empty rows: %v", trial, c.Valid, nonEmpty, rows)
+		}
+		if !c.Valid {
+			continue
+		}
+		valid++
+		if want := gini.SplitIndex(rows...); math.Float64bits(c.Gini) != math.Float64bits(want) {
+			t.Fatalf("trial %d: m-way gini %v (%#x), gini.SplitIndex %v (%#x): %v",
+				trial, c.Gini, math.Float64bits(c.Gini), want, math.Float64bits(want), rows)
+		}
+	}
+	if valid < 250 {
+		t.Fatalf("only %d of 500 random matrices had a valid m-way split", valid)
+	}
+}
+
+func sum(h []int64) int64 {
+	var n int64
+	for _, c := range h {
+		n += c
+	}
+	return n
 }
 
 func TestBestCategoricalSingleValueInvalid(t *testing.T) {
 	m := NewCountMatrix(4, 2)
-	m.Counts[2][0] = 5
-	m.Counts[2][1] = 3
+	m.Counts[2*2+0] = 5
+	m.Counts[2*2+1] = 3
 	if c := BestCategorical(m, 0, false); c.Valid {
 		t.Fatalf("single populated value should be invalid, got %+v", c)
 	}
@@ -174,10 +209,10 @@ func TestBestCategoricalSubsetFindsPerfectSplit(t *testing.T) {
 	// Values {0,2} are pure class 0; values {1,3} pure class 1. The greedy
 	// search must find a subset with gini 0.
 	m := NewCountMatrix(4, 2)
-	m.Counts[0][0] = 3
-	m.Counts[2][0] = 2
-	m.Counts[1][1] = 4
-	m.Counts[3][1] = 1
+	m.Counts[0*2+0] = 3
+	m.Counts[2*2+0] = 2
+	m.Counts[1*2+1] = 4
+	m.Counts[3*2+1] = 1
 	c := BestCategorical(m, 1, true)
 	if !c.Valid || c.Kind != CatSubset {
 		t.Fatalf("candidate %+v", c)
@@ -202,7 +237,7 @@ func TestBestCategoricalSubsetNeverWorseThanBestSingleton(t *testing.T) {
 		m := NewCountMatrix(card, 3)
 		for v := 0; v < card; v++ {
 			for j := 0; j < 3; j++ {
-				m.Counts[v][j] = int64(rng.Intn(5))
+				m.Counts[v*3+j] = int64(rng.Intn(5))
 			}
 		}
 		c := BestCategorical(m, 0, true)
@@ -229,9 +264,9 @@ func TestBestCategoricalSubsetNeverWorseThanBestSingleton(t *testing.T) {
 
 func TestSubsetHists(t *testing.T) {
 	m := NewCountMatrix(3, 2)
-	m.Counts[0][0] = 1
-	m.Counts[1][1] = 2
-	m.Counts[2][0] = 3
+	m.Counts[0*2+0] = 1
+	m.Counts[1*2+1] = 2
+	m.Counts[2*2+0] = 3
 	l, r := SubsetHists(m, 0b001)
 	if l[0] != 1 || l[1] != 0 || r[0] != 3 || r[1] != 2 {
 		t.Fatalf("l=%v r=%v", l, r)
