@@ -20,12 +20,24 @@ vet:
 
 # Non-test Go lines per package of the root module, then their total: the
 # scorecard of a simplicity change. benchmark/ is its own module, so ./...
-# leaves it out.
-loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+# leaves it out. With BASE=<git ref> (make loc BASE=HEAD~1), each package's
+# count at that ref (from git archive into a temporary directory), this
+# tree's count and the delta, then the totals.
+LOC_LIST = $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; \
-	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+	done
+loc:
+ifeq ($(BASE),)
+	@$(LOC_LIST) | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+else
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/tree" && git archive "$(BASE)" | tar -x -C "$$tmp/tree" && \
+	(cd "$$tmp/tree" && $(LOC_LIST)) > "$$tmp/base" && \
+	$(LOC_LIST) | awk 'NR == FNR { base[$$2] = $$1; seen[$$2] = 1; next } { here[$$2] = $$1; seen[$$2] = 1 } \
+		END { for (p in seen) printf "%7d  %7d  %+7d  %s\n", base[p], here[p], here[p] - base[p], p }' "$$tmp/base" - | \
+	sort -k4 | awk '{ print; b += $$1; h += $$2 } END { printf "%7d  %7d  %+7d  total\n", b, h, h - b }'
+endif
 
 # Host CPU profiles of BenchmarkInduction (one exact-split induction, Quest
 # F2, 20k records, p=4), BenchmarkInductionDeep (one exact-split induction

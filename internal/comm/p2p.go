@@ -47,8 +47,9 @@ func Recv[T any](c *Comm, src int) []T {
 }
 
 // SendRecv exchanges vectors with a partner rank in a single deadlock-free
-// step (both sides must call it with each other as partner). It is the
-// building block of the "parallel shift" after sample sort.
+// step (both sides must call it with each other as partner). The engine
+// does not call it — psort.Shift, the parallel shift after sample sort, is
+// one all-to-all — so it serves the point-to-point cost model's tests.
 func SendRecv[T any](c *Comm, partner int, x []T) []T {
 	if partner == c.Rank() {
 		// A self-partnered exchange is still a send op followed by a

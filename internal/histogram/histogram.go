@@ -18,7 +18,7 @@ package histogram
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/dataset"
 )
@@ -65,11 +65,28 @@ func Cuts(vals []float64) []float64 {
 	return out
 }
 
-// BinOf returns the bin index of value v under a strictly increasing cut
-// vector: the first bin b with v <= cuts[b], or len(cuts) (the overflow bin)
-// when v exceeds every cut. A cut vector of length m defines m+1 bins.
+// BinOf returns the bin index of value v under a strictly increasing,
+// finite cut vector: the first bin b with v <= cuts[b], or len(cuts) (the
+// overflow bin) when v exceeds every cut. A cut vector of length m defines
+// m+1 bins. v must not be NaN; every caller passes a table value or a cut.
+//
+// It is a binary search without a data-dependent branch. Each step halves
+// the range by the sign bit of cuts[i] - v, which is set exactly when
+// cuts[i] < v once adding +0 has folded a -0 difference into +0. A library
+// search mispredicts about every other step on values in table order; this
+// one costs the same on any input, and the searches of a column overlap.
 func BinOf(cuts []float64, v float64) int {
-	return sort.SearchFloat64s(cuts, v)
+	base, n := 0, len(cuts)
+	for n > 1 {
+		half := n >> 1
+		below := math.Float64bits(cuts[base+half-1]-v+0) >> 63
+		base += half & -int(below)
+		n -= half
+	}
+	if n == 1 {
+		base += int(math.Float64bits(cuts[base]-v+0) >> 63)
+	}
+	return base
 }
 
 // Group is one (need-split node, attribute) slot range of the level's

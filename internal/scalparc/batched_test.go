@@ -7,6 +7,8 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/splitter"
 	"repro/internal/timing"
+	"repro/internal/trace"
+	"repro/internal/tree"
 )
 
 func TestBatchedEnquirySavesRoundsCostsMemory(t *testing.T) {
@@ -101,5 +103,65 @@ func TestPerLevelStats(t *testing.T) {
 	if total > res.ModeledSeconds+1e-9 || total < res.ModeledSeconds*0.95 {
 		t.Fatalf("per-level times (%v) + presort (%v) != total (%v)",
 			levelSum, res.PresortModeledSeconds, res.ModeledSeconds)
+	}
+}
+
+// TestEnquiryRoundsClosedForm counts PerformSplitII's enquiry rounds. Each
+// record-map Lookup is two all-to-alls (the rids out, the answers back), and
+// PerformSplitII issues nothing else, so on every rank at every level its
+// trace bucket holds exactly 2·n_a ops under the paper's schedule (a round
+// per attribute), 2 under BatchedEnquiry (one round), and 2·S·(n_a − 1)
+// under PerNodeComms (a Lookup per split node per non-splitting attribute),
+// where S is the level's split nodes, read off the tree.
+func TestEnquiryRoundsClosedForm(t *testing.T) {
+	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 9, LabelNoise: 0.1}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na := int64(tab.Schema.NumAttrs())
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		expect func(splits int64) int64
+	}{
+		{"per-attribute", Options{}, func(int64) int64 { return 2 * na }},
+		{"batched", Options{BatchedEnquiry: true}, func(int64) int64 { return 2 }},
+		{"per-node", Options{PerNodeComms: true}, func(s int64) int64 { return 2 * s * (na - 1) }},
+	} {
+		const p = 3
+		res, err := TrainOpts(comm.NewWorld(p, timing.T3D()), tab, splitter.Config{MinSplit: 2}, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// splits[l] is the number of internal nodes at depth l: the nodes
+		// level l split.
+		splits := make([]int64, res.Levels)
+		var walk func(n *tree.Node, depth int)
+		walk = func(n *tree.Node, depth int) {
+			if n.Leaf {
+				return
+			}
+			splits[depth]++
+			for _, c := range n.Children {
+				walk(c, depth+1)
+			}
+		}
+		walk(res.Tree.Root, 0)
+		if res.Levels < 4 || splits[3] < 2 {
+			t.Fatalf("%s: %d levels, the check needs a wider, deeper tree", tc.name, res.Levels)
+		}
+		for r, rt := range res.Trace.Ranks {
+			ops := make([]int64, res.Levels)
+			for _, b := range rt.Buckets() {
+				if b.Phase == trace.PerformSplitII {
+					ops[b.Level] += b.Ops
+				}
+			}
+			for l, got := range ops {
+				if want := tc.expect(splits[l]); got != want {
+					t.Errorf("%s rank %d level %d (%d split nodes): %d PerformSplitII ops, want %d", tc.name, r, l, splits[l], got, want)
+				}
+			}
+		}
 	}
 }

@@ -23,6 +23,9 @@ type lists struct {
 	cont [][]dataset.ContEntry
 	cat  [][]dataset.CatEntry
 	segs [][]seg
+	// contAttrs and catAttrs index the schema's continuous and categorical
+	// attributes, set once by load.
+	contAttrs, catAttrs []int
 
 	// splitChild[i] is PerformSplitI's child number per entry of split
 	// node i's segment of its splitting attribute, read by split. Kept
@@ -44,7 +47,6 @@ type lists struct {
 	childsBuf []uint8
 	// PerformSplitII (split, partition):
 	enqRids   []int32
-	offCache  []int                 // batched-enquiry per-attribute offsets
 	bucketNs  []int                 // counting-sort child counts, then running offsets
 	spareCont [][]dataset.ContEntry // double buffers swapped with the lists
 	spareCat  [][]dataset.CatEntry
@@ -72,8 +74,9 @@ func newLists(rm RecordMap, numAttrs int) *lists {
 func (l *lists) load(wk *worker, tab *dataset.Table) {
 	lo, hi := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
 	local := dataset.BuildLists(tab.Slice(lo, hi), lo)
+	l.contAttrs, l.catAttrs = wk.schema.ContIndices(), wk.schema.CatIndices()
 	var sorter psort.Sorter
-	for _, a := range wk.schema.ContIndices() {
+	for _, a := range l.contAttrs {
 		local.Cont[a] = sorter.Sort(wk.c, local.Cont[a])
 	}
 	l.cont, l.cat = local.Cont, local.Cat
@@ -131,8 +134,7 @@ type boundary struct {
 // candidate threshold.
 func (l *lists) find(wk *worker, splitIdx []int, nNeed int) []splitter.Candidate {
 	wk.c.SetPhase(trace.FindSplitI, wk.level)
-	contAttrs := wk.schema.ContIndices()
-	catAttrs := wk.schema.CatIndices()
+	contAttrs, catAttrs := l.contAttrs, l.catAttrs
 	nc := wk.schema.NumClasses()
 	model := wk.c.Model()
 
@@ -396,66 +398,61 @@ func assignSeg[V float64 | int32](list []dataset.Entry[V], cand splitter.Candida
 
 // split splits every attribute list consistently with the level's
 // decisions: splitting attributes reuse the child assignments from phase I;
-// all other attributes enquire the record map, one attribute at a time.
+// all other attributes enquire the record map, in rounds. A round covers
+// one attribute, as in the paper, or every attribute under
+// Options.BatchedEnquiry (the tech report's schedule: n_a-times larger
+// buffers for 2·(n_a − 1) fewer all-to-all steps per level).
 func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, nextCount int, childIndex [][]int) {
-	// The tech-report optimization: gather every attribute's enquiry rids
-	// up front and resolve them in one round, trading n_a-times larger
-	// buffers for 2·(n_a - 2) fewer all-to-all steps per level.
-	var batchedAnswers []uint8
-	var batchedOffsets []int
+	na := wk.schema.NumAttrs()
+	run := 1
 	if wk.opts.BatchedEnquiry {
-		all := grabRaw(wk.ar, &l.enqRids, 0)
-		batchedOffsets = grabRaw(wk.ar, &l.offCache, wk.schema.NumAttrs()+1)
-		for a := range wk.schema.Attrs {
-			batchedOffsets[a] = len(all)
-			all = l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, all)
-		}
-		batchedOffsets[wk.schema.NumAttrs()] = len(all)
-		stash(wk.ar, &l.enqRids, all)
-		batchedAnswers = l.rm.Lookup(all)
+		run = na
 	}
-
-	for a := range wk.schema.Attrs {
-		// Enquiry pass: rids of every segment that needs child numbers
-		// from the record map, in node order. Per-level mode batches the
-		// whole attribute into one enquiry, reusing one rid buffer across
-		// attributes; the per-node ablation runs a separate enquiry per
-		// node. Lookup's result is only valid until the next Lookup, which
-		// is fine: each attribute's answers are consumed by its own
-		// partition pass below.
+	// enquires reports whether node i's segment of attribute a needs
+	// record-map answers: it splits, on another attribute.
+	enquires := func(a, i int) bool { return doSplit[i] && int(cands[splitIdx[i]].Attr) != a }
+	for first := 0; first < na; first += run {
+		last := min(first+run, na)
+		// Enquiry: the round's rids in attribute order, then node order —
+		// the order the partitions below consume the answers in. One
+		// Lookup per round; the per-node ablation makes one per segment
+		// and appends the answers, since a Lookup's result is only valid
+		// until the next.
+		rids := grabRaw(wk.ar, &l.enqRids, 0)
 		var answers []uint8
-		switch {
-		case wk.opts.BatchedEnquiry:
-			answers = batchedAnswers[batchedOffsets[a]:batchedOffsets[a+1]]
-		case wk.opts.PerNodeComms:
+		for a := first; a < last; a++ {
 			for i := range wk.active {
-				if !doSplit[i] || int(cands[splitIdx[i]].Attr) == a {
-					continue
+				if enquires(a, i) {
+					n := len(rids)
+					rids = l.segRids(wk, a, i, rids)
+					if wk.opts.PerNodeComms {
+						answers = append(answers, l.rm.Lookup(rids[n:])...)
+					}
 				}
-				rids := l.segRids(wk, a, i, make([]int32, 0, l.segs[a][i].n))
-				answers = append(answers, l.rm.Lookup(rids)...)
 			}
-		default:
-			rids := l.collectEnquiryRids(wk, a, doSplit, splitIdx, cands, grabRaw(wk.ar, &l.enqRids, 0))
-			stash(wk.ar, &l.enqRids, rids)
+		}
+		stash(wk.ar, &l.enqRids, rids)
+		if !wk.opts.PerNodeComms {
 			answers = l.rm.Lookup(rids)
 		}
 
 		// A split node's entries take phase I's child numbers on its
-		// splitting attribute and the next answers, in node order, on
-		// every other.
+		// splitting attribute and the next answers on every other, one
+		// cursor across the round's attributes.
 		cursor := 0
-		childs := func(i int) []uint8 {
-			if int(cands[splitIdx[i]].Attr) == a {
-				return l.splitChild[i]
+		for a := first; a < last; a++ {
+			childs := func(i int) []uint8 {
+				if !enquires(a, i) {
+					return l.splitChild[i]
+				}
+				cursor += l.segs[a][i].n
+				return answers[cursor-l.segs[a][i].n : cursor]
 			}
-			cursor += l.segs[a][i].n
-			return answers[cursor-l.segs[a][i].n : cursor]
-		}
-		if wk.schema.Attrs[a].Kind == dataset.Continuous {
-			partition(wk, l, a, &l.cont[a], &l.spareCont[a], doSplit, childs, nextCount, childIndex)
-		} else {
-			partition(wk, l, a, &l.cat[a], &l.spareCat[a], doSplit, childs, nextCount, childIndex)
+			if wk.schema.Attrs[a].Kind == dataset.Continuous {
+				partition(wk, l, a, &l.cont[a], &l.spareCont[a], doSplit, childs, nextCount, childIndex)
+			} else {
+				partition(wk, l, a, &l.cat[a], &l.spareCat[a], doSplit, childs, nextCount, childIndex)
+			}
 		}
 	}
 
@@ -467,18 +464,6 @@ func (l *lists) split(wk *worker, doSplit []bool, splitIdx []int, cands []splitt
 		}
 	}
 	wk.c.Mem().Free(childBytes)
-}
-
-// collectEnquiryRids appends the rids of attribute a's segments that need
-// record-map answers (segments of split nodes not splitting on a), in node
-// order — the same order the partition pass consumes answers in.
-func (l *lists) collectEnquiryRids(wk *worker, a int, doSplit []bool, splitIdx []int, cands []splitter.Candidate, out []int32) []int32 {
-	for i := range wk.active {
-		if doSplit[i] && int(cands[splitIdx[i]].Attr) != a {
-			out = l.segRids(wk, a, i, out)
-		}
-	}
-	return out
 }
 
 // segRids appends the rids of active node i's segment of attribute a.

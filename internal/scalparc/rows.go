@@ -2,7 +2,6 @@ package scalparc
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/histogram"
@@ -79,7 +78,7 @@ func binCodes(tab *dataset.Table, lo, hi int, cuts [][]float64) []uint16 {
 		if attr.Kind == dataset.Continuous {
 			cv := cuts[a]
 			for r, v := range tab.ContColumn(a)[lo:hi] {
-				codes[r*na+a] = uint16(searchCuts(cv, v))
+				codes[r*na+a] = uint16(histogram.BinOf(cv, v))
 			}
 		} else {
 			for r, v := range tab.CatColumn(a)[lo:hi] {
@@ -88,27 +87,6 @@ func binCodes(tab *dataset.Table, lo, hi int, cuts [][]float64) []uint16 {
 		}
 	}
 	return codes
-}
-
-// searchCuts is histogram.BinOf for binCodes, where the values arrive in
-// table order: a binary search without a data-dependent branch. Each step
-// halves the range by the sign bit of cuts[i] - v, which is set exactly
-// when cuts[i] < v once adding +0 has folded a -0 difference into +0 (v and
-// the cuts are finite, as every table value is). A library search
-// mispredicts about every other step on such values; this one costs the
-// same on any input, and the searches of a column overlap.
-func searchCuts(cuts []float64, v float64) int {
-	base, n := 0, len(cuts)
-	for n > 1 {
-		half := n >> 1
-		below := math.Float64bits(cuts[base+half-1]-v+0) >> 63
-		base += half & -int(below)
-		n -= half
-	}
-	if n == 1 {
-		base += int(math.Float64bits(cuts[base]-v+0) >> 63)
-	}
-	return base
 }
 
 // load codes the block, the root owning every row, under the cuts a

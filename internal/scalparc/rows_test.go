@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -79,8 +80,9 @@ func cutValue(c byte) float64 {
 	return float64(int8(c)) / 4
 }
 
-// FuzzSearchCuts: binCodes' branchless search equals histogram.BinOf, the
-// library binary search, on every finite value. Cuts come from
+// FuzzSearchCuts: histogram.BinOf's branchless search, which binCodes
+// runs, equals the library binary search sort.SearchFloat64s on every
+// finite value. Cuts come from
 // histogram.Cuts over fuzzed, sorted samples (zero or more cuts), and every
 // fuzzed value is searched, so values on a cut, between cuts, past either
 // end, at ±MaxFloat64, and -0 against +0 all occur.
@@ -100,8 +102,8 @@ func FuzzSearchCuts(f *testing.F) {
 		cuts := histogram.Cuts(sv)
 		for _, c := range vals {
 			v := cutValue(c)
-			if got, want := searchCuts(cuts, v), histogram.BinOf(cuts, v); got != want {
-				t.Fatalf("searchCuts(%v, %v) = %d, want %d", cuts, v, got, want)
+			if got, want := histogram.BinOf(cuts, v), sort.SearchFloat64s(cuts, v); got != want {
+				t.Fatalf("BinOf(%v, %v) = %d, want %d", cuts, v, got, want)
 			}
 		}
 	})

@@ -215,7 +215,7 @@ type Options struct {
 	// BatchedEnquiry merges PerformSplitII's per-attribute node-table
 	// enquiries into a single enquiry per level — one of the
 	// communication-overhead optimizations the paper defers to its
-	// technical report [5]. Saves 2·(n_a - 2) all-to-all steps per level
+	// technical report [5]. Saves 2·(n_a − 1) all-to-all steps per level
 	// at the cost of n_a-times larger enquiry buffers (the paper goes
 	// one attribute at a time precisely to bound that memory). Mutually
 	// exclusive with PerNodeComms. A no-op in the histogram modes, which

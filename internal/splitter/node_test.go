@@ -92,3 +92,16 @@ func TestGrowChildHistsAreTheirRuns(t *testing.T) {
 		t.Fatalf("an append to child 0's Hist wrote into child 1's run: %v", hists)
 	}
 }
+
+// TestGrowAllocatesOneBlock pins Grow's allocation: a split's children are
+// one block, so growing a node costs one allocation whatever its fan-out.
+func TestGrowAllocatesOneBlock(t *testing.T) {
+	for _, d := range []int{2, 3, 5, 8} {
+		n := &tree.Node{Hist: []int64{4, 3}, Children: make([]*tree.Node, d)}
+		hists := make([]int64, 2*d)
+		hists[0], hists[1] = 4, 3
+		if allocs := testing.AllocsPerRun(10, func() { Grow(n, hists) }); allocs != 1 {
+			t.Errorf("fan-out %d: Grow made %.0f allocations, want 1", d, allocs)
+		}
+	}
+}
