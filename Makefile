@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet loc profile test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
+.PHONY: all build fmt vet fma loc pair profile test bench-module bench race fuzz guard chaos chaos-tcp tcp serve-test forest cover experiments experiments-check examples clean
 
 all: build fmt vet test bench-module
 
@@ -17,6 +17,27 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Float results must not depend on the CPU. arm64, ppc64le, s390x and
+# riscv64 fuse x*y + z into one instruction with one rounding; amd64 never
+# does. Cross-compile the program's packages for those four with the
+# assembly listing (-gcflags=-S) and fail on any fused multiply-add, naming
+# its file and line. The fix is an explicit conversion, float64(x*y) + z:
+# it rounds the product, which the Go spec says prevents fusion, and on
+# amd64 it changes no instruction. The build cache replays the listing, so
+# a rerun takes seconds.
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+FMA_PKGS = ./classify ./cmd/... ./internal/...
+fma:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; found=0; \
+	for arch in $(FMA_ARCHS); do \
+		GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2> "$$tmp" || { cat "$$tmp"; exit 1; }; \
+		sites="$$(grep -E '\bFN?M(ADD|SUB)D?\b' "$$tmp" | \
+			sed -E 's|^.*\(([^)]*\.go:[0-9]+)\)[[:space:]]+([A-Z]+).*$$|\1: \2|; s|^$(CURDIR)/||' | sort -u)"; \
+		if [ -n "$$sites" ]; then echo "$$sites" | sed "s/^/$$arch: /"; found=1; fi; \
+	done; \
+	if [ $$found = 1 ]; then echo "fused multiply-adds found: round the product explicitly, float64(x*y) + z"; exit 1; fi; \
+	echo "no fused multiply-adds on $(FMA_ARCHS)"
 
 # Non-test Go lines per package of the root module, then their total: the
 # scorecard of a simplicity change. benchmark/ is its own module, so ./...
@@ -38,6 +59,22 @@ else
 		END { for (p in seen) printf "%7d  %7d  %+7d  %s\n", base[p], here[p], here[p] - base[p], p }' "$$tmp/base" - | \
 	sort -k4 | awk '{ print; b += $$1; h += $$2 } END { printf "%7d  %7d  %+7d  total\n", b, h, h - b }'
 endif
+
+# Paired benchmark comparison of the working tree against a git ref, for a
+# change too small for one before/after run to resolve:
+#   make pair BASE=<ref> BENCH=<regexp> [PKG=<pkg>] [ROUNDS=N]
+# e.g. make pair BASE=HEAD BENCH='^BenchmarkInductionDeep$'. It builds
+# PKG's test binary (default: the root package) at BASE and in this tree
+# and runs them ROUNDS times (default 10) in ABBA order with an A/A arm
+# (BASE against itself) in every round; scripts/pair.sh describes the
+# statistics. A median delta inside the A/A arm's spread prints
+# "unresolved". Informational, like loc and profile.
+PKG ?= .
+ROUNDS ?= 10
+pair:
+	@if [ -z "$(BASE)" ] || [ -z "$(BENCH)" ]; then \
+		echo "usage: make pair BASE=<ref> BENCH=<regexp> [PKG=<pkg>] [ROUNDS=N]"; exit 2; fi
+	@GO="$(GO)" bash scripts/pair.sh "$(BASE)" '$(value BENCH)' "$(PKG)" "$(ROUNDS)"
 
 # Host CPU profiles of BenchmarkInduction (one exact-split induction, Quest
 # F2, 20k records, p=4), BenchmarkInductionDeep (one exact-split induction
@@ -93,11 +130,13 @@ bench:
 # the heartbeater beside each rank; its tests are in-process meshes, no
 # worker processes), the engine driving them, the presort (its scratch is
 # refilled while peers may still read what it sent), the compiled predictor
-# (table prediction fans out over a worker pool), and the inference server
-# (micro-batcher + sharded model cache).
+# (table prediction fans out over a worker pool), the inference server
+# (micro-batcher + sharded model cache), and the public API over the
+# simulated machine (classify: forests train worlds concurrently). CI runs
+# this target.
 race:
 	$(GO) test -race ./internal/comm ./internal/comm/tcptransport ./internal/scalparc ./internal/psort \
-		./internal/infer ./internal/serve/... ./cmd/serve
+		./internal/infer ./internal/serve/... ./cmd/serve ./classify
 
 # The inference server's full suite: soak/race tests (N clients x M
 # models, bit-equal to the walker oracle), hot-swap drain differential,

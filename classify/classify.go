@@ -174,13 +174,6 @@ func (c Config) splitterConfig() splitter.Config {
 	}
 }
 
-func (c Config) machine() timing.Model {
-	if c.Machine == (timing.Model{}) {
-		return timing.T3D()
-	}
-	return c.Machine
-}
-
 // Metrics reports how a training run behaved.
 type Metrics struct {
 	// Algorithm and Processors echo the configuration.
@@ -318,7 +311,7 @@ func Train(tab *Table, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	if cfg.Algorithm == ScalParC || cfg.Algorithm == SPRINT {
-		return TrainWorld(comm.NewWorld(max(cfg.Processors, 1), cfg.machine()), tab, cfg)
+		return TrainWorld(comm.NewWorld(max(cfg.Processors, 1), cfg.Machine), tab, cfg)
 	}
 	if tab == nil {
 		return nil, fmt.Errorf("classify: nil table")
@@ -328,7 +321,7 @@ func Train(tab *Table, cfg Config) (*Model, error) {
 	if cfg.Algorithm == Serial {
 		m.Tree, err = serial.Train(tab, cfg.splitterConfig())
 	} else {
-		m.Tree, m.Metrics.Trace, m.Metrics.ModeledSeconds, err = sliq.TrainTraced(tab, cfg.splitterConfig(), cfg.machine())
+		m.Tree, m.Metrics.Trace, m.Metrics.ModeledSeconds, err = sliq.TrainTraced(tab, cfg.splitterConfig(), cfg.Machine)
 	}
 	if err != nil {
 		return nil, err

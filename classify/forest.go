@@ -85,7 +85,7 @@ func (f *ForestConfig) options(e Config, opts scalparc.Options) *scalparc.Forest
 		Seed:          f.Seed,
 		FeatureSample: f.FeatureSample,
 		Procs:         max(e.Processors, 1),
-		Model:         e.machine(),
+		Model:         e.Machine,
 		Parallel:      f.Parallel,
 		Engine:        opts,
 	}

@@ -157,11 +157,7 @@ func trainTCPWorker(train *classify.Table, cfg classify.Config, forest *classify
 	if tcptransport.IsResume() {
 		cfg.Resume = true
 	}
-	mach := cfg.Machine
-	if mach == (classify.Machine{}) {
-		mach = classify.DefaultMachine()
-	}
-	w := comm.NewTransportWorld(tr, mach)
+	w := comm.NewTransportWorld(tr, cfg.Machine)
 	if detect > 0 {
 		// Charge the modeled clocks the same timeout the wire observes,
 		// so the reported runtime reflects the detection latency.

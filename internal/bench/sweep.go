@@ -96,10 +96,6 @@ func (cfg SweepConfig) Run() ([]Point, error) {
 	if len(cfg.Sizes) == 0 || len(cfg.Procs) == 0 {
 		return nil, fmt.Errorf("bench: sweep needs sizes and processor counts")
 	}
-	machine := cfg.Machine
-	if machine == (timing.Model{}) {
-		machine = timing.T3D()
-	}
 	var out []Point
 	for _, n := range cfg.Sizes {
 		tab, err := quest(cfg.Function, cfg.Seed, n, 0)
@@ -107,7 +103,7 @@ func (cfg SweepConfig) Run() ([]Point, error) {
 			return nil, err
 		}
 		for _, p := range cfg.Procs {
-			pt, err := runPoint(tab, p, cfg.Algo, cfg.MaxDepth, machine)
+			pt, err := runPoint(tab, p, cfg.Algo, cfg.MaxDepth, cfg.Machine)
 			if err != nil {
 				return nil, err
 			}

@@ -283,7 +283,7 @@ type pmessage struct {
 func post[T any](c *Comm, dst int, x []T) {
 	w := c.w
 	if w.tr != nil {
-		panic(fmt.Sprintf("comm: Send to rank %d on a wire world: point-to-point runs on the simulated machine only", dst))
+		panic(fmt.Sprintf("comm: send to rank %d on a wire world: point-to-point runs on the simulated machine only", dst))
 	}
 	buf := make([]T, len(x))
 	copy(buf, x)
@@ -301,7 +301,7 @@ func post[T any](c *Comm, dst int, x []T) {
 func take[T any](c *Comm, src int) ([]T, int64) {
 	w := c.w
 	if w.tr != nil {
-		panic(fmt.Sprintf("comm: Recv from rank %d on a wire world: point-to-point runs on the simulated machine only", src))
+		panic(fmt.Sprintf("comm: recv from rank %d on a wire world: point-to-point runs on the simulated machine only", src))
 	}
 	var m pmessage
 	select {

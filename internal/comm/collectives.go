@@ -161,20 +161,13 @@ func ReverseExScanInto[T any](c *Comm, x, out []T, op func(a, b T) T, zero T) []
 }
 
 // Allgather returns every rank's contribution, indexed by rank.
-// Contributions may have different lengths (allgatherv).
+// Contributions may have different lengths (allgatherv) and, as with
+// AllToAllInto, may alias the senders' buffers: treat them as read-only.
 func Allgather[T any](c *Comm, x []T) [][]T {
-	return AllgatherInto(c, x, nil)
-}
-
-// AllgatherInto is Allgather reusing out as the received-buffer index
-// (grown as needed; see the *Into reuse rules above — as with AllToAllInto,
-// the received buffers themselves may alias the senders' buffers either
-// way, only the p-entry index is pooled).
-func AllgatherInto[T any](c *Comm, x []T, out [][]T) [][]T {
 	p := c.Size()
 	es := sizeOf[T]()
 	all := exchangeSlices(c, x)
-	out = ensureLen(out, p)
+	out := make([][]T, p)
 	maxEach, recvBytes := 0, 0
 	for r := 0; r < p; r++ {
 		v := depositSlice[T](c, all, r, "Allgather")
@@ -219,21 +212,6 @@ func CandidateGatherInto[T any](c *Comm, x, out []T) []T {
 	// p-1 ballots.
 	bytes := int64((p - 1) * n * es)
 	c.charge(bytes, bytes, &c.Stats().CandidateGathers, c.Model().Allgather(p, n*es))
-	return out
-}
-
-// AllgatherFlat is Allgather with the per-rank results concatenated in rank
-// order into one slice.
-func AllgatherFlat[T any](c *Comm, x []T) []T {
-	parts := Allgather(c, x)
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
 	return out
 }
 
@@ -309,52 +287,4 @@ func ReduceScatterInto[T any](c *Comm, x, out []T, counts []int, op func(a, b T)
 // cost of the int64 count matrices).
 func ReduceScatterSum32Into(c *Comm, x, out []uint32, counts []int) []uint32 {
 	return ReduceScatterInto(c, x, out, counts, func(a, b uint32) uint32 { return a + b })
-}
-
-// Bcast distributes the root's vector to every rank. Non-root ranks pass
-// nil (or anything; their contribution is ignored).
-func Bcast[T any](c *Comm, root int, x []T) []T {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("comm: Bcast root %d out of range [0,%d)", root, p))
-	}
-	es := sizeOf[T]()
-	var contrib []T
-	if c.Rank() == root {
-		contrib = x
-	}
-	all := exchangeSlices(c, contrib)
-	out := depositSlice[T](c, all, root, "Bcast")
-	sent, recv := 0, len(out)*es
-	if c.Rank() == root {
-		sent, recv = (p-1)*len(out)*es, 0
-	}
-	c.charge(int64(sent), int64(recv), &c.Stats().Bcasts, c.Model().Bcast(p, len(out)*es))
-	return out
-}
-
-// Gather collects every rank's contribution onto the root, indexed by rank.
-// Non-root ranks receive nil. Contributions may differ in length.
-func Gather[T any](c *Comm, root int, x []T) [][]T {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("comm: Gather root %d out of range [0,%d)", root, p))
-	}
-	es := sizeOf[T]()
-	all := exchangeSlices(c, x)
-	cost := c.Model().Reduce(p, len(x)*es)
-	if c.Rank() != root {
-		c.charge(int64(len(x)*es), 0, &c.Stats().Gathers, cost)
-		return nil
-	}
-	out := make([][]T, p)
-	recvBytes := 0
-	for r := 0; r < p; r++ {
-		out[r] = depositSlice[T](c, all, r, "Gather")
-		if r != root {
-			recvBytes += len(out[r]) * es
-		}
-	}
-	c.charge(0, int64(recvBytes), &c.Stats().Gathers, cost)
-	return out
 }

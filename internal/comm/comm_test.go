@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -330,18 +333,59 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestAllgatherFlat(t *testing.T) {
+// TestAllgatherChargesTheLargestContribution: each rank sends its
+// contribution to p-1 peers and receives theirs, and the modeled cost is
+// an allgather of the largest contribution.
+func TestAllgatherChargesTheLargestContribution(t *testing.T) {
+	p := 5
+	model := timing.T3D()
+	w := NewWorld(p, model)
+	w.Run(func(c *Comm) {
+		Allgather(c, make([]int16, c.Rank()+1)) // rank r sends 2(r+1) bytes
+	})
+	total := int64(0)
+	for r := 0; r < p; r++ {
+		total += int64(2 * (r + 1))
+	}
+	want := picos(model.Allgather(p, 2*p))
+	for r, st := range w.Stats() {
+		mine := int64(2 * (r + 1))
+		if st.Allgathers != 1 || st.BytesSent != int64(p-1)*mine || st.BytesRecv != total-mine {
+			t.Fatalf("rank %d: %d allgathers, bytes sent/recv %d/%d, want 1, %d/%d",
+				r, st.Allgathers, st.BytesSent, st.BytesRecv, int64(p-1)*mine, total-mine)
+		}
+		if got := w.clocks[r]; got != want {
+			t.Fatalf("rank %d clock %dps, want %dps", r, got, want)
+		}
+	}
+}
+
+// TestAllgatherEmptyContributions: a rank with nothing to contribute
+// still has its (empty) entry, and empty contributions cost no bytes.
+func TestAllgatherEmptyContributions(t *testing.T) {
 	p := 4
 	w := NewWorld(p, timing.T3D())
-	results := make([][]int, p)
+	results := make([][][]uint64, p)
 	w.Run(func(c *Comm) {
-		results[c.Rank()] = AllgatherFlat(c, []int{c.Rank()})
+		var local []uint64
+		if c.Rank() == 2 {
+			local = []uint64{7, 8}
+		}
+		results[c.Rank()] = Allgather(c, local)
 	})
-	for r := 0; r < p; r++ {
-		for i := 0; i < p; i++ {
-			if results[r][i] != i {
-				t.Fatalf("rank %d: flat allgather = %v", r, results[r])
+	for me, got := range results {
+		if len(got) != p {
+			t.Fatalf("rank %d got %d entries, want %d", me, len(got), p)
+		}
+		for r, v := range got {
+			if r == 2 && (len(v) != 2 || v[0] != 7 || v[1] != 8) || r != 2 && len(v) != 0 {
+				t.Fatalf("rank %d sees %v from rank %d", me, v, r)
 			}
+		}
+	}
+	for r, st := range w.Stats() {
+		if r != 2 && st.BytesSent != 0 || r == 2 && st.BytesSent != int64(p-1)*16 {
+			t.Fatalf("rank %d sent %d bytes", r, st.BytesSent)
 		}
 	}
 }
@@ -424,54 +468,14 @@ func TestReduceScatterValidatesCounts(t *testing.T) {
 	ReduceScatterSum32Into(c, []uint32{1, 2, 3}, nil, []int{1, 1}) // sums to 2, not 3
 }
 
-func TestBcast(t *testing.T) {
-	for _, p := range testSizes() {
-		root := p - 1
-		w := NewWorld(p, timing.T3D())
-		results := make([][]string, p)
-		w.Run(func(c *Comm) {
-			var payload []string
-			if c.Rank() == root {
-				payload = []string{"alpha", "beta"}
-			}
-			results[c.Rank()] = Bcast(c, root, payload)
-		})
-		for r := 0; r < p; r++ {
-			if len(results[r]) != 2 || results[r][0] != "alpha" || results[r][1] != "beta" {
-				t.Fatalf("p=%d rank %d got %v", p, r, results[r])
-			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	p, root := 4, 0
-	w := NewWorld(p, timing.T3D())
-	results := make([][][]int, p)
-	w.Run(func(c *Comm) {
-		results[c.Rank()] = Gather(c, root, []int{c.Rank(), c.Rank() * 2})
-	})
-	for r := 1; r < p; r++ {
-		if results[r] != nil {
-			t.Fatalf("non-root rank %d got non-nil gather result", r)
-		}
-	}
-	for r := 0; r < p; r++ {
-		got := results[root][r]
-		if len(got) != 2 || got[0] != r || got[1] != 2*r {
-			t.Fatalf("root sees %v from rank %d", got, r)
-		}
-	}
-}
-
 func TestSendRecv(t *testing.T) {
 	w := NewWorld(2, timing.T3D())
 	var got []float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			Send(c, 1, []float64{3.14, 2.71})
+			send(c, 1, []float64{3.14, 2.71})
 		} else {
-			got = Recv[float64](c, 0)
+			got = recv[float64](c, 0)
 		}
 	})
 	if len(got) != 2 || got[0] != 3.14 || got[1] != 2.71 {
@@ -480,7 +484,7 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendCopiesTheBuffer(t *testing.T) {
-	// Regression: a sender mutating its buffer immediately after Send
+	// Regression: a sender mutating its buffer immediately after send
 	// must not corrupt the in-flight message (the distance-doubling scan
 	// does exactly this).
 	w := NewWorld(2, timing.T3D())
@@ -488,12 +492,12 @@ func TestSendCopiesTheBuffer(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []int{1, 2, 3}
-			Send(c, 1, buf)
+			send(c, 1, buf)
 			buf[0], buf[1], buf[2] = 9, 9, 9
 			c.Barrier()
 		} else {
 			c.Barrier() // receive strictly after the sender's mutation
-			got = Recv[int](c, 0)
+			got = recv[int](c, 0)
 		}
 	})
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -506,8 +510,16 @@ func TestSendRecvExchange(t *testing.T) {
 	w := NewWorld(p, timing.T3D())
 	results := make([][]int, p)
 	w.Run(func(c *Comm) {
+		// Lower rank sends first: the mailbox buffering makes the other
+		// order safe too, but a fixed one keeps the clocks deterministic.
 		partner := (c.Rank() + p/2) % p
-		results[c.Rank()] = SendRecv(c, partner, []int{c.Rank()})
+		if c.Rank() < partner {
+			send(c, partner, []int{c.Rank()})
+			results[c.Rank()] = recv[int](c, partner)
+		} else {
+			results[c.Rank()] = recv[int](c, partner)
+			send(c, partner, []int{c.Rank()})
+		}
 	})
 	for r := 0; r < p; r++ {
 		partner := (r + p/2) % p
@@ -517,14 +529,155 @@ func TestSendRecvExchange(t *testing.T) {
 	}
 }
 
+// TestSendRecvSelf: a rank sending to or receiving from itself is a
+// programmer error (a local copy does the job), refused with a plain panic
+// before any op is entered.
 func TestSendRecvSelf(t *testing.T) {
-	w := NewWorld(1, timing.T3D())
+	w := NewWorld(2, timing.T3D())
+	msgs := make([]string, 2)
 	w.Run(func(c *Comm) {
-		out := SendRecv(c, 0, []int{42})
-		if len(out) != 1 || out[0] != 42 {
-			panic("self exchange failed")
+		defer func() { msgs[c.Rank()] = fmt.Sprint(recover()) }()
+		if c.Rank() == 0 {
+			send(c, 0, []int{42})
+		} else {
+			recv[int](c, 1)
 		}
 	})
+	for r, msg := range msgs {
+		if !strings.Contains(msg, "self") {
+			t.Errorf("rank %d: self message panicked with %q, want a refusal naming self", r, msg)
+		}
+	}
+	if st := w.Stats(); st[0].MsgsSent != 0 || st[1].MsgsRecv != 0 {
+		t.Fatalf("refused self messages were counted: %+v", st)
+	}
+}
+
+// TestSendRecvCountsOps: one message is one op and its bytes on each
+// side; the sender pays the startup latency, and the receiver finishes at
+// the sender's stamp plus the transfer time.
+func TestSendRecvCountsOps(t *testing.T) {
+	model := timing.T3D()
+	w := NewWorld(2, model)
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			send(c, 1, []int64{1, 2, 3})
+		} else {
+			recv[int64](c, 0)
+		}
+	})
+	const bytes = 3 * 8
+	st := w.Stats()
+	if st[0].MsgsSent != 1 || st[1].MsgsRecv != 1 || st[0].MsgsRecv != 0 || st[1].MsgsSent != 0 {
+		t.Fatalf("Msgs sent/recv = %d/%d and %d/%d, want 1/0 and 0/1",
+			st[0].MsgsSent, st[0].MsgsRecv, st[1].MsgsSent, st[1].MsgsRecv)
+	}
+	if st[0].BytesSent != bytes || st[1].BytesRecv != bytes || st[0].BytesRecv != 0 || st[1].BytesSent != 0 {
+		t.Fatalf("bytes sent/recv = %d/%d and %d/%d, want %d/0 and 0/%d",
+			st[0].BytesSent, st[0].BytesRecv, st[1].BytesSent, st[1].BytesRecv, bytes, bytes)
+	}
+	sent := picos(model.P2PLatency)
+	if got := w.clocks[0]; got != sent {
+		t.Fatalf("sender clock %dps, want the latency %dps", got, sent)
+	}
+	if got, want := w.clocks[1], sent+picos(bytes/model.P2PBandwidth); got != want {
+		t.Fatalf("receiver clock %dps, want %dps", got, want)
+	}
+}
+
+// TestSendIsAFaultSite: a crash injected where a rank enters send kills
+// it there, and the peer blocked for its message unwinds with a
+// *RankFailure naming it.
+func TestSendIsAFaultSite(t *testing.T) {
+	w := NewWorld(2, timing.T3D())
+	w.SetFaultInjector(&oneShot{rank: 1, act: FaultAction{Crash: true}})
+	var survivorErr error
+	w.Run(func(c *Comm) {
+		defer func() {
+			if r := recover(); r != nil {
+				if cr, ok := r.(Crashed); ok {
+					panic(cr)
+				}
+				survivorErr = r.(error)
+			}
+		}()
+		if c.Rank() == 1 {
+			send(c, 0, []int{42}) // the crash strikes here
+		} else {
+			recv[int](c, 1)
+		}
+	})
+	var rf *RankFailure
+	if !errors.As(survivorErr, &rf) {
+		t.Fatalf("survivor unwound with %v (%T), want *RankFailure", survivorErr, survivorErr)
+	}
+	if len(rf.Lost) != 1 || rf.Lost[0] != 1 {
+		t.Fatalf("Lost = %v, want [1]", rf.Lost)
+	}
+	if st := w.Stats(); st[1].Crashes != 1 || st[1].MsgsSent != 0 || st[0].MsgsRecv != 0 {
+		t.Fatalf("Crashes = %d, Msgs sent/recv = %d/%d; want 1 crash and no message",
+			st[1].Crashes, st[1].MsgsSent, st[0].MsgsRecv)
+	}
+}
+
+// TestStraggleStrikesRecv: a skew injected where a rank enters recv
+// delays it, and the transfer completes after the skew, not the send.
+func TestStraggleStrikesRecv(t *testing.T) {
+	model := timing.T3D()
+	skew := 3 * picos(model.P2PLatency) // lands after the message was sent
+	w := NewWorld(2, model)
+	w.SetFaultInjector(&oneShot{rank: 1, act: FaultAction{SkewPicos: skew}})
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			send(c, 1, []int32{7})
+		} else {
+			recv[int32](c, 0)
+		}
+	})
+	if got, want := w.clocks[1], skew+picos(4/model.P2PBandwidth); got != want {
+		t.Fatalf("receiver clock %dps, want skew plus transfer %dps", got, want)
+	}
+	if st := w.Stats(); st[1].Straggles != 1 || st[0].Straggles != 0 {
+		t.Fatalf("Straggles = %d/%d, want 0/1", st[0].Straggles, st[1].Straggles)
+	}
+}
+
+// wireStub is a Transport that carries nothing: enough for a World to
+// run its one local rank and reach an operation's backend primitive.
+type wireStub struct{ rank, size int }
+
+func (s wireStub) Rank() int                                  { return s.rank }
+func (s wireStub) Size() int                                  { return s.size }
+func (s wireStub) ExchangeEach(Tag, []Frame) ([]Frame, error) { panic("wireStub: no exchange") }
+func (s wireStub) OnFailure(func(phys int))                   {}
+func (s wireStub) Dead() []int                                { return nil }
+func (s wireStub) Shrink(int64) ([]int, int64, error)         { panic("wireStub: no shrink") }
+func (s wireStub) Kill()                                      {}
+func (s wireStub) Close() error                               { return nil }
+
+// wirePanic runs f on rank 0 of a two-rank wire world and returns what it
+// panicked with.
+func wirePanic(f func(c *Comm)) string {
+	var msg string
+	NewTransportWorld(wireStub{rank: 0, size: 2}, timing.T3D()).Run(func(c *Comm) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f(c)
+	})
+	return msg
+}
+
+// TestSendOnWirePanics: a wire carries collectives only, so point-to-point
+// is refused there with a message naming the simulated machine.
+func TestSendOnWirePanics(t *testing.T) {
+	if msg := wirePanic(func(c *Comm) { send(c, 1, []int64{1}) }); !strings.Contains(msg, "simulated machine") {
+		t.Errorf("send on a wire world panicked with %q, want a message naming the simulated machine", msg)
+	}
+}
+
+func TestRecvOnWirePanics(t *testing.T) {
+	if msg := wirePanic(func(c *Comm) { recv[int64](c, 1) }); !strings.Contains(msg, "simulated machine") {
+		t.Errorf("recv on a wire world panicked with %q, want a message naming the simulated machine", msg)
+	}
 }
 
 func TestSingleRankDegenerate(t *testing.T) {
@@ -544,9 +697,6 @@ func TestSingleRankDegenerate(t *testing.T) {
 		}
 		if g := Allgather(c, []int{5}); len(g) != 1 || g[0][0] != 5 {
 			panic("p=1 allgather")
-		}
-		if b := Bcast(c, 0, []int{9}); b[0] != 9 {
-			panic("p=1 bcast")
 		}
 	})
 }
@@ -760,9 +910,9 @@ func TestConsecutiveCollectivesNoCrosstalk(t *testing.T) {
 			if s != int64(i*p) {
 				return
 			}
-			g := AllgatherFlat(c, []int32{int32(c.Rank() + i)})
+			g := Allgather(c, []int32{int32(c.Rank() + i)})
 			for r := 0; r < p; r++ {
-				if g[r] != int32(r+i) {
+				if g[r][0] != int32(r+i) {
 					return
 				}
 			}

@@ -1,27 +1,29 @@
-package algcoll
+package comm
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/comm"
 	"repro/internal/timing"
 )
 
-func testSizes() []int { return []int{1, 2, 3, 4, 5, 7, 8, 13, 16} }
+// textbookSizes are the world sizes of the textbook cross-checks: powers
+// of two and the odd sizes that leave a binomial tree or a doubling round
+// incomplete.
+func textbookSizes() []int { return []int{1, 2, 3, 4, 5, 7, 8, 13, 16} }
 
 func TestBcastAllRootsAllSizes(t *testing.T) {
-	for _, p := range testSizes() {
+	for _, p := range textbookSizes() {
 		for root := 0; root < p; root++ {
-			w := comm.NewWorld(p, timing.T3D())
+			w := NewWorld(p, timing.T3D())
 			results := make([][]int, p)
-			w.Run(func(c *comm.Comm) {
+			w.Run(func(c *Comm) {
 				var payload []int
 				if c.Rank() == root {
 					payload = []int{root, 42, root * 7}
 				}
-				results[c.Rank()] = Bcast(c, root, payload)
+				results[c.Rank()] = binomialBcast(c, root, payload)
 			})
 			for r := 0; r < p; r++ {
 				if len(results[r]) != 3 || results[r][0] != root || results[r][2] != root*7 {
@@ -33,12 +35,12 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 }
 
 func TestReduceSumAllRoots(t *testing.T) {
-	for _, p := range testSizes() {
+	for _, p := range textbookSizes() {
 		for root := 0; root < p; root++ {
-			w := comm.NewWorld(p, timing.T3D())
+			w := NewWorld(p, timing.T3D())
 			results := make([][]int64, p)
-			w.Run(func(c *comm.Comm) {
-				results[c.Rank()] = Reduce(c, root, []int64{int64(c.Rank()), 1},
+			w.Run(func(c *Comm) {
+				results[c.Rank()] = binomialReduce(c, root, []int64{int64(c.Rank()), 1},
 					func(a, b int64) int64 { return a + b })
 			})
 			for r := 0; r < p; r++ {
@@ -72,14 +74,14 @@ func affineCompose(f, g affine) affine {
 func rankAffine(r int) affine { return affine{A: int64(2*r + 3), B: int64(5*r + 1)} }
 
 func TestReduceNonCommutativeAssociativeMatchesComm(t *testing.T) {
-	// Binomial folding of adjacent segments must equal comm.Reduce's
+	// Binomial folding of adjacent segments must equal Reduce's
 	// strict rank-order fold for any associative op.
 	for _, p := range []int{2, 3, 5, 8, 13} {
-		w := comm.NewWorld(p, timing.T3D())
+		w := NewWorld(p, timing.T3D())
 		var alg, direct []affine
-		w.Run(func(c *comm.Comm) {
-			a := Reduce(c, 0, []affine{rankAffine(c.Rank())}, affineCompose)
-			d := comm.Reduce(c, 0, []affine{rankAffine(c.Rank())}, affineCompose)
+		w.Run(func(c *Comm) {
+			a := binomialReduce(c, 0, []affine{rankAffine(c.Rank())}, affineCompose)
+			d := Reduce(c, 0, []affine{rankAffine(c.Rank())}, affineCompose)
 			if c.Rank() == 0 {
 				alg, direct = a, d
 			}
@@ -92,16 +94,16 @@ func TestReduceNonCommutativeAssociativeMatchesComm(t *testing.T) {
 
 func TestAllReduceMatchesComm(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, p := range testSizes() {
-		w := comm.NewWorld(p, timing.T3D())
+	for _, p := range textbookSizes() {
+		w := NewWorld(p, timing.T3D())
 		inputs := make([][]int64, p)
 		for r := range inputs {
 			inputs[r] = []int64{rng.Int63n(100), rng.Int63n(100), rng.Int63n(100)}
 		}
 		ok := make([]bool, p)
-		w.Run(func(c *comm.Comm) {
-			a := AllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
-			d := comm.AllReduceSumInto(c, inputs[c.Rank()], nil)
+		w.Run(func(c *Comm) {
+			a := reduceBcastAllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
+			d := AllReduceSumInto(c, inputs[c.Rank()], nil)
 			good := len(a) == len(d)
 			for i := range d {
 				if a[i] != d[i] {
@@ -119,17 +121,17 @@ func TestAllReduceMatchesComm(t *testing.T) {
 }
 
 func TestAllgatherMatchesComm(t *testing.T) {
-	for _, p := range testSizes() {
-		w := comm.NewWorld(p, timing.T3D())
+	for _, p := range textbookSizes() {
+		w := NewWorld(p, timing.T3D())
 		ok := make([]bool, p)
-		w.Run(func(c *comm.Comm) {
+		w.Run(func(c *Comm) {
 			// variable lengths: rank r contributes r+1 values
 			local := make([]int32, c.Rank()+1)
 			for i := range local {
 				local[i] = int32(c.Rank()*100 + i)
 			}
-			a := Allgather(c, local)
-			d := comm.Allgather(c, local)
+			a := ringAllgather(c, local)
+			d := Allgather(c, local)
 			good := len(a) == len(d)
 			for r := range d {
 				if len(a[r]) != len(d[r]) {
@@ -154,8 +156,8 @@ func TestAllgatherMatchesComm(t *testing.T) {
 
 func TestAllToAllMatchesComm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, p := range testSizes() {
-		w := comm.NewWorld(p, timing.T3D())
+	for _, p := range textbookSizes() {
+		w := NewWorld(p, timing.T3D())
 		sends := make([][][]int64, p)
 		for r := range sends {
 			sends[r] = make([][]int64, p)
@@ -167,9 +169,9 @@ func TestAllToAllMatchesComm(t *testing.T) {
 			}
 		}
 		ok := make([]bool, p)
-		w.Run(func(c *comm.Comm) {
-			a := AllToAll(c, sends[c.Rank()])
-			d := comm.AllToAllInto(c, sends[c.Rank()], nil)
+		w.Run(func(c *Comm) {
+			a := pairwiseAllToAll(c, sends[c.Rank()])
+			d := AllToAllInto(c, sends[c.Rank()], nil)
 			good := true
 			for r := range d {
 				if len(a[r]) != len(d[r]) {
@@ -193,13 +195,13 @@ func TestAllToAllMatchesComm(t *testing.T) {
 }
 
 func TestExScanMatchesComm(t *testing.T) {
-	for _, p := range testSizes() {
-		w := comm.NewWorld(p, timing.T3D())
+	for _, p := range textbookSizes() {
+		w := NewWorld(p, timing.T3D())
 		ok := make([]bool, p)
-		w.Run(func(c *comm.Comm) {
+		w.Run(func(c *Comm) {
 			local := []int64{int64(c.Rank() + 1), int64(c.Rank() * 3)}
-			a := ExScan(c, local, func(x, y int64) int64 { return x + y }, 0)
-			d := comm.ExScanSumInto(c, local, nil)
+			a := doublingExScan(c, local, func(x, y int64) int64 { return x + y }, 0)
+			d := ExScanSumInto(c, local, nil)
 			good := len(a) == len(d)
 			for i := range d {
 				if a[i] != d[i] {
@@ -221,10 +223,10 @@ func TestExScanNonCommutative(t *testing.T) {
 	// of ranks 0..r-1 in strict order.
 	identity := affine{A: 1, B: 0}
 	for _, p := range []int{1, 2, 3, 5, 8, 11} {
-		w := comm.NewWorld(p, timing.T3D())
+		w := NewWorld(p, timing.T3D())
 		results := make([][]affine, p)
-		w.Run(func(c *comm.Comm) {
-			results[c.Rank()] = ExScan(c, []affine{rankAffine(c.Rank())}, affineCompose, identity)
+		w.Run(func(c *Comm) {
+			results[c.Rank()] = doublingExScan(c, []affine{rankAffine(c.Rank())}, affineCompose, identity)
 		})
 		want := identity
 		for r := 0; r < p; r++ {
@@ -243,7 +245,7 @@ func TestPropertyEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(9)
 		n := 1 + rng.Intn(6)
-		w := comm.NewWorld(p, timing.T3D())
+		w := NewWorld(p, timing.T3D())
 		inputs := make([][]int64, p)
 		for r := range inputs {
 			inputs[r] = make([]int64, n)
@@ -252,16 +254,16 @@ func TestPropertyEquivalence(t *testing.T) {
 			}
 		}
 		ok := true
-		w.Run(func(c *comm.Comm) {
-			a := AllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
-			d := comm.AllReduceSumInto(c, inputs[c.Rank()], nil)
+		w.Run(func(c *Comm) {
+			a := reduceBcastAllReduce(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y })
+			d := AllReduceSumInto(c, inputs[c.Rank()], nil)
 			for i := range d {
 				if a[i] != d[i] {
 					ok = false
 				}
 			}
-			s1 := ExScan(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y }, 0)
-			s2 := comm.ExScanSumInto(c, inputs[c.Rank()], nil)
+			s1 := doublingExScan(c, inputs[c.Rank()], func(x, y int64) int64 { return x + y }, 0)
+			s2 := ExScanSumInto(c, inputs[c.Rank()], nil)
 			for i := range s2 {
 				if s1[i] != s2[i] {
 					ok = false
@@ -284,8 +286,8 @@ func TestCostsTrackTheModel(t *testing.T) {
 	const n = 4096 // bytes per rank (512 int64s)
 	payload := make([]int64, n/8)
 	for _, p := range []int{4, 8, 16, 32} {
-		run := func(f func(c *comm.Comm)) float64 {
-			w := comm.NewWorld(p, model)
+		run := func(f func(c *Comm)) float64 {
+			w := NewWorld(p, model)
 			w.Run(f)
 			return w.MaxClock()
 		}
@@ -294,14 +296,14 @@ func TestCostsTrackTheModel(t *testing.T) {
 			got     float64
 			formula float64
 		}{
-			{"bcast", run(func(c *comm.Comm) { Bcast(c, 0, payload) }), model.Bcast(p, n)},
-			{"allreduce", run(func(c *comm.Comm) {
-				AllReduce(c, payload, func(a, b int64) int64 { return a + b })
+			{"bcast", run(func(c *Comm) { binomialBcast(c, 0, payload) }), model.Bcast(p, n)},
+			{"allreduce", run(func(c *Comm) {
+				reduceBcastAllReduce(c, payload, func(a, b int64) int64 { return a + b })
 			}), model.AllReduce(p, n)},
-			{"exscan", run(func(c *comm.Comm) {
-				ExScan(c, payload, func(a, b int64) int64 { return a + b }, 0)
+			{"exscan", run(func(c *Comm) {
+				doublingExScan(c, payload, func(a, b int64) int64 { return a + b }, 0)
 			}), model.Scan(p, n)},
-			{"allgather", run(func(c *comm.Comm) { Allgather(c, payload) }), model.Allgather(p, n)},
+			{"allgather", run(func(c *Comm) { ringAllgather(c, payload) }), model.Allgather(p, n)},
 		}
 		for _, cse := range cases {
 			ratio := cse.got / cse.formula

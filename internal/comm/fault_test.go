@@ -118,10 +118,10 @@ func TestShrinkRenumbersDense(t *testing.T) {
 			t.Errorf("rank %d: post-shrink Size = %d, want 3", c.Phys(), c.Size())
 		}
 		if c.Rank() == 0 {
-			Send(c, 1, []int32{42})
+			send(c, 1, []int32{42})
 		} else if c.Rank() == 1 {
-			if got := Recv[int32](c, 0); got[0] != 42 {
-				t.Errorf("post-shrink Recv got %v", got)
+			if got := recv[int32](c, 0); got[0] != 42 {
+				t.Errorf("post-shrink recv got %v", got)
 			}
 		}
 		c.Barrier()
@@ -257,7 +257,7 @@ func TestRecvTypeMismatchIsProtocolError(t *testing.T) {
 	var got error
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			Send(c, 1, []int64{1})
+			send(c, 1, []int64{1})
 			return
 		}
 		defer func() {
@@ -265,11 +265,11 @@ func TestRecvTypeMismatchIsProtocolError(t *testing.T) {
 				got = r.(error)
 			}
 		}()
-		Recv[float64](c, 0)
+		recv[float64](c, 0)
 	})
 	var pe *ProtocolError
 	if !errors.As(got, &pe) {
-		t.Fatalf("type-mismatched Recv unwound with %v (%T), want *ProtocolError", got, got)
+		t.Fatalf("type-mismatched recv unwound with %v (%T), want *ProtocolError", got, got)
 	}
 	if pe.Op != "Recv" {
 		t.Fatalf("ProtocolError.Op = %q, want Recv", pe.Op)
@@ -307,13 +307,34 @@ func TestRankOutOfRangeStillPanicsPlain(t *testing.T) {
 			return
 		}
 		defer func() { got = recover() }()
-		Send(c, 7, []int64{1})
+		send(c, 7, []int64{1})
 	})
 	if got == nil {
-		t.Fatal("out-of-range Send did not panic")
+		t.Fatal("out-of-range send did not panic")
 	}
 	if _, ok := got.(error); ok {
-		t.Fatalf("out-of-range Send panicked with typed error %v; programmer errors stay plain panics", got)
+		t.Fatalf("out-of-range send panicked with typed error %v; programmer errors stay plain panics", got)
+	}
+}
+
+func TestRecvRankOutOfRangePanicsPlain(t *testing.T) {
+	w := NewWorld(2, timing.T3D())
+	var got any
+	w.Run(func(c *Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		defer func() { got = recover() }()
+		recv[int64](c, -1)
+	})
+	if got == nil {
+		t.Fatal("out-of-range recv did not panic")
+	}
+	if _, ok := got.(error); ok {
+		t.Fatalf("out-of-range recv panicked with typed error %v; programmer errors stay plain panics", got)
+	}
+	if st := w.Stats()[0]; st.MsgsRecv != 0 {
+		t.Fatalf("refused recv was counted: MsgsRecv = %d", st.MsgsRecv)
 	}
 }
 
@@ -367,9 +388,9 @@ func TestFaultSiteReportsPhaseAndOp(t *testing.T) {
 		c.SetPhase(trace.FindSplitII, 3)
 		c.Barrier()
 		if c.Rank() == 0 {
-			Send(c, 1, []int64{1})
+			send(c, 1, []int64{1})
 		} else {
-			Recv[int64](c, 0)
+			recv[int64](c, 0)
 		}
 	})
 	seen := map[Op]bool{}

@@ -41,11 +41,10 @@ const (
 	// OpBarrier is Comm.Barrier.
 	OpBarrier Op = iota
 	// OpCollective is any collective built on the deposit exchange
-	// (all-to-all, reductions, scans, gathers, broadcasts).
+	// (all-to-all, reductions, scans, allgathers).
 	OpCollective
-	// OpSend is a point-to-point send.
+	// OpSend and OpRecv are p2p.go's send and recv (a test substrate).
 	OpSend
-	// OpRecv is a point-to-point receive.
 	OpRecv
 )
 

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,84 +9,6 @@ import (
 
 	"repro/internal/timing"
 )
-
-// TestSendRecvSelfCountsOps pins the self-partner SendRecv as a real
-// send op plus receive op: message and byte counters observe it (at zero
-// modeled cost), consistent with the cross-rank path.
-func TestSendRecvSelfCountsOps(t *testing.T) {
-	w := NewWorld(2, timing.T3D())
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			out := SendRecv(c, 0, []int64{1, 2, 3})
-			if len(out) != 3 || out[2] != 3 {
-				panic("self exchange corrupted the data")
-			}
-		}
-	})
-	st := w.Stats()[0]
-	wantBytes := int64(3 * 8)
-	if st.MsgsSent != 1 || st.MsgsRecv != 1 {
-		t.Fatalf("self SendRecv counted Msgs %d/%d, want 1/1", st.MsgsSent, st.MsgsRecv)
-	}
-	if st.BytesSent != wantBytes || st.BytesRecv != wantBytes {
-		t.Fatalf("self SendRecv counted Bytes %d/%d, want %d/%d",
-			st.BytesSent, st.BytesRecv, wantBytes, wantBytes)
-	}
-	if got := w.clocks[0]; got != 0 {
-		t.Fatalf("self SendRecv advanced the clock by %dps, want zero modeled cost", got)
-	}
-}
-
-// TestSendRecvSelfIsAFaultSite pins the bugfix: fault injection must
-// observe the self-partner path. A crash injected at rank 1's first op
-// strikes inside SendRecv(self), and rank 0 unwinds with a recoverable
-// *RankFailure exactly as if the op were a cross-rank message.
-func TestSendRecvSelfIsAFaultSite(t *testing.T) {
-	w := NewWorld(2, timing.T3D())
-	w.SetFaultInjector(&oneShot{rank: 1, act: FaultAction{Crash: true}})
-	var survivorErr error
-	w.Run(func(c *Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if cr, ok := r.(Crashed); ok {
-					panic(cr)
-				}
-				survivorErr = r.(error)
-			}
-		}()
-		if c.Rank() == 1 {
-			SendRecv(c, 1, []int{42}) // crash strikes here, at the self site
-		}
-		c.Barrier()
-	})
-	var rf *RankFailure
-	if !errors.As(survivorErr, &rf) {
-		t.Fatalf("survivor unwound with %v (%T), want *RankFailure", survivorErr, survivorErr)
-	}
-	if len(rf.Lost) != 1 || rf.Lost[0] != 1 {
-		t.Fatalf("Lost = %v, want [1]", rf.Lost)
-	}
-	if w.Stats()[1].Crashes != 1 {
-		t.Fatalf("rank 1 Crashes = %d, want 1 (fault site inside self SendRecv)", w.Stats()[1].Crashes)
-	}
-}
-
-// TestStraggleStrikesSelfSendRecv: the skew path must also observe the
-// self ops (the old code bypassed enterOp entirely).
-func TestStraggleStrikesSelfSendRecv(t *testing.T) {
-	const skew = int64(12345)
-	w := NewWorld(1, timing.T3D())
-	w.SetFaultInjector(&oneShot{rank: 0, act: FaultAction{SkewPicos: skew}})
-	w.Run(func(c *Comm) {
-		SendRecv(c, 0, []int{7})
-	})
-	if got := w.clocks[0]; got != skew {
-		t.Fatalf("clock advanced %dps, want injected skew %d (and nothing else)", got, skew)
-	}
-	if w.Stats()[0].Straggles != 1 {
-		t.Fatalf("Straggles = %d, want 1", w.Stats()[0].Straggles)
-	}
-}
 
 // TestBarrierClearsDeposits pins the memory-hygiene fix: a collective
 // must not pin its buffers for the life of the world. After the next

@@ -1,9 +1,7 @@
 package comm
 
 // Stats accumulates one rank's communication counters. Self-copies inside
-// collectives are free (as on real hardware) and are not counted; a
-// self-partnered SendRecv, by contrast, is an explicit send op plus
-// receive op and counts in Msgs/Bytes (at zero modeled cost).
+// collectives are free (as on real hardware) and are not counted.
 type Stats struct {
 	BytesSent int64
 	BytesRecv int64
@@ -19,8 +17,8 @@ type Stats struct {
 	Reduces          int64
 	ReduceScatters   int64
 	CandidateGathers int64
-	Bcasts           int64
-	Gathers          int64
+	Bcasts           int64 // always 0: there is no broadcast
+	Gathers          int64 // always 0: there is no rooted gather
 
 	// Fault and recovery counters (see faults.go). Drops and Corruptions
 	// count injected transport faults; Retries the modeled

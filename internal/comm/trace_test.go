@@ -86,11 +86,11 @@ func mixedWorkload(c *Comm) {
 
 	c.SetPhase(trace.Sort, 0)
 	c.Compute(1e-6 * float64(me+1))
-	send := make([][]int64, p)
+	bufs := make([][]int64, p)
 	for d := 0; d < p; d++ {
-		send[d] = make([]int64, (me+d)%3+1)
+		bufs[d] = make([]int64, (me+d)%3+1)
 	}
-	AllToAllInto(c, send, nil)
+	AllToAllInto(c, bufs, nil)
 
 	c.SetPhase(trace.FindSplitI, 0)
 	ExScanSumInto(c, []int64{int64(me), 2}, nil)
@@ -110,14 +110,15 @@ func mixedWorkload(c *Comm) {
 	Allgather(c, make([]float64, me+1))
 	CandidateGatherInto(c, []int32{int32(me), int32(me + 1), -1}, nil)
 	Reduce(c, 0, []float64{float64(me)}, func(a, b float64) float64 { return a + b })
-	Bcast(c, 0, []int32{1, 2, 3, 4})
 
 	c.SetPhase(trace.PerformSplitI, 1)
-	Gather(c, p-1, make([]byte, 5*(me+1)))
-	if p > 1 {
-		partner := me ^ 1
-		if partner < p {
-			SendRecv(c, partner, []int64{int64(me)})
+	if partner := me ^ 1; partner < p {
+		if me < partner {
+			send(c, partner, []int64{int64(me)})
+			recv[byte](c, partner)
+		} else {
+			recv[int64](c, partner)
+			send(c, partner, make([]byte, 5*(me+1)))
 		}
 	}
 

@@ -18,9 +18,9 @@ package comm
 // Both backends present the same *World / *Comm API, so every algorithm
 // in the repository (scalparc, sprint, psort, nodetable) runs unchanged on
 // either, and a differential test can assert byte-identical trees between
-// them. The wire carries collectives only: point-to-point Send/Recv, which
-// only internal/algcoll's test-only textbook collectives call, runs on the
-// simulated machine alone.
+// them. The wire carries collectives only: the package exports no
+// point-to-point operation (p2p.go's send/recv are the substrate of its
+// own tests and run on the simulated machine alone).
 //
 // Wire format contract. Element types crossing the transport are the
 // same "flat" structs of scalars the simulated collectives require (no
@@ -42,8 +42,8 @@ type Tag uint8
 
 const (
 	// TagDeposit is a collective deposit: the exchange step beneath
-	// AllToAll, AllReduce, ExScan, Allgather, Reduce, ReduceScatter,
-	// Bcast, and Gather.
+	// AllToAll, AllReduce, the scans, Allgather, CandidateGather, Reduce
+	// and ReduceScatter.
 	TagDeposit Tag = iota
 	// TagBarrier is a barrier token (clock only, empty payload).
 	TagBarrier

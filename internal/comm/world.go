@@ -4,9 +4,9 @@
 // The ScalParC paper runs on a Cray T3D under MPI. Go has no MPI ecosystem,
 // so this package hand-rolls the message-passing layer the algorithm needs:
 // a World of p ranks (one goroutine each, private state, no shared data
-// structures above this layer) with MPI-style operations — barrier,
-// point-to-point send/receive, all-to-all personalized exchange, all-reduce,
-// reduce, exclusive prefix scan, allgather, and broadcast.
+// structures above this layer) with the MPI-style operations the
+// algorithms call — barrier, all-to-all personalized exchange, all-reduce,
+// reduce, reduce-scatter, exclusive prefix scans, and allgather.
 //
 // Beyond moving data, the layer provides the two measurements the paper's
 // evaluation is built on:
@@ -40,11 +40,10 @@
 // (no pointers, slices, or maps) so that unsafe.Sizeof gives their true
 // wire size; all types used by this repository are flat structs of scalars.
 //
-// Buffer ownership: point-to-point Send copies its buffer (like an MPI
-// eager send), so the caller may reuse it immediately. Collectives, for
-// efficiency, may return slices that alias other ranks' contribution
-// buffers — treat collective inputs as frozen for the duration of the call
-// and collective results as read-only (copy before mutating).
+// Buffer ownership: collectives, for efficiency, may return slices that
+// alias other ranks' contribution buffers — treat collective inputs as
+// frozen for the duration of the call and collective results as read-only
+// (copy before mutating).
 package comm
 
 import (
@@ -136,11 +135,14 @@ type deposit struct {
 	clock int64
 }
 
-// NewWorld creates a simulated machine with p ranks and the given cost
-// model. p must be at least 1.
+// NewWorld creates a simulated machine with p >= 1 ranks and the given
+// cost model; a zero Model means timing.T3D(), decided here and only here.
 func NewWorld(p int, model timing.Model) *World {
 	if p < 1 {
 		panic(fmt.Sprintf("comm: NewWorld with p=%d; need p >= 1", p))
+	}
+	if model == (timing.Model{}) {
+		model = timing.T3D()
 	}
 	w := &World{
 		p:       p,

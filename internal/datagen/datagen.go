@@ -83,7 +83,9 @@ var contRanges = map[string]attrRange{
 
 // perturb applies the Quest perturbation to one continuous value.
 func perturb(rng *rand.Rand, v float64, r attrRange, p float64) float64 {
-	v += (rng.Float64() - 0.5) * p * (r.hi - r.lo)
+	// Each float64(...) in this file rounds a product, so no CPU fuses it
+	// into an addition: the same table on every architecture (make fma).
+	v += float64((float64(rng.Float64()) - 0.5) * p * (r.hi - r.lo))
 	if v < r.lo {
 		v = r.lo
 	}
@@ -249,7 +251,7 @@ type incomeBands int
 func (n incomeBands) label(p person) int {
 	// Score range: 0.67·(20000..225000) − 0.2·(0..500000).
 	const scoreLo, scoreHi = 0.67*20000 - 0.2*500000, 0.67 * 225000
-	score := 0.67*(p.salary+p.commission) - 0.2*p.loan
+	score := float64(0.67*(p.salary+p.commission)) - float64(0.2*p.loan)
 	band := int((score - scoreLo) / (scoreHi - scoreLo) * float64(n))
 	return min(max(band, 0), int(n)-1)
 }
@@ -282,7 +284,7 @@ func genPerson(rng *rand.Rand, zipBase []float64) person {
 }
 
 func uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 func project(set AttrSet, p person, row []float64) {
@@ -366,17 +368,17 @@ func (f questFunction) label(p person) int {
 		total := p.salary + p.commission
 		inA = band(p.age, total, 50000, 100000, 75000, 125000, 25000, 75000)
 	case 7:
-		inA = 0.67*(p.salary+p.commission)-0.2*p.loan-20000 > 0
+		inA = float64(0.67*(p.salary+p.commission))-float64(0.2*p.loan)-20000 > 0
 	case 8:
-		inA = 0.67*(p.salary+p.commission)-5000*float64(p.elevel)-20000 > 0
+		inA = float64(0.67*(p.salary+p.commission))-float64(5000*float64(p.elevel))-20000 > 0
 	case 9:
-		inA = 0.67*(p.salary+p.commission)-5000*float64(p.elevel)-0.2*p.loan-10000 > 0
+		inA = float64(0.67*(p.salary+p.commission))-float64(5000*float64(p.elevel))-float64(0.2*p.loan)-10000 > 0
 	case 10:
 		equity := 0.0
 		if p.hyears >= 20 {
 			equity = 0.1 * p.hvalue * (p.hyears - 20)
 		}
-		inA = 0.67*(p.salary+p.commission)-5000*float64(p.elevel)+0.3*equity-10000 > 0
+		inA = float64(0.67*(p.salary+p.commission))-float64(5000*float64(p.elevel))+float64(0.3*equity)-10000 > 0
 	}
 	if inA {
 		return 0

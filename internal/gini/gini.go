@@ -36,7 +36,9 @@ func indexN(h []int64, n int64) float64 {
 	nf := float64(n)
 	for _, c := range h {
 		f := float64(c) / nf
-		sum += f * f
+		// Each float64(x*y) rounds its product, so no CPU fuses it into
+		// the addition: the same bits on every architecture (make fma).
+		sum += float64(f * f)
 	}
 	return 1 - sum
 }
@@ -70,7 +72,7 @@ func SplitIndexTotal(total int64, parts ...[]int64) float64 {
 		if n == 0 {
 			continue
 		}
-		sum += float64(n) / float64(total) * indexN(p, n)
+		sum += float64(float64(n) / float64(total) * indexN(p, n))
 	}
 	return sum
 }
@@ -95,11 +97,11 @@ func BinarySplit(nBelow, sqBelow, nAbove, sqAbove int64) float64 {
 	sum := 0.0
 	if nBelow > 0 {
 		nf := float64(nBelow)
-		sum += nf / tf * (1 - float64(sqBelow)/(nf*nf))
+		sum += float64(nf / tf * (1 - float64(sqBelow)/(nf*nf)))
 	}
 	if nAbove > 0 {
 		nf := float64(nAbove)
-		sum += nf / tf * (1 - float64(sqAbove)/(nf*nf))
+		sum += float64(nf / tf * (1 - float64(sqAbove)/(nf*nf)))
 	}
 	return sum
 }

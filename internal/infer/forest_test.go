@@ -171,8 +171,8 @@ func TestCompileForestSingleTreeMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, err := forest.PredictRows(rows)
-	if err != nil {
+	gotRows := make([]int, len(rows))
+	if err := forest.PredictRowsInto(rows, gotRows); err != nil {
 		t.Fatal(err)
 	}
 	for r := range want {

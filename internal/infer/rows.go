@@ -2,16 +2,6 @@ package infer
 
 import "fmt"
 
-// PredictRows classifies row-major records (each row in the
-// dataset.AppendRow value convention) and returns the labels.
-func (m *Model) PredictRows(rows [][]float64) ([]int, error) {
-	out := make([]int, len(rows))
-	if err := m.PredictRowsInto(rows, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PredictRowsInto classifies row-major records into out, which must have
 // one slot per row. The storage is caller-owned — nothing is retained —
 // which is what a serving micro-batcher needs: it coalesces decoded

@@ -24,8 +24,8 @@ func TestPredictRowsMatchesWalker(t *testing.T) {
 			rows[i] = tab.Row(i)
 			want[i] = tr.Predict(rows[i])
 		}
-		got, err := m.PredictRows(rows)
-		if err != nil {
+		got := make([]int, n)
+		if err := m.PredictRowsInto(rows, got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {

@@ -141,7 +141,7 @@ func (s *Sorter) Sort(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEnt
 	c.Mem().Alloc(int64(total) * dataset.ContEntrySize)
 	c.Compute(float64(total) * logish(p) / model.SortRate)
 	s.merged = mergeRuns(slices.Grow(s.merged[:0], total)[:total], recv)
-	out := Rebalance(c, s.merged)
+	out, _ := Shift(c, s.merged, []int64{int64(total)})
 	c.Mem().Free(int64(total) * dataset.ContEntrySize)
 	return slices.Clip(out) // a shift of nothing returns its input
 }
@@ -162,15 +162,6 @@ func logish(n int) float64 {
 		l++
 	}
 	return float64(l)
-}
-
-// Rebalance is the parallel shift of one list: given a globally ordered
-// distributed list with arbitrary per-rank counts, it redistributes entries
-// so rank r holds exactly the positions BlockRange(N, p, r) of the global
-// order, preserving order. Every rank must call it.
-func Rebalance(c *comm.Comm, local []dataset.ContEntry) []dataset.ContEntry {
-	out, _ := Shift(c, local, []int64{int64(len(local))})
-	return out
 }
 
 // Shift is the parallel shift of a segmented list. list concatenates, in

@@ -255,7 +255,7 @@ func TestRebalanceFromSkewedOwnership(t *testing.T) {
 				local[i] = dataset.ContEntry{Val: float64(i), Rid: int32(i)}
 			}
 		}
-		out[c.Rank()] = Rebalance(c, local)
+		out[c.Rank()], _ = Shift(c, local, []int64{int64(len(local))})
 	})
 	checkBalanced(t, out, n, p)
 	pos := 0
@@ -272,7 +272,7 @@ func TestRebalanceFromSkewedOwnership(t *testing.T) {
 func TestRebalanceEmpty(t *testing.T) {
 	w := comm.NewWorld(3, timing.T3D())
 	w.Run(func(c *comm.Comm) {
-		if got := Rebalance(c, nil); len(got) != 0 {
+		if got, _ := Shift[dataset.ContEntry](c, nil, []int64{0}); len(got) != 0 {
 			panic("empty rebalance should stay empty")
 		}
 	})
@@ -378,7 +378,7 @@ func TestShiftSendsSingleChunksUncopied(t *testing.T) {
 		if c.Rank() == 0 {
 			mine = local // all entries start on rank 0
 		}
-		Rebalance(c, mine)
+		Shift(c, mine, []int64{int64(len(mine))})
 	})
 	runtime.ReadMemStats(&after)
 	listBytes := uint64(n * dataset.ContEntrySize)

@@ -127,17 +127,13 @@ func TrainForest(tab *dataset.Table, cfg splitter.Config, fo ForestOptions) (*Fo
 	if err != nil {
 		return nil, err
 	}
-	model := fo.Model
-	if model == (timing.Model{}) {
-		model = timing.T3D()
-	}
 	var wg sync.WaitGroup
 	for range max(fo.Parallel, 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// A world a terminal error retired is replaced, never reused.
-			for f.trainTrees(comm.NewWorld(max(fo.Procs, 1), model)) != nil {
+			for f.trainTrees(comm.NewWorld(max(fo.Procs, 1), fo.Model)) != nil {
 			}
 		}()
 	}

@@ -49,22 +49,11 @@ type rowStore struct {
 	catFlat  []int64
 }
 
-// maxCode bounds a row's codes: uint16 holds Bins <= 65536 quantile bins
-// (CheckOptions) and categorical domains up to 65536 values.
-const maxCode = 1 << 16
-
-// checkCodeWidth refuses a schema whose categorical domain does not fit a
-// row store code, naming the attribute. dataset.MaxCategories is far below
-// the bound today; this keeps the row store honest if that limit is raised.
-func checkCodeWidth(s *dataset.Schema) error {
-	for _, attr := range s.Attrs {
-		if attr.Kind == dataset.Categorical && attr.Cardinality() > maxCode {
-			return fmt.Errorf("scalparc: categorical attribute %q has %d values; the binned and vote row store codes at most %d",
-				attr.Name, attr.Cardinality(), maxCode)
-		}
-	}
-	return nil
-}
+// A row's code is a uint16: it holds Bins <= 65536 quantile bins
+// (CheckOptions) and every categorical value, since Schema.Validate caps a
+// domain at dataset.MaxCategories. This fails to compile if the cap ever
+// outgrows the code.
+const _ = uint16(dataset.MaxCategories - 1)
 
 // binCodes codes rows [lo, hi) of tab for the row store: one code per
 // (row, attribute), row-major — a continuous value as its bin

@@ -254,20 +254,21 @@ func TestBinnedPeakMetersTheKeys(t *testing.T) {
 }
 
 // TestWideCategoricalRefused: the row store codes a categorical value in 16
-// bits, so a histogram-mode run over a wider domain fails up front, naming
-// the attribute.
+// bits, and a domain wider than dataset.MaxCategories (far below that) fails
+// up front in every split mode, naming the attribute and the bound.
 func TestWideCategoricalRefused(t *testing.T) {
-	values := make([]string, maxCode+1)
+	const limit = dataset.MaxCategories
+	values := make([]string, limit+1)
 	for i := range values {
 		values[i] = fmt.Sprint(i)
 	}
 	schema := &dataset.Schema{Classes: []string{"a", "b"}, Attrs: []dataset.Attribute{
 		{Name: "x", Kind: dataset.Continuous}, {Name: "zip", Kind: dataset.Categorical, Values: values}}}
-	tab := handTable(schema, 4, func(i int) ([]float64, int) { return []float64{float64(i), float64(maxCode - i)}, i % 2 })
-	for _, opts := range []Options{{Split: SplitBinned}, {Split: SplitVote}} {
+	tab := handTable(schema, 4, func(i int) ([]float64, int) { return []float64{float64(i), float64(limit - i)}, i % 2 })
+	for _, opts := range []Options{{Split: SplitExact}, {Split: SplitBinned}, {Split: SplitVote}} {
 		_, err := TrainOpts(comm.NewWorld(2, timing.T3D()), tab, splitter.Config{}, opts)
-		if err == nil || !strings.Contains(err.Error(), `"zip"`) || !strings.Contains(err.Error(), fmt.Sprint(maxCode)) {
-			t.Errorf("%v: error %v, want one naming attribute \"zip\" and the %d-value bound", opts.Split, err, maxCode)
+		if err == nil || !strings.Contains(err.Error(), `"zip"`) || !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+			t.Errorf("%v: error %v, want one naming attribute \"zip\" and the %d-value bound", opts.Split, err, limit)
 		}
 	}
 }

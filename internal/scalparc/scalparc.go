@@ -323,17 +323,12 @@ func TrainOpts(w *comm.World, tab *dataset.Table, cfg splitter.Config, opts Opti
 	if opts.Split == SplitVote && opts.VoteK == 0 {
 		opts.VoteK = DefaultVoteK
 	}
-	if opts.Split != SplitExact {
-		if err := checkCodeWidth(tab.Schema); err != nil {
-			return nil, err
-		}
+	if err := tab.Schema.Validate(); err != nil {
+		return nil, err
 	}
 	factory := opts.RecordMap
 	if factory == nil {
 		factory = DistributedNodeTable
-	}
-	if err := tab.Schema.Validate(); err != nil {
-		return nil, err
 	}
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(tab.Schema); err != nil {

@@ -58,7 +58,7 @@ func TrainTraced(tab *dataset.Table, cfg splitter.Config, model timing.Model) (*
 	c.SetPhase(trace.Sort, 0)
 	lists.SortContinuous()
 	for _, l := range lists.Cont {
-		c.Compute(model.SortTime(len(l)))
+		c.Compute(c.Model().SortTime(len(l)))
 	}
 	c.SetPhase(trace.Other, 0)
 	t, err := induce(c, tab, cfg, &memSource{lists: lists})

@@ -180,7 +180,8 @@ func BestCategorical(m *CountMatrix, attr int, binary bool) Candidate {
 			n += c
 		}
 		if n > 0 {
-			g += float64(n) / float64(total) * gini.Index(row)
+			// float64 rounds the product: no fused multiply-add (make fma).
+			g += float64(float64(n) / float64(total) * gini.Index(row))
 		}
 	}
 	return Candidate{Valid: true, Gini: g, Attr: int32(attr), Kind: CatMWay}

@@ -75,7 +75,9 @@ func (m Model) P2P(bytes int) float64 {
 // AllToAll returns the modeled cost of one all-to-all personalized exchange
 // among p processors where the busiest processor sends maxBytes in total.
 func (m Model) AllToAll(p, maxBytes int) float64 {
-	return float64(p)*m.A2ALatencyPerProc + float64(maxBytes)/m.A2ABandwidth
+	// Each float64(x*y) in this file rounds its product, so no CPU fuses it
+	// into the addition: the same costs on every architecture (make fma).
+	return float64(float64(p)*m.A2ALatencyPerProc) + float64(maxBytes)/m.A2ABandwidth
 }
 
 // AllReduce returns the modeled cost of an all-reduce of n bytes among p
@@ -97,7 +99,7 @@ func (m Model) Allgather(p, bytesEach int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(p-1)*m.P2PLatency + float64((p-1)*bytesEach)/m.P2PBandwidth
+	return float64(float64(p-1)*m.P2PLatency) + float64((p-1)*bytesEach)/m.P2PBandwidth
 }
 
 // Reduce returns the modeled cost of a reduction of n bytes to one root
@@ -121,7 +123,7 @@ func (m Model) ReduceScatter(p, bytes int) float64 {
 		return 0
 	}
 	rounds := math.Ceil(math.Log2(float64(p)))
-	return rounds*m.P2PLatency + float64(p-1)/float64(p)*float64(bytes)/m.P2PBandwidth
+	return float64(rounds*m.P2PLatency) + float64(p-1)/float64(p)*float64(bytes)/m.P2PBandwidth
 }
 
 // Barrier returns the modeled cost of a barrier among p processors.

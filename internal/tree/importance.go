@@ -21,7 +21,8 @@ func (t *Tree) Importance() []float64 {
 		weight := float64(n.Size()) / total
 		decrease := gini.Index(n.Hist) - n.Gini
 		if decrease > 0 {
-			imp[n.Attr] += weight * decrease
+			// float64 rounds the product: no fused multiply-add (make fma).
+			imp[n.Attr] += float64(weight * decrease)
 		}
 		for _, ch := range n.Children {
 			walk(ch)

@@ -156,8 +156,8 @@ func FuzzDecodeModel(f *testing.F) {
 			}
 			rows = append(rows, row)
 		}
-		got, err := m.PredictRows(rows)
-		if err != nil {
+		got := make([]int, len(rows))
+		if err := m.PredictRowsInto(rows, got); err != nil {
 			t.Fatal(err)
 		}
 		for i, row := range rows {
