@@ -20,14 +20,14 @@ vet:
 
 # Float results must not depend on the CPU. arm64, ppc64le, s390x and
 # riscv64 fuse x*y + z into one instruction with one rounding; amd64 never
-# does. Cross-compile the program's packages for those four with the
-# assembly listing (-gcflags=-S) and fail on any fused multiply-add, naming
-# its file and line. The fix is an explicit conversion, float64(x*y) + z:
-# it rounds the product, which the Go spec says prevents fusion, and on
-# amd64 it changes no instruction. The build cache replays the listing, so
-# a rerun takes seconds.
+# does. Cross-compile the program's packages and the examples for those
+# four with the assembly listing (-gcflags=-S) and fail on any fused
+# multiply-add, naming its file and line. The fix is an explicit
+# conversion, float64(x*y) + z: it rounds the product, which the Go spec
+# says prevents fusion, and on amd64 it changes no instruction. The build
+# cache replays the listing, so a rerun takes seconds.
 FMA_ARCHS = arm64 ppc64le s390x riscv64
-FMA_PKGS = ./classify ./cmd/... ./internal/...
+FMA_PKGS = ./classify ./cmd/... ./internal/... ./examples/...
 fma:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; found=0; \
 	for arch in $(FMA_ARCHS); do \
@@ -199,12 +199,13 @@ tcp:
 # histogram modes' cut selection (against sorting the whole column), the
 # compiled-vs-walker prediction differential, the model decoder, the
 # server's request handling and its JSON row decoder (against the frozen
-# reflective one), the TCP frame decoder, the checkpoint frame decoders
-# (the shared frame and the one fragment frame) and the -faults spec
-# parser. CI runs this target; a test fails when a Fuzz* function of
-# the root module is missing from it. The bin search, the cut selection,
-# the decoders and the server's fuzzers cap minimization: shrinking one
-# interesting input otherwise takes the default 60s, i.e. the whole pass.
+# reflective one), the TCP frame decoder, the checkpoint frame decoder, a
+# restore's routing of the table down a decoded frame's tree and the
+# -faults spec parser. CI runs this target; a test fails when a Fuzz*
+# function of the root module is missing from it. The bin search, the cut
+# selection, the decoders and the server's fuzzers cap minimization:
+# shrinking one interesting input otherwise takes the default 60s, i.e.
+# the whole pass.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dataset
@@ -221,7 +222,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeJSONRows -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/comm/tcptransport
 	$(GO) test -fuzz=FuzzDecodeShared -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
-	$(GO) test -fuzz=FuzzDecodeNodeFrag -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
+	$(GO) test -fuzz=FuzzRouteFrontier -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/scalparc
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 
 # Benchmark-regression guards, one CI step; exit non-zero on regression.

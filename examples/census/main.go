@@ -30,8 +30,8 @@ func buildPopulation(n int, seed int64) (*classify.Table, error) {
 	tab := classify.NewTable(schema, n)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		age := 18 + rng.Float64()*62
-		hours := 10 + rng.Float64()*60
+		age := 18 + float64(rng.Float64()*62)
+		hours := 10 + float64(rng.Float64()*60)
 		edu := rng.Intn(5)
 		sector := rng.Intn(3)
 		gain := 0.0
@@ -40,7 +40,7 @@ func buildPopulation(n int, seed int64) (*classify.Table, error) {
 		}
 		// Ground truth: income driven by education, hours, and capital
 		// gains, with 8% label noise.
-		score := float64(edu)*1.5 + hours/20 + gain/10000
+		score := float64(float64(edu)*1.5) + hours/20 + gain/10000
 		if age > 35 && age < 60 {
 			score += 1
 		}

@@ -187,7 +187,7 @@ func (m *Model) leafLabel(root int32, row []float64) int {
 // the single untrusted-value routing rule, shared by Predict and the
 // row-major batch kernel so their answers cannot drift apart. NaN and
 // out-of-domain categorical values take the majority branch (nd.dflt),
-// mirroring tree.Node.childFor.
+// mirroring tree.Node.ChildFor.
 func (m *Model) route(nd *node, v float64) int32 {
 	switch nd.kind() {
 	case nodeCont:

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -21,25 +20,24 @@ import (
 
 // Level-boundary checkpointing.
 //
-// With Options.CheckpointDir set, at the end of every level each rank writes
-// its frames into the run's CheckpointStore (a directory: stable storage,
-// which survives rank crashes): dense rank 0 writes the shared replicated
-// state — record count, completed-level stats, split strategy, quantile
-// cuts, and the tree so far as a model document, its open frontier written
-// as label-0 leaves — and every rank writes its fragment frame: the rids it
-// holds under each frontier node (records.frontierRids). The continuous
-// lists are sorted once, and a split only moves records between nodes, so
-// beside the replicated tree that is the whole state of a level boundary,
-// in every split mode. A barrier in front of the save makes a complete
-// frame set a consistent cut: either every rank completed the level or the
-// set is never read.
+// With Options.CheckpointDir set, at the end of every level dense rank 0
+// writes one frame into the run's CheckpointStore (a directory: stable
+// storage, which survives rank crashes): the replicated state — record
+// count, completed-level stats, split strategy, quantile cuts, and the tree
+// so far as a model document, its open frontier written as label-0 leaves.
+// Beside the table that is the whole state of a level boundary, in every
+// split mode: the continuous lists are sorted once, and a split only moves
+// each record to the child its values route to under the node's split rule,
+// so the tree says which frontier node holds every record. A barrier in
+// front of the save makes the frame a consistent cut: it is written only
+// once every rank completed the level.
 //
-// Recovery reads the latest complete checkpoint on the survivors: the tree
-// is decoded and its frontier reopened as the active set (see reopen), and
-// every writer's fragment is read into one rid → frontier node map. Each
+// Recovery reads the newest frame on the survivors: the tree is decoded and
+// its frontier reopened as the active set (see reopen), and every row of
+// the table is routed down it to its frontier node (frontierOf). Each
 // survivor then loads its block of the table exactly as a fresh start does
 // (exact mode presorts the lists again; the histogram modes code the rows
-// under the shared frame's cuts) and files the records under the frontier
+// under the frame's cuts) and files the records under the frontier
 // (records.relabel), which leaves it the layout a fault-free run on the
 // survivors holds at that level. The record map starts empty: its contents
 // are transient within a level. Because every split decision is a pure
@@ -47,33 +45,28 @@ import (
 // the same tree as the fault-free run, whatever the surviving processor
 // count.
 
-// The checkpoint frames are little-endian binary with two frame types; the
-// shared frame ends in the tree's model document (tree.Encode).
+// The checkpoint frame is little-endian binary ending in the tree's model
+// document (tree.Encode).
 const (
 	ckptSharedMagic   = 0x53435031 // "SCP1": shared replicated state
-	ckptNodesMagic    = 0x5343504e // "SCPN": one rank's rids per frontier node
 	ckptSharedVersion = 3
-	ckptNodesVersion  = 2
 )
 
-// Checkpoint is one complete level-boundary snapshot: the shared frame and
-// one fragment frame per writer (dense rank at save time).
+// Checkpoint is one level-boundary snapshot: dense rank 0's frame after
+// Level completed levels.
 type Checkpoint struct {
-	Level   int
-	Writers int
-	Shared  []byte
-	Frags   [][]byte
+	Level  int
+	Shared []byte
 }
 
 // CheckpointStore is the run's stable storage, a directory: its contents
-// survive rank crashes, and recovery reads the last complete snapshot from
-// it. Every rank's frames go straight to per-rank files there (one format
-// for simulated and wire-backed worlds alike; on the latter the shared
-// directory is the ranks' only rendezvous) and Latest scans it for the
-// newest complete set; each save prunes the sets older than the one it
-// would fall back to (see prune). Files are written with
-// atomicfile.WriteDurable and saves are barrier-fronted, so a complete set
-// on disk is a consistent cut and survives a power loss.
+// survive rank crashes, and recovery reads the newest frame from it. Dense
+// rank 0's frame goes straight to a file there (one format for simulated
+// and wire-backed worlds alike; on the latter the shared directory is the
+// ranks' only rendezvous), each save prunes every older level's, and
+// Latest scans for the newest. Frames are written with
+// atomicfile.WriteDurable and saves are barrier-fronted, so a frame on disk
+// is a consistent cut and survives a power loss.
 type CheckpointStore struct {
 	mu  sync.Mutex
 	dir string
@@ -104,35 +97,29 @@ func (s *CheckpointStore) Err() error {
 	return s.err
 }
 
-// put writes one rank's frames for a level to their files. shared is
-// non-nil only from dense rank 0, whose save then prunes. The first
-// persistence error is kept for Err.
-func (s *CheckpointStore) put(level, writer, writers int, shared, frag []byte) {
+// put writes a level's frame to its file and, once that is durable,
+// removes every older level's: recovery reads the newest frame, so nothing
+// older can be read again. Removal errors are ignored (the files are dead
+// either way); the first persistence error is kept for Err.
+func (s *CheckpointStore) put(level int, shared []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := writeFrame(filepath.Join(s.dir, fragName(level, writers, writer)), frag)
-	if err == nil && shared != nil {
-		if err = writeFrame(filepath.Join(s.dir, sharedName(level, writers)), shared); err == nil {
-			s.prune(level)
+	if err := writeFrame(filepath.Join(s.dir, sharedName(level)), shared); err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		return
+	}
+	for _, l := range frameLevels(s.dir) {
+		if l < level {
+			os.Remove(filepath.Join(s.dir, sharedName(l)))
 		}
 	}
-	if err != nil && s.err == nil {
-		s.err = err
-	}
 }
 
-// Frame files: ck-L<level>-W<writers>.shared (dense rank 0) and
-// ck-L<level>-W<writers>-w<writer>.frag (every rank). The set for a
-// (level, writers) pair is complete once the shared file and all W
-// fragments exist; atomic renames plus the barrier in front of every
-// save guarantee a complete set is a consistent cut.
-
-func sharedName(level, writers int) string {
-	return fmt.Sprintf("ck-L%06d-W%03d.shared", level, writers)
-}
-
-func fragName(level, writers, writer int) string {
-	return fmt.Sprintf("ck-L%06d-W%03d-w%03d.frag", level, writers, writer)
+// sharedName is a level's frame file: ck-L<level>.shared.
+func sharedName(level int) string {
+	return fmt.Sprintf("ck-L%06d.shared", level)
 }
 
 // writeFrame persists one frame file. Durable, not just atomic: a respawned
@@ -148,127 +135,71 @@ func writeFrame(path string, data []byte) error {
 	return nil
 }
 
-// frameSets lists the (level, writers) frame sets dir names, newest first:
-// a set is named by its shared file, and ties on level prefer more writers.
-// Only Level and Writers are filled in.
-func frameSets(dir string) []*Checkpoint {
+// frameLevels lists the levels dir holds frames of, newest first. Only an
+// exact frame name counts, which keeps an interrupted save's temp file from
+// naming one.
+func frameLevels(dir string) []int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var sets []*Checkpoint
-	for _, e := range entries {
-		ck := &Checkpoint{}
-		// Sscanf ignores trailing input, so the suffix check is what keeps
-		// an interrupted save's temp file from naming a set.
-		if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-W%03d.shared", &ck.Level, &ck.Writers); n == 2 &&
-			strings.HasSuffix(e.Name(), ".shared") && ck.Writers >= 1 {
-			sets = append(sets, ck)
-		}
-	}
-	sort.Slice(sets, func(i, j int) bool {
-		if sets[i].Level != sets[j].Level {
-			return sets[i].Level > sets[j].Level
-		}
-		return sets[i].Writers > sets[j].Writers
-	})
-	return sets
-}
-
-// prune removes every frame file of a level below the newest complete set
-// under level. Dense rank 0 calls it right after writing level's shared
-// frame: should that save never complete, recovery falls back to exactly
-// that older set, so nothing older can ever be read again, and the
-// directory holds at most two levels' sets instead of one per level. No
-// rank is still writing a level that old, and removal errors are ignored
-// (the files are dead either way).
-func (s *CheckpointStore) prune(level int) {
-	keep := -1
-sets:
-	for _, ck := range frameSets(s.dir) {
-		if ck.Level >= level {
-			continue
-		}
-		for w := 0; w < ck.Writers; w++ {
-			if _, err := os.Stat(filepath.Join(s.dir, fragName(ck.Level, ck.Writers, w))); err != nil {
-				continue sets
-			}
-		}
-		keep = ck.Level
-		break
-	}
-	entries, err := os.ReadDir(s.dir)
-	if keep < 0 || err != nil {
-		return
-	}
+	var levels []int
 	for _, e := range entries {
 		var l int
-		if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-", &l); n == 1 && l < keep {
-			os.Remove(filepath.Join(s.dir, e.Name()))
+		if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d.shared", &l); n == 1 && e.Name() == sharedName(l) {
+			levels = append(levels, l)
 		}
 	}
+	slices.Sort(levels)
+	slices.Reverse(levels)
+	return levels
 }
 
-// Latest assembles the newest complete frame set in the directory, or nil.
-// A set is complete when its shared file and every one of its W fragment
-// files read back; incomplete sets (a save a failure interrupted) are
-// skipped. Any complete set for a level decodes to the same global state.
+// Latest reads the newest frame in the directory, or nil. A frame that does
+// not read back gives way to the one before it, which a save that failed
+// before its prune leaves.
 func (s *CheckpointStore) Latest() *Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-next:
-	for _, ck := range frameSets(s.dir) {
-		if ck.Shared, err = os.ReadFile(filepath.Join(s.dir, sharedName(ck.Level, ck.Writers))); err != nil {
-			continue
+	for _, l := range frameLevels(s.dir) {
+		if raw, err := os.ReadFile(filepath.Join(s.dir, sharedName(l))); err == nil {
+			return &Checkpoint{Level: l, Shared: raw}
 		}
-		ck.Frags = make([][]byte, ck.Writers)
-		for w := range ck.Frags {
-			if ck.Frags[w], err = os.ReadFile(filepath.Join(s.dir, fragName(ck.Level, ck.Writers, w))); err != nil {
-				continue next
-			}
-		}
-		return ck
 	}
 	return nil
 }
 
-// clearFrames removes a previous run's frame files from the store's
-// directory, and the temp files of a save killed mid-write, so stale state
-// can never masquerade as this run's checkpoint; other files are left alone.
-// A fresh run calls it before training (a resuming one must not). On a
-// wire-backed world every rank process does, before any save happens (the
-// first save is barrier-fronted), so the concurrent removals cannot race a
-// write; removal errors (a peer got there first) are ignored.
+// clearFrames removes a previous run's checkpoint files from the store's
+// directory — frames, and the temp files of a save killed mid-write — so
+// stale state can never masquerade as this run's checkpoint; other files
+// are left alone. A fresh run calls it before training (a resuming one must
+// not). On a wire-backed world every rank process does, before any save
+// happens (the first save is barrier-fronted), so the concurrent removals
+// cannot race a write; removal errors (a peer got there first) are ignored.
 func (s *CheckpointStore) clearFrames() {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "ck-L") && (strings.HasSuffix(name, ".frag") ||
-			strings.HasSuffix(name, ".shared") || strings.Contains(name, ".tmp")) {
-			os.Remove(filepath.Join(s.dir, name))
+		if strings.HasPrefix(e.Name(), "ck-L") {
+			os.Remove(filepath.Join(s.dir, e.Name()))
 		}
 	}
 }
 
-// saveCheckpoint deposits this level's frames into the store. Runs at a
+// saveCheckpoint deposits this level's frame into the store. Runs at a
 // level boundary; the leading barrier is the consistency point.
 func (wk *worker) saveCheckpoint() {
 	c := wk.c
 	c.SetPhase(trace.Other, wk.level)
 	c.Barrier()
-	var shared []byte
 	if c.Rank() == 0 {
-		shared = wk.encodeShared(wk.recs.frame())
+		wk.ckpt.put(len(wk.levelStats), wk.encodeShared(wk.recs.frame()))
 	}
-	rids, segs := wk.recs.frontierRids(wk)
-	wk.ckpt.put(len(wk.levelStats), c.Rank(), c.Size(), shared, encodeNodeFrag(rids, segs))
-	// Model the stable-storage write like a list pass over the rids
-	// written.
-	c.Compute(c.Model().SplitTime(len(rids)))
+	// Model the stable-storage write like a list pass over the records this
+	// rank holds, the state the frame's tree routes.
+	c.Compute(c.Model().SplitTime(wk.recs.held()))
 	c.Event("checkpoint")
 }
 
@@ -402,63 +333,6 @@ func decodeTree(r io.Reader, schema *dataset.Schema) (*tree.Tree, error) {
 	return t, nil
 }
 
-// encodeNodeFrag is the fragment frame: magic, version, the frontier size,
-// then per frontier node in order its rid count and its rids, all u32.
-// rids holds the rids back to back; segs[i] locates node i's.
-func encodeNodeFrag(rids []int32, segs []seg) []byte {
-	e := enc{b: make([]byte, 0, 12+4*len(segs)+4*len(rids))}
-	e.u32(ckptNodesMagic)
-	e.u32(ckptNodesVersion)
-	e.u32(uint32(len(segs)))
-	for _, sg := range segs {
-		e.u32(uint32(sg.n))
-		for _, r := range rids[sg.off : sg.off+sg.n] {
-			e.u32(uint32(r))
-		}
-	}
-	return e.b
-}
-
-// decodeNodeFrag parses one writer's fragment of a checkpoint of n records
-// for a frontier of frontier nodes, returning what encodeNodeFrag took:
-// every rid must lie in [0, n).
-func decodeNodeFrag(raw []byte, n, frontier int) ([]int32, []seg, error) {
-	d := dec{b: raw}
-	if d.u32() != ckptNodesMagic || d.u32() != ckptNodesVersion {
-		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: bad magic or version")
-	}
-	fr := int(d.u32())
-	switch {
-	case d.err != nil:
-		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
-	case fr != frontier:
-		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %d frontier nodes, tree frontier has %d", fr, frontier)
-	}
-	segs := make([]seg, frontier)
-	rids := make([]int32, 0, (len(raw)-d.off)/4)
-	for i := range segs {
-		cnt := int(d.u32())
-		if cnt > (len(raw)-d.off)/4 {
-			return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: node %d counts %d rids past the body", i, cnt)
-		}
-		segs[i] = seg{off: len(rids), n: cnt}
-		for range cnt {
-			rid := d.u32()
-			if uint64(rid) >= uint64(n) {
-				return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: rid %d outside [0, %d)", rid, n)
-			}
-			rids = append(rids, int32(rid))
-		}
-	}
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %w", d.err)
-	}
-	if d.off != len(raw) {
-		return nil, nil, fmt.Errorf("scalparc: checkpoint fragment: %d trailing bytes", len(raw)-d.off)
-	}
-	return rids, segs, nil
-}
-
 // fileByNode is a stable counting sort of items into the segments of a
 // frontier of frontier nodes, back to back in node order; node(x) is x's
 // node index, and an item whose index is -1 (retired) is dropped.
@@ -489,10 +363,10 @@ func fileByNode[T any](items []T, frontier int, node func(T) int32) ([]T, []seg)
 // restore is newWorker's post-step on the recovery path, where presort is
 // the fresh-start one: it fills the records, the frontier, and the level
 // stats (and, through decodeShared, the split mode's cuts) from a
-// checkpoint on the (possibly shrunken) surviving world. Both frames are
-// decoded and checked before the first collective; decode failures are
-// deterministic — every rank reads the same bytes — so all survivors fail
-// identically.
+// checkpoint on the (possibly shrunken) surviving world. The frame is
+// decoded, and the frontier it routes the table to checked, before the
+// first collective; these failures are deterministic — every rank reads the
+// same bytes and the same table — so all survivors fail identically.
 func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 	c := wk.c
 	sh, err := decodeShared(ck.Shared, wk.schema, wk.recs.frame())
@@ -503,7 +377,7 @@ func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 		return fmt.Errorf("scalparc: checkpoint shared frame: %d records, training table has %d", sh.n, wk.n)
 	}
 	wk.root, wk.active, wk.levelStats = sh.root, sh.active, sh.levelStats
-	node, err := wk.frontierOf(tab, ck)
+	node, err := wk.frontierOf(tab)
 	if err != nil {
 		return err
 	}
@@ -526,39 +400,34 @@ func (wk *worker) restore(tab *dataset.Table, ck *Checkpoint) error {
 	return nil
 }
 
-// frontierOf reads every writer's fragment into one rid → frontier node
-// map, -1 for a retired record, and checks it against the reopened
-// frontier: no rid is claimed twice, and each frontier node's records,
-// counted by class from the table, match the node's histogram.
-func (wk *worker) frontierOf(tab *dataset.Table, ck *Checkpoint) ([]int32, error) {
-	node := make([]int32, wk.n)
-	for r := range node {
-		node[r] = -1
-	}
-	for _, raw := range ck.Frags {
-		rids, segs, err := decodeNodeFrag(raw, wk.n, len(wk.active))
-		if err != nil {
-			return nil, err
-		}
-		for i, sg := range segs {
-			for _, r := range rids[sg.off : sg.off+sg.n] {
-				if node[r] >= 0 {
-					return nil, fmt.Errorf("scalparc: checkpoint fragments: rid %d claimed by nodes %d and %d", r, node[r], i)
-				}
-				node[r] = int32(i)
-			}
-		}
+// frontierOf routes every row of the table down the restored tree to the
+// depth of its frontier: node[rid] is the index of the reopened node a
+// record reaches, -1 for one that reaches a leaf (retired). It checks the
+// map against the frontier — each node's records, counted by class, must
+// match the node's histogram — which fails a frame whose tree was not
+// grown on this table.
+func (wk *worker) frontierOf(tab *dataset.Table) ([]int32, error) {
+	index := make(map[*tree.Node]int32, len(wk.active))
+	for i, n := range wk.active {
+		index[n] = int32(i)
 	}
 	nc := wk.schema.NumClasses()
 	counts := make([]int64, len(wk.active)*nc)
-	for r, i := range node {
-		if i >= 0 {
+	node := make([]int32, wk.n)
+	for r := range node {
+		n := wk.root
+		for d := 0; d < len(wk.levelStats) && !n.Leaf; d++ {
+			n = n.Children[n.ChildFor(tab.Value(n.Attr, r))]
+		}
+		node[r] = -1
+		if i, ok := index[n]; ok {
+			node[r] = i
 			counts[int(i)*nc+int(tab.Class[r])]++
 		}
 	}
 	for i, n := range wk.active {
 		if got := counts[i*nc : (i+1)*nc]; !slices.Equal(got, n.Hist) {
-			return nil, fmt.Errorf("scalparc: checkpoint fragments: node %d holds class counts %v, histogram %v", i, got, n.Hist)
+			return nil, fmt.Errorf("scalparc: checkpoint shared frame: the training table routes class counts %v to frontier node %d, its histogram is %v", got, i, n.Hist)
 		}
 	}
 	return node, nil

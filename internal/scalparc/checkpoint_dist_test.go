@@ -2,7 +2,6 @@ package scalparc
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,90 +28,41 @@ func openStore(t *testing.T, dir string, resume bool) *CheckpointStore {
 	return s
 }
 
-// distPut writes one rank's frames through the store, failing the test on
-// a persistence error (the production path surfaces it via Err()).
-func distPut(t *testing.T, s *CheckpointStore, level, writer, writers int, shared, frag []byte) {
+// distPut writes a level's frame through the store, failing the test on a
+// persistence error (the production path surfaces it via Err()).
+func distPut(t *testing.T, s *CheckpointStore, level int, shared []byte) {
 	t.Helper()
-	s.put(level, writer, writers, shared, frag)
+	s.put(level, shared)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestDistCheckpointRoundTrip: the newest frame that reads back is the
+// checkpoint. A save prunes every older level; an interrupted save's temp
+// file names no frame, and a newer frame that cannot be read gives way to
+// the one before it.
 func TestDistCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, false)
 	if ck := s.Latest(); ck != nil {
 		t.Fatalf("empty store returned checkpoint %+v", ck)
 	}
-	const writers = 3
-	for w := 0; w < writers; w++ {
-		var shared []byte
-		if w == 0 {
-			shared = []byte("shared-L2")
-		}
-		distPut(t, s, 2, w, writers, shared, fmt.Appendf(nil, "frag-%d", w))
+	distPut(t, s, 1, []byte("old"))
+	distPut(t, s, 5, []byte("new"))
+	if _, err := os.Stat(filepath.Join(dir, sharedName(1))); err == nil {
+		t.Fatal("level 5's save left level 1's frame behind")
 	}
-	ck := s.Latest()
-	if ck == nil {
-		t.Fatal("complete frame set not found")
+	// Level 6: a save killed before its rename. Level 7: a frame path that
+	// is not a readable file.
+	if err := os.WriteFile(filepath.Join(dir, sharedName(6)+".123456.tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ck.Level != 2 || ck.Writers != writers || !bytes.Equal(ck.Shared, []byte("shared-L2")) {
-		t.Fatalf("checkpoint %+v", ck)
+	if err := os.Mkdir(filepath.Join(dir, sharedName(7)), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	for w := 0; w < writers; w++ {
-		if want := fmt.Sprintf("frag-%d", w); string(ck.Frags[w]) != want {
-			t.Fatalf("frag %d = %q, want %q", w, ck.Frags[w], want)
-		}
-	}
-}
-
-// TestDistCheckpointSkipsIncompleteSets: a save a crash interrupted —
-// missing a fragment, or missing the shared frame — must never be
-// returned; Latest falls back to the older complete set.
-func TestDistCheckpointSkipsIncompleteSets(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, false)
-	const writers = 2
-	for w := 0; w < writers; w++ {
-		var shared []byte
-		if w == 0 {
-			shared = []byte("ok")
-		}
-		distPut(t, s, 1, w, writers, shared, []byte{byte(w)})
-	}
-	// Level 3: fragment from rank 1 only — rank 0 (and its shared frame)
-	// died mid-save.
-	distPut(t, s, 3, 1, writers, nil, []byte("orphan frag"))
-	// Level 4: shared plus rank 0's fragment, rank 1's missing.
-	distPut(t, s, 4, 0, writers, []byte("torn"), []byte("half"))
-
-	ck := s.Latest()
-	if ck == nil || ck.Level != 1 {
-		t.Fatalf("Latest = %+v, want the complete level-1 set", ck)
-	}
-}
-
-// TestDistCheckpointPrefersNewestComplete: max level wins; on a level
-// tie (saves before and after a shrink), the larger writer count wins.
-func TestDistCheckpointPrefersNewestComplete(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, false)
-	put := func(level, writers int, tag string) {
-		for w := 0; w < writers; w++ {
-			var shared []byte
-			if w == 0 {
-				shared = []byte("s-" + tag)
-			}
-			distPut(t, s, level, w, writers, shared, []byte(tag))
-		}
-	}
-	put(1, 3, "old")
-	put(5, 2, "shrunk")
-	put(5, 3, "full")
-	ck := s.Latest()
-	if ck == nil || ck.Level != 5 || ck.Writers != 3 || string(ck.Shared) != "s-full" {
-		t.Fatalf("Latest = %+v, want the 3-writer level-5 set", ck)
+	if ck := s.Latest(); ck == nil || ck.Level != 5 || !bytes.Equal(ck.Shared, []byte("new")) {
+		t.Fatalf("Latest = %+v, want level 5's frame", ck)
 	}
 }
 
@@ -123,15 +73,17 @@ func TestDistCheckpointPrefersNewestComplete(t *testing.T) {
 func TestDistCheckpointClearVsResume(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, false)
-	distPut(t, s, 0, 0, 1, []byte("shared"), []byte("frag"))
+	distPut(t, s, 0, []byte("shared"))
 	if s.Latest() == nil {
-		t.Fatal("frame set not written")
+		t.Fatal("frame not written")
 	}
 	// Unrelated files in the checkpoint dir must survive a clear; the temp
-	// file of a save that was killed mid-write must not.
+	// file of a save that was killed mid-write must not, nor a frame file of
+	// another format.
 	bystander := filepath.Join(dir, "notes.txt")
-	litter := filepath.Join(dir, sharedName(7, 2)+".123456.tmp")
-	for _, path := range []string{bystander, litter} {
+	litter := filepath.Join(dir, sharedName(7)+".123456.tmp")
+	stale := filepath.Join(dir, "ck-L000003-W002-w001.frag")
+	for _, path := range []string{bystander, litter, stale} {
 		if err := os.WriteFile(path, []byte("keep"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -149,17 +101,18 @@ func TestDistCheckpointClearVsResume(t *testing.T) {
 	if _, err := os.Stat(bystander); err != nil {
 		t.Fatalf("clearing frames removed an unrelated file: %v", err)
 	}
-	if _, err := os.Stat(litter); err == nil {
-		t.Fatal("clearing frames left an interrupted save's temp file behind")
+	for _, path := range []string{litter, stale} {
+		if _, err := os.Stat(path); err == nil {
+			t.Fatalf("clearing frames left %s behind", filepath.Base(path))
+		}
 	}
 }
 
-// TestCheckpointDirKeepsTwoLevels: the directory does not grow by a frame
-// set per level. After a run of at least four levels — fault-free, and with
-// a crash that shrinks the world so later sets have fewer writers — only
-// two levels' sets remain: the newest, and the one a torn save of it would
-// fall back to. The newest still loads.
-func TestCheckpointDirKeepsTwoLevels(t *testing.T) {
+// TestCheckpointDirKeepsOneLevel: every save prunes the levels before it.
+// After a run of at least four levels — fault-free, and with a crash that
+// shrinks the world — the directory holds exactly one file, the newest
+// level's frame, and it loads.
+func TestCheckpointDirKeepsOneLevel(t *testing.T) {
 	tab, err := datagen.Generate(datagen.Config{Function: 2, Attrs: datagen.Seven, Seed: 1}, 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -180,18 +133,17 @@ func TestCheckpointDirKeepsTwoLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		levels, newest := map[int]bool{}, -1
-		for _, e := range entries {
-			var level int
-			if n, _ := fmt.Sscanf(e.Name(), "ck-L%06d-", &level); n == 1 {
-				levels[level], newest = true, max(newest, level)
+		// The last level leaves no frontier, so the last save is the level
+		// before it.
+		if want := sharedName(res.Levels - 1); len(entries) != 1 || entries[0].Name() != want {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
 			}
+			t.Errorf("%s: checkpoint dir holds %v after %d levels, want only %s", name, names, res.Levels, want)
 		}
-		if len(levels) > 2 {
-			t.Errorf("%s: %d levels' frame sets left after %d levels, want at most 2", name, len(levels), res.Levels)
-		}
-		if ck := (&CheckpointStore{dir: dir}).Latest(); ck == nil || ck.Level != newest {
-			t.Errorf("%s: newest complete set %+v, want level %d", name, ck, newest)
+		if ck := (&CheckpointStore{dir: dir}).Latest(); ck == nil || ck.Level != res.Levels-1 {
+			t.Errorf("%s: newest frame %+v, want level %d", name, ck, res.Levels-1)
 		}
 	}
 }

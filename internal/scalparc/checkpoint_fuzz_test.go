@@ -2,12 +2,17 @@ package scalparc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/splitter"
+	"repro/internal/tree"
 )
 
 // Checkpoint frames are read back from disk, so their decoders are a trust
@@ -90,34 +95,71 @@ func FuzzDecodeShared(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNodeFrag is the same contract for the one fragment frame: the
-// decoder never panics, allocates in proportion to its input (it sizes the
-// rids only by the body that holds them), and whatever it accepts
-// re-encodes to the same bytes. The seeds are the real fragments of an
-// exact and a binned run and TestNodeFragRejections' named bad ones.
-func FuzzDecodeNodeFrag(f *testing.F) {
-	tab := faultData.tab(f)
-	for _, opts := range fragFinders {
-		ck, frontier, bad := nodeFragSeeds(f, tab, opts)
-		for _, frag := range ck.Frags {
-			f.Add(frag, uint8(frontier))
-		}
-		for _, b := range bad {
-			f.Add(b.frame, uint8(frontier))
-		}
+// routeFrame decodes a shared frame written under opts and routes tab down
+// its tree as a restore does, returning the frontier and the record map.
+func routeFrame(data []byte, tab *dataset.Table, opts Options) ([]*tree.Node, []int32, error) {
+	sh, err := decodeShared(data, tab.Schema, &frameState{tag: opts.Split, bins: opts.Bins})
+	if err != nil {
+		return nil, nil, err
 	}
-	f.Fuzz(func(t *testing.T, data []byte, frontier uint8) {
-		var rids []int32
-		var segs []seg
-		var err error
-		if got, limit := allocatedBy(func() { rids, segs, err = decodeNodeFrag(data, tab.NumRows(), int(frontier)) }), uint64(64<<10+64*len(data)); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+	if sh.n != tab.NumRows() {
+		return nil, nil, fmt.Errorf("%d records, table has %d", sh.n, tab.NumRows())
+	}
+	wk := &worker{schema: tab.Schema, n: sh.n, levelStats: sh.levelStats, root: sh.root, active: sh.active}
+	node, err := wk.frontierOf(tab)
+	return sh.active, node, err
+}
+
+// FuzzRouteFrontier: a restore reads no record map from disk; it routes
+// the table down whatever tree the shared frame holds. Whatever frame
+// decodes, the routing never panics, and a map it accepts files each
+// record under a frontier node or retires it, with every node's records,
+// counted by class, its histogram. The seeds are the frames of runs on the
+// table at several depths, with binary and m-way categorical splits, which
+// must route, and frames grown on a same-size table from another seed,
+// which the class-count check must refuse.
+func FuzzRouteFrontier(f *testing.F) {
+	tab := faultData.tab(f)
+	other, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 32}, tab.NumRows())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, opts := range frameFinders {
+		for _, cfg := range []splitter.Config{{MaxDepth: 2}, {MaxDepth: 4}, {MaxDepth: 3, CategoricalBinary: true}} {
+			ck, _ := captureCheckpoint(f, tab, cfg.Normalize(), 2, opts)
+			if _, _, err := routeFrame(ck.Shared, tab, opts); err != nil {
+				f.Fatalf("%v %+v: the table does not route down its own frame: %v", opts.Split, cfg, err)
+			}
+			f.Add(ck.Shared, uint8(i))
 		}
+		ck, _ := captureCheckpoint(f, other, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
+		if _, _, err := routeFrame(ck.Shared, tab, opts); err == nil || !strings.Contains(err.Error(), "class counts") {
+			f.Fatalf("%v: routing another table's frame: %v, want the class-count error", opts.Split, err)
+		}
+		f.Add(ck.Shared, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
+		active, node, err := routeFrame(data, tab, frameFinders[int(which)%len(frameFinders)])
 		if err != nil {
 			return
 		}
-		if again := encodeNodeFrag(rids, segs); !bytes.Equal(again, data) {
-			t.Fatalf("accepted fragment re-encodes differently (%d bytes -> %d)", len(data), len(again))
+		if len(node) != tab.NumRows() {
+			t.Fatalf("record map of %d entries for %d records", len(node), tab.NumRows())
+		}
+		nc := tab.Schema.NumClasses()
+		counts := make([]int64, len(active)*nc)
+		for r, i := range node {
+			if i < -1 || int(i) >= len(active) {
+				t.Fatalf("record %d filed under node %d of a %d-node frontier", r, i, len(active))
+			}
+			if i >= 0 {
+				counts[int(i)*nc+int(tab.Class[r])]++
+			}
+		}
+		for i, n := range active {
+			if got := counts[i*nc : (i+1)*nc]; !slices.Equal(got, n.Hist) {
+				t.Fatalf("accepted map files class counts %v under node %d, its histogram is %v", got, i, n.Hist)
+			}
 		}
 	})
 }

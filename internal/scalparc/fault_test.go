@@ -1,7 +1,6 @@
 package scalparc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -130,8 +129,8 @@ func TestCollectiveCorruptionIsTypedError(t *testing.T) {
 
 // TestCheckpointRoundTrip: decoding a checkpoint and re-encoding it must
 // reproduce the original bytes — the codec loses nothing a resume needs —
-// the decoded frontier must be the active set the writer held, and a frame
-// that is well-formed but wrong must be an error, not a panic.
+// the decoded frontier must be the active set the writer held, and a torn
+// frame must be an error, not a panic.
 func TestCheckpointRoundTrip(t *testing.T) {
 	// Quest F5 at this size leaves empty m-way children at the depth of the
 	// last checkpoint (the chaos table's F3 leaves none there).
@@ -139,9 +138,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := splitter.Config{}.Normalize()
-	p := 3
-	ck, held := captureCheckpoint(t, tab, cfg, p, Options{})
+	ck, held := captureCheckpoint(t, tab, splitter.Config{}.Normalize(), 3, Options{})
 	st := &frameState{}
 	sh, err := decodeShared(ck.Shared, tab.Schema, st)
 	if err != nil {
@@ -175,195 +172,143 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("level %d has no empty leaf beside its open nodes; the reopening rule goes unexercised", ck.Level)
 	}
 
-	for w, frag := range ck.Frags {
-		rids, segs, err := decodeNodeFrag(frag, tab.NumRows(), len(active))
-		if err != nil {
-			t.Fatalf("writer %d: %v", w, err)
-		}
-		if again := encodeNodeFrag(rids, segs); string(again) != string(frag) {
-			t.Fatalf("writer %d: fragment round-trip mismatch: %d bytes -> %d bytes", w, len(frag), len(again))
-		}
-	}
 	// Corruption must be detected, not silently absorbed.
 	for _, cut := range []int{1, len(ck.Shared) / 2, len(ck.Shared) - 1} {
 		if _, err := decodeShared(ck.Shared[:cut], tab.Schema, st); err == nil {
 			t.Fatalf("truncation at %d bytes went undetected", cut)
 		}
 	}
-	if _, _, err := decodeNodeFrag(ck.Frags[0][:len(ck.Frags[0])-2], tab.NumRows(), len(active)); err == nil {
-		t.Fatal("fragment truncation went undetected")
-	}
-
-	// A well-formed but wrong fragment: writer 0's frame without its
-	// first rid decodes, but its node's class counts no longer match the
-	// histogram, which fails restore.
-	rids, segs, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), len(active))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *ck
-	bad.Frags = append([][]byte(nil), ck.Frags...)
-	bad.Frags[0] = encodeNodeFrag(dropRid(rids, segs, 0))
-	w := comm.NewWorld(p, timing.T3D())
-	if err := newWorker(w.Rank(0), tab, cfg, DistributedNodeTable, Options{}).restore(tab, &bad); err == nil || !strings.Contains(err.Error(), "class counts") {
-		t.Errorf("restored from a fragment one rid short: %v", err)
-	}
 }
 
 // TestRestoredListsMatchFreshRun: a checkpoint written by three ranks and
-// resumed on two leaves each rank the records a fresh two-rank run holds at
-// the same level: in exact mode the attribute lists, segment for segment,
-// and in binned mode the row store's node index per row. A restore loads
-// the survivors' blocks and files the records under the frontier, as that
-// run's levels did, and under RebalanceLevels rebalances the lists as the
-// level did.
+// resumed on another world size leaves each rank the records a fresh run
+// on that size holds at the same level: in exact mode the attribute lists,
+// segment for segment, and in the histogram modes the row store's node
+// index per row. A restore routes every record down the checkpointed tree
+// to its frontier node, loads the survivors' blocks and files the records
+// under the frontier, as that run's levels did, and under RebalanceLevels
+// rebalances the lists as the level did. Vote at k < attrs elects splits
+// from per-rank evidence, so its tree depends on the world size and its
+// row resumes on the writers' own.
 func TestRestoredListsMatchFreshRun(t *testing.T) {
 	tab := faultData.tab(t)
-	cfg := splitter.Config{MaxDepth: 4}.Normalize()
-	for _, opts := range []Options{{}, {RebalanceLevels: true}, {Split: SplitBinned, Bins: 16}} {
-		ck, _ := captureCheckpoint(t, tab, cfg, 3, opts)
-		if ck.Level < 2 {
-			t.Fatalf("checkpoint at level %d; the test needs a frontier below the root's children", ck.Level)
-		}
-		const p = 2
-		restored, fresh := make([]records, p), make([]records, p)
-		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
-			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
-			if err := wk.restore(tab, ck); err != nil {
-				t.Error(err)
+	depth4 := splitter.Config{MaxDepth: 4}.Normalize()
+	for _, tc := range []struct {
+		name string
+		cfg  splitter.Config
+		opts Options
+		to   int  // the resuming world's size
+		mway bool // the frontier must sit under an m-way categorical split
+	}{
+		{"exact", depth4, Options{}, 2, true},
+		{"rebalance", depth4, Options{RebalanceLevels: true}, 2, false},
+		{"binned", depth4, Options{Split: SplitBinned, Bins: 16}, 2, false},
+		{"vote k=2", depth4, Options{Split: SplitVote, Bins: 16, VoteK: 2}, 3, false},
+		{"categorical binary", splitter.Config{MaxDepth: 4, CategoricalBinary: true}.Normalize(), Options{}, 2, false},
+		{"larger world", depth4, Options{}, 5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, _ := captureCheckpoint(t, tab, tc.cfg, 3, tc.opts)
+			if ck.Level < 2 {
+				t.Fatalf("checkpoint at level %d; the test needs a frontier below the root's children", ck.Level)
+			}
+			restored, fresh := make([]records, tc.to), make([]records, tc.to)
+			comm.NewWorld(tc.to, timing.T3D()).Run(func(c *comm.Comm) {
+				wk := newWorker(c, tab, tc.cfg, DistributedNodeTable, tc.opts)
+				if err := wk.restore(tab, ck); err != nil {
+					t.Error(err)
+					return
+				}
+				if c.Rank() == 0 && tc.mway && !underMway(wk.root, ck.Level, false) {
+					t.Errorf("no frontier node at level %d sits under an m-way split", ck.Level)
+				}
+				restored[c.Rank()] = wk.recs
+			})
+			comm.NewWorld(tc.to, timing.T3D()).Run(func(c *comm.Comm) {
+				wk := newWorker(c, tab, tc.cfg, DistributedNodeTable, tc.opts)
+				wk.presort(tab)
+				for len(wk.levelStats) < ck.Level {
+					wk.runLevel()
+				}
+				fresh[c.Rank()] = wk.recs
+			})
+			if slices.Contains(restored, nil) {
 				return
 			}
-			restored[c.Rank()] = wk.recs
+			for r := range tc.to {
+				if got, ok := restored[r].(*lists); ok {
+					want := fresh[r].(*lists)
+					for a := range tab.Schema.Attrs {
+						if !slices.Equal(got.segs[a], want.segs[a]) {
+							t.Errorf("rank %d attribute %d: restored segments %v, a fresh run's %v", r, a, got.segs[a], want.segs[a])
+						}
+						if !slices.Equal(got.cont[a], want.cont[a]) || !slices.Equal(got.cat[a], want.cat[a]) {
+							t.Errorf("rank %d attribute %d: restored entries differ from a fresh run's", r, a)
+						}
+					}
+					continue
+				}
+				if got, want := rowsOf(restored[r]).node, rowsOf(fresh[r]).node; !slices.Equal(got, want) {
+					t.Errorf("rank %d: restored row nodes %v, a fresh run's %v", r, got, want)
+				}
+			}
 		})
-		comm.NewWorld(p, timing.T3D()).Run(func(c *comm.Comm) {
-			wk := newWorker(c, tab, cfg, DistributedNodeTable, opts)
-			wk.presort(tab)
-			for len(wk.levelStats) < ck.Level {
-				wk.runLevel()
-			}
-			fresh[c.Rank()] = wk.recs
-		})
-		for r := range p {
-			if rows, ok := fresh[r].(*rowStore); ok {
-				if got := restored[r].(*rowStore).node; !slices.Equal(got, rows.node) {
-					t.Errorf("%v rank %d: restored row nodes %v, a fresh run's %v", opts.Split, r, got, rows.node)
-				}
-				continue
-			}
-			got, want := restored[r].(*lists), fresh[r].(*lists)
-			for a := range tab.Schema.Attrs {
-				if !slices.Equal(got.segs[a], want.segs[a]) {
-					t.Errorf("rebalance=%v rank %d attribute %d: restored segments %v, a fresh run's %v", opts.RebalanceLevels, r, a, got.segs[a], want.segs[a])
-				}
-				if !slices.Equal(got.cont[a], want.cont[a]) || !slices.Equal(got.cat[a], want.cat[a]) {
-					t.Errorf("rebalance=%v rank %d attribute %d: restored entries differ from a fresh run's", opts.RebalanceLevels, r, a)
-				}
-			}
+	}
+}
+
+// rowsOf is the row store of a histogram mode's records.
+func rowsOf(recs records) *rowStore {
+	if vs, ok := recs.(*voteStore); ok {
+		return &vs.rowStore
+	}
+	return recs.(*rowStore)
+}
+
+// underMway reports whether an open node at depth below n sits under an
+// m-way categorical split; below says whether n itself does.
+func underMway(n *tree.Node, depth int, below bool) bool {
+	if depth == 0 {
+		return below && !n.Leaf
+	}
+	for _, ch := range n.Children {
+		if underMway(ch, depth-1, below || n.Kind == dataset.Categorical && n.Subset == nil) {
+			return true
 		}
 	}
+	return false
 }
 
-// dropRid returns a fragment's rids and segments without the first rid
-// filed under a node at or after node i.
-func dropRid(rids []int32, segs []seg, i int) ([]int32, []seg) {
-	segs = slices.Clone(segs)
-	for segs[i].n == 0 {
-		i++
-	}
-	rids = slices.Delete(slices.Clone(rids), segs[i].off, segs[i].off+1)
-	segs[i].n--
-	for k := i + 1; k < len(segs); k++ {
-		segs[k].off--
-	}
-	return rids, segs
-}
-
-// fragFinders are the two record layouts a fragment is written from:
-// exact mode's lists and the histogram modes' row store.
-var fragFinders = []Options{{}, {Split: SplitBinned, Bins: 16}}
-
-// nodeFragSeeds returns a three-level run's real fragments under opts
-// (written by two ranks, for frontier nodes) and named fragments
-// decodeNodeFrag must refuse, each with the error it must give.
-func nodeFragSeeds(tb testing.TB, tab *dataset.Table, opts Options) (ck *Checkpoint, frontier int, bad map[string]struct {
-	frame []byte
-	want  string
-}) {
-	tb.Helper()
-	ck, _ = captureCheckpoint(tb, tab, splitter.Config{MaxDepth: 3}.Normalize(), 2, opts)
-	sh, err := decodeShared(ck.Shared, tab.Schema, &frameState{tag: opts.Split, bins: opts.Bins})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	frontier = len(sh.active)
-	rids, segs, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), frontier)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	past := slices.Clone(rids)
-	past[0] = int32(tab.NumRows())
-	huge := slices.Clone(ck.Frags[0])
-	binary.LittleEndian.PutUint32(huge[12:], uint32(len(huge)))
-	return ck, frontier, map[string]struct {
-		frame []byte
-		want  string
-	}{
-		"rid out of range":    {encodeNodeFrag(past, segs), fmt.Sprintf("outside [0, %d)", tab.NumRows())},
-		"count past the body": {huge, "past the body"},
-		"trailing bytes":      {append(slices.Clone(ck.Frags[0]), 0, 0, 0, 0), "4 trailing bytes"},
-		"wrong frontier size": {encodeNodeFrag(rids, segs[:frontier-1]), fmt.Sprintf("%d frontier nodes, tree frontier has %d", frontier-1, frontier)},
-	}
-}
-
-// TestNodeFragRejections: under both record layouts, each named bad
-// fragment fails to decode with its own error, and two well-formed but
-// wrong frame sets fail restore: one where a rid is claimed by two
-// writers, and one where a live rid is left out, which its node's class
-// counts catch.
-func TestNodeFragRejections(t *testing.T) {
+// TestRestoreRejectsAnotherTable: a canonical frame restored over a table of
+// the same size and schema drawn from another seed fails on every rank with
+// the class-count error, before any collective: the frame's tree routes
+// that table's records into counts its frontier histograms do not hold.
+func TestRestoreRejectsAnotherTable(t *testing.T) {
 	tab := faultData.tab(t)
-	for _, opts := range fragFinders {
-		ck, frontier, bad := nodeFragSeeds(t, tab, opts)
-		for name, b := range bad {
-			if _, _, err := decodeNodeFrag(b.frame, tab.NumRows(), frontier); err == nil || !strings.Contains(err.Error(), b.want) {
-				t.Errorf("%v %s: error %v, want one containing %q", opts.Split, name, err, b.want)
+	other, err := datagen.Generate(datagen.Config{Function: 3, Attrs: datagen.Nine, Seed: 32}, tab.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := splitter.Config{MaxDepth: 4}.Normalize()
+	const p = 3
+	for _, opts := range frameFinders {
+		t.Run(opts.Split.String(), func(t *testing.T) {
+			ck, _ := captureCheckpoint(t, tab, cfg, p, opts)
+			w := comm.NewWorld(p, timing.T3D())
+			errs := make([]error, p)
+			w.Run(func(c *comm.Comm) {
+				errs[c.Rank()] = newWorker(c, other, cfg, DistributedNodeTable, opts).restore(other, ck)
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "class counts") {
+					t.Errorf("rank %d: restore error %v, want the class-count error", r, err)
+				}
 			}
-		}
-
-		restore := func(frags ...[]byte) error {
-			wk := newWorker(comm.NewWorld(1, timing.T3D()).Rank(0), tab, splitter.Config{MaxDepth: 3}.Normalize(), DistributedNodeTable, opts)
-			return wk.restore(tab, &Checkpoint{Level: ck.Level, Writers: len(frags), Shared: ck.Shared, Frags: frags})
-		}
-		if err := restore(ck.Frags...); err != nil {
-			t.Fatalf("%v: the real checkpoint did not restore: %v", opts.Split, err)
-		}
-		rids0, segs0, err := decodeNodeFrag(ck.Frags[0], tab.NumRows(), frontier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids1, segs1, err := decodeNodeFrag(ck.Frags[1], tab.NumRows(), frontier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Writer 0's first rid filed again, under the same node, by writer 1.
-		i := slices.IndexFunc(segs0, func(sg seg) bool { return sg.n > 0 })
-		twice := slices.Insert(slices.Clone(rids1), segs1[i].off, rids0[segs0[i].off])
-		twiceSegs := slices.Clone(segs1)
-		twiceSegs[i].n++
-		for k := i + 1; k < frontier; k++ {
-			twiceSegs[k].off++
-		}
-		for name, tc := range map[string]struct {
-			frags [][]byte
-			want  string
-		}{
-			"rid claimed by two writers": {[][]byte{ck.Frags[0], encodeNodeFrag(twice, twiceSegs)}, "claimed by nodes"},
-			"live rid left out":          {[][]byte{ck.Frags[0], encodeNodeFrag(dropRid(rids1, segs1, 0))}, "class counts"},
-		} {
-			if err := restore(tc.frags...); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%v %s: restore error %v, want one containing %q", opts.Split, name, err, tc.want)
+			for r, st := range w.Stats() {
+				if st != (comm.Stats{}) {
+					t.Errorf("rank %d: communicated before failing: %+v", r, st)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -427,13 +372,7 @@ func TestSharedCutRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for w, frag := range ck.Frags {
-			var shared []byte
-			if w == 0 {
-				shared = b.frame
-			}
-			store.put(ck.Level, w, ck.Writers, shared, frag)
-		}
+		store.put(ck.Level, b.frame)
 		opts.CheckpointDir, opts.Resume = store.dir, true
 		if _, err := TrainOpts(comm.NewWorld(2, timing.T3D()), tab, splitter.Config{MaxDepth: 3}, opts); err == nil || !strings.Contains(err.Error(), b.want) {
 			t.Errorf("%s: resume error %v, want one containing %q", name, err, b.want)
@@ -531,23 +470,19 @@ func TestCheckpointRestoreRejectsMismatchedOptions(t *testing.T) {
 }
 
 // TestCheckpointDirPersistence: a simulated run with a CheckpointDir leaves
-// the same per-rank frame files a wire-backed run writes — the one on-disk
-// format — and they reload through the same scan, bit-identical.
+// the frame file a wire-backed run writes — the one on-disk format — and it
+// reloads through the same scan, bit-identical.
 func TestCheckpointDirPersistence(t *testing.T) {
 	tab := faultData.tab(t)
 	cfg := splitter.Config{}.Normalize()
 	dir := t.TempDir()
-	p := 3
-	w := comm.NewWorld(p, timing.T3D())
+	w := comm.NewWorld(3, timing.T3D())
 	if _, err := TrainOpts(w, tab, cfg, Options{CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	ck := (&CheckpointStore{dir: dir}).Latest()
 	if ck == nil {
-		t.Fatal("no complete frame set on disk")
-	}
-	if ck.Writers != p || len(ck.Frags) != p {
-		t.Fatalf("persisted checkpoint has %d writers / %d fragments, want %d", ck.Writers, len(ck.Frags), p)
+		t.Fatal("no frame on disk")
 	}
 	sh, err := decodeShared(ck.Shared, tab.Schema, &frameState{})
 	if err != nil {
@@ -556,34 +491,26 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if sh.n != tab.NumRows() || len(sh.levelStats) != ck.Level {
 		t.Fatalf("persisted checkpoint n=%d level=%d, want n=%d level=%d", sh.n, len(sh.levelStats), tab.NumRows(), ck.Level)
 	}
-	active := sh.active
-	for w, frag := range ck.Frags {
-		if _, _, err := decodeNodeFrag(frag, tab.NumRows(), len(active)); err != nil {
-			t.Fatalf("writer %d: %v", w, err)
-		}
-	}
-	// Nothing but frame files: no temp litter, no second format.
+	// Nothing but the one frame file: no temp litter, no second format.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if name := e.Name(); !strings.HasPrefix(name, "ck-L") || !(strings.HasSuffix(name, ".frag") || strings.HasSuffix(name, ".shared")) {
-			t.Fatalf("unexpected file %s in the checkpoint dir", name)
-		}
+	if len(entries) != 1 || entries[0].Name() != sharedName(ck.Level) {
+		t.Fatalf("checkpoint dir holds %d files (first %s), want only %s", len(entries), entries[0].Name(), sharedName(ck.Level))
 	}
-	// A truncated frame file on disk still assembles (the set is complete by
-	// name) but must be rejected at decode, never restored from.
-	path := filepath.Join(dir, fragName(ck.Level, ck.Writers, 1))
-	if err := os.WriteFile(path, ck.Frags[1][:len(ck.Frags[1])/2], 0o644); err != nil {
+	// A truncated frame file on disk still reads back but must be rejected
+	// at decode, never restored from.
+	path := filepath.Join(dir, sharedName(ck.Level))
+	if err := os.WriteFile(path, ck.Shared[:len(ck.Shared)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	torn := (&CheckpointStore{dir: dir}).Latest()
 	if torn == nil || torn.Level != ck.Level {
-		t.Fatalf("frame set with a torn fragment not assembled: %+v", torn)
+		t.Fatalf("torn frame not read back: %+v", torn)
 	}
-	if _, _, err := decodeNodeFrag(torn.Frags[1], tab.NumRows(), len(active)); err == nil {
-		t.Fatal("truncated on-disk fragment decoded without error")
+	if _, err := decodeShared(torn.Shared, tab.Schema, &frameState{}); err == nil {
+		t.Fatal("truncated on-disk frame decoded without error")
 	}
 }
 

@@ -87,13 +87,9 @@ func (l *lists) load(wk *worker, tab *dataset.Table) {
 	}
 }
 
-// frontierRids reads the rids off attribute 0's list (cont[0] or cat[0],
-// the other is empty): every attribute's segment of a node holds the same
-// records, and the segments lie back to back in node order.
-func (l *lists) frontierRids(*worker) ([]int32, []seg) {
-	rids := make([]int32, 0, len(l.cont[0])+len(l.cat[0]))
-	return appendRids(appendRids(rids, l.cont[0]), l.cat[0]), l.segs[0]
-}
+// held reads attribute 0's list (cont[0] or cat[0], the other is empty):
+// every attribute's list holds the same records.
+func (l *lists) held() int { return len(l.cont[0]) + len(l.cat[0]) }
 
 // relabel partitions every attribute's root list stably by frontier node
 // and drops the retired records. Each rank keeps the entries of its own

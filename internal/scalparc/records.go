@@ -24,13 +24,13 @@ import (
 //   - vote (voteStore, vote.go): the row store plus PV-Tree's candidate
 //     filter in front of its exchange.
 //
-// The level loop, the checkpoint frames and the recovery protocol are the
-// same for all three: a fragment is the rids a rank holds per frontier
-// node, and a restore loads the records as a fresh start does and relabels
-// them from the fragments (checkpoint.go). Everything a mode needs beyond
-// the worker's replicated state (cuts, vote parameters, arena buffers, its
-// section of the shared checkpoint frame) lives behind this interface, and
-// the worker never asks which mode it is running.
+// The level loop, the checkpoint frame and the recovery protocol are the
+// same for all three: a restore loads the records as a fresh start does and
+// relabels each with the frontier node the checkpointed tree routes it to
+// (checkpoint.go). Everything a mode needs beyond the worker's replicated
+// state (cuts, vote parameters, arena buffers, its section of the shared
+// checkpoint frame) lives behind this interface, and the worker never asks
+// which mode it is running.
 type records interface {
 	// load fills the records from this rank's block of the table, the root
 	// holding every record, inside the presort phase. The row store first
@@ -56,10 +56,9 @@ type records interface {
 	split(wk *worker, doSplit []bool, splitIdx []int, cands []splitter.Candidate, nextCount int, childIndex [][]int)
 	// rebalance is Options.RebalanceLevels' pass after a level.
 	rebalance(wk *worker)
-	// frontierRids returns the rids this rank holds under each frontier
-	// node, back to back in node order, with segs[i] locating node i's:
-	// its checkpoint fragment.
-	frontierRids(wk *worker) (rids []int32, segs []seg)
+	// held is the number of records this rank holds under the frontier,
+	// which a checkpoint save is charged a pass over.
+	held() int
 	// relabel files the records of a freshly loaded layout under the
 	// frontier restored from a checkpoint: node[rid] is a record's frontier
 	// node, -1 once it is retired. It returns the entries this rank now

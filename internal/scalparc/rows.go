@@ -184,14 +184,15 @@ func (rs *rowStore) split(wk *worker, doSplit []bool, _ []int, _ []splitter.Cand
 	wk.c.Compute(wk.c.Model().SplitTime(moved))
 }
 
-// frontierRids files the owned rows under their frontier nodes.
-func (rs *rowStore) frontierRids(wk *worker) ([]int32, []seg) {
-	lo, _ := dataset.BlockRange(wk.n, wk.c.Size(), wk.c.Rank())
-	rids := make([]int32, len(rs.node))
-	for r := range rids {
-		rids[r] = int32(lo + r)
+// held counts the owned rows not yet retired.
+func (rs *rowStore) held() int {
+	n := 0
+	for _, i := range rs.node {
+		if i >= 0 {
+			n++
+		}
 	}
-	return fileByNode(rids, len(wk.active), func(rid int32) int32 { return rs.node[int(rid)-lo] })
+	return n
 }
 
 // relabel takes the node indices of the rows this rank owns.

@@ -40,12 +40,12 @@
 // no record map and no enquiries. Vote's type is the row store plus a
 // candidate filter (vote.go).
 //
-// With a checkpoint directory, every level boundary is saved as the
-// replicated tree plus, per rank, the rids it holds under each frontier
-// node: the lists are sorted once and a split only moves records between
-// nodes, so nothing else is state. Recovery loads the table as a fresh
-// start does and files the records under the restored frontier, in every
-// split mode (checkpoint.go).
+// With a checkpoint directory, every level boundary is saved as one frame
+// holding the replicated tree: the lists are sorted once and a split only
+// moves each record to the child its values route to, so the tree and the
+// table say which frontier node holds every record. Recovery loads the
+// table as a fresh start does and files each record under the node the
+// restored tree routes it to, in every split mode (checkpoint.go).
 package scalparc
 
 import (
@@ -252,14 +252,14 @@ type Options struct {
 	// surfaces as a *comm.ProtocolError instead.
 	Faults comm.FaultInjector
 	// CheckpointDir, when set, saves a level-boundary checkpoint after every
-	// completed level into this directory, as per-rank frame files written
-	// atomically and fsynced (one format for every world; see
-	// CheckpointStore). Unset, there is no checkpointing and recovery
+	// completed level into this directory, as one frame file written by
+	// dense rank 0 atomically and fsynced, each save removing the older
+	// levels' (one format for every world; see CheckpointStore). Unset, there is no checkpointing and recovery
 	// replays the whole induction. The directory is created if absent and
 	// must be writable; a previous run's frames in it are removed unless
 	// Resume is set.
 	CheckpointDir string
-	// Resume starts the run from the last complete checkpoint in
+	// Resume starts the run from the newest checkpoint in
 	// CheckpointDir instead of from scratch — the respawn path after a
 	// wholesale failure. Any world may resume, at the writers' size or a
 	// smaller one; requires CheckpointDir.
@@ -454,7 +454,7 @@ func trainAttempt(c *comm.Comm, tab *dataset.Table, cfg splitter.Config,
 	wk := newWorker(c, tab, cfg, factory, opts)
 	// Restore applies after an in-run shrink (restarted) and on the first
 	// attempt of a respawned world (opts.Resume): both continue from the
-	// last complete checkpoint rather than replaying the whole induction.
+	// newest checkpoint rather than replaying the whole induction.
 	var ck *Checkpoint
 	if (restarted || opts.Resume) && store != nil {
 		ck = store.Latest()

@@ -57,7 +57,7 @@ type Tree struct {
 func (t *Tree) Predict(row []float64) int {
 	n := t.Root
 	for !n.Leaf {
-		n = n.Children[n.childFor(row[n.Attr])]
+		n = n.Children[n.ChildFor(row[n.Attr])]
 	}
 	return n.Label
 }
@@ -95,16 +95,16 @@ func (t *Tree) PredictTableWalk(tab *dataset.Table, out []int) {
 			} else {
 				v = float64(cat[n.Attr][r])
 			}
-			n = n.Children[n.childFor(v)]
+			n = n.Children[n.ChildFor(v)]
 		}
 		out[r] = n.Label
 	}
 }
 
-// childFor returns the child index a value descends to, applying the
+// ChildFor returns the child index a value descends to, applying the
 // majority-branch fallback documented on Node for NaN and out-of-domain
 // categorical values.
-func (n *Node) childFor(v float64) int {
+func (n *Node) ChildFor(v float64) int {
 	switch {
 	case n.Kind == dataset.Continuous:
 		if v != v { // NaN: the threshold test cannot route it
